@@ -2,6 +2,9 @@
 
 A ``Tape`` records every primitive applied to ``Value`` nodes during a forward
 pass; ``backward`` replays the records in reverse to accumulate gradients.
+A tape made with ``record=False`` runs the same primitives forward only.
+``per_example_variance`` reads per-example gradients off a recorded tape after
+one batched ``backward``.
 The desk-scale operation registry (linear / identity / zero) and the SGD
 optimizer with cosine annealing live here as well, since they operate on the
 same tensors.
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoTape, ShapeMismatch
+from .errors import NoTape, ParseError, ShapeMismatch, SharedParameter
 
 
 class Value:
@@ -34,17 +37,23 @@ class Value:
 
 
 class Tape:
-    """Ordered record of primitive applications, sufficient for one reverse pass."""
+    """Ordered record of primitive applications, sufficient for one reverse pass.
 
-    def __init__(self):
-        self._records = []  # (output, inputs, backward_fn)
+    With ``record=False`` every primitive returns its output before it builds
+    a backward closure, keeps a mask or pushes a record: the forward values
+    are the same, and ``backward`` on the tape raises ``NoTape``.
+    """
+
+    def __init__(self, record=True):
+        self.record = record
+        self._records = []  # (primitive, output, inputs, backward_fn)
         self._produced = set()
 
     def leaf(self, data) -> Value:
         return Value(data)
 
-    def _push(self, out, inputs, backward):
-        self._records.append((out, inputs, backward))
+    def _push(self, kind, out, inputs, backward):
+        self._records.append((kind, out, inputs, backward))
         self._produced.add(id(out))
         return out
 
@@ -55,48 +64,62 @@ class Tape:
         if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
             raise ShapeMismatch(f"dense: {x.data.shape} vs {w.data.shape}")
         out = Value(x.data @ w.data.T)
+        if not self.record:
+            return out
 
         def backward(g):
             return [g @ w.data, g.T @ x.data]
 
-        return self._push(out, [x, w], backward)
+        return self._push("dense", out, [x, w], backward)
 
     def add(self, a: Value, b: Value) -> Value:
         if a.data.shape != b.data.shape:
             raise ShapeMismatch(f"add: {a.data.shape} vs {b.data.shape}")
         out = Value(a.data + b.data)
-        return self._push(out, [a, b], lambda g: [g, g])
+        if not self.record:
+            return out
+        return self._push("add", out, [a, b], lambda g: [g, g])
 
     def add_bias(self, x: Value, b: Value) -> Value:
         if x.data.ndim != 2 or b.data.shape != (x.data.shape[1],):
             raise ShapeMismatch(f"add_bias: {x.data.shape} vs {b.data.shape}")
         out = Value(x.data + b.data)
-        return self._push(out, [x, b], lambda g: [g, g.sum(axis=0)])
+        if not self.record:
+            return out
+        return self._push("add_bias", out, [x, b], lambda g: [g, g.sum(axis=0)])
 
     def sub(self, a: Value, b: Value) -> Value:
         if a.data.shape != b.data.shape:
             raise ShapeMismatch(f"sub: {a.data.shape} vs {b.data.shape}")
         out = Value(a.data - b.data)
-        return self._push(out, [a, b], lambda g: [g, -g])
+        if not self.record:
+            return out
+        return self._push("sub", out, [a, b], lambda g: [g, -g])
 
     def relu(self, x: Value) -> Value:
         mask = x.data > 0.0
         out = Value(np.where(mask, x.data, 0.0))
-        return self._push(out, [x], lambda g: [g * mask])
+        if not self.record:
+            return out
+        return self._push("relu", out, [x], lambda g: [g * mask])
 
     def zeros_like(self, x: Value) -> Value:
         out = Value(np.zeros_like(x.data))
-        return self._push(out, [x], lambda g: [np.zeros_like(x.data)])
+        if not self.record:
+            return out
+        return self._push("zeros_like", out, [x], lambda g: [np.zeros_like(x.data)])
 
     def concat(self, parts, axis=1) -> Value:
         out = Value(np.concatenate([p.data for p in parts], axis=axis))
+        if not self.record:
+            return out
         sizes = [p.data.shape[axis] for p in parts]
         splits = np.cumsum(sizes)[:-1]
 
         def backward(g):
             return list(np.split(g, splits, axis=axis))
 
-        return self._push(out, list(parts), backward)
+        return self._push("concat", out, list(parts), backward)
 
     def mean_of(self, parts) -> Value:
         """Elementwise mean of same-shape arrays (fixed averaging projection)."""
@@ -105,16 +128,22 @@ class Tape:
             if p.data.shape != shape:
                 raise ShapeMismatch("mean_of: mismatched part shapes")
         out = Value(sum(p.data for p in parts) / len(parts))
+        if not self.record:
+            return out
         inv = 1.0 / len(parts)
-        return self._push(out, list(parts), lambda g: [g * inv] * len(parts))
+        return self._push("mean_of", out, list(parts), lambda g: [g * inv] * len(parts))
 
     def scale(self, x: Value, s: float) -> Value:
         out = Value(x.data * s)
-        return self._push(out, [x], lambda g: [g * s])
+        if not self.record:
+            return out
+        return self._push("scale", out, [x], lambda g: [g * s])
 
     def half_sum_sq(self, x: Value) -> Value:
         out = Value(0.5 * np.sum(x.data * x.data))
-        return self._push(out, [x], lambda g: [g * x.data])
+        if not self.record:
+            return out
+        return self._push("half_sum_sq", out, [x], lambda g: [g * x.data])
 
     def softmax_cross_entropy(self, logits: Value, labels) -> Value:
         """Mean cross-entropy of softmax(logits) against integer labels."""
@@ -126,6 +155,8 @@ class Tape:
         logp = z - logsumexp
         n = labels.shape[0]
         out = Value(-logp[np.arange(n), labels].mean())
+        if not self.record:
+            return out
         probs = np.exp(logp)
 
         def backward(g):
@@ -133,21 +164,23 @@ class Tape:
             grad[np.arange(n), labels] -= 1.0
             return [g * grad / n]
 
-        return self._push(out, [logits], backward)
+        return self._push("xent", out, [logits], backward)
 
 
 def backward(tape: Tape, loss: Value, seed_gradient=None):
     """Run the reverse pass from ``loss``, filling ``grad`` on every reachable Value."""
+    if not tape.record:
+        raise NoTape("the tape was made with record=False")
     if id(loss) not in tape._produced:
         raise NoTape("loss was not produced by this tape")
-    for out, inputs, _ in tape._records:
+    for _, out, inputs, _ in tape._records:
         out.grad = None
         for v in inputs:
             v.grad = None
     if seed_gradient is None:
         seed_gradient = np.ones_like(loss.data)
     loss.grad = np.asarray(seed_gradient, dtype=np.float64)
-    for out, inputs, bwd in reversed(tape._records):
+    for _, out, inputs, bwd in reversed(tape._records):
         if out.grad is None:
             continue
         for v, g in zip(inputs, bwd(out.grad)):
@@ -155,6 +188,43 @@ def backward(tape: Tape, loss: Value, seed_gradient=None):
                 v.grad = np.array(g, dtype=np.float64)
             else:
                 v.grad += g
+
+
+def per_example_variance(tape: Tape, leaves: dict, scale=1.0) -> float:
+    """Total variance (covariance trace) of the per-example gradients of the
+    ``leaves`` (name -> Value), read off ``tape`` after one batched ``backward``.
+
+    The rows of every record must be independent examples, and each leaf
+    must feed exactly one record: as the weight of a ``dense`` or the bias of
+    an ``add_bias``.  Its batch gradient is then a sum of per-row terms (see
+    Goodfellow, arXiv:1510.01799): row i contributes the rank-1 block
+    ``g[i] (x) x[i]`` to a dense weight and ``g[i]`` to a bias, where ``g`` is
+    the record's output gradient and ``x`` its input.  ``scale`` multiplies
+    every per-example gradient; a batch-mean loss needs the batch size.
+    Each block is reduced to its centred sum of squares and dropped, so equal
+    rows give exactly 0.  A leaf the loss does not reach adds nothing.
+    Raises SharedParameter when a leaf feeds any other record.
+    """
+    uses = {}
+    for kind, out, inputs, _ in tape._records:
+        for slot, v in enumerate(inputs):
+            uses.setdefault(id(v), []).append((kind, slot, out, inputs))
+    total = 0.0
+    for name, leaf in leaves.items():
+        found = uses.get(id(leaf), [])
+        if len(found) > 1 or any(u[:2] not in (("dense", 1), ("add_bias", 1)) for u in found):
+            raise SharedParameter(
+                f"parameter {name} feeds {[u[0] for u in found]}; per-example gradients "
+                "need it to be the weight of one dense or the bias of one add_bias"
+            )
+        if not found or found[0][2].grad is None:
+            continue
+        kind, _, out, inputs = found[0]
+        g = out.grad * scale
+        per_example = np.einsum("bo,bi->boi", g, inputs[0].data) if kind == "dense" else g
+        centred = per_example - per_example.mean(axis=0)
+        total += float(np.sum(centred * centred)) / len(g)
+    return total
 
 
 # --- desk-scale operation registry ---------------------------------------
@@ -254,13 +324,39 @@ def save_checkpoint(params: dict, path):
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Raises ParseError when the file cannot be read, is shorter than its
+    header, has a header that is not a JSON list of blocks, or has a payload
+    that is not whole float64 values or is shorter than its blocks.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if len(raw) < 4:
+        raise ParseError(f"{path}: checkpoint of {len(raw)} bytes has no header length")
+    (header_len,) = struct.unpack_from("<I", raw)
+    start = 4 + header_len
+    if len(raw) < start or (len(raw) - start) % 8:
+        raise ParseError(f"{path}: checkpoint is truncated or has a partial value")
+    try:
+        header = json.loads(raw[4:start])
+        blocks = [(b["name"], tuple(b["shape"]), b["offset"]) for b in header]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
+    payload = np.frombuffer(raw, dtype="<f8", offset=start)
     params = {}
-    for block in header:
-        size = int(np.prod(block["shape"])) if block["shape"] else 1
-        chunk = payload[block["offset"] : block["offset"] + size]
-        params[block["name"]] = np.array(chunk, dtype=np.float64).reshape(block["shape"])
+    for name, shape, offset in blocks:
+        if not (isinstance(name, str) and isinstance(offset, int) and offset >= 0
+                and all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise ParseError(f"{path}: bad checkpoint block {name!r}")
+        size = math.prod(shape)
+        if offset + size > payload.size:
+            raise ParseError(
+                f"{path}: block {name!r} ends at value {offset + size}, "
+                f"past the payload's {payload.size}"
+            )
+        params[name] = np.array(payload[offset : offset + size], dtype=np.float64).reshape(shape)
     return params

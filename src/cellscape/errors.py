@@ -45,6 +45,11 @@ class NoTape(CellscapeError):
     """backward() called on a value the tape did not produce."""
 
 
+class SharedParameter(CellscapeError):
+    """A parameter feeds more than one tape record, so its per-example
+    gradients are not one rank-1 term per example."""
+
+
 class NoConvergence(CellscapeError):
     """Power iteration failed to converge within the iteration budget."""
 

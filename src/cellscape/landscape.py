@@ -2,9 +2,15 @@
 
 Two random directions with the checkpoint's block structure span the slice;
 each grid point evaluates the network at checkpoint + alpha*d1 + beta*d2.
-The loss surface is the mean loss over the split; the gradient-variance
-surface is the total variance (covariance trace) of per-instance parameter
-gradients.  Non-finite values are kept and tagged, not clipped.
+The loss surface is the mean loss over the split, from one forward pass per
+point that records no tape.  The gradient-variance surface is the total
+variance (covariance trace) of per-instance parameter gradients, from one
+batched forward and backward pass per point: every parameter block feeds
+exactly one ``dense`` or ``add_bias``, so instance i's gradient is the rank-1
+block n*g_i (x) x_i (or n*g_i for a bias), with g_i the op's output-gradient
+row and x_i its input row.  That single-use precondition is checked, and a
+block that breaks it raises.  Non-finite values are kept as computed and
+tagged by ``LandscapeGrid.overflow_mask``, not clipped.
 """
 
 from __future__ import annotations
@@ -95,7 +101,20 @@ def grid_coordinates(points, extent):
     return np.linspace(-extent, extent, points)
 
 
-def _check_grid_inputs(checkpoint, pair, alphas, betas):
+def _check_grid_inputs(network, checkpoint, pair, alphas, betas):
+    shapes = network._param_shapes()
+    if set(checkpoint) != set(shapes):
+        odd = sorted(set(checkpoint) ^ set(shapes))
+        raise DimensionMismatch(
+            f"checkpoint blocks do not match the network's: {len(odd)} differ, "
+            f"first {odd[0]!r}"
+        )
+    for name, shape in shapes.items():
+        if checkpoint[name].shape != shape:
+            raise DimensionMismatch(
+                f"checkpoint block {name} has shape {checkpoint[name].shape}, "
+                f"the network needs {shape}"
+            )
     for d in (pair.w1, pair.w2):
         if set(d) != set(checkpoint):
             raise DimensionMismatch("direction blocks do not match checkpoint blocks")
@@ -128,32 +147,16 @@ def _row_map(fn, alphas, workers):
 def loss_surface(network: CellNetwork, checkpoint, x, y, pair: DirectionPair,
                  alphas, betas, metadata=None, workers=1) -> LandscapeGrid:
     """Mean loss over the split at every grid point (evaluation only)."""
-    _check_grid_inputs(checkpoint, pair, alphas, betas)
+    _check_grid_inputs(network, checkpoint, pair, alphas, betas)
 
     def row(alpha):
         out = np.empty(len(betas))
         for b, beta in enumerate(betas):
-            params = _shifted(checkpoint, pair, alpha, beta)
-            try:
-                loss, _ = network.evaluate(x, y, params)
-            except FloatingPointError:
-                loss = math.inf
-            out[b] = loss
+            out[b], _ = network.evaluate(x, y, _shifted(checkpoint, pair, alpha, beta))
         return out
 
     values = np.stack(_row_map(row, alphas, workers))
     return LandscapeGrid(alphas, betas, values, "loss", metadata or {})
-
-
-def _per_instance_gradient_variance(network, params, x, y):
-    """Covariance trace of per-instance parameter gradients (batch size 1)."""
-    flat_grads = []
-    for i in range(len(y)):
-        _, grads = network.loss_and_grads(x[i : i + 1], y[i : i + 1], params)
-        flat_grads.append(np.concatenate([grads[k].ravel() for k in sorted(grads)]))
-    stacked = np.stack(flat_grads)
-    mean = stacked.mean(axis=0)
-    return float(np.mean(np.sum((stacked - mean) ** 2, axis=1)))
 
 
 def gradient_variance_surface(network: CellNetwork, checkpoint, x, y,
@@ -163,16 +166,13 @@ def gradient_variance_surface(network: CellNetwork, checkpoint, x, y,
     ``gradstd`` emits the elementwise square root."""
     if mode not in ("gradvar", "gradstd"):
         raise ValueError(f"mode must be gradvar|gradstd, got {mode!r}")
-    _check_grid_inputs(checkpoint, pair, alphas, betas)
+    _check_grid_inputs(network, checkpoint, pair, alphas, betas)
 
     def row(alpha):
         out = np.empty(len(betas))
         for b, beta in enumerate(betas):
             params = _shifted(checkpoint, pair, alpha, beta)
-            try:
-                out[b] = _per_instance_gradient_variance(network, params, x, y)
-            except FloatingPointError:
-                out[b] = math.inf
+            out[b] = network.gradient_variance(x, y, params)
         return out
 
     values = np.stack(_row_map(row, alphas, workers))

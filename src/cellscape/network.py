@@ -87,10 +87,11 @@ class CellNetwork:
             if name.startswith("cell")
         )
 
-    def forward(self, x, params=None):
-        """Forward pass; returns (logits Value, tape, name -> leaf Value map)."""
+    def forward(self, x, params=None, record=True):
+        """Forward pass; returns (logits Value, tape, name -> leaf Value map).
+        With ``record=False`` the tape keeps nothing for a reverse pass."""
         params = self.params if params is None else params
-        tape = Tape()
+        tape = Tape(record=record)
         leaves = {name: tape.leaf(arr) for name, arr in params.items()}
         x_leaf = tape.leaf(np.asarray(x, dtype=np.float64))
         s = tape.add_bias(tape.dense(x_leaf, leaves["stem.w"]), leaves["stem.b"])
@@ -124,11 +125,24 @@ class CellNetwork:
         return float(loss.data), grads
 
     def evaluate(self, x, y, params=None):
-        """(mean loss, accuracy) on a split, in a single forward pass."""
-        logits, tape, _ = self.forward(x, params)
+        """(mean loss, accuracy) on a split, in a single forward pass that
+        records nothing."""
+        logits, tape, _ = self.forward(x, params, record=False)
         loss = tape.softmax_cross_entropy(logits, y)
         acc = float(np.mean(np.argmax(logits.data, axis=1) == np.asarray(y)))
         return float(loss.data), acc
+
+    def gradient_variance(self, x, y, params=None):
+        """Total variance (covariance trace) of the per-example parameter
+        gradients on a split, from one batched forward and backward pass.
+        Every parameter feeds one ``dense`` or ``add_bias`` record, which
+        ``autodiff.per_example_variance`` checks."""
+        logits, tape, leaves = self.forward(x, params)
+        loss = tape.softmax_cross_entropy(logits, y)
+        ad.backward(tape, loss)
+        # the loss is a batch mean: row i of each output gradient is 1/n of
+        # example i's own gradient
+        return ad.per_example_variance(tape, leaves, scale=len(y))
 
 
 def build_network(genotype, cfg: NetworkConfig, init_rng=None) -> CellNetwork:

@@ -5,14 +5,16 @@ Connection variants keep every node's operations and resample each slot's
 source uniformly among the slot's preceding nodes.  Operation variants keep
 the edges and resample each kind uniformly from a candidate set.  The closed
 form for the number of possible connections, (N-2)!/(M-1)!, is computed
-exactly; the slot-assignment enumeration is kept alongside it as an
-independent count since the two do not coincide in general.
+exactly; the slot-assignment counts are kept alongside it since the two do
+not coincide in general.  Those counts are products over nodes; the
+enumeration itself is for callers that want the variants.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidSearchSpace, TooLarge, UnknownOperationKind
@@ -47,19 +49,38 @@ def count_connection_variants(n_total, num_inputs):
     return math.factorial(n_total - 2) // math.factorial(num_inputs - 1)
 
 
+def _slot_assignment_count(g: CellGenotype, cap=ENUMERATION_CAP):
+    """Product over nodes of (preceding)^M; raises TooLarge when the cell has
+    more than MAX_ENUMERABLE_NODES intermediate nodes or the product exceeds
+    the cap."""
+    m = g.num_inputs
+    if len(g.nodes) > MAX_ENUMERABLE_NODES:
+        raise TooLarge(f"{len(g.nodes)} intermediate nodes exceed the enumeration guard")
+    raw = math.prod((m + i) ** m for i in range(len(g.nodes)))
+    if raw > cap:
+        raise TooLarge(f"slot-assignment space of size {raw} exceeds cap {cap}")
+    return raw
+
+
 def connection_space_counts(g: CellGenotype):
     """(raw, deduplicated, formula) sizes of the connection space of ``g``.
 
     raw: number of slot assignments, product over nodes of (preceding)^M.
     deduplicated: raw after merging assignments that only permute a node's
-    identical (kind, source) pairs.
+    identical (kind, source) pairs, i.e. the number of variants
+    ``enumerate_connection_variants`` yields.  Node i has k = M + i
+    preceding nodes; an op kind used c times in it picks a multiset of c
+    sources, C(k + c - 1, c) ways, and the count is the product over kinds
+    and nodes.
     formula: the closed-form count for the same (N, M).
+    Raises TooLarge under the same guards as the enumeration.
     """
     m = g.num_inputs
-    raw = 1
-    for i in range(len(g.nodes)):
-        raw *= (m + i) ** m
-    dedup = sum(1 for _ in enumerate_connection_variants(g))
+    raw = _slot_assignment_count(g)
+    dedup = 1 if g.nodes else 0  # the enumeration yields nothing for no nodes
+    for i, node in enumerate(g.nodes):
+        for c in Counter(op.kind for op in node.ops).values():
+            dedup *= math.comb(m + i + c - 1, c)
     formula = count_connection_variants(g.total_nodes, m)
     return raw, dedup, formula
 
@@ -75,13 +96,7 @@ def enumerate_connection_variants(g: CellGenotype, cap=ENUMERATION_CAP):
     m = g.num_inputs
     if not g.nodes:
         return
-    if len(g.nodes) > MAX_ENUMERABLE_NODES:
-        raise TooLarge(f"{len(g.nodes)} intermediate nodes exceed the enumeration guard")
-    raw = 1
-    for i in range(len(g.nodes)):
-        raw *= (m + i) ** m
-    if raw > cap:
-        raise TooLarge(f"slot-assignment space of size {raw} exceeds cap {cap}")
+    _slot_assignment_count(g, cap)
 
     slot_ranges = []
     for i, node in enumerate(g.nodes):

@@ -13,10 +13,11 @@ from cellscape.autodiff import (
     cosine_lr,
     glorot_init,
     load_checkpoint,
+    per_example_variance,
     save_checkpoint,
     sgd_step,
 )
-from cellscape.errors import NoTape, ShapeMismatch
+from cellscape.errors import NoTape, ShapeMismatch, SharedParameter
 from conftest import central_difference
 
 dims = st.integers(2, 16)
@@ -169,6 +170,38 @@ def test_backward_foreign_value_rejected():
     loss = other.half_sum_sq(other.leaf(np.ones(3).reshape(1, 3)))
     with pytest.raises(NoTape):
         backward(t, loss)
+
+
+def test_non_recording_tape_same_values_no_records():
+    rng = np.random.default_rng(4)
+    x, w, b = rng.standard_normal((5, 3)), rng.standard_normal((4, 3)), rng.standard_normal(4)
+    labels = np.array([0, 3, 1, 1, 2])
+    losses = []
+    quiet = Tape(record=False)
+    for t in (Tape(), quiet):
+        h = t.add_bias(t.dense(t.relu(t.leaf(x)), t.leaf(w)), t.leaf(b))
+        h = t.mean_of([h, t.add(h, t.zeros_like(h))])
+        losses.append(t.softmax_cross_entropy(h, labels))
+    assert losses[0].data == losses[1].data
+    assert quiet._records == []
+    with pytest.raises(NoTape):
+        backward(quiet, losses[1])
+
+
+def test_per_example_variance_rejects_shared_parameter():
+    x = np.arange(6.0).reshape(3, 2)
+    labels = [0, 1, 0]
+    t = Tape()
+    w = t.leaf(np.eye(2))
+    backward(t, t.softmax_cross_entropy(t.dense(t.dense(t.leaf(x), w), w), labels))
+    with pytest.raises(SharedParameter):
+        per_example_variance(t, {"w": w})
+    # one use, but not as the weight of a dense or the bias of an add_bias
+    t = Tape()
+    b = t.leaf(np.ones((3, 2)))
+    backward(t, t.softmax_cross_entropy(t.add(t.leaf(x), b), labels))
+    with pytest.raises(SharedParameter):
+        per_example_variance(t, {"b": b})
 
 
 def test_dense_shape_mismatch():

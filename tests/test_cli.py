@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from cellscape import load_fixture, save_genotype
-from cellscape.autodiff import load_checkpoint
+from cellscape import CellNetwork, NetworkConfig, load_fixture, save_genotype
+from cellscape.autodiff import load_checkpoint, save_checkpoint
+from cellscape.rng import stream
 
 
 def run_cli(*args):
@@ -269,6 +270,73 @@ def test_landscape_reproducible(darts_file, tiny_spec, tmp_path):
                       "--subset", 8, "--seed", 2, "--out", grid_file)
         assert res.returncode == 0
     assert grids[0].read_bytes() == grids[1].read_bytes()
+
+
+@pytest.fixture
+def darts_ckpt(tmp_path):
+    """Initial darts parameters at the tiny spec's sizes, layers 1, dim 5."""
+    cfg = NetworkConfig(layers=1, dim=5, num_classes=3, input_dim=5)
+    net = CellNetwork(load_fixture("darts"), cfg, init_rng=stream(0, "init"))
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(net.params, path)
+    return path
+
+
+def tiny_landscape(ckpt, genotype, spec, out, *extra):
+    return run_cli("landscape", "--checkpoint", ckpt, "--genotype", genotype,
+                   "--dataset-spec", spec, "--grid", 3, "--layers", 1, "--dim", 5,
+                   "--subset", 8, "--out", out, *extra)
+
+
+def one_line(stderr):
+    return len(stderr.strip().splitlines()) == 1 and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("damage", ["short header", "bad json", "short payload"])
+def test_landscape_malformed_checkpoint_exit_1(darts_file, tiny_spec, darts_ckpt,
+                                               tmp_path, damage):
+    raw = darts_ckpt.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes({
+        "short header": raw[:3],
+        "bad json": raw[:4] + b"[{oops" + raw[10:],
+        "short payload": raw[:-16],
+    }[damage])
+    res = tiny_landscape(bad, darts_file, tiny_spec, tmp_path / "g.csv")
+    assert res.returncode == 1
+    assert one_line(res.stderr) and res.stderr.startswith("parse error:"), res.stderr
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_landscape_checkpoint_of_other_genotype_exit_2(darts_ckpt, tiny_spec, tmp_path):
+    nasnet = tmp_path / "nasnet.json"
+    save_genotype(load_fixture("nasnet"), nasnet)
+    res = tiny_landscape(darts_ckpt, nasnet, tiny_spec, tmp_path / "g.csv")
+    assert res.returncode == 2
+    assert one_line(res.stderr) and "checkpoint blocks" in res.stderr, res.stderr
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_landscape_overflow_points_tagged(darts_file, tiny_spec, darts_ckpt, tmp_path):
+    # unnormalised directions scaled by 1e200 overflow every point but the
+    # centre, which is the checkpoint itself
+    values = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt / f"grid.{fmt}"
+        res = tiny_landscape(darts_ckpt, darts_file, tiny_spec, out,
+                             "--norm", "none", "--range", "1e200")
+        assert res.returncode == 0, res.stderr
+        values[fmt] = out
+    rows = [line.split(",") for line in values["csv"].read_text().splitlines()[1:]]
+    doc = json.loads(values["json"].read_text())
+    for i, (alpha, beta, value) in enumerate(rows):
+        a, b = divmod(i, 3)
+        if alpha == beta == "0.0":
+            assert np.isfinite(float(value)) and doc["overflow"][a][b] is False
+            assert doc["values"][a][b] == float(value)
+        else:
+            assert value in ("inf", "-inf", "nan")
+            assert doc["overflow"][a][b] is True and doc["values"][a][b] is None
 
 
 # --- adapt / report -------------------------------------------------------

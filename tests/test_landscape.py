@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from cellscape import (
+    CellGenotype,
     CellNetwork,
     DatasetSpec,
     NetworkConfig,
+    NodeSpec,
+    OpSpec,
     export_grid,
     gradient_variance_surface,
     grid_coordinates,
@@ -155,6 +158,14 @@ def test_grid_rejects_mismatched_directions(setup):
         loss_surface(net, ckpt, ds.test_x, ds.test_y, broken, [0.0], [0.0])
 
 
+def test_grid_rejects_checkpoint_of_other_shape(setup):
+    net, ds, ckpt = setup
+    ckpt["head.b"] = np.zeros(ckpt["head.b"].size + 1)
+    pair = sample_directions(ckpt, seed=2)
+    with pytest.raises(DimensionMismatch):
+        gradient_variance_surface(net, ckpt, ds.test_x, ds.test_y, pair, [0.0], [0.0])
+
+
 # --- gradient variance ----------------------------------------------------
 
 
@@ -198,6 +209,45 @@ def test_gradvar_duplicated_instance_zero(setup):
     y = np.repeat(ds.test_y[:1], 2)
     grid = gradient_variance_surface(net, ckpt, x, y, pair, [0.0], [0.0])
     assert np.allclose(grid.values, 0.0, atol=1e-18)
+
+
+# identity ops pass gradients through and zero ops cut them; neither has a
+# parameter block
+MIXED = CellGenotype(
+    name="mixed",
+    num_inputs=2,
+    nodes=(
+        NodeSpec((OpSpec("linear", 0), OpSpec("identity", 1))),
+        NodeSpec((OpSpec("zero", 2), OpSpec("linear", 2))),
+        NodeSpec((OpSpec("identity", 0), OpSpec("linear", 3))),
+    ),
+)
+
+
+@pytest.mark.parametrize("genotype", ["darts", "mixed"])
+@pytest.mark.parametrize("batch", ["one", "duplicated", "five"])
+def test_gradvar_matches_per_example_oracle_off_centre(darts, genotype, batch):
+    net = CellNetwork(darts if genotype == "darts" else MIXED, CFG,
+                      init_rng=stream(0, "init"))
+    ds = make_dataset(DATA)
+    ckpt = {k: v.copy() for k, v in net.params.items()}
+    pair = sample_directions(ckpt, seed=7)
+    x, y = {
+        "one": (ds.test_x[:1], ds.test_y[:1]),
+        "duplicated": (np.repeat(ds.test_x[:1], 2, axis=0), np.repeat(ds.test_y[:1], 2)),
+        "five": (ds.test_x[:5], ds.test_y[:5]),
+    }[batch]
+    coords = grid_coordinates(3, 0.5)
+    grid = gradient_variance_surface(net, ckpt, x, y, pair, coords, coords)
+    for a, alpha in enumerate(coords):
+        for b, beta in enumerate(coords):
+            shifted = {k: ckpt[k] + alpha * pair.w1[k] + beta * pair.w2[k] for k in ckpt}
+            oracle = brute_force_gradvar(net, shifted, x, y)
+            if batch == "five":
+                assert oracle > 0.0
+                assert abs(grid.values[a, b] - oracle) <= 1e-12 * oracle
+            else:
+                assert grid.values[a, b] == 0.0
 
 
 def test_gradstd_is_sqrt_of_gradvar(setup):

@@ -124,6 +124,22 @@ def test_network_gradients_match_finite_differences(toy_cell):
         assert np.max(np.abs(grads[name] - fd)) / scale <= 1e-5, name
 
 
+@pytest.mark.parametrize("name", ["darts", "snas"])
+def test_evaluate_matches_recording_forward_bit_for_bit(name):
+    net = CellNetwork(load_fixture(name), SMALL, init_rng=stream(3, "init"))
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((16, 5))
+    y = rng.integers(0, 3, size=16)
+    params = {k: v + rng.standard_normal(v.shape) for k, v in net.params.items()}
+    logits, tape, _ = net.forward(x, params)
+    recorded = tape.softmax_cross_entropy(logits, y)
+    loss, acc = net.evaluate(x, y, params)
+    assert loss == float(recorded.data)
+    assert acc == float(np.mean(np.argmax(logits.data, axis=1) == y))
+    _, quiet, _ = net.forward(x, params, record=False)
+    assert quiet._records == []
+
+
 def test_forward_deterministic(darts):
     net = CellNetwork(darts, SMALL, init_rng=stream(3, "init"))
     x = np.random.default_rng(1).standard_normal((4, 5))

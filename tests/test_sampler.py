@@ -3,6 +3,9 @@ import pytest
 from scipy import stats
 
 from cellscape import (
+    CellGenotype,
+    NodeSpec,
+    OpSpec,
     SampleSpec,
     cell_depth,
     cell_width,
@@ -58,10 +61,27 @@ def test_enumeration_counts_toy(toy_cell):
     # raw, dedup and the closed form disagree; that gap is reported, not hidden
 
 
+def test_dedup_count_closed_form_matches_enumeration(toy_cell, darts):
+    # three inputs, and a node that repeats a kind among three slots
+    three = CellGenotype(
+        name="three",
+        num_inputs=3,
+        nodes=(
+            NodeSpec((OpSpec("linear", 0), OpSpec("linear", 1), OpSpec("identity", 2))),
+            NodeSpec((OpSpec("zero", 3), OpSpec("zero", 0), OpSpec("zero", 1))),
+        ),
+    )
+    for g in (toy_cell, darts, three):
+        _, dedup, _ = connection_space_counts(g)
+        assert dedup == sum(1 for _ in enumerate_connection_variants(g)), g.name
+
+
 def test_enumeration_guard_on_node_count():
     big = chain_cell(6)
     with pytest.raises(TooLarge):
         list(enumerate_connection_variants(big))
+    with pytest.raises(TooLarge):
+        connection_space_counts(big)
 
 
 def test_enumeration_guard_on_cap(darts):
