@@ -60,15 +60,17 @@ class Tape:
     # --- primitives -------------------------------------------------------
 
     def dense(self, x: Value, w: Value) -> Value:
-        """x @ w.T for x of shape (batch, in) and w of shape (out, in)."""
-        if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        """x @ w.T for x of shape (batch, in) and w of shape (out, in).  Either
+        may carry a leading member axis K; an unstacked side broadcasts."""
+        if x.data.ndim < 2 or w.data.ndim < 2 or x.data.shape[-1] != w.data.shape[-1]:
             raise ShapeMismatch(f"dense: {x.data.shape} vs {w.data.shape}")
-        out = Value(x.data @ w.data.T)
+        _members("dense", x.data.shape[:-2], w.data.shape[:-2])
+        out = Value(x.data @ np.swapaxes(w.data, -1, -2))
         if not self.record:
             return out
 
         def backward(g):
-            return [g @ w.data, g.T @ x.data]
+            return [g @ w.data, np.swapaxes(g, -1, -2) @ x.data]
 
         return self._push("dense", out, [x, w], backward)
 
@@ -81,12 +83,14 @@ class Tape:
         return self._push("add", out, [a, b], lambda g: [g, g])
 
     def add_bias(self, x: Value, b: Value) -> Value:
-        if x.data.ndim != 2 or b.data.shape != (x.data.shape[1],):
+        """x + b with the bias broadcast over the rows of x."""
+        if x.data.ndim < 2 or b.data.ndim < 1 or b.data.shape[-1] != x.data.shape[-1]:
             raise ShapeMismatch(f"add_bias: {x.data.shape} vs {b.data.shape}")
-        out = Value(x.data + b.data)
+        _members("add_bias", x.data.shape[:-2], b.data.shape[:-1])
+        out = Value(x.data + b.data[..., None, :])
         if not self.record:
             return out
-        return self._push("add_bias", out, [x, b], lambda g: [g, g.sum(axis=0)])
+        return self._push("add_bias", out, [x, b], lambda g: [g, g.sum(axis=-2)])
 
     def sub(self, a: Value, b: Value) -> Value:
         if a.data.shape != b.data.shape:
@@ -97,11 +101,14 @@ class Tape:
         return self._push("sub", out, [a, b], lambda g: [g, -g])
 
     def relu(self, x: Value) -> Value:
-        mask = x.data > 0.0
-        out = Value(np.where(mask, x.data, 0.0))
+        # fmax maps NaN to 0 and += 0.0 turns -0.0 into +0.0: bit for bit
+        # np.where(x > 0, x, 0.0), at a fraction of its cost
+        o = np.fmax(x.data, 0.0)
+        o += 0.0
+        out = Value(o)
         if not self.record:
             return out
-        return self._push("relu", out, [x], lambda g: [g * mask])
+        return self._push("relu", out, [x], lambda g: [g * (o > 0.0)])
 
     def zeros_like(self, x: Value) -> Value:
         out = Value(np.zeros_like(x.data))
@@ -146,29 +153,43 @@ class Tape:
         return self._push("half_sum_sq", out, [x], lambda g: [g * x.data])
 
     def softmax_cross_entropy(self, logits: Value, labels) -> Value:
-        """Mean cross-entropy of softmax(logits) against integer labels."""
+        """Mean cross-entropy of softmax(logits) against integer labels: one
+        batch mean per member, so a (K, batch, classes) input gives shape (K,).
+        Unstacked labels of shape (batch,) serve every member."""
         labels = np.asarray(labels)
-        if logits.data.ndim != 2 or labels.shape != (logits.data.shape[0],):
+        lead = logits.data.shape[:-1]
+        if (logits.data.ndim < 2 or labels.shape[-1:] != lead[-1:]
+                or _members("xent", labels.shape[:-1], lead[:-1]) != lead[:-1]):
             raise ShapeMismatch(f"xent: {logits.data.shape} vs labels {labels.shape}")
-        z = logits.data - logits.data.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
+        idx = np.broadcast_to(labels, lead)[..., None]
+        z = logits.data - logits.data.max(axis=-1, keepdims=True)
+        logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
         logp = z - logsumexp
-        n = labels.shape[0]
-        out = Value(-logp[np.arange(n), labels].mean())
+        n = lead[-1]
+        out = Value(-np.take_along_axis(logp, idx, axis=-1)[..., 0].mean(axis=-1))
         if not self.record:
             return out
         probs = np.exp(logp)
 
         def backward(g):
-            grad = probs.copy()
-            grad[np.arange(n), labels] -= 1.0
-            return [g * grad / n]
+            grad = probs - (idx == np.arange(probs.shape[-1]))
+            return [g[..., None, None] * grad / n]
 
         return self._push("xent", out, [logits], backward)
 
 
-def backward(tape: Tape, loss: Value, seed_gradient=None):
-    """Run the reverse pass from ``loss``, filling ``grad`` on every reachable Value."""
+def _members(op, *leading):
+    """The broadcast shape of the leading (member) axes of an op's operands."""
+    try:
+        return np.broadcast_shapes(*leading)
+    except ValueError:
+        raise ShapeMismatch(f"{op}: member axes {leading} differ") from None
+
+
+def backward(tape: Tape, loss: Value, seed_gradient=None, keep_outputs=False):
+    """Run the reverse pass from ``loss``, filling ``grad`` on every reachable
+    leaf.  Op outputs' gradients are dropped once replayed; ``keep_outputs``
+    keeps those of ``dense`` and ``add_bias`` for ``per_example_variance``."""
     if not tape.record:
         raise NoTape("the tape was made with record=False")
     if id(loss) not in tape._produced:
@@ -180,14 +201,15 @@ def backward(tape: Tape, loss: Value, seed_gradient=None):
     if seed_gradient is None:
         seed_gradient = np.ones_like(loss.data)
     loss.grad = np.asarray(seed_gradient, dtype=np.float64)
-    for _, out, inputs, bwd in reversed(tape._records):
+    for kind, out, inputs, bwd in reversed(tape._records):
         if out.grad is None:
             continue
         for v, g in zip(inputs, bwd(out.grad)):
-            if v.grad is None:
-                v.grad = np.array(g, dtype=np.float64)
-            else:
-                v.grad += g
+            if g.ndim > v.data.ndim:  # v was broadcast over the member axis
+                g = g.sum(axis=tuple(range(g.ndim - v.data.ndim)))
+            v.grad = g if v.grad is None else v.grad + g
+        if not (keep_outputs and kind in ("dense", "add_bias")):
+            out.grad = None
 
 
 def per_example_variance(tape: Tape, leaves: dict, scale=1.0) -> float:
@@ -217,8 +239,10 @@ def per_example_variance(tape: Tape, leaves: dict, scale=1.0) -> float:
                 f"parameter {name} feeds {[u[0] for u in found]}; per-example gradients "
                 "need it to be the weight of one dense or the bias of one add_bias"
             )
-        if not found or found[0][2].grad is None:
+        if not found or leaf.grad is None:
             continue
+        if found[0][2].grad is None:
+            raise NoTape("per-example gradients need backward(..., keep_outputs=True)")
         kind, _, out, inputs = found[0]
         g = out.grad * scale
         per_example = np.einsum("bo,bi->boi", g, inputs[0].data) if kind == "dense" else g
@@ -276,18 +300,20 @@ class OptimizerState:
     buffers: dict = field(default_factory=dict)
 
 
-def sgd_step(params: dict, grads: dict, state: OptimizerState, lr: float):
-    """v <- mu*v + (g + wd*w); w <- w - lr*v, applied in place per parameter."""
+def sgd_step(params: dict, grads: dict, state: OptimizerState, lr):
+    """v <- mu*v + (g + wd*w); w <- w - lr*v, per parameter.  ``lr`` is a
+    scalar, or one rate per member for params with a leading member axis."""
+    lr = np.asarray(lr, dtype=np.float64)
     for name, w in params.items():
         g = grads[name]
-        if g.shape != w.shape:
-            raise ShapeMismatch(f"{name}: grad {g.shape} vs param {w.shape}")
+        if g.shape != w.shape or w.shape[: lr.ndim] != lr.shape:
+            raise ShapeMismatch(f"{name}: grad {g.shape} vs param {w.shape}, lr {lr.shape}")
         v = state.buffers.get(name)
         if v is None:
             v = np.zeros_like(w)
         v = state.momentum * v + (g + state.weight_decay * w)
         state.buffers[name] = v
-        params[name] = w - lr * v
+        params[name] = w - lr.reshape(lr.shape + (1,) * (w.ndim - lr.ndim)) * v
     state.step += 1
     return params, state
 

@@ -84,12 +84,8 @@ def _write_manifest(out_dir, command, flags, seed, artifacts, started, extra=Non
 
 
 @click.group()
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Worker count for grid computations; 1 is strictest determinism.")
-@click.pass_context
-def cli(ctx, workers):
+def cli():
     """Cell-topology metrics, variant sampling, desk-scale experiments."""
-    ctx.obj = {"workers": max(1, workers)}
 
 
 @cli.command()
@@ -180,6 +176,7 @@ def count(n_total, num_inputs, do_enumerate, genotype_file):
         if not genotype_file:
             raise click.UsageError("--enumerate requires --genotype")
         g = load_genotype(genotype_file)
+        validate_genotype(g)
         raw, dedup, g_formula = connection_space_counts(g)
         click.echo(f"slot assignments (raw): {raw}")
         click.echo(f"slot assignments (deduplicated): {dedup}")
@@ -402,12 +399,10 @@ def compare(genotype_dir, lrs, num_seeds, epochs, layers, dim, threshold,
               help="Held-out instances used for evaluation.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path())
-@click.pass_context
-def landscape(ctx, checkpoint_file, genotype_file, dataset_spec_file, mode, grid_points,
+def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_points,
               extent, norm, layers, dim, subset, seed, out_file):
     """Loss or gradient-variance surface around a trained checkpoint."""
     started = time.monotonic()
-    workers = ctx.obj["workers"]
     g = load_genotype(genotype_file)
     spec = _load_dataset_spec(dataset_spec_file)
     dataset = make_dataset(spec)
@@ -428,12 +423,10 @@ def landscape(ctx, checkpoint_file, genotype_file, dataset_spec_file, mode, grid
         "dataset_seed": spec.seed, "normalization": norm, "mode": mode,
     }
     if mode == "loss":
-        grid = loss_surface(net, checkpoint, x, y, pair, coords, coords, metadata,
-                            workers=workers)
+        grid = loss_surface(net, checkpoint, x, y, pair, coords, coords, metadata)
     else:
         grid = gradient_variance_surface(
-            net, checkpoint, x, y, pair, coords, coords, mode=mode, metadata=metadata,
-            workers=workers,
+            net, checkpoint, x, y, pair, coords, coords, mode=mode, metadata=metadata
         )
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)

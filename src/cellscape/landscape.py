@@ -133,49 +133,35 @@ def _shifted(checkpoint, pair, alpha, beta):
     }
 
 
-def _row_map(fn, alphas, workers):
-    """Evaluate one grid row per alpha; rows are independent, assembly is by
-    index so the result does not depend on scheduling."""
-    if workers <= 1:
-        return [fn(alpha) for alpha in alphas]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, alphas))
+def _grid(point, checkpoint, pair, alphas, betas):
+    """``point(params)`` at every grid point, row by row.  Non-finite values
+    are results here, kept and tagged, so numpy's overflow warnings are off."""
+    values = np.empty((len(alphas), len(betas)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, alpha in enumerate(alphas):
+            for b, beta in enumerate(betas):
+                values[a, b] = point(_shifted(checkpoint, pair, alpha, beta))
+    return values
 
 
 def loss_surface(network: CellNetwork, checkpoint, x, y, pair: DirectionPair,
-                 alphas, betas, metadata=None, workers=1) -> LandscapeGrid:
+                 alphas, betas, metadata=None) -> LandscapeGrid:
     """Mean loss over the split at every grid point (evaluation only)."""
     _check_grid_inputs(network, checkpoint, pair, alphas, betas)
-
-    def row(alpha):
-        out = np.empty(len(betas))
-        for b, beta in enumerate(betas):
-            out[b], _ = network.evaluate(x, y, _shifted(checkpoint, pair, alpha, beta))
-        return out
-
-    values = np.stack(_row_map(row, alphas, workers))
+    values = _grid(lambda p: network.evaluate(x, y, p)[0], checkpoint, pair, alphas, betas)
     return LandscapeGrid(alphas, betas, values, "loss", metadata or {})
 
 
 def gradient_variance_surface(network: CellNetwork, checkpoint, x, y,
                               pair: DirectionPair, alphas, betas, mode="gradvar",
-                              metadata=None, workers=1) -> LandscapeGrid:
+                              metadata=None) -> LandscapeGrid:
     """Total variance of per-instance gradients at every grid point; mode
     ``gradstd`` emits the elementwise square root."""
     if mode not in ("gradvar", "gradstd"):
         raise ValueError(f"mode must be gradvar|gradstd, got {mode!r}")
     _check_grid_inputs(network, checkpoint, pair, alphas, betas)
-
-    def row(alpha):
-        out = np.empty(len(betas))
-        for b, beta in enumerate(betas):
-            params = _shifted(checkpoint, pair, alpha, beta)
-            out[b] = network.gradient_variance(x, y, params)
-        return out
-
-    values = np.stack(_row_map(row, alphas, workers))
+    values = _grid(lambda p: network.gradient_variance(x, y, p), checkpoint, pair,
+                   alphas, betas)
     if mode == "gradstd":
         values = np.sqrt(values)
     return LandscapeGrid(alphas, betas, values, mode, metadata or {})

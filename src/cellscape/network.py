@@ -89,14 +89,15 @@ class CellNetwork:
 
     def forward(self, x, params=None, record=True):
         """Forward pass; returns (logits Value, tape, name -> leaf Value map).
-        With ``record=False`` the tape keeps nothing for a reverse pass."""
+        Params may carry a leading member axis K, and so may ``x``; an
+        unstacked ``x`` feeds every member.  With ``record=False`` the tape
+        keeps nothing for a reverse pass."""
         params = self.params if params is None else params
         tape = Tape(record=record)
         leaves = {name: tape.leaf(arr) for name, arr in params.items()}
         x_leaf = tape.leaf(np.asarray(x, dtype=np.float64))
         s = tape.add_bias(tape.dense(x_leaf, leaves["stem.w"]), leaves["stem.b"])
         prev2 = prev1 = s
-        m = self.genotype.num_inputs
         for layer in range(self.cfg.layers):
             node_vals = [prev2, prev1]
             for i, node in enumerate(self.genotype.nodes):
@@ -115,6 +116,8 @@ class CellNetwork:
         return logits, tape, leaves
 
     def loss_and_grads(self, x, y, params=None):
+        """(mean loss, name -> gradient); with a member axis the loss is one
+        float per member and each member's gradient is its own."""
         logits, tape, leaves = self.forward(x, params)
         loss = tape.softmax_cross_entropy(logits, y)
         ad.backward(tape, loss)
@@ -122,15 +125,15 @@ class CellNetwork:
             name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
             for name, leaf in leaves.items()
         }
-        return float(loss.data), grads
+        return loss.data[()], grads
 
     def evaluate(self, x, y, params=None):
         """(mean loss, accuracy) on a split, in a single forward pass that
-        records nothing."""
+        records nothing; one of each per member with a member axis."""
         logits, tape, _ = self.forward(x, params, record=False)
         loss = tape.softmax_cross_entropy(logits, y)
-        acc = float(np.mean(np.argmax(logits.data, axis=1) == np.asarray(y)))
-        return float(loss.data), acc
+        acc = np.mean(np.argmax(logits.data, axis=-1) == np.asarray(y), axis=-1)
+        return loss.data[()], acc[()]
 
     def gradient_variance(self, x, y, params=None):
         """Total variance (covariance trace) of the per-example parameter
@@ -139,7 +142,7 @@ class CellNetwork:
         ``autodiff.per_example_variance`` checks."""
         logits, tape, leaves = self.forward(x, params)
         loss = tape.softmax_cross_entropy(logits, y)
-        ad.backward(tape, loss)
+        ad.backward(tape, loss, keep_outputs=True)
         # the loss is a batch mean: row i of each output gradient is 1/n of
         # example i's own gradient
         return ad.per_example_variance(tape, leaves, scale=len(y))

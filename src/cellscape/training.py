@@ -4,13 +4,19 @@ SGD with momentum 0.9, weight decay 3e-4 and a cosine learning-rate schedule
 annealing to zero, evaluated on the held-out split once per epoch.  A
 non-finite loss stops the run and marks it diverged; divergence is a
 legitimate experimental outcome, not an error.
+
+``train`` takes one config or a list of them: the members of a list train
+in lockstep, params stacked on a leading member axis, so one batched step
+serves all of them, each with its own init and shuffle streams and learning
+rate.  A member that diverges is dropped and the rest go on.
+``compare_convergence`` trains all (lr, seed) members of a genotype at once.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,60 +69,89 @@ class TrainTrace:
         return float(sum(row["test_loss"] for row in self.rows))
 
 
-def train(network: CellNetwork, dataset: Dataset, cfg: TrainConfig) -> TrainTrace:
-    """Run the full protocol and return the trace with final parameters."""
-    if not network.params:
-        network.init_params(stream(cfg.seed, "init"))
-    params = {k: v.copy() for k, v in network.params.items()}
+def train(network: CellNetwork, dataset: Dataset, cfg):
+    """Run the full protocol and return the trace with final parameters.
+
+    A list of configs, differing only in ``lr`` and ``seed``, trains its
+    members in lockstep and returns one trace per config.  Each member starts
+    from ``stream(seed, "init")`` (from ``network.params`` when set, for one
+    member) and shuffles with ``stream(seed, "shuffle")``, as if run alone.
+    """
+    if isinstance(cfg, TrainConfig):
+        return _train_lockstep(network, dataset, [cfg])[0]
+    return _train_lockstep(network, dataset, list(cfg))
+
+
+def _take(arrays, index):
+    """Member(s) ``index`` of every stacked array in a name -> array dict."""
+    return {name: a[index] for name, a in arrays.items()}
+
+
+def _train_lockstep(network, dataset, cfgs):
+    """The loop behind ``train``: one trace per config."""
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    if any(replace(c, lr=cfg.lr, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("lockstep members may differ only in lr and seed")
+    if network.params and len(cfgs) > 1:
+        raise ValueError("preset network params train a single member")
+    starts = ([network.params] if network.params
+              else [network.init_params(stream(c.seed, "init")) for c in cfgs])
+    params = {name: np.stack([p[name] for p in starts]) for name in starts[0]}
     state = OptimizerState(momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    shuffle_rng = stream(cfg.seed, "shuffle")
-    trace = TrainTrace()
+    shuffles = [stream(c.seed, "shuffle") for c in cfgs]
+    traces = [TrainTrace() for _ in cfgs]
+    live = list(range(len(cfgs)))  # member index -> config index
 
-    def record(epoch, lr, train_loss):
+    def row(k, epoch, lr, train_loss, test_loss, test_acc):
+        traces[k].rows.append({"epoch": epoch, "lr": lr, "train_loss": train_loss,
+                               "test_loss": test_loss, "test_acc": test_acc})
+
+    def record(epoch, lrs, train_losses):
         test_loss, test_acc = network.evaluate(dataset.test_x, dataset.test_y, params)
-        trace.rows.append(
-            {
-                "epoch": epoch,
-                "lr": lr,
-                "train_loss": train_loss,
-                "test_loss": test_loss,
-                "test_acc": test_acc,
-            }
-        )
-
-    init_train_loss, _ = network.evaluate(dataset.train_x, dataset.train_y, params)
-    record(0, cosine_lr(0, max(cfg.epochs, 1), cfg.lr), init_train_loss)
+        for j, k in enumerate(live):
+            row(k, epoch, lrs[j], train_losses[j], float(test_loss[j]), float(test_acc[j]))
 
     n = len(dataset.train_y)
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, cfg.epochs, cfg.lr)
-        order = shuffle_rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads = network.loss_and_grads(
-                dataset.train_x[idx], dataset.train_y[idx], params
-            )
-            if not math.isfinite(loss):
-                trace.diverged = True
-                trace.divergence_epoch = epoch + 1
-                trace.rows.append(
-                    {
-                        "epoch": epoch + 1,
-                        "lr": lr,
-                        "train_loss": math.inf,
-                        "test_loss": math.inf,
-                        "test_acc": 0.0,
-                    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one member at a time, so the 2000-row split sets no memory peak
+        record(0, [cosine_lr(0, max(cfg.epochs, 1), c.lr) for c in cfgs],
+               [float(network.evaluate(dataset.train_x, dataset.train_y, _take(params, j))[0])
+                for j in live])
+        for epoch in range(cfg.epochs):
+            lrs = [cosine_lr(epoch, cfg.epochs, cfgs[k].lr) for k in live]
+            orders = np.stack([shuffles[k].permutation(n) for k in live])
+            epoch_losses = [[] for _ in live]
+            for start in range(0, n, cfg.batch_size):
+                idx = orders[:, start : start + cfg.batch_size]
+                loss, grads = network.loss_and_grads(
+                    dataset.train_x[idx], dataset.train_y[idx], params
                 )
-                trace.final_params = params
-                return trace
-            epoch_losses.append(loss)
-            params, state = sgd_step(params, grads, state, lr)
-        record(epoch + 1, lr, float(np.mean(epoch_losses)))
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    for j in np.flatnonzero(~finite):
+                        k = live[j]
+                        traces[k].diverged = True
+                        traces[k].divergence_epoch = epoch + 1
+                        row(k, epoch + 1, lrs[j], math.inf, math.inf, 0.0)
+                        traces[k].final_params = _take(params, j)
+                    keep = np.flatnonzero(finite)
+                    if not len(keep):
+                        return traces
+                    live, lrs = [live[j] for j in keep], [lrs[j] for j in keep]
+                    epoch_losses = [epoch_losses[j] for j in keep]
+                    orders, loss = orders[keep], loss[keep]
+                    params, grads = _take(params, keep), _take(grads, keep)
+                    state.buffers = _take(state.buffers, keep)
+                for losses, value in zip(epoch_losses, loss):
+                    losses.append(value)
+                params, state = sgd_step(params, grads, state, lrs)
+            record(epoch + 1, lrs, [float(np.mean(losses)) for losses in epoch_losses])
 
-    trace.final_params = params
-    return trace
+    for j, k in enumerate(live):
+        traces[k].final_params = _take(params, j)
+    return traces
 
 
 def adapt_to_widest_shallowest(g: CellGenotype) -> CellGenotype:
@@ -201,29 +236,16 @@ def compare_convergence(genotypes, dataset, cfg: TrainConfig, lr_set, seeds,
     if threshold is None:
         threshold = 0.5 * math.log(dataset.spec.num_classes)
     report = ConvergenceReport(threshold=threshold)
+    members = [(lr, seed) for lr in lr_set for seed in seeds]
     for g in genotypes:
-        for lr in lr_set:
-            for seed in seeds:
-                run_cfg = TrainConfig(
-                    lr=lr,
-                    momentum=cfg.momentum,
-                    weight_decay=cfg.weight_decay,
-                    batch_size=cfg.batch_size,
-                    epochs=cfg.epochs,
-                    seed=seed,
-                )
-                net = CellNetwork(g, net_cfg, init_rng=stream(seed, "init"))
-                trace = train(net, dataset, run_cfg)
-                report.entries.append(
-                    {
-                        "genotype": g.name,
-                        "lr": lr,
-                        "seed": seed,
-                        "epochs_to_threshold": trace.epochs_to_threshold(threshold),
-                        "area": trace.loss_curve_area(),
-                        "diverged": trace.diverged,
-                        "divergence_epoch": trace.divergence_epoch,
-                        "final_acc": trace.final_row["test_acc"],
-                    }
-                )
+        traces = train(CellNetwork(g, net_cfg), dataset,
+                       [replace(cfg, lr=lr, seed=seed) for lr, seed in members])
+        for (lr, seed), trace in zip(members, traces):
+            report.entries.append({
+                "genotype": g.name, "lr": lr, "seed": seed,
+                "epochs_to_threshold": trace.epochs_to_threshold(threshold),
+                "area": trace.loss_curve_area(), "diverged": trace.diverged,
+                "divergence_epoch": trace.divergence_epoch,
+                "final_acc": trace.final_row["test_acc"],
+            })
     return report

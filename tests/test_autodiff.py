@@ -9,6 +9,7 @@ from cellscape.autodiff import (
     OptimizerState,
     REGISTRY,
     Tape,
+    Value,
     backward,
     cosine_lr,
     glorot_init,
@@ -210,6 +211,94 @@ def test_dense_shape_mismatch():
         t.dense(t.leaf(np.ones((2, 3))), t.leaf(np.ones((4, 5))))
 
 
+def test_relu_matches_where_bit_for_bit():
+    special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
+                        5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5])
+    for record in (True, False):
+        got = Tape(record=record).relu(Value(special)).data
+        want = np.where(special > 0.0, special, 0.0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_backward_drops_intermediate_gradients():
+    rng = np.random.default_rng(6)
+    t = Tape()
+    x, w = t.leaf(rng.standard_normal((3, 4))), t.leaf(rng.standard_normal((2, 4)))
+    h = t.relu(x)
+    logits = t.dense(h, w)
+    loss = t.softmax_cross_entropy(logits, [0, 1, 1])
+    backward(t, loss)
+    assert x.grad is not None and w.grad is not None
+    assert h.grad is None and logits.grad is None
+    # per-example gradients need the dense output gradient kept
+    with pytest.raises(NoTape):
+        per_example_variance(t, {"w": w})
+    backward(t, loss, keep_outputs=True)
+    assert logits.grad is not None and h.grad is None
+    assert per_example_variance(t, {"w": w}) >= 0.0
+
+
+# --- member axis ----------------------------------------------------------
+
+
+def close(a, b):
+    return np.allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("shared_input", [False, True])
+def test_stacked_primitives_match_per_slice(shared_input):
+    # K members stacked on a leading axis against K separate 2-D calls; a
+    # shared (unstacked) input and labels feed every member
+    rng = np.random.default_rng(7)
+    k, batch, d_in, d_out = 3, 5, 4, 3
+    xs = rng.standard_normal((k, batch, d_in))
+    ws = rng.standard_normal((k, d_out, d_in))
+    bs = rng.standard_normal((k, d_out))
+    labels = rng.integers(0, d_out, size=(k, batch))
+
+    def run(x, w, b, y):
+        t = Tape()
+        leaves = [t.leaf(a) for a in (x, w, b)]
+        h = t.add_bias(t.dense(leaves[0], leaves[1]), leaves[2])
+        loss = t.softmax_cross_entropy(h, y)
+        backward(t, loss)
+        return h.data, loss.data, [leaf.grad for leaf in leaves]
+
+    def member(a, i):
+        return a[0] if shared_input else a[i]
+
+    x, y = (xs[0], labels[0]) if shared_input else (xs, labels)
+    h, loss, grads = run(x, ws, bs, y)
+    assert loss.shape == (k,)
+    slices = [run(member(xs, i), ws[i], bs[i], member(labels, i)) for i in range(k)]
+    for i, (h_i, loss_i, grads_i) in enumerate(slices):
+        assert loss_i.shape == ()
+        assert close(h[i], h_i) and close(loss[i], loss_i)
+        assert close(grads[1][i], grads_i[1]) and close(grads[2][i], grads_i[2])
+    x_grads = [grads_i[0] for _, _, grads_i in slices]
+    # a shared input's gradient sums over the members it fed
+    assert grads[0].shape == x.shape
+    assert close(grads[0], sum(x_grads) if shared_input else np.stack(x_grads))
+
+
+def test_member_axis_mismatch_raises_shape_mismatch():
+    t = Tape()
+    x2, x3 = t.leaf(np.ones((2, 5, 4))), t.leaf(np.ones((3, 5, 4)))
+    w3 = t.leaf(np.ones((3, 6, 4)))
+    with pytest.raises(ShapeMismatch):
+        t.dense(x2, w3)
+    with pytest.raises(ShapeMismatch):
+        t.add_bias(t.dense(x3, w3), t.leaf(np.ones((2, 6))))
+    h = t.dense(x3, w3)
+    with pytest.raises(ShapeMismatch):
+        t.softmax_cross_entropy(h, np.zeros((2, 5), dtype=int))
+    with pytest.raises(ShapeMismatch):
+        t.softmax_cross_entropy(h, np.zeros(4, dtype=int))
+    with pytest.raises(ShapeMismatch):
+        sgd_step({"w": np.ones((3, 2))}, {"w": np.ones((3, 2))}, OptimizerState(),
+                 lr=[0.1, 0.2])
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 6))
@@ -263,6 +352,20 @@ def test_sgd_shape_mismatch():
     state = OptimizerState()
     with pytest.raises(ShapeMismatch):
         sgd_step({"w": np.ones(3)}, {"w": np.ones(4)}, state, lr=0.1)
+
+
+def test_sgd_one_lr_per_member_matches_scalar_steps():
+    rng = np.random.default_rng(8)
+    w, g = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4, 2))
+    lrs = [0.1, 0.025, 0.0]
+    stacked, state = {"w": w}, OptimizerState()
+    for _ in range(2):
+        stacked, state = sgd_step(stacked, {"w": g}, state, lr=lrs)
+    for i, lr in enumerate(lrs):
+        single, state_i = {"w": w[i]}, OptimizerState()
+        for _ in range(2):
+            single, state_i = sgd_step(single, {"w": g[i]}, state_i, lr=lr)
+        assert np.array_equal(stacked["w"][i], single["w"])
 
 
 def test_cosine_schedule_endpoints():

@@ -135,6 +135,19 @@ def test_count_invalid_space_exit_2():
     assert res.returncode == 2
 
 
+def test_count_enumerate_invalid_genotype_exit_2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "name": "bad", "num_inputs": 2,
+        "nodes": [{"ops": [{"kind": "linear", "source": 0},
+                           {"kind": "linear", "source": 9}]}],
+        "concat": [2],
+    }))
+    res = run_cli("count", "--nodes", 7, "--enumerate", "--genotype", path)
+    assert res.returncode == 2
+    assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+
+
 # --- theory ---------------------------------------------------------------
 
 
@@ -215,6 +228,25 @@ def test_compare_small(darts_file, tiny_spec, tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc["rankings"]["0.025"]) == {"darts", "snas"}
     assert "medians" in doc
+
+
+def test_compare_divergence_prints_no_warnings(tmp_path):
+    # the chain variant diverges at lr 0.25; non-finite losses are results
+    # there, so numpy must not warn about them
+    from cellscape.training import rewire_to_chain
+
+    gdir = tmp_path / "gens"
+    gdir.mkdir()
+    for g in (load_fixture("darts"), rewire_to_chain(load_fixture("darts"))):
+        save_genotype(g, gdir / f"{g.name}.json")
+    out = tmp_path / "cmp" / "report.json"
+    res = run_cli("compare", "--genotypes", gdir, "--lrs", "0.025,0.25",
+                  "--seeds", 1, "--epochs", 1, "--out", out)
+    assert res.returncode == 3
+    assert "RuntimeWarning" not in res.stderr and res.stderr == "", res.stderr
+    doc = json.loads(out.read_text())
+    diverged = {(e["genotype"], e["lr"]) for e in doc["entries"] if e["diverged"]}
+    assert ("darts_chain", 0.25) in diverged and all(lr == 0.25 for _, lr in diverged)
 
 
 def test_compare_needs_two_genotypes(darts_file, tiny_spec, tmp_path):
@@ -337,6 +369,13 @@ def test_landscape_overflow_points_tagged(darts_file, tiny_spec, darts_ckpt, tmp
         else:
             assert value in ("inf", "-inf", "nan")
             assert doc["overflow"][a][b] is True and doc["values"][a][b] is None
+
+
+def test_landscape_overflow_prints_no_warnings(darts_file, tiny_spec, darts_ckpt, tmp_path):
+    res = tiny_landscape(darts_ckpt, darts_file, tiny_spec, tmp_path / "g.csv",
+                         "--norm", "none", "--range", "1e200")
+    assert res.returncode == 0
+    assert "RuntimeWarning" not in res.stderr and res.stderr == "", res.stderr
 
 
 # --- adapt / report -------------------------------------------------------

@@ -132,13 +132,17 @@ def test_loss_surface_degenerate_direction_constant_rows(setup):
         assert np.all(row == row[0])
 
 
-def test_worker_count_does_not_change_grid(setup):
+def test_loss_surface_matches_per_point_evaluate(setup):
     net, ds, ckpt = setup
     pair = sample_directions(ckpt, seed=4)
     coords = grid_coordinates(5, 0.5)
-    g1 = loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, coords, coords, workers=1)
-    g4 = loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, coords, coords, workers=4)
-    assert np.array_equal(g1.values, g4.values)
+    grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, coords, coords)
+    for a, alpha in enumerate(coords):
+        for b, beta in enumerate(coords):
+            shifted = {
+                k: ckpt[k] + alpha * pair.w1[k] + beta * pair.w2[k] for k in ckpt
+            }
+            assert grid.values[a, b] == net.evaluate(ds.test_x, ds.test_y, shifted)[0]
 
 
 def test_grid_requires_zero_coordinate(setup):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,6 +309,78 @@ def test_divergence_recorded(darts):
     assert trace.rows[-1]["test_loss"] == math.inf
     assert trace.epochs_to_threshold(0.5) is None
     assert trace.loss_curve_area() == math.inf
+
+
+# --- lockstep members -----------------------------------------------------
+
+
+def assert_same_run(lockstep, single):
+    """Rows and final params of a lockstep member against its one-member run,
+    to 1e-12 relative: the same float64 maths, possibly another BLAS order."""
+    assert (lockstep.diverged, lockstep.divergence_epoch) == (
+        single.diverged, single.divergence_epoch)
+    assert len(lockstep.rows) == len(single.rows)
+    for a, b in zip(lockstep.rows, single.rows):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key] == b[key] or math.isclose(a[key], b[key], rel_tol=1e-12), key
+    assert lockstep.final_params.keys() == single.final_params.keys()
+    for name, value in single.final_params.items():
+        np.testing.assert_allclose(lockstep.final_params[name], value, rtol=1e-12, atol=0)
+
+
+def single_runs(genotype, ds, cfgs):
+    return [train(CellNetwork(genotype, NetworkConfig(), init_rng=stream(c.seed, "init")),
+                  ds, c) for c in cfgs]
+
+
+def test_lockstep_members_match_single_runs(darts):
+    # lr 0.25 diverges on the deep chain in the first epoch; the other
+    # members go on without it
+    ds = make_dataset(DatasetSpec(seed=0))
+    chain = rewire_to_chain(darts)
+    cfgs = [TrainConfig(lr=lr, epochs=3, seed=seed)
+            for lr in (0.0025, 0.025, 0.25) for seed in (0, 1)]
+    lockstep = train(CellNetwork(chain, NetworkConfig()), ds, cfgs)
+    singles = single_runs(chain, ds, cfgs)
+    assert [t.diverged for t in lockstep] == [False] * 4 + [True] * 2
+    for a, b in zip(lockstep, singles):
+        assert_same_run(a, b)
+
+
+def test_lockstep_group_where_every_member_diverges(darts):
+    # at lr 0.25 darts diverges in epoch 2 at seed 0 and in epoch 1 at seed 1
+    ds = make_dataset(DatasetSpec(seed=0))
+    cfgs = [TrainConfig(lr=0.25, epochs=3, seed=seed) for seed in (0, 1)]
+    lockstep = train(CellNetwork(darts, NetworkConfig()), ds, cfgs)
+    singles = single_runs(darts, ds, cfgs)
+    assert all(t.diverged for t in lockstep)
+    assert lockstep[0].divergence_epoch != lockstep[1].divergence_epoch
+    for a, b in zip(lockstep, singles):
+        assert_same_run(a, b)
+
+
+def test_one_member_with_preset_params(darts):
+    ds = make_dataset(TINY_DATA)
+    cfg = TrainConfig(lr=0.025, epochs=2, seed=0)
+    preset = CellNetwork(darts, SMALL, init_rng=stream(3, "init"))
+    trace = train(preset, ds, cfg)
+    # the preset params, not stream(seed, "init"), are the starting point
+    fresh = train(CellNetwork(darts, SMALL), ds, cfg)
+    seeded = train(CellNetwork(darts, SMALL), ds, replace(cfg, seed=3))
+    assert trace.rows[0]["test_loss"] == seeded.rows[0]["test_loss"]
+    assert trace.rows[0]["test_loss"] != fresh.rows[0]["test_loss"]
+    assert trace.rows[1:] != seeded.rows[1:]  # shuffled by seed 0, not 3
+    with pytest.raises(ValueError):
+        train(preset, ds, [cfg, replace(cfg, seed=1)])
+
+
+def test_lockstep_members_differ_only_in_lr_and_seed(darts):
+    ds = make_dataset(TINY_DATA)
+    net = CellNetwork(darts, SMALL)
+    with pytest.raises(ValueError):
+        train(net, ds, [TrainConfig(epochs=2), TrainConfig(epochs=3)])
+    assert train(net, ds, []) == []
 
 
 # --- adaptation and comparison --------------------------------------------
