@@ -9,10 +9,12 @@ from .genotype import (
     CellGenotype,
     NodeSpec,
     OpSpec,
+    adapt_to_widest_shallowest,
     all_input_cell,
     chain_cell,
     load_fixture,
     load_genotype,
+    rewire_to_chain,
     save_genotype,
     validate_genotype,
 )
@@ -37,19 +39,18 @@ from .linear_theory import (
     TheoremReport,
     forward_narrowest,
     forward_widest,
-    grad_narrowest,
-    grad_widest,
+    grad_narrowest_batch,
+    grad_widest_batch,
     spectral_norm,
     verify_block_smoothness,
     verify_gradient_variance,
 )
-from .network import CellNetwork, NetworkConfig, build_network, parameter_count
+from .network import CellNetwork, NetworkConfig
 from .data import Dataset, DatasetSpec, make_dataset
 from .training import (
     ConvergenceReport,
     TrainConfig,
     TrainTrace,
-    adapt_to_widest_shallowest,
     compare_convergence,
     train,
 )

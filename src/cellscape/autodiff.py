@@ -92,14 +92,6 @@ class Tape:
             return out
         return self._push("add_bias", out, [x, b], lambda g: [g, g.sum(axis=-2)])
 
-    def sub(self, a: Value, b: Value) -> Value:
-        if a.data.shape != b.data.shape:
-            raise ShapeMismatch(f"sub: {a.data.shape} vs {b.data.shape}")
-        out = Value(a.data - b.data)
-        if not self.record:
-            return out
-        return self._push("sub", out, [a, b], lambda g: [g, -g])
-
     def relu(self, x: Value) -> Value:
         # fmax maps NaN to 0 and += 0.0 turns -0.0 into +0.0: bit for bit
         # np.where(x > 0, x, 0.0), at a fraction of its cost
@@ -116,18 +108,6 @@ class Tape:
             return out
         return self._push("zeros_like", out, [x], lambda g: [np.zeros_like(x.data)])
 
-    def concat(self, parts, axis=1) -> Value:
-        out = Value(np.concatenate([p.data for p in parts], axis=axis))
-        if not self.record:
-            return out
-        sizes = [p.data.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
-
-        def backward(g):
-            return list(np.split(g, splits, axis=axis))
-
-        return self._push("concat", out, list(parts), backward)
-
     def mean_of(self, parts) -> Value:
         """Elementwise mean of same-shape arrays (fixed averaging projection)."""
         shape = parts[0].data.shape
@@ -139,18 +119,6 @@ class Tape:
             return out
         inv = 1.0 / len(parts)
         return self._push("mean_of", out, list(parts), lambda g: [g * inv] * len(parts))
-
-    def scale(self, x: Value, s: float) -> Value:
-        out = Value(x.data * s)
-        if not self.record:
-            return out
-        return self._push("scale", out, [x], lambda g: [g * s])
-
-    def half_sum_sq(self, x: Value) -> Value:
-        out = Value(0.5 * np.sum(x.data * x.data))
-        if not self.record:
-            return out
-        return self._push("half_sum_sq", out, [x], lambda g: [g * x.data])
 
     def softmax_cross_entropy(self, logits: Value, labels) -> Value:
         """Mean cross-entropy of softmax(logits) against integer labels: one
@@ -296,7 +264,6 @@ def glorot_init(shape, rng):
 class OptimizerState:
     momentum: float = 0.9
     weight_decay: float = 3e-4
-    step: int = 0
     buffers: dict = field(default_factory=dict)
 
 
@@ -314,7 +281,6 @@ def sgd_step(params: dict, grads: dict, state: OptimizerState, lr):
         v = state.momentum * v + (g + state.weight_decay * w)
         state.buffers[name] = v
         params[name] = w - lr.reshape(lr.shape + (1,) * (w.ndim - lr.ndim)) * v
-    state.step += 1
     return params, state
 
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .autodiff import load_checkpoint, save_checkpoint
@@ -31,7 +30,12 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .genotype import genotype_to_dict, load_genotype, save_genotype, validate_genotype
+from .genotype import (
+    adapt_to_widest_shallowest,
+    load_genotype,
+    save_genotype,
+    validate_genotype,
+)
 from .landscape import (
     export_grid,
     gradient_variance_surface,
@@ -44,7 +48,7 @@ from .linear_theory import (
     verify_block_smoothness,
     verify_gradient_variance,
 )
-from .metrics import cell_depth, cell_width, per_node_widths, width_depth_report
+from .metrics import cell_depth, cell_width, width_depth_report
 from .network import CellNetwork, NetworkConfig
 from .rng import RNG_ALGORITHM, stream
 from .sampler import (
@@ -53,7 +57,7 @@ from .sampler import (
     count_connection_variants,
     sample_variants,
 )
-from .training import TrainConfig, adapt_to_widest_shallowest, compare_convergence, train
+from .training import TrainConfig, compare_convergence, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -256,33 +260,40 @@ def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
     click.echo(f"no bound violations across {instances} instances; report in {out_path}")
 
 
-def _load_dataset_spec(path):
-    if path:
-        return spec_from_json(path)
-    return DatasetSpec()
+def _network_options(command):
+    """--layers, --dim and --dataset-spec, shared by the commands that build a
+    network."""
+    command = click.option("--dataset-spec", "dataset_spec_file", type=click.Path(),
+                           default=None)(command)
+    command = click.option("--dim", type=int, default=16, show_default=True)(command)
+    return click.option("--layers", type=int, default=6, show_default=True)(command)
+
+
+def _dataset_and_network(dataset_spec_file, layers, dim):
+    """The synthetic dataset (default spec unless a file is given) and the
+    config of a network sized for it."""
+    spec = spec_from_json(dataset_spec_file) if dataset_spec_file else DatasetSpec()
+    dataset = make_dataset(spec)
+    return dataset, NetworkConfig(
+        layers=layers, dim=dim, num_classes=spec.num_classes, input_dim=spec.dim
+    )
 
 
 @cli.command(name="train")
 @click.option("--genotype", "genotype_file", required=True, type=click.Path())
-@click.option("--layers", type=int, default=6, show_default=True)
-@click.option("--dim", type=int, default=16, show_default=True)
+@_network_options
 @click.option("--lr", type=float, default=0.025, show_default=True)
 @click.option("--epochs", type=int, default=30, show_default=True)
 @click.option("--batch-size", type=int, default=80, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--dataset-spec", "dataset_spec_file", type=click.Path(), default=None)
 @click.option("--out-dir", required=True, type=click.Path())
 def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
               dataset_spec_file, out_dir):
     """Train one genotype on the synthetic dataset; writes trace.csv + final.ckpt."""
     started = time.monotonic()
     g = load_genotype(genotype_file)
-    spec = _load_dataset_spec(dataset_spec_file)
-    dataset = make_dataset(spec)
+    dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
-    net_cfg = NetworkConfig(
-        layers=layers, dim=dim, num_classes=spec.num_classes, input_dim=spec.dim
-    )
     net = CellNetwork(g, net_cfg, init_rng=stream(seed, "init"))
     trace = train(net, dataset, cfg)
 
@@ -326,11 +337,9 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
 @click.option("--lrs", default="0.0025,0.025,0.25", show_default=True)
 @click.option("--seeds", "num_seeds", type=int, default=5, show_default=True)
 @click.option("--epochs", type=int, default=30, show_default=True)
-@click.option("--layers", type=int, default=6, show_default=True)
-@click.option("--dim", type=int, default=16, show_default=True)
+@_network_options
 @click.option("--threshold", type=float, default=None,
               help="Test-loss threshold; default 0.5*ln(classes).")
-@click.option("--dataset-spec", "dataset_spec_file", type=click.Path(), default=None)
 @click.option("--out", "out_file", required=True, type=click.Path())
 def compare(genotype_dir, lrs, num_seeds, epochs, layers, dim, threshold,
             dataset_spec_file, out_file):
@@ -341,14 +350,10 @@ def compare(genotype_dir, lrs, num_seeds, epochs, layers, dim, threshold,
     genotypes = [load_genotype(f) for f in files]
     if len(genotypes) < 2:
         raise InvalidSpec(f"need >= 2 genotype files in {genotype_dir}")
-    spec = _load_dataset_spec(dataset_spec_file)
-    dataset = make_dataset(spec)
+    dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     lr_set = [float(v) for v in lrs.split(",")]
     seeds = list(range(num_seeds))
     cfg = TrainConfig(epochs=epochs)
-    net_cfg = NetworkConfig(
-        layers=layers, dim=dim, num_classes=spec.num_classes, input_dim=spec.dim
-    )
     report = compare_convergence(
         genotypes, dataset, cfg, lr_set, seeds, net_cfg=net_cfg, threshold=threshold
     )
@@ -386,15 +391,13 @@ def compare(genotype_dir, lrs, num_seeds, epochs, layers, dim, threshold,
 @cli.command()
 @click.option("--checkpoint", "checkpoint_file", required=True, type=click.Path())
 @click.option("--genotype", "genotype_file", required=True, type=click.Path())
-@click.option("--dataset-spec", "dataset_spec_file", type=click.Path(), default=None)
+@_network_options
 @click.option("--mode", type=click.Choice(["loss", "gradvar", "gradstd"]),
               default="loss", show_default=True)
 @click.option("--grid", "grid_points", type=int, default=41, show_default=True)
 @click.option("--range", "extent", type=float, default=1.0, show_default=True)
 @click.option("--norm", type=click.Choice(["blockwise", "none"]),
               default="blockwise", show_default=True)
-@click.option("--layers", type=int, default=6, show_default=True)
-@click.option("--dim", type=int, default=16, show_default=True)
 @click.option("--subset", type=int, default=256, show_default=True,
               help="Held-out instances used for evaluation.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -404,11 +407,7 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
     """Loss or gradient-variance surface around a trained checkpoint."""
     started = time.monotonic()
     g = load_genotype(genotype_file)
-    spec = _load_dataset_spec(dataset_spec_file)
-    dataset = make_dataset(spec)
-    net_cfg = NetworkConfig(
-        layers=layers, dim=dim, num_classes=spec.num_classes, input_dim=spec.dim
-    )
+    dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     net = CellNetwork(g, net_cfg)
     checkpoint = load_checkpoint(checkpoint_file)
     pair = sample_directions(checkpoint, seed, normalization=norm)
@@ -420,7 +419,7 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
     x, y = dataset.test_x[pick], dataset.test_y[pick]
     metadata = {
         "seed": seed, "checkpoint": str(checkpoint_file),
-        "dataset_seed": spec.seed, "normalization": norm, "mode": mode,
+        "dataset_seed": dataset.spec.seed, "normalization": norm, "mode": mode,
     }
     if mode == "loss":
         grid = loss_surface(net, checkpoint, x, y, pair, coords, coords, metadata)
@@ -501,8 +500,6 @@ def report(run_dir, out_file):
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
-    except SystemExit:
-        raise
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(EXIT_USAGE)

@@ -68,23 +68,12 @@ class InsufficientSamples(CellscapeError):
 
 
 class UnsupportedInputCount(CellscapeError):
-    """Network building only supports cells with two input nodes."""
+    """Network building and cell rewiring only support cells with two input
+    nodes."""
 
 
 class InvalidSpec(CellscapeError):
     """A dataset or run specification is malformed."""
-
-
-class NonFiniteLoss(CellscapeError):
-    """Training loss became non-finite (divergence)."""
-
-    def __init__(self, message, epoch=None):
-        super().__init__(message)
-        self.epoch = epoch
-
-
-class ZeroBlock(CellscapeError):
-    """A checkpoint block is identically zero and cannot set a direction norm."""
 
 
 class ParseError(CellscapeError):

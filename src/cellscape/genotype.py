@@ -9,7 +9,7 @@ and the output node is implicit (it aggregates the ``concat`` nodes).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .autodiff import OPERATION_KINDS
@@ -19,6 +19,7 @@ from .errors import (
     InvalidArity,
     ParseError,
     UnknownOperationKind,
+    UnsupportedInputCount,
 )
 
 FIXTURE_NAMES = (
@@ -60,10 +61,6 @@ class CellGenotype:
         if not self.concat:
             all_interm = tuple(range(self.num_inputs, self.num_inputs + len(self.nodes)))
             object.__setattr__(self, "concat", all_interm)
-
-    @property
-    def num_intermediate(self):
-        return len(self.nodes)
 
     @property
     def total_nodes(self):
@@ -183,19 +180,52 @@ def load_fixture(name: str) -> CellGenotype:
     return genotype_from_dict(json.loads(text))
 
 
+def rewired(g: CellGenotype, name, sources) -> CellGenotype:
+    """Copy of g, named ``name``, whose node i's slots source
+    ``sources(i, node)`` in order; operation kinds, node order and concat are
+    kept."""
+    nodes = tuple(
+        NodeSpec(tuple(OpSpec(op.kind, src) for op, src in zip(node.ops, sources(i, node))))
+        for i, node in enumerate(g.nodes)
+    )
+    out = CellGenotype(name=name, num_inputs=g.num_inputs, nodes=nodes, concat=g.concat)
+    validate_genotype(out)
+    return out
+
+
+def adapt_to_widest_shallowest(g: CellGenotype) -> CellGenotype:
+    """Rewire every intermediate node to the two input nodes (slot order 0, 1),
+    preserving node order and operation kinds."""
+    if g.num_inputs != 2:
+        raise UnsupportedInputCount(
+            f"adaptation supports exactly 2 input nodes, got {g.num_inputs}"
+        )
+    return rewired(g, f"{g.name}_adapted", lambda i, node: range(len(node.ops)))
+
+
+def rewire_to_chain(g: CellGenotype) -> CellGenotype:
+    """Rewire every intermediate node after the first to its predecessor (plus
+    input 0), producing the deepest variant; ops and node order preserved."""
+    if g.num_inputs != 2:
+        raise UnsupportedInputCount(
+            f"rewiring supports exactly 2 input nodes, got {g.num_inputs}"
+        )
+    return rewired(g, f"{g.name}_chain", lambda i, node: (0, 1) if i == 0 else (i + 1, 0))
+
+
+def _one_kind_cell(n, name, kind, num_inputs) -> CellGenotype:
+    """n nodes of ``num_inputs`` ``kind`` ops each, left for a rewiring to wire."""
+    return CellGenotype(name, num_inputs, (NodeSpec((OpSpec(kind, 0),) * num_inputs),) * n)
+
+
 def chain_cell(n, name="chain", kind="linear", num_inputs=2) -> CellGenotype:
-    """Cell where node i sources node i-1 (and input 0), maximizing depth."""
-    nodes = []
-    for i in range(n):
-        prev = num_inputs + i - 1 if i > 0 else 0
-        nodes.append(NodeSpec((OpSpec(kind, prev), OpSpec(kind, 0 if i > 0 else 1))))
-    return CellGenotype(name=name, num_inputs=num_inputs, nodes=tuple(nodes))
+    """Cell where node i sources node i-1 (and input 0), maximizing depth:
+    ``rewire_to_chain`` of a cell of one op kind, so 2 input nodes only."""
+    return replace(rewire_to_chain(_one_kind_cell(n, name, kind, num_inputs)), name=name)
 
 
 def all_input_cell(n, name="all-input", kind="linear", num_inputs=2) -> CellGenotype:
-    """Cell where every node sources only input nodes: widest, shallowest."""
-    nodes = tuple(
-        NodeSpec(tuple(OpSpec(kind, s % num_inputs) for s in range(num_inputs)))
-        for _ in range(n)
-    )
-    return CellGenotype(name=name, num_inputs=num_inputs, nodes=nodes)
+    """Cell where every node sources only input nodes, widest and shallowest:
+    the adaptation of a cell of one op kind, so 2 input nodes only."""
+    g = adapt_to_widest_shallowest(_one_kind_cell(n, name, kind, num_inputs))
+    return replace(g, name=name)

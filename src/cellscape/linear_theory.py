@@ -105,12 +105,6 @@ def loss(x, m: LinearCellModel):
     )
 
 
-def grad_widest(m: LinearCellModel, x):
-    """d(loss)/dW(i) = (W(i) x - t_i) x^T for each block."""
-    x = _check_input(m, x)
-    return [np.outer(w @ x - t, x) for w, t in zip(m.weights, m.targets)]
-
-
 def _prefix_products(weights, dim):
     """prefix[i] = W(i)...W(1), with prefix[0] = I."""
     prods = [np.eye(dim)]
@@ -119,49 +113,37 @@ def _prefix_products(weights, dim):
     return prods
 
 
-def grad_narrowest(m: LinearCellModel, x):
-    """Closed-form block gradients of the chained model.
+def _check_batch(m, xs):
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != m.dim:
+        raise DimensionMismatch(f"batch shape {xs.shape}, expected (S, {m.dim})")
+    return xs
+
+
+def grad_narrowest_batch(m: LinearCellModel, xs):
+    """Closed-form block gradients of the chained model for a batch of
+    inputs xs of shape (S, d), as one (S, d, d) array per block.
 
     d(loss)/dW(i) = sum_{k>=i} (W(k)...W(i+1))^T (yhat_k - t_k) x^T (W(i-1)...W(1))^T
     with empty products equal to the identity.
     """
-    x = _check_input(m, x)
-    n, d = m.n, m.dim
-    prefix = _prefix_products(m.weights, d)  # prefix[i] = W(i)...W(1)
-    residuals = [prefix[k + 1] @ x - m.targets[k] for k in range(n)]
-    grads = []
-    for i in range(1, n + 1):
-        # v = sum_{k>=i} (W(k)...W(i+1))^T residual_k, accumulated right-to-left
-        v = residuals[n - 1]
-        for k in range(n - 1, i - 1, -1):
-            v = m.weights[k].T @ v + residuals[k - 1]
-        grads.append(np.outer(v, prefix[i - 1] @ x))
-    return grads
-
-
-def grad_narrowest_batch(m: LinearCellModel, xs):
-    """Block-i gradients for a batch of inputs, as arrays of shape (S, d, d)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != m.dim:
-        raise DimensionMismatch(f"batch shape {xs.shape}, expected (S, {m.dim})")
-    n, d = m.n, m.dim
-    prefix = _prefix_products(m.weights, d)
-    # residuals[k] has shape (S, d)
-    residuals = [xs @ prefix[k + 1].T - m.targets[k] for k in range(n)]
-    out = []
-    for i in range(1, n + 1):
-        v = residuals[n - 1]
-        for k in range(n - 1, i - 1, -1):
-            v = v @ m.weights[k] + residuals[k - 1]
-        left = xs @ prefix[i - 1].T  # (S, d)
-        out.append(np.einsum("si,sj->sij", v, left))
-    return out
+    xs = _check_batch(m, xs)
+    n = m.n
+    # ys[k] = W(k)...W(1) x for each row, ys[0] = x; shape (S, d)
+    ys = [xs @ p.T for p in _prefix_products(m.weights, m.dim)]
+    v = ys[n] - m.targets[n - 1]
+    out = [np.einsum("si,sj->sij", v, ys[n - 1])]
+    for i in range(n - 1, 0, -1):
+        # v(i) = W(i+1)^T v(i+1) + (yhat_i - t_i): the sum above by Horner's rule
+        v = v @ m.weights[i] + (ys[i] - m.targets[i - 1])
+        out.append(np.einsum("si,sj->sij", v, ys[i - 1]))
+    return out[::-1]
 
 
 def grad_widest_batch(m: LinearCellModel, xs):
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != m.dim:
-        raise DimensionMismatch(f"batch shape {xs.shape}, expected (S, {m.dim})")
+    """d(loss)/dW(i) = (W(i) x - t_i) x^T for each block and each row x of
+    xs, as one (S, d, d) array per block."""
+    xs = _check_batch(m, xs)
     out = []
     for w, t in zip(m.weights, m.targets):
         r = xs @ w.T - t
@@ -274,8 +256,8 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200, radius=No
                 break
         else:
             raise DegeneratePair("could not sample a distinct perturbation pair")
-        g1 = grad_narrowest(m.with_block(i, w1), x)[i - 1]
-        g2 = grad_narrowest(m.with_block(i, w2), x)[i - 1]
+        g1 = grad_narrowest_batch(m.with_block(i, w1), x[None])[i - 1][0]
+        g2 = grad_narrowest_batch(m.with_block(i, w2), x[None])[i - 1][0]
         ratio = np.linalg.norm(g1 - g2, ord=2) / denom
         empirical = max(empirical, float(ratio))
     return TheoremReport(
@@ -305,9 +287,6 @@ def verify_gradient_variance(m: LinearCellModel, i, rng, samples=2000,
     xs = np.asarray(input_distribution(rng, samples, m.dim), dtype=np.float64)
 
     lambdas = [spectral_norm(w) for w in m.weights]
-    widest = LinearCellModel(
-        [w.copy() for w in m.weights], [t.copy() for t in m.targets], "widest"
-    )
 
     def total_variance(grads_sdd):
         mean = grads_sdd.mean(axis=0)
@@ -317,7 +296,8 @@ def verify_gradient_variance(m: LinearCellModel, i, rng, samples=2000,
     narrow_grads = grad_narrowest_batch(m, xs)
     empirical, emp_se = total_variance(narrow_grads[i - 1])
 
-    widest_grads = grad_widest_batch(widest, xs)
+    # the widest cell with the same weights and targets
+    widest_grads = grad_widest_batch(m, xs)
     sigmas_sq = [total_variance(g)[0] for g in widest_grads]
 
     bound = 0.0

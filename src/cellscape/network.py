@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import REGISTRY, Tape, Value, glorot_init
-from .errors import UnknownOperationKind, UnsupportedInputCount
+from .autodiff import REGISTRY, Tape, glorot_init
+from .errors import UnsupportedInputCount
 from .genotype import CellGenotype, validate_genotype
 
 
@@ -57,10 +57,7 @@ class CellNetwork:
         for layer in range(self.cfg.layers):
             for i, node in enumerate(self.genotype.nodes):
                 for slot, op in enumerate(node.ops):
-                    opdef = REGISTRY.get(op.kind)
-                    if opdef is None:
-                        raise UnknownOperationKind(op.kind)
-                    shape = opdef.param_shape(d)
+                    shape = REGISTRY[op.kind].param_shape(d)
                     if shape is not None:
                         shapes[f"cell{layer}.node{i}.op{slot}.w"] = shape
         return shapes
@@ -147,11 +144,3 @@ class CellNetwork:
         # example i's own gradient
         return ad.per_example_variance(tape, leaves, scale=len(y))
 
-
-def build_network(genotype, cfg: NetworkConfig, init_rng=None) -> CellNetwork:
-    return CellNetwork(genotype, cfg, init_rng=init_rng)
-
-
-def parameter_count(genotype, cfg: NetworkConfig) -> int:
-    """Total scalar parameter count of the network built from the genotype."""
-    return CellNetwork(genotype, cfg).parameter_count()

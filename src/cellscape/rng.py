@@ -29,7 +29,3 @@ def stream(seed, name):
         raise KeyError(f"unknown rng stream {name!r}") from None
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), key])))
 
-
-def root(seed):
-    """Generator seeded directly (for callers managing their own streams)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSearchSpace, TooLarge, UnknownOperationKind
 from .autodiff import OPERATION_KINDS
-from .genotype import CellGenotype, NodeSpec, OpSpec, validate_genotype
+from .genotype import CellGenotype, NodeSpec, OpSpec, rewired, validate_genotype
 from .metrics import cell_depth, cell_width
 
 ENUMERATION_CAP = 10**6
@@ -127,17 +127,8 @@ def enumerate_connection_variants(g: CellGenotype, cap=ENUMERATION_CAP):
 def sample_connection_variant(g: CellGenotype, rng, name=None) -> CellGenotype:
     """Resample every slot's source uniformly among its preceding nodes."""
     m = g.num_inputs
-    nodes = []
-    for i, node in enumerate(g.nodes):
-        ops = tuple(
-            OpSpec(op.kind, int(rng.integers(0, m + i))) for op in node.ops
-        )
-        nodes.append(NodeSpec(ops))
-    out = CellGenotype(
-        name=name or g.name, num_inputs=m, nodes=tuple(nodes), concat=g.concat
-    )
-    validate_genotype(out)
-    return out
+    return rewired(g, name or g.name,
+                   lambda i, node: [int(rng.integers(0, m + i)) for _ in node.ops])
 
 
 def sample_operation_variant(g: CellGenotype, operation_set, rng, name=None) -> CellGenotype:

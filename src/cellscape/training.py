@@ -22,8 +22,6 @@ import numpy as np
 
 from .autodiff import OptimizerState, cosine_lr, sgd_step
 from .data import Dataset
-from .errors import UnsupportedInputCount
-from .genotype import CellGenotype, NodeSpec, OpSpec, validate_genotype
 from .network import CellNetwork, NetworkConfig
 from .rng import stream
 
@@ -31,8 +29,6 @@ from .rng import stream
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.025
-    momentum: float = 0.9
-    weight_decay: float = 3e-4
     batch_size: int = 80
     epochs: int = 30
     seed: int = 0
@@ -99,7 +95,7 @@ def _train_lockstep(network, dataset, cfgs):
     starts = ([network.params] if network.params
               else [network.init_params(stream(c.seed, "init")) for c in cfgs])
     params = {name: np.stack([p[name] for p in starts]) for name in starts[0]}
-    state = OptimizerState(momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    state = OptimizerState()
     shuffles = [stream(c.seed, "shuffle") for c in cfgs]
     traces = [TrainTrace() for _ in cfgs]
     live = list(range(len(cfgs)))  # member index -> config index
@@ -152,44 +148,6 @@ def _train_lockstep(network, dataset, cfgs):
     for j, k in enumerate(live):
         traces[k].final_params = _take(params, j)
     return traces
-
-
-def adapt_to_widest_shallowest(g: CellGenotype) -> CellGenotype:
-    """Rewire every intermediate node to the two input nodes (slot order 0, 1),
-    preserving node order and operation kinds."""
-    if g.num_inputs != 2:
-        raise UnsupportedInputCount(
-            f"adaptation supports exactly 2 input nodes, got {g.num_inputs}"
-        )
-    nodes = tuple(
-        NodeSpec(tuple(OpSpec(op.kind, slot) for slot, op in enumerate(node.ops)))
-        for node in g.nodes
-    )
-    out = CellGenotype(
-        name=f"{g.name}_adapted", num_inputs=2, nodes=nodes, concat=g.concat
-    )
-    validate_genotype(out)
-    return out
-
-
-def rewire_to_chain(g: CellGenotype) -> CellGenotype:
-    """Rewire every intermediate node after the first to its predecessor (plus
-    input 0), producing the deepest variant; ops and node order preserved."""
-    if g.num_inputs != 2:
-        raise UnsupportedInputCount(
-            f"rewiring supports exactly 2 input nodes, got {g.num_inputs}"
-        )
-    nodes = []
-    for i, node in enumerate(g.nodes):
-        sources = (0, 1) if i == 0 else (g.num_inputs + i - 1, 0)
-        nodes.append(
-            NodeSpec(tuple(OpSpec(op.kind, src) for op, src in zip(node.ops, sources)))
-        )
-    out = CellGenotype(
-        name=f"{g.name}_chain", num_inputs=2, nodes=tuple(nodes), concat=g.concat
-    )
-    validate_genotype(out)
-    return out
 
 
 @dataclass

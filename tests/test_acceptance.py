@@ -37,20 +37,19 @@ from cellscape import (
     train,
     validate_genotype,
 )
-from cellscape.autodiff import REGISTRY, Tape, backward, cosine_lr, load_checkpoint, save_checkpoint
-from cellscape.genotype import FIXTURE_NAMES, genotype_to_dict
+from cellscape.autodiff import REGISTRY, backward, cosine_lr, load_checkpoint, save_checkpoint
+from cellscape.genotype import FIXTURE_NAMES, genotype_to_dict, rewire_to_chain
 from cellscape.landscape import DirectionPair
 from cellscape.linear_theory import (
-    grad_narrowest,
-    grad_widest,
+    grad_narrowest_batch,
+    grad_widest_batch,
     loss as theory_loss,
     random_model,
     verify_block_smoothness,
     verify_gradient_variance,
 )
 from cellscape.rng import stream
-from cellscape.training import rewire_to_chain
-from conftest import central_difference
+from conftest import LossTape, central_difference, one_row
 
 
 def run_cli(*args):
@@ -116,7 +115,7 @@ def _rel(a, b):
 
 
 def _tape_narrowest(m, x):
-    t = Tape()
+    t = LossTape()
     leaves = [t.leaf(w) for w in m.weights]
     y = t.leaf(x.reshape(1, -1))
     total = None
@@ -136,10 +135,10 @@ def test_criterion_03_gradient_formulas():
         d = int(rng.integers(2, 9))
         x = rng.standard_normal(d)
         widest = random_model(n, d, "widest", rng)
-        for i, g in enumerate(grad_widest(widest, x), start=1):
+        for i, g in enumerate(one_row(grad_widest_batch, widest, x), start=1):
             worst_fd = max(worst_fd, _rel(g, _fd_block(widest, x, i)))
         narrowest = random_model(n, d, "narrowest", rng)
-        closed = grad_narrowest(narrowest, x)
+        closed = one_row(grad_narrowest_batch, narrowest, x)
         taped = _tape_narrowest(narrowest, x)
         for i in range(1, n + 1):
             worst_fd = max(worst_fd, _rel(closed[i - 1], _fd_block(narrowest, x, i)))
@@ -218,11 +217,11 @@ def test_criterion_06_autodiff_soundness():
             opdef = REGISTRY[kind]
 
             def f(wv):
-                t = Tape()
+                t = LossTape()
                 out = opdef.apply(t, t.leaf(x), t.leaf(wv))
                 return float(t.half_sum_sq(out).data)
 
-            t = Tape()
+            t = LossTape()
             x_leaf, w_leaf = t.leaf(x), t.leaf(w)
             out = opdef.apply(t, x_leaf, w_leaf)
             backward(t, t.half_sum_sq(out))
@@ -232,7 +231,7 @@ def test_criterion_06_autodiff_soundness():
             grad_x = x_leaf.grad if x_leaf.grad is not None else np.zeros_like(x)
 
             def fx(xv):
-                t2 = Tape()
+                t2 = LossTape()
                 out2 = opdef.apply(t2, t2.leaf(xv), t2.leaf(w))
                 return float(t2.half_sum_sq(out2).data)
 

@@ -19,7 +19,7 @@ from cellscape.autodiff import (
     sgd_step,
 )
 from cellscape.errors import NoTape, ShapeMismatch, SharedParameter
-from conftest import central_difference
+from conftest import LossTape, central_difference
 
 dims = st.integers(2, 16)
 seeds = st.integers(0, 2**31)
@@ -43,11 +43,11 @@ def test_linear_op_matches_finite_differences(batch, d, seed):
     w = rng.standard_normal((d, d))
 
     def loss_of_w(wv):
-        t = Tape()
+        t = LossTape()
         out = REGISTRY["linear"].apply(t, t.leaf(x), t.leaf(wv))
         return float(t.half_sum_sq(out).data)
 
-    t = Tape()
+    t = LossTape()
     w_leaf = t.leaf(w)
     loss = t.half_sum_sq(REGISTRY["linear"].apply(t, t.leaf(x), w_leaf))
     backward(t, loss)
@@ -64,11 +64,11 @@ def test_linear_op_input_gradient(batch, d, seed):
     w = rng.standard_normal((d, d))
 
     def loss_of_x(xv):
-        t = Tape()
+        t = LossTape()
         out = REGISTRY["linear"].apply(t, t.leaf(xv), t.leaf(w))
         return float(t.half_sum_sq(out).data)
 
-    t = Tape()
+    t = LossTape()
     x_leaf = t.leaf(x)
     loss = t.half_sum_sq(REGISTRY["linear"].apply(t, x_leaf, t.leaf(w)))
     backward(t, loss)
@@ -84,7 +84,7 @@ def test_identity_op_passthrough():
 
 
 def test_zero_op_output_and_gradient():
-    t = Tape()
+    t = LossTape()
     x = t.leaf(np.ones((3, 4)))
     out = REGISTRY["zero"].apply(t, x, None)
     loss = t.half_sum_sq(out)
@@ -129,7 +129,7 @@ def test_softmax_uniform_logits_identity():
 
 def test_gradient_accumulates_on_reuse():
     # y = x + x has dy/dx = 2
-    t = Tape()
+    t = LossTape()
     x = t.leaf(np.ones((2, 2)))
     loss = t.half_sum_sq(t.add(x, x))
     backward(t, loss)
@@ -142,7 +142,7 @@ def test_gradient_linearity():
     w = rng.standard_normal((4, 4))
 
     def grad_of(scale_a, scale_b):
-        t = Tape()
+        t = LossTape()
         w_leaf = t.leaf(w)
         xa = t.leaf(x)
         la = t.scale(t.half_sum_sq(t.dense(xa, w_leaf)), scale_a)
@@ -157,7 +157,7 @@ def test_gradient_linearity():
 
 
 def test_unreached_leaf_has_no_gradient():
-    t = Tape()
+    t = LossTape()
     used = t.leaf(np.ones((2, 2)))
     unused = t.leaf(np.ones((2, 2)))
     loss = t.half_sum_sq(used)
@@ -167,7 +167,7 @@ def test_unreached_leaf_has_no_gradient():
 
 def test_backward_foreign_value_rejected():
     t = Tape()
-    other = Tape()
+    other = LossTape()
     loss = other.half_sum_sq(other.leaf(np.ones(3).reshape(1, 3)))
     with pytest.raises(NoTape):
         backward(t, loss)

@@ -202,7 +202,7 @@ def test_train_reproducible_artifacts(darts_file, tiny_spec, tmp_path):
 
 def test_train_divergence_exit_3(tmp_path):
     # deep chain at lr 0.25 on the default-scale dataset diverges
-    from cellscape.training import rewire_to_chain
+    from cellscape.genotype import rewire_to_chain
 
     chain_file = tmp_path / "chain.json"
     save_genotype(rewire_to_chain(load_fixture("darts")), chain_file)
@@ -233,7 +233,7 @@ def test_compare_small(darts_file, tiny_spec, tmp_path):
 def test_compare_divergence_prints_no_warnings(tmp_path):
     # the chain variant diverges at lr 0.25; non-finite losses are results
     # there, so numpy must not warn about them
-    from cellscape.training import rewire_to_chain
+    from cellscape.genotype import rewire_to_chain
 
     gdir = tmp_path / "gens"
     gdir.mkdir()

@@ -6,10 +6,12 @@ from cellscape import (
     CellGenotype,
     NodeSpec,
     OpSpec,
+    adapt_to_widest_shallowest,
     all_input_cell,
     chain_cell,
     load_fixture,
     load_genotype,
+    rewire_to_chain,
     save_genotype,
     validate_genotype,
 )
@@ -19,6 +21,7 @@ from cellscape.errors import (
     InvalidArity,
     ParseError,
     UnknownOperationKind,
+    UnsupportedInputCount,
 )
 from cellscape.genotype import FIXTURE_NAMES, genotype_from_dict, genotype_to_dict
 
@@ -145,3 +148,18 @@ def test_all_input_cell_structure():
     dag = validate_genotype(g)
     for node in (2, 3, 4):
         assert dag.sources_of(node) == (0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_rewirings_map_extreme_cells_onto_each_other(n):
+    assert rewire_to_chain(all_input_cell(n)).nodes == chain_cell(n).nodes
+    assert adapt_to_widest_shallowest(chain_cell(n)).nodes == all_input_cell(n).nodes
+
+
+@pytest.mark.parametrize("num_inputs", [1, 3])
+def test_chain_cell_needs_two_inputs(num_inputs):
+    # both are rewirings of a cell with two input nodes
+    with pytest.raises(UnsupportedInputCount):
+        chain_cell(3, num_inputs=num_inputs)
+    with pytest.raises(UnsupportedInputCount):
+        all_input_cell(3, num_inputs=num_inputs)

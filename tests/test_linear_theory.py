@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from cellscape.autodiff import Tape, backward
+from cellscape.autodiff import backward
 from cellscape.errors import DimensionMismatch, InsufficientSamples
 from cellscape.linear_theory import (
     LinearCellModel,
     forward_narrowest,
     forward_widest,
-    grad_narrowest,
     grad_narrowest_batch,
-    grad_widest,
     grad_widest_batch,
     loss,
     random_model,
@@ -17,7 +15,7 @@ from cellscape.linear_theory import (
     verify_block_smoothness,
     verify_gradient_variance,
 )
-from conftest import central_difference
+from conftest import LossTape, central_difference, one_row
 
 
 def make_rng(seed=0):
@@ -72,7 +70,8 @@ def test_n1_models_coincide():
     widest = LinearCellModel([w], [t], "widest")
     narrowest = LinearCellModel([w.copy()], [t.copy()], "narrowest")
     assert np.allclose(forward_widest(x, widest), forward_narrowest(x, narrowest))
-    assert np.allclose(grad_widest(widest, x)[0], grad_narrowest(narrowest, x)[0])
+    assert np.allclose(one_row(grad_widest_batch, widest, x)[0],
+                       one_row(grad_narrowest_batch, narrowest, x)[0])
     assert loss(x, widest) == pytest.approx(loss(x, narrowest))
 
 
@@ -100,7 +99,7 @@ def test_grad_widest_at_optimum_is_zero():
     m = random_model(2, 4, "widest", rng)
     x = rng.standard_normal(4)
     m.targets = [w @ x for w in m.weights]
-    for g in grad_widest(m, x):
+    for g in one_row(grad_widest_batch, m, x):
         assert np.allclose(g, 0.0, atol=1e-12)
 
 
@@ -109,7 +108,7 @@ def test_grad_widest_basis_vector_column():
     m = random_model(1, 5, "widest", rng)
     x = np.zeros(5)
     x[0] = 1.0
-    g = grad_widest(m, x)[0]
+    g = one_row(grad_widest_batch, m, x)[0]
     assert np.all(g[:, 1:] == 0.0)
     assert np.any(g[:, 0] != 0.0)
 
@@ -120,7 +119,7 @@ def test_grad_narrowest_identity_collapse():
     targets = [rng.standard_normal(d) for _ in range(n)]
     m = LinearCellModel([np.eye(d) for _ in range(n)], targets, "narrowest")
     x = rng.standard_normal(d)
-    grads = grad_narrowest(m, x)
+    grads = one_row(grad_narrowest_batch, m, x)
     for i in range(1, n + 1):
         expected = sum(np.outer(x - targets[k], x) for k in range(i - 1, n))
         assert np.allclose(grads[i - 1], expected, atol=1e-12)
@@ -134,17 +133,17 @@ def test_gradients_match_finite_differences(seed):
     x = rng.standard_normal(d)
 
     widest = random_model(n, d, "widest", rng)
-    for g, fd in zip(grad_widest(widest, x), fd_grads(widest, x)):
+    for g, fd in zip(one_row(grad_widest_batch, widest, x), fd_grads(widest, x)):
         assert rel_err(g, fd) <= 1e-6
 
     narrowest = random_model(n, d, "narrowest", rng)
-    for g, fd in zip(grad_narrowest(narrowest, x), fd_grads(narrowest, x)):
+    for g, fd in zip(one_row(grad_narrowest_batch, narrowest, x), fd_grads(narrowest, x)):
         assert rel_err(g, fd) <= 1e-6
 
 
 def tape_grads_narrowest(m, x):
     """The chained objective rebuilt on the autodiff tape, one dense per block."""
-    t = Tape()
+    t = LossTape()
     leaves = [t.leaf(w) for w in m.weights]
     y = t.leaf(x.reshape(1, -1))
     total = None
@@ -163,24 +162,25 @@ def test_grad_narrowest_matches_autodiff(seed):
     d = int(rng.integers(2, 9))
     m = random_model(n, d, "narrowest", rng)
     x = rng.standard_normal(d)
-    for closed, taped in zip(grad_narrowest(m, x), tape_grads_narrowest(m, x)):
+    for closed, taped in zip(one_row(grad_narrowest_batch, m, x), tape_grads_narrowest(m, x)):
         assert np.max(np.abs(closed - taped)) <= 1e-10
 
 
 def test_batch_grads_match_single():
+    # an S-row batch against S one-row calls
     rng = make_rng(6)
     m = random_model(3, 4, "narrowest", rng)
     xs = rng.standard_normal((7, 4))
     batched = grad_narrowest_batch(m, xs)
     for s in range(7):
-        single = grad_narrowest(m, xs[s])
+        single = one_row(grad_narrowest_batch, m, xs[s])
         for i in range(m.n):
             assert np.allclose(batched[i][s], single[i], atol=1e-12)
     widest = LinearCellModel([w.copy() for w in m.weights],
                              [t.copy() for t in m.targets], "widest")
     batched_w = grad_widest_batch(widest, xs)
     for s in range(7):
-        single = grad_widest(widest, xs[s])
+        single = one_row(grad_widest_batch, widest, xs[s])
         for i in range(m.n):
             assert np.allclose(batched_w[i][s], single[i], atol=1e-12)
 
@@ -191,8 +191,8 @@ def test_grad_widest_scaling_with_zero_targets():
     m = random_model(2, 5, "widest", rng)
     m.targets = [np.zeros(5), np.zeros(5)]
     x = rng.standard_normal(5)
-    g1 = grad_widest(m, x)
-    g3 = grad_widest(m, 3.0 * x)
+    g1 = one_row(grad_widest_batch, m, x)
+    g3 = one_row(grad_widest_batch, m, 3.0 * x)
     for a, b in zip(g1, g3):
         assert np.allclose(9.0 * a, b, atol=1e-10)
 

@@ -14,21 +14,19 @@ from cellscape import (
     TrainConfig,
     adapt_to_widest_shallowest,
     all_input_cell,
-    build_network,
     cell_depth,
     cell_width,
     chain_cell,
     compare_convergence,
     load_fixture,
     make_dataset,
-    parameter_count,
+    rewire_to_chain,
     train,
     validate_genotype,
 )
 from cellscape.data import spec_from_json, spec_to_json
 from cellscape.errors import InvalidSpec, UnsupportedInputCount
 from cellscape.rng import stream
-from cellscape.training import rewire_to_chain
 from conftest import central_difference
 
 SMALL = NetworkConfig(layers=2, dim=6, num_classes=3, input_dim=5)
@@ -59,9 +57,12 @@ def test_all_linear_cell_parameter_count():
     assert net.cell_parameter_count() == 2 * 2 * 2 * 36
 
 
+def small_count(g):
+    return CellNetwork(g, SMALL).parameter_count()
+
+
 def test_connection_variants_have_equal_counts(darts):
-    chain = rewire_to_chain(darts)
-    assert parameter_count(darts, SMALL) == parameter_count(chain, SMALL)
+    assert small_count(darts) == small_count(rewire_to_chain(darts))
 
 
 def test_mixed_ops_count_difference():
@@ -74,7 +75,7 @@ def test_mixed_ops_count_difference():
             NodeSpec((OpSpec("linear", 0), OpSpec("identity", 1))),
         ),
     )
-    diff = parameter_count(full, SMALL) - parameter_count(half, SMALL)
+    diff = small_count(full) - small_count(half)
     assert diff == 2 * 2 * 36  # two dropped linear blocks per layer
 
 
