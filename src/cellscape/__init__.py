@@ -37,8 +37,6 @@ from .sampler import (
 from .linear_theory import (
     LinearCellModel,
     TheoremReport,
-    forward_narrowest,
-    forward_widest,
     grad_narrowest_batch,
     grad_widest_batch,
     spectral_norm,

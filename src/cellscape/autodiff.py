@@ -154,7 +154,7 @@ def _members(op, *leading):
         raise ShapeMismatch(f"{op}: member axes {leading} differ") from None
 
 
-def backward(tape: Tape, loss: Value, seed_gradient=None, keep_outputs=False):
+def backward(tape: Tape, loss: Value, keep_outputs=False):
     """Run the reverse pass from ``loss``, filling ``grad`` on every reachable
     leaf.  Op outputs' gradients are dropped once replayed; ``keep_outputs``
     keeps those of ``dense`` and ``add_bias`` for ``per_example_variance``."""
@@ -166,9 +166,7 @@ def backward(tape: Tape, loss: Value, seed_gradient=None, keep_outputs=False):
         out.grad = None
         for v in inputs:
             v.grad = None
-    if seed_gradient is None:
-        seed_gradient = np.ones_like(loss.data)
-    loss.grad = np.asarray(seed_gradient, dtype=np.float64)
+    loss.grad = np.ones_like(loss.data, dtype=np.float64)
     for kind, out, inputs, bwd in reversed(tape._records):
         if out.grad is None:
             continue

@@ -206,7 +206,7 @@ def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
     results = []
     violations = []
     for inst in range(instances):
-        model = random_model(n_nodes, dim, "narrowest", rng, scale=scale)
+        model = random_model(n_nodes, dim, rng, scale=scale)
         x = rng.standard_normal(dim)
         blocks = []
         for i in range(1, n_nodes + 1):
@@ -471,8 +471,12 @@ def report(run_dir, out_file):
     violations = 0
     diverged = 0
     for path in manifests:
-        with open(path) as fh:
-            doc = json.load(fh)
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError(f"{path}: manifest is not a JSON object")
         doc["_path"] = str(path)
         merged.append(doc)
         violations += int(doc.get("violation_count", 0))
@@ -511,7 +515,7 @@ def main(argv=None):
     except (GenotypeError, InvalidSpec, InvalidSearchSpace, TooLarge) as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    except CellscapeError as exc:
+    except (CellscapeError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     sys.exit(EXIT_OK)

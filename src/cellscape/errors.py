@@ -50,15 +50,6 @@ class SharedParameter(CellscapeError):
     gradients are not one rank-1 term per example."""
 
 
-class NoConvergence(CellscapeError):
-    """Power iteration failed to converge within the iteration budget."""
-
-    def __init__(self, message, last_estimate=None, residual=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-        self.residual = residual
-
-
 class DegeneratePair(CellscapeError):
     """A sampled perturbation pair was identical and could not be resampled."""
 

@@ -183,12 +183,17 @@ def load_fixture(name: str) -> CellGenotype:
 def rewired(g: CellGenotype, name, sources) -> CellGenotype:
     """Copy of g, named ``name``, whose node i's slots source
     ``sources(i, node)`` in order; operation kinds, node order and concat are
-    kept."""
-    nodes = tuple(
-        NodeSpec(tuple(OpSpec(op.kind, src) for op, src in zip(node.ops, sources(i, node))))
-        for i, node in enumerate(g.nodes)
-    )
-    out = CellGenotype(name=name, num_inputs=g.num_inputs, nodes=nodes, concat=g.concat)
+    kept.  Raises InvalidArity unless each op gets exactly one source."""
+    nodes = []
+    for i, node in enumerate(g.nodes):
+        srcs = tuple(sources(i, node))
+        if len(srcs) != len(node.ops):
+            raise InvalidArity(
+                f"{g.name}: node {g.num_inputs + i} has {len(node.ops)} ops, "
+                f"rewired to {len(srcs)} sources"
+            )
+        nodes.append(NodeSpec(tuple(OpSpec(op.kind, src) for op, src in zip(node.ops, srcs))))
+    out = CellGenotype(name=name, num_inputs=g.num_inputs, nodes=tuple(nodes), concat=g.concat)
     validate_genotype(out)
     return out
 

@@ -1,8 +1,9 @@
 """Linear widest/narrowest cell models and numerical checks of their
 block-wise smoothness and gradient-variance bounds.
 
-Both models share n weight matrices W(1..n) of size d x d.  The widest cell
-computes node i as W(i) x; the narrowest chains them, node i = W(i)...W(1) x.
+A model is n weight matrices W(1..n) of size d x d, read under either wiring
+by its gradient function: the widest cell computes node i as W(i) x; the
+narrowest chains them, node i = W(i)...W(1) x.
 The objective is the block quadratic 0.5 * sum_i ||node_i - t_i||^2, which
 makes the widest cell's block smoothness constant exactly ||x||^2 and gives
 the bounds a computable reference.  The verifiers estimate the narrowest
@@ -16,15 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegeneratePair,
-    DimensionMismatch,
-    InsufficientSamples,
-    NoConvergence,
-)
-
-SPECTRAL_TOL = 1e-10
-SPECTRAL_MAX_ITERS = 10_000
+from .errors import DegeneratePair, DimensionMismatch, InsufficientSamples
 
 
 @dataclass
@@ -33,7 +26,6 @@ class LinearCellModel:
 
     weights: list  # of (d, d) arrays
     targets: list  # of (d,) arrays
-    topology: str  # "widest" | "narrowest"
 
     def __post_init__(self):
         d = self.weights[0].shape[0]
@@ -45,8 +37,6 @@ class LinearCellModel:
                 raise DimensionMismatch(f"target shape {t.shape}, expected ({d},)")
         if len(self.targets) != len(self.weights):
             raise DimensionMismatch("need one target per weight matrix")
-        if self.topology not in ("widest", "narrowest"):
-            raise ValueError(f"topology must be widest|narrowest, got {self.topology!r}")
 
     @property
     def n(self):
@@ -56,17 +46,11 @@ class LinearCellModel:
     def dim(self):
         return self.weights[0].shape[0]
 
-    def with_block(self, i, w):
-        """Copy of the model with block i (1-based) replaced."""
-        weights = [w.copy() for w in self.weights]
-        weights[i - 1] = np.array(w, dtype=np.float64)
-        return LinearCellModel(weights, [t.copy() for t in self.targets], self.topology)
 
-
-def random_model(n, dim, topology, rng, scale=1.0):
+def random_model(n, dim, rng, scale=1.0):
     weights = [scale * rng.standard_normal((dim, dim)) / np.sqrt(dim) for _ in range(n)]
     targets = [rng.standard_normal(dim) for _ in range(n)]
-    return LinearCellModel(weights, targets, topology)
+    return LinearCellModel(weights, targets)
 
 
 def _check_input(m, x):
@@ -74,35 +58,6 @@ def _check_input(m, x):
     if x.shape != (m.dim,):
         raise DimensionMismatch(f"input shape {x.shape}, expected ({m.dim},)")
     return x
-
-
-def forward_widest(x, m: LinearCellModel):
-    """Concatenation of W(i) x for i = 1..n."""
-    x = _check_input(m, x)
-    return np.concatenate([w @ x for w in m.weights])
-
-
-def forward_narrowest(x, m: LinearCellModel):
-    """Concatenation of the prefix products W(i)...W(1) x."""
-    x = _check_input(m, x)
-    parts = []
-    y = x
-    for w in m.weights:
-        y = w @ y
-        parts.append(y)
-    return np.concatenate(parts)
-
-
-def node_values(x, m: LinearCellModel):
-    z = forward_widest(x, m) if m.topology == "widest" else forward_narrowest(x, m)
-    return np.split(z, m.n)
-
-
-def loss(x, m: LinearCellModel):
-    """0.5 * sum_i ||node_i - t_i||^2 for the model's own topology."""
-    return 0.5 * sum(
-        float(np.sum((y - t) ** 2)) for y, t in zip(node_values(x, m), m.targets)
-    )
 
 
 def _prefix_products(weights, dim):
@@ -152,38 +107,13 @@ def grad_widest_batch(m: LinearCellModel, xs):
 
 
 def spectral_norm(w):
-    """Largest singular value via power iteration on W^T W.
-
-    Deterministic start vector; relative tolerance 1e-10, at most 10^4
-    iterations.  Raises NoConvergence with the last iterate and residual.
-    """
+    """Largest singular value of a finite matrix: numpy's exact 2-norm."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise DimensionMismatch("matrix has non-finite entries")
-    gram_vec = lambda v: w.T @ (w @ v)
-    d = w.shape[1]
-    v = np.ones(d) / np.sqrt(d)
-    # deterministic tie-breaker in case the ones vector is in the null space
-    v[0] += 0.5
-    v /= np.linalg.norm(v)
-    last = 0.0
-    for _ in range(SPECTRAL_MAX_ITERS):
-        u = gram_vec(v)
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return 0.0
-        v = u / norm
-        est = np.sqrt(norm)
-        if abs(est - last) <= SPECTRAL_TOL * max(est, 1.0):
-            return float(est)
-        last = est
-    raise NoConvergence(
-        f"power iteration did not converge in {SPECTRAL_MAX_ITERS} iterations",
-        last_estimate=float(last),
-        residual=float(abs(est - last)),
-    )
+    return float(np.linalg.norm(w, 2))
 
 
 @dataclass
@@ -233,9 +163,13 @@ def _ball_perturbation(rng, shape, radius):
 def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200, radius=None,
                             slack=1e-9):
     """Empirical block-i Lipschitz constant of the chained model vs the bound
-    (prod_{j<i} lambda_j) * ||x||^2 inherited from the widest quadratic."""
-    if m.topology != "narrowest":
-        raise ValueError("smoothness check is defined on the narrowest model")
+    (prod_{j<i} lambda_j) * ||x||^2 inherited from the widest quadratic.
+
+    The block-i gradient is affine in W(i): g(W1) - g(W2) = A D u u^T with
+    D = W1 - W2, u = W(i-1)...W(1) x and A = sum_{k>=i} B_k^T B_k,
+    B_k = W(k)...W(i+1).  So each trial's ||g(W1) - g(W2)||_2 is the rank-1
+    norm ||A D u|| * ||u||, with u and A computed once.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     x = _check_input(m, x)
@@ -246,19 +180,25 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200, radius=No
     lambdas = [spectral_norm(w) for w in m.weights]
     l_widest = float(x @ x)
     bound = float(np.prod(lambdas[: i - 1])) * l_widest
+    u = _prefix_products(m.weights[: i - 1], m.dim)[-1] @ x
+    u_norm = np.linalg.norm(u)
+    # A(k-1) = I + W(k)^T A(k) W(k) from A(n) = I down to A(i)
+    eye = np.eye(m.dim)
+    a = eye
+    for w in reversed(m.weights[i:]):
+        a = eye + w.T @ a @ w
     empirical = 0.0
     for _ in range(trials):
         for _attempt in range(10):
             w1 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
             w2 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
-            denom = np.linalg.norm(w1 - w2, ord=2)
+            delta = w1 - w2
+            denom = np.linalg.norm(delta, ord=2)
             if denom > 0.0:
                 break
         else:
             raise DegeneratePair("could not sample a distinct perturbation pair")
-        g1 = grad_narrowest_batch(m.with_block(i, w1), x[None])[i - 1][0]
-        g2 = grad_narrowest_batch(m.with_block(i, w2), x[None])[i - 1][0]
-        ratio = np.linalg.norm(g1 - g2, ord=2) / denom
+        ratio = np.linalg.norm(a @ (delta @ u)) * u_norm / denom
         empirical = max(empirical, float(ratio))
     return TheoremReport(
         theorem="block_smoothness",
@@ -278,8 +218,6 @@ def verify_gradient_variance(m: LinearCellModel, i, rng, samples=2000,
     """Empirical block-i gradient variance of the chained model vs the bound
     n * sum_{k>=i} (sigma_k * prod_{j<=k, j!=i} lambda_j)^2, with sigma_k
     estimated on the widest model from the same input draws."""
-    if m.topology != "narrowest":
-        raise ValueError("variance check is defined on the narrowest model")
     if samples < 2:
         raise InsufficientSamples(f"need >= 2 samples, got {samples}")
     if input_distribution is None:

@@ -4,6 +4,7 @@ import pytest
 from cellscape import CellGenotype, NodeSpec, OpSpec, load_fixture
 from cellscape.autodiff import Tape, Value
 from cellscape.errors import ShapeMismatch
+from cellscape.linear_theory import LinearCellModel, _check_input, grad_narrowest_batch
 
 
 class LossTape(Tape):
@@ -26,6 +27,48 @@ def one_row(grad_batch, m, x):
     """Block gradients of a linear cell model at one input, through the batch
     gradient function: one (d, d) array per block."""
     return [g[0] for g in grad_batch(m, np.asarray(x)[None])]
+
+
+# --- the linear cells' finite-difference oracle: forward passes and the
+# quadratic objective, with the wiring passed in
+
+
+def forward_widest(x, m):
+    """Concatenation of W(i) x for i = 1..n."""
+    x = _check_input(m, x)
+    return np.concatenate([w @ x for w in m.weights])
+
+
+def forward_narrowest(x, m):
+    """Concatenation of the prefix products W(i)...W(1) x."""
+    x = _check_input(m, x)
+    parts = []
+    y = x
+    for w in m.weights:
+        y = w @ y
+        parts.append(y)
+    return np.concatenate(parts)
+
+
+def loss(x, m, forward):
+    """0.5 * sum_i ||node_i - t_i||^2, nodes computed by ``forward``."""
+    nodes = np.split(forward(x, m), m.n)
+    return 0.5 * sum(float(np.sum((y - t) ** 2)) for y, t in zip(nodes, m.targets))
+
+
+def with_block(m, i, w):
+    """Copy of the model with block i (1-based) replaced."""
+    weights = [w.copy() for w in m.weights]
+    weights[i - 1] = np.array(w, dtype=np.float64)
+    return LinearCellModel(weights, [t.copy() for t in m.targets])
+
+
+def two_gradient_ratio(m, x, i, w1, w2):
+    """||g(W1) - g(W2)||_2 / ||W1 - W2||_2 for block i of the chained model,
+    from two full gradient evaluations on copies of the model."""
+    g1 = one_row(grad_narrowest_batch, with_block(m, i, w1), x)[i - 1]
+    g2 = one_row(grad_narrowest_batch, with_block(m, i, w2), x)[i - 1]
+    return np.linalg.norm(g1 - g2, ord=2) / np.linalg.norm(w1 - w2, ord=2)
 
 
 @pytest.fixture

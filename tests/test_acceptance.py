@@ -43,13 +43,20 @@ from cellscape.landscape import DirectionPair
 from cellscape.linear_theory import (
     grad_narrowest_batch,
     grad_widest_batch,
-    loss as theory_loss,
     random_model,
     verify_block_smoothness,
     verify_gradient_variance,
 )
 from cellscape.rng import stream
-from conftest import LossTape, central_difference, one_row
+from conftest import (
+    LossTape,
+    central_difference,
+    forward_narrowest,
+    forward_widest,
+    loss as theory_loss,
+    one_row,
+    with_block,
+)
 
 
 def run_cli(*args):
@@ -103,9 +110,9 @@ def test_criterion_02_extremal_values():
 # -- 3 ---------------------------------------------------------------------
 
 
-def _fd_block(m, x, i, eps=1e-5):
+def _fd_block(m, x, i, forward, eps=1e-5):
     def f(wv):
-        return theory_loss(x, m.with_block(i, wv))
+        return theory_loss(x, with_block(m, i, wv), forward)
 
     return central_difference(f, m.weights[i - 1], eps)
 
@@ -134,14 +141,15 @@ def test_criterion_03_gradient_formulas():
         n = int(rng.integers(1, 5))
         d = int(rng.integers(2, 9))
         x = rng.standard_normal(d)
-        widest = random_model(n, d, "widest", rng)
+        widest = random_model(n, d, rng)
         for i, g in enumerate(one_row(grad_widest_batch, widest, x), start=1):
-            worst_fd = max(worst_fd, _rel(g, _fd_block(widest, x, i)))
-        narrowest = random_model(n, d, "narrowest", rng)
+            worst_fd = max(worst_fd, _rel(g, _fd_block(widest, x, i, forward_widest)))
+        narrowest = random_model(n, d, rng)
         closed = one_row(grad_narrowest_batch, narrowest, x)
         taped = _tape_narrowest(narrowest, x)
         for i in range(1, n + 1):
-            worst_fd = max(worst_fd, _rel(closed[i - 1], _fd_block(narrowest, x, i)))
+            worst_fd = max(worst_fd, _rel(closed[i - 1],
+                                          _fd_block(narrowest, x, i, forward_narrowest)))
             worst_ad = max(worst_ad, float(np.max(np.abs(closed[i - 1] - taped[i - 1]))))
     assert worst_fd <= 1e-6
     assert worst_ad <= 1e-10
@@ -158,7 +166,7 @@ def test_criterion_04_theorem2_reporting(tmp_path):
     for _ in range(100):
         n = int(rng.integers(1, 5))
         d = int(rng.integers(2, 9))
-        m = random_model(n, d, "narrowest", rng)
+        m = random_model(n, d, rng)
         x = rng.standard_normal(d)
         for i in range(1, n + 1):
             r = verify_block_smoothness(m, x, i, rng, trials=200, slack=1e-9)
@@ -192,7 +200,7 @@ def test_criterion_05_theorem3():
     for _ in range(100):
         n = int(rng.integers(1, 5))
         d = int(rng.integers(2, 9))
-        m = random_model(n, d, "narrowest", rng)
+        m = random_model(n, d, rng)
         for i in range(1, n + 1):
             r = verify_gradient_variance(m, i, rng, samples=2000)
             total += 1

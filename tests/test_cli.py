@@ -378,6 +378,36 @@ def test_landscape_overflow_prints_no_warnings(darts_file, tiny_spec, darts_ckpt
     assert "RuntimeWarning" not in res.stderr and res.stderr == "", res.stderr
 
 
+def test_landscape_out_below_a_file_exit_2(darts_file, tiny_spec, darts_ckpt, tmp_path):
+    (tmp_path / "file").write_text("")
+    res = tiny_landscape(darts_ckpt, darts_file, tiny_spec, tmp_path / "file" / "g.csv")
+    assert res.returncode == 2
+    assert one_line(res.stderr), res.stderr
+
+
+# --- unwritable outputs ---------------------------------------------------
+
+
+def test_analyze_out_in_missing_dir_exit_2(darts_file, tmp_path):
+    res = run_cli("analyze", "--genotype", darts_file, "--out", tmp_path / "no" / "a.json")
+    assert res.returncode == 2
+    assert one_line(res.stderr), res.stderr
+
+
+def test_adapt_out_in_missing_dir_exit_2(darts_file, tmp_path):
+    res = run_cli("adapt", "--genotype", darts_file, "--out", tmp_path / "no" / "a.json")
+    assert res.returncode == 2
+    assert one_line(res.stderr), res.stderr
+
+
+def test_theory_out_below_a_file_exit_2(tmp_path):
+    (tmp_path / "file").write_text("")
+    res = run_cli("theory", "--instances", 1, "--trials", 2, "--samples", 2,
+                  "--out", tmp_path / "file" / "report.json")
+    assert res.returncode == 2
+    assert one_line(res.stderr), res.stderr
+
+
 # --- adapt / report -------------------------------------------------------
 
 
@@ -407,3 +437,11 @@ def test_report_aggregates(darts_file, tiny_spec, tmp_path):
 def test_report_empty_dir_exit_2(tmp_path):
     res = run_cli("report", "--run-dir", tmp_path / "nothing")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("manifest", ["{oops", "[1, 2]"], ids=["not json", "json list"])
+def test_report_bad_manifest_exit_1(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    res = run_cli("report", "--run-dir", tmp_path)
+    assert res.returncode == 1
+    assert one_line(res.stderr) and res.stderr.startswith("parse error:"), res.stderr

@@ -163,3 +163,14 @@ def test_chain_cell_needs_two_inputs(num_inputs):
         chain_cell(3, num_inputs=num_inputs)
     with pytest.raises(UnsupportedInputCount):
         all_input_cell(3, num_inputs=num_inputs)
+
+
+@pytest.mark.parametrize("rewiring", [rewire_to_chain, adapt_to_widest_shallowest])
+def test_rewiring_rejects_a_node_with_extra_ops(rewiring):
+    # a third op has no source in a two-input rewiring; it must not be dropped
+    odd = CellGenotype("odd", 2, (
+        NodeSpec((OpSpec("linear", 0), OpSpec("linear", 1), OpSpec("identity", 0))),
+        NodeSpec((OpSpec("linear", 0), OpSpec("linear", 2))),
+    ))
+    with pytest.raises(InvalidArity):
+        rewiring(odd)

@@ -5,17 +5,24 @@ from cellscape.autodiff import backward
 from cellscape.errors import DimensionMismatch, InsufficientSamples
 from cellscape.linear_theory import (
     LinearCellModel,
-    forward_narrowest,
-    forward_widest,
+    _ball_perturbation,
     grad_narrowest_batch,
     grad_widest_batch,
-    loss,
     random_model,
     spectral_norm,
     verify_block_smoothness,
     verify_gradient_variance,
 )
-from conftest import LossTape, central_difference, one_row
+from conftest import (
+    LossTape,
+    central_difference,
+    forward_narrowest,
+    forward_widest,
+    loss,
+    one_row,
+    two_gradient_ratio,
+    with_block,
+)
 
 
 def make_rng(seed=0):
@@ -30,17 +37,16 @@ def test_forward_identity_weights():
     eye = [np.eye(d) for _ in range(n)]
     targets = [np.zeros(d) for _ in range(n)]
     x = np.arange(d, dtype=float)
-    widest = LinearCellModel(eye, targets, "widest")
-    narrowest = LinearCellModel([w.copy() for w in eye], [t.copy() for t in targets], "narrowest")
-    assert np.allclose(forward_widest(x, widest), np.tile(x, n))
-    assert np.allclose(forward_narrowest(x, narrowest), np.tile(x, n))
+    m = LinearCellModel(eye, targets)
+    assert np.allclose(forward_widest(x, m), np.tile(x, n))
+    assert np.allclose(forward_narrowest(x, m), np.tile(x, n))
 
 
 def test_forward_scalar_matrices_commute():
     d = 3
     weights = [2.0 * np.eye(d), 3.0 * np.eye(d)]
     targets = [np.zeros(d)] * 2
-    m = LinearCellModel(weights, targets, "narrowest")
+    m = LinearCellModel(weights, targets)
     x = np.ones(d)
     z = forward_narrowest(x, m)
     assert np.allclose(z[d:], 6.0 * x)
@@ -48,7 +54,7 @@ def test_forward_scalar_matrices_commute():
 
 def test_forward_matches_naive_oracle():
     rng = make_rng(1)
-    m = random_model(3, 5, "widest", rng)
+    m = random_model(3, 5, rng)
     x = rng.standard_normal(5)
     z = forward_widest(x, m)
     for i, w in enumerate(m.weights):
@@ -57,7 +63,7 @@ def test_forward_matches_naive_oracle():
 
 
 def test_forward_dimension_mismatch():
-    m = random_model(2, 4, "widest", make_rng(0))
+    m = random_model(2, 4, make_rng(0))
     with pytest.raises(DimensionMismatch):
         forward_widest(np.ones(5), m)
 
@@ -67,23 +73,22 @@ def test_n1_models_coincide():
     w = rng.standard_normal((6, 6))
     t = rng.standard_normal(6)
     x = rng.standard_normal(6)
-    widest = LinearCellModel([w], [t], "widest")
-    narrowest = LinearCellModel([w.copy()], [t.copy()], "narrowest")
-    assert np.allclose(forward_widest(x, widest), forward_narrowest(x, narrowest))
-    assert np.allclose(one_row(grad_widest_batch, widest, x)[0],
-                       one_row(grad_narrowest_batch, narrowest, x)[0])
-    assert loss(x, widest) == pytest.approx(loss(x, narrowest))
+    m = LinearCellModel([w], [t])
+    assert np.allclose(forward_widest(x, m), forward_narrowest(x, m))
+    assert np.allclose(one_row(grad_widest_batch, m, x)[0],
+                       one_row(grad_narrowest_batch, m, x)[0])
+    assert loss(x, m, forward_widest) == pytest.approx(loss(x, m, forward_narrowest))
 
 
 # --- gradient formulas ----------------------------------------------------
 
 
-def fd_grads(m, x, eps=1e-5):
+def fd_grads(m, x, forward, eps=1e-5):
     """Central finite differences of the quadratic objective per block."""
     out = []
     for i in range(1, m.n + 1):
         def f(wv, i=i):
-            return loss(x, m.with_block(i, wv))
+            return loss(x, with_block(m, i, wv), forward)
 
         out.append(central_difference(f, m.weights[i - 1], eps))
     return out
@@ -96,7 +101,7 @@ def rel_err(a, b):
 
 def test_grad_widest_at_optimum_is_zero():
     rng = make_rng(3)
-    m = random_model(2, 4, "widest", rng)
+    m = random_model(2, 4, rng)
     x = rng.standard_normal(4)
     m.targets = [w @ x for w in m.weights]
     for g in one_row(grad_widest_batch, m, x):
@@ -105,7 +110,7 @@ def test_grad_widest_at_optimum_is_zero():
 
 def test_grad_widest_basis_vector_column():
     rng = make_rng(4)
-    m = random_model(1, 5, "widest", rng)
+    m = random_model(1, 5, rng)
     x = np.zeros(5)
     x[0] = 1.0
     g = one_row(grad_widest_batch, m, x)[0]
@@ -117,7 +122,7 @@ def test_grad_narrowest_identity_collapse():
     d, n = 3, 3
     rng = make_rng(5)
     targets = [rng.standard_normal(d) for _ in range(n)]
-    m = LinearCellModel([np.eye(d) for _ in range(n)], targets, "narrowest")
+    m = LinearCellModel([np.eye(d) for _ in range(n)], targets)
     x = rng.standard_normal(d)
     grads = one_row(grad_narrowest_batch, m, x)
     for i in range(1, n + 1):
@@ -132,12 +137,13 @@ def test_gradients_match_finite_differences(seed):
     d = int(rng.integers(2, 9))
     x = rng.standard_normal(d)
 
-    widest = random_model(n, d, "widest", rng)
-    for g, fd in zip(one_row(grad_widest_batch, widest, x), fd_grads(widest, x)):
+    widest = random_model(n, d, rng)
+    for g, fd in zip(one_row(grad_widest_batch, widest, x), fd_grads(widest, x, forward_widest)):
         assert rel_err(g, fd) <= 1e-6
 
-    narrowest = random_model(n, d, "narrowest", rng)
-    for g, fd in zip(one_row(grad_narrowest_batch, narrowest, x), fd_grads(narrowest, x)):
+    narrowest = random_model(n, d, rng)
+    for g, fd in zip(one_row(grad_narrowest_batch, narrowest, x),
+                     fd_grads(narrowest, x, forward_narrowest)):
         assert rel_err(g, fd) <= 1e-6
 
 
@@ -160,7 +166,7 @@ def test_grad_narrowest_matches_autodiff(seed):
     rng = make_rng(100 + seed)
     n = int(rng.integers(1, 5))
     d = int(rng.integers(2, 9))
-    m = random_model(n, d, "narrowest", rng)
+    m = random_model(n, d, rng)
     x = rng.standard_normal(d)
     for closed, taped in zip(one_row(grad_narrowest_batch, m, x), tape_grads_narrowest(m, x)):
         assert np.max(np.abs(closed - taped)) <= 1e-10
@@ -169,18 +175,16 @@ def test_grad_narrowest_matches_autodiff(seed):
 def test_batch_grads_match_single():
     # an S-row batch against S one-row calls
     rng = make_rng(6)
-    m = random_model(3, 4, "narrowest", rng)
+    m = random_model(3, 4, rng)
     xs = rng.standard_normal((7, 4))
     batched = grad_narrowest_batch(m, xs)
     for s in range(7):
         single = one_row(grad_narrowest_batch, m, xs[s])
         for i in range(m.n):
             assert np.allclose(batched[i][s], single[i], atol=1e-12)
-    widest = LinearCellModel([w.copy() for w in m.weights],
-                             [t.copy() for t in m.targets], "widest")
-    batched_w = grad_widest_batch(widest, xs)
+    batched_w = grad_widest_batch(m, xs)
     for s in range(7):
-        single = one_row(grad_widest_batch, widest, xs[s])
+        single = one_row(grad_widest_batch, m, xs[s])
         for i in range(m.n):
             assert np.allclose(batched_w[i][s], single[i], atol=1e-12)
 
@@ -188,7 +192,7 @@ def test_batch_grads_match_single():
 def test_grad_widest_scaling_with_zero_targets():
     # with t = 0 the gradient is W x x^T, quadratic in the input scale
     rng = make_rng(7)
-    m = random_model(2, 5, "widest", rng)
+    m = random_model(2, 5, rng)
     m.targets = [np.zeros(5), np.zeros(5)]
     x = rng.standard_normal(5)
     g1 = one_row(grad_widest_batch, m, x)
@@ -227,6 +231,17 @@ def test_spectral_norm_matches_svd(seed):
     assert spectral_norm(w) == pytest.approx(svd_top, abs=1e-8)
 
 
+def test_spectral_norm_near_degenerate_matches_svd():
+    # top singular values 1 and 1 - 1e-4: a power iteration converges too
+    # slowly to meet a 1e-10 tolerance within 10^4 steps on this matrix
+    rng = make_rng(9)
+    q1 = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    w = q1 @ np.diag([1.0, 1.0 - 1e-4, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05]) @ q2.T
+    svd_top = np.linalg.svd(w, compute_uv=False)[0]
+    assert spectral_norm(w) == pytest.approx(svd_top, rel=1e-12)
+
+
 def test_spectral_norm_rejects_nonfinite():
     w = np.eye(3)
     w[0, 0] = np.inf
@@ -239,7 +254,7 @@ def test_spectral_norm_rejects_nonfinite():
 
 def test_smoothness_block1_bound_is_input_norm():
     rng = make_rng(9)
-    m = random_model(3, 4, "narrowest", rng)
+    m = random_model(3, 4, rng)
     x = rng.standard_normal(4)
     report = verify_block_smoothness(m, x, 1, rng, trials=20)
     assert report.bound == pytest.approx(float(x @ x))
@@ -250,7 +265,7 @@ def test_smoothness_orthogonal_weights_unit_lambdas():
     d, n = 4, 3
     qs = [np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(n)]
     targets = [rng.standard_normal(d) for _ in range(n)]
-    m = LinearCellModel(qs, targets, "narrowest")
+    m = LinearCellModel(qs, targets)
     x = rng.standard_normal(d)
     for i in range(1, n + 1):
         report = verify_block_smoothness(m, x, i, rng, trials=10)
@@ -269,16 +284,36 @@ def test_smoothness_last_block_exact_constant():
         rng = make_rng(300 + seed)
         n = int(rng.integers(1, 5))
         d = int(rng.integers(2, 9))
-        m = random_model(n, d, "narrowest", rng)
+        m = random_model(n, d, rng)
         x = rng.standard_normal(d)
         report = verify_block_smoothness(m, x, n, rng, trials=100)
         p = _prefix_products(m.weights, d)[n - 1] @ x
         assert report.empirical <= float(p @ p) + 1e-9
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_smoothness_ratio_matches_two_gradients(seed):
+    # each one-trial estimate is the ratio of one perturbation pair; the same
+    # pair, drawn from an identical generator, through two full gradients
+    rng = make_rng(400 + seed)
+    n = int(rng.integers(1, 5))
+    d = int(rng.integers(2, 9))
+    i = int(rng.integers(1, n + 1))
+    m = random_model(n, d, rng)
+    x = rng.standard_normal(d)
+    oracle_rng = make_rng(500 + seed)
+    rng = make_rng(500 + seed)
+    for _ in range(5):
+        r = verify_block_smoothness(m, x, i, rng, trials=1)
+        w1 = m.weights[i - 1] + _ball_perturbation(oracle_rng, (d, d), r.details["radius"])
+        w2 = m.weights[i - 1] + _ball_perturbation(oracle_rng, (d, d), r.details["radius"])
+        assert r.empirical == pytest.approx(two_gradient_ratio(m, x, i, w1, w2), rel=1e-12)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_smoothness_report_consistency():
     rng = make_rng(11)
-    m = random_model(3, 5, "narrowest", rng)
+    m = random_model(3, 5, rng)
     x = rng.standard_normal(5)
     for i in (1, 2, 3):
         r = verify_block_smoothness(m, x, i, rng, trials=50)
@@ -290,16 +325,9 @@ def test_smoothness_report_consistency():
         assert doc["block"] == i
 
 
-def test_smoothness_requires_narrowest():
-    rng = make_rng(12)
-    m = random_model(2, 3, "widest", rng)
-    with pytest.raises(ValueError):
-        verify_block_smoothness(m, np.ones(3), 1, rng)
-
-
 def test_variance_n1_models_coincide():
     rng = make_rng(13)
-    m = random_model(1, 4, "narrowest", rng)
+    m = random_model(1, 4, rng)
     report = verify_gradient_variance(m, 1, rng, samples=500)
     # n=1: bound = (sigma_1)^2 and the models are the same network
     assert report.bound == pytest.approx(report.details["sigmas_sq"][0])
@@ -309,7 +337,7 @@ def test_variance_n1_models_coincide():
 
 def test_variance_point_mass_input_is_zero():
     rng = make_rng(14)
-    m = random_model(2, 3, "narrowest", rng)
+    m = random_model(2, 3, rng)
     fixed = rng.standard_normal(3)
     report = verify_gradient_variance(
         m, 1, rng, samples=100,
@@ -321,7 +349,7 @@ def test_variance_point_mass_input_is_zero():
 
 def test_variance_report_consistency():
     rng = make_rng(15)
-    m = random_model(3, 4, "narrowest", rng)
+    m = random_model(3, 4, rng)
     for i in (1, 2, 3):
         r = verify_gradient_variance(m, i, rng, samples=400)
         assert r.violated == (r.empirical > r.bound + r.slack)
@@ -331,6 +359,6 @@ def test_variance_report_consistency():
 
 def test_variance_insufficient_samples():
     rng = make_rng(16)
-    m = random_model(2, 3, "narrowest", rng)
+    m = random_model(2, 3, rng)
     with pytest.raises(InsufficientSamples):
         verify_gradient_variance(m, 1, rng, samples=1)
