@@ -58,7 +58,6 @@ from .landscape import (
     export_grid,
     gradient_variance_surface,
     grid_coordinates,
-    load_grid_csv,
     loss_surface,
     sample_directions,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,24 +262,17 @@ def glorot_init(shape, rng):
 class OptimizerState:
     momentum: float = 0.9
     weight_decay: float = 3e-4
-    buffers: dict = field(default_factory=dict)
+    velocity: np.ndarray | float = 0.0  # the scalar 0.0 broadcasts until a first step
 
 
-def sgd_step(params: dict, grads: dict, state: OptimizerState, lr):
-    """v <- mu*v + (g + wd*w); w <- w - lr*v, per parameter.  ``lr`` is a
-    scalar, or one rate per member for params with a leading member axis."""
+def sgd_step(params, grads, state: OptimizerState, lr):
+    """v <- mu*v + (g + wd*w); w <- w - lr*v on flat params and grads.
+    ``lr`` is a scalar, or one rate per member for (K, P) params."""
     lr = np.asarray(lr, dtype=np.float64)
-    for name, w in params.items():
-        g = grads[name]
-        if g.shape != w.shape or w.shape[: lr.ndim] != lr.shape:
-            raise ShapeMismatch(f"{name}: grad {g.shape} vs param {w.shape}, lr {lr.shape}")
-        v = state.buffers.get(name)
-        if v is None:
-            v = np.zeros_like(w)
-        v = state.momentum * v + (g + state.weight_decay * w)
-        state.buffers[name] = v
-        params[name] = w - lr.reshape(lr.shape + (1,) * (w.ndim - lr.ndim)) * v
-    return params, state
+    if grads.shape != params.shape or params.shape[: lr.ndim] != lr.shape:
+        raise ShapeMismatch(f"grad {grads.shape} vs param {params.shape}, lr {lr.shape}")
+    state.velocity = state.momentum * state.velocity + (grads + state.weight_decay * params)
+    return params - lr.reshape(lr.shape + (1,) * (params.ndim - lr.ndim)) * state.velocity, state
 
 
 def cosine_lr(epoch, total_epochs, base_lr):
@@ -297,28 +290,28 @@ def cosine_lr(epoch, total_epochs, base_lr):
 # {name, shape, offset} per block, then contiguous little-endian float64 data.
 
 
-def save_checkpoint(params: dict, path):
-    names = sorted(params)
-    header = []
-    offset = 0
-    for name in names:
-        arr = np.ascontiguousarray(params[name], dtype="<f8")
-        header.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
+def save_checkpoint(params, path, layout):
+    """Write one member's flat params; ``layout`` (a ``network.ParamLayout``)
+    names its blocks in the header."""
+    if np.shape(params) != (layout.size,):
+        raise ShapeMismatch(f"checkpoint of {np.shape(params)} params, layout of {layout.size}")
+    header = [{"name": name, "shape": list(shape), "offset": s.start}
+              for name, (s, shape) in layout.blocks.items()]
     header_bytes = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        for name in names:
-            fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> dict:
-    """Read a checkpoint written by ``save_checkpoint``.
+def load_checkpoint(path, layout):
+    """Read a checkpoint written by ``save_checkpoint`` into a flat vector.
 
     Raises ParseError when the file cannot be read, is shorter than its
     header, has a header that is not a JSON list of blocks, or has a payload
-    that is not whole float64 values or is shorter than its blocks.
+    that is not whole float64 values or is shorter than its blocks; then
+    DimensionMismatch (from ``layout.check``) when its blocks are not the
+    layout's.
     """
     try:
         with open(path, "rb") as fh:
@@ -337,7 +330,6 @@ def load_checkpoint(path) -> dict:
     except (ValueError, TypeError, KeyError) as exc:
         raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
     payload = np.frombuffer(raw, dtype="<f8", offset=start)
-    params = {}
     for name, shape, offset in blocks:
         if not (isinstance(name, str) and isinstance(offset, int) and offset >= 0
                 and all(isinstance(d, int) and d >= 0 for d in shape)):
@@ -348,5 +340,5 @@ def load_checkpoint(path) -> dict:
                 f"{path}: block {name!r} ends at value {offset + size}, "
                 f"past the payload's {payload.size}"
             )
-        params[name] = np.array(payload[offset : offset + size], dtype=np.float64).reshape(shape)
-    return params
+    layout.check(blocks)
+    return np.array(payload[: layout.size], dtype=np.float64)

@@ -120,7 +120,7 @@ def analyze(genotype_file, out):
 @cli.command()
 @click.option("--genotype", "genotype_file", required=True, type=click.Path())
 @click.option("--mode", type=click.Choice(["connection", "operation"]), required=True)
-@click.option("--count", "count_", type=int, default=10, show_default=True)
+@click.option("--count", "count_", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--ops", default="linear,identity,zero", show_default=True,
               help="Candidate operation kinds for operation mode.")
@@ -188,9 +188,9 @@ def count(n_total, num_inputs, do_enumerate, genotype_file):
 
 
 @cli.command()
-@click.option("--n", "n_nodes", type=int, default=3, show_default=True)
-@click.option("--dim", type=int, default=8, show_default=True)
-@click.option("--trials", type=int, default=200, show_default=True)
+@click.option("--n", "n_nodes", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--dim", type=click.IntRange(min=1), default=8, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--samples", type=int, default=2000, show_default=True)
 @click.option("--instances", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -265,8 +265,10 @@ def _network_options(command):
     network."""
     command = click.option("--dataset-spec", "dataset_spec_file", type=click.Path(),
                            default=None)(command)
-    command = click.option("--dim", type=int, default=16, show_default=True)(command)
-    return click.option("--layers", type=int, default=6, show_default=True)(command)
+    command = click.option("--dim", type=click.IntRange(min=2), default=16,
+                           show_default=True)(command)
+    return click.option("--layers", type=click.IntRange(min=1), default=6,
+                        show_default=True)(command)
 
 
 def _dataset_and_network(dataset_spec_file, layers, dim):
@@ -282,9 +284,9 @@ def _dataset_and_network(dataset_spec_file, layers, dim):
 @cli.command(name="train")
 @click.option("--genotype", "genotype_file", required=True, type=click.Path())
 @_network_options
-@click.option("--lr", type=float, default=0.025, show_default=True)
-@click.option("--epochs", type=int, default=30, show_default=True)
-@click.option("--batch-size", type=int, default=80, show_default=True)
+@click.option("--lr", type=click.FloatRange(min=0), default=0.025, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=0), default=30, show_default=True)
+@click.option("--batch-size", type=click.IntRange(min=1), default=80, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path())
 def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
@@ -309,7 +311,7 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
                  repr(row["test_loss"]), repr(row["test_acc"])]
             )
     ckpt_path = out / "final.ckpt"
-    save_checkpoint(trace.final_params, ckpt_path)
+    save_checkpoint(trace.final_params, ckpt_path, net.layout)
     _write_manifest(
         out,
         "train",
@@ -335,8 +337,9 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
 @click.option("--genotypes", "genotype_dir", required=True, type=click.Path(),
               help="Directory of genotype JSON files.")
 @click.option("--lrs", default="0.0025,0.025,0.25", show_default=True)
-@click.option("--seeds", "num_seeds", type=int, default=5, show_default=True)
-@click.option("--epochs", type=int, default=30, show_default=True)
+@click.option("--seeds", "num_seeds", type=click.IntRange(min=1), default=5,
+              show_default=True)
+@click.option("--epochs", type=click.IntRange(min=0), default=30, show_default=True)
 @_network_options
 @click.option("--threshold", type=float, default=None,
               help="Test-loss threshold; default 0.5*ln(classes).")
@@ -388,17 +391,25 @@ def compare(genotype_dir, lrs, num_seeds, epochs, layers, dim, threshold,
     click.echo(f"report in {out_path}")
 
 
+def _odd(ctx, param, value):
+    if value % 2 == 0:
+        raise click.BadParameter(f"{value} is even; the grid must be centred on 0")
+    return value
+
+
 @cli.command()
 @click.option("--checkpoint", "checkpoint_file", required=True, type=click.Path())
 @click.option("--genotype", "genotype_file", required=True, type=click.Path())
 @_network_options
 @click.option("--mode", type=click.Choice(["loss", "gradvar", "gradstd"]),
               default="loss", show_default=True)
-@click.option("--grid", "grid_points", type=int, default=41, show_default=True)
-@click.option("--range", "extent", type=float, default=1.0, show_default=True)
+@click.option("--grid", "grid_points", type=click.IntRange(min=1), default=41,
+              show_default=True, callback=_odd)
+@click.option("--range", "extent", type=click.FloatRange(min=0, min_open=True), default=1.0,
+              show_default=True)
 @click.option("--norm", type=click.Choice(["blockwise", "none"]),
               default="blockwise", show_default=True)
-@click.option("--subset", type=int, default=256, show_default=True,
+@click.option("--subset", type=click.IntRange(min=1), default=256, show_default=True,
               help="Held-out instances used for evaluation.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path())
@@ -409,8 +420,8 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
     g = load_genotype(genotype_file)
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     net = CellNetwork(g, net_cfg)
-    checkpoint = load_checkpoint(checkpoint_file)
-    pair = sample_directions(checkpoint, seed, normalization=norm)
+    checkpoint = load_checkpoint(checkpoint_file, net.layout)
+    pair = sample_directions(checkpoint, net.layout, seed, normalization=norm)
     coords = grid_coordinates(grid_points, extent)
     pick = stream(seed, "data").choice(
         len(dataset.test_y), size=min(subset, len(dataset.test_y)), replace=False
@@ -459,6 +470,14 @@ def adapt(genotype_file, out_file):
     )
 
 
+def _count(doc, key, path):
+    """A manifest's integer count ``key``, 0 when absent."""
+    value = doc.get(key, 0)
+    if type(value) is not int:
+        raise ParseError(f"{path}: {key} is not an integer: {value!r}")
+    return value
+
+
 @cli.command()
 @click.option("--run-dir", "run_dir", required=True, type=click.Path())
 @click.option("--out", "out_file", type=click.Path(), default=None)
@@ -479,8 +498,8 @@ def report(run_dir, out_file):
             raise ParseError(f"{path}: manifest is not a JSON object")
         doc["_path"] = str(path)
         merged.append(doc)
-        violations += int(doc.get("violation_count", 0))
-        diverged += int(doc.get("diverged_runs", 0)) + int(bool(doc.get("diverged")))
+        violations += _count(doc, "violation_count", path)
+        diverged += _count(doc, "diverged_runs", path) + int(bool(doc.get("diverged")))
     summary = {
         "run_dir": str(run_dir),
         "manifests": merged,

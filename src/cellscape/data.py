@@ -7,7 +7,7 @@ from the same stream after the train split, so the two are disjoint draws.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,12 +81,6 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
         train_x, train_y = _spiral_points(spec, rng, spec.train_size)
         test_x, test_y = _spiral_points(spec, rng, spec.test_size)
     return Dataset(spec, train_x, train_y, test_x, test_y)
-
-
-def spec_to_json(spec: DatasetSpec, path):
-    with open(path, "w") as fh:
-        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def spec_from_json(path) -> DatasetSpec:

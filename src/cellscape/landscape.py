@@ -1,7 +1,7 @@
 """Loss and gradient-variance surfaces on a 2-D slice through parameter space.
 
-Two random directions with the checkpoint's block structure span the slice;
-each grid point evaluates the network at checkpoint + alpha*d1 + beta*d2.
+Two random directions in the checkpoint's flat parameter layout span the
+slice; each grid point evaluates the network at checkpoint + alpha*d1 + beta*d2.
 The loss surface is the mean loss over the split, from one forward pass per
 point that records no tape.  The gradient-variance surface is the total
 variance (covariance trace) of per-instance parameter gradients, from one
@@ -29,38 +29,30 @@ from .rng import stream
 
 @dataclass
 class DirectionPair:
-    """Two direction parameter-sets matching a checkpoint's block structure."""
+    """Two flat directions in a checkpoint's parameter layout."""
 
-    w1: dict
-    w2: dict
+    w1: np.ndarray
+    w2: np.ndarray
     seed: int
     normalization: str
     zero_blocks: list = field(default_factory=list)
 
 
-def sample_directions(checkpoint: dict, seed, normalization="blockwise") -> DirectionPair:
-    """Draw both directions blockwise standard normal; with ``blockwise``
-    normalization each block is rescaled to the checkpoint block's Frobenius
-    norm.  All-zero checkpoint blocks skip rescaling and are recorded."""
+def sample_directions(checkpoint, layout, seed, normalization="blockwise") -> DirectionPair:
+    """Draw both directions standard normal in ``layout`` order; with
+    ``blockwise`` normalization each block is rescaled to the checkpoint
+    block's Frobenius norm.  All-zero checkpoint blocks skip rescaling and
+    are recorded."""
     if normalization not in ("blockwise", "none"):
         raise ValueError(f"normalization must be blockwise|none, got {normalization!r}")
     rng = stream(seed, "directions")
+    directions = [rng.standard_normal(layout.size) for _ in range(2)]
     zero_blocks = []
-    directions = []
-    for _ in range(2):
-        d = {}
-        for name in sorted(checkpoint):
-            ref = checkpoint[name]
-            block = rng.standard_normal(ref.shape)
-            if normalization == "blockwise":
-                ref_norm = np.linalg.norm(ref)
-                if ref_norm == 0.0:
-                    if name not in zero_blocks:
-                        zero_blocks.append(name)
-                else:
-                    block *= ref_norm / np.linalg.norm(block)
-            d[name] = block
-        directions.append(d)
+    if normalization == "blockwise":
+        ref = layout.block_norms(checkpoint)
+        zero_blocks = [layout.names[i] for i in np.flatnonzero(ref == 0.0)]
+        for d in directions:
+            d *= np.repeat(np.where(ref == 0.0, 1.0, ref / layout.block_norms(d)), layout.sizes)
     return DirectionPair(
         w1=directions[0],
         w2=directions[1],
@@ -102,35 +94,15 @@ def grid_coordinates(points, extent):
 
 
 def _check_grid_inputs(network, checkpoint, pair, alphas, betas):
-    shapes = network._param_shapes()
-    if set(checkpoint) != set(shapes):
-        odd = sorted(set(checkpoint) ^ set(shapes))
-        raise DimensionMismatch(
-            f"checkpoint blocks do not match the network's: {len(odd)} differ, "
-            f"first {odd[0]!r}"
-        )
-    for name, shape in shapes.items():
-        if checkpoint[name].shape != shape:
+    need = (network.layout.size,)
+    for what, v in (("checkpoint", checkpoint), ("direction", pair.w1), ("direction", pair.w2)):
+        if np.shape(v) != need:
             raise DimensionMismatch(
-                f"checkpoint block {name} has shape {checkpoint[name].shape}, "
-                f"the network needs {shape}"
+                f"{what} has shape {np.shape(v)}, the network's parameters {need}"
             )
-    for d in (pair.w1, pair.w2):
-        if set(d) != set(checkpoint):
-            raise DimensionMismatch("direction blocks do not match checkpoint blocks")
-        for name in checkpoint:
-            if d[name].shape != checkpoint[name].shape:
-                raise DimensionMismatch(f"direction block {name} shape mismatch")
     for coords in (alphas, betas):
         if not np.any(np.asarray(coords) == 0.0):
             raise ValueError("grid coordinates must include 0")
-
-
-def _shifted(checkpoint, pair, alpha, beta):
-    return {
-        name: checkpoint[name] + alpha * pair.w1[name] + beta * pair.w2[name]
-        for name in checkpoint
-    }
 
 
 def _grid(point, checkpoint, pair, alphas, betas):
@@ -140,7 +112,7 @@ def _grid(point, checkpoint, pair, alphas, betas):
     with np.errstate(over="ignore", invalid="ignore"):
         for a, alpha in enumerate(alphas):
             for b, beta in enumerate(betas):
-                values[a, b] = point(_shifted(checkpoint, pair, alpha, beta))
+                values[a, b] = point(checkpoint + alpha * pair.w1 + beta * pair.w2)
     return values
 
 
@@ -200,23 +172,3 @@ def export_grid(grid: LandscapeGrid, path, fmt="csv"):
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as exc:
         raise IoFailure(f"{path}: {exc}") from exc
-
-
-def load_grid_csv(path, kind="loss") -> LandscapeGrid:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [(float(a), float(b), float(v)) for a, b, v in reader]
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
-    if header != ["alpha", "beta", "value"]:
-        raise IoFailure(f"{path}: unexpected header {header}")
-    alphas = sorted({r[0] for r in rows})
-    betas = sorted({r[1] for r in rows})
-    values = np.full((len(alphas), len(betas)), np.nan)
-    a_idx = {v: i for i, v in enumerate(alphas)}
-    b_idx = {v: i for i, v in enumerate(betas)}
-    for a, b, v in rows:
-        values[a_idx[a], b_idx[b]] = v
-    return LandscapeGrid(alphas, betas, values, kind)

@@ -9,13 +9,15 @@ cells parameter-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import REGISTRY, Tape, glorot_init
-from .errors import UnsupportedInputCount
+from .errors import DimensionMismatch, UnsupportedInputCount
 from .genotype import CellGenotype, validate_genotype
 
 
@@ -31,8 +33,49 @@ class NetworkConfig:
             raise ValueError("need layers >= 1 and dim >= 2")
 
 
+class ParamLayout:
+    """Where each parameter block lives in a flat float64 vector: ``blocks``
+    maps name -> (slice, shape), in sorted-name order.  A vector of length
+    ``size`` holds one member's parameters, a (K, size) array K members'."""
+
+    def __init__(self, shapes):
+        self.blocks = {}
+        offset = 0
+        for name in sorted(shapes):
+            shape = tuple(shapes[name])
+            size = math.prod(shape)
+            self.blocks[name] = (slice(offset, offset + size), shape)
+            offset += size
+        self.size = offset
+        self.names = list(self.blocks)
+        self.sizes = [s.stop - s.start for s, _ in self.blocks.values()]
+
+    def views(self, flat):
+        """name -> view of that block in ``flat``, keeping its leading axes."""
+        lead = flat.shape[:-1]
+        return {name: flat[..., s].reshape(lead + shape)
+                for name, (s, shape) in self.blocks.items()}
+
+    def block_norms(self, flat):
+        """Frobenius norm of each block of a flat vector, in layout order."""
+        return np.array([np.linalg.norm(flat[s]) for s, _ in self.blocks.values()])
+
+    def check(self, blocks):
+        """Raise DimensionMismatch unless ``blocks``, (name, shape, offset)
+        triples read from a checkpoint header, are exactly this layout's."""
+        mine = [(name, shape, s.start) for name, (s, shape) in self.blocks.items()]
+        theirs = sorted(blocks)
+        if theirs != mine:
+            t, m = next(p for p in zip_longest(theirs, mine) if p[0] != p[1])
+            raise DimensionMismatch(
+                f"checkpoint blocks do not match the network's: (name, shape, offset) "
+                f"{t} in the checkpoint, {m} in the network"
+            )
+
+
 class CellNetwork:
-    """Parameter store plus the forward wiring defined by a genotype."""
+    """Parameter layout plus the forward wiring defined by a genotype.
+    ``params`` is one flat vector in ``layout`` order, or None until set."""
 
     def __init__(self, genotype: CellGenotype, cfg: NetworkConfig, init_rng=None):
         if genotype.num_inputs != 2:
@@ -42,7 +85,8 @@ class CellNetwork:
         self.genotype = genotype
         self.dag = validate_genotype(genotype)
         self.cfg = cfg
-        self.params = {}
+        self.layout = ParamLayout(self._param_shapes())
+        self.params = None
         if init_rng is not None:
             self.init_params(init_rng)
 
@@ -63,35 +107,26 @@ class CellNetwork:
         return shapes
 
     def init_params(self, rng):
-        """Seeded symmetric-uniform initialization for every parameter block."""
-        self.params = {}
-        shapes = self._param_shapes()
-        for name in sorted(shapes):
-            shape = shapes[name]
-            if len(shape) == 1:
-                self.params[name] = np.zeros(shape)
-            else:
-                self.params[name] = glorot_init(shape, rng)
+        """Seeded symmetric-uniform weights, zero biases, drawn block by block
+        in layout order."""
+        self.params = np.zeros(self.layout.size)
+        for view in self.layout.views(self.params).values():
+            if view.ndim == 2:
+                view[...] = glorot_init(view.shape, rng)
         return self.params
 
     def parameter_count(self):
-        return sum(int(np.prod(s)) for s in self._param_shapes().values())
-
-    def cell_parameter_count(self):
-        return sum(
-            int(np.prod(s))
-            for name, s in self._param_shapes().items()
-            if name.startswith("cell")
-        )
+        return self.layout.size
 
     def forward(self, x, params=None, record=True):
         """Forward pass; returns (logits Value, tape, name -> leaf Value map).
-        Params may carry a leading member axis K, and so may ``x``; an
-        unstacked ``x`` feeds every member.  With ``record=False`` the tape
-        keeps nothing for a reverse pass."""
+        Params are a flat vector or a (K, P) array of K members, and ``x`` may
+        carry the member axis too; an unstacked ``x`` feeds every member.  The
+        leaves are views of the params' blocks.  With ``record=False`` the
+        tape keeps nothing for a reverse pass."""
         params = self.params if params is None else params
         tape = Tape(record=record)
-        leaves = {name: tape.leaf(arr) for name, arr in params.items()}
+        leaves = {name: tape.leaf(view) for name, view in self.layout.views(params).items()}
         x_leaf = tape.leaf(np.asarray(x, dtype=np.float64))
         s = tape.add_bias(tape.dense(x_leaf, leaves["stem.w"]), leaves["stem.b"])
         prev2 = prev1 = s
@@ -113,15 +148,18 @@ class CellNetwork:
         return logits, tape, leaves
 
     def loss_and_grads(self, x, y, params=None):
-        """(mean loss, name -> gradient); with a member axis the loss is one
-        float per member and each member's gradient is its own."""
+        """(mean loss, flat gradient shaped like the params); with a member
+        axis the loss is one float per member and each member's gradient is
+        its own.  Blocks the loss does not reach get zero gradient."""
+        params = self.params if params is None else params
         logits, tape, leaves = self.forward(x, params)
         loss = tape.softmax_cross_entropy(logits, y)
         ad.backward(tape, loss)
-        grads = {
-            name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-            for name, leaf in leaves.items()
-        }
+        lead = params.shape[:-1]
+        grads = np.concatenate([
+            (np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad).reshape(lead + (-1,))
+            for leaf in leaves.values()
+        ], axis=-1)
         return loss.data[()], grads
 
     def evaluate(self, x, y, params=None):

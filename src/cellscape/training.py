@@ -6,9 +6,9 @@ non-finite loss stops the run and marks it diverged; divergence is a
 legitimate experimental outcome, not an error.
 
 ``train`` takes one config or a list of them: the members of a list train
-in lockstep, params stacked on a leading member axis, so one batched step
+in lockstep as the rows of one (K, P) parameter array, so one batched step
 serves all of them, each with its own init and shuffle streams and learning
-rate.  A member that diverges is dropped and the rest go on.
+rate.  A member that diverges is dropped with its row and the rest go on.
 ``compare_convergence`` trains all (lr, seed) members of a genotype at once.
 """
 
@@ -45,7 +45,7 @@ class TrainTrace:
     rows: list = field(default_factory=list)  # dicts epoch/lr/train_loss/test_loss/test_acc
     diverged: bool = False
     divergence_epoch: int | None = None
-    final_params: dict | None = None
+    final_params: np.ndarray | None = None  # flat, in the network's layout
 
     @property
     def final_row(self):
@@ -78,11 +78,6 @@ def train(network: CellNetwork, dataset: Dataset, cfg):
     return _train_lockstep(network, dataset, list(cfg))
 
 
-def _take(arrays, index):
-    """Member(s) ``index`` of every stacked array in a name -> array dict."""
-    return {name: a[index] for name, a in arrays.items()}
-
-
 def _train_lockstep(network, dataset, cfgs):
     """The loop behind ``train``: one trace per config."""
     if not cfgs:
@@ -90,12 +85,11 @@ def _train_lockstep(network, dataset, cfgs):
     cfg = cfgs[0]
     if any(replace(c, lr=cfg.lr, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("lockstep members may differ only in lr and seed")
-    if network.params and len(cfgs) > 1:
+    if network.params is not None and len(cfgs) > 1:
         raise ValueError("preset network params train a single member")
-    starts = ([network.params] if network.params
-              else [network.init_params(stream(c.seed, "init")) for c in cfgs])
-    params = {name: np.stack([p[name] for p in starts]) for name in starts[0]}
-    state = OptimizerState()
+    params = np.stack([network.params] if network.params is not None
+                      else [network.init_params(stream(c.seed, "init")) for c in cfgs])
+    state = OptimizerState(velocity=np.zeros_like(params))
     shuffles = [stream(c.seed, "shuffle") for c in cfgs]
     traces = [TrainTrace() for _ in cfgs]
     live = list(range(len(cfgs)))  # member index -> config index
@@ -113,7 +107,7 @@ def _train_lockstep(network, dataset, cfgs):
     with np.errstate(over="ignore", invalid="ignore"):
         # one member at a time, so the 2000-row split sets no memory peak
         record(0, [cosine_lr(0, max(cfg.epochs, 1), c.lr) for c in cfgs],
-               [float(network.evaluate(dataset.train_x, dataset.train_y, _take(params, j))[0])
+               [float(network.evaluate(dataset.train_x, dataset.train_y, params[j])[0])
                 for j in live])
         for epoch in range(cfg.epochs):
             lrs = [cosine_lr(epoch, cfg.epochs, cfgs[k].lr) for k in live]
@@ -131,22 +125,21 @@ def _train_lockstep(network, dataset, cfgs):
                         traces[k].diverged = True
                         traces[k].divergence_epoch = epoch + 1
                         row(k, epoch + 1, lrs[j], math.inf, math.inf, 0.0)
-                        traces[k].final_params = _take(params, j)
+                        traces[k].final_params = params[j]
                     keep = np.flatnonzero(finite)
                     if not len(keep):
                         return traces
                     live, lrs = [live[j] for j in keep], [lrs[j] for j in keep]
                     epoch_losses = [epoch_losses[j] for j in keep]
-                    orders, loss = orders[keep], loss[keep]
-                    params, grads = _take(params, keep), _take(grads, keep)
-                    state.buffers = _take(state.buffers, keep)
+                    orders, loss, grads = orders[keep], loss[keep], grads[keep]
+                    params, state.velocity = params[keep], state.velocity[keep]
                 for losses, value in zip(epoch_losses, loss):
                     losses.append(value)
                 params, state = sgd_step(params, grads, state, lrs)
             record(epoch + 1, lrs, [float(np.mean(losses)) for losses in epoch_losses])
 
     for j, k in enumerate(live):
-        traces[k].final_params = _take(params, j)
+        traces[k].final_params = params[j]
     return traces
 
 

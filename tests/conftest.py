@@ -1,9 +1,14 @@
+import csv
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from cellscape import CellGenotype, NodeSpec, OpSpec, load_fixture
 from cellscape.autodiff import Tape, Value
-from cellscape.errors import ShapeMismatch
+from cellscape.errors import IoFailure, ShapeMismatch
+from cellscape.landscape import LandscapeGrid
 from cellscape.linear_theory import LinearCellModel, _check_input, grad_narrowest_batch
 
 
@@ -69,6 +74,46 @@ def two_gradient_ratio(m, x, i, w1, w2):
     g1 = one_row(grad_narrowest_batch, with_block(m, i, w1), x)[i - 1]
     g2 = one_row(grad_narrowest_batch, with_block(m, i, w2), x)[i - 1]
     return np.linalg.norm(g1 - g2, ord=2) / np.linalg.norm(w1 - w2, ord=2)
+
+
+# --- readers, writers and counts that no command uses
+
+
+def load_grid_csv(path, kind="loss") -> LandscapeGrid:
+    """Read back a grid written by ``export_grid`` as CSV."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            rows = [(float(a), float(b), float(v)) for a, b, v in reader]
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+    if header != ["alpha", "beta", "value"]:
+        raise IoFailure(f"{path}: unexpected header {header}")
+    alphas = sorted({r[0] for r in rows})
+    betas = sorted({r[1] for r in rows})
+    values = np.full((len(alphas), len(betas)), np.nan)
+    a_idx = {v: i for i, v in enumerate(alphas)}
+    b_idx = {v: i for i, v in enumerate(betas)}
+    for a, b, v in rows:
+        values[a_idx[a], b_idx[b]] = v
+    return LandscapeGrid(alphas, betas, values, kind)
+
+
+def spec_to_json(spec, path):
+    """Write a ``DatasetSpec`` as the JSON that ``spec_from_json`` reads."""
+    with open(path, "w") as fh:
+        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def cell_parameter_count(net):
+    """Parameters in a network's cells, stem and head left out."""
+    return sum(
+        int(np.prod(shape))
+        for name, (_, shape) in net.layout.blocks.items()
+        if name.startswith("cell")
+    )
 
 
 @pytest.fixture

@@ -311,10 +311,10 @@ def test_criterion_08_landscape(tmp_path):
     net = CellNetwork(load_fixture("darts"), cfg, init_rng=stream(0, "init"))
     trace = train(net, ds, TrainConfig(lr=0.025, epochs=3, seed=0))
     ckpt_path = tmp_path / "final.ckpt"
-    save_checkpoint(trace.final_params, ckpt_path)
-    ckpt = load_checkpoint(ckpt_path)
+    save_checkpoint(trace.final_params, ckpt_path, net.layout)
+    ckpt = load_checkpoint(ckpt_path, net.layout)
 
-    pair = sample_directions(ckpt, seed=0)
+    pair = sample_directions(ckpt, net.layout, seed=0)
     coords = grid_coordinates(5, 0.5)
     x, y = ds.test_x, ds.test_y
 
@@ -327,14 +327,14 @@ def test_criterion_08_landscape(tmp_path):
     grads = []
     for i in range(5):
         _, g = net.loss_and_grads(x5[i : i + 1], y5[i : i + 1], ckpt)
-        grads.append(np.concatenate([g[k].ravel() for k in sorted(g)]))
+        grads.append(g)  # flat, blocks in sorted-name order
     stacked = np.stack(grads)
     oracle = float(np.mean(np.sum((stacked - stacked.mean(axis=0)) ** 2, axis=1)))
     assert abs(gv.values[0, 0] - oracle) <= 1e-10
 
     flipped = DirectionPair(
-        w1={k: -v for k, v in pair.w1.items()},
-        w2={k: -v for k, v in pair.w2.items()},
+        w1=-pair.w1,
+        w2=-pair.w2,
         seed=0, normalization="blockwise",
     )
     mirrored = loss_surface(net, ckpt, x, y, flipped, coords, coords)

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from cellscape.autodiff import (
     save_checkpoint,
     sgd_step,
 )
-from cellscape.errors import NoTape, ShapeMismatch, SharedParameter
+from cellscape.errors import DimensionMismatch, NoTape, ShapeMismatch, SharedParameter
+from cellscape.genotype import load_fixture
+from cellscape.network import CellNetwork, NetworkConfig, ParamLayout
 from conftest import LossTape, central_difference
 
 dims = st.integers(2, 16)
@@ -295,8 +299,7 @@ def test_member_axis_mismatch_raises_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         t.softmax_cross_entropy(h, np.zeros(4, dtype=int))
     with pytest.raises(ShapeMismatch):
-        sgd_step({"w": np.ones((3, 2))}, {"w": np.ones((3, 2))}, OptimizerState(),
-                 lr=[0.1, 0.2])
+        sgd_step(np.ones((3, 2)), np.ones((3, 2)), OptimizerState(), lr=[0.1, 0.2])
 
 
 def test_forward_determinism():
@@ -315,57 +318,90 @@ def test_forward_determinism():
 
 
 def test_sgd_plain_step():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.array([1.0])}
+    params = np.array([1.0])
+    grads = np.array([1.0])
     state = OptimizerState(momentum=0.0, weight_decay=0.0)
     params, state = sgd_step(params, grads, state, lr=0.1)
-    assert np.allclose(params["w"], 0.9)
+    assert np.allclose(params, 0.9)
 
 
 def test_sgd_momentum_two_steps():
     # v1 = 1, w1 = -0.1; v2 = 0.9 + 1 = 1.9, w2 = -0.1 - 0.19 = -0.29
-    params = {"w": np.array([0.0])}
-    grads = {"w": np.array([1.0])}
+    params = np.array([0.0])
+    grads = np.array([1.0])
     state = OptimizerState(momentum=0.9, weight_decay=0.0)
     params, state = sgd_step(params, grads, state, lr=0.1)
     params, state = sgd_step(params, grads, state, lr=0.1)
-    assert np.allclose(params["w"], -0.29)
+    assert np.allclose(params, -0.29)
 
 
 def test_sgd_zero_gradient_zero_decay():
-    params = {"w": np.array([2.0, -3.0])}
-    grads = {"w": np.zeros(2)}
+    params = np.array([2.0, -3.0])
+    grads = np.zeros(2)
     state = OptimizerState(momentum=0.9, weight_decay=0.0)
     params, _ = sgd_step(params, grads, state, lr=0.5)
-    assert np.array_equal(params["w"], np.array([2.0, -3.0]))
+    assert np.array_equal(params, np.array([2.0, -3.0]))
 
 
 def test_sgd_weight_decay_pulls_to_zero():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.zeros(1)}
+    params = np.array([1.0])
+    grads = np.zeros(1)
     state = OptimizerState(momentum=0.0, weight_decay=0.1)
     params, _ = sgd_step(params, grads, state, lr=1.0)
-    assert np.allclose(params["w"], 0.9)
+    assert np.allclose(params, 0.9)
 
 
 def test_sgd_shape_mismatch():
     state = OptimizerState()
     with pytest.raises(ShapeMismatch):
-        sgd_step({"w": np.ones(3)}, {"w": np.ones(4)}, state, lr=0.1)
+        sgd_step(np.ones(3), np.ones(4), state, lr=0.1)
 
 
 def test_sgd_one_lr_per_member_matches_scalar_steps():
     rng = np.random.default_rng(8)
-    w, g = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4, 2))
+    w, g = rng.standard_normal((3, 8)), rng.standard_normal((3, 8))
     lrs = [0.1, 0.025, 0.0]
-    stacked, state = {"w": w}, OptimizerState()
+    stacked, state = w, OptimizerState()
     for _ in range(2):
-        stacked, state = sgd_step(stacked, {"w": g}, state, lr=lrs)
+        stacked, state = sgd_step(stacked, g, state, lr=lrs)
     for i, lr in enumerate(lrs):
-        single, state_i = {"w": w[i]}, OptimizerState()
+        single, state_i = w[i], OptimizerState()
         for _ in range(2):
-            single, state_i = sgd_step(single, {"w": g[i]}, state_i, lr=lr)
-        assert np.array_equal(stacked["w"][i], single["w"])
+            single, state_i = sgd_step(single, g[i], state_i, lr=lr)
+        assert np.array_equal(stacked[i], single)
+
+
+def blockwise_sgd_step(params, grads, buffers, lr, momentum=0.9, weight_decay=3e-4):
+    """The per-block step on name -> array dicts that the flat step replaced."""
+    lr = np.asarray(lr, dtype=np.float64)
+    for name, w in params.items():
+        v = buffers.get(name)
+        if v is None:
+            v = np.zeros_like(w)
+        v = momentum * v + (grads[name] + weight_decay * w)
+        buffers[name] = v
+        params[name] = w - lr.reshape(lr.shape + (1,) * (w.ndim - lr.ndim)) * v
+    return params
+
+
+def test_flat_sgd_matches_per_block_loop(darts):
+    # three members of darts, one lr each, several steps: the flat step is
+    # the per-block step's arithmetic in the same order, so bit for bit
+    layout = CellNetwork(darts, NetworkConfig(layers=2, dim=6, num_classes=3,
+                                              input_dim=5)).layout
+    rng = np.random.default_rng(11)
+    flat = rng.standard_normal((3, layout.size))
+    lrs = [0.25, 0.025, 0.0025]
+    blocks = {k: v.copy() for k, v in layout.views(flat).items()}
+    buffers, state = {}, OptimizerState()
+    for _ in range(4):
+        g = rng.standard_normal(flat.shape)
+        g[:, :5] = -0.0  # signed zeros take the same path through both
+        flat, state = sgd_step(flat, g, state, lr=lrs)
+        blocks = blockwise_sgd_step(blocks, layout.views(g), buffers, lrs)
+    for name, view in layout.views(flat).items():
+        assert np.array_equal(view, blocks[name]), name
+        assert np.array_equal(layout.views(state.velocity)[name], buffers[name]), name
 
 
 def test_cosine_schedule_endpoints():
@@ -396,27 +432,20 @@ def test_glorot_bound():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
-    params = {
-        "stem.w": rng.standard_normal((8, 4)),
-        "stem.b": rng.standard_normal(8),
-        "head.w": rng.standard_normal((3, 8)),
-    }
+    layout = ParamLayout({"stem.w": (8, 4), "stem.b": (8,), "head.w": (3, 8)})
+    params = rng.standard_normal(layout.size)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
-    assert sorted(loaded) == sorted(params)
-    for name in params:
-        assert np.array_equal(loaded[name], params[name])
-        assert loaded[name].dtype == np.float64
+    save_checkpoint(params, path, layout)
+    loaded = load_checkpoint(path, layout)
+    assert np.array_equal(loaded, params)
+    assert loaded.dtype == np.float64
 
 
 def test_checkpoint_header_layout(tmp_path):
-    import json
-    import struct
-
-    params = {"a": np.zeros((2, 2)), "b": np.ones(3)}
+    layout = ParamLayout({"a": (2, 2), "b": (3,)})
+    params = np.concatenate([np.zeros(4), np.ones(3)])
     path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
+    save_checkpoint(params, path, layout)
     blob = path.read_bytes()
     (header_len,) = struct.unpack("<I", blob[:4])
     header = json.loads(blob[4 : 4 + header_len])
@@ -428,8 +457,64 @@ def test_checkpoint_header_layout(tmp_path):
 
 
 def test_checkpoint_write_is_deterministic(tmp_path):
-    params = {"w": np.arange(6.0).reshape(2, 3)}
+    layout = ParamLayout({"w": (2, 3)})
+    params = np.arange(6.0)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(params, p1)
-    save_checkpoint(params, p2)
+    save_checkpoint(params, p1, layout)
+    save_checkpoint(params, p2, layout)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def per_name_checkpoint(params, path):
+    """The writer on name -> array dicts that the flat writer replaced."""
+    names = sorted(params)
+    header = []
+    offset = 0
+    for name in names:
+        arr = np.ascontiguousarray(params[name], dtype="<f8")
+        header.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.size
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(header_bytes)
+        for name in names:
+            fh.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("genotype", ["darts", "nasnet"])
+def test_checkpoint_bytes_match_per_name_writer(tmp_path, genotype):
+    net = CellNetwork(load_fixture(genotype), NetworkConfig(layers=2, dim=6),
+                      init_rng=np.random.default_rng(4))
+    members = np.stack([net.params, -net.params])
+    save_checkpoint(members[1], tmp_path / "flat.ckpt", net.layout)
+    per_name_checkpoint(net.layout.views(members[1]), tmp_path / "names.ckpt")
+    assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "names.ckpt").read_bytes()
+    assert np.array_equal(load_checkpoint(tmp_path / "flat.ckpt", net.layout), members[1])
+
+
+@pytest.mark.parametrize("other", [
+    {"a": (2, 2), "c": (3,)},  # a name differs
+    {"a": (2, 2), "b": (4,)},  # a shape differs
+    {"b": (3,), "a": (2, 2), "0": (0,)},  # an extra, empty block moves no offset
+], ids=["name", "shape", "extra block"])
+def test_checkpoint_of_other_layout_raises_dimension_mismatch(tmp_path, other):
+    layout = ParamLayout({"a": (2, 2), "b": (3,)})
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(np.arange(7.0), path, layout)
+    with pytest.raises(DimensionMismatch):
+        load_checkpoint(path, ParamLayout(other))
+
+
+def test_checkpoint_header_with_moved_or_repeated_block_raises(tmp_path):
+    layout = ParamLayout({"a": (2, 2), "b": (3,)})
+    for header in (
+        [{"name": "a", "shape": [2, 2], "offset": 3}, {"name": "b", "shape": [3], "offset": 0}],
+        [{"name": "a", "shape": [2, 2], "offset": 0}, {"name": "b", "shape": [3], "offset": 4},
+         {"name": "b", "shape": [3], "offset": 4}],
+    ):
+        raw = json.dumps(header).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(struct.pack("<I", len(raw)) + raw + np.arange(7.0).tobytes())
+        with pytest.raises(DimensionMismatch):
+            load_checkpoint(path, layout)

@@ -182,8 +182,10 @@ def test_train_artifacts(darts_file, tiny_spec, tmp_path):
     lines = (out / "trace.csv").read_text().strip().splitlines()
     assert lines[0] == "epoch,lr,train_loss,test_loss,test_acc"
     assert len(lines) == 1 + 3  # initial row + 2 epochs
-    params = load_checkpoint(out / "final.ckpt")
-    assert "stem.w" in params
+    net = CellNetwork(load_fixture("darts"),
+                      NetworkConfig(layers=1, dim=5, num_classes=3, input_dim=5))
+    params = load_checkpoint(out / "final.ckpt", net.layout)
+    assert "stem.w" in net.layout.blocks and params.shape == (net.layout.size,)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diverged"] is False
     assert manifest["command"] == "train"
@@ -310,7 +312,7 @@ def darts_ckpt(tmp_path):
     cfg = NetworkConfig(layers=1, dim=5, num_classes=3, input_dim=5)
     net = CellNetwork(load_fixture("darts"), cfg, init_rng=stream(0, "init"))
     path = tmp_path / "init.ckpt"
-    save_checkpoint(net.params, path)
+    save_checkpoint(net.params, path, net.layout)
     return path
 
 
@@ -385,6 +387,43 @@ def test_landscape_out_below_a_file_exit_2(darts_file, tiny_spec, darts_ckpt, tm
     assert one_line(res.stderr), res.stderr
 
 
+# --- numeric flags out of range -------------------------------------------
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("theory", "--n", 0), ("theory", "--dim", 0), ("theory", "--trials", 0),
+    ("train", "--layers", 0), ("train", "--dim", 1),
+    ("compare", "--layers", 0), ("compare", "--dim", 1),
+    ("landscape", "--layers", 0), ("landscape", "--dim", 1),
+    ("train", "--batch-size", 0), ("train", "--epochs", -1), ("train", "--lr", -1),
+    ("compare", "--seeds", 0), ("compare", "--epochs", -1),
+    ("landscape", "--range", 0), ("landscape", "--subset", 0), ("landscape", "--grid", 2),
+    ("variants", "--count", -1),
+])
+def test_numeric_flag_out_of_range_exit_1(darts_file, tiny_spec, darts_ckpt, tmp_path,
+                                          command, flag, value):
+    gdir = tmp_path / "gens"
+    gdir.mkdir()
+    for name in ("darts", "snas"):
+        save_genotype(load_fixture(name), gdir / f"{name}.json")
+    out = tmp_path / "out"
+    net = ["--dataset-spec", tiny_spec, "--layers", 1, "--dim", 5]
+    valid = {
+        "theory": ["--instances", 1, "--trials", 2, "--samples", 10, "--out", out / "r.json"],
+        "train": ["--genotype", darts_file, *net, "--epochs", 1, "--out-dir", out],
+        "compare": ["--genotypes", gdir, *net, "--seeds", 1, "--epochs", 1,
+                    "--out", out / "r.json"],
+        "landscape": ["--checkpoint", darts_ckpt, "--genotype", darts_file, *net,
+                      "--grid", 3, "--subset", 8, "--out", out / "g.csv"],
+        "variants": ["--genotype", darts_file, "--mode", "connection", "--out", out],
+    }[command]
+    # the flag comes last, so it overrides the valid value given before it
+    res = run_cli(command, *valid, flag, value)
+    assert res.returncode == 1
+    assert one_line(res.stderr) and res.stderr.startswith("error:"), res.stderr
+    assert not out.exists()
+
+
 # --- unwritable outputs ---------------------------------------------------
 
 
@@ -439,7 +478,9 @@ def test_report_empty_dir_exit_2(tmp_path):
     assert res.returncode == 2
 
 
-@pytest.mark.parametrize("manifest", ["{oops", "[1, 2]"], ids=["not json", "json list"])
+@pytest.mark.parametrize(
+    "manifest", ["{oops", "[1, 2]", '{"violation_count": "x"}', '{"diverged_runs": 1.5}'],
+    ids=["not json", "json list", "text count", "fractional count"])
 def test_report_bad_manifest_exit_1(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(manifest)
     res = run_cli("report", "--run-dir", tmp_path)

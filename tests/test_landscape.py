@@ -11,14 +11,15 @@ from cellscape import (
     export_grid,
     gradient_variance_surface,
     grid_coordinates,
-    load_grid_csv,
     loss_surface,
     make_dataset,
     sample_directions,
 )
 from cellscape.errors import DimensionMismatch
 from cellscape.landscape import DirectionPair, LandscapeGrid
+from cellscape.network import ParamLayout
 from cellscape.rng import stream
+from conftest import load_grid_csv
 
 
 CFG = NetworkConfig(layers=2, dim=6, num_classes=3, input_dim=5)
@@ -30,58 +31,105 @@ DATA = DatasetSpec(dim=5, num_classes=3, train_size=60, test_size=24,
 def setup(darts):
     net = CellNetwork(darts, CFG, init_rng=stream(0, "init"))
     ds = make_dataset(DATA)
-    checkpoint = {k: v.copy() for k, v in net.params.items()}
+    checkpoint = net.params.copy()
     return net, ds, checkpoint
+
+
+def blocks(net, flat):
+    return net.layout.views(flat)
+
+
+def blockwise_directions(checkpoint, seed, normalization):
+    """The draws on name -> block dicts that the flat draws replaced: block by
+    block in sorted-name order, first direction then second."""
+    rng = stream(seed, "directions")
+    zero_blocks, directions = [], []
+    for _ in range(2):
+        d = {}
+        for name in sorted(checkpoint):
+            ref = checkpoint[name]
+            block = rng.standard_normal(ref.shape)
+            if normalization == "blockwise":
+                ref_norm = np.linalg.norm(ref)
+                if ref_norm == 0.0:
+                    if name not in zero_blocks:
+                        zero_blocks.append(name)
+                else:
+                    block *= ref_norm / np.linalg.norm(block)
+            d[name] = block
+        directions.append(d)
+    return directions, zero_blocks
+
+
+def blockwise_shifted(layout, checkpoint, pair, alpha, beta):
+    """checkpoint + alpha*d1 + beta*d2 block by block, as the per-name grid
+    point did, packed back into one flat vector."""
+    c, d1, d2 = (layout.views(v) for v in (checkpoint, pair.w1, pair.w2))
+    return np.concatenate([(c[k] + alpha * d1[k] + beta * d2[k]).ravel() for k in c])
 
 
 # --- directions -----------------------------------------------------------
 
 
 def test_directions_match_block_norms(setup):
-    _, _, ckpt = setup
-    pair = sample_directions(ckpt, seed=1)
+    net, _, ckpt = setup
+    pair = sample_directions(ckpt, net.layout, seed=1)
     for d in (pair.w1, pair.w2):
-        assert set(d) == set(ckpt)
-        for name in ckpt:
-            ref = np.linalg.norm(ckpt[name])
+        assert d.shape == ckpt.shape
+        for name, block in blocks(net, ckpt).items():
+            ref = np.linalg.norm(block)
             if ref > 0:
-                assert np.linalg.norm(d[name]) == pytest.approx(ref, abs=1e-12)
+                assert np.linalg.norm(blocks(net, d)[name]) == pytest.approx(ref, abs=1e-12)
 
 
 def test_directions_deterministic(setup):
-    _, _, ckpt = setup
-    a = sample_directions(ckpt, seed=3)
-    b = sample_directions(ckpt, seed=3)
-    for name in ckpt:
-        assert np.array_equal(a.w1[name], b.w1[name])
-        assert np.array_equal(a.w2[name], b.w2[name])
+    net, _, ckpt = setup
+    a = sample_directions(ckpt, net.layout, seed=3)
+    b = sample_directions(ckpt, net.layout, seed=3)
+    assert np.array_equal(a.w1, b.w1)
+    assert np.array_equal(a.w2, b.w2)
 
 
 def test_directions_zero_block_recorded(setup):
-    _, _, ckpt = setup
-    ckpt["stem.b"] = np.zeros_like(ckpt["stem.b"])
-    pair = sample_directions(ckpt, seed=0)
+    net, _, ckpt = setup
+    blocks(net, ckpt)["stem.b"][:] = 0.0
+    pair = sample_directions(ckpt, net.layout, seed=0)
     assert "stem.b" in pair.zero_blocks
+
+
+@pytest.mark.parametrize("normalization", ["blockwise", "none"])
+def test_flat_directions_match_blockwise_draws(setup, normalization):
+    net, _, ckpt = setup
+    blocks(net, ckpt)["stem.b"][:] = 0.0
+    blocks(net, ckpt)["head.b"][:] = 0.0
+    pair = sample_directions(ckpt, net.layout, seed=5, normalization=normalization)
+    directions, zero_blocks = blockwise_directions(blocks(net, ckpt), 5, normalization)
+    for flat, by_name in zip((pair.w1, pair.w2), directions):
+        for name, block in blocks(net, flat).items():
+            assert np.array_equal(block, by_name[name]), name
+    assert pair.zero_blocks == zero_blocks
+    assert zero_blocks == ([] if normalization == "none" else ["head.b", "stem.b"])
 
 
 def test_directions_near_orthogonal():
     # high-dimensional draws from different seeds are nearly orthogonal
-    big = {"w": np.random.default_rng(0).standard_normal((120, 120))}
-    a = sample_directions(big, seed=1)
-    b = sample_directions(big, seed=2)
-    va, vb = a.w1["w"].ravel(), b.w1["w"].ravel()
+    layout = ParamLayout({"w": (120, 120)})
+    big = np.random.default_rng(0).standard_normal(layout.size)
+    a = sample_directions(big, layout, seed=1)
+    b = sample_directions(big, layout, seed=2)
+    va, vb = a.w1, b.w1
     cos = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
     assert abs(cos) < 0.1
 
 
 def test_directions_norm_none(setup):
-    _, _, ckpt = setup
-    pair = sample_directions(ckpt, seed=1, normalization="none")
+    net, _, ckpt = setup
+    pair = sample_directions(ckpt, net.layout, seed=1, normalization="none")
     assert pair.normalization == "none"
     # unscaled standard-normal block will not match the checkpoint norm
     name = "stem.w"
-    assert np.linalg.norm(pair.w1[name]) != pytest.approx(
-        np.linalg.norm(ckpt[name]), abs=1e-6)
+    assert np.linalg.norm(blocks(net, pair.w1)[name]) != pytest.approx(
+        np.linalg.norm(blocks(net, ckpt)[name]), abs=1e-6)
 
 
 # --- grids ----------------------------------------------------------------
@@ -97,7 +145,7 @@ def test_grid_coordinates_centered():
 
 def test_loss_surface_center_is_evaluation_loss(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=2)
+    pair = sample_directions(ckpt, net.layout, seed=2)
     coords = grid_coordinates(3, 0.5)
     grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, coords, coords)
     direct, _ = net.evaluate(ds.test_x, ds.test_y, ckpt)
@@ -106,24 +154,22 @@ def test_loss_surface_center_is_evaluation_loss(setup):
 
 def test_loss_surface_single_instance_oracle(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=2)
+    pair = sample_directions(ckpt, net.layout, seed=2)
     coords = grid_coordinates(3, 0.25)
     x, y = ds.test_x[:1], ds.test_y[:1]
     grid = loss_surface(net, ckpt, x, y, pair, coords, coords)
     for a, alpha in enumerate(coords):
         for b, beta in enumerate(coords):
-            shifted = {
-                k: ckpt[k] + alpha * pair.w1[k] + beta * pair.w2[k] for k in ckpt
-            }
+            shifted = blockwise_shifted(net.layout, ckpt, pair, alpha, beta)
             loss, _ = net.evaluate(x, y, shifted)
             assert grid.values[a, b] == loss
 
 
 def test_loss_surface_degenerate_direction_constant_rows(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=2)
+    pair = sample_directions(ckpt, net.layout, seed=2)
     dead = DirectionPair(
-        w1=pair.w1, w2={k: np.zeros_like(v) for k, v in pair.w2.items()},
+        w1=pair.w1, w2=np.zeros_like(pair.w2),
         seed=2, normalization="blockwise",
     )
     coords = grid_coordinates(3, 0.5)
@@ -134,20 +180,19 @@ def test_loss_surface_degenerate_direction_constant_rows(setup):
 
 def test_loss_surface_matches_per_point_evaluate(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=4)
+    pair = sample_directions(ckpt, net.layout, seed=4)
     coords = grid_coordinates(5, 0.5)
     grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, coords, coords)
     for a, alpha in enumerate(coords):
         for b, beta in enumerate(coords):
-            shifted = {
-                k: ckpt[k] + alpha * pair.w1[k] + beta * pair.w2[k] for k in ckpt
-            }
+            shifted = blockwise_shifted(net.layout, ckpt, pair, alpha, beta)
+            assert np.array_equal(shifted, ckpt + alpha * pair.w1 + beta * pair.w2)
             assert grid.values[a, b] == net.evaluate(ds.test_x, ds.test_y, shifted)[0]
 
 
 def test_grid_requires_zero_coordinate(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=2)
+    pair = sample_directions(ckpt, net.layout, seed=2)
     with pytest.raises(ValueError):
         loss_surface(net, ckpt, ds.test_x, ds.test_y, pair,
                      [0.1, 0.2], [0.0, 0.1])
@@ -155,8 +200,8 @@ def test_grid_requires_zero_coordinate(setup):
 
 def test_grid_rejects_mismatched_directions(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=2)
-    broken = DirectionPair(w1={"stray": np.ones(3)}, w2=pair.w2, seed=2,
+    pair = sample_directions(ckpt, net.layout, seed=2)
+    broken = DirectionPair(w1=np.ones(3), w2=pair.w2, seed=2,
                            normalization="blockwise")
     with pytest.raises(DimensionMismatch):
         loss_surface(net, ckpt, ds.test_x, ds.test_y, broken, [0.0], [0.0])
@@ -164,8 +209,8 @@ def test_grid_rejects_mismatched_directions(setup):
 
 def test_grid_rejects_checkpoint_of_other_shape(setup):
     net, ds, ckpt = setup
-    ckpt["head.b"] = np.zeros(ckpt["head.b"].size + 1)
-    pair = sample_directions(ckpt, seed=2)
+    ckpt = np.append(ckpt, 0.0)  # one value more than the network's blocks
+    pair = sample_directions(ckpt, net.layout, seed=2)
     with pytest.raises(DimensionMismatch):
         gradient_variance_surface(net, ckpt, ds.test_x, ds.test_y, pair, [0.0], [0.0])
 
@@ -178,7 +223,7 @@ def brute_force_gradvar(net, params, x, y):
     grads = []
     for i in range(len(y)):
         _, g = net.loss_and_grads(x[i : i + 1], y[i : i + 1], params)
-        grads.append(g)
+        grads.append(net.layout.views(g))
     names = sorted(grads[0])
     means = {k: np.mean([g[k] for g in grads], axis=0) for k in names}
     total = 0.0
@@ -190,7 +235,7 @@ def brute_force_gradvar(net, params, x, y):
 
 def test_gradvar_center_matches_oracle(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=5)
+    pair = sample_directions(ckpt, net.layout, seed=5)
     x, y = ds.test_x[:5], ds.test_y[:5]
     grid = gradient_variance_surface(net, ckpt, x, y, pair, [0.0], [0.0])
     oracle = brute_force_gradvar(net, ckpt, x, y)
@@ -199,7 +244,7 @@ def test_gradvar_center_matches_oracle(setup):
 
 def test_gradvar_single_instance_zero(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=5)
+    pair = sample_directions(ckpt, net.layout, seed=5)
     coords = grid_coordinates(3, 0.25)
     grid = gradient_variance_surface(
         net, ckpt, ds.test_x[:1], ds.test_y[:1], pair, coords, coords)
@@ -208,7 +253,7 @@ def test_gradvar_single_instance_zero(setup):
 
 def test_gradvar_duplicated_instance_zero(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=5)
+    pair = sample_directions(ckpt, net.layout, seed=5)
     x = np.repeat(ds.test_x[:1], 2, axis=0)
     y = np.repeat(ds.test_y[:1], 2)
     grid = gradient_variance_surface(net, ckpt, x, y, pair, [0.0], [0.0])
@@ -234,8 +279,8 @@ def test_gradvar_matches_per_example_oracle_off_centre(darts, genotype, batch):
     net = CellNetwork(darts if genotype == "darts" else MIXED, CFG,
                       init_rng=stream(0, "init"))
     ds = make_dataset(DATA)
-    ckpt = {k: v.copy() for k, v in net.params.items()}
-    pair = sample_directions(ckpt, seed=7)
+    ckpt = net.params.copy()
+    pair = sample_directions(ckpt, net.layout, seed=7)
     x, y = {
         "one": (ds.test_x[:1], ds.test_y[:1]),
         "duplicated": (np.repeat(ds.test_x[:1], 2, axis=0), np.repeat(ds.test_y[:1], 2)),
@@ -245,7 +290,7 @@ def test_gradvar_matches_per_example_oracle_off_centre(darts, genotype, batch):
     grid = gradient_variance_surface(net, ckpt, x, y, pair, coords, coords)
     for a, alpha in enumerate(coords):
         for b, beta in enumerate(coords):
-            shifted = {k: ckpt[k] + alpha * pair.w1[k] + beta * pair.w2[k] for k in ckpt}
+            shifted = blockwise_shifted(net.layout, ckpt, pair, alpha, beta)
             oracle = brute_force_gradvar(net, shifted, x, y)
             if batch == "five":
                 assert oracle > 0.0
@@ -256,7 +301,7 @@ def test_gradvar_matches_per_example_oracle_off_centre(darts, genotype, batch):
 
 def test_gradstd_is_sqrt_of_gradvar(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=5)
+    pair = sample_directions(ckpt, net.layout, seed=5)
     coords = grid_coordinates(3, 0.25)
     x, y = ds.test_x[:4], ds.test_y[:4]
     var = gradient_variance_surface(net, ckpt, x, y, pair, coords, coords)
@@ -268,10 +313,10 @@ def test_gradstd_is_sqrt_of_gradvar(setup):
 
 def test_point_reflection_invariance(setup):
     net, ds, ckpt = setup
-    pair = sample_directions(ckpt, seed=6)
+    pair = sample_directions(ckpt, net.layout, seed=6)
     flipped = DirectionPair(
-        w1={k: -v for k, v in pair.w1.items()},
-        w2={k: -v for k, v in pair.w2.items()},
+        w1=-pair.w1,
+        w2=-pair.w2,
         seed=6, normalization="blockwise",
     )
     coords = grid_coordinates(5, 0.5)

@@ -24,10 +24,10 @@ from cellscape import (
     train,
     validate_genotype,
 )
-from cellscape.data import spec_from_json, spec_to_json
+from cellscape.data import spec_from_json
 from cellscape.errors import InvalidSpec, UnsupportedInputCount
 from cellscape.rng import stream
-from conftest import central_difference
+from conftest import cell_parameter_count, central_difference, spec_to_json
 
 SMALL = NetworkConfig(layers=2, dim=6, num_classes=3, input_dim=5)
 
@@ -45,7 +45,7 @@ def test_all_identity_cell_has_no_cell_parameters():
         ),
     )
     net = CellNetwork(g, SMALL)
-    assert net.cell_parameter_count() == 0
+    assert cell_parameter_count(net) == 0
     # stem (6x5 + 6) + head (3x6 + 3)
     assert net.parameter_count() == 36 + 21
 
@@ -54,7 +54,7 @@ def test_all_linear_cell_parameter_count():
     g = all_input_cell(2)
     net = CellNetwork(g, SMALL)
     # 2 layers x 2 nodes x 2 linear ops x 6x6
-    assert net.cell_parameter_count() == 2 * 2 * 2 * 36
+    assert cell_parameter_count(net) == 2 * 2 * 2 * 36
 
 
 def small_count(g):
@@ -102,9 +102,9 @@ def test_loss_and_grads_cover_all_parameters(darts):
     y = np.array([0, 1, 2, 0])
     loss, grads = net.loss_and_grads(x, y)
     assert math.isfinite(loss)
-    assert sorted(grads) == sorted(net.params)
-    for name, g in grads.items():
-        assert g.shape == net.params[name].shape
+    assert grads.shape == net.params.shape == (net.layout.size,)
+    for name, g in net.layout.views(grads).items():
+        assert g.shape == net.layout.views(net.params)[name].shape
 
 
 def test_network_gradients_match_finite_differences(toy_cell):
@@ -114,14 +114,15 @@ def test_network_gradients_match_finite_differences(toy_cell):
     x = rng.standard_normal((5, 4))
     y = rng.integers(0, 3, size=5)
     _, grads = net.loss_and_grads(x, y)
-    for name in net.params:
-        def f(wv, name=name):
-            params = dict(net.params)
-            params[name] = wv
+    grads = net.layout.views(grads)
+    for name, (block, _) in net.layout.blocks.items():
+        def f(wv, block=block):
+            params = net.params.copy()
+            params[block] = wv.ravel()
             loss, _ = net.evaluate(x, y, params)
             return loss
 
-        fd = central_difference(f, net.params[name], 1e-4)
+        fd = central_difference(f, net.layout.views(net.params)[name], 1e-4)
         scale = max(np.max(np.abs(fd)), 1.0)
         assert np.max(np.abs(grads[name] - fd)) / scale <= 1e-5, name
 
@@ -132,7 +133,7 @@ def test_evaluate_matches_recording_forward_bit_for_bit(name):
     rng = np.random.default_rng(8)
     x = rng.standard_normal((16, 5))
     y = rng.integers(0, 3, size=16)
-    params = {k: v + rng.standard_normal(v.shape) for k, v in net.params.items()}
+    params = net.params + rng.standard_normal(net.params.shape)
     logits, tape, _ = net.forward(x, params)
     recorded = tape.softmax_cross_entropy(logits, y)
     loss, acc = net.evaluate(x, y, params)
@@ -253,10 +254,9 @@ def test_zero_epochs_trace(darts):
 def test_zero_lr_keeps_parameters(darts):
     ds = make_dataset(TINY_DATA)
     net = CellNetwork(darts, SMALL, init_rng=stream(0, "init"))
-    before = {k: v.copy() for k, v in net.params.items()}
+    before = net.params.copy()
     trace = train(net, ds, TrainConfig(lr=0.0, epochs=2))
-    for name in before:
-        assert np.array_equal(trace.final_params[name], before[name])
+    assert np.array_equal(trace.final_params, before)
     losses = [r["test_loss"] for r in trace.rows]
     assert losses.count(losses[0]) == len(losses)
 
@@ -281,8 +281,7 @@ def test_training_reproducible(darts):
 
     a, b = run(), run()
     assert a.rows == b.rows
-    for name in a.final_params:
-        assert np.array_equal(a.final_params[name], b.final_params[name])
+    assert np.array_equal(a.final_params, b.final_params)
 
 
 def test_epochs_to_threshold_antitone(darts):
@@ -325,9 +324,8 @@ def assert_same_run(lockstep, single):
         assert a.keys() == b.keys()
         for key in a:
             assert a[key] == b[key] or math.isclose(a[key], b[key], rel_tol=1e-12), key
-    assert lockstep.final_params.keys() == single.final_params.keys()
-    for name, value in single.final_params.items():
-        np.testing.assert_allclose(lockstep.final_params[name], value, rtol=1e-12, atol=0)
+    assert lockstep.final_params.shape == single.final_params.shape
+    np.testing.assert_allclose(lockstep.final_params, single.final_params, rtol=1e-12, atol=0)
 
 
 def single_runs(genotype, ds, cfgs):
