@@ -10,8 +10,6 @@ from .genotype import (
     NodeSpec,
     OpSpec,
     adapt_to_widest_shallowest,
-    all_input_cell,
-    chain_cell,
     load_fixture,
     load_genotype,
     rewire_to_chain,
@@ -28,8 +26,6 @@ from .metrics import (
 from .sampler import (
     SampleSpec,
     count_connection_variants,
-    enumerate_connection_variants,
-    rank_variants,
     sample_connection_variant,
     sample_operation_variant,
     sample_variants,

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -48,7 +47,7 @@ from .linear_theory import (
     verify_block_smoothness,
     verify_gradient_variance,
 )
-from .metrics import cell_depth, cell_width, width_depth_report
+from .metrics import cell_depth, cell_width, extremal_width_depth, width_depth_report
 from .network import CellNetwork, NetworkConfig
 from .rng import RNG_ALGORITHM, stream
 from .sampler import (
@@ -100,17 +99,17 @@ def analyze(genotype_file, out):
     g = load_genotype(genotype_file)
     dag = validate_genotype(g)
     report = width_depth_report(dag)
-    n = dag.num_intermediate
     doc = {
         "name": g.name,
         "N": g.total_nodes,
         "M": g.num_inputs,
-        "n": n,
+        "n": dag.num_intermediate,
         "width_in_c": str(report.width_in_c),
         "width_in_c_float": float(report.width_in_c),
         "depth": report.depth,
         "per_node_width": {str(k): str(v) for k, v in report.per_node_width.items()},
-        "is_extremal": report.width_in_c == Fraction(n) and report.depth == 2,
+        "is_extremal": (report.width_in_c, report.depth)
+        == extremal_width_depth(g.total_nodes, g.num_inputs),
     }
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
     if out:
@@ -271,6 +270,18 @@ def _network_options(command):
                         show_default=True)(command)
 
 
+def _finite(ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
+def _learning_rates(ctx, param, value):
+    """--lrs as a list, each value a finite number >= 0."""
+    return [_finite(ctx, param, click.FloatRange(min=0).convert(v, param, ctx))
+            for v in value.split(",")]
+
+
 def _dataset_and_network(dataset_spec_file, layers, dim):
     """The synthetic dataset (default spec unless a file is given) and the
     config of a network sized for it."""
@@ -284,7 +295,8 @@ def _dataset_and_network(dataset_spec_file, layers, dim):
 @cli.command(name="train")
 @click.option("--genotype", "genotype_file", required=True, type=click.Path())
 @_network_options
-@click.option("--lr", type=click.FloatRange(min=0), default=0.025, show_default=True)
+@click.option("--lr", type=click.FloatRange(min=0), default=0.025, show_default=True,
+              callback=_finite)
 @click.option("--epochs", type=click.IntRange(min=0), default=30, show_default=True)
 @click.option("--batch-size", type=click.IntRange(min=1), default=80, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -296,8 +308,8 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
     g = load_genotype(genotype_file)
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
-    net = CellNetwork(g, net_cfg, init_rng=stream(seed, "init"))
-    trace = train(net, dataset, cfg)
+    net = CellNetwork(g, net_cfg)
+    [trace] = train(net, dataset, [cfg])
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -336,7 +348,8 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
 @cli.command()
 @click.option("--genotypes", "genotype_dir", required=True, type=click.Path(),
               help="Directory of genotype JSON files.")
-@click.option("--lrs", default="0.0025,0.025,0.25", show_default=True)
+@click.option("--lrs", "lr_set", default="0.0025,0.025,0.25", show_default=True,
+              callback=_learning_rates)
 @click.option("--seeds", "num_seeds", type=click.IntRange(min=1), default=5,
               show_default=True)
 @click.option("--epochs", type=click.IntRange(min=0), default=30, show_default=True)
@@ -344,7 +357,7 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
 @click.option("--threshold", type=float, default=None,
               help="Test-loss threshold; default 0.5*ln(classes).")
 @click.option("--out", "out_file", required=True, type=click.Path())
-def compare(genotype_dir, lrs, num_seeds, epochs, layers, dim, threshold,
+def compare(genotype_dir, lr_set, num_seeds, epochs, layers, dim, threshold,
             dataset_spec_file, out_file):
     """Convergence comparison across genotypes and learning rates."""
     started = time.monotonic()
@@ -354,11 +367,10 @@ def compare(genotype_dir, lrs, num_seeds, epochs, layers, dim, threshold,
     if len(genotypes) < 2:
         raise InvalidSpec(f"need >= 2 genotype files in {genotype_dir}")
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
-    lr_set = [float(v) for v in lrs.split(",")]
     seeds = list(range(num_seeds))
     cfg = TrainConfig(epochs=epochs)
     report = compare_convergence(
-        genotypes, dataset, cfg, lr_set, seeds, net_cfg=net_cfg, threshold=threshold
+        genotypes, dataset, cfg, lr_set, seeds, net_cfg, threshold=threshold
     )
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -378,7 +390,7 @@ def compare(genotype_dir, lrs, num_seeds, epochs, layers, dim, threshold,
     _write_manifest(
         out_path.parent,
         "compare",
-        {"genotypes": str(genotype_dir), "lrs": lrs, "epochs": epochs,
+        {"genotypes": str(genotype_dir), "lrs": lr_set, "epochs": epochs,
          "layers": layers, "dim": dim, "dataset_spec": str(dataset_spec_file)},
         seeds,
         [out_path.name],
@@ -406,7 +418,7 @@ def _odd(ctx, param, value):
 @click.option("--grid", "grid_points", type=click.IntRange(min=1), default=41,
               show_default=True, callback=_odd)
 @click.option("--range", "extent", type=click.FloatRange(min=0, min_open=True), default=1.0,
-              show_default=True)
+              show_default=True, callback=_finite)
 @click.option("--norm", type=click.Choice(["blockwise", "none"]),
               default="blockwise", show_default=True)
 @click.option("--subset", type=click.IntRange(min=1), default=256, show_default=True,

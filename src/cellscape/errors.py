@@ -71,9 +71,5 @@ class ParseError(CellscapeError):
     """An input file failed to parse."""
 
 
-class IoFailure(CellscapeError):
-    """An artifact could not be written or read."""
-
-
 class MissingManifest(CellscapeError):
     """A run directory contains no manifest to report on."""

@@ -9,7 +9,7 @@ and the output node is implicit (it aggregates the ``concat`` nodes).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .autodiff import OPERATION_KINDS
@@ -217,20 +217,3 @@ def rewire_to_chain(g: CellGenotype) -> CellGenotype:
         )
     return rewired(g, f"{g.name}_chain", lambda i, node: (0, 1) if i == 0 else (i + 1, 0))
 
-
-def _one_kind_cell(n, name, kind, num_inputs) -> CellGenotype:
-    """n nodes of ``num_inputs`` ``kind`` ops each, left for a rewiring to wire."""
-    return CellGenotype(name, num_inputs, (NodeSpec((OpSpec(kind, 0),) * num_inputs),) * n)
-
-
-def chain_cell(n, name="chain", kind="linear", num_inputs=2) -> CellGenotype:
-    """Cell where node i sources node i-1 (and input 0), maximizing depth:
-    ``rewire_to_chain`` of a cell of one op kind, so 2 input nodes only."""
-    return replace(rewire_to_chain(_one_kind_cell(n, name, kind, num_inputs)), name=name)
-
-
-def all_input_cell(n, name="all-input", kind="linear", num_inputs=2) -> CellGenotype:
-    """Cell where every node sources only input nodes, widest and shallowest:
-    the adaptation of a cell of one op kind, so 2 input nodes only."""
-    g = adapt_to_widest_shallowest(_one_kind_cell(n, name, kind, num_inputs))
-    return replace(g, name=name)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, IoFailure
+from .errors import DimensionMismatch
 from .network import CellNetwork
 from .rng import stream
 
@@ -142,33 +142,30 @@ def gradient_variance_surface(network: CellNetwork, checkpoint, x, y,
 def export_grid(grid: LandscapeGrid, path, fmt="csv"):
     """Write the grid as CSV rows alpha,beta,value (row-major) or as JSON with
     metadata.  Overflow entries serialize as the literal ``inf``."""
-    try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["alpha", "beta", "value"])
-                for a, alpha in enumerate(grid.alphas):
-                    for b, beta in enumerate(grid.betas):
-                        writer.writerow(
-                            [repr(float(alpha)), repr(float(beta)),
-                             repr(float(grid.values[a, b]))]
-                        )
-        elif fmt == "json":
-            doc = {
-                "kind": grid.kind,
-                "alphas": [float(v) for v in grid.alphas],
-                "betas": [float(v) for v in grid.betas],
-                "values": [
-                    [None if not math.isfinite(v) else v for v in row]
-                    for row in grid.values.tolist()
-                ],
-                "overflow": [[bool(v) for v in row] for row in grid.overflow_mask],
-                "metadata": grid.metadata,
-            }
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["alpha", "beta", "value"])
+            for a, alpha in enumerate(grid.alphas):
+                for b, beta in enumerate(grid.betas):
+                    writer.writerow(
+                        [repr(float(alpha)), repr(float(beta)),
+                         repr(float(grid.values[a, b]))]
+                    )
+    elif fmt == "json":
+        doc = {
+            "kind": grid.kind,
+            "alphas": [float(v) for v in grid.alphas],
+            "betas": [float(v) for v in grid.betas],
+            "values": [
+                [None if not math.isfinite(v) else v for v in row]
+                for row in grid.values.tolist()
+            ],
+            "overflow": [[bool(v) for v in row] for row in grid.overflow_mask],
+            "metadata": grid.metadata,
+        }
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")

@@ -74,10 +74,11 @@ class ParamLayout:
 
 
 class CellNetwork:
-    """Parameter layout plus the forward wiring defined by a genotype.
-    ``params`` is one flat vector in ``layout`` order, or None until set."""
+    """Parameter layout plus the forward wiring defined by a genotype.  The
+    network holds no parameters: every pass takes them as one flat vector in
+    ``layout`` order, or a (K, P) array of K members."""
 
-    def __init__(self, genotype: CellGenotype, cfg: NetworkConfig, init_rng=None):
+    def __init__(self, genotype: CellGenotype, cfg: NetworkConfig):
         if genotype.num_inputs != 2:
             raise UnsupportedInputCount(
                 f"network building supports exactly 2 input nodes, got {genotype.num_inputs}"
@@ -86,9 +87,6 @@ class CellNetwork:
         self.dag = validate_genotype(genotype)
         self.cfg = cfg
         self.layout = ParamLayout(self._param_shapes())
-        self.params = None
-        if init_rng is not None:
-            self.init_params(init_rng)
 
     def _param_shapes(self):
         d = self.cfg.dim
@@ -107,24 +105,20 @@ class CellNetwork:
         return shapes
 
     def init_params(self, rng):
-        """Seeded symmetric-uniform weights, zero biases, drawn block by block
-        in layout order."""
-        self.params = np.zeros(self.layout.size)
-        for view in self.layout.views(self.params).values():
+        """A new flat vector of seeded symmetric-uniform weights and zero
+        biases, drawn block by block in layout order."""
+        params = np.zeros(self.layout.size)
+        for view in self.layout.views(params).values():
             if view.ndim == 2:
                 view[...] = glorot_init(view.shape, rng)
-        return self.params
+        return params
 
-    def parameter_count(self):
-        return self.layout.size
-
-    def forward(self, x, params=None, record=True):
+    def forward(self, x, params, record=True):
         """Forward pass; returns (logits Value, tape, name -> leaf Value map).
         Params are a flat vector or a (K, P) array of K members, and ``x`` may
         carry the member axis too; an unstacked ``x`` feeds every member.  The
         leaves are views of the params' blocks.  With ``record=False`` the
         tape keeps nothing for a reverse pass."""
-        params = self.params if params is None else params
         tape = Tape(record=record)
         leaves = {name: tape.leaf(view) for name, view in self.layout.views(params).items()}
         x_leaf = tape.leaf(np.asarray(x, dtype=np.float64))
@@ -147,11 +141,10 @@ class CellNetwork:
         logits = tape.add_bias(tape.dense(prev1, leaves["head.w"]), leaves["head.b"])
         return logits, tape, leaves
 
-    def loss_and_grads(self, x, y, params=None):
+    def loss_and_grads(self, x, y, params):
         """(mean loss, flat gradient shaped like the params); with a member
         axis the loss is one float per member and each member's gradient is
         its own.  Blocks the loss does not reach get zero gradient."""
-        params = self.params if params is None else params
         logits, tape, leaves = self.forward(x, params)
         loss = tape.softmax_cross_entropy(logits, y)
         ad.backward(tape, loss)
@@ -162,7 +155,7 @@ class CellNetwork:
         ], axis=-1)
         return loss.data[()], grads
 
-    def evaluate(self, x, y, params=None):
+    def evaluate(self, x, y, params):
         """(mean loss, accuracy) on a split, in a single forward pass that
         records nothing; one of each per member with a member axis."""
         logits, tape, _ = self.forward(x, params, record=False)
@@ -170,7 +163,7 @@ class CellNetwork:
         acc = np.mean(np.argmax(logits.data, axis=-1) == np.asarray(y), axis=-1)
         return loss.data[()], acc[()]
 
-    def gradient_variance(self, x, y, params=None):
+    def gradient_variance(self, x, y, params):
         """Total variance (covariance trace) of the per-example parameter
         gradients on a split, from one batched forward and backward pass.
         Every parameter feeds one ``dense`` or ``add_bias`` record, which

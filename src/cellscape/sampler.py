@@ -6,13 +6,12 @@ source uniformly among the slot's preceding nodes.  Operation variants keep
 the edges and resample each kind uniformly from a candidate set.  The closed
 form for the number of possible connections, (N-2)!/(M-1)!, is computed
 exactly; the slot-assignment counts are kept alongside it since the two do
-not coincide in general.  Those counts are products over nodes; the
-enumeration itself is for callers that want the variants.
+not coincide in general.  Those counts are products over nodes, taken
+without enumerating the variants.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from .errors import InvalidSearchSpace, TooLarge, UnknownOperationKind
 from .autodiff import OPERATION_KINDS
 from .genotype import CellGenotype, NodeSpec, OpSpec, rewired, validate_genotype
-from .metrics import cell_depth, cell_width
 
 ENUMERATION_CAP = 10**6
 MAX_ENUMERABLE_NODES = 5
@@ -49,79 +47,32 @@ def count_connection_variants(n_total, num_inputs):
     return math.factorial(n_total - 2) // math.factorial(num_inputs - 1)
 
 
-def _slot_assignment_count(g: CellGenotype, cap=ENUMERATION_CAP):
-    """Product over nodes of (preceding)^M; raises TooLarge when the cell has
-    more than MAX_ENUMERABLE_NODES intermediate nodes or the product exceeds
-    the cap."""
-    m = g.num_inputs
-    if len(g.nodes) > MAX_ENUMERABLE_NODES:
-        raise TooLarge(f"{len(g.nodes)} intermediate nodes exceed the enumeration guard")
-    raw = math.prod((m + i) ** m for i in range(len(g.nodes)))
-    if raw > cap:
-        raise TooLarge(f"slot-assignment space of size {raw} exceeds cap {cap}")
-    return raw
-
-
 def connection_space_counts(g: CellGenotype):
     """(raw, deduplicated, formula) sizes of the connection space of ``g``.
 
     raw: number of slot assignments, product over nodes of (preceding)^M.
     deduplicated: raw after merging assignments that only permute a node's
-    identical (kind, source) pairs, i.e. the number of variants
-    ``enumerate_connection_variants`` yields.  Node i has k = M + i
+    identical (kind, source) pairs, i.e. the number of distinct connection
+    variants.  Node i has k = M + i
     preceding nodes; an op kind used c times in it picks a multiset of c
     sources, C(k + c - 1, c) ways, and the count is the product over kinds
     and nodes.
     formula: the closed-form count for the same (N, M).
-    Raises TooLarge under the same guards as the enumeration.
+    Raises TooLarge when the cell has more than MAX_ENUMERABLE_NODES
+    intermediate nodes or raw exceeds ENUMERATION_CAP.
     """
     m = g.num_inputs
-    raw = _slot_assignment_count(g)
-    dedup = 1 if g.nodes else 0  # the enumeration yields nothing for no nodes
+    if len(g.nodes) > MAX_ENUMERABLE_NODES:
+        raise TooLarge(f"{len(g.nodes)} intermediate nodes exceed the enumeration guard")
+    raw = math.prod((m + i) ** m for i in range(len(g.nodes)))
+    if raw > ENUMERATION_CAP:
+        raise TooLarge(f"slot-assignment space of size {raw} exceeds cap {ENUMERATION_CAP}")
+    dedup = 1 if g.nodes else 0  # a cell with no nodes has no variants
     for i, node in enumerate(g.nodes):
         for c in Counter(op.kind for op in node.ops).values():
             dedup *= math.comb(m + i + c - 1, c)
     formula = count_connection_variants(g.total_nodes, m)
     return raw, dedup, formula
-
-
-def enumerate_connection_variants(g: CellGenotype, cap=ENUMERATION_CAP):
-    """Yield every connection variant of ``g`` in lexicographic source order.
-
-    Each of the n*M slots independently ranges over the slot's preceding
-    nodes; assignments whose nodes hold the same multiset of (kind, source)
-    pairs are emitted once.  Raises TooLarge when the raw space exceeds the
-    cap or the cell has more than MAX_ENUMERABLE_NODES intermediate nodes.
-    """
-    m = g.num_inputs
-    if not g.nodes:
-        return
-    _slot_assignment_count(g, cap)
-
-    slot_ranges = []
-    for i, node in enumerate(g.nodes):
-        for _ in node.ops:
-            slot_ranges.append(range(m + i))
-
-    seen = set()
-    for assignment in itertools.product(*slot_ranges):
-        nodes = []
-        pos = 0
-        key = []
-        for node in g.nodes:
-            ops = tuple(
-                OpSpec(op.kind, assignment[pos + j]) for j, op in enumerate(node.ops)
-            )
-            pos += len(node.ops)
-            nodes.append(NodeSpec(ops))
-            key.append(tuple(sorted((op.kind, op.source) for op in ops)))
-        key = tuple(key)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield CellGenotype(
-            name=g.name, num_inputs=m, nodes=tuple(nodes), concat=g.concat
-        )
 
 
 def sample_connection_variant(g: CellGenotype, rng, name=None) -> CellGenotype:
@@ -167,11 +118,3 @@ def sample_variants(g: CellGenotype, spec: SampleSpec):
             variants.append(sample_operation_variant(g, spec.operation_set, rng, name=name))
     return variants
 
-
-def rank_variants(genotypes):
-    """Stable sort by width ascending, then depth descending, then name."""
-    def key(g):
-        dag = validate_genotype(g)
-        return (cell_width(dag), -cell_depth(dag), g.name)
-
-    return sorted(genotypes, key=key)

@@ -1,15 +1,15 @@
 """Training protocol and convergence comparison across genotypes.
 
 SGD with momentum 0.9, weight decay 3e-4 and a cosine learning-rate schedule
-annealing to zero, evaluated on the held-out split once per epoch.  A
-non-finite loss stops the run and marks it diverged; divergence is a
-legitimate experimental outcome, not an error.
+annealing to zero, evaluated on the held-out split once per epoch.  The first
+non-finite batch loss or epoch test loss stops the run and marks it diverged;
+divergence is a legitimate experimental outcome, not an error.
 
-``train`` takes one config or a list of them: the members of a list train
-in lockstep as the rows of one (K, P) parameter array, so one batched step
-serves all of them, each with its own init and shuffle streams and learning
-rate.  A member that diverges is dropped with its row and the rest go on.
-``compare_convergence`` trains all (lr, seed) members of a genotype at once.
+``train`` takes a list of configs.  Their members train in lockstep as the
+rows of one (K, P) parameter array, so one batched step serves all of them,
+each with its own init and shuffle streams and learning rate.  A member that
+diverges is dropped with its row and the rest go on.  ``compare_convergence``
+trains all (lr, seed) members of a genotype at once.
 """
 
 from __future__ import annotations
@@ -65,30 +65,19 @@ class TrainTrace:
         return float(sum(row["test_loss"] for row in self.rows))
 
 
-def train(network: CellNetwork, dataset: Dataset, cfg):
-    """Run the full protocol and return the trace with final parameters.
+def train(network: CellNetwork, dataset: Dataset, cfgs):
+    """Run the full protocol on a list of configs, differing only in ``lr``
+    and ``seed``, and return one trace per config with its final parameters.
 
-    A list of configs, differing only in ``lr`` and ``seed``, trains its
-    members in lockstep and returns one trace per config.  Each member starts
-    from ``stream(seed, "init")`` (from ``network.params`` when set, for one
-    member) and shuffles with ``stream(seed, "shuffle")``, as if run alone.
+    The members train in lockstep.  Each starts from ``stream(seed, "init")``
+    and shuffles with ``stream(seed, "shuffle")``, as if run alone.
     """
-    if isinstance(cfg, TrainConfig):
-        return _train_lockstep(network, dataset, [cfg])[0]
-    return _train_lockstep(network, dataset, list(cfg))
-
-
-def _train_lockstep(network, dataset, cfgs):
-    """The loop behind ``train``: one trace per config."""
     if not cfgs:
         return []
     cfg = cfgs[0]
     if any(replace(c, lr=cfg.lr, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("lockstep members may differ only in lr and seed")
-    if network.params is not None and len(cfgs) > 1:
-        raise ValueError("preset network params train a single member")
-    params = np.stack([network.params] if network.params is not None
-                      else [network.init_params(stream(c.seed, "init")) for c in cfgs])
+    params = np.stack([network.init_params(stream(c.seed, "init")) for c in cfgs])
     state = OptimizerState(velocity=np.zeros_like(params))
     shuffles = [stream(c.seed, "shuffle") for c in cfgs]
     traces = [TrainTrace() for _ in cfgs]
@@ -98,18 +87,38 @@ def _train_lockstep(network, dataset, cfgs):
         traces[k].rows.append({"epoch": epoch, "lr": lr, "train_loss": train_loss,
                                "test_loss": test_loss, "test_acc": test_acc})
 
+    def diverge(finite, epoch, lrs):
+        """Mark the members where ``finite`` is False diverged at ``epoch``,
+        keeping their parameters; the indices of the members that go on."""
+        for j in np.flatnonzero(~finite):
+            k = live[j]
+            traces[k].diverged = True
+            traces[k].divergence_epoch = epoch
+            row(k, epoch, lrs[j], math.inf, math.inf, 0.0)
+            traces[k].final_params = params[j]
+        return np.flatnonzero(finite)
+
     def record(epoch, lrs, train_losses):
+        """Evaluate on the test split: a row per member, and ``diverge`` for
+        those whose test loss is not finite."""
         test_loss, test_acc = network.evaluate(dataset.test_x, dataset.test_y, params)
-        for j, k in enumerate(live):
-            row(k, epoch, lrs[j], train_losses[j], float(test_loss[j]), float(test_acc[j]))
+        finite = np.isfinite(test_loss)
+        for j in np.flatnonzero(finite):
+            row(live[j], epoch, lrs[j], train_losses[j], float(test_loss[j]),
+                float(test_acc[j]))
+        return diverge(finite, epoch, lrs)
 
     n = len(dataset.train_y)
     with np.errstate(over="ignore", invalid="ignore"):
         # one member at a time, so the 2000-row split sets no memory peak
-        record(0, [cosine_lr(0, max(cfg.epochs, 1), c.lr) for c in cfgs],
-               [float(network.evaluate(dataset.train_x, dataset.train_y, params[j])[0])
-                for j in live])
+        keep = record(0, [cosine_lr(0, max(cfg.epochs, 1), c.lr) for c in cfgs],
+                      [float(network.evaluate(dataset.train_x, dataset.train_y, p)[0])
+                       for p in params])
         for epoch in range(cfg.epochs):
+            live = [live[j] for j in keep]
+            params, state.velocity = params[keep], state.velocity[keep]
+            if not live:
+                return traces
             lrs = [cosine_lr(epoch, cfg.epochs, cfgs[k].lr) for k in live]
             orders = np.stack([shuffles[k].permutation(n) for k in live])
             epoch_losses = [[] for _ in live]
@@ -120,13 +129,7 @@ def _train_lockstep(network, dataset, cfgs):
                 )
                 finite = np.isfinite(loss)
                 if not finite.all():
-                    for j in np.flatnonzero(~finite):
-                        k = live[j]
-                        traces[k].diverged = True
-                        traces[k].divergence_epoch = epoch + 1
-                        row(k, epoch + 1, lrs[j], math.inf, math.inf, 0.0)
-                        traces[k].final_params = params[j]
-                    keep = np.flatnonzero(finite)
+                    keep = diverge(finite, epoch + 1, lrs)
                     if not len(keep):
                         return traces
                     live, lrs = [live[j] for j in keep], [lrs[j] for j in keep]
@@ -136,10 +139,10 @@ def _train_lockstep(network, dataset, cfgs):
                 for losses, value in zip(epoch_losses, loss):
                     losses.append(value)
                 params, state = sgd_step(params, grads, state, lrs)
-            record(epoch + 1, lrs, [float(np.mean(losses)) for losses in epoch_losses])
+            keep = record(epoch + 1, lrs, [float(np.mean(losses)) for losses in epoch_losses])
 
-    for j, k in enumerate(live):
-        traces[k].final_params = params[j]
+    for j in keep:
+        traces[live[j]].final_params = params[j]
     return traces
 
 
@@ -169,8 +172,7 @@ class ConvergenceReport:
 
 
 def compare_convergence(genotypes, dataset, cfg: TrainConfig, lr_set, seeds,
-                        net_cfg: NetworkConfig | None = None,
-                        threshold=None) -> ConvergenceReport:
+                        net_cfg: NetworkConfig, threshold=None) -> ConvergenceReport:
     """Train every (genotype, lr, seed) combination and scalarize convergence.
 
     Convergence speed is measured as epochs-to-threshold on the test loss
@@ -180,10 +182,6 @@ def compare_convergence(genotypes, dataset, cfg: TrainConfig, lr_set, seeds,
         raise ValueError("need at least two genotypes to compare")
     if not seeds:
         raise ValueError("need at least one seed")
-    if net_cfg is None:
-        net_cfg = NetworkConfig(
-            input_dim=dataset.spec.dim, num_classes=dataset.spec.num_classes
-        )
     if threshold is None:
         threshold = 0.5 * math.log(dataset.spec.num_classes)
     report = ConvergenceReport(threshold=threshold)

@@ -1,15 +1,27 @@
 import csv
+import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from cellscape import CellGenotype, NodeSpec, OpSpec, load_fixture
+from cellscape import (
+    CellGenotype,
+    NodeSpec,
+    OpSpec,
+    adapt_to_widest_shallowest,
+    cell_depth,
+    cell_width,
+    load_fixture,
+    rewire_to_chain,
+    validate_genotype,
+)
 from cellscape.autodiff import Tape, Value
-from cellscape.errors import IoFailure, ShapeMismatch
+from cellscape.errors import ParseError, ShapeMismatch, TooLarge
 from cellscape.landscape import LandscapeGrid
 from cellscape.linear_theory import LinearCellModel, _check_input, grad_narrowest_batch
+from cellscape.sampler import ENUMERATION_CAP, connection_space_counts
 
 
 class LossTape(Tape):
@@ -81,15 +93,12 @@ def two_gradient_ratio(m, x, i, w1, w2):
 
 def load_grid_csv(path, kind="loss") -> LandscapeGrid:
     """Read back a grid written by ``export_grid`` as CSV."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [(float(a), float(b), float(v)) for a, b, v in reader]
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [(float(a), float(b), float(v)) for a, b, v in reader]
     if header != ["alpha", "beta", "value"]:
-        raise IoFailure(f"{path}: unexpected header {header}")
+        raise ParseError(f"{path}: unexpected header {header}")
     alphas = sorted({r[0] for r in rows})
     betas = sorted({r[1] for r in rows})
     values = np.full((len(alphas), len(betas)), np.nan)
@@ -114,6 +123,78 @@ def cell_parameter_count(net):
         for name, (_, shape) in net.layout.blocks.items()
         if name.startswith("cell")
     )
+
+
+# --- cells and variant sets that only tests build
+
+
+def _one_kind_cell(n, name, kind, num_inputs) -> CellGenotype:
+    """n nodes of ``num_inputs`` ``kind`` ops each, left for a rewiring to wire."""
+    return CellGenotype(name, num_inputs, (NodeSpec((OpSpec(kind, 0),) * num_inputs),) * n)
+
+
+def chain_cell(n, name="chain", kind="linear", num_inputs=2) -> CellGenotype:
+    """Cell where node i sources node i-1 (and input 0), maximizing depth:
+    ``rewire_to_chain`` of a cell of one op kind, so 2 input nodes only."""
+    return replace(rewire_to_chain(_one_kind_cell(n, name, kind, num_inputs)), name=name)
+
+
+def all_input_cell(n, name="all-input", kind="linear", num_inputs=2) -> CellGenotype:
+    """Cell where every node sources only input nodes, widest and shallowest:
+    the adaptation of a cell of one op kind, so 2 input nodes only."""
+    g = adapt_to_widest_shallowest(_one_kind_cell(n, name, kind, num_inputs))
+    return replace(g, name=name)
+
+
+def enumerate_connection_variants(g: CellGenotype, cap=ENUMERATION_CAP):
+    """Yield every connection variant of ``g`` in lexicographic source order:
+    the oracle for ``connection_space_counts``.
+
+    Each of the n*M slots independently ranges over the slot's preceding
+    nodes; assignments whose nodes hold the same multiset of (kind, source)
+    pairs are emitted once.  Raises TooLarge under the guards of
+    ``connection_space_counts`` or when the raw space exceeds the cap.
+    """
+    m = g.num_inputs
+    if not g.nodes:
+        return
+    raw, _, _ = connection_space_counts(g)
+    if raw > cap:
+        raise TooLarge(f"slot-assignment space of size {raw} exceeds cap {cap}")
+
+    slot_ranges = []
+    for i, node in enumerate(g.nodes):
+        for _ in node.ops:
+            slot_ranges.append(range(m + i))
+
+    seen = set()
+    for assignment in itertools.product(*slot_ranges):
+        nodes = []
+        pos = 0
+        key = []
+        for node in g.nodes:
+            ops = tuple(
+                OpSpec(op.kind, assignment[pos + j]) for j, op in enumerate(node.ops)
+            )
+            pos += len(node.ops)
+            nodes.append(NodeSpec(ops))
+            key.append(tuple(sorted((op.kind, op.source) for op in ops)))
+        key = tuple(key)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield CellGenotype(
+            name=g.name, num_inputs=m, nodes=tuple(nodes), concat=g.concat
+        )
+
+
+def rank_variants(genotypes):
+    """Stable sort by width ascending, then depth descending, then name."""
+    def key(g):
+        dag = validate_genotype(g)
+        return (cell_width(dag), -cell_depth(dag), g.name)
+
+    return sorted(genotypes, key=key)
 
 
 @pytest.fixture

@@ -308,8 +308,8 @@ def test_criterion_08_landscape(tmp_path):
     data = DatasetSpec(dim=6, num_classes=3, train_size=120, test_size=40,
                        noise=1.0, radius=8.0, seed=0)
     ds = make_dataset(data)
-    net = CellNetwork(load_fixture("darts"), cfg, init_rng=stream(0, "init"))
-    trace = train(net, ds, TrainConfig(lr=0.025, epochs=3, seed=0))
+    net = CellNetwork(load_fixture("darts"), cfg)
+    [trace] = train(net, ds, [TrainConfig(lr=0.025, epochs=3, seed=0)])
     ckpt_path = tmp_path / "final.ckpt"
     save_checkpoint(trace.final_params, ckpt_path, net.layout)
     ckpt = load_checkpoint(ckpt_path, net.layout)

@@ -484,9 +484,9 @@ def per_name_checkpoint(params, path):
 
 @pytest.mark.parametrize("genotype", ["darts", "nasnet"])
 def test_checkpoint_bytes_match_per_name_writer(tmp_path, genotype):
-    net = CellNetwork(load_fixture(genotype), NetworkConfig(layers=2, dim=6),
-                      init_rng=np.random.default_rng(4))
-    members = np.stack([net.params, -net.params])
+    net = CellNetwork(load_fixture(genotype), NetworkConfig(layers=2, dim=6))
+    params = net.init_params(np.random.default_rng(4))
+    members = np.stack([params, -params])
     save_checkpoint(members[1], tmp_path / "flat.ckpt", net.layout)
     per_name_checkpoint(net.layout.views(members[1]), tmp_path / "names.ckpt")
     assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "names.ckpt").read_bytes()

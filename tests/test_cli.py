@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -217,6 +218,19 @@ def test_train_divergence_exit_3(tmp_path):
     assert manifest["divergence_epoch"] is not None
 
 
+def test_train_non_finite_evaluation_is_divergence_exit_3(darts_file, tiny_spec, tmp_path):
+    # one batch per epoch: the only step overflows the parameters, and the
+    # epoch's test loss, not a batch loss, is the first non-finite value
+    out = tmp_path / "run"
+    res = run_cli("train", "--genotype", darts_file, "--dataset-spec", tiny_spec,
+                  "--lr", "1e300", "--epochs", 1, "--out-dir", out)
+    assert res.returncode == 3, res.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diverged"] is True and manifest["divergence_epoch"] == 1
+    assert manifest["final"] == {"epoch": 1, "lr": 1e300, "train_loss": math.inf,
+                                 "test_loss": math.inf, "test_acc": 0.0}
+
+
 def test_compare_small(darts_file, tiny_spec, tmp_path):
     gdir = tmp_path / "gens"
     gdir.mkdir()
@@ -310,9 +324,9 @@ def test_landscape_reproducible(darts_file, tiny_spec, tmp_path):
 def darts_ckpt(tmp_path):
     """Initial darts parameters at the tiny spec's sizes, layers 1, dim 5."""
     cfg = NetworkConfig(layers=1, dim=5, num_classes=3, input_dim=5)
-    net = CellNetwork(load_fixture("darts"), cfg, init_rng=stream(0, "init"))
+    net = CellNetwork(load_fixture("darts"), cfg)
     path = tmp_path / "init.ckpt"
-    save_checkpoint(net.params, path, net.layout)
+    save_checkpoint(net.init_params(stream(0, "init")), path, net.layout)
     return path
 
 
@@ -399,6 +413,9 @@ def test_landscape_out_below_a_file_exit_2(darts_file, tiny_spec, darts_ckpt, tm
     ("compare", "--seeds", 0), ("compare", "--epochs", -1),
     ("landscape", "--range", 0), ("landscape", "--subset", 0), ("landscape", "--grid", 2),
     ("variants", "--count", -1),
+    ("train", "--lr", "nan"), ("train", "--lr", "inf"),
+    ("compare", "--lrs", "x"), ("compare", "--lrs", "-0.1"), ("compare", "--lrs", "0.025,nan"),
+    ("landscape", "--range", "inf"),
 ])
 def test_numeric_flag_out_of_range_exit_1(darts_file, tiny_spec, darts_ckpt, tmp_path,
                                           command, flag, value):

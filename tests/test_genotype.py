@@ -7,8 +7,6 @@ from cellscape import (
     NodeSpec,
     OpSpec,
     adapt_to_widest_shallowest,
-    all_input_cell,
-    chain_cell,
     load_fixture,
     load_genotype,
     rewire_to_chain,
@@ -24,6 +22,7 @@ from cellscape.errors import (
     UnsupportedInputCount,
 )
 from cellscape.genotype import FIXTURE_NAMES, genotype_from_dict, genotype_to_dict
+from conftest import all_input_cell, chain_cell
 
 
 def test_darts_fixture_is_valid(darts):

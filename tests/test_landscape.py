@@ -29,9 +29,9 @@ DATA = DatasetSpec(dim=5, num_classes=3, train_size=60, test_size=24,
 
 @pytest.fixture
 def setup(darts):
-    net = CellNetwork(darts, CFG, init_rng=stream(0, "init"))
+    net = CellNetwork(darts, CFG)
     ds = make_dataset(DATA)
-    checkpoint = net.params.copy()
+    checkpoint = net.init_params(stream(0, "init"))
     return net, ds, checkpoint
 
 
@@ -276,10 +276,9 @@ MIXED = CellGenotype(
 @pytest.mark.parametrize("genotype", ["darts", "mixed"])
 @pytest.mark.parametrize("batch", ["one", "duplicated", "five"])
 def test_gradvar_matches_per_example_oracle_off_centre(darts, genotype, batch):
-    net = CellNetwork(darts if genotype == "darts" else MIXED, CFG,
-                      init_rng=stream(0, "init"))
+    net = CellNetwork(darts if genotype == "darts" else MIXED, CFG)
     ds = make_dataset(DATA)
-    ckpt = net.params.copy()
+    ckpt = net.init_params(stream(0, "init"))
     pair = sample_directions(ckpt, net.layout, seed=7)
     x, y = {
         "one": (ds.test_x[:1], ds.test_y[:1]),

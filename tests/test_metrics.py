@@ -8,10 +8,8 @@ from cellscape import (
     CellGenotype,
     NodeSpec,
     OpSpec,
-    all_input_cell,
     cell_depth,
     cell_width,
-    chain_cell,
     extremal_width_depth,
     load_fixture,
     validate_genotype,
@@ -19,6 +17,7 @@ from cellscape import (
 )
 from cellscape.errors import InvalidSearchSpace
 from cellscape.metrics import per_node_widths
+from conftest import all_input_cell, chain_cell
 
 # (fixture, width in units of c, depth)
 FIXTURE_VALUES = [

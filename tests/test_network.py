@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +12,8 @@ from cellscape import (
     OpSpec,
     TrainConfig,
     adapt_to_widest_shallowest,
-    all_input_cell,
     cell_depth,
     cell_width,
-    chain_cell,
     compare_convergence,
     load_fixture,
     make_dataset,
@@ -27,7 +24,13 @@ from cellscape import (
 from cellscape.data import spec_from_json
 from cellscape.errors import InvalidSpec, UnsupportedInputCount
 from cellscape.rng import stream
-from conftest import cell_parameter_count, central_difference, spec_to_json
+from conftest import (
+    all_input_cell,
+    cell_parameter_count,
+    central_difference,
+    chain_cell,
+    spec_to_json,
+)
 
 SMALL = NetworkConfig(layers=2, dim=6, num_classes=3, input_dim=5)
 
@@ -47,7 +50,7 @@ def test_all_identity_cell_has_no_cell_parameters():
     net = CellNetwork(g, SMALL)
     assert cell_parameter_count(net) == 0
     # stem (6x5 + 6) + head (3x6 + 3)
-    assert net.parameter_count() == 36 + 21
+    assert net.layout.size == 36 + 21
 
 
 def test_all_linear_cell_parameter_count():
@@ -58,7 +61,7 @@ def test_all_linear_cell_parameter_count():
 
 
 def small_count(g):
-    return CellNetwork(g, SMALL).parameter_count()
+    return CellNetwork(g, SMALL).layout.size
 
 
 def test_connection_variants_have_equal_counts(darts):
@@ -90,50 +93,53 @@ def test_m_not_2_rejected():
 
 
 def test_forward_shapes(darts):
-    net = CellNetwork(darts, SMALL, init_rng=stream(0, "init"))
+    net = CellNetwork(darts, SMALL)
     x = np.ones((7, 5))
-    logits, _, _ = net.forward(x)
+    logits, _, _ = net.forward(x, net.init_params(stream(0, "init")))
     assert logits.data.shape == (7, 3)
 
 
 def test_loss_and_grads_cover_all_parameters(darts):
-    net = CellNetwork(darts, SMALL, init_rng=stream(0, "init"))
+    net = CellNetwork(darts, SMALL)
+    params = net.init_params(stream(0, "init"))
     x = np.random.default_rng(0).standard_normal((4, 5))
     y = np.array([0, 1, 2, 0])
-    loss, grads = net.loss_and_grads(x, y)
+    loss, grads = net.loss_and_grads(x, y, params)
     assert math.isfinite(loss)
-    assert grads.shape == net.params.shape == (net.layout.size,)
+    assert grads.shape == params.shape == (net.layout.size,)
     for name, g in net.layout.views(grads).items():
-        assert g.shape == net.layout.views(net.params)[name].shape
+        assert g.shape == net.layout.views(params)[name].shape
 
 
 def test_network_gradients_match_finite_differences(toy_cell):
     cfg = NetworkConfig(layers=1, dim=4, num_classes=3, input_dim=4)
-    net = CellNetwork(toy_cell, cfg, init_rng=stream(1, "init"))
+    net = CellNetwork(toy_cell, cfg)
+    init = net.init_params(stream(1, "init"))
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 4))
     y = rng.integers(0, 3, size=5)
-    _, grads = net.loss_and_grads(x, y)
+    _, grads = net.loss_and_grads(x, y, init)
     grads = net.layout.views(grads)
     for name, (block, _) in net.layout.blocks.items():
         def f(wv, block=block):
-            params = net.params.copy()
+            params = init.copy()
             params[block] = wv.ravel()
             loss, _ = net.evaluate(x, y, params)
             return loss
 
-        fd = central_difference(f, net.layout.views(net.params)[name], 1e-4)
+        fd = central_difference(f, net.layout.views(init)[name], 1e-4)
         scale = max(np.max(np.abs(fd)), 1.0)
         assert np.max(np.abs(grads[name] - fd)) / scale <= 1e-5, name
 
 
 @pytest.mark.parametrize("name", ["darts", "snas"])
 def test_evaluate_matches_recording_forward_bit_for_bit(name):
-    net = CellNetwork(load_fixture(name), SMALL, init_rng=stream(3, "init"))
+    net = CellNetwork(load_fixture(name), SMALL)
+    init = net.init_params(stream(3, "init"))
     rng = np.random.default_rng(8)
     x = rng.standard_normal((16, 5))
     y = rng.integers(0, 3, size=16)
-    params = net.params + rng.standard_normal(net.params.shape)
+    params = init + rng.standard_normal(init.shape)
     logits, tape, _ = net.forward(x, params)
     recorded = tape.softmax_cross_entropy(logits, y)
     loss, acc = net.evaluate(x, y, params)
@@ -144,10 +150,11 @@ def test_evaluate_matches_recording_forward_bit_for_bit(name):
 
 
 def test_forward_deterministic(darts):
-    net = CellNetwork(darts, SMALL, init_rng=stream(3, "init"))
+    net = CellNetwork(darts, SMALL)
+    params = net.init_params(stream(3, "init"))
     x = np.random.default_rng(1).standard_normal((4, 5))
-    a, _, _ = net.forward(x)
-    b, _, _ = net.forward(x)
+    a, _, _ = net.forward(x, params)
+    b, _, _ = net.forward(x, params)
     assert np.array_equal(a.data, b.data)
 
 
@@ -163,7 +170,7 @@ def test_identity_cells_ignore_slot_order():
         nodes=(NodeSpec((OpSpec("identity", 1), OpSpec("identity", 0))),
                NodeSpec((OpSpec("identity", 1), OpSpec("identity", 0)))),
     )
-    rng_params = CellNetwork(wide, SMALL, init_rng=stream(4, "init")).params
+    rng_params = CellNetwork(wide, SMALL).init_params(stream(4, "init"))
     x = np.random.default_rng(5).standard_normal((6, 5))
     la, _, _ = CellNetwork(wide, SMALL).forward(x, rng_params)
     lb, _, _ = CellNetwork(swapped, SMALL).forward(x, rng_params)
@@ -244,8 +251,8 @@ TINY_DATA = DatasetSpec(dim=5, num_classes=3, train_size=120, test_size=40,
 
 def test_zero_epochs_trace(darts):
     ds = make_dataset(TINY_DATA)
-    net = CellNetwork(darts, SMALL, init_rng=stream(0, "init"))
-    trace = train(net, ds, TrainConfig(epochs=0))
+    net = CellNetwork(darts, SMALL)
+    [trace] = train(net, ds, [TrainConfig(epochs=0)])
     assert len(trace.rows) == 1
     assert trace.rows[0]["epoch"] == 0
     assert not trace.diverged
@@ -253,9 +260,9 @@ def test_zero_epochs_trace(darts):
 
 def test_zero_lr_keeps_parameters(darts):
     ds = make_dataset(TINY_DATA)
-    net = CellNetwork(darts, SMALL, init_rng=stream(0, "init"))
-    before = net.params.copy()
-    trace = train(net, ds, TrainConfig(lr=0.0, epochs=2))
+    net = CellNetwork(darts, SMALL)
+    before = net.init_params(stream(0, "init"))
+    [trace] = train(net, ds, [TrainConfig(lr=0.0, epochs=2)])
     assert np.array_equal(trace.final_params, before)
     losses = [r["test_loss"] for r in trace.rows]
     assert losses.count(losses[0]) == len(losses)
@@ -265,8 +272,8 @@ def test_training_improves_loss(darts):
     ds = make_dataset(TINY_DATA)
     finals, initials = [], []
     for seed in range(5):
-        net = CellNetwork(darts, SMALL, init_rng=stream(seed, "init"))
-        trace = train(net, ds, TrainConfig(lr=0.025, epochs=30, seed=seed))
+        net = CellNetwork(darts, SMALL)
+        [trace] = train(net, ds, [TrainConfig(lr=0.025, epochs=30, seed=seed)])
         initials.append(trace.rows[0]["train_loss"])
         finals.append(trace.rows[-1]["train_loss"])
     assert np.median(finals) < np.median(initials)
@@ -276,8 +283,9 @@ def test_training_reproducible(darts):
     ds = make_dataset(TINY_DATA)
 
     def run():
-        net = CellNetwork(darts, SMALL, init_rng=stream(7, "init"))
-        return train(net, ds, TrainConfig(lr=0.025, epochs=3, seed=7))
+        net = CellNetwork(darts, SMALL)
+        [trace] = train(net, ds, [TrainConfig(lr=0.025, epochs=3, seed=7)])
+        return trace
 
     a, b = run(), run()
     assert a.rows == b.rows
@@ -286,8 +294,8 @@ def test_training_reproducible(darts):
 
 def test_epochs_to_threshold_antitone(darts):
     ds = make_dataset(TINY_DATA)
-    net = CellNetwork(darts, SMALL, init_rng=stream(0, "init"))
-    trace = train(net, ds, TrainConfig(lr=0.025, epochs=15))
+    net = CellNetwork(darts, SMALL)
+    [trace] = train(net, ds, [TrainConfig(lr=0.025, epochs=15)])
     thresholds = [1.2, 0.8, 0.4, 0.2]
     epochs = [trace.epochs_to_threshold(t) for t in thresholds]
     reached = [e for e in epochs if e is not None]
@@ -301,9 +309,9 @@ def test_divergence_recorded(darts):
     # large data scale plus lr 0.25 reliably blows up the deep chain variant
     ds = make_dataset(DatasetSpec(seed=0))
     chain = rewire_to_chain(darts)
-    net = CellNetwork(chain, NetworkConfig(), init_rng=stream(0, "init"))
+    net = CellNetwork(chain, NetworkConfig())
     with np.errstate(all="ignore"):
-        trace = train(net, ds, TrainConfig(lr=0.25, epochs=10, seed=0))
+        [trace] = train(net, ds, [TrainConfig(lr=0.25, epochs=10, seed=0)])
     assert trace.diverged
     assert trace.divergence_epoch is not None
     assert trace.rows[-1]["test_loss"] == math.inf
@@ -329,8 +337,7 @@ def assert_same_run(lockstep, single):
 
 
 def single_runs(genotype, ds, cfgs):
-    return [train(CellNetwork(genotype, NetworkConfig(), init_rng=stream(c.seed, "init")),
-                  ds, c) for c in cfgs]
+    return [train(CellNetwork(genotype, NetworkConfig()), ds, [c])[0] for c in cfgs]
 
 
 def test_lockstep_members_match_single_runs(darts):
@@ -357,21 +364,6 @@ def test_lockstep_group_where_every_member_diverges(darts):
     assert lockstep[0].divergence_epoch != lockstep[1].divergence_epoch
     for a, b in zip(lockstep, singles):
         assert_same_run(a, b)
-
-
-def test_one_member_with_preset_params(darts):
-    ds = make_dataset(TINY_DATA)
-    cfg = TrainConfig(lr=0.025, epochs=2, seed=0)
-    preset = CellNetwork(darts, SMALL, init_rng=stream(3, "init"))
-    trace = train(preset, ds, cfg)
-    # the preset params, not stream(seed, "init"), are the starting point
-    fresh = train(CellNetwork(darts, SMALL), ds, cfg)
-    seeded = train(CellNetwork(darts, SMALL), ds, replace(cfg, seed=3))
-    assert trace.rows[0]["test_loss"] == seeded.rows[0]["test_loss"]
-    assert trace.rows[0]["test_loss"] != fresh.rows[0]["test_loss"]
-    assert trace.rows[1:] != seeded.rows[1:]  # shuffled by seed 0, not 3
-    with pytest.raises(ValueError):
-        train(preset, ds, [cfg, replace(cfg, seed=1)])
 
 
 def test_lockstep_members_differ_only_in_lr_and_seed(darts):
@@ -435,6 +427,6 @@ def test_compare_convergence_determinism(darts):
 def test_compare_convergence_validation(darts):
     ds = make_dataset(TINY_DATA)
     with pytest.raises(ValueError):
-        compare_convergence([darts], ds, TrainConfig(), [0.025], [0])
+        compare_convergence([darts], ds, TrainConfig(), [0.025], [0], SMALL)
     with pytest.raises(ValueError):
-        compare_convergence([darts, darts], ds, TrainConfig(), [0.025], [])
+        compare_convergence([darts, darts], ds, TrainConfig(), [0.025], [], SMALL)

@@ -9,11 +9,8 @@ from cellscape import (
     SampleSpec,
     cell_depth,
     cell_width,
-    chain_cell,
     count_connection_variants,
-    enumerate_connection_variants,
     load_fixture,
-    rank_variants,
     sample_connection_variant,
     sample_operation_variant,
     sample_variants,
@@ -23,6 +20,7 @@ from cellscape.errors import InvalidSearchSpace, TooLarge, UnknownOperationKind
 from cellscape.genotype import genotype_to_dict
 from cellscape.rng import stream
 from cellscape.sampler import connection_space_counts
+from conftest import chain_cell, enumerate_connection_variants, rank_variants
 
 
 def test_formula_values():
