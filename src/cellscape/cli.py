@@ -16,8 +16,10 @@ import time
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
+from .artifacts import dump, write_json
 from .autodiff import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, make_dataset, spec_from_json
 from .errors import (
@@ -65,30 +67,27 @@ EXIT_DIVERGENCE = 3
 EXIT_VIOLATION = 4
 
 
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_manifest(out_dir, command, flags, seed, artifacts, started, extra=None):
+def _write_manifest(out_dir, seeds, artifacts, **extra):
+    """manifest.json of the running command, its name and flags read from click."""
+    ctx = click.get_current_context()
     doc = {
-        "command": command,
-        "flags": flags,
-        "seeds": [seed] if isinstance(seed, int) else list(seed),
+        "command": ctx.info_name,
+        "flags": {p.opts[0].lstrip("-"): ctx.params[p.name] for p in ctx.command.params},
+        "seeds": seeds,
         "rng_algorithm": RNG_ALGORITHM,
         "artifacts": sorted(str(a) for a in artifacts),
         "version": __version__,
-        "duration_seconds": round(time.monotonic() - started, 3),
+        "duration_seconds": round(time.monotonic() - ctx.meta["started"], 3),
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    _write_json(Path(out_dir) / "manifest.json", doc)
+    write_json(Path(out_dir) / "manifest.json", doc)
 
 
 @click.group()
-def cli():
+@click.pass_context
+def cli(ctx):
     """Cell-topology metrics, variant sampling, desk-scale experiments."""
+    ctx.meta["started"] = time.monotonic()
 
 
 @cli.command()
@@ -111,9 +110,9 @@ def analyze(genotype_file, out):
         "is_extremal": (report.width_in_c, report.depth)
         == extremal_width_depth(g.total_nodes, g.num_inputs),
     }
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    dump(doc, sys.stdout)
     if out:
-        _write_json(out, doc)
+        write_json(out, doc)
 
 
 @cli.command()
@@ -126,7 +125,6 @@ def analyze(genotype_file, out):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def variants(genotype_file, mode, count_, seed, ops, out_dir):
     """Sample random connection or operation variants of a genotype."""
-    started = time.monotonic()
     g = load_genotype(genotype_file)
     validate_genotype(g)
     spec = SampleSpec(
@@ -153,15 +151,7 @@ def variants(genotype_file, mode, count_, seed, ops, out_dir):
                 "depth": cell_depth(dag),
             }
         )
-    _write_manifest(
-        out,
-        "variants",
-        {"genotype": str(genotype_file), "mode": mode, "count": count_, "ops": ops},
-        seed,
-        artifacts,
-        started,
-        extra={"variants": entries},
-    )
+    _write_manifest(out, [seed], artifacts, variants=entries)
     click.echo(f"wrote {len(sampled)} variants to {out}")
 
 
@@ -191,45 +181,46 @@ def count(n_total, num_inputs, do_enumerate, genotype_file):
 @click.option("--dim", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--samples", type=int, default=2000, show_default=True)
-@click.option("--instances", type=int, default=10, show_default=True)
+@click.option("--instances", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="Weight scale of the random instances.")
 @click.option("--out", "out_file", required=True, type=click.Path())
 def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
     """Randomized smoothness/variance bound checks on chained linear cells."""
-    started = time.monotonic()
     rng = stream(seed, "theory")
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     results = []
     violations = []
-    for inst in range(instances):
-        model = random_model(n_nodes, dim, rng, scale=scale)
-        x = rng.standard_normal(dim)
-        blocks = []
-        for i in range(1, n_nodes + 1):
-            smooth = verify_block_smoothness(model, x, i, rng, trials=trials)
-            var = verify_gradient_variance(model, i, rng, samples=samples)
-            blocks.append(
-                {
-                    "block": i,
-                    "lambda": smooth.lambdas[i - 1],
-                    "smoothness": smooth.to_dict(),
-                    "variance": var.to_dict(),
-                }
-            )
-            if smooth.violated or var.violated:
-                violations.append(
+    # an overflowing instance is a result, a non-finite check a violation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for inst in range(instances):
+            model = random_model(n_nodes, dim, rng, scale=scale)
+            x = rng.standard_normal(dim)
+            blocks = []
+            for i in range(1, n_nodes + 1):
+                smooth = verify_block_smoothness(model, x, i, rng, trials=trials)
+                var = verify_gradient_variance(model, i, rng, samples=samples)
+                blocks.append(
                     {
-                        "instance": inst,
                         "block": i,
-                        "weights": [w.tolist() for w in model.weights],
-                        "targets": [t.tolist() for t in model.targets],
-                        "input": x.tolist(),
+                        "lambda": smooth.lambdas[i - 1],
+                        "smoothness": smooth.to_dict(),
+                        "variance": var.to_dict(),
                     }
                 )
-        results.append({"instance": inst, "blocks": blocks})
+                if smooth.violated or var.violated:
+                    violations.append(
+                        {
+                            "instance": inst,
+                            "block": i,
+                            "weights": [w.tolist() for w in model.weights],
+                            "targets": [t.tolist() for t in model.targets],
+                            "input": x.tolist(),
+                        }
+                    )
+            results.append({"instance": inst, "blocks": blocks})
     doc = {
         "n": n_nodes,
         "dim": dim,
@@ -242,17 +233,9 @@ def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
         "violation_count": len(violations),
         "violations": violations,
     }
-    _write_json(out_path, doc)
-    _write_manifest(
-        out_path.parent,
-        "theory",
-        {"n": n_nodes, "dim": dim, "trials": trials, "samples": samples,
-         "instances": instances, "scale": scale},
-        seed,
-        [out_path.name],
-        started,
-        extra={"violation_count": len(violations)},
-    )
+    write_json(out_path, doc)
+    _write_manifest(out_path.parent, [seed], [out_path.name],
+                    violation_count=len(violations))
     if violations:
         click.echo(f"{len(violations)} bound violations reported in {out_path}")
         sys.exit(EXIT_VIOLATION)
@@ -271,15 +254,18 @@ def _network_options(command):
 
 
 def _finite(ctx, param, value):
-    if not math.isfinite(value):
+    if value is not None and not math.isfinite(value):
         raise click.BadParameter(f"{value} is not a finite number")
     return value
 
 
 def _learning_rates(ctx, param, value):
-    """--lrs as a list, each value a finite number >= 0."""
-    return [_finite(ctx, param, click.FloatRange(min=0).convert(v, param, ctx))
-            for v in value.split(",")]
+    """--lrs as a list of distinct values, each a finite number >= 0."""
+    lrs = [_finite(ctx, param, click.FloatRange(min=0).convert(v, param, ctx))
+           for v in value.split(",")]
+    if len(set(lrs)) < len(lrs):
+        raise click.BadParameter(f"{value} repeats a learning rate")
+    return lrs
 
 
 def _dataset_and_network(dataset_spec_file, layers, dim):
@@ -304,7 +290,6 @@ def _dataset_and_network(dataset_spec_file, layers, dim):
 def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
               dataset_spec_file, out_dir):
     """Train one genotype on the synthetic dataset; writes trace.csv + final.ckpt."""
-    started = time.monotonic()
     g = load_genotype(genotype_file)
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
@@ -324,18 +309,8 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
             )
     ckpt_path = out / "final.ckpt"
     save_checkpoint(trace.final_params, ckpt_path, net.layout)
-    _write_manifest(
-        out,
-        "train",
-        {"genotype": str(genotype_file), "layers": layers, "dim": dim, "lr": lr,
-         "epochs": epochs, "batch_size": batch_size,
-         "dataset_spec": str(dataset_spec_file)},
-        seed,
-        ["trace.csv", "final.ckpt"],
-        started,
-        extra={"diverged": trace.diverged, "divergence_epoch": trace.divergence_epoch,
-               "final": trace.final_row},
-    )
+    _write_manifest(out, [seed], ["trace.csv", "final.ckpt"], diverged=trace.diverged,
+                    divergence_epoch=trace.divergence_epoch, final=trace.final_row)
     if trace.diverged:
         click.echo(f"diverged at epoch {trace.divergence_epoch}; trace in {trace_path}")
         sys.exit(EXIT_DIVERGENCE)
@@ -354,13 +329,12 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
               show_default=True)
 @click.option("--epochs", type=click.IntRange(min=0), default=30, show_default=True)
 @_network_options
-@click.option("--threshold", type=float, default=None,
+@click.option("--threshold", type=float, default=None, callback=_finite,
               help="Test-loss threshold; default 0.5*ln(classes).")
 @click.option("--out", "out_file", required=True, type=click.Path())
 def compare(genotype_dir, lr_set, num_seeds, epochs, layers, dim, threshold,
             dataset_spec_file, out_file):
     """Convergence comparison across genotypes and learning rates."""
-    started = time.monotonic()
     files = sorted(Path(genotype_dir).glob("*.json"))
     files = [f for f in files if f.name != "manifest.json"]
     genotypes = [load_genotype(f) for f in files]
@@ -380,23 +354,9 @@ def compare(genotype_dir, lr_set, num_seeds, epochs, layers, dim, threshold,
         repr(lr): {name: report.median_epochs(name, lr) for name in doc["rankings"][repr(lr)]}
         for lr in lr_set
     }
-    # inf medians are not valid JSON numbers
-    for lr_key, medians in doc["medians"].items():
-        for name, v in medians.items():
-            if not math.isfinite(v):
-                medians[name] = None
-    _write_json(out_path, doc)
+    write_json(out_path, doc)
     diverged = report.diverged_runs()
-    _write_manifest(
-        out_path.parent,
-        "compare",
-        {"genotypes": str(genotype_dir), "lrs": lr_set, "epochs": epochs,
-         "layers": layers, "dim": dim, "dataset_spec": str(dataset_spec_file)},
-        seeds,
-        [out_path.name],
-        started,
-        extra={"diverged_runs": len(diverged)},
-    )
+    _write_manifest(out_path.parent, seeds, [out_path.name], diverged_runs=len(diverged))
     if diverged:
         click.echo(f"{len(diverged)} runs diverged; report in {out_path}")
         sys.exit(EXIT_DIVERGENCE)
@@ -428,7 +388,6 @@ def _odd(ctx, param, value):
 def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_points,
               extent, norm, layers, dim, subset, seed, out_file):
     """Loss or gradient-variance surface around a trained checkpoint."""
-    started = time.monotonic()
     g = load_genotype(genotype_file)
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     net = CellNetwork(g, net_cfg)
@@ -454,16 +413,7 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
     out_path.parent.mkdir(parents=True, exist_ok=True)
     fmt = "json" if out_path.suffix == ".json" else "csv"
     export_grid(grid, out_path, fmt=fmt)
-    _write_manifest(
-        out_path.parent,
-        "landscape",
-        {"checkpoint": str(checkpoint_file), "genotype": str(genotype_file),
-         "mode": mode, "grid": grid_points, "range": extent, "norm": norm,
-         "subset": subset, "dataset_spec": str(dataset_spec_file)},
-        seed,
-        [out_path.name],
-        started,
-    )
+    _write_manifest(out_path.parent, [seed], [out_path.name])
     click.echo(f"{mode} grid ({grid_points}x{grid_points}) in {out_path}")
 
 
@@ -519,7 +469,7 @@ def report(run_dir, out_file):
         "diverged_runs": diverged,
     }
     if out_file:
-        _write_json(out_file, summary)
+        write_json(out_file, summary)
     click.echo(f"{len(merged)} manifests; {violations} theorem violations; "
                f"{diverged} diverged runs")
     for doc in merged:

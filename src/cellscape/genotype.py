@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .artifacts import write_json
 from .autodiff import OPERATION_KINDS
 from .errors import (
     EmptyConcat,
@@ -167,9 +168,7 @@ def load_genotype(path) -> CellGenotype:
 
 
 def save_genotype(g: CellGenotype, path):
-    with open(path, "w") as fh:
-        json.dump(genotype_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, genotype_to_dict(g))
 
 
 def load_fixture(name: str) -> CellGenotype:

@@ -16,12 +16,11 @@ tagged by ``LandscapeGrid.overflow_mask``, not clipped.
 from __future__ import annotations
 
 import csv
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import DimensionMismatch
 from .network import CellNetwork
 from .rng import stream
@@ -141,7 +140,8 @@ def gradient_variance_surface(network: CellNetwork, checkpoint, x, y,
 
 def export_grid(grid: LandscapeGrid, path, fmt="csv"):
     """Write the grid as CSV rows alpha,beta,value (row-major) or as JSON with
-    metadata.  Overflow entries serialize as the literal ``inf``."""
+    metadata.  Overflow entries are the literals ``inf``/``nan`` in CSV and
+    ``null`` in JSON."""
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -157,15 +157,10 @@ def export_grid(grid: LandscapeGrid, path, fmt="csv"):
             "kind": grid.kind,
             "alphas": [float(v) for v in grid.alphas],
             "betas": [float(v) for v in grid.betas],
-            "values": [
-                [None if not math.isfinite(v) else v for v in row]
-                for row in grid.values.tolist()
-            ],
+            "values": grid.values.tolist(),
             "overflow": [[bool(v) for v in row] for row in grid.overflow_mask],
             "metadata": grid.metadata,
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, doc)
     else:
         raise ValueError(f"unknown format {fmt!r}")

@@ -187,8 +187,8 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200, radius=No
     a = eye
     for w in reversed(m.weights[i:]):
         a = eye + w.T @ a @ w
-    empirical = 0.0
-    for _ in range(trials):
+    ratios = np.empty(trials)  # its max keeps a nan, which Python's max drops
+    for t in range(trials):
         for _attempt in range(10):
             w1 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
             w2 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
@@ -198,15 +198,15 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200, radius=No
                 break
         else:
             raise DegeneratePair("could not sample a distinct perturbation pair")
-        ratio = np.linalg.norm(a @ (delta @ u)) * u_norm / denom
-        empirical = max(empirical, float(ratio))
+        ratios[t] = np.linalg.norm(a @ (delta @ u)) * u_norm / denom
+    empirical = float(ratios.max())
     return TheoremReport(
         theorem="block_smoothness",
         block=i,
         lambdas=lambdas,
         empirical=empirical,
         bound=bound,
-        violated=empirical > bound + slack,
+        violated=not empirical <= bound + slack,
         slack=slack,
         trials=trials,
         details={"radius": float(radius), "input_norm_sq": l_widest},
@@ -253,7 +253,7 @@ def verify_gradient_variance(m: LinearCellModel, i, rng, samples=2000,
         lambdas=lambdas,
         empirical=empirical,
         bound=bound,
-        violated=empirical > bound + se_factor * emp_se,
+        violated=not empirical <= bound + se_factor * emp_se,
         slack=se_factor * emp_se,
         trials=samples,
         details={"standard_error": emp_se, "sigmas_sq": sigmas_sq},

@@ -1,5 +1,4 @@
 import json
-import math
 import subprocess
 import sys
 
@@ -227,8 +226,8 @@ def test_train_non_finite_evaluation_is_divergence_exit_3(darts_file, tiny_spec,
     assert res.returncode == 3, res.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diverged"] is True and manifest["divergence_epoch"] == 1
-    assert manifest["final"] == {"epoch": 1, "lr": 1e300, "train_loss": math.inf,
-                                 "test_loss": math.inf, "test_acc": 0.0}
+    assert manifest["final"] == {"epoch": 1, "lr": 1e300, "train_loss": None,
+                                 "test_loss": None, "test_acc": 0.0}
 
 
 def test_compare_small(darts_file, tiny_spec, tmp_path):
@@ -376,7 +375,7 @@ def test_landscape_overflow_points_tagged(darts_file, tiny_spec, darts_ckpt, tmp
         assert res.returncode == 0, res.stderr
         values[fmt] = out
     rows = [line.split(",") for line in values["csv"].read_text().splitlines()[1:]]
-    doc = json.loads(values["json"].read_text())
+    doc = strict_json(values["json"])
     for i, (alpha, beta, value) in enumerate(rows):
         a, b = divmod(i, 3)
         if alpha == beta == "0.0":
@@ -416,6 +415,9 @@ def test_landscape_out_below_a_file_exit_2(darts_file, tiny_spec, darts_ckpt, tm
     ("train", "--lr", "nan"), ("train", "--lr", "inf"),
     ("compare", "--lrs", "x"), ("compare", "--lrs", "-0.1"), ("compare", "--lrs", "0.025,nan"),
     ("landscape", "--range", "inf"),
+    ("theory", "--instances", 0), ("theory", "--instances", -1),
+    ("compare", "--threshold", "nan"), ("compare", "--threshold", "inf"),
+    ("compare", "--lrs", "0.025,0.025"),
 ])
 def test_numeric_flag_out_of_range_exit_1(darts_file, tiny_spec, darts_ckpt, tmp_path,
                                           command, flag, value):
@@ -439,6 +441,58 @@ def test_numeric_flag_out_of_range_exit_1(darts_file, tiny_spec, darts_ckpt, tmp
     assert res.returncode == 1
     assert one_line(res.stderr) and res.stderr.startswith("error:"), res.stderr
     assert not out.exists()
+
+
+# --- JSON artifacts and manifests -----------------------------------------
+
+
+def strict_json(path):
+    """path's JSON, refusing the non-standard constants Infinity and NaN."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_diverging_runs_write_strict_json(darts_file, tiny_spec, tmp_path):
+    gdir = tmp_path / "gens"
+    gdir.mkdir()
+    for name in ("darts", "snas"):
+        save_genotype(load_fixture(name), gdir / f"{name}.json")
+    net = ["--dataset-spec", tiny_spec, "--layers", 1, "--dim", 5, "--epochs", 1]
+    runs = [
+        (3, run_cli("compare", "--genotypes", gdir, *net, "--lrs", "1e300", "--seeds", 1,
+                    "--out", tmp_path / "compare" / "report.json")),
+        (3, run_cli("train", "--genotype", darts_file, *net, "--lr", "1e300",
+                    "--out-dir", tmp_path / "train")),
+        (4, run_cli("theory", "--scale", "1e120", "--instances", 1, "--trials", 5,
+                    "--samples", 10, "--out", tmp_path / "theory" / "report.json")),
+    ]
+    for code, res in runs:
+        assert (res.returncode, res.stderr) == (code, ""), res.stderr
+    docs = {str(p.relative_to(tmp_path)): strict_json(p) for p in tmp_path.rglob("*.json")}
+    assert {"compare/report.json", "compare/manifest.json", "train/manifest.json",
+            "theory/report.json", "theory/manifest.json"} <= set(docs)
+    entries = docs["compare/report.json"]["entries"]
+    assert all(e["diverged"] and e["area"] is None for e in entries)
+    assert docs["train/manifest.json"]["final"]["test_loss"] is None
+    # every block's overflowing check is a violation, not a pass
+    theory = docs["theory/report.json"]
+    assert theory["violation_count"] == 3 == docs["theory/manifest.json"]["violation_count"]
+    for block in theory["results"][0]["blocks"]:
+        assert block["variance"]["empirical"] is None and block["variance"]["violated"]
+
+
+def test_manifest_flags_are_the_command_line(darts_file, tmp_path):
+    out = tmp_path / "run"
+    res = run_cli("train", "--genotype", darts_file, "--layers", 1, "--dim", 2,
+                  "--epochs", 0, "--seed", 3, "--out-dir", out)
+    assert res.returncode == 0, res.stderr
+    manifest = strict_json(out / "manifest.json")
+    assert manifest["command"] == "train" and manifest["seeds"] == [3]
+    assert manifest["flags"] == {
+        "genotype": str(darts_file), "layers": 1, "dim": 2, "dataset-spec": None,
+        "lr": 0.025, "epochs": 0, "batch-size": 80, "seed": 3, "out-dir": str(out),
+    }
 
 
 # --- unwritable outputs ---------------------------------------------------
