@@ -16,13 +16,7 @@ from .genotype import (
     save_genotype,
     validate_genotype,
 )
-from .metrics import (
-    WidthDepthReport,
-    cell_depth,
-    cell_width,
-    extremal_width_depth,
-    width_depth_report,
-)
+from .metrics import cell_depth, cell_width, extremal_width_depth
 from .sampler import (
     SampleSpec,
     count_connection_variants,

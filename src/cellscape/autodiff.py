@@ -178,7 +178,7 @@ def backward(tape: Tape, loss: Value, keep_outputs=False):
             out.grad = None
 
 
-def per_example_variance(tape: Tape, leaves: dict, scale=1.0) -> float:
+def per_example_variance(tape: Tape, leaves: dict) -> float:
     """Total variance (covariance trace) of the per-example gradients of the
     ``leaves`` (name -> Value), read off ``tape`` after one batched ``backward``.
 
@@ -187,8 +187,9 @@ def per_example_variance(tape: Tape, leaves: dict, scale=1.0) -> float:
     an ``add_bias``.  Its batch gradient is then a sum of per-row terms (see
     Goodfellow, arXiv:1510.01799): row i contributes the rank-1 block
     ``g[i] (x) x[i]`` to a dense weight and ``g[i]`` to a bias, where ``g`` is
-    the record's output gradient and ``x`` its input.  ``scale`` multiplies
-    every per-example gradient; a batch-mean loss needs the batch size.
+    the record's output gradient and ``x`` its input.  The loss is a batch
+    mean, so row i of ``g`` is 1/n of example i's own gradient and every
+    per-example gradient is scaled by the row count n.
     Each block is reduced to its centred sum of squares and dropped, so equal
     rows give exactly 0.  A leaf the loss does not reach adds nothing.
     Raises SharedParameter when a leaf feeds any other record.
@@ -210,7 +211,7 @@ def per_example_variance(tape: Tape, leaves: dict, scale=1.0) -> float:
         if found[0][2].grad is None:
             raise NoTape("per-example gradients need backward(..., keep_outputs=True)")
         kind, _, out, inputs = found[0]
-        g = out.grad * scale
+        g = out.grad * len(out.grad)
         per_example = np.einsum("bo,bi->boi", g, inputs[0].data) if kind == "dense" else g
         centred = per_example - per_example.mean(axis=0)
         total += float(np.sum(centred * centred)) / len(g)
@@ -258,21 +259,20 @@ def glorot_init(shape, rng):
 # --- optimizer ------------------------------------------------------------
 
 
-@dataclass
-class OptimizerState:
-    momentum: float = 0.9
-    weight_decay: float = 3e-4
-    velocity: np.ndarray | float = 0.0  # the scalar 0.0 broadcasts until a first step
+MOMENTUM = 0.9
+WEIGHT_DECAY = 3e-4
 
 
-def sgd_step(params, grads, state: OptimizerState, lr):
-    """v <- mu*v + (g + wd*w); w <- w - lr*v on flat params and grads.
-    ``lr`` is a scalar, or one rate per member for (K, P) params."""
+def sgd_step(params, grads, velocity, lr):
+    """v <- mu*v + (g + wd*w); w <- w - lr*v on flat params and grads, with
+    the DARTS constants mu = MOMENTUM and wd = WEIGHT_DECAY; returns
+    (params, velocity).  ``velocity`` starts as zeros (a scalar 0.0
+    broadcasts); ``lr`` is a scalar, or one rate per member for (K, P) params."""
     lr = np.asarray(lr, dtype=np.float64)
     if grads.shape != params.shape or params.shape[: lr.ndim] != lr.shape:
         raise ShapeMismatch(f"grad {grads.shape} vs param {params.shape}, lr {lr.shape}")
-    state.velocity = state.momentum * state.velocity + (grads + state.weight_decay * params)
-    return params - lr.reshape(lr.shape + (1,) * (params.ndim - lr.ndim)) * state.velocity, state
+    velocity = MOMENTUM * velocity + (grads + WEIGHT_DECAY * params)
+    return params - lr.reshape(lr.shape + (1,) * (params.ndim - lr.ndim)) * velocity, velocity
 
 
 def cosine_lr(epoch, total_epochs, base_lr):
@@ -311,7 +311,7 @@ def load_checkpoint(path, layout):
     header, has a header that is not a JSON list of blocks, or has a payload
     that is not whole float64 values or is shorter than its blocks; then
     DimensionMismatch (from ``layout.check``) when its blocks are not the
-    layout's.
+    layout's; then ParseError when the payload holds values past them.
     """
     try:
         with open(path, "rb") as fh:
@@ -341,4 +341,8 @@ def load_checkpoint(path, layout):
                 f"past the payload's {payload.size}"
             )
     layout.check(blocks)
-    return np.array(payload[: layout.size], dtype=np.float64)
+    if payload.size != layout.size:
+        raise ParseError(
+            f"{path}: checkpoint holds {payload.size} values, its blocks {layout.size}"
+        )
+    return np.array(payload, dtype=np.float64)

@@ -49,7 +49,7 @@ from .linear_theory import (
     verify_block_smoothness,
     verify_gradient_variance,
 )
-from .metrics import cell_depth, cell_width, extremal_width_depth, width_depth_report
+from .metrics import cell_depth, cell_width, extremal_width_depth, per_node_widths
 from .network import CellNetwork, NetworkConfig
 from .rng import RNG_ALGORITHM, stream
 from .sampler import (
@@ -90,6 +90,12 @@ def cli(ctx):
     ctx.meta["started"] = time.monotonic()
 
 
+def _finite(ctx, param, value):
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @cli.command()
 @click.option("--genotype", "genotype_file", required=True, type=click.Path())
 @click.option("--out", type=click.Path(), default=None, help="Optional report file.")
@@ -97,18 +103,17 @@ def analyze(genotype_file, out):
     """Width/depth report for one genotype file."""
     g = load_genotype(genotype_file)
     dag = validate_genotype(g)
-    report = width_depth_report(dag)
+    width, depth = cell_width(dag), cell_depth(dag)
     doc = {
         "name": g.name,
         "N": g.total_nodes,
         "M": g.num_inputs,
         "n": dag.num_intermediate,
-        "width_in_c": str(report.width_in_c),
-        "width_in_c_float": float(report.width_in_c),
-        "depth": report.depth,
-        "per_node_width": {str(k): str(v) for k, v in report.per_node_width.items()},
-        "is_extremal": (report.width_in_c, report.depth)
-        == extremal_width_depth(g.total_nodes, g.num_inputs),
+        "width_in_c": str(width),
+        "width_in_c_float": float(width),
+        "depth": depth,
+        "per_node_width": {str(k): str(v) for k, v in per_node_widths(dag).items()},
+        "is_extremal": (width, depth) == extremal_width_depth(g.total_nodes, g.num_inputs),
     }
     dump(doc, sys.stdout)
     if out:
@@ -180,17 +185,15 @@ def count(n_total, num_inputs, do_enumerate, genotype_file):
 @click.option("--n", "n_nodes", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--dim", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--samples", type=int, default=2000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=2), default=2000, show_default=True)
 @click.option("--instances", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--scale", type=float, default=1.0, show_default=True,
+@click.option("--scale", type=float, default=1.0, show_default=True, callback=_finite,
               help="Weight scale of the random instances.")
 @click.option("--out", "out_file", required=True, type=click.Path())
 def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
     """Randomized smoothness/variance bound checks on chained linear cells."""
     rng = stream(seed, "theory")
-    out_path = Path(out_file)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     results = []
     violations = []
     # an overflowing instance is a result, a non-finite check a violation
@@ -201,7 +204,7 @@ def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
             blocks = []
             for i in range(1, n_nodes + 1):
                 smooth = verify_block_smoothness(model, x, i, rng, trials=trials)
-                var = verify_gradient_variance(model, i, rng, samples=samples)
+                var = verify_gradient_variance(model, i, rng.standard_normal((samples, dim)))
                 blocks.append(
                     {
                         "block": i,
@@ -233,6 +236,8 @@ def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
         "violation_count": len(violations),
         "violations": violations,
     }
+    out_path = Path(out_file)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(out_path, doc)
     _write_manifest(out_path.parent, [seed], [out_path.name],
                     violation_count=len(violations))
@@ -251,12 +256,6 @@ def _network_options(command):
                            show_default=True)(command)
     return click.option("--layers", type=click.IntRange(min=1), default=6,
                         show_default=True)(command)
-
-
-def _finite(ctx, param, value):
-    if value is not None and not math.isfinite(value):
-        raise click.BadParameter(f"{value} is not a finite number")
-    return value
 
 
 def _learning_rates(ctx, param, value):
@@ -340,6 +339,10 @@ def compare(genotype_dir, lr_set, num_seeds, epochs, layers, dim, threshold,
     genotypes = [load_genotype(f) for f in files]
     if len(genotypes) < 2:
         raise InvalidSpec(f"need >= 2 genotype files in {genotype_dir}")
+    names = [g.name for g in genotypes]
+    if len(set(names)) < len(names):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise InvalidSpec(f"genotype names repeat in {genotype_dir}: {repeated}")
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     seeds = list(range(num_seeds))
     cfg = TrainConfig(epochs=epochs)
@@ -411,8 +414,7 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
         )
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    fmt = "json" if out_path.suffix == ".json" else "csv"
-    export_grid(grid, out_path, fmt=fmt)
+    export_grid(grid, out_path)
     _write_manifest(out_path.parent, [seed], [out_path.name])
     click.echo(f"{mode} grid ({grid_points}x{grid_points}) in {out_path}")
 
@@ -440,6 +442,17 @@ def _count(doc, key, path):
     return value
 
 
+def _final_acc(doc, path):
+    """A manifest's final test accuracy, None when it has no ``final``."""
+    if "final" not in doc:
+        return None
+    final = doc["final"]
+    acc = final.get("test_acc") if isinstance(final, dict) else None
+    if type(acc) not in (int, float):
+        raise ParseError(f"{path}: final is not an object with a numeric test_acc: {final!r}")
+    return acc
+
+
 @cli.command()
 @click.option("--run-dir", "run_dir", required=True, type=click.Path())
 @click.option("--out", "out_file", type=click.Path(), default=None)
@@ -449,6 +462,7 @@ def report(run_dir, out_file):
     if not manifests:
         raise MissingManifest(f"no manifest.json found under {run_dir}")
     merged = []
+    finals = []
     violations = 0
     diverged = 0
     for path in manifests:
@@ -462,6 +476,9 @@ def report(run_dir, out_file):
         merged.append(doc)
         violations += _count(doc, "violation_count", path)
         diverged += _count(doc, "diverged_runs", path) + int(bool(doc.get("diverged")))
+        acc = _final_acc(doc, path)
+        if acc is not None:
+            finals.append((path, acc))
     summary = {
         "run_dir": str(run_dir),
         "manifests": merged,
@@ -472,10 +489,8 @@ def report(run_dir, out_file):
         write_json(out_file, summary)
     click.echo(f"{len(merged)} manifests; {violations} theorem violations; "
                f"{diverged} diverged runs")
-    for doc in merged:
-        final = doc.get("final")
-        if final:
-            click.echo(f"  {doc['_path']}: final test_acc {final['test_acc']:.3f}")
+    for path, acc in finals:
+        click.echo(f"  {path}: final test_acc {acc:.3f}")
     if violations:
         sys.exit(EXIT_VIOLATION)
     if diverged:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -138,11 +139,11 @@ def gradient_variance_surface(network: CellNetwork, checkpoint, x, y,
     return LandscapeGrid(alphas, betas, values, mode, metadata or {})
 
 
-def export_grid(grid: LandscapeGrid, path, fmt="csv"):
-    """Write the grid as CSV rows alpha,beta,value (row-major) or as JSON with
-    metadata.  Overflow entries are the literals ``inf``/``nan`` in CSV and
-    ``null`` in JSON."""
-    if fmt == "csv":
+def export_grid(grid: LandscapeGrid, path):
+    """Write the grid as JSON with metadata when ``path`` ends in ``.json``,
+    else as CSV rows alpha,beta,value (row-major).  Overflow entries are the
+    literals ``inf``/``nan`` in CSV and ``null`` in JSON."""
+    if Path(path).suffix != ".json":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["alpha", "beta", "value"])
@@ -152,7 +153,7 @@ def export_grid(grid: LandscapeGrid, path, fmt="csv"):
                         [repr(float(alpha)), repr(float(beta)),
                          repr(float(grid.values[a, b]))]
                     )
-    elif fmt == "json":
+    else:
         doc = {
             "kind": grid.kind,
             "alphas": [float(v) for v in grid.alphas],
@@ -162,5 +163,3 @@ def export_grid(grid: LandscapeGrid, path, fmt="csv"):
             "metadata": grid.metadata,
         }
         write_json(path, doc)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")

@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DegeneratePair, DimensionMismatch, InsufficientSamples
 
+SMOOTHNESS_SLACK = 1e-9  # float round-off allowed over the smoothness bound
+SE_FACTOR = 3.0  # standard errors of the variance estimate allowed over its bound
+
 
 @dataclass
 class LinearCellModel:
@@ -160,10 +163,11 @@ def _ball_perturbation(rng, shape, radius):
     return g * (radius * u / norm)
 
 
-def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200, radius=None,
-                            slack=1e-9):
+def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     """Empirical block-i Lipschitz constant of the chained model vs the bound
     (prod_{j<i} lambda_j) * ||x||^2 inherited from the widest quadratic.
+    Each trial draws two points in the Frobenius ball of radius 0.1 * ||W(i)||
+    (0.1 when W(i) = 0) around W(i).
 
     The block-i gradient is affine in W(i): g(W1) - g(W2) = A D u u^T with
     D = W1 - W2, u = W(i-1)...W(1) x and A = sum_{k>=i} B_k^T B_k,
@@ -173,10 +177,7 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200, radius=No
     if trials < 1:
         raise ValueError("trials must be >= 1")
     x = _check_input(m, x)
-    if radius is None:
-        radius = 0.1 * np.linalg.norm(m.weights[i - 1])
-        if radius == 0.0:
-            radius = 0.1
+    radius = 0.1 * np.linalg.norm(m.weights[i - 1]) or 0.1
     lambdas = [spectral_norm(w) for w in m.weights]
     l_widest = float(x @ x)
     bound = float(np.prod(lambdas[: i - 1])) * l_widest
@@ -206,23 +207,21 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200, radius=No
         lambdas=lambdas,
         empirical=empirical,
         bound=bound,
-        violated=not empirical <= bound + slack,
-        slack=slack,
+        violated=not empirical <= bound + SMOOTHNESS_SLACK,
+        slack=SMOOTHNESS_SLACK,
         trials=trials,
         details={"radius": float(radius), "input_norm_sq": l_widest},
     )
 
 
-def verify_gradient_variance(m: LinearCellModel, i, rng, samples=2000,
-                             input_distribution=None, se_factor=3.0):
-    """Empirical block-i gradient variance of the chained model vs the bound
+def verify_gradient_variance(m: LinearCellModel, i, xs):
+    """Empirical block-i gradient variance of the chained model over the
+    input rows xs (S, d) vs the bound
     n * sum_{k>=i} (sigma_k * prod_{j<=k, j!=i} lambda_j)^2, with sigma_k
-    estimated on the widest model from the same input draws."""
-    if samples < 2:
-        raise InsufficientSamples(f"need >= 2 samples, got {samples}")
-    if input_distribution is None:
-        input_distribution = lambda rng, size, dim: rng.standard_normal((size, dim))
-    xs = np.asarray(input_distribution(rng, samples, m.dim), dtype=np.float64)
+    estimated on the widest model from the same inputs."""
+    xs = _check_batch(m, xs)
+    if len(xs) < 2:
+        raise InsufficientSamples(f"need >= 2 samples, got {len(xs)}")
 
     lambdas = [spectral_norm(w) for w in m.weights]
 
@@ -253,8 +252,8 @@ def verify_gradient_variance(m: LinearCellModel, i, rng, samples=2000,
         lambdas=lambdas,
         empirical=empirical,
         bound=bound,
-        violated=not empirical <= bound + se_factor * emp_se,
-        slack=se_factor * emp_se,
-        trials=samples,
+        violated=not empirical <= bound + SE_FACTOR * emp_se,
+        slack=SE_FACTOR * emp_se,
+        trials=len(xs),
         details={"standard_error": emp_se, "sigmas_sq": sigmas_sq},
     )

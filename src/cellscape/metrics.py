@@ -9,21 +9,10 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyConcat, InvalidSearchSpace
 from .genotype import CellDag
-
-
-@dataclass(frozen=True)
-class WidthDepthReport:
-    """Cell width (units of the per-node width c) and depth (edge count)."""
-
-    name: str
-    width_in_c: Fraction
-    depth: int
-    per_node_width: dict
 
 
 def cell_width(dag: CellDag) -> Fraction:
@@ -55,16 +44,6 @@ def cell_depth(dag: CellDag) -> int:
         node = m + i
         dist[node] = 1 + max(dist[s] for s in dag.sources_of(node))
     return 1 + max(dist[c] for c in dag.concat)
-
-
-def width_depth_report(dag: CellDag) -> WidthDepthReport:
-    per_node = per_node_widths(dag)
-    return WidthDepthReport(
-        name=dag.genotype.name,
-        width_in_c=sum(per_node.values(), Fraction(0)),
-        depth=cell_depth(dag),
-        per_node_width=per_node,
-    )
 
 
 def extremal_width_depth(n_total: int, num_inputs: int):

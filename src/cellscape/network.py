@@ -84,7 +84,7 @@ class CellNetwork:
                 f"network building supports exactly 2 input nodes, got {genotype.num_inputs}"
             )
         self.genotype = genotype
-        self.dag = validate_genotype(genotype)
+        validate_genotype(genotype)
         self.cfg = cfg
         self.layout = ParamLayout(self._param_shapes())
 
@@ -171,7 +171,5 @@ class CellNetwork:
         logits, tape, leaves = self.forward(x, params)
         loss = tape.softmax_cross_entropy(logits, y)
         ad.backward(tape, loss, keep_outputs=True)
-        # the loss is a batch mean: row i of each output gradient is 1/n of
-        # example i's own gradient
-        return ad.per_example_variance(tape, leaves, scale=len(y))
+        return ad.per_example_variance(tape, leaves)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import OptimizerState, cosine_lr, sgd_step
+from .autodiff import cosine_lr, sgd_step
 from .data import Dataset
 from .network import CellNetwork, NetworkConfig
 from .rng import stream
@@ -78,7 +78,7 @@ def train(network: CellNetwork, dataset: Dataset, cfgs):
     if any(replace(c, lr=cfg.lr, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("lockstep members may differ only in lr and seed")
     params = np.stack([network.init_params(stream(c.seed, "init")) for c in cfgs])
-    state = OptimizerState(velocity=np.zeros_like(params))
+    velocity = np.zeros_like(params)
     shuffles = [stream(c.seed, "shuffle") for c in cfgs]
     traces = [TrainTrace() for _ in cfgs]
     live = list(range(len(cfgs)))  # member index -> config index
@@ -116,7 +116,7 @@ def train(network: CellNetwork, dataset: Dataset, cfgs):
                        for p in params])
         for epoch in range(cfg.epochs):
             live = [live[j] for j in keep]
-            params, state.velocity = params[keep], state.velocity[keep]
+            params, velocity = params[keep], velocity[keep]
             if not live:
                 return traces
             lrs = [cosine_lr(epoch, cfg.epochs, cfgs[k].lr) for k in live]
@@ -135,10 +135,10 @@ def train(network: CellNetwork, dataset: Dataset, cfgs):
                     live, lrs = [live[j] for j in keep], [lrs[j] for j in keep]
                     epoch_losses = [epoch_losses[j] for j in keep]
                     orders, loss, grads = orders[keep], loss[keep], grads[keep]
-                    params, state.velocity = params[keep], state.velocity[keep]
+                    params, velocity = params[keep], velocity[keep]
                 for losses, value in zip(epoch_losses, loss):
                     losses.append(value)
-                params, state = sgd_step(params, grads, state, lrs)
+                params, velocity = sgd_step(params, grads, velocity, lrs)
             keep = record(epoch + 1, lrs, [float(np.mean(losses)) for losses in epoch_losses])
 
     for j in keep:

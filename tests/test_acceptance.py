@@ -169,7 +169,7 @@ def test_criterion_04_theorem2_reporting(tmp_path):
         m = random_model(n, d, rng)
         x = rng.standard_normal(d)
         for i in range(1, n + 1):
-            r = verify_block_smoothness(m, x, i, rng, trials=200, slack=1e-9)
+            r = verify_block_smoothness(m, x, i, rng, trials=200)
             total += 1
             violated += r.violated
             # the harness may never misreport in either direction
@@ -202,7 +202,7 @@ def test_criterion_05_theorem3():
         d = int(rng.integers(2, 9))
         m = random_model(n, d, rng)
         for i in range(1, n + 1):
-            r = verify_gradient_variance(m, i, rng, samples=2000)
+            r = verify_gradient_variance(m, i, rng.standard_normal((2000, d)))
             total += 1
             violated += r.violated
             assert r.violated == (r.empirical > r.bound + r.slack)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellscape.autodiff import (
-    OptimizerState,
     REGISTRY,
     Tape,
     Value,
@@ -299,7 +298,7 @@ def test_member_axis_mismatch_raises_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         t.softmax_cross_entropy(h, np.zeros(4, dtype=int))
     with pytest.raises(ShapeMismatch):
-        sgd_step(np.ones((3, 2)), np.ones((3, 2)), OptimizerState(), lr=[0.1, 0.2])
+        sgd_step(np.ones((3, 2)), np.ones((3, 2)), 0.0, lr=[0.1, 0.2])
 
 
 def test_forward_determinism():
@@ -318,56 +317,55 @@ def test_forward_determinism():
 
 
 def test_sgd_plain_step():
+    # v1 = 1 + 3e-4 * 1 = 1.0003, w1 = 1 - 0.1 * 1.0003 = 0.89997
     params = np.array([1.0])
     grads = np.array([1.0])
-    state = OptimizerState(momentum=0.0, weight_decay=0.0)
-    params, state = sgd_step(params, grads, state, lr=0.1)
-    assert np.allclose(params, 0.9)
+    params, velocity = sgd_step(params, grads, 0.0, lr=0.1)
+    assert np.allclose(params, 0.89997)
 
 
 def test_sgd_momentum_two_steps():
-    # v1 = 1, w1 = -0.1; v2 = 0.9 + 1 = 1.9, w2 = -0.1 - 0.19 = -0.29
+    # v1 = 1, w1 = -0.1; v2 = 0.9 * 1 + (1 + 3e-4 * -0.1) = 1.89997,
+    # w2 = -0.1 - 0.189997 = -0.289997
     params = np.array([0.0])
     grads = np.array([1.0])
-    state = OptimizerState(momentum=0.9, weight_decay=0.0)
-    params, state = sgd_step(params, grads, state, lr=0.1)
-    params, state = sgd_step(params, grads, state, lr=0.1)
-    assert np.allclose(params, -0.29)
+    params, velocity = sgd_step(params, grads, 0.0, lr=0.1)
+    params, velocity = sgd_step(params, grads, velocity, lr=0.1)
+    assert np.allclose(params, -0.289997)
 
 
-def test_sgd_zero_gradient_zero_decay():
+def test_sgd_zero_gradient_only_decays():
+    # v = 3e-4 * w = (6e-4, -9e-4), w - 0.5 * v = (1.9997, -2.99955)
     params = np.array([2.0, -3.0])
     grads = np.zeros(2)
-    state = OptimizerState(momentum=0.9, weight_decay=0.0)
-    params, _ = sgd_step(params, grads, state, lr=0.5)
-    assert np.array_equal(params, np.array([2.0, -3.0]))
+    params, _ = sgd_step(params, grads, 0.0, lr=0.5)
+    assert np.array_equal(params, np.array([1.9997, -2.99955]))
 
 
 def test_sgd_weight_decay_pulls_to_zero():
+    # v = 3e-4 * 1, w = 1 - 1.0 * 3e-4 = 0.9997
     params = np.array([1.0])
     grads = np.zeros(1)
-    state = OptimizerState(momentum=0.0, weight_decay=0.1)
-    params, _ = sgd_step(params, grads, state, lr=1.0)
-    assert np.allclose(params, 0.9)
+    params, _ = sgd_step(params, grads, 0.0, lr=1.0)
+    assert np.allclose(params, 0.9997)
 
 
 def test_sgd_shape_mismatch():
-    state = OptimizerState()
     with pytest.raises(ShapeMismatch):
-        sgd_step(np.ones(3), np.ones(4), state, lr=0.1)
+        sgd_step(np.ones(3), np.ones(4), 0.0, lr=0.1)
 
 
 def test_sgd_one_lr_per_member_matches_scalar_steps():
     rng = np.random.default_rng(8)
     w, g = rng.standard_normal((3, 8)), rng.standard_normal((3, 8))
     lrs = [0.1, 0.025, 0.0]
-    stacked, state = w, OptimizerState()
+    stacked, velocity = w, 0.0
     for _ in range(2):
-        stacked, state = sgd_step(stacked, g, state, lr=lrs)
+        stacked, velocity = sgd_step(stacked, g, velocity, lr=lrs)
     for i, lr in enumerate(lrs):
-        single, state_i = w[i], OptimizerState()
+        single, velocity_i = w[i], 0.0
         for _ in range(2):
-            single, state_i = sgd_step(single, g[i], state_i, lr=lr)
+            single, velocity_i = sgd_step(single, g[i], velocity_i, lr=lr)
         assert np.array_equal(stacked[i], single)
 
 
@@ -393,15 +391,15 @@ def test_flat_sgd_matches_per_block_loop(darts):
     flat = rng.standard_normal((3, layout.size))
     lrs = [0.25, 0.025, 0.0025]
     blocks = {k: v.copy() for k, v in layout.views(flat).items()}
-    buffers, state = {}, OptimizerState()
+    buffers, velocity = {}, 0.0
     for _ in range(4):
         g = rng.standard_normal(flat.shape)
         g[:, :5] = -0.0  # signed zeros take the same path through both
-        flat, state = sgd_step(flat, g, state, lr=lrs)
+        flat, velocity = sgd_step(flat, g, velocity, lr=lrs)
         blocks = blockwise_sgd_step(blocks, layout.views(g), buffers, lrs)
     for name, view in layout.views(flat).items():
         assert np.array_equal(view, blocks[name]), name
-        assert np.array_equal(layout.views(state.velocity)[name], buffers[name]), name
+        assert np.array_equal(layout.views(velocity)[name], buffers[name]), name
 
 
 def test_cosine_schedule_endpoints():

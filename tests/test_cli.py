@@ -273,6 +273,23 @@ def test_compare_needs_two_genotypes(darts_file, tiny_spec, tmp_path):
     assert res.returncode == 2
 
 
+def test_compare_repeated_genotype_name_exit_2(tiny_spec, tmp_path):
+    # two copies of darts would share one ranking and one median name
+    gdir = tmp_path / "gens"
+    gdir.mkdir()
+    for copy in ("a", "b"):
+        save_genotype(load_fixture("darts"), gdir / f"{copy}.json")
+    save_genotype(load_fixture("snas"), gdir / "snas.json")
+    out = tmp_path / "cmp"
+    res = run_cli("compare", "--genotypes", gdir, "--dataset-spec", tiny_spec,
+                  "--layers", 1, "--dim", 5, "--seeds", 1, "--epochs", 1,
+                  "--out", out / "report.json")
+    assert res.returncode == 2
+    assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+    assert "['darts']" in res.stderr
+    assert not out.exists()
+
+
 # --- landscape ------------------------------------------------------------
 
 
@@ -339,7 +356,8 @@ def one_line(stderr):
     return len(stderr.strip().splitlines()) == 1 and "Traceback" not in stderr
 
 
-@pytest.mark.parametrize("damage", ["short header", "bad json", "short payload"])
+@pytest.mark.parametrize("damage", ["short header", "bad json", "short payload",
+                                    "trailing values"])
 def test_landscape_malformed_checkpoint_exit_1(darts_file, tiny_spec, darts_ckpt,
                                                tmp_path, damage):
     raw = darts_ckpt.read_bytes()
@@ -348,6 +366,7 @@ def test_landscape_malformed_checkpoint_exit_1(darts_file, tiny_spec, darts_ckpt
         "short header": raw[:3],
         "bad json": raw[:4] + b"[{oops" + raw[10:],
         "short payload": raw[:-16],
+        "trailing values": raw + np.ones(5, dtype="<f8").tobytes(),
     }[damage])
     res = tiny_landscape(bad, darts_file, tiny_spec, tmp_path / "g.csv")
     assert res.returncode == 1
@@ -418,6 +437,7 @@ def test_landscape_out_below_a_file_exit_2(darts_file, tiny_spec, darts_ckpt, tm
     ("theory", "--instances", 0), ("theory", "--instances", -1),
     ("compare", "--threshold", "nan"), ("compare", "--threshold", "inf"),
     ("compare", "--lrs", "0.025,0.025"),
+    ("theory", "--samples", 1), ("theory", "--scale", "nan"), ("theory", "--scale", "inf"),
 ])
 def test_numeric_flag_out_of_range_exit_1(darts_file, tiny_spec, darts_ckpt, tmp_path,
                                           command, flag, value):
@@ -550,8 +570,10 @@ def test_report_empty_dir_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "manifest", ["{oops", "[1, 2]", '{"violation_count": "x"}', '{"diverged_runs": 1.5}'],
-    ids=["not json", "json list", "text count", "fractional count"])
+    "manifest", ["{oops", "[1, 2]", '{"violation_count": "x"}', '{"diverged_runs": 1.5}',
+                 '{"final": {"x": 1}}', '{"final": "abc"}'],
+    ids=["not json", "json list", "text count", "fractional count", "final without test_acc",
+         "text final"])
 def test_report_bad_manifest_exit_1(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(manifest)
     res = run_cli("report", "--run-dir", tmp_path)

@@ -366,7 +366,7 @@ def test_export_json_overflow_tagging(tmp_path):
     values = np.array([[1.0, np.inf], [np.nan, 4.0]])
     grid = LandscapeGrid([-1.0, 1.0], [-1.0, 1.0], values, "loss")
     path = tmp_path / "grid.json"
-    export_grid(grid, path, fmt="json")
+    export_grid(grid, path)
     doc = json.loads(path.read_text())
     assert doc["values"][0][1] is None
     assert doc["overflow"] == [[False, True], [True, False]]

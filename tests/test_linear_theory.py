@@ -328,7 +328,7 @@ def test_smoothness_report_consistency():
 def test_variance_n1_models_coincide():
     rng = make_rng(13)
     m = random_model(1, 4, rng)
-    report = verify_gradient_variance(m, 1, rng, samples=500)
+    report = verify_gradient_variance(m, 1, rng.standard_normal((500, 4)))
     # n=1: bound = (sigma_1)^2 and the models are the same network
     assert report.bound == pytest.approx(report.details["sigmas_sq"][0])
     assert report.empirical == pytest.approx(report.details["sigmas_sq"][0])
@@ -339,10 +339,7 @@ def test_variance_point_mass_input_is_zero():
     rng = make_rng(14)
     m = random_model(2, 3, rng)
     fixed = rng.standard_normal(3)
-    report = verify_gradient_variance(
-        m, 1, rng, samples=100,
-        input_distribution=lambda r, s, d: np.tile(fixed, (s, 1)),
-    )
+    report = verify_gradient_variance(m, 1, np.tile(fixed, (100, 1)))
     assert report.empirical == pytest.approx(0.0, abs=1e-20)
     assert not report.violated
 
@@ -351,7 +348,7 @@ def test_variance_report_consistency():
     rng = make_rng(15)
     m = random_model(3, 4, rng)
     for i in (1, 2, 3):
-        r = verify_gradient_variance(m, i, rng, samples=400)
+        r = verify_gradient_variance(m, i, rng.standard_normal((400, 4)))
         assert r.violated == (r.empirical > r.bound + r.slack)
         assert r.bound >= 0.0
         assert r.empirical >= 0.0
@@ -365,7 +362,8 @@ def test_overflowing_checks_are_violations():
     x = rng.standard_normal(4)
     with np.errstate(over="ignore", invalid="ignore"):
         reports = [verify_block_smoothness(m, x, i, rng, trials=5) for i in (1, 2, 3)]
-        reports += [verify_gradient_variance(m, i, rng, samples=10) for i in (1, 2, 3)]
+        reports += [verify_gradient_variance(m, i, rng.standard_normal((10, 4)))
+                    for i in (1, 2, 3)]
     assert np.isnan(reports[0].empirical)
     for r in reports:
         assert not np.isfinite(r.empirical + r.bound) and r.violated
@@ -375,4 +373,4 @@ def test_variance_insufficient_samples():
     rng = make_rng(16)
     m = random_model(2, 3, rng)
     with pytest.raises(InsufficientSamples):
-        verify_gradient_variance(m, 1, rng, samples=1)
+        verify_gradient_variance(m, 1, rng.standard_normal((1, 3)))

@@ -13,7 +13,6 @@ from cellscape import (
     extremal_width_depth,
     load_fixture,
     validate_genotype,
-    width_depth_report,
 )
 from cellscape.errors import InvalidSearchSpace
 from cellscape.metrics import per_node_widths
@@ -76,11 +75,12 @@ def test_width_is_exact_rational(darts):
 
 
 def test_report_fields(darts):
-    report = width_depth_report(validate_genotype(darts))
-    assert report.name == "darts"
-    assert report.width_in_c == Fraction(7, 2)
-    assert report.depth == 3
-    assert sum(report.per_node_width.values()) == report.width_in_c
+    # the width, depth and per-node widths that analyze reports
+    dag = validate_genotype(darts)
+    assert dag.genotype.name == "darts"
+    assert cell_width(dag) == Fraction(7, 2)
+    assert cell_depth(dag) == 3
+    assert sum(per_node_widths(dag).values()) == cell_width(dag)
 
 
 def test_extremal_values():

@@ -70,3 +70,49 @@ def test_unraised_errors_are_found():
 def test_every_leaf_error_is_raised():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unraised_errors((SRC / "errors.py").read_text(), sources) == []
+
+
+def unpassed_defaults(sources):
+    """(function, parameter) for every keyword default of a function defined
+    in sources that no call in sources passes, by keyword or by position.
+    Calls are matched to definitions by name alone, ``__init__`` by its
+    class's name; a method's ``self`` is not a position of its calls."""
+    defaults, passed = [], {}
+    for tree in map(ast.parse, sources):
+        methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                fn = methods[id(node)] if node.name == "__init__" else node.name
+                args = node.args
+                positional = (args.posonlyargs + args.args)[id(node) in methods:]
+                first = len(positional) - len(args.defaults)
+                defaults += [(fn, i, a.arg) for i, a in enumerate(positional) if i >= first]
+                defaults += [(fn, None, a.arg)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                count = float("inf") if star else len(node.args)
+                keywords = {k.arg for k in node.keywords}
+                passed.setdefault(name, []).append((count, keywords))
+    return [(fn, param) for fn, index, param in defaults
+            if not any((index is not None and index < count) or param in keywords
+                       or None in keywords for count, keywords in passed.get(fn, []))]
+
+
+def test_unpassed_defaults_are_found():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    pass\n"
+              "class K:\n    def __init__(self, r=1):\n        pass\n"
+              "    def m(self, x=0, y=1):\n        pass\n"
+              "def g(p=0):\n    pass\n"
+              "f(0, 5)\nf(0, d=4)\nK(r=2).m(7)\ng(**{})\n")
+    assert unpassed_defaults([source]) == [("f", "c"), ("m", "y")]
+
+
+def test_every_keyword_default_is_passed_somewhere():
+    # a default that no call overrides is a constant posing as an option.
+    # The one exception is cli.main's argv: the installed console script
+    # calls main() with no arguments, and only tests pass a command line.
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unpassed_defaults(sources) == [("main", "argv")]
