@@ -12,13 +12,11 @@ from .genotype import (
     adapt_to_widest_shallowest,
     load_fixture,
     load_genotype,
-    rewire_to_chain,
     save_genotype,
     validate_genotype,
 )
 from .metrics import cell_depth, cell_width, extremal_width_depth
 from .sampler import (
-    SampleSpec,
     count_connection_variants,
     sample_connection_variant,
     sample_operation_variant,

@@ -1,8 +1,11 @@
-"""The one JSON writer of artifacts and manifests.  RFC 8259 has no inf or nan,
-so a non-finite float is written as ``null``, and ``allow_nan=False`` holds."""
+"""The one JSON writer of artifacts and manifests, and the one reader of input
+files.  RFC 8259 has no inf or nan, so a non-finite float is written as
+``null``, and ``allow_nan=False`` holds."""
 
 import json
 import math
+
+from .errors import ParseError
 
 
 def _finite_or_none(value):
@@ -24,3 +27,15 @@ def dump(doc, fh):
 def write_json(path, doc):
     with open(path, "w") as fh:
         dump(doc, fh)
+
+
+def read_json(path):
+    """The JSON document in the file at path; raises ParseError naming the
+    path when the file cannot be opened, is not UTF-8, or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -5,9 +5,8 @@ pass; ``backward`` replays the records in reverse to accumulate gradients.
 A tape made with ``record=False`` runs the same primitives forward only.
 ``per_example_variance`` reads per-example gradients off a recorded tape after
 one batched ``backward``.
-The desk-scale operation registry (linear / identity / zero) and the SGD
-optimizer with cosine annealing live here as well, since they operate on the
-same tensors.
+The SGD optimizer with cosine annealing lives here as well, since it operates
+on the same tensors.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,37 +214,6 @@ def per_example_variance(tape: Tape, leaves: dict) -> float:
         centred = per_example - per_example.mean(axis=0)
         total += float(np.sum(centred * centred)) / len(g)
     return total
-
-
-# --- desk-scale operation registry ---------------------------------------
-
-
-@dataclass(frozen=True)
-class OpDef:
-    kind: str
-    has_params: bool
-
-    def param_shape(self, dim):
-        return (dim, dim) if self.has_params else None
-
-    def apply(self, tape: Tape, x: Value, w: Value | None) -> Value:
-        if self.kind == "linear":
-            # pre-activation style: rectifier then dense map
-            return tape.dense(tape.relu(x), w)
-        if self.kind == "identity":
-            return x
-        if self.kind == "zero":
-            return tape.zeros_like(x)
-        raise AssertionError(self.kind)
-
-
-REGISTRY = {
-    "linear": OpDef("linear", has_params=True),
-    "identity": OpDef("identity", has_params=False),
-    "zero": OpDef("zero", has_params=False),
-}
-
-OPERATION_KINDS = frozenset(REGISTRY)
 
 
 def glorot_init(shape, rng):

@@ -9,7 +9,6 @@ divergence reported, 4 theorem-bound violation reported.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import sys
 import time
@@ -19,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .artifacts import dump, write_json
+from .artifacts import dump, read_json, write_json
 from .autodiff import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, make_dataset, spec_from_json
 from .errors import (
@@ -29,7 +28,6 @@ from .errors import (
     InvalidSpec,
     MissingManifest,
     ParseError,
-    TooLarge,
 )
 from .genotype import (
     adapt_to_widest_shallowest,
@@ -52,12 +50,7 @@ from .linear_theory import (
 from .metrics import cell_depth, cell_width, extremal_width_depth, per_node_widths
 from .network import CellNetwork, NetworkConfig
 from .rng import RNG_ALGORITHM, stream
-from .sampler import (
-    SampleSpec,
-    connection_space_counts,
-    count_connection_variants,
-    sample_variants,
-)
+from .sampler import connection_space_counts, count_connection_variants, sample_variants
 from .training import TrainConfig, compare_convergence, train
 
 EXIT_OK = 0
@@ -132,15 +125,9 @@ def variants(genotype_file, mode, count_, seed, ops, out_dir):
     """Sample random connection or operation variants of a genotype."""
     g = load_genotype(genotype_file)
     validate_genotype(g)
-    spec = SampleSpec(
-        mode=mode,
-        count=count_,
-        seed=seed,
-        operation_set=tuple(ops.split(",")) if mode == "operation" else (),
-    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sampled = sample_variants(g, spec)
+    sampled = sample_variants(g, mode, count_, seed, operation_set=tuple(ops.split(",")))
     artifacts = []
     entries = []
     for i, v in enumerate(sampled):
@@ -442,6 +429,14 @@ def _count(doc, key, path):
     return value
 
 
+def _flag(doc, key, path):
+    """A manifest's boolean flag ``key`` as 0 or 1, 0 when absent."""
+    value = doc.get(key, False)
+    if type(value) is not bool:
+        raise ParseError(f"{path}: {key} is not a boolean: {value!r}")
+    return int(value)
+
+
 def _final_acc(doc, path):
     """A manifest's final test accuracy, None when it has no ``final``."""
     if "final" not in doc:
@@ -466,16 +461,13 @@ def report(run_dir, out_file):
     violations = 0
     diverged = 0
     for path in manifests:
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ParseError(f"{path}: manifest is not a JSON object")
         doc["_path"] = str(path)
         merged.append(doc)
         violations += _count(doc, "violation_count", path)
-        diverged += _count(doc, "diverged_runs", path) + int(bool(doc.get("diverged")))
+        diverged += _count(doc, "diverged_runs", path) + _flag(doc, "diverged", path)
         acc = _final_acc(doc, path)
         if acc is not None:
             finals.append((path, acc))
@@ -508,7 +500,7 @@ def main(argv=None):
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
-    except (GenotypeError, InvalidSpec, InvalidSearchSpace, TooLarge) as exc:
+    except (GenotypeError, InvalidSpec, InvalidSearchSpace) as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     except (CellscapeError, OSError) as exc:

@@ -6,11 +6,11 @@ from the same stream after the train split, so the two are disjoint draws.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_json
 from .errors import InvalidSpec, ParseError
 from .rng import stream
 
@@ -84,11 +84,8 @@ def make_dataset(spec: DatasetSpec) -> Dataset:
 
 
 def spec_from_json(path) -> DatasetSpec:
+    doc = read_json(path)
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
         return DatasetSpec(**doc)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except (OSError, TypeError) as exc:
+    except TypeError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -22,15 +22,11 @@ class EmptyConcat(GenotypeError):
 
 
 class UnknownOperationKind(GenotypeError):
-    """An operation kind is not in the desk-scale registry."""
+    """An operation kind is not one of ``genotype.OPERATION_KINDS``."""
 
 
 class InvalidSearchSpace(CellscapeError):
     """(N, M) does not describe a valid cell search space."""
-
-
-class TooLarge(CellscapeError):
-    """An enumeration would exceed the configured size cap."""
 
 
 class DimensionMismatch(CellscapeError):

@@ -12,8 +12,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .artifacts import write_json
-from .autodiff import OPERATION_KINDS
+from .artifacts import read_json, write_json
 from .errors import (
     EmptyConcat,
     ForwardReference,
@@ -34,6 +33,9 @@ FIXTURE_NAMES = (
     "darts_conn3",
     "darts_conn4",
 )
+
+# the candidate operations; ``network.apply_op`` says what each computes
+OPERATION_KINDS = frozenset({"linear", "identity", "zero"})
 
 
 @dataclass(frozen=True)
@@ -157,14 +159,7 @@ def genotype_from_dict(d: dict) -> CellGenotype:
 
 def load_genotype(path) -> CellGenotype:
     """Load a genotype JSON file; raises ParseError on bad JSON or schema."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return genotype_from_dict(doc)
+    return genotype_from_dict(read_json(path))
 
 
 def save_genotype(g: CellGenotype, path):
@@ -205,14 +200,4 @@ def adapt_to_widest_shallowest(g: CellGenotype) -> CellGenotype:
             f"adaptation supports exactly 2 input nodes, got {g.num_inputs}"
         )
     return rewired(g, f"{g.name}_adapted", lambda i, node: range(len(node.ops)))
-
-
-def rewire_to_chain(g: CellGenotype) -> CellGenotype:
-    """Rewire every intermediate node after the first to its predecessor (plus
-    input 0), producing the deepest variant; ops and node order preserved."""
-    if g.num_inputs != 2:
-        raise UnsupportedInputCount(
-            f"rewiring supports exactly 2 input nodes, got {g.num_inputs}"
-        )
-    return rewired(g, f"{g.name}_chain", lambda i, node: (0, 1) if i == 0 else (i + 1, 0))
 

@@ -16,9 +16,22 @@ from itertools import zip_longest
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import REGISTRY, Tape, glorot_init
+from .autodiff import Tape, Value, glorot_init
 from .errors import DimensionMismatch, UnsupportedInputCount
 from .genotype import CellGenotype, validate_genotype
+
+
+def apply_op(tape: Tape, kind, x: Value, w: Value | None) -> Value:
+    """What an operation of ``kind`` computes from its source ``x``; only a
+    ``linear`` op reads its (dim, dim) weight ``w``."""
+    if kind == "linear":
+        # pre-activation style: rectifier then dense map
+        return tape.dense(tape.relu(x), w)
+    if kind == "identity":
+        return x
+    if kind == "zero":
+        return tape.zeros_like(x)
+    raise AssertionError(kind)
 
 
 @dataclass(frozen=True)
@@ -99,9 +112,8 @@ class CellNetwork:
         for layer in range(self.cfg.layers):
             for i, node in enumerate(self.genotype.nodes):
                 for slot, op in enumerate(node.ops):
-                    shape = REGISTRY[op.kind].param_shape(d)
-                    if shape is not None:
-                        shapes[f"cell{layer}.node{i}.op{slot}.w"] = shape
+                    if op.kind == "linear":
+                        shapes[f"cell{layer}.node{i}.op{slot}.w"] = (d, d)
         return shapes
 
     def init_params(self, rng):
@@ -131,7 +143,7 @@ class CellNetwork:
                 for slot, op in enumerate(node.ops):
                     src = node_vals[op.source]
                     w = leaves.get(f"cell{layer}.node{i}.op{slot}.w")
-                    parts.append(REGISTRY[op.kind].apply(tape, src, w))
+                    parts.append(apply_op(tape, op.kind, src, w))
                 acc = parts[0]
                 for p in parts[1:]:
                     acc = tape.add(acc, p)

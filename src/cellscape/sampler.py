@@ -14,30 +14,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
-from .errors import InvalidSearchSpace, TooLarge, UnknownOperationKind
-from .autodiff import OPERATION_KINDS
-from .genotype import CellGenotype, NodeSpec, OpSpec, rewired, validate_genotype
-
-ENUMERATION_CAP = 10**6
-MAX_ENUMERABLE_NODES = 5
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    mode: str  # "connection" | "operation"
-    count: int
-    seed: int
-    operation_set: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.mode not in ("connection", "operation"):
-            raise ValueError(f"mode must be connection|operation, got {self.mode!r}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.mode == "operation" and not self.operation_set:
-            raise ValueError("operation mode needs a non-empty operation_set")
+from .errors import InvalidSearchSpace, UnknownOperationKind
+from .genotype import OPERATION_KINDS, CellGenotype, NodeSpec, OpSpec, rewired, validate_genotype
+from .rng import stream
 
 
 def count_connection_variants(n_total, num_inputs):
@@ -58,15 +38,9 @@ def connection_space_counts(g: CellGenotype):
     sources, C(k + c - 1, c) ways, and the count is the product over kinds
     and nodes.
     formula: the closed-form count for the same (N, M).
-    Raises TooLarge when the cell has more than MAX_ENUMERABLE_NODES
-    intermediate nodes or raw exceeds ENUMERATION_CAP.
     """
     m = g.num_inputs
-    if len(g.nodes) > MAX_ENUMERABLE_NODES:
-        raise TooLarge(f"{len(g.nodes)} intermediate nodes exceed the enumeration guard")
     raw = math.prod((m + i) ** m for i in range(len(g.nodes)))
-    if raw > ENUMERATION_CAP:
-        raise TooLarge(f"slot-assignment space of size {raw} exceeds cap {ENUMERATION_CAP}")
     dedup = 1 if g.nodes else 0  # a cell with no nodes has no variants
     for i, node in enumerate(g.nodes):
         for c in Counter(op.kind for op in node.ops).values():
@@ -104,17 +78,21 @@ def sample_operation_variant(g: CellGenotype, operation_set, rng, name=None) -> 
     return out
 
 
-def sample_variants(g: CellGenotype, spec: SampleSpec):
-    """Deterministic sequence of ``spec.count`` variants from one seed."""
-    from .rng import stream
-
-    rng = stream(spec.seed, "sampling")
+def sample_variants(g: CellGenotype, mode, count, seed, operation_set=()):
+    """Deterministic sequence of ``count`` connection or operation variants
+    from one seed; operation mode draws kinds from ``operation_set``."""
+    if mode not in ("connection", "operation"):
+        raise ValueError(f"mode must be connection|operation, got {mode!r}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if mode == "operation" and not operation_set:
+        raise ValueError("operation mode needs a non-empty operation_set")
+    rng = stream(seed, "sampling")
     variants = []
-    for i in range(spec.count):
+    for i in range(count):
         name = f"{g.name}_variant_{i:03d}"
-        if spec.mode == "connection":
+        if mode == "connection":
             variants.append(sample_connection_variant(g, rng, name=name))
         else:
-            variants.append(sample_operation_variant(g, spec.operation_set, rng, name=name))
+            variants.append(sample_operation_variant(g, operation_set, rng, name=name))
     return variants
-

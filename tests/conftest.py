@@ -14,14 +14,21 @@ from cellscape import (
     cell_depth,
     cell_width,
     load_fixture,
-    rewire_to_chain,
     validate_genotype,
 )
 from cellscape.autodiff import Tape, Value
-from cellscape.errors import ParseError, ShapeMismatch, TooLarge
+from cellscape.errors import ParseError, ShapeMismatch, UnsupportedInputCount
+from cellscape.genotype import rewired
 from cellscape.landscape import LandscapeGrid
 from cellscape.linear_theory import LinearCellModel, _check_input, grad_narrowest_batch
-from cellscape.sampler import ENUMERATION_CAP, connection_space_counts
+from cellscape.sampler import connection_space_counts
+
+# slot assignments beyond which the enumeration oracle refuses to run
+ENUMERATION_CAP = 10**6
+
+
+class TooLarge(Exception):
+    """The enumeration oracle's slot-assignment space exceeds its cap."""
 
 
 class LossTape(Tape):
@@ -133,6 +140,16 @@ def _one_kind_cell(n, name, kind, num_inputs) -> CellGenotype:
     return CellGenotype(name, num_inputs, (NodeSpec((OpSpec(kind, 0),) * num_inputs),) * n)
 
 
+def rewire_to_chain(g: CellGenotype) -> CellGenotype:
+    """Rewire every intermediate node after the first to its predecessor (plus
+    input 0), producing the deepest variant; ops and node order preserved."""
+    if g.num_inputs != 2:
+        raise UnsupportedInputCount(
+            f"rewiring supports exactly 2 input nodes, got {g.num_inputs}"
+        )
+    return rewired(g, f"{g.name}_chain", lambda i, node: (0, 1) if i == 0 else (i + 1, 0))
+
+
 def chain_cell(n, name="chain", kind="linear", num_inputs=2) -> CellGenotype:
     """Cell where node i sources node i-1 (and input 0), maximizing depth:
     ``rewire_to_chain`` of a cell of one op kind, so 2 input nodes only."""
@@ -152,8 +169,8 @@ def enumerate_connection_variants(g: CellGenotype, cap=ENUMERATION_CAP):
 
     Each of the n*M slots independently ranges over the slot's preceding
     nodes; assignments whose nodes hold the same multiset of (kind, source)
-    pairs are emitted once.  Raises TooLarge under the guards of
-    ``connection_space_counts`` or when the raw space exceeds the cap.
+    pairs are emitted once.  Raises TooLarge when the raw space exceeds the
+    cap.
     """
     m = g.num_inputs
     if not g.nodes:

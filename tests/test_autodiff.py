@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellscape.autodiff import (
-    REGISTRY,
     Tape,
     Value,
     backward,
@@ -21,7 +20,7 @@ from cellscape.autodiff import (
 )
 from cellscape.errors import DimensionMismatch, NoTape, ShapeMismatch, SharedParameter
 from cellscape.genotype import load_fixture
-from cellscape.network import CellNetwork, NetworkConfig, ParamLayout
+from cellscape.network import CellNetwork, NetworkConfig, ParamLayout, apply_op
 from conftest import LossTape, central_difference
 
 dims = st.integers(2, 16)
@@ -33,7 +32,7 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / denom
 
 
-# --- registry operations, finite-difference property tests ----------------
+# --- cell operations, finite-difference property tests --------------------
 
 
 @settings(max_examples=30, deadline=None)
@@ -47,12 +46,12 @@ def test_linear_op_matches_finite_differences(batch, d, seed):
 
     def loss_of_w(wv):
         t = LossTape()
-        out = REGISTRY["linear"].apply(t, t.leaf(x), t.leaf(wv))
+        out = apply_op(t, "linear", t.leaf(x), t.leaf(wv))
         return float(t.half_sum_sq(out).data)
 
     t = LossTape()
     w_leaf = t.leaf(w)
-    loss = t.half_sum_sq(REGISTRY["linear"].apply(t, t.leaf(x), w_leaf))
+    loss = t.half_sum_sq(apply_op(t, "linear", t.leaf(x), w_leaf))
     backward(t, loss)
     fd = central_difference(loss_of_w, w, 1e-4)
     assert rel_err(w_leaf.grad, fd) <= 1e-5
@@ -68,12 +67,12 @@ def test_linear_op_input_gradient(batch, d, seed):
 
     def loss_of_x(xv):
         t = LossTape()
-        out = REGISTRY["linear"].apply(t, t.leaf(xv), t.leaf(w))
+        out = apply_op(t, "linear", t.leaf(xv), t.leaf(w))
         return float(t.half_sum_sq(out).data)
 
     t = LossTape()
     x_leaf = t.leaf(x)
-    loss = t.half_sum_sq(REGISTRY["linear"].apply(t, x_leaf, t.leaf(w)))
+    loss = t.half_sum_sq(apply_op(t, "linear", x_leaf, t.leaf(w)))
     backward(t, loss)
     fd = central_difference(loss_of_x, x, 1e-4)
     assert rel_err(x_leaf.grad, fd) <= 1e-5
@@ -82,14 +81,14 @@ def test_linear_op_input_gradient(batch, d, seed):
 def test_identity_op_passthrough():
     t = Tape()
     x = t.leaf(np.arange(6.0).reshape(2, 3))
-    out = REGISTRY["identity"].apply(t, x, None)
+    out = apply_op(t, "identity", x, None)
     assert out is x
 
 
 def test_zero_op_output_and_gradient():
     t = LossTape()
     x = t.leaf(np.ones((3, 4)))
-    out = REGISTRY["zero"].apply(t, x, None)
+    out = apply_op(t, "zero", x, None)
     loss = t.half_sum_sq(out)
     backward(t, loss)
     assert np.all(out.data == 0.0)

@@ -5,9 +5,18 @@ import sys
 import numpy as np
 import pytest
 
-from cellscape import CellNetwork, NetworkConfig, load_fixture, save_genotype
+from cellscape import (
+    CellGenotype,
+    CellNetwork,
+    NetworkConfig,
+    NodeSpec,
+    OpSpec,
+    load_fixture,
+    save_genotype,
+)
 from cellscape.autodiff import load_checkpoint, save_checkpoint
 from cellscape.rng import stream
+from conftest import rewire_to_chain
 
 
 def run_cli(*args):
@@ -125,6 +134,26 @@ def test_count_with_enumeration(darts_file):
     assert "120" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "num_inputs, nodes, raw, dedup, formula",
+    [(2, 6, 25_401_600, 1_587_600, 5_040), (3, 5, 16_003_008_000, 32_928_000, 2_520)],
+    ids=["6 nodes", "5 nodes of 3 inputs"])
+def test_count_enumerate_large_cell(tmp_path, num_inputs, nodes, raw, dedup, formula):
+    # every node takes one linear op from each input node
+    ops = tuple(OpSpec("linear", j) for j in range(num_inputs))
+    path = tmp_path / "wide.json"
+    save_genotype(CellGenotype("wide", num_inputs, (NodeSpec(ops),) * nodes), path)
+    res = run_cli("count", "--nodes", 9, "--inputs", num_inputs, "--enumerate",
+                  "--genotype", path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (
+        f"formula (N-2)!/(M-1)! for N=9, M={num_inputs}: {formula}\n"
+        f"slot assignments (raw): {raw}\n"
+        f"slot assignments (deduplicated): {dedup}\n"
+        f"formula for this genotype's (N=9, M={num_inputs}): {formula}\n"
+    )
+
+
 def test_count_enumerate_without_genotype_exit_1():
     res = run_cli("count", "--nodes", 7, "--enumerate")
     assert res.returncode == 1
@@ -204,8 +233,6 @@ def test_train_reproducible_artifacts(darts_file, tiny_spec, tmp_path):
 
 def test_train_divergence_exit_3(tmp_path):
     # deep chain at lr 0.25 on the default-scale dataset diverges
-    from cellscape.genotype import rewire_to_chain
-
     chain_file = tmp_path / "chain.json"
     save_genotype(rewire_to_chain(load_fixture("darts")), chain_file)
     out = tmp_path / "div"
@@ -248,8 +275,6 @@ def test_compare_small(darts_file, tiny_spec, tmp_path):
 def test_compare_divergence_prints_no_warnings(tmp_path):
     # the chain variant diverges at lr 0.25; non-finite losses are results
     # there, so numpy must not warn about them
-    from cellscape.genotype import rewire_to_chain
-
     gdir = tmp_path / "gens"
     gdir.mkdir()
     for g in (load_fixture("darts"), rewire_to_chain(load_fixture("darts"))):
@@ -571,11 +596,30 @@ def test_report_empty_dir_exit_2(tmp_path):
 
 @pytest.mark.parametrize(
     "manifest", ["{oops", "[1, 2]", '{"violation_count": "x"}', '{"diverged_runs": 1.5}',
-                 '{"final": {"x": 1}}', '{"final": "abc"}'],
+                 '{"final": {"x": 1}}', '{"final": "abc"}', '{"diverged": "false"}'],
     ids=["not json", "json list", "text count", "fractional count", "final without test_acc",
-         "text final"])
+         "text final", "text diverged"])
 def test_report_bad_manifest_exit_1(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(manifest)
     res = run_cli("report", "--run-dir", tmp_path)
+    assert res.returncode == 1
+    assert one_line(res.stderr) and res.stderr.startswith("parse error:"), res.stderr
+
+
+@pytest.mark.parametrize("case", ["genotype", "dataset spec", "manifest", "manifest directory"])
+def test_unreadable_input_file_exit_1(darts_file, tmp_path, case):
+    # a file that is not UTF-8, or a directory where a manifest file should be
+    bad = tmp_path / "run" / ("manifest.json" if case.startswith("manifest") else "bad.json")
+    bad.parent.mkdir()
+    if case == "manifest directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"name": "\xff"}')
+    args = {
+        "genotype": ("analyze", "--genotype", bad),
+        "dataset spec": ("train", "--genotype", darts_file, "--dataset-spec", bad,
+                         "--out-dir", tmp_path / "out"),
+    }.get(case, ("report", "--run-dir", bad.parent))
+    res = run_cli(*args)
     assert res.returncode == 1
     assert one_line(res.stderr) and res.stderr.startswith("parse error:"), res.stderr

@@ -9,7 +9,6 @@ from cellscape import (
     adapt_to_widest_shallowest,
     load_fixture,
     load_genotype,
-    rewire_to_chain,
     save_genotype,
     validate_genotype,
 )
@@ -22,7 +21,7 @@ from cellscape.errors import (
     UnsupportedInputCount,
 )
 from cellscape.genotype import FIXTURE_NAMES, genotype_from_dict, genotype_to_dict
-from conftest import all_input_cell, chain_cell
+from conftest import all_input_cell, chain_cell, rewire_to_chain
 
 
 def test_darts_fixture_is_valid(darts):

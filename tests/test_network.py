@@ -17,7 +17,6 @@ from cellscape import (
     compare_convergence,
     load_fixture,
     make_dataset,
-    rewire_to_chain,
     train,
     validate_genotype,
 )
@@ -29,6 +28,7 @@ from conftest import (
     cell_parameter_count,
     central_difference,
     chain_cell,
+    rewire_to_chain,
     spec_to_json,
 )
 

@@ -116,3 +116,36 @@ def test_every_keyword_default_is_passed_somewhere():
     # calls main() with no arguments, and only tests pass a command line.
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unpassed_defaults(sources) == [("main", "argv")]
+
+
+def package_imports(source):
+    """Modules of this package that source imports from, by bare name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = ("cellscape." if node.level else "") + (node.module or "")
+            if module.rstrip(".") == "cellscape":
+                found.update(a.name for a in node.names)
+            elif module.startswith("cellscape."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("cellscape."))
+    return found
+
+
+def test_package_imports_are_found():
+    source = ("from __future__ import annotations\nimport numpy as np\n"
+              "from . import autodiff as ad\nfrom .errors import ParseError\n"
+              "from cellscape.network import apply_op\nimport cellscape.training\n")
+    assert package_imports(source) == {"autodiff", "errors", "network", "training"}
+
+
+# the tape engine and everything built on it
+ENGINE = {"autodiff", "network", "training", "landscape", "linear_theory"}
+
+
+@pytest.mark.parametrize("name", ["genotype.py", "metrics.py", "sampler.py"])
+def test_topology_module_imports_no_engine(name):
+    # validating, measuring, counting and sampling cells needs no tape
+    assert package_imports((SRC / name).read_text()) & ENGINE == set()
