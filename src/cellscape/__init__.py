@@ -34,14 +34,12 @@ from .linear_theory import (
 from .network import CellNetwork, NetworkConfig
 from .data import Dataset, DatasetSpec, make_dataset
 from .training import (
-    ConvergenceReport,
     TrainConfig,
     TrainTrace,
     compare_convergence,
     train,
 )
 from .landscape import (
-    DirectionPair,
     LandscapeGrid,
     export_grid,
     gradient_variance_surface,

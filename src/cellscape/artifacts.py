@@ -1,7 +1,8 @@
-"""The one JSON writer of artifacts and manifests, and the one reader of input
-files.  RFC 8259 has no inf or nan, so a non-finite float is written as
-``null``, and ``allow_nan=False`` holds."""
+"""The one module that writes files, JSON, CSV or raw bytes, and the one
+reader of input files.  RFC 8259 has no inf or nan, so a non-finite float is
+written to JSON as ``null``, and ``allow_nan=False`` holds."""
 
+import csv
 import json
 import math
 
@@ -27,6 +28,21 @@ def dump(doc, fh):
 def write_json(path, doc):
     with open(path, "w") as fh:
         dump(doc, fh)
+
+
+def write_csv(path, header, rows):
+    """Write a header line, then one line per row; floats (numpy's too) as
+    their repr, which reads back exactly and gives ``inf`` and ``nan``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_bytes(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def read_json(path):

@@ -17,6 +17,7 @@ import struct
 
 import numpy as np
 
+from .artifacts import write_bytes
 from .errors import NoTape, ParseError, ShapeMismatch, SharedParameter
 
 
@@ -37,9 +38,9 @@ class Value:
 class Tape:
     """Ordered record of primitive applications, sufficient for one reverse pass.
 
-    With ``record=False`` every primitive returns its output before it builds
-    a backward closure, keeps a mask or pushes a record: the forward values
-    are the same, and ``backward`` on the tape raises ``NoTape``.
+    With ``record=False`` ``_push`` keeps no record, so the forward values are
+    the same, each backward closure is dropped uncalled, and ``backward`` on
+    the tape raises ``NoTape``.
     """
 
     def __init__(self, record=True):
@@ -51,8 +52,9 @@ class Tape:
         return Value(data)
 
     def _push(self, kind, out, inputs, backward):
-        self._records.append((kind, out, inputs, backward))
-        self._produced.add(id(out))
+        if self.record:
+            self._records.append((kind, out, inputs, backward))
+            self._produced.add(id(out))
         return out
 
     # --- primitives -------------------------------------------------------
@@ -64,8 +66,6 @@ class Tape:
             raise ShapeMismatch(f"dense: {x.data.shape} vs {w.data.shape}")
         _members("dense", x.data.shape[:-2], w.data.shape[:-2])
         out = Value(x.data @ np.swapaxes(w.data, -1, -2))
-        if not self.record:
-            return out
 
         def backward(g):
             return [g @ w.data, np.swapaxes(g, -1, -2) @ x.data]
@@ -76,8 +76,6 @@ class Tape:
         if a.data.shape != b.data.shape:
             raise ShapeMismatch(f"add: {a.data.shape} vs {b.data.shape}")
         out = Value(a.data + b.data)
-        if not self.record:
-            return out
         return self._push("add", out, [a, b], lambda g: [g, g])
 
     def add_bias(self, x: Value, b: Value) -> Value:
@@ -86,8 +84,6 @@ class Tape:
             raise ShapeMismatch(f"add_bias: {x.data.shape} vs {b.data.shape}")
         _members("add_bias", x.data.shape[:-2], b.data.shape[:-1])
         out = Value(x.data + b.data[..., None, :])
-        if not self.record:
-            return out
         return self._push("add_bias", out, [x, b], lambda g: [g, g.sum(axis=-2)])
 
     def relu(self, x: Value) -> Value:
@@ -96,14 +92,10 @@ class Tape:
         o = np.fmax(x.data, 0.0)
         o += 0.0
         out = Value(o)
-        if not self.record:
-            return out
         return self._push("relu", out, [x], lambda g: [g * (o > 0.0)])
 
     def zeros_like(self, x: Value) -> Value:
         out = Value(np.zeros_like(x.data))
-        if not self.record:
-            return out
         return self._push("zeros_like", out, [x], lambda g: [np.zeros_like(x.data)])
 
     def mean_of(self, parts) -> Value:
@@ -113,8 +105,6 @@ class Tape:
             if p.data.shape != shape:
                 raise ShapeMismatch("mean_of: mismatched part shapes")
         out = Value(sum(p.data for p in parts) / len(parts))
-        if not self.record:
-            return out
         inv = 1.0 / len(parts)
         return self._push("mean_of", out, list(parts), lambda g: [g * inv] * len(parts))
 
@@ -133,12 +123,9 @@ class Tape:
         logp = z - logsumexp
         n = lead[-1]
         out = Value(-np.take_along_axis(logp, idx, axis=-1)[..., 0].mean(axis=-1))
-        if not self.record:
-            return out
-        probs = np.exp(logp)
 
         def backward(g):
-            grad = probs - (idx == np.arange(probs.shape[-1]))
+            grad = np.exp(logp) - (idx == np.arange(logp.shape[-1]))
             return [g[..., None, None] * grad / n]
 
         return self._push("xent", out, [logits], backward)
@@ -156,10 +143,8 @@ def backward(tape: Tape, loss: Value, keep_outputs=False):
     """Run the reverse pass from ``loss``, filling ``grad`` on every reachable
     leaf.  Op outputs' gradients are dropped once replayed; ``keep_outputs``
     keeps those of ``dense`` and ``add_bias`` for ``per_example_variance``."""
-    if not tape.record:
-        raise NoTape("the tape was made with record=False")
     if id(loss) not in tape._produced:
-        raise NoTape("loss was not produced by this tape")
+        raise NoTape("loss was not produced by this tape, or the tape records nothing")
     for _, out, inputs, _ in tape._records:
         out.grad = None
         for v in inputs:
@@ -265,10 +250,8 @@ def save_checkpoint(params, path, layout):
     header = [{"name": name, "shape": list(shape), "offset": s.start}
               for name, (s, shape) in layout.blocks.items()]
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(np.ascontiguousarray(params, dtype="<f8").tobytes())
+    write_bytes(path, struct.pack("<I", len(header_bytes)) + header_bytes
+                + np.ascontiguousarray(params, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path, layout):

@@ -8,7 +8,6 @@ divergence reported, 4 theorem-bound violation reported.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 import time
@@ -18,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .artifacts import dump, read_json, write_json
+from .artifacts import dump, read_json, write_csv, write_json
 from .autodiff import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, make_dataset, spec_from_json
 from .errors import (
@@ -285,14 +284,8 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "train_loss", "test_loss", "test_acc"])
-        for row in trace.rows:
-            writer.writerow(
-                [row["epoch"], repr(row["lr"]), repr(row["train_loss"]),
-                 repr(row["test_loss"]), repr(row["test_acc"])]
-            )
+    columns = ["epoch", "lr", "train_loss", "test_loss", "test_acc"]
+    write_csv(trace_path, columns, [[row[c] for c in columns] for row in trace.rows])
     ckpt_path = out / "final.ckpt"
     save_checkpoint(trace.final_params, ckpt_path, net.layout)
     _write_manifest(out, [seed], ["trace.csv", "final.ckpt"], diverged=trace.diverged,
@@ -333,22 +326,16 @@ def compare(genotype_dir, lr_set, num_seeds, epochs, layers, dim, threshold,
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     seeds = list(range(num_seeds))
     cfg = TrainConfig(epochs=epochs)
-    report = compare_convergence(
+    doc = compare_convergence(
         genotypes, dataset, cfg, lr_set, seeds, net_cfg, threshold=threshold
     )
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    doc = report.to_dict()
-    doc["rankings"] = {repr(lr): report.ranking(lr) for lr in lr_set}
-    doc["medians"] = {
-        repr(lr): {name: report.median_epochs(name, lr) for name in doc["rankings"][repr(lr)]}
-        for lr in lr_set
-    }
     write_json(out_path, doc)
-    diverged = report.diverged_runs()
-    _write_manifest(out_path.parent, seeds, [out_path.name], diverged_runs=len(diverged))
+    diverged = sum(e["diverged"] for e in doc["entries"])
+    _write_manifest(out_path.parent, seeds, [out_path.name], diverged_runs=diverged)
     if diverged:
-        click.echo(f"{len(diverged)} runs diverged; report in {out_path}")
+        click.echo(f"{diverged} runs diverged; report in {out_path}")
         sys.exit(EXIT_DIVERGENCE)
     click.echo(f"report in {out_path}")
 

@@ -6,7 +6,8 @@ from the same stream after the train split, so the two are disjoint draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +29,13 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if f.type == "int" and not (real and isinstance(value, int)):
+                raise InvalidSpec(f"{f.name} must be an integer, not {value!r}")
+            if f.type == "float" and not (real and math.isfinite(value)):
+                raise InvalidSpec(f"{f.name} must be a finite number, not {value!r}")
         if self.kind not in ("gaussian-mixture", "spirals"):
             raise InvalidSpec(f"unknown dataset kind {self.kind!r}")
         if self.train_size < 1 or self.test_size < 1:

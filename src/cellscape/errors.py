@@ -46,10 +46,6 @@ class SharedParameter(CellscapeError):
     gradients are not one rank-1 term per example."""
 
 
-class DegeneratePair(CellscapeError):
-    """A sampled perturbation pair was identical and could not be resampled."""
-
-
 class InsufficientSamples(CellscapeError):
     """Too few Monte-Carlo samples for a variance estimate."""
 

@@ -15,51 +15,31 @@ tagged by ``LandscapeGrid.overflow_mask``, not clipped.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import write_csv, write_json
 from .errors import DimensionMismatch
 from .network import CellNetwork
 from .rng import stream
 
 
-@dataclass
-class DirectionPair:
-    """Two flat directions in a checkpoint's parameter layout."""
-
-    w1: np.ndarray
-    w2: np.ndarray
-    seed: int
-    normalization: str
-    zero_blocks: list = field(default_factory=list)
-
-
-def sample_directions(checkpoint, layout, seed, normalization="blockwise") -> DirectionPair:
-    """Draw both directions standard normal in ``layout`` order; with
-    ``blockwise`` normalization each block is rescaled to the checkpoint
-    block's Frobenius norm.  All-zero checkpoint blocks skip rescaling and
-    are recorded."""
+def sample_directions(checkpoint, layout, seed, normalization="blockwise"):
+    """Two flat directions ``(d1, d2)`` in ``layout`` order, both drawn
+    standard normal; with ``blockwise`` normalization each block is rescaled
+    to the checkpoint block's Frobenius norm, except that an all-zero
+    checkpoint block leaves its draw as it is."""
     if normalization not in ("blockwise", "none"):
         raise ValueError(f"normalization must be blockwise|none, got {normalization!r}")
     rng = stream(seed, "directions")
-    directions = [rng.standard_normal(layout.size) for _ in range(2)]
-    zero_blocks = []
+    d1, d2 = (rng.standard_normal(layout.size) for _ in range(2))
     if normalization == "blockwise":
         ref = layout.block_norms(checkpoint)
-        zero_blocks = [layout.names[i] for i in np.flatnonzero(ref == 0.0)]
-        for d in directions:
+        for d in (d1, d2):
             d *= np.repeat(np.where(ref == 0.0, 1.0, ref / layout.block_norms(d)), layout.sizes)
-    return DirectionPair(
-        w1=directions[0],
-        w2=directions[1],
-        seed=seed,
-        normalization=normalization,
-        zero_blocks=zero_blocks,
-    )
+    return d1, d2
 
 
 @dataclass
@@ -95,7 +75,7 @@ def grid_coordinates(points, extent):
 
 def _check_grid_inputs(network, checkpoint, pair, alphas, betas):
     need = (network.layout.size,)
-    for what, v in (("checkpoint", checkpoint), ("direction", pair.w1), ("direction", pair.w2)):
+    for what, v in (("checkpoint", checkpoint), *(("direction", d) for d in pair)):
         if np.shape(v) != need:
             raise DimensionMismatch(
                 f"{what} has shape {np.shape(v)}, the network's parameters {need}"
@@ -108,24 +88,26 @@ def _check_grid_inputs(network, checkpoint, pair, alphas, betas):
 def _grid(point, checkpoint, pair, alphas, betas):
     """``point(params)`` at every grid point, row by row.  Non-finite values
     are results here, kept and tagged, so numpy's overflow warnings are off."""
+    d1, d2 = pair
     values = np.empty((len(alphas), len(betas)))
     with np.errstate(over="ignore", invalid="ignore"):
         for a, alpha in enumerate(alphas):
             for b, beta in enumerate(betas):
-                values[a, b] = point(checkpoint + alpha * pair.w1 + beta * pair.w2)
+                values[a, b] = point(checkpoint + alpha * d1 + beta * d2)
     return values
 
 
-def loss_surface(network: CellNetwork, checkpoint, x, y, pair: DirectionPair,
+def loss_surface(network: CellNetwork, checkpoint, x, y, pair,
                  alphas, betas, metadata=None) -> LandscapeGrid:
-    """Mean loss over the split at every grid point (evaluation only)."""
+    """Mean loss over the split at every grid point (evaluation only), on the
+    slice that ``pair``, the directions ``(d1, d2)``, spans."""
     _check_grid_inputs(network, checkpoint, pair, alphas, betas)
     values = _grid(lambda p: network.evaluate(x, y, p)[0], checkpoint, pair, alphas, betas)
     return LandscapeGrid(alphas, betas, values, "loss", metadata or {})
 
 
 def gradient_variance_surface(network: CellNetwork, checkpoint, x, y,
-                              pair: DirectionPair, alphas, betas, mode="gradvar",
+                              pair, alphas, betas, mode="gradvar",
                               metadata=None) -> LandscapeGrid:
     """Total variance of per-instance gradients at every grid point; mode
     ``gradstd`` emits the elementwise square root."""
@@ -144,15 +126,9 @@ def export_grid(grid: LandscapeGrid, path):
     else as CSV rows alpha,beta,value (row-major).  Overflow entries are the
     literals ``inf``/``nan`` in CSV and ``null`` in JSON."""
     if Path(path).suffix != ".json":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "beta", "value"])
-            for a, alpha in enumerate(grid.alphas):
-                for b, beta in enumerate(grid.betas):
-                    writer.writerow(
-                        [repr(float(alpha)), repr(float(beta)),
-                         repr(float(grid.values[a, b]))]
-                    )
+        write_csv(path, ["alpha", "beta", "value"],
+                  ([alpha, beta, grid.values[a, b]] for a, alpha in enumerate(grid.alphas)
+                   for b, beta in enumerate(grid.betas)))
     else:
         doc = {
             "kind": grid.kind,

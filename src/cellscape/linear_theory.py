@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePair, DimensionMismatch, InsufficientSamples
+from .errors import DimensionMismatch, InsufficientSamples
 
 SMOOTHNESS_SLACK = 1e-9  # float round-off allowed over the smoothness bound
 SE_FACTOR = 3.0  # standard errors of the variance estimate allowed over its bound
@@ -167,7 +167,8 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     """Empirical block-i Lipschitz constant of the chained model vs the bound
     (prod_{j<i} lambda_j) * ||x||^2 inherited from the widest quadratic.
     Each trial draws two points in the Frobenius ball of radius 0.1 * ||W(i)||
-    (0.1 when W(i) = 0) around W(i).
+    (0.1 when W(i) = 0) around W(i); a trial whose pair is not finite gives
+    a nan ratio, so the block is reported as violated.
 
     The block-i gradient is affine in W(i): g(W1) - g(W2) = A D u u^T with
     D = W1 - W2, u = W(i-1)...W(1) x and A = sum_{k>=i} B_k^T B_k,
@@ -190,16 +191,13 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
         a = eye + w.T @ a @ w
     ratios = np.empty(trials)  # its max keeps a nan, which Python's max drops
     for t in range(trials):
-        for _attempt in range(10):
-            w1 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
-            w2 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
-            delta = w1 - w2
-            denom = np.linalg.norm(delta, ord=2)
-            if denom > 0.0:
-                break
-        else:
-            raise DegeneratePair("could not sample a distinct perturbation pair")
-        ratios[t] = np.linalg.norm(a @ (delta @ u)) * u_norm / denom
+        w1 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
+        w2 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
+        delta = w1 - w2
+        # once ||W(i)|| overflows the radius is inf and the pair is not
+        # finite: its ratio is nan, a violation, where the SVD would raise
+        ratios[t] = (np.linalg.norm(a @ (delta @ u)) * u_norm / np.linalg.norm(delta, ord=2)
+                     if np.isfinite(delta).all() else np.nan)
     empirical = float(ratios.max())
     return TheoremReport(
         theorem="block_smoothness",

@@ -60,7 +60,6 @@ class ParamLayout:
             self.blocks[name] = (slice(offset, offset + size), shape)
             offset += size
         self.size = offset
-        self.names = list(self.blocks)
         self.sizes = [s.stop - s.start for s, _ in self.blocks.values()]
 
     def views(self, flat):

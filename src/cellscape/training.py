@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,105 +79,79 @@ def train(network: CellNetwork, dataset: Dataset, cfgs):
     if any(replace(c, lr=cfg.lr, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("lockstep members may differ only in lr and seed")
     params = np.stack([network.init_params(stream(c.seed, "init")) for c in cfgs])
-    velocity = np.zeros_like(params)
     shuffles = [stream(c.seed, "shuffle") for c in cfgs]
     traces = [TrainTrace() for _ in cfgs]
-    live = list(range(len(cfgs)))  # member index -> config index
+    n = len(dataset.train_y)
+    starts = range(0, n, cfg.batch_size)
+    # every field holds one row per live member: its config index, params and
+    # velocity, and the epoch's lr, shuffle order, batch losses and gradients
+    live = SimpleNamespace(k=np.arange(len(cfgs)), params=params,
+                           velocity=np.zeros_like(params),
+                           lr=np.array([cosine_lr(0, max(cfg.epochs, 1), c.lr) for c in cfgs]))
 
     def row(k, epoch, lr, train_loss, test_loss, test_acc):
-        traces[k].rows.append({"epoch": epoch, "lr": lr, "train_loss": train_loss,
-                               "test_loss": test_loss, "test_acc": test_acc})
+        # Python floats, since a numpy scalar's repr would change trace.csv
+        traces[k].rows.append({"epoch": epoch, "lr": float(lr), "train_loss": float(train_loss),
+                               "test_loss": float(test_loss), "test_acc": float(test_acc)})
 
-    def diverge(finite, epoch, lrs):
+    def drop(finite, epoch):
         """Mark the members where ``finite`` is False diverged at ``epoch``,
-        keeping their parameters; the indices of the members that go on."""
+        keeping their parameters, and drop their rows; the count that go on."""
         for j in np.flatnonzero(~finite):
-            k = live[j]
+            k = live.k[j]
             traces[k].diverged = True
             traces[k].divergence_epoch = epoch
-            row(k, epoch, lrs[j], math.inf, math.inf, 0.0)
-            traces[k].final_params = params[j]
-        return np.flatnonzero(finite)
+            row(k, epoch, live.lr[j], math.inf, math.inf, 0.0)
+            traces[k].final_params = live.params[j]
+        vars(live).update({name: rows[finite] for name, rows in vars(live).items()})
+        return len(live.k)
 
-    def record(epoch, lrs, train_losses):
-        """Evaluate on the test split: a row per member, and ``diverge`` for
+    def evaluate(epoch, train_losses):
+        """Evaluate on the test split: a row per member, and ``drop`` for
         those whose test loss is not finite."""
-        test_loss, test_acc = network.evaluate(dataset.test_x, dataset.test_y, params)
+        test_loss, test_acc = network.evaluate(dataset.test_x, dataset.test_y, live.params)
         finite = np.isfinite(test_loss)
         for j in np.flatnonzero(finite):
-            row(live[j], epoch, lrs[j], train_losses[j], float(test_loss[j]),
-                float(test_acc[j]))
-        return diverge(finite, epoch, lrs)
+            row(live.k[j], epoch, live.lr[j], train_losses[j], test_loss[j], test_acc[j])
+        return drop(finite, epoch)
 
-    n = len(dataset.train_y)
     with np.errstate(over="ignore", invalid="ignore"):
         # one member at a time, so the 2000-row split sets no memory peak
-        keep = record(0, [cosine_lr(0, max(cfg.epochs, 1), c.lr) for c in cfgs],
-                      [float(network.evaluate(dataset.train_x, dataset.train_y, p)[0])
-                       for p in params])
+        if not evaluate(0, [network.evaluate(dataset.train_x, dataset.train_y, p)[0]
+                            for p in params]):
+            return traces
         for epoch in range(cfg.epochs):
-            live = [live[j] for j in keep]
-            params, velocity = params[keep], velocity[keep]
-            if not live:
-                return traces
-            lrs = [cosine_lr(epoch, cfg.epochs, cfgs[k].lr) for k in live]
-            orders = np.stack([shuffles[k].permutation(n) for k in live])
-            epoch_losses = [[] for _ in live]
-            for start in range(0, n, cfg.batch_size):
-                idx = orders[:, start : start + cfg.batch_size]
-                loss, grads = network.loss_and_grads(
-                    dataset.train_x[idx], dataset.train_y[idx], params
+            live.lr = np.array([cosine_lr(epoch, cfg.epochs, cfgs[k].lr) for k in live.k])
+            live.order = np.stack([shuffles[k].permutation(n) for k in live.k])
+            live.losses = np.empty((len(live.k), len(starts)))
+            for b, start in enumerate(starts):
+                idx = live.order[:, start : start + cfg.batch_size]
+                live.losses[:, b], live.grads = network.loss_and_grads(
+                    dataset.train_x[idx], dataset.train_y[idx], live.params
                 )
-                finite = np.isfinite(loss)
-                if not finite.all():
-                    keep = diverge(finite, epoch + 1, lrs)
-                    if not len(keep):
-                        return traces
-                    live, lrs = [live[j] for j in keep], [lrs[j] for j in keep]
-                    epoch_losses = [epoch_losses[j] for j in keep]
-                    orders, loss, grads = orders[keep], loss[keep], grads[keep]
-                    params, velocity = params[keep], velocity[keep]
-                for losses, value in zip(epoch_losses, loss):
-                    losses.append(value)
-                params, velocity = sgd_step(params, grads, velocity, lrs)
-            keep = record(epoch + 1, lrs, [float(np.mean(losses)) for losses in epoch_losses])
+                finite = np.isfinite(live.losses[:, b])
+                if not finite.all() and not drop(finite, epoch + 1):
+                    return traces
+                live.params, live.velocity = sgd_step(live.params, live.grads,
+                                                      live.velocity, live.lr)
+            if not evaluate(epoch + 1, live.losses.mean(axis=1)):
+                return traces
 
-    for j in keep:
-        traces[live[j]].final_params = params[j]
+    for k, p in zip(live.k, live.params):
+        traces[k].final_params = p
     return traces
 
 
-@dataclass
-class ConvergenceReport:
-    threshold: float
-    entries: list = field(default_factory=list)
-    # entries: dicts with genotype/lr/seed/epochs_to_threshold/area/diverged/final_acc
-
-    def median_epochs(self, genotype_name, lr):
-        vals = [
-            (math.inf if e["epochs_to_threshold"] is None else e["epochs_to_threshold"])
-            for e in self.entries
-            if e["genotype"] == genotype_name and e["lr"] == lr
-        ]
-        return statistics.median(vals) if vals else math.inf
-
-    def diverged_runs(self):
-        return [e for e in self.entries if e["diverged"]]
-
-    def ranking(self, lr):
-        names = sorted({e["genotype"] for e in self.entries})
-        return sorted(names, key=lambda name: self.median_epochs(name, lr))
-
-    def to_dict(self):
-        return {"threshold": self.threshold, "entries": self.entries}
-
-
 def compare_convergence(genotypes, dataset, cfg: TrainConfig, lr_set, seeds,
-                        net_cfg: NetworkConfig, threshold=None) -> ConvergenceReport:
+                        net_cfg: NetworkConfig, threshold=None):
     """Train every (genotype, lr, seed) combination and scalarize convergence.
 
     Convergence speed is measured as epochs-to-threshold on the test loss
     (None when never reached) plus the area under the test-loss curve.
+    Returns the report document: the threshold, one entry per run, and for
+    each lr (keyed by its repr) every genotype's median epochs-to-threshold,
+    inf when most runs never reach it, and the genotypes ranked by that
+    median, ties broken by name.
     """
     if len(genotypes) < 2:
         raise ValueError("need at least two genotypes to compare")
@@ -184,17 +159,25 @@ def compare_convergence(genotypes, dataset, cfg: TrainConfig, lr_set, seeds,
         raise ValueError("need at least one seed")
     if threshold is None:
         threshold = 0.5 * math.log(dataset.spec.num_classes)
-    report = ConvergenceReport(threshold=threshold)
+    entries = []
     members = [(lr, seed) for lr in lr_set for seed in seeds]
     for g in genotypes:
         traces = train(CellNetwork(g, net_cfg), dataset,
                        [replace(cfg, lr=lr, seed=seed) for lr, seed in members])
         for (lr, seed), trace in zip(members, traces):
-            report.entries.append({
+            entries.append({
                 "genotype": g.name, "lr": lr, "seed": seed,
                 "epochs_to_threshold": trace.epochs_to_threshold(threshold),
                 "area": trace.loss_curve_area(), "diverged": trace.diverged,
                 "divergence_epoch": trace.divergence_epoch,
                 "final_acc": trace.final_row["test_acc"],
             })
+    report = {"threshold": threshold, "entries": entries, "rankings": {}, "medians": {}}
+    for lr in lr_set:
+        medians = {name: statistics.median(
+            math.inf if e["epochs_to_threshold"] is None else e["epochs_to_threshold"]
+            for e in entries if e["genotype"] == name and e["lr"] == lr)
+            for name in sorted(g.name for g in genotypes)}
+        report["rankings"][repr(lr)] = sorted(medians, key=medians.get)
+        report["medians"][repr(lr)] = medians
     return report

@@ -38,7 +38,6 @@ from cellscape import (
 )
 from cellscape.autodiff import backward, cosine_lr, load_checkpoint, save_checkpoint
 from cellscape.genotype import FIXTURE_NAMES, OPERATION_KINDS, genotype_to_dict
-from cellscape.landscape import DirectionPair
 from cellscape.linear_theory import (
     grad_narrowest_batch,
     grad_widest_batch,
@@ -332,11 +331,7 @@ def test_criterion_08_landscape(tmp_path):
     oracle = float(np.mean(np.sum((stacked - stacked.mean(axis=0)) ** 2, axis=1)))
     assert abs(gv.values[0, 0] - oracle) <= 1e-10
 
-    flipped = DirectionPair(
-        w1=-pair.w1,
-        w2=-pair.w2,
-        seed=0, normalization="blockwise",
-    )
+    flipped = (-pair[0], -pair[1])
     mirrored = loss_surface(net, ckpt, x, y, flipped, coords, coords)
     assert np.array_equal(grid.values, mirrored.values[::-1, ::-1])
     emit("criterion 8 PASS: s(0,0) bit-exact, gradvar oracle within 1e-10, "

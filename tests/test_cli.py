@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -272,6 +273,39 @@ def test_compare_small(darts_file, tiny_spec, tmp_path):
     assert "medians" in doc
 
 
+def test_compare_medians_and_rankings_match_entries(tiny_spec, tmp_path):
+    # "a_twin" trains exactly as darts does, so their medians tie and the
+    # name breaks the tie; a cell of zero ops never reaches the threshold
+    darts = load_fixture("darts")
+    dead = CellGenotype(name="dead", num_inputs=2, concat=darts.concat, nodes=[
+        NodeSpec([OpSpec("zero", op.source) for op in node.ops]) for node in darts.nodes])
+    twin = CellGenotype(name="a_twin", num_inputs=2, nodes=darts.nodes, concat=darts.concat)
+    gdir = tmp_path / "gens"
+    gdir.mkdir()
+    for g in (darts, dead, twin):
+        save_genotype(g, gdir / f"{g.name}.json")
+    out = tmp_path / "cmp" / "report.json"
+    res = run_cli("compare", "--genotypes", gdir, "--lrs", "0.1,0.3", "--seeds", 2,
+                  "--epochs", 4, "--layers", 1, "--dim", 5, "--dataset-spec", tiny_spec,
+                  "--out", out)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(out.read_text())
+    names = ["a_twin", "darts", "dead"]
+    assert sorted(doc["rankings"]) == sorted(doc["medians"]) == ["0.1", "0.3"]
+    for key in doc["rankings"]:
+        medians = {}
+        for name in names:
+            epochs = sorted(math.inf if e["epochs_to_threshold"] is None
+                            else e["epochs_to_threshold"] for e in doc["entries"]
+                            if e["genotype"] == name and repr(e["lr"]) == key)
+            assert len(epochs) == 2
+            medians[name] = (epochs[0] + epochs[1]) / 2
+        assert doc["medians"][key] == {
+            name: None if m == math.inf else m for name, m in medians.items()}
+        assert doc["rankings"][key] == sorted(names, key=lambda n: (medians[n], n))
+        assert medians["a_twin"] == medians["darts"] < math.inf == medians["dead"]
+
+
 def test_compare_divergence_prints_no_warnings(tmp_path):
     # the chain variant diverges at lr 0.25; non-finite losses are results
     # there, so numpy must not warn about them
@@ -488,6 +522,22 @@ def test_numeric_flag_out_of_range_exit_1(darts_file, tiny_spec, darts_ckpt, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dim", "2.5"), ("train_size", "true"), ("num_classes", "4.0"), ("seed", '"0"'),
+    ("noise", "NaN"), ("radius", "Infinity"), ("noise", "false"), ("radius", '"8"'),
+], ids=["fractional dim", "boolean train_size", "float num_classes", "text seed",
+        "nan noise", "infinite radius", "boolean noise", "text radius"])
+def test_bad_dataset_spec_field_exit_2(darts_file, tmp_path, field, value):
+    # json.load reads NaN and Infinity, so only the spec's own check stops them
+    spec = tmp_path / "data.json"
+    spec.write_text(f'{{"{field}": {value}}}')
+    res = run_cli("train", "--genotype", darts_file, "--dataset-spec", spec, "--epochs", 1,
+                  "--layers", 1, "--dim", 4, "--out-dir", tmp_path / "out")
+    assert res.returncode == 2
+    assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+    assert field in res.stderr and not (tmp_path / "out").exists()
+
+
 # --- JSON artifacts and manifests -----------------------------------------
 
 
@@ -509,9 +559,12 @@ def test_diverging_runs_write_strict_json(darts_file, tiny_spec, tmp_path):
                     "--out", tmp_path / "compare" / "report.json")),
         (3, run_cli("train", "--genotype", darts_file, *net, "--lr", "1e300",
                     "--out-dir", tmp_path / "train")),
-        (4, run_cli("theory", "--scale", "1e120", "--instances", 1, "--trials", 5,
-                    "--samples", 10, "--out", tmp_path / "theory" / "report.json")),
     ]
+    # at 1e154 and beyond ||W(i)|| overflows, so the perturbation pairs do too
+    scales = {"theory": "1e120", "theory154": "1e154", "theory-200": "-1e200"}
+    runs += [(4, run_cli("theory", "--scale", scale, "--instances", 1, "--trials", 5,
+                         "--samples", 10, "--out", tmp_path / name / "report.json"))
+             for name, scale in scales.items()]
     for code, res in runs:
         assert (res.returncode, res.stderr) == (code, ""), res.stderr
     docs = {str(p.relative_to(tmp_path)): strict_json(p) for p in tmp_path.rglob("*.json")}
@@ -521,10 +574,12 @@ def test_diverging_runs_write_strict_json(darts_file, tiny_spec, tmp_path):
     assert all(e["diverged"] and e["area"] is None for e in entries)
     assert docs["train/manifest.json"]["final"]["test_loss"] is None
     # every block's overflowing check is a violation, not a pass
-    theory = docs["theory/report.json"]
-    assert theory["violation_count"] == 3 == docs["theory/manifest.json"]["violation_count"]
-    for block in theory["results"][0]["blocks"]:
-        assert block["variance"]["empirical"] is None and block["variance"]["violated"]
+    for name in scales:
+        theory = docs[f"{name}/report.json"]
+        assert theory["violation_count"] == 3 == docs[f"{name}/manifest.json"]["violation_count"]
+        for block in theory["results"][0]["blocks"]:
+            assert block["variance"]["empirical"] is None and block["variance"]["violated"]
+            assert block["smoothness"]["empirical"] is None and block["smoothness"]["violated"]
 
 
 def test_manifest_flags_are_the_command_line(darts_file, tmp_path):

@@ -16,7 +16,7 @@ from cellscape import (
     sample_directions,
 )
 from cellscape.errors import DimensionMismatch
-from cellscape.landscape import DirectionPair, LandscapeGrid
+from cellscape.landscape import LandscapeGrid
 from cellscape.network import ParamLayout
 from cellscape.rng import stream
 from conftest import load_grid_csv
@@ -64,7 +64,7 @@ def blockwise_directions(checkpoint, seed, normalization):
 def blockwise_shifted(layout, checkpoint, pair, alpha, beta):
     """checkpoint + alpha*d1 + beta*d2 block by block, as the per-name grid
     point did, packed back into one flat vector."""
-    c, d1, d2 = (layout.views(v) for v in (checkpoint, pair.w1, pair.w2))
+    c, d1, d2 = (layout.views(v) for v in (checkpoint, *pair))
     return np.concatenate([(c[k] + alpha * d1[k] + beta * d2[k]).ravel() for k in c])
 
 
@@ -74,7 +74,7 @@ def blockwise_shifted(layout, checkpoint, pair, alpha, beta):
 def test_directions_match_block_norms(setup):
     net, _, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=1)
-    for d in (pair.w1, pair.w2):
+    for d in pair:
         assert d.shape == ckpt.shape
         for name, block in blocks(net, ckpt).items():
             ref = np.linalg.norm(block)
@@ -86,15 +86,17 @@ def test_directions_deterministic(setup):
     net, _, ckpt = setup
     a = sample_directions(ckpt, net.layout, seed=3)
     b = sample_directions(ckpt, net.layout, seed=3)
-    assert np.array_equal(a.w1, b.w1)
-    assert np.array_equal(a.w2, b.w2)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
-def test_directions_zero_block_recorded(setup):
+def test_directions_zero_block_not_rescaled(setup):
     net, _, ckpt = setup
     blocks(net, ckpt)["stem.b"][:] = 0.0
     pair = sample_directions(ckpt, net.layout, seed=0)
-    assert "stem.b" in pair.zero_blocks
+    raw = sample_directions(ckpt, net.layout, seed=0, normalization="none")
+    for d, r in zip(pair, raw):
+        assert np.array_equal(blocks(net, d)["stem.b"], blocks(net, r)["stem.b"])
 
 
 @pytest.mark.parametrize("normalization", ["blockwise", "none"])
@@ -104,10 +106,9 @@ def test_flat_directions_match_blockwise_draws(setup, normalization):
     blocks(net, ckpt)["head.b"][:] = 0.0
     pair = sample_directions(ckpt, net.layout, seed=5, normalization=normalization)
     directions, zero_blocks = blockwise_directions(blocks(net, ckpt), 5, normalization)
-    for flat, by_name in zip((pair.w1, pair.w2), directions):
+    for flat, by_name in zip(pair, directions):
         for name, block in blocks(net, flat).items():
             assert np.array_equal(block, by_name[name]), name
-    assert pair.zero_blocks == zero_blocks
     assert zero_blocks == ([] if normalization == "none" else ["head.b", "stem.b"])
 
 
@@ -117,7 +118,7 @@ def test_directions_near_orthogonal():
     big = np.random.default_rng(0).standard_normal(layout.size)
     a = sample_directions(big, layout, seed=1)
     b = sample_directions(big, layout, seed=2)
-    va, vb = a.w1, b.w1
+    va, vb = a[0], b[0]
     cos = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
     assert abs(cos) < 0.1
 
@@ -125,10 +126,12 @@ def test_directions_near_orthogonal():
 def test_directions_norm_none(setup):
     net, _, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=1, normalization="none")
-    assert pair.normalization == "none"
+    rng = stream(1, "directions")
+    for d in pair:
+        assert np.array_equal(d, rng.standard_normal(net.layout.size))
     # unscaled standard-normal block will not match the checkpoint norm
     name = "stem.w"
-    assert np.linalg.norm(blocks(net, pair.w1)[name]) != pytest.approx(
+    assert np.linalg.norm(blocks(net, pair[0])[name]) != pytest.approx(
         np.linalg.norm(blocks(net, ckpt)[name]), abs=1e-6)
 
 
@@ -168,10 +171,7 @@ def test_loss_surface_single_instance_oracle(setup):
 def test_loss_surface_degenerate_direction_constant_rows(setup):
     net, ds, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=2)
-    dead = DirectionPair(
-        w1=pair.w1, w2=np.zeros_like(pair.w2),
-        seed=2, normalization="blockwise",
-    )
+    dead = (pair[0], np.zeros_like(pair[1]))
     coords = grid_coordinates(3, 0.5)
     grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, dead, coords, coords)
     for row in grid.values:
@@ -186,7 +186,7 @@ def test_loss_surface_matches_per_point_evaluate(setup):
     for a, alpha in enumerate(coords):
         for b, beta in enumerate(coords):
             shifted = blockwise_shifted(net.layout, ckpt, pair, alpha, beta)
-            assert np.array_equal(shifted, ckpt + alpha * pair.w1 + beta * pair.w2)
+            assert np.array_equal(shifted, ckpt + alpha * pair[0] + beta * pair[1])
             assert grid.values[a, b] == net.evaluate(ds.test_x, ds.test_y, shifted)[0]
 
 
@@ -201,8 +201,7 @@ def test_grid_requires_zero_coordinate(setup):
 def test_grid_rejects_mismatched_directions(setup):
     net, ds, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=2)
-    broken = DirectionPair(w1=np.ones(3), w2=pair.w2, seed=2,
-                           normalization="blockwise")
+    broken = (np.ones(3), pair[1])
     with pytest.raises(DimensionMismatch):
         loss_surface(net, ckpt, ds.test_x, ds.test_y, broken, [0.0], [0.0])
 
@@ -313,11 +312,7 @@ def test_gradstd_is_sqrt_of_gradvar(setup):
 def test_point_reflection_invariance(setup):
     net, ds, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=6)
-    flipped = DirectionPair(
-        w1=-pair.w1,
-        w2=-pair.w2,
-        seed=6, normalization="blockwise",
-    )
+    flipped = (-pair[0], -pair[1])
     coords = grid_coordinates(5, 0.5)
     x, y = ds.test_x[:8], ds.test_y[:8]
     grid = loss_surface(net, ckpt, x, y, pair, coords, coords)

@@ -355,18 +355,20 @@ def test_variance_report_consistency():
 
 
 def test_overflowing_checks_are_violations():
-    # at weight scale 1e120 the chained products overflow; a nan or inf
-    # estimate or bound is reported as a violation, never passed
-    rng = make_rng(17)
-    m = random_model(3, 4, rng, scale=1e120)
-    x = rng.standard_normal(4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        reports = [verify_block_smoothness(m, x, i, rng, trials=5) for i in (1, 2, 3)]
-        reports += [verify_gradient_variance(m, i, rng.standard_normal((10, 4)))
-                    for i in (1, 2, 3)]
-    assert np.isnan(reports[0].empirical)
-    for r in reports:
-        assert not np.isfinite(r.empirical + r.bound) and r.violated
+    # at weight scale 1e120 the chained products overflow, and at 1e154 so do
+    # ||W(i)|| and the perturbation pairs; a nan or inf estimate or bound is
+    # reported as a violation, never passed
+    for scale in (1e120, 1e154):
+        rng = make_rng(17)
+        m = random_model(3, 4, rng, scale=scale)
+        x = rng.standard_normal(4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = [verify_block_smoothness(m, x, i, rng, trials=5) for i in (1, 2, 3)]
+            reports += [verify_gradient_variance(m, i, rng.standard_normal((10, 4)))
+                        for i in (1, 2, 3)]
+        assert np.isnan(reports[0].empirical)
+        for r in reports:
+            assert not np.isfinite(r.empirical + r.bound) and r.violated
 
 
 def test_variance_insufficient_samples():

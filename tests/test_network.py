@@ -366,6 +366,44 @@ def test_lockstep_group_where_every_member_diverges(darts):
         assert_same_run(a, b)
 
 
+class Watched(CellNetwork):
+    """A network that notes where a one-member run first meets a non-finite
+    loss: a training batch's or the epoch's test loss."""
+
+    site = None
+
+    def loss_and_grads(self, x, y, params):
+        loss, grads = super().loss_and_grads(x, y, params)
+        if self.site is None and not np.all(np.isfinite(loss)):
+            self.site = "batch"
+        return loss, grads
+
+    def evaluate(self, x, y, params):
+        loss, acc = super().evaluate(x, y, params)
+        if self.site is None and not np.all(np.isfinite(loss)):
+            self.site = "test"
+        return loss, acc
+
+
+def test_lockstep_drops_members_at_either_divergence_site(darts):
+    # two batches per epoch: lr 1e10 first overflows a batch loss in epoch 2,
+    # lr 30 an epoch-3 test loss, and lr 1 never diverges
+    ds = make_dataset(TINY_DATA)
+    cfgs = [TrainConfig(lr=lr, epochs=4, batch_size=60, seed=seed)
+            for lr, seed in ((1e10, 0), (30.0, 1), (1.0, 0))]
+    with np.errstate(all="ignore"):
+        lockstep = train(CellNetwork(darts, SMALL), ds, cfgs)
+        singles, sites = [], []
+        for cfg in cfgs:
+            net = Watched(darts, SMALL)
+            singles += train(net, ds, [cfg])
+            sites.append(net.site)
+    assert sites == ["batch", "test", None]
+    assert [t.divergence_epoch for t in singles] == [2, 3, None]
+    for a, b in zip(lockstep, singles):
+        assert_same_run(a, b)
+
+
 def test_lockstep_members_differ_only_in_lr_and_seed(darts):
     ds = make_dataset(TINY_DATA)
     net = CellNetwork(darts, SMALL)
@@ -418,7 +456,7 @@ def test_compare_convergence_determinism(darts):
         [darts, renamed], ds, TrainConfig(epochs=3), lr_set=[0.025], seeds=[0],
         net_cfg=SMALL,
     )
-    by_name = {e["genotype"]: e for e in report.entries}
+    by_name = {e["genotype"]: e for e in report["entries"]}
     a, b = by_name["darts"], by_name["darts_copy"]
     assert a["epochs_to_threshold"] == b["epochs_to_threshold"]
     assert a["area"] == b["area"]

@@ -149,3 +149,29 @@ ENGINE = {"autodiff", "network", "training", "landscape", "linear_theory"}
 def test_topology_module_imports_no_engine(name):
     # validating, measuring, counting and sampling cells needs no tape
     assert package_imports((SRC / name).read_text()) & ENGINE == set()
+
+
+def write_opens(source):
+    """Lines of calls to the built-in ``open`` whose mode, its second
+    argument or ``mode=``, is not a literal read mode."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_write_opens_are_found():
+    source = ("open(p)\nopen(p, 'rb')\nopen(p, encoding='utf-8')\nopen(p, 'w')\n"
+              "open(p, mode='ab')\nopen(p, m)\nopen(p, 'r+')\nfh.read()\n")
+    assert write_opens(source) == [4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "artifacts.py"],
+                         ids=lambda p: p.name)
+def test_only_artifacts_opens_files_for_writing(path):
+    # one writer module, so how artifacts reach the disk is decided once
+    assert write_opens(path.read_text()) == []
