@@ -116,7 +116,7 @@ def analyze(genotype_file, out):
 @click.option("--genotype", "genotype_file", required=True, type=click.Path())
 @click.option("--mode", type=click.Choice(["connection", "operation"]), required=True)
 @click.option("--count", "count_", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--ops", default="linear,identity,zero", show_default=True,
               help="Candidate operation kinds for operation mode.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -173,7 +173,7 @@ def count(n_total, num_inputs, do_enumerate, genotype_file):
 @click.option("--trials", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--samples", type=click.IntRange(min=2), default=2000, show_default=True)
 @click.option("--instances", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--scale", type=float, default=1.0, show_default=True, callback=_finite,
               help="Weight scale of the random instances.")
 @click.option("--out", "out_file", required=True, type=click.Path())
@@ -270,7 +270,7 @@ def _dataset_and_network(dataset_spec_file, layers, dim):
               callback=_finite)
 @click.option("--epochs", type=click.IntRange(min=0), default=30, show_default=True)
 @click.option("--batch-size", type=click.IntRange(min=1), default=80, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path())
 def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
               dataset_spec_file, out_dir):
@@ -360,7 +360,7 @@ def _odd(ctx, param, value):
               default="blockwise", show_default=True)
 @click.option("--subset", type=click.IntRange(min=1), default=256, show_default=True,
               help="Held-out instances used for evaluation.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_file", required=True, type=click.Path())
 def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_points,
               extent, norm, layers, dim, subset, seed, out_file):

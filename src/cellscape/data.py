@@ -42,6 +42,8 @@ class DatasetSpec:
             raise InvalidSpec("train_size and test_size must be >= 1")
         if self.num_classes < 2 or self.dim < 2:
             raise InvalidSpec("need num_classes >= 2 and dim >= 2")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, not {self.seed}")
         if self.kind == "spirals" and self.noise < 0:
             raise InvalidSpec("noise must be >= 0")
 

@@ -2,8 +2,10 @@
 
 Two random directions in the checkpoint's flat parameter layout span the
 slice; each grid point evaluates the network at checkpoint + alpha*d1 + beta*d2.
-The loss surface is the mean loss over the split, from one forward pass per
-point that records no tape.  The gradient-variance surface is the total
+The loss surface is the mean loss over the split, from forward passes that
+record no tape; each pass evaluates up to ``ROWS // len(x)`` consecutive grid
+points (at least one) as member rows, and every value is bit-identical to a
+pass of that point alone.  The gradient-variance surface is the total
 variance (covariance trace) of per-instance parameter gradients, from one
 batched forward and backward pass per point: every parameter block feeds
 exactly one ``dense`` or ``add_bias``, so instance i's gradient is the rank-1
@@ -24,6 +26,11 @@ from .artifacts import write_csv, write_json
 from .errors import DimensionMismatch
 from .network import CellNetwork
 from .rng import stream
+
+# Cap on the rows (grid points x split rows) that one grid pass holds.  At
+# the default subset of 256, 512 puts 2 points in a pass; larger caps saved
+# more time per grid but raised the landscape run's peak memory.
+ROWS = 512
 
 
 def sample_directions(checkpoint, layout, seed, normalization="blockwise"):
@@ -85,16 +92,20 @@ def _check_grid_inputs(network, checkpoint, pair, alphas, betas):
             raise ValueError("grid coordinates must include 0")
 
 
-def _grid(point, checkpoint, pair, alphas, betas):
-    """``point(params)`` at every grid point, row by row.  Non-finite values
-    are results here, kept and tagged, so numpy's overflow warnings are off."""
+def _grid(point, split_rows, checkpoint, pair, alphas, betas):
+    """``point`` at every grid point.  The row-major points go in chunks of
+    ``max(1, ROWS // split_rows)`` as one (K, P) stack of parameter vectors, and
+    ``point`` returns their K values.  Non-finite values are results here,
+    kept and tagged, so numpy's overflow warnings are off."""
     d1, d2 = pair
-    values = np.empty((len(alphas), len(betas)))
+    grid_a, grid_b = (c.reshape(-1, 1) for c in np.meshgrid(alphas, betas, indexing="ij"))
+    per_pass = max(1, ROWS // split_rows)
+    values = np.empty(len(grid_a))
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, alpha in enumerate(alphas):
-            for b, beta in enumerate(betas):
-                values[a, b] = point(checkpoint + alpha * d1 + beta * d2)
-    return values
+        for start in range(0, len(values), per_pass):
+            a, b = grid_a[start:start + per_pass], grid_b[start:start + per_pass]
+            values[start:start + len(a)] = point(checkpoint + a * d1 + b * d2)
+    return values.reshape(len(alphas), len(betas))
 
 
 def loss_surface(network: CellNetwork, checkpoint, x, y, pair,
@@ -102,7 +113,8 @@ def loss_surface(network: CellNetwork, checkpoint, x, y, pair,
     """Mean loss over the split at every grid point (evaluation only), on the
     slice that ``pair``, the directions ``(d1, d2)``, spans."""
     _check_grid_inputs(network, checkpoint, pair, alphas, betas)
-    values = _grid(lambda p: network.evaluate(x, y, p)[0], checkpoint, pair, alphas, betas)
+    values = _grid(lambda stack: network.evaluate(x, y, stack)[0], len(x), checkpoint,
+                   pair, alphas, betas)
     return LandscapeGrid(alphas, betas, values, "loss", metadata or {})
 
 
@@ -114,8 +126,8 @@ def gradient_variance_surface(network: CellNetwork, checkpoint, x, y,
     if mode not in ("gradvar", "gradstd"):
         raise ValueError(f"mode must be gradvar|gradstd, got {mode!r}")
     _check_grid_inputs(network, checkpoint, pair, alphas, betas)
-    values = _grid(lambda p: network.gradient_variance(x, y, p), checkpoint, pair,
-                   alphas, betas)
+    values = _grid(lambda stack: [network.gradient_variance(x, y, p) for p in stack],
+                   len(x), checkpoint, pair, alphas, betas)
     if mode == "gradstd":
         values = np.sqrt(values)
     return LandscapeGrid(alphas, betas, values, mode, metadata or {})

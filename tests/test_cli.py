@@ -497,6 +497,8 @@ def test_landscape_out_below_a_file_exit_2(darts_file, tiny_spec, darts_ckpt, tm
     ("compare", "--threshold", "nan"), ("compare", "--threshold", "inf"),
     ("compare", "--lrs", "0.025,0.025"),
     ("theory", "--samples", 1), ("theory", "--scale", "nan"), ("theory", "--scale", "inf"),
+    ("theory", "--seed", -1), ("train", "--seed", -1), ("variants", "--seed", -1),
+    ("landscape", "--seed", -1),
 ])
 def test_numeric_flag_out_of_range_exit_1(darts_file, tiny_spec, darts_ckpt, tmp_path,
                                           command, flag, value):
@@ -525,8 +527,9 @@ def test_numeric_flag_out_of_range_exit_1(darts_file, tiny_spec, darts_ckpt, tmp
 @pytest.mark.parametrize("field, value", [
     ("dim", "2.5"), ("train_size", "true"), ("num_classes", "4.0"), ("seed", '"0"'),
     ("noise", "NaN"), ("radius", "Infinity"), ("noise", "false"), ("radius", '"8"'),
+    ("seed", "-1"),
 ], ids=["fractional dim", "boolean train_size", "float num_classes", "text seed",
-        "nan noise", "infinite radius", "boolean noise", "text radius"])
+        "nan noise", "infinite radius", "boolean noise", "text radius", "negative seed"])
 def test_bad_dataset_spec_field_exit_2(darts_file, tmp_path, field, value):
     # json.load reads NaN and Infinity, so only the spec's own check stops them
     spec = tmp_path / "data.json"

@@ -16,7 +16,7 @@ from cellscape import (
     sample_directions,
 )
 from cellscape.errors import DimensionMismatch
-from cellscape.landscape import LandscapeGrid
+from cellscape.landscape import ROWS, LandscapeGrid
 from cellscape.network import ParamLayout
 from cellscape.rng import stream
 from conftest import load_grid_csv
@@ -190,6 +190,55 @@ def test_loss_surface_matches_per_point_evaluate(setup):
             assert grid.values[a, b] == net.evaluate(ds.test_x, ds.test_y, shifted)[0]
 
 
+def per_point_grid(point, ckpt, pair, alphas, betas):
+    """``point`` at each grid point on its own, one call per point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([[point(ckpt + alpha * pair[0] + beta * pair[1]) for beta in betas]
+                         for alpha in alphas])
+
+
+def counting_evaluate(net, monkeypatch):
+    """Record the number of member rows in every ``net.evaluate`` call."""
+    members, evaluate = [], net.evaluate
+
+    def wrapper(x, y, params):
+        members.append(len(params))
+        return evaluate(x, y, params)
+
+    monkeypatch.setattr(net, "evaluate", wrapper)
+    return members
+
+
+def test_loss_surface_chunks_match_per_point_evaluate(setup, monkeypatch):
+    # 24 rows put ROWS // 24 points in a pass; 49 points leave a partial last pass
+    net, ds, ckpt = setup
+    x, y = ds.test_x, ds.test_y
+    per_pass = ROWS // len(x)
+    coords = grid_coordinates(7, 0.5)
+    assert 1 < per_pass < len(coords) ** 2 and len(coords) ** 2 % per_pass
+    pair = sample_directions(ckpt, net.layout, seed=4)
+    members = counting_evaluate(net, monkeypatch)
+    grid = loss_surface(net, ckpt, x, y, pair, coords, coords)
+    full, last = divmod(len(coords) ** 2, per_pass)
+    assert members == [per_pass] * full + [last]
+    oracle = per_point_grid(lambda p: net.evaluate(x, y, p)[0], ckpt, pair, coords, coords)
+    assert np.array_equal(grid.values, oracle)
+
+
+def test_loss_surface_non_finite_points_share_a_pass(setup):
+    # the outer ring overflows; its points share passes with finite inner ones
+    net, ds, ckpt = setup
+    x, y = ds.test_x, ds.test_y
+    coords = np.array([-1e200, -0.5, 0.0, 0.5, 1e200])
+    assert ROWS // len(x) >= 2 * len(coords)
+    pair = sample_directions(ckpt, net.layout, seed=4)
+    grid = loss_surface(net, ckpt, x, y, pair, coords, coords)
+    oracle = per_point_grid(lambda p: net.evaluate(x, y, p)[0], ckpt, pair, coords, coords)
+    assert np.all(np.isfinite(oracle[1:4, 1:4]))
+    assert np.all(grid.overflow_mask[[0, 4]]) and np.all(grid.overflow_mask[:, [0, 4]])
+    assert np.array_equal(grid.values, oracle, equal_nan=True)
+
+
 def test_grid_requires_zero_coordinate(setup):
     net, ds, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=2)
@@ -295,6 +344,19 @@ def test_gradvar_matches_per_example_oracle_off_centre(darts, genotype, batch):
                 assert abs(grid.values[a, b] - oracle) <= 1e-12 * oracle
             else:
                 assert grid.values[a, b] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["gradvar", "gradstd"])
+def test_gradvar_surface_matches_per_point_gradient_variance(setup, mode):
+    net, ds, ckpt = setup
+    x, y = ds.test_x[:5], ds.test_y[:5]
+    pair = sample_directions(ckpt, net.layout, seed=5)
+    coords = grid_coordinates(5, 0.5)
+    assert ROWS // len(x) > 1
+    grid = gradient_variance_surface(net, ckpt, x, y, pair, coords, coords, mode=mode)
+    oracle = per_point_grid(lambda p: net.gradient_variance(x, y, p), ckpt, pair,
+                            coords, coords)
+    assert np.array_equal(grid.values, oracle if mode == "gradvar" else np.sqrt(oracle))
 
 
 def test_gradstd_is_sqrt_of_gradvar(setup):
