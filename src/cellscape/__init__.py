@@ -24,10 +24,10 @@ from .sampler import (
 )
 from .linear_theory import (
     LinearCellModel,
-    TheoremReport,
     grad_narrowest_batch,
     grad_widest_batch,
     spectral_norm,
+    theory_report,
     verify_block_smoothness,
     verify_gradient_variance,
 )

@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .artifacts import dump, read_json, write_csv, write_json
@@ -41,11 +40,7 @@ from .landscape import (
     loss_surface,
     sample_directions,
 )
-from .linear_theory import (
-    random_model,
-    verify_block_smoothness,
-    verify_gradient_variance,
-)
+from .linear_theory import theory_report
 from .metrics import cell_depth, cell_width, extremal_width_depth, per_node_widths
 from .network import CellNetwork, NetworkConfig
 from .rng import RNG_ALGORITHM, stream
@@ -179,56 +174,14 @@ def count(n_total, num_inputs, do_enumerate, genotype_file):
 @click.option("--out", "out_file", required=True, type=click.Path())
 def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
     """Randomized smoothness/variance bound checks on chained linear cells."""
-    rng = stream(seed, "theory")
-    results = []
-    violations = []
-    # an overflowing instance is a result, a non-finite check a violation
-    with np.errstate(over="ignore", invalid="ignore"):
-        for inst in range(instances):
-            model = random_model(n_nodes, dim, rng, scale=scale)
-            x = rng.standard_normal(dim)
-            blocks = []
-            for i in range(1, n_nodes + 1):
-                smooth = verify_block_smoothness(model, x, i, rng, trials=trials)
-                var = verify_gradient_variance(model, i, rng.standard_normal((samples, dim)))
-                blocks.append(
-                    {
-                        "block": i,
-                        "lambda": smooth.lambdas[i - 1],
-                        "smoothness": smooth.to_dict(),
-                        "variance": var.to_dict(),
-                    }
-                )
-                if smooth.violated or var.violated:
-                    violations.append(
-                        {
-                            "instance": inst,
-                            "block": i,
-                            "weights": [w.tolist() for w in model.weights],
-                            "targets": [t.tolist() for t in model.targets],
-                            "input": x.tolist(),
-                        }
-                    )
-            results.append({"instance": inst, "blocks": blocks})
-    doc = {
-        "n": n_nodes,
-        "dim": dim,
-        "trials": trials,
-        "samples": samples,
-        "instances": instances,
-        "seed": seed,
-        "scale": scale,
-        "results": results,
-        "violation_count": len(violations),
-        "violations": violations,
-    }
+    doc = theory_report(n_nodes, dim, trials, samples, instances, seed, scale)
+    violations = doc["violation_count"]
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(out_path, doc)
-    _write_manifest(out_path.parent, [seed], [out_path.name],
-                    violation_count=len(violations))
+    _write_manifest(out_path.parent, [seed], [out_path.name], violation_count=violations)
     if violations:
-        click.echo(f"{len(violations)} bound violations reported in {out_path}")
+        click.echo(f"{violations} bound violations reported in {out_path}")
         sys.exit(EXIT_VIOLATION)
     click.echo(f"no bound violations across {instances} instances; report in {out_path}")
 
@@ -399,6 +352,7 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
 def adapt(genotype_file, out_file):
     """Rewire a genotype to its widest, shallowest form."""
     g = load_genotype(genotype_file)
+    validate_genotype(g)
     adapted = adapt_to_widest_shallowest(g)
     save_genotype(adapted, out_file)
     dag = validate_genotype(adapted)

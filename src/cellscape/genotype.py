@@ -141,19 +141,28 @@ def genotype_to_dict(g: CellGenotype) -> dict:
     }
 
 
+def _typed(value, kind, field):
+    """value, if it is a JSON value of type kind: int (``true`` is not one) or str."""
+    if type(value) is not kind:
+        raise ParseError(f"malformed genotype document: {field} must be "
+                         f"{'an integer' if kind is int else 'a string'}, not {value!r}")
+    return value
+
+
 def genotype_from_dict(d: dict) -> CellGenotype:
     try:
         nodes = tuple(
-            NodeSpec(tuple(OpSpec(str(op["kind"]), int(op["source"])) for op in node["ops"]))
+            NodeSpec(tuple(OpSpec(_typed(op["kind"], str, "kind"),
+                                  _typed(op["source"], int, "source")) for op in node["ops"]))
             for node in d["nodes"]
         )
         return CellGenotype(
-            name=str(d["name"]),
-            num_inputs=int(d["num_inputs"]),
+            name=_typed(d["name"], str, "name"),
+            num_inputs=_typed(d["num_inputs"], int, "num_inputs"),
             nodes=nodes,
-            concat=tuple(int(c) for c in d.get("concat", [])),
+            concat=tuple(_typed(c, int, "concat") for c in d.get("concat", [])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed genotype document: {exc}") from exc
 
 

@@ -13,11 +13,12 @@ scaled widest-cell bounds; violations are surfaced, never suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples
+from .rng import stream
 
 SMOOTHNESS_SLACK = 1e-9  # float round-off allowed over the smoothness bound
 SE_FACTOR = 3.0  # standard errors of the variance estimate allowed over its bound
@@ -110,46 +111,22 @@ def grad_widest_batch(m: LinearCellModel, xs):
 
 
 def spectral_norm(w):
-    """Largest singular value of a finite matrix: numpy's exact 2-norm."""
+    """Largest singular value of a matrix: numpy's exact 2-norm, or nan for a
+    matrix with a nan entry and inf for one with an infinite entry."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise DimensionMismatch("matrix has non-finite entries")
+    if not np.isfinite(w).all():
+        return float(np.abs(w).max())  # max keeps a nan, else it is the inf
     return float(np.linalg.norm(w, 2))
 
 
-@dataclass
-class TheoremReport:
-    """Outcome of one block-wise bound check."""
-
-    theorem: str
-    block: int
-    lambdas: list
-    empirical: float
-    bound: float
-    violated: bool
-    slack: float
-    trials: int
-    details: dict = field(default_factory=dict)
-
-    @property
-    def margin(self):
-        return self.bound - self.empirical
-
-    def to_dict(self):
-        return {
-            "theorem": self.theorem,
-            "block": self.block,
-            "lambdas": [float(v) for v in self.lambdas],
-            "empirical": self.empirical,
-            "bound": self.bound,
-            "margin": self.margin,
-            "violated": self.violated,
-            "slack": self.slack,
-            "trials": self.trials,
-            **self.details,
-        }
+def _bound_check(theorem, block, lambdas, empirical, bound, slack, trials, **details):
+    """One bound check as it goes into the report.  It passes only when the
+    estimate is at most its bound plus slack, so a nan anywhere is a violation."""
+    return {"theorem": theorem, "block": block, "lambdas": lambdas, "empirical": empirical,
+            "bound": bound, "margin": bound - empirical, "slack": slack, "trials": trials,
+            "violated": not empirical <= bound + slack, **details}
 
 
 def _ball_perturbation(rng, shape, radius):
@@ -198,18 +175,8 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
         # finite: its ratio is nan, a violation, where the SVD would raise
         ratios[t] = (np.linalg.norm(a @ (delta @ u)) * u_norm / np.linalg.norm(delta, ord=2)
                      if np.isfinite(delta).all() else np.nan)
-    empirical = float(ratios.max())
-    return TheoremReport(
-        theorem="block_smoothness",
-        block=i,
-        lambdas=lambdas,
-        empirical=empirical,
-        bound=bound,
-        violated=not empirical <= bound + SMOOTHNESS_SLACK,
-        slack=SMOOTHNESS_SLACK,
-        trials=trials,
-        details={"radius": float(radius), "input_norm_sq": l_widest},
-    )
+    return _bound_check("block_smoothness", i, lambdas, float(ratios.max()), bound,
+                        SMOOTHNESS_SLACK, trials, radius=float(radius), input_norm_sq=l_widest)
 
 
 def verify_gradient_variance(m: LinearCellModel, i, xs):
@@ -228,12 +195,9 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
         sq = np.sum((grads_sdd - mean) ** 2, axis=(1, 2))
         return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(len(sq)))
 
-    narrow_grads = grad_narrowest_batch(m, xs)
-    empirical, emp_se = total_variance(narrow_grads[i - 1])
-
+    empirical, emp_se = total_variance(grad_narrowest_batch(m, xs)[i - 1])
     # the widest cell with the same weights and targets
-    widest_grads = grad_widest_batch(m, xs)
-    sigmas_sq = [total_variance(g)[0] for g in widest_grads]
+    sigmas_sq = [total_variance(g)[0] for g in grad_widest_batch(m, xs)]
 
     bound = 0.0
     for k in range(i, m.n + 1):
@@ -244,14 +208,34 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
         bound += sigmas_sq[k - 1] * prod * prod
     bound *= m.n
 
-    return TheoremReport(
-        theorem="gradient_variance",
-        block=i,
-        lambdas=lambdas,
-        empirical=empirical,
-        bound=bound,
-        violated=not empirical <= bound + SE_FACTOR * emp_se,
-        slack=SE_FACTOR * emp_se,
-        trials=len(xs),
-        details={"standard_error": emp_se, "sigmas_sq": sigmas_sq},
-    )
+    return _bound_check("gradient_variance", i, lambdas, empirical, bound,
+                        SE_FACTOR * emp_se, len(xs), standard_error=emp_se, sigmas_sq=sigmas_sq)
+
+
+def theory_report(n, dim, trials, samples, instances, seed, scale):
+    """The ``theory`` report: ``instances`` random chained models, each block
+    checked for smoothness and then for variance, all drawn in that order from
+    one ``stream(seed, "theory")``.  A model with a violated block is recorded
+    whole, with its weights, targets and input, once per such block."""
+    rng = stream(seed, "theory")
+    results, violations = [], []
+    # an overflowing instance is a result, a non-finite check a violation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for inst in range(instances):
+            model = random_model(n, dim, rng, scale=scale)
+            x = rng.standard_normal(dim)
+            blocks = []
+            for i in range(1, n + 1):
+                smooth = verify_block_smoothness(model, x, i, rng, trials=trials)
+                var = verify_gradient_variance(model, i, rng.standard_normal((samples, dim)))
+                blocks.append({"block": i, "lambda": smooth["lambdas"][i - 1],
+                               "smoothness": smooth, "variance": var})
+                if smooth["violated"] or var["violated"]:
+                    violations.append({"instance": inst, "block": i,
+                                       "weights": [w.tolist() for w in model.weights],
+                                       "targets": [t.tolist() for t in model.targets],
+                                       "input": x.tolist()})
+            results.append({"instance": inst, "blocks": blocks})
+    return {"n": n, "dim": dim, "trials": trials, "samples": samples, "instances": instances,
+            "seed": seed, "scale": scale, "results": results,
+            "violation_count": len(violations), "violations": violations}

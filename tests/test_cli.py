@@ -15,7 +15,10 @@ from cellscape import (
     load_fixture,
     save_genotype,
 )
+from cellscape.artifacts import write_json
 from cellscape.autodiff import load_checkpoint, save_checkpoint
+from cellscape.genotype import genotype_to_dict
+from cellscape.linear_theory import random_model, verify_block_smoothness, verify_gradient_variance
 from cellscape.rng import stream
 from conftest import rewire_to_chain
 
@@ -84,6 +87,27 @@ def test_analyze_invalid_genotype_exit_2(tmp_path):
     }))
     res = run_cli("analyze", "--genotype", path)
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("source", 1.9), ("source", True), ("concat", 3.7), ("name", 7), ("kind", 1),
+    ("num_inputs", True), ("num_inputs", 2.0),
+])
+def test_analyze_mistyped_genotype_field_exit_1(tmp_path, field, value):
+    # integer fields take JSON integers only (true is not one), name and kind strings
+    doc = genotype_to_dict(load_fixture("darts"))
+    if field in ("source", "kind"):
+        doc["nodes"][0]["ops"][0][field] = value
+    elif field == "concat":
+        doc["concat"][0] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("analyze", "--genotype", path)
+    assert res.returncode == 1
+    assert one_line(res.stderr) and res.stderr.startswith("parse error:"), res.stderr
+    assert field in res.stderr
 
 
 def test_missing_required_flag_exit_1():
@@ -198,6 +222,41 @@ def test_theory_report_and_exit_code(tmp_path):
         assert res.returncode == 0
     manifest = json.loads((out.parent / "manifest.json").read_text())
     assert manifest["violation_count"] == doc["violation_count"]
+
+
+def test_theory_report_follows_one_stream(tmp_path):
+    # the report rebuilt from one stream(seed, "theory"): per instance the
+    # model, then its input, then per block the smoothness check's draws
+    # followed by the variance check's input rows
+    n, dim, trials, samples, instances, seed, scale = 3, 4, 20, 50, 2, 7, 1.5
+    out = tmp_path / "theory" / "report.json"
+    res = run_cli("theory", "--n", n, "--dim", dim, "--trials", trials, "--samples", samples,
+                  "--instances", instances, "--seed", seed, "--scale", scale, "--out", out)
+    rng = stream(seed, "theory")
+    results, violations = [], []
+    for inst in range(instances):
+        model = random_model(n, dim, rng, scale=scale)
+        x = rng.standard_normal(dim)
+        blocks = []
+        for i in range(1, n + 1):
+            smooth = verify_block_smoothness(model, x, i, rng, trials=trials)
+            var = verify_gradient_variance(model, i, rng.standard_normal((samples, dim)))
+            blocks.append({"block": i, "lambda": smooth["lambdas"][i - 1],
+                           "smoothness": smooth, "variance": var})
+            if smooth["violated"] or var["violated"]:
+                violations.append({"instance": inst, "block": i,
+                                   "weights": [w.tolist() for w in model.weights],
+                                   "targets": [t.tolist() for t in model.targets],
+                                   "input": x.tolist()})
+        results.append({"instance": inst, "blocks": blocks})
+    expected = tmp_path / "expected.json"
+    write_json(expected, {
+        "n": n, "dim": dim, "trials": trials, "samples": samples, "instances": instances,
+        "seed": seed, "scale": scale, "results": results,
+        "violation_count": len(violations), "violations": violations,
+    })
+    assert violations and res.returncode == 4
+    assert out.read_bytes() == expected.read_bytes()
 
 
 # --- train / compare ------------------------------------------------------
@@ -563,8 +622,10 @@ def test_diverging_runs_write_strict_json(darts_file, tiny_spec, tmp_path):
         (3, run_cli("train", "--genotype", darts_file, *net, "--lr", "1e300",
                     "--out-dir", tmp_path / "train")),
     ]
-    # at 1e154 and beyond ||W(i)|| overflows, so the perturbation pairs do too
-    scales = {"theory": "1e120", "theory154": "1e154", "theory-200": "-1e200"}
+    # at 1e154 and beyond ||W(i)|| overflows, so the perturbation pairs do too;
+    # at 1e308 the weight draws themselves overflow, so each lambda is inf
+    scales = {"theory": "1e120", "theory154": "1e154", "theory-200": "-1e200",
+              "theory308": "1e308", "theory-308": "-1e308"}
     runs += [(4, run_cli("theory", "--scale", scale, "--instances", 1, "--trials", 5,
                          "--samples", 10, "--out", tmp_path / name / "report.json"))
              for name, scale in scales.items()]
@@ -633,6 +694,22 @@ def test_adapt_darts(darts_file, tmp_path):
     assert doc["width_in_c"] == "4"
     assert doc["depth"] == 2
     assert doc["is_extremal"] is True
+
+
+def test_adapt_invalid_genotype_exit_2(tmp_path):
+    # node 2 sources node 3 and node 3 sources node 9: rewiring would hide both
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "name": "bad", "num_inputs": 2,
+        "nodes": [{"ops": [{"kind": "linear", "source": 3}, {"kind": "linear", "source": 0}]},
+                  {"ops": [{"kind": "linear", "source": 9}, {"kind": "linear", "source": 1}]}],
+        "concat": [2, 3],
+    }))
+    out = tmp_path / "adapted.json"
+    res = run_cli("adapt", "--genotype", path, "--out", out)
+    assert res.returncode == 2
+    assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+    assert not out.exists()
 
 
 def test_report_aggregates(darts_file, tiny_spec, tmp_path):

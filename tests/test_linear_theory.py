@@ -242,11 +242,13 @@ def test_spectral_norm_near_degenerate_matches_svd():
     assert spectral_norm(w) == pytest.approx(svd_top, rel=1e-12)
 
 
-def test_spectral_norm_rejects_nonfinite():
+def test_spectral_norm_of_nonfinite_matrix():
+    # a nan entry makes the norm nan, an infinite one (without a nan) inf
     w = np.eye(3)
-    w[0, 0] = np.inf
-    with pytest.raises(DimensionMismatch):
-        spectral_norm(w)
+    w[0, 0] = -np.inf
+    assert spectral_norm(w) == np.inf
+    w[1, 2] = np.nan
+    assert np.isnan(spectral_norm(w))
 
 
 # --- theorem verifiers ----------------------------------------------------
@@ -257,7 +259,7 @@ def test_smoothness_block1_bound_is_input_norm():
     m = random_model(3, 4, rng)
     x = rng.standard_normal(4)
     report = verify_block_smoothness(m, x, 1, rng, trials=20)
-    assert report.bound == pytest.approx(float(x @ x))
+    assert report["bound"] == pytest.approx(float(x @ x))
 
 
 def test_smoothness_orthogonal_weights_unit_lambdas():
@@ -269,8 +271,8 @@ def test_smoothness_orthogonal_weights_unit_lambdas():
     x = rng.standard_normal(d)
     for i in range(1, n + 1):
         report = verify_block_smoothness(m, x, i, rng, trials=10)
-        assert report.bound == pytest.approx(float(x @ x), rel=1e-9)
-        assert all(abs(l - 1.0) <= 1e-9 for l in report.lambdas)
+        assert report["bound"] == pytest.approx(float(x @ x), rel=1e-9)
+        assert all(abs(l - 1.0) <= 1e-9 for l in report["lambdas"])
 
 
 def test_smoothness_last_block_exact_constant():
@@ -288,7 +290,7 @@ def test_smoothness_last_block_exact_constant():
         x = rng.standard_normal(d)
         report = verify_block_smoothness(m, x, n, rng, trials=100)
         p = _prefix_products(m.weights, d)[n - 1] @ x
-        assert report.empirical <= float(p @ p) + 1e-9
+        assert report["empirical"] <= float(p @ p) + 1e-9
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -305,9 +307,9 @@ def test_smoothness_ratio_matches_two_gradients(seed):
     rng = make_rng(500 + seed)
     for _ in range(5):
         r = verify_block_smoothness(m, x, i, rng, trials=1)
-        w1 = m.weights[i - 1] + _ball_perturbation(oracle_rng, (d, d), r.details["radius"])
-        w2 = m.weights[i - 1] + _ball_perturbation(oracle_rng, (d, d), r.details["radius"])
-        assert r.empirical == pytest.approx(two_gradient_ratio(m, x, i, w1, w2), rel=1e-12)
+        w1 = m.weights[i - 1] + _ball_perturbation(oracle_rng, (d, d), r["radius"])
+        w2 = m.weights[i - 1] + _ball_perturbation(oracle_rng, (d, d), r["radius"])
+        assert r["empirical"] == pytest.approx(two_gradient_ratio(m, x, i, w1, w2), rel=1e-12)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -317,12 +319,11 @@ def test_smoothness_report_consistency():
     x = rng.standard_normal(5)
     for i in (1, 2, 3):
         r = verify_block_smoothness(m, x, i, rng, trials=50)
-        assert r.violated == (r.empirical > r.bound + r.slack)
-        assert r.margin == r.bound - r.empirical
-        assert r.trials == 50
-        doc = r.to_dict()
-        assert doc["theorem"] == "block_smoothness"
-        assert doc["block"] == i
+        assert r["violated"] == (r["empirical"] > r["bound"] + r["slack"])
+        assert r["margin"] == r["bound"] - r["empirical"]
+        assert r["trials"] == 50
+        assert r["theorem"] == "block_smoothness"
+        assert r["block"] == i
 
 
 def test_variance_n1_models_coincide():
@@ -330,9 +331,9 @@ def test_variance_n1_models_coincide():
     m = random_model(1, 4, rng)
     report = verify_gradient_variance(m, 1, rng.standard_normal((500, 4)))
     # n=1: bound = (sigma_1)^2 and the models are the same network
-    assert report.bound == pytest.approx(report.details["sigmas_sq"][0])
-    assert report.empirical == pytest.approx(report.details["sigmas_sq"][0])
-    assert not report.violated
+    assert report["bound"] == pytest.approx(report["sigmas_sq"][0])
+    assert report["empirical"] == pytest.approx(report["sigmas_sq"][0])
+    assert not report["violated"]
 
 
 def test_variance_point_mass_input_is_zero():
@@ -340,8 +341,8 @@ def test_variance_point_mass_input_is_zero():
     m = random_model(2, 3, rng)
     fixed = rng.standard_normal(3)
     report = verify_gradient_variance(m, 1, np.tile(fixed, (100, 1)))
-    assert report.empirical == pytest.approx(0.0, abs=1e-20)
-    assert not report.violated
+    assert report["empirical"] == pytest.approx(0.0, abs=1e-20)
+    assert not report["violated"]
 
 
 def test_variance_report_consistency():
@@ -349,9 +350,9 @@ def test_variance_report_consistency():
     m = random_model(3, 4, rng)
     for i in (1, 2, 3):
         r = verify_gradient_variance(m, i, rng.standard_normal((400, 4)))
-        assert r.violated == (r.empirical > r.bound + r.slack)
-        assert r.bound >= 0.0
-        assert r.empirical >= 0.0
+        assert r["violated"] == (r["empirical"] > r["bound"] + r["slack"])
+        assert r["bound"] >= 0.0
+        assert r["empirical"] >= 0.0
 
 
 def test_overflowing_checks_are_violations():
@@ -366,9 +367,9 @@ def test_overflowing_checks_are_violations():
             reports = [verify_block_smoothness(m, x, i, rng, trials=5) for i in (1, 2, 3)]
             reports += [verify_gradient_variance(m, i, rng.standard_normal((10, 4)))
                         for i in (1, 2, 3)]
-        assert np.isnan(reports[0].empirical)
+        assert np.isnan(reports[0]["empirical"])
         for r in reports:
-            assert not np.isfinite(r.empirical + r.bound) and r.violated
+            assert not np.isfinite(r["empirical"] + r["bound"]) and r["violated"]
 
 
 def test_variance_insufficient_samples():

@@ -151,6 +151,29 @@ def test_topology_module_imports_no_engine(name):
     assert package_imports((SRC / name).read_text()) & ENGINE == set()
 
 
+def outside_imports(source):
+    """Top-level names of the modules outside this package that source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found - {"__future__", "cellscape"}
+
+
+def test_outside_imports_are_found():
+    source = ("from __future__ import annotations\nimport numpy.linalg\nimport click, sys\n"
+              "from json import dumps\nfrom . import rng\nfrom .errors import ParseError\n"
+              "from cellscape.rng import stream\n")
+    assert outside_imports(source) == {"click", "json", "numpy", "sys"}
+
+
+def test_cli_imports_no_numpy():
+    # numerics, and the policy for non-finite values, stay in library modules
+    assert "numpy" not in outside_imports((SRC / "cli.py").read_text())
+
+
 def write_opens(source):
     """Lines of calls to the built-in ``open`` whose mode, its second
     argument or ``mode=``, is not a literal read mode."""
