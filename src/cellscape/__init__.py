@@ -5,7 +5,6 @@ smoothness/variance checks."""
 __version__ = "0.1.0"
 
 from .genotype import (
-    CellDag,
     CellGenotype,
     NodeSpec,
     OpSpec,
@@ -13,7 +12,6 @@ from .genotype import (
     load_fixture,
     load_genotype,
     save_genotype,
-    validate_genotype,
 )
 from .metrics import cell_depth, cell_width, extremal_width_depth
 from .sampler import (

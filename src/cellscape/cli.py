@@ -27,12 +27,7 @@ from .errors import (
     MissingManifest,
     ParseError,
 )
-from .genotype import (
-    adapt_to_widest_shallowest,
-    load_genotype,
-    save_genotype,
-    validate_genotype,
-)
+from .genotype import adapt_to_widest_shallowest, load_genotype, save_genotype
 from .landscape import (
     export_grid,
     gradient_variance_surface,
@@ -89,17 +84,16 @@ def _finite(ctx, param, value):
 def analyze(genotype_file, out):
     """Width/depth report for one genotype file."""
     g = load_genotype(genotype_file)
-    dag = validate_genotype(g)
-    width, depth = cell_width(dag), cell_depth(dag)
+    width, depth = cell_width(g), cell_depth(g)
     doc = {
         "name": g.name,
         "N": g.total_nodes,
         "M": g.num_inputs,
-        "n": dag.num_intermediate,
+        "n": len(g.nodes),
         "width_in_c": str(width),
         "width_in_c_float": float(width),
         "depth": depth,
-        "per_node_width": {str(k): str(v) for k, v in per_node_widths(dag).items()},
+        "per_node_width": {str(k): str(v) for k, v in per_node_widths(g).items()},
         "is_extremal": (width, depth) == extremal_width_depth(g.total_nodes, g.num_inputs),
     }
     dump(doc, sys.stdout)
@@ -118,7 +112,6 @@ def analyze(genotype_file, out):
 def variants(genotype_file, mode, count_, seed, ops, out_dir):
     """Sample random connection or operation variants of a genotype."""
     g = load_genotype(genotype_file)
-    validate_genotype(g)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sampled = sample_variants(g, mode, count_, seed, operation_set=tuple(ops.split(",")))
@@ -128,13 +121,12 @@ def variants(genotype_file, mode, count_, seed, ops, out_dir):
         path = out / f"variant_{i:03d}.json"
         save_genotype(v, path)
         artifacts.append(path.name)
-        dag = validate_genotype(v)
         entries.append(
             {
                 "file": path.name,
                 "name": v.name,
-                "width_in_c": str(cell_width(dag)),
-                "depth": cell_depth(dag),
+                "width_in_c": str(cell_width(v)),
+                "depth": cell_depth(v),
             }
         )
     _write_manifest(out, [seed], artifacts, variants=entries)
@@ -155,7 +147,6 @@ def count(n_total, num_inputs, do_enumerate, genotype_file):
         if not genotype_file:
             raise click.UsageError("--enumerate requires --genotype")
         g = load_genotype(genotype_file)
-        validate_genotype(g)
         raw, dedup, g_formula = connection_space_counts(g)
         click.echo(f"slot assignments (raw): {raw}")
         click.echo(f"slot assignments (deduplicated): {dedup}")
@@ -352,12 +343,10 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
 def adapt(genotype_file, out_file):
     """Rewire a genotype to its widest, shallowest form."""
     g = load_genotype(genotype_file)
-    validate_genotype(g)
     adapted = adapt_to_widest_shallowest(g)
     save_genotype(adapted, out_file)
-    dag = validate_genotype(adapted)
     click.echo(
-        f"adapted {g.name}: width {cell_width(dag)}c, depth {cell_depth(dag)} "
+        f"adapted {g.name}: width {cell_width(adapted)}c, depth {cell_depth(adapted)} "
         f"-> {out_file}"
     )
 

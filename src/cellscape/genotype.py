@@ -1,15 +1,17 @@
-"""Cell genotypes, their validation, and the derived analysis DAG.
+"""Cell genotypes and their validation.
 
 A genotype describes one cell: an ordered list of intermediate nodes, each
 wired to exactly M preceding nodes through an operation.  Node indices share a
 single space: 0..M-1 are the cell's input nodes, M+i is intermediate node i,
-and the output node is implicit (it aggregates the ``concat`` nodes).
+and the output node is implicit (it aggregates the ``concat`` nodes).  A
+``CellGenotype`` is validated when it is built, so every one in the program
+is valid.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .artifacts import read_json, write_json
@@ -55,6 +57,9 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class CellGenotype:
+    """A cell; building one raises a ``GenotypeError`` subclass unless it is
+    valid (see ``validate_genotype``)."""
+
     name: str
     num_inputs: int
     nodes: tuple[NodeSpec, ...]
@@ -64,6 +69,7 @@ class CellGenotype:
         if not self.concat:
             all_interm = tuple(range(self.num_inputs, self.num_inputs + len(self.nodes)))
             object.__setattr__(self, "concat", all_interm)
+        validate_genotype(self)
 
     @property
     def total_nodes(self):
@@ -71,27 +77,8 @@ class CellGenotype:
         return self.num_inputs + len(self.nodes) + 1
 
 
-@dataclass(frozen=True)
-class CellDag:
-    """Validated edge view of a genotype.
-
-    Edges run source -> intermediate; every concat node additionally has an
-    implicit edge to the output node.  Topological order is declaration order.
-    """
-
-    num_inputs: int
-    num_intermediate: int
-    edges: tuple[tuple[int, int], ...]
-    concat: tuple[int, ...]
-    genotype: CellGenotype = field(repr=False)
-
-    def sources_of(self, node):
-        """Source indices of an intermediate node, in slot order."""
-        return tuple(src for src, dst in self.edges if dst == node)
-
-
-def validate_genotype(g: CellGenotype) -> CellDag:
-    """Check all genotype invariants and return the analysis DAG.
+def validate_genotype(g: CellGenotype):
+    """Check all genotype invariants; ``CellGenotype`` calls it when it is built.
 
     Raises InvalidArity, ForwardReference, EmptyConcat or
     UnknownOperationKind on the first violation found.
@@ -99,7 +86,6 @@ def validate_genotype(g: CellGenotype) -> CellDag:
     m = g.num_inputs
     if m < 1:
         raise InvalidArity(f"{g.name}: num_inputs must be >= 1, got {m}")
-    edges = []
     for i, node in enumerate(g.nodes):
         node_idx = m + i
         if len(node.ops) != m:
@@ -114,19 +100,11 @@ def validate_genotype(g: CellGenotype) -> CellDag:
                     f"{g.name}: node {node_idx} sources node {op.source}, "
                     f"which does not precede it"
                 )
-            edges.append((op.source, node_idx))
     if not g.concat:
         raise EmptyConcat(f"{g.name}: concat is empty")
     for c in g.concat:
         if not m <= c < m + len(g.nodes):
             raise EmptyConcat(f"{g.name}: concat references invalid intermediate node {c}")
-    return CellDag(
-        num_inputs=m,
-        num_intermediate=len(g.nodes),
-        edges=tuple(edges),
-        concat=tuple(g.concat),
-        genotype=g,
-    )
 
 
 def genotype_to_dict(g: CellGenotype) -> dict:
@@ -185,20 +163,12 @@ def load_fixture(name: str) -> CellGenotype:
 
 def rewired(g: CellGenotype, name, sources) -> CellGenotype:
     """Copy of g, named ``name``, whose node i's slots source
-    ``sources(i, node)`` in order; operation kinds, node order and concat are
-    kept.  Raises InvalidArity unless each op gets exactly one source."""
-    nodes = []
-    for i, node in enumerate(g.nodes):
-        srcs = tuple(sources(i, node))
-        if len(srcs) != len(node.ops):
-            raise InvalidArity(
-                f"{g.name}: node {g.num_inputs + i} has {len(node.ops)} ops, "
-                f"rewired to {len(srcs)} sources"
-            )
-        nodes.append(NodeSpec(tuple(OpSpec(op.kind, src) for op, src in zip(node.ops, srcs))))
-    out = CellGenotype(name=name, num_inputs=g.num_inputs, nodes=tuple(nodes), concat=g.concat)
-    validate_genotype(out)
-    return out
+    ``sources(i, node)`` in order, one source per op; operation kinds, node
+    order and concat are kept."""
+    nodes = tuple(NodeSpec(tuple(OpSpec(op.kind, src)
+                                 for op, src in zip(node.ops, sources(i, node), strict=True)))
+                  for i, node in enumerate(g.nodes))
+    return CellGenotype(name=name, num_inputs=g.num_inputs, nodes=nodes, concat=g.concat)
 
 
 def adapt_to_widest_shallowest(g: CellGenotype) -> CellGenotype:

@@ -79,9 +79,9 @@ def _check_batch(m, xs):
     return xs
 
 
-def grad_narrowest_batch(m: LinearCellModel, xs):
-    """Closed-form block gradients of the chained model for a batch of
-    inputs xs of shape (S, d), as one (S, d, d) array per block.
+def grad_narrowest_batch(m: LinearCellModel, xs, i):
+    """Closed-form block-i gradient (1 <= i <= n) of the chained model for a
+    batch of inputs xs of shape (S, d), as one (S, d, d) array.
 
     d(loss)/dW(i) = sum_{k>=i} (W(k)...W(i+1))^T (yhat_k - t_k) x^T (W(i-1)...W(1))^T
     with empty products equal to the identity.
@@ -91,12 +91,10 @@ def grad_narrowest_batch(m: LinearCellModel, xs):
     # ys[k] = W(k)...W(1) x for each row, ys[0] = x; shape (S, d)
     ys = [xs @ p.T for p in _prefix_products(m.weights, m.dim)]
     v = ys[n] - m.targets[n - 1]
-    out = [np.einsum("si,sj->sij", v, ys[n - 1])]
-    for i in range(n - 1, 0, -1):
-        # v(i) = W(i+1)^T v(i+1) + (yhat_i - t_i): the sum above by Horner's rule
-        v = v @ m.weights[i] + (ys[i] - m.targets[i - 1])
-        out.append(np.einsum("si,sj->sij", v, ys[i - 1]))
-    return out[::-1]
+    for k in range(n - 1, i - 1, -1):
+        # v(k) = W(k+1)^T v(k+1) + (yhat_k - t_k): the sum above by Horner's rule
+        v = v @ m.weights[k] + (ys[k] - m.targets[k - 1])
+    return np.einsum("si,sj->sij", v, ys[i - 1])
 
 
 def grad_widest_batch(m: LinearCellModel, xs):
@@ -195,7 +193,7 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
         sq = np.sum((grads_sdd - mean) ** 2, axis=(1, 2))
         return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(len(sq)))
 
-    empirical, emp_se = total_variance(grad_narrowest_batch(m, xs)[i - 1])
+    empirical, emp_se = total_variance(grad_narrowest_batch(m, xs, i))
     # the widest cell with the same weights and targets
     sigmas_sq = [total_variance(g)[0] for g in grad_widest_batch(m, xs)]
 

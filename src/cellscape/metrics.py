@@ -1,4 +1,4 @@
-"""Width and depth metrics of a cell DAG.
+"""Width and depth metrics of a cell genotype.
 
 Width is the sum over intermediate nodes of c times the fraction of the
 node's incoming edges sourced at input nodes; depth is the edge count of the
@@ -11,39 +11,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import EmptyConcat, InvalidSearchSpace
-from .genotype import CellDag
+from .errors import InvalidSearchSpace
+from .genotype import CellGenotype
 
 
-def cell_width(dag: CellDag) -> Fraction:
+def cell_width(g: CellGenotype) -> Fraction:
     """Total width in units of c."""
-    return sum(per_node_widths(dag).values(), Fraction(0))
+    return sum(per_node_widths(g).values(), Fraction(0))
 
 
-def per_node_widths(dag: CellDag) -> dict:
+def per_node_widths(g: CellGenotype) -> dict:
     """Width contribution of each intermediate node, keyed by global index."""
-    m = dag.num_inputs
-    widths = {}
-    for i in range(dag.num_intermediate):
-        node = m + i
-        sources = dag.sources_of(node)
-        input_edges = sum(1 for s in sources if s < m)
-        widths[node] = Fraction(input_edges, len(sources))
-    return widths
+    m = g.num_inputs
+    return {m + i: Fraction(sum(1 for op in node.ops if op.source < m), len(node.ops))
+            for i, node in enumerate(g.nodes)}
 
 
-def cell_depth(dag: CellDag) -> int:
+def cell_depth(g: CellGenotype) -> int:
     """Edges on the longest input -> output path, including the edge from a
     concat node to the output node."""
-    if not dag.concat:
-        raise EmptyConcat("depth undefined for a cell with empty concat")
-    m = dag.num_inputs
     # longest path length (in edges) from any input node to each node
-    dist = {j: 0 for j in range(m)}
-    for i in range(dag.num_intermediate):
-        node = m + i
-        dist[node] = 1 + max(dist[s] for s in dag.sources_of(node))
-    return 1 + max(dist[c] for c in dag.concat)
+    dist = [0] * g.num_inputs
+    for node in g.nodes:
+        dist.append(1 + max(dist[op.source] for op in node.ops))
+    return 1 + max(dist[c] for c in g.concat)
 
 
 def extremal_width_depth(n_total: int, num_inputs: int):

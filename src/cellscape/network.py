@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Value, glorot_init
 from .errors import DimensionMismatch, UnsupportedInputCount
-from .genotype import CellGenotype, validate_genotype
+from .genotype import CellGenotype
 
 
 def apply_op(tape: Tape, kind, x: Value, w: Value | None) -> Value:
@@ -96,7 +96,6 @@ class CellNetwork:
                 f"network building supports exactly 2 input nodes, got {genotype.num_inputs}"
             )
         self.genotype = genotype
-        validate_genotype(genotype)
         self.cfg = cfg
         self.layout = ParamLayout(self._param_shapes())
 

@@ -13,18 +13,31 @@ without enumerating the variants.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 
 from .errors import InvalidSearchSpace, UnknownOperationKind
-from .genotype import OPERATION_KINDS, CellGenotype, NodeSpec, OpSpec, rewired, validate_genotype
+from .genotype import OPERATION_KINDS, CellGenotype, NodeSpec, OpSpec, rewired
 from .rng import stream
+
+
+def _check_printable(log_count, what):
+    """Raise InvalidSearchSpace when a count whose natural log is ``log_count``
+    has more decimal digits than this Python converts to a string."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    digits = math.floor(log_count / math.log(10)) + 1
+    if limit and digits > limit:
+        raise InvalidSearchSpace(f"{what} has about {digits} digits, more than the "
+                                 f"{limit} this Python prints")
 
 
 def count_connection_variants(n_total, num_inputs):
     """Closed-form count (N-2)!/(M-1)! as an exact integer."""
     if num_inputs < 1 or n_total < num_inputs + 2:
         raise InvalidSearchSpace(f"need N >= M + 2, got N={n_total}, M={num_inputs}")
-    return math.factorial(n_total - 2) // math.factorial(num_inputs - 1)
+    _check_printable(math.lgamma(n_total - 1) - math.lgamma(num_inputs),
+                     f"(N-2)!/(M-1)! for N={n_total}, M={num_inputs}")
+    return math.perm(n_total - 2, n_total - num_inputs - 1)  # (N-2)...(M)
 
 
 def connection_space_counts(g: CellGenotype):
@@ -38,10 +51,14 @@ def connection_space_counts(g: CellGenotype):
     sources, C(k + c - 1, c) ways, and the count is the product over kinds
     and nodes.
     formula: the closed-form count for the same (N, M).
+    The deduplicated and formula counts are at most raw, so checking raw's
+    digit count covers all three.
     """
     m = g.num_inputs
+    _check_printable(m * sum(math.log(m + i) for i in range(len(g.nodes))),
+                     f"{g.name}'s raw slot-assignment count")
     raw = math.prod((m + i) ** m for i in range(len(g.nodes)))
-    dedup = 1 if g.nodes else 0  # a cell with no nodes has no variants
+    dedup = 1
     for i, node in enumerate(g.nodes):
         for c in Counter(op.kind for op in node.ops).values():
             dedup *= math.comb(m + i + c - 1, c)
@@ -71,11 +88,9 @@ def sample_operation_variant(g: CellGenotype, operation_set, rng, name=None) -> 
             for op in node.ops
         )
         nodes.append(NodeSpec(ops))
-    out = CellGenotype(
+    return CellGenotype(
         name=name or g.name, num_inputs=g.num_inputs, nodes=tuple(nodes), concat=g.concat
     )
-    validate_genotype(out)
-    return out
 
 
 def sample_variants(g: CellGenotype, mode, count, seed, operation_set=()):

@@ -161,8 +161,10 @@ def compare_convergence(genotypes, dataset, cfg: TrainConfig, lr_set, seeds,
         threshold = 0.5 * math.log(dataset.spec.num_classes)
     entries = []
     members = [(lr, seed) for lr in lr_set for seed in seeds]
-    for g in genotypes:
-        traces = train(CellNetwork(g, net_cfg), dataset,
+    # build every network first, so a cell no network takes fails before any run
+    networks = [CellNetwork(g, net_cfg) for g in genotypes]
+    for g, network in zip(genotypes, networks):
+        traces = train(network, dataset,
                        [replace(cfg, lr=lr, seed=seed) for lr, seed in members])
         for (lr, seed), trace in zip(members, traces):
             entries.append({

@@ -14,7 +14,6 @@ from cellscape import (
     cell_depth,
     cell_width,
     load_fixture,
-    validate_genotype,
 )
 from cellscape.autodiff import Tape, Value
 from cellscape.errors import ParseError, ShapeMismatch, UnsupportedInputCount
@@ -45,6 +44,12 @@ class LossTape(Tape):
     def half_sum_sq(self, x: Value) -> Value:
         out = Value(0.5 * np.sum(x.data * x.data))
         return self._push("half_sum_sq", out, [x], lambda g: [g * x.data])
+
+
+def narrowest_blocks(m, xs):
+    """Every block's batch gradient of the chained model, one call per block:
+    a list of (S, d, d) arrays, as ``grad_widest_batch`` returns."""
+    return [grad_narrowest_batch(m, xs, i) for i in range(1, m.n + 1)]
 
 
 def one_row(grad_batch, m, x):
@@ -90,8 +95,8 @@ def with_block(m, i, w):
 def two_gradient_ratio(m, x, i, w1, w2):
     """||g(W1) - g(W2)||_2 / ||W1 - W2||_2 for block i of the chained model,
     from two full gradient evaluations on copies of the model."""
-    g1 = one_row(grad_narrowest_batch, with_block(m, i, w1), x)[i - 1]
-    g2 = one_row(grad_narrowest_batch, with_block(m, i, w2), x)[i - 1]
+    g1 = grad_narrowest_batch(with_block(m, i, w1), np.asarray(x)[None], i)[0]
+    g2 = grad_narrowest_batch(with_block(m, i, w2), np.asarray(x)[None], i)[0]
     return np.linalg.norm(g1 - g2, ord=2) / np.linalg.norm(w1 - w2, ord=2)
 
 
@@ -135,6 +140,11 @@ def cell_parameter_count(net):
 # --- cells and variant sets that only tests build
 
 
+def edges(g: CellGenotype):
+    """(source, node) pairs of a cell's intermediate nodes, in slot order."""
+    return [(op.source, g.num_inputs + i) for i, node in enumerate(g.nodes) for op in node.ops]
+
+
 def _one_kind_cell(n, name, kind, num_inputs) -> CellGenotype:
     """n nodes of ``num_inputs`` ``kind`` ops each, left for a rewiring to wire."""
     return CellGenotype(name, num_inputs, (NodeSpec((OpSpec(kind, 0),) * num_inputs),) * n)
@@ -173,8 +183,6 @@ def enumerate_connection_variants(g: CellGenotype, cap=ENUMERATION_CAP):
     cap.
     """
     m = g.num_inputs
-    if not g.nodes:
-        return
     raw, _, _ = connection_space_counts(g)
     if raw > cap:
         raise TooLarge(f"slot-assignment space of size {raw} exceeds cap {cap}")
@@ -208,8 +216,7 @@ def enumerate_connection_variants(g: CellGenotype, cap=ENUMERATION_CAP):
 def rank_variants(genotypes):
     """Stable sort by width ascending, then depth descending, then name."""
     def key(g):
-        dag = validate_genotype(g)
-        return (cell_width(dag), -cell_depth(dag), g.name)
+        return (cell_width(g), -cell_depth(g), g.name)
 
     return sorted(genotypes, key=key)
 

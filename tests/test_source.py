@@ -198,3 +198,24 @@ def test_write_opens_are_found():
 def test_only_artifacts_opens_files_for_writing(path):
     # one writer module, so how artifacts reach the disk is decided once
     assert write_opens(path.read_text()) == []
+
+
+def calls_of(source, name):
+    """Lines of calls to a function called ``name``, as ``name(...)`` or
+    ``module.name(...)``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_calls_are_found():
+    source = ("validate_genotype(g)\ngenotype.validate_genotype(g)\nvalidate_genotype\n"
+              "x = f(validate_genotype(g))\nvalidate(g)\n")
+    assert calls_of(source, "validate_genotype") == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "genotype.py"],
+                         ids=lambda p: p.name)
+def test_only_the_genotype_constructor_validates(path):
+    # a CellGenotype is checked when it is built, so every one is valid
+    assert calls_of(path.read_text(), "validate_genotype") == []
