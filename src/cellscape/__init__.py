@@ -32,7 +32,6 @@ from .linear_theory import (
 from .network import CellNetwork, NetworkConfig
 from .data import Dataset, DatasetSpec, make_dataset
 from .training import (
-    TrainConfig,
     TrainTrace,
     compare_convergence,
     train,

@@ -228,7 +228,7 @@ def sgd_step(params, grads, velocity, lr):
 
 
 def cosine_lr(epoch, total_epochs, base_lr):
-    """Cosine annealing from base_lr at epoch 0 down to 0 at the final epoch."""
+    """Cosine annealing from base_lr (a number or an array) at epoch 0 to 0 at the final epoch."""
     if total_epochs < 1:
         raise ValueError("total_epochs must be >= 1")
     if not 0 <= epoch <= total_epochs:

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .genotype import adapt_to_widest_shallowest, load_genotype, save_genotype
 from .landscape import (
+    evaluation_subset,
     export_grid,
     gradient_variance_surface,
     grid_coordinates,
@@ -38,9 +39,9 @@ from .landscape import (
 from .linear_theory import theory_report
 from .metrics import cell_depth, cell_width, extremal_width_depth, per_node_widths
 from .network import CellNetwork, NetworkConfig
-from .rng import RNG_ALGORITHM, stream
+from .rng import RNG_ALGORITHM
 from .sampler import connection_space_counts, count_connection_variants, sample_variants
-from .training import TrainConfig, compare_convergence, train
+from .training import BATCH_SIZE, compare_convergence, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,7 +214,7 @@ def _dataset_and_network(dataset_spec_file, layers, dim):
 @click.option("--lr", type=click.FloatRange(min=0), default=0.025, show_default=True,
               callback=_finite)
 @click.option("--epochs", type=click.IntRange(min=0), default=30, show_default=True)
-@click.option("--batch-size", type=click.IntRange(min=1), default=80, show_default=True)
+@click.option("--batch-size", type=click.IntRange(min=1), default=BATCH_SIZE, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path())
 def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
@@ -221,26 +222,23 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
     """Train one genotype on the synthetic dataset; writes trace.csv + final.ckpt."""
     g = load_genotype(genotype_file)
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
-    cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
     net = CellNetwork(g, net_cfg)
-    [trace] = train(net, dataset, [cfg])
+    [trace] = train(net, dataset, [(lr, seed)], epochs, batch_size)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
-    columns = ["epoch", "lr", "train_loss", "test_loss", "test_acc"]
-    write_csv(trace_path, columns, [[row[c] for c in columns] for row in trace.rows])
+    write_csv(trace_path, list(trace.rows[0]), [row.values() for row in trace.rows])
     ckpt_path = out / "final.ckpt"
     save_checkpoint(trace.final_params, ckpt_path, net.layout)
+    final = trace.rows[-1]
     _write_manifest(out, [seed], ["trace.csv", "final.ckpt"], diverged=trace.diverged,
-                    divergence_epoch=trace.divergence_epoch, final=trace.final_row)
+                    divergence_epoch=trace.divergence_epoch, final=final)
     if trace.diverged:
         click.echo(f"diverged at epoch {trace.divergence_epoch}; trace in {trace_path}")
         sys.exit(EXIT_DIVERGENCE)
-    click.echo(
-        f"final test loss {trace.final_row['test_loss']:.4f}, "
-        f"acc {trace.final_row['test_acc']:.3f}; artifacts in {out}"
-    )
+    click.echo(f"final test loss {final['test_loss']:.4f}, acc {final['test_acc']:.3f}; "
+               f"artifacts in {out}")
 
 
 @cli.command()
@@ -261,17 +259,10 @@ def compare(genotype_dir, lr_set, num_seeds, epochs, layers, dim, threshold,
     files = sorted(Path(genotype_dir).glob("*.json"))
     files = [f for f in files if f.name != "manifest.json"]
     genotypes = [load_genotype(f) for f in files]
-    if len(genotypes) < 2:
-        raise InvalidSpec(f"need >= 2 genotype files in {genotype_dir}")
-    names = [g.name for g in genotypes]
-    if len(set(names)) < len(names):
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        raise InvalidSpec(f"genotype names repeat in {genotype_dir}: {repeated}")
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     seeds = list(range(num_seeds))
-    cfg = TrainConfig(epochs=epochs)
     doc = compare_convergence(
-        genotypes, dataset, cfg, lr_set, seeds, net_cfg, threshold=threshold
+        genotypes, dataset, epochs, lr_set, seeds, net_cfg, threshold=threshold
     )
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -315,11 +306,7 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
     checkpoint = load_checkpoint(checkpoint_file, net.layout)
     pair = sample_directions(checkpoint, net.layout, seed, normalization=norm)
     coords = grid_coordinates(grid_points, extent)
-    pick = stream(seed, "data").choice(
-        len(dataset.test_y), size=min(subset, len(dataset.test_y)), replace=False
-    )
-    pick.sort()
-    x, y = dataset.test_x[pick], dataset.test_y[pick]
+    x, y = evaluation_subset(dataset, subset, seed)
     metadata = {
         "seed": seed, "checkpoint": str(checkpoint_file),
         "dataset_seed": dataset.spec.seed, "normalization": norm, "mode": mode,

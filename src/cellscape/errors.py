@@ -18,7 +18,7 @@ class ForwardReference(GenotypeError):
 
 
 class EmptyConcat(GenotypeError):
-    """The output node aggregates no intermediate nodes."""
+    """The output node's ``concat`` is empty, out of range or repeats a node."""
 
 
 class UnknownOperationKind(GenotypeError):

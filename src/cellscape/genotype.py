@@ -80,8 +80,8 @@ class CellGenotype:
 def validate_genotype(g: CellGenotype):
     """Check all genotype invariants; ``CellGenotype`` calls it when it is built.
 
-    Raises InvalidArity, ForwardReference, EmptyConcat or
-    UnknownOperationKind on the first violation found.
+    Raises InvalidArity, ForwardReference, UnknownOperationKind or EmptyConcat
+    (``concat`` empty, out of range or repeating a node) on the first violation.
     """
     m = g.num_inputs
     if m < 1:
@@ -102,9 +102,9 @@ def validate_genotype(g: CellGenotype):
                 )
     if not g.concat:
         raise EmptyConcat(f"{g.name}: concat is empty")
-    for c in g.concat:
-        if not m <= c < m + len(g.nodes):
-            raise EmptyConcat(f"{g.name}: concat references invalid intermediate node {c}")
+    for j, c in enumerate(g.concat):
+        if not m <= c < m + len(g.nodes) or c in g.concat[:j]:
+            raise EmptyConcat(f"{g.name}: concat entry {c} is out of range or repeated")
 
 
 def genotype_to_dict(g: CellGenotype) -> dict:
@@ -161,13 +161,10 @@ def load_fixture(name: str) -> CellGenotype:
     return genotype_from_dict(json.loads(text))
 
 
-def rewired(g: CellGenotype, name, sources) -> CellGenotype:
-    """Copy of g, named ``name``, whose node i's slots source
-    ``sources(i, node)`` in order, one source per op; operation kinds, node
-    order and concat are kept."""
-    nodes = tuple(NodeSpec(tuple(OpSpec(op.kind, src)
-                                 for op, src in zip(node.ops, sources(i, node), strict=True)))
-                  for i, node in enumerate(g.nodes))
+def rewired(g: CellGenotype, name, ops) -> CellGenotype:
+    """Copy of g, named ``name``, whose node i has the ``OpSpec``s
+    ``ops(i, node)`` in slot order; node order and concat are kept."""
+    nodes = tuple(NodeSpec(tuple(ops(i, node))) for i, node in enumerate(g.nodes))
     return CellGenotype(name=name, num_inputs=g.num_inputs, nodes=nodes, concat=g.concat)
 
 
@@ -178,5 +175,6 @@ def adapt_to_widest_shallowest(g: CellGenotype) -> CellGenotype:
         raise UnsupportedInputCount(
             f"adaptation supports exactly 2 input nodes, got {g.num_inputs}"
         )
-    return rewired(g, f"{g.name}_adapted", lambda i, node: range(len(node.ops)))
+    return rewired(g, f"{g.name}_adapted",
+                   lambda i, node: (OpSpec(op.kind, slot) for slot, op in enumerate(node.ops)))
 

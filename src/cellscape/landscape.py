@@ -49,6 +49,14 @@ def sample_directions(checkpoint, layout, seed, normalization="blockwise"):
     return d1, d2
 
 
+def evaluation_subset(dataset, subset, seed):
+    """The held-out ``(x, y)`` a landscape evaluates: ``subset`` test rows (all
+    if fewer), drawn from ``stream(seed, "data")``, kept in split order."""
+    n = len(dataset.test_y)
+    pick = np.sort(stream(seed, "data").choice(n, size=min(subset, n), replace=False))
+    return dataset.test_x[pick], dataset.test_y[pick]
+
+
 @dataclass
 class LandscapeGrid:
     alphas: np.ndarray

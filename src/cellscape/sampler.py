@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 
 from .errors import InvalidSearchSpace, UnknownOperationKind
-from .genotype import OPERATION_KINDS, CellGenotype, NodeSpec, OpSpec, rewired
+from .genotype import OPERATION_KINDS, CellGenotype, OpSpec, rewired
 from .rng import stream
 
 
@@ -70,7 +70,8 @@ def sample_connection_variant(g: CellGenotype, rng, name=None) -> CellGenotype:
     """Resample every slot's source uniformly among its preceding nodes."""
     m = g.num_inputs
     return rewired(g, name or g.name,
-                   lambda i, node: [int(rng.integers(0, m + i)) for _ in node.ops])
+                   lambda i, node: [OpSpec(op.kind, int(rng.integers(0, m + i)))
+                                    for op in node.ops])
 
 
 def sample_operation_variant(g: CellGenotype, operation_set, rng, name=None) -> CellGenotype:
@@ -81,16 +82,9 @@ def sample_operation_variant(g: CellGenotype, operation_set, rng, name=None) -> 
     unknown = set(ops_list) - OPERATION_KINDS
     if unknown:
         raise UnknownOperationKind(f"unknown operation kinds: {sorted(unknown)}")
-    nodes = []
-    for node in g.nodes:
-        ops = tuple(
-            OpSpec(ops_list[int(rng.integers(0, len(ops_list)))], op.source)
-            for op in node.ops
-        )
-        nodes.append(NodeSpec(ops))
-    return CellGenotype(
-        name=name or g.name, num_inputs=g.num_inputs, nodes=tuple(nodes), concat=g.concat
-    )
+    return rewired(g, name or g.name,
+                   lambda i, node: [OpSpec(ops_list[int(rng.integers(0, len(ops_list)))],
+                                           op.source) for op in node.ops])
 
 
 def sample_variants(g: CellGenotype, mode, count, seed, operation_set=()):
@@ -100,8 +94,6 @@ def sample_variants(g: CellGenotype, mode, count, seed, operation_set=()):
         raise ValueError(f"mode must be connection|operation, got {mode!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if mode == "operation" and not operation_set:
-        raise ValueError("operation mode needs a non-empty operation_set")
     rng = stream(seed, "sampling")
     variants = []
     for i in range(count):

@@ -5,7 +5,7 @@ annealing to zero, evaluated on the held-out split once per epoch.  The first
 non-finite batch loss or epoch test loss stops the run and marks it diverged;
 divergence is a legitimate experimental outcome, not an error.
 
-``train`` takes a list of configs.  Their members train in lockstep as the
+``train`` takes a list of (lr, seed) members.  They train in lockstep as the
 rows of one (K, P) parameter array, so one batched step serves all of them,
 each with its own init and shuffle streams and learning rate.  A member that
 diverges is dropped with its row and the rest go on.  ``compare_convergence``
@@ -16,27 +16,19 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from .autodiff import cosine_lr, sgd_step
 from .data import Dataset
+from .errors import InvalidSpec
 from .network import CellNetwork, NetworkConfig
 from .rng import stream
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 0.025
-    batch_size: int = 80
-    epochs: int = 30
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.lr < 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("need lr >= 0, batch_size >= 1, epochs >= 0")
+# compare's batch size, and train's default one
+BATCH_SIZE = 80
 
 
 @dataclass
@@ -47,10 +39,6 @@ class TrainTrace:
     diverged: bool = False
     divergence_epoch: int | None = None
     final_params: np.ndarray | None = None  # flat, in the network's layout
-
-    @property
-    def final_row(self):
-        return self.rows[-1]
 
     def epochs_to_threshold(self, threshold):
         """First epoch whose test loss falls below the threshold; None if never."""
@@ -66,28 +54,28 @@ class TrainTrace:
         return float(sum(row["test_loss"] for row in self.rows))
 
 
-def train(network: CellNetwork, dataset: Dataset, cfgs):
-    """Run the full protocol on a list of configs, differing only in ``lr``
-    and ``seed``, and return one trace per config with its final parameters.
+def train(network: CellNetwork, dataset: Dataset, members, epochs, batch_size):
+    """Run the full protocol on each ``(lr, seed)`` of ``members`` and return
+    one trace per member with its final parameters.
 
     The members train in lockstep.  Each starts from ``stream(seed, "init")``
     and shuffles with ``stream(seed, "shuffle")``, as if run alone.
     """
-    if not cfgs:
+    if any(lr < 0 for lr, _ in members) or batch_size < 1 or epochs < 0:
+        raise ValueError("need lr >= 0, batch_size >= 1, epochs >= 0")
+    if not members:
         return []
-    cfg = cfgs[0]
-    if any(replace(c, lr=cfg.lr, seed=cfg.seed) != cfg for c in cfgs):
-        raise ValueError("lockstep members may differ only in lr and seed")
-    params = np.stack([network.init_params(stream(c.seed, "init")) for c in cfgs])
-    shuffles = [stream(c.seed, "shuffle") for c in cfgs]
-    traces = [TrainTrace() for _ in cfgs]
+    base_lr = np.array([lr for lr, _ in members])
+    params = np.stack([network.init_params(stream(seed, "init")) for _, seed in members])
+    shuffles = [stream(seed, "shuffle") for _, seed in members]
+    traces = [TrainTrace() for _ in members]
     n = len(dataset.train_y)
-    starts = range(0, n, cfg.batch_size)
-    # every field holds one row per live member: its config index, params and
+    starts = range(0, n, batch_size)
+    # every field holds one row per live member: its member index, params and
     # velocity, and the epoch's lr, shuffle order, batch losses and gradients
-    live = SimpleNamespace(k=np.arange(len(cfgs)), params=params,
+    live = SimpleNamespace(k=np.arange(len(members)), params=params,
                            velocity=np.zeros_like(params),
-                           lr=np.array([cosine_lr(0, max(cfg.epochs, 1), c.lr) for c in cfgs]))
+                           lr=cosine_lr(0, max(epochs, 1), base_lr))
 
     def row(k, epoch, lr, train_loss, test_loss, test_acc):
         # Python floats, since a numpy scalar's repr would change trace.csv
@@ -120,12 +108,12 @@ def train(network: CellNetwork, dataset: Dataset, cfgs):
         if not evaluate(0, [network.evaluate(dataset.train_x, dataset.train_y, p)[0]
                             for p in params]):
             return traces
-        for epoch in range(cfg.epochs):
-            live.lr = np.array([cosine_lr(epoch, cfg.epochs, cfgs[k].lr) for k in live.k])
+        for epoch in range(epochs):
+            live.lr = cosine_lr(epoch, epochs, base_lr[live.k])
             live.order = np.stack([shuffles[k].permutation(n) for k in live.k])
             live.losses = np.empty((len(live.k), len(starts)))
             for b, start in enumerate(starts):
-                idx = live.order[:, start : start + cfg.batch_size]
+                idx = live.order[:, start : start + batch_size]
                 live.losses[:, b], live.grads = network.loss_and_grads(
                     dataset.train_x[idx], dataset.train_y[idx], live.params
                 )
@@ -142,7 +130,7 @@ def train(network: CellNetwork, dataset: Dataset, cfgs):
     return traces
 
 
-def compare_convergence(genotypes, dataset, cfg: TrainConfig, lr_set, seeds,
+def compare_convergence(genotypes, dataset, epochs, lr_set, seeds,
                         net_cfg: NetworkConfig, threshold=None):
     """Train every (genotype, lr, seed) combination and scalarize convergence.
 
@@ -151,10 +139,15 @@ def compare_convergence(genotypes, dataset, cfg: TrainConfig, lr_set, seeds,
     Returns the report document: the threshold, one entry per run, and for
     each lr (keyed by its repr) every genotype's median epochs-to-threshold,
     inf when most runs never reach it, and the genotypes ranked by that
-    median, ties broken by name.
+    median, ties broken by name.  Raises InvalidSpec unless there are two or
+    more genotypes, with distinct names.
     """
-    if len(genotypes) < 2:
-        raise ValueError("need at least two genotypes to compare")
+    names = sorted(g.name for g in genotypes)
+    if len(names) < 2:
+        raise InvalidSpec(f"need at least two genotypes to compare, got {len(names)}")
+    repeated = sorted({a for a, b in zip(names, names[1:]) if a == b})
+    if repeated:
+        raise InvalidSpec(f"genotype names repeat: {repeated}")
     if not seeds:
         raise ValueError("need at least one seed")
     if threshold is None:
@@ -164,22 +157,21 @@ def compare_convergence(genotypes, dataset, cfg: TrainConfig, lr_set, seeds,
     # build every network first, so a cell no network takes fails before any run
     networks = [CellNetwork(g, net_cfg) for g in genotypes]
     for g, network in zip(genotypes, networks):
-        traces = train(network, dataset,
-                       [replace(cfg, lr=lr, seed=seed) for lr, seed in members])
+        traces = train(network, dataset, members, epochs, BATCH_SIZE)
         for (lr, seed), trace in zip(members, traces):
             entries.append({
                 "genotype": g.name, "lr": lr, "seed": seed,
                 "epochs_to_threshold": trace.epochs_to_threshold(threshold),
                 "area": trace.loss_curve_area(), "diverged": trace.diverged,
                 "divergence_epoch": trace.divergence_epoch,
-                "final_acc": trace.final_row["test_acc"],
+                "final_acc": trace.rows[-1]["test_acc"],
             })
     report = {"threshold": threshold, "entries": entries, "rankings": {}, "medians": {}}
     for lr in lr_set:
         medians = {name: statistics.median(
             math.inf if e["epochs_to_threshold"] is None else e["epochs_to_threshold"]
             for e in entries if e["genotype"] == name and e["lr"] == lr)
-            for name in sorted(g.name for g in genotypes)}
+            for name in names}
         report["rankings"][repr(lr)] = sorted(medians, key=medians.get)
         report["medians"][repr(lr)] = medians
     return report

@@ -157,7 +157,9 @@ def rewire_to_chain(g: CellGenotype) -> CellGenotype:
         raise UnsupportedInputCount(
             f"rewiring supports exactly 2 input nodes, got {g.num_inputs}"
         )
-    return rewired(g, f"{g.name}_chain", lambda i, node: (0, 1) if i == 0 else (i + 1, 0))
+    return rewired(g, f"{g.name}_chain",
+                   lambda i, node: (OpSpec(op.kind, s) for op, s in
+                                    zip(node.ops, (0, 1) if i == 0 else (i + 1, 0))))
 
 
 def chain_cell(n, name="chain", kind="linear", num_inputs=2) -> CellGenotype:

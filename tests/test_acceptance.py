@@ -20,7 +20,6 @@ from cellscape import (
     CellNetwork,
     DatasetSpec,
     NetworkConfig,
-    TrainConfig,
     adapt_to_widest_shallowest,
     cell_depth,
     cell_width,
@@ -308,7 +307,7 @@ def test_criterion_08_landscape(tmp_path):
                        noise=1.0, radius=8.0, seed=0)
     ds = make_dataset(data)
     net = CellNetwork(load_fixture("darts"), cfg)
-    [trace] = train(net, ds, [TrainConfig(lr=0.025, epochs=3, seed=0)])
+    [trace] = train(net, ds, [(0.025, 0)], 3, 80)
     ckpt_path = tmp_path / "final.ckpt"
     save_checkpoint(trace.final_params, ckpt_path, net.layout)
     ckpt = load_checkpoint(ckpt_path, net.layout)

@@ -99,22 +99,22 @@ GENOTYPE_COMMANDS = {
 
 @pytest.mark.parametrize("command", GENOTYPE_COMMANDS)
 def test_invalid_genotype_exit_2(command, tiny_spec, tmp_path):
-    # node 2 sources node 9; compare's directory also holds a valid darts
+    # node 2 sources node 9, or the output averages node 3 twice; compare's
+    # directory also holds a valid darts
     gdir = tmp_path / "gens"
     gdir.mkdir()
     save_genotype(load_fixture("darts"), gdir / "darts.json")
     path = gdir / "bad.json"
-    path.write_text(json.dumps({
-        "name": "bad", "num_inputs": 2,
-        "nodes": [{"ops": [{"kind": "linear", "source": 0},
-                           {"kind": "linear", "source": 9}]}],
-        "concat": [2],
-    }))
-    out = tmp_path / "out"
-    res = run_cli(*GENOTYPE_COMMANDS[command](path, tiny_spec, out))
-    assert res.returncode == 2
-    assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
-    assert not out.exists()
+    node = {"ops": [{"kind": "linear", "source": 0}, {"kind": "linear", "source": 1}]}
+    forward = {"ops": [{"kind": "linear", "source": 0}, {"kind": "linear", "source": 9}]}
+    for nodes, concat in (([forward], [2]), ([node, node], [3, 3, 2])):
+        path.write_text(json.dumps({"name": "bad", "num_inputs": 2, "nodes": nodes,
+                                    "concat": concat}))
+        out = tmp_path / "out"
+        res = run_cli(*GENOTYPE_COMMANDS[command](path, tiny_spec, out))
+        assert res.returncode == 2, concat
+        assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [

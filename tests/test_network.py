@@ -10,7 +10,6 @@ from cellscape import (
     NetworkConfig,
     NodeSpec,
     OpSpec,
-    TrainConfig,
     adapt_to_widest_shallowest,
     cell_depth,
     cell_width,
@@ -253,7 +252,7 @@ TINY_DATA = DatasetSpec(dim=5, num_classes=3, train_size=120, test_size=40,
 def test_zero_epochs_trace(darts):
     ds = make_dataset(TINY_DATA)
     net = CellNetwork(darts, SMALL)
-    [trace] = train(net, ds, [TrainConfig(epochs=0)])
+    [trace] = train(net, ds, [(0.025, 0)], 0, 80)
     assert len(trace.rows) == 1
     assert trace.rows[0]["epoch"] == 0
     assert not trace.diverged
@@ -263,7 +262,7 @@ def test_zero_lr_keeps_parameters(darts):
     ds = make_dataset(TINY_DATA)
     net = CellNetwork(darts, SMALL)
     before = net.init_params(stream(0, "init"))
-    [trace] = train(net, ds, [TrainConfig(lr=0.0, epochs=2)])
+    [trace] = train(net, ds, [(0.0, 0)], 2, 80)
     assert np.array_equal(trace.final_params, before)
     losses = [r["test_loss"] for r in trace.rows]
     assert losses.count(losses[0]) == len(losses)
@@ -274,7 +273,7 @@ def test_training_improves_loss(darts):
     finals, initials = [], []
     for seed in range(5):
         net = CellNetwork(darts, SMALL)
-        [trace] = train(net, ds, [TrainConfig(lr=0.025, epochs=30, seed=seed)])
+        [trace] = train(net, ds, [(0.025, seed)], 30, 80)
         initials.append(trace.rows[0]["train_loss"])
         finals.append(trace.rows[-1]["train_loss"])
     assert np.median(finals) < np.median(initials)
@@ -285,7 +284,7 @@ def test_training_reproducible(darts):
 
     def run():
         net = CellNetwork(darts, SMALL)
-        [trace] = train(net, ds, [TrainConfig(lr=0.025, epochs=3, seed=7)])
+        [trace] = train(net, ds, [(0.025, 7)], 3, 80)
         return trace
 
     a, b = run(), run()
@@ -296,7 +295,7 @@ def test_training_reproducible(darts):
 def test_epochs_to_threshold_antitone(darts):
     ds = make_dataset(TINY_DATA)
     net = CellNetwork(darts, SMALL)
-    [trace] = train(net, ds, [TrainConfig(lr=0.025, epochs=15)])
+    [trace] = train(net, ds, [(0.025, 0)], 15, 80)
     thresholds = [1.2, 0.8, 0.4, 0.2]
     epochs = [trace.epochs_to_threshold(t) for t in thresholds]
     reached = [e for e in epochs if e is not None]
@@ -312,7 +311,7 @@ def test_divergence_recorded(darts):
     chain = rewire_to_chain(darts)
     net = CellNetwork(chain, NetworkConfig())
     with np.errstate(all="ignore"):
-        [trace] = train(net, ds, [TrainConfig(lr=0.25, epochs=10, seed=0)])
+        [trace] = train(net, ds, [(0.25, 0)], 10, 80)
     assert trace.diverged
     assert trace.divergence_epoch is not None
     assert trace.rows[-1]["test_loss"] == math.inf
@@ -337,8 +336,9 @@ def assert_same_run(lockstep, single):
     np.testing.assert_allclose(lockstep.final_params, single.final_params, rtol=1e-12, atol=0)
 
 
-def single_runs(genotype, ds, cfgs):
-    return [train(CellNetwork(genotype, NetworkConfig()), ds, [c])[0] for c in cfgs]
+def single_runs(genotype, ds, members, epochs):
+    return [train(CellNetwork(genotype, NetworkConfig()), ds, [m], epochs, 80)[0]
+            for m in members]
 
 
 def test_lockstep_members_match_single_runs(darts):
@@ -346,10 +346,9 @@ def test_lockstep_members_match_single_runs(darts):
     # members go on without it
     ds = make_dataset(DatasetSpec(seed=0))
     chain = rewire_to_chain(darts)
-    cfgs = [TrainConfig(lr=lr, epochs=3, seed=seed)
-            for lr in (0.0025, 0.025, 0.25) for seed in (0, 1)]
-    lockstep = train(CellNetwork(chain, NetworkConfig()), ds, cfgs)
-    singles = single_runs(chain, ds, cfgs)
+    members = [(lr, seed) for lr in (0.0025, 0.025, 0.25) for seed in (0, 1)]
+    lockstep = train(CellNetwork(chain, NetworkConfig()), ds, members, 3, 80)
+    singles = single_runs(chain, ds, members, 3)
     assert [t.diverged for t in lockstep] == [False] * 4 + [True] * 2
     for a, b in zip(lockstep, singles):
         assert_same_run(a, b)
@@ -358,9 +357,9 @@ def test_lockstep_members_match_single_runs(darts):
 def test_lockstep_group_where_every_member_diverges(darts):
     # at lr 0.25 darts diverges in epoch 2 at seed 0 and in epoch 1 at seed 1
     ds = make_dataset(DatasetSpec(seed=0))
-    cfgs = [TrainConfig(lr=0.25, epochs=3, seed=seed) for seed in (0, 1)]
-    lockstep = train(CellNetwork(darts, NetworkConfig()), ds, cfgs)
-    singles = single_runs(darts, ds, cfgs)
+    members = [(0.25, seed) for seed in (0, 1)]
+    lockstep = train(CellNetwork(darts, NetworkConfig()), ds, members, 3, 80)
+    singles = single_runs(darts, ds, members, 3)
     assert all(t.diverged for t in lockstep)
     assert lockstep[0].divergence_epoch != lockstep[1].divergence_epoch
     for a, b in zip(lockstep, singles):
@@ -390,14 +389,13 @@ def test_lockstep_drops_members_at_either_divergence_site(darts):
     # two batches per epoch: lr 1e10 first overflows a batch loss in epoch 2,
     # lr 30 an epoch-3 test loss, and lr 1 never diverges
     ds = make_dataset(TINY_DATA)
-    cfgs = [TrainConfig(lr=lr, epochs=4, batch_size=60, seed=seed)
-            for lr, seed in ((1e10, 0), (30.0, 1), (1.0, 0))]
+    members = [(1e10, 0), (30.0, 1), (1.0, 0)]
     with np.errstate(all="ignore"):
-        lockstep = train(CellNetwork(darts, SMALL), ds, cfgs)
+        lockstep = train(CellNetwork(darts, SMALL), ds, members, 4, 60)
         singles, sites = [], []
-        for cfg in cfgs:
+        for member in members:
             net = Watched(darts, SMALL)
-            singles += train(net, ds, [cfg])
+            singles += train(net, ds, [member], 4, 60)
             sites.append(net.site)
     assert sites == ["batch", "test", None]
     assert [t.divergence_epoch for t in singles] == [2, 3, None]
@@ -406,11 +404,18 @@ def test_lockstep_drops_members_at_either_divergence_site(darts):
 
 
 def test_lockstep_members_differ_only_in_lr_and_seed(darts):
+    # members are (lr, seed) pairs that share epochs and batch size, so none
+    # can differ in anything else; no members train to no traces
     ds = make_dataset(TINY_DATA)
-    net = CellNetwork(darts, SMALL)
+    assert train(CellNetwork(darts, SMALL), ds, [], 2, 80) == []
+
+
+@pytest.mark.parametrize("members, epochs, batch_size", [
+    ([(0.025, 0), (-0.1, 1)], 2, 80), ([(0.025, 0)], -1, 80), ([(0.025, 0)], 2, 0),
+])
+def test_train_rejects_out_of_range_settings(darts, members, epochs, batch_size):
     with pytest.raises(ValueError):
-        train(net, ds, [TrainConfig(epochs=2), TrainConfig(epochs=3)])
-    assert train(net, ds, []) == []
+        train(CellNetwork(darts, SMALL), make_dataset(TINY_DATA), members, epochs, batch_size)
 
 
 # --- adaptation and comparison --------------------------------------------
@@ -450,7 +455,7 @@ def test_compare_convergence_determinism(darts):
     renamed = CellGenotype(name="darts_copy", num_inputs=2, nodes=darts.nodes,
                            concat=darts.concat)
     report = compare_convergence(
-        [darts, renamed], ds, TrainConfig(epochs=3), lr_set=[0.025], seeds=[0],
+        [darts, renamed], ds, 3, lr_set=[0.025], seeds=[0],
         net_cfg=SMALL,
     )
     by_name = {e["genotype"]: e for e in report["entries"]}
@@ -469,13 +474,21 @@ def test_compare_convergence_builds_every_network_before_training(darts, snas, m
 
     monkeypatch.setattr(training, "train", no_training)
     with pytest.raises(UnsupportedInputCount):
-        compare_convergence([darts, snas, three], make_dataset(TINY_DATA), TrainConfig(),
+        compare_convergence([darts, snas, three], make_dataset(TINY_DATA), 30,
                             [0.025], [0], SMALL)
 
 
-def test_compare_convergence_validation(darts):
+def test_compare_convergence_validation(darts, snas):
     ds = make_dataset(TINY_DATA)
+    with pytest.raises(InvalidSpec):
+        compare_convergence([darts], ds, 30, [0.025], [0], SMALL)
     with pytest.raises(ValueError):
-        compare_convergence([darts], ds, TrainConfig(), [0.025], [0], SMALL)
-    with pytest.raises(ValueError):
-        compare_convergence([darts, darts], ds, TrainConfig(), [0.025], [], SMALL)
+        compare_convergence([darts, snas], ds, 30, [0.025], [], SMALL)
+
+
+def test_compare_convergence_rejects_repeated_names(darts, snas):
+    # the report is keyed by name, so two genotypes named alike would merge
+    # into one median and one ranking entry
+    twin = CellGenotype(name="darts", num_inputs=2, nodes=snas.nodes, concat=snas.concat)
+    with pytest.raises(InvalidSpec, match=r"\['darts'\]"):
+        compare_convergence([darts, twin], make_dataset(TINY_DATA), 1, [0.025], [0], SMALL)

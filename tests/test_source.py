@@ -210,8 +210,10 @@ def calls_of(source, name):
 
 def test_calls_are_found():
     source = ("validate_genotype(g)\ngenotype.validate_genotype(g)\nvalidate_genotype\n"
-              "x = f(validate_genotype(g))\nvalidate(g)\n")
+              "x = f(validate_genotype(g))\nvalidate(g)\n"
+              "pick = stream(seed, 'data').choice(9, size=3)\n")
     assert calls_of(source, "validate_genotype") == [1, 2, 4]
+    assert calls_of(source, "stream") == [6]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "genotype.py"],
@@ -219,3 +221,8 @@ def test_calls_are_found():
 def test_only_the_genotype_constructor_validates(path):
     # a CellGenotype is checked when it is built, so every one is valid
     assert calls_of(path.read_text(), "validate_genotype") == []
+
+
+def test_cli_draws_no_random_numbers():
+    # every draw of a command lives in the library module that owns it
+    assert calls_of((SRC / "cli.py").read_text(), "stream") == []
