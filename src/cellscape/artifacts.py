@@ -1,10 +1,14 @@
 """The one module that writes files, JSON, CSV or raw bytes, and the one
 reader of input files.  RFC 8259 has no inf or nan, so a non-finite float is
-written to JSON as ``null``, and ``allow_nan=False`` holds."""
+written to JSON as ``null``, and ``allow_nan=False`` holds.  Every file is
+written whole or not at all: to a temporary file beside it, renamed into
+place once complete."""
 
+import contextlib
 import csv
 import json
 import math
+import os
 
 from .errors import ParseError
 
@@ -25,15 +29,37 @@ def dump(doc, fh):
     fh.write("\n")
 
 
+@contextlib.contextmanager
+def _replacing(path, mode, **kwargs):
+    """A file open for writing beside ``path`` that replaces ``path`` when the
+    block ends.  If the block raises, the file is removed and ``path`` is
+    left as it was."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, mode, **kwargs)
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_json(path, doc):
-    with open(path, "w") as fh:
+    with _replacing(path, "w") as fh:
         dump(doc, fh)
 
 
 def write_csv(path, header, rows):
     """Write a header line, then one line per row; floats (numpy's too) as
     their repr, which reads back exactly and gives ``inf`` and ``nan``."""
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
@@ -41,7 +67,7 @@ def write_csv(path, header, rows):
 
 
 def write_bytes(path, data):
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(data)
 
 

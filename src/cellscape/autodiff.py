@@ -3,6 +3,8 @@
 A ``Tape`` records every primitive applied to ``Value`` nodes during a forward
 pass; ``backward`` replays the records in reverse to accumulate gradients.
 A tape made with ``record=False`` runs the same primitives forward only.
+A whole cell node is one primitive, ``Tape.node``, fed by ``Source``s that
+share each source's rectifier among the node parts that read it.
 ``per_example_variance`` reads per-example gradients off a recorded tape after
 one batched ``backward``.
 The SGD optimizer with cosine annealing lives here as well, since it operates
@@ -45,15 +47,18 @@ class Tape:
 
     def __init__(self, record=True):
         self.record = record
-        self._records = []  # (primitive, output, inputs, backward_fn)
+        self._records = []  # (primitive, output, inputs, backward_fn, params)
         self._produced = set()
 
     def leaf(self, data) -> Value:
         return Value(data)
 
-    def _push(self, kind, out, inputs, backward):
+    def _push(self, kind, out, inputs, backward, params=None):
+        """Record one primitive.  ``params`` maps the slot in ``inputs`` of
+        each weight to the array it multiplies, and of each bias to None, for
+        ``per_example_variance``."""
         if self.record:
-            self._records.append((kind, out, inputs, backward))
+            self._records.append((kind, out, inputs, backward, params))
             self._produced.add(id(out))
         return out
 
@@ -62,21 +67,12 @@ class Tape:
     def dense(self, x: Value, w: Value) -> Value:
         """x @ w.T for x of shape (batch, in) and w of shape (out, in).  Either
         may carry a leading member axis K; an unstacked side broadcasts."""
-        if x.data.ndim < 2 or w.data.ndim < 2 or x.data.shape[-1] != w.data.shape[-1]:
-            raise ShapeMismatch(f"dense: {x.data.shape} vs {w.data.shape}")
-        _members("dense", x.data.shape[:-2], w.data.shape[:-2])
-        out = Value(x.data @ np.swapaxes(w.data, -1, -2))
+        out = Value(_dense("dense", x.data, w.data))
 
         def backward(g):
-            return [g @ w.data, np.swapaxes(g, -1, -2) @ x.data]
+            return [g @ w.data, g.swapaxes(-1, -2) @ x.data]
 
-        return self._push("dense", out, [x, w], backward)
-
-    def add(self, a: Value, b: Value) -> Value:
-        if a.data.shape != b.data.shape:
-            raise ShapeMismatch(f"add: {a.data.shape} vs {b.data.shape}")
-        out = Value(a.data + b.data)
-        return self._push("add", out, [a, b], lambda g: [g, g])
+        return self._push("dense", out, [x, w], backward, {1: x.data})
 
     def add_bias(self, x: Value, b: Value) -> Value:
         """x + b with the bias broadcast over the rows of x."""
@@ -84,19 +80,56 @@ class Tape:
             raise ShapeMismatch(f"add_bias: {x.data.shape} vs {b.data.shape}")
         _members("add_bias", x.data.shape[:-2], b.data.shape[:-1])
         out = Value(x.data + b.data[..., None, :])
-        return self._push("add_bias", out, [x, b], lambda g: [g, g.sum(axis=-2)])
+        return self._push("add_bias", out, [x, b], lambda g: [g, g.sum(axis=-2)], {1: None})
 
-    def relu(self, x: Value) -> Value:
-        # fmax maps NaN to 0 and += 0.0 turns -0.0 into +0.0: bit for bit
-        # np.where(x > 0, x, 0.0), at a fraction of its cost
-        o = np.fmax(x.data, 0.0)
-        o += 0.0
-        out = Value(o)
-        return self._push("relu", out, [x], lambda g: [g * (o > 0.0)])
+    def node(self, parts) -> Value:
+        """One cell node: the sum of the two parts in the list ``parts``, each
+        ``(kind, source, w)`` with ``source`` a ``Source``.  A ``linear`` part
+        is its source's rectifier times the transpose of its (dim, dim) weight
+        ``w``, an ``identity`` part its source and a ``zero`` part zeros; ``w``
+        is None unless the part is linear.
 
-    def zeros_like(self, x: Value) -> Value:
-        out = Value(np.zeros_like(x.data))
-        return self._push("zeros_like", out, [x], lambda g: [np.zeros_like(x.data)])
+        Values and gradients are bit for bit those of separate rectifier,
+        ``dense``, zeros and ``add`` records: the sum is taken in slot order,
+        and a source reached by several parts accumulates their gradients in
+        the order that ``backward`` replays those records, identity parts
+        first in slot order, then the others in reverse slot order."""
+        terms, inputs, params = [], [], {}
+        for kind, src, w in parts:
+            if kind == "linear":
+                terms.append(_dense("node", src.rectified, w.data))
+            elif kind == "identity":
+                terms.append(src.value.data)
+                inputs.append(src.value)
+            elif kind == "zero":
+                terms.append(np.zeros_like(src.value.data))
+            else:
+                raise AssertionError(kind)
+        a, b = terms
+        if a.shape != b.shape:
+            raise ShapeMismatch(f"node: parts of shapes {a.shape} and {b.shape}")
+        identities = len(inputs)
+        for kind, src, w in reversed(parts):
+            if kind == "linear":
+                params[len(inputs)] = src.rectified
+                inputs += [w, src.value]
+            elif kind == "zero":
+                inputs.append(src.value)
+
+        def backward(g):
+            grads = [g] * identities
+            for kind, src, w in reversed(parts):
+                x = src.value.data
+                if kind == "zero":
+                    grads.append(np.zeros_like(x))
+                elif kind == "linear":
+                    gx = g @ w.data
+                    if gx.ndim > x.ndim:  # the source was broadcast over the member axis
+                        gx = gx.sum(axis=tuple(range(gx.ndim - x.ndim)))
+                    grads += [g.swapaxes(-1, -2) @ src.rectified, gx * src.mask]
+            return grads
+
+        return self._push("node", Value(a + b), inputs, backward, params)
 
     def mean_of(self, parts) -> Value:
         """Elementwise mean of same-shape arrays (fixed averaging projection)."""
@@ -131,6 +164,45 @@ class Tape:
         return self._push("xent", out, [logits], backward)
 
 
+class Source:
+    """A value as the node parts of one cell read it.  Its rectifier is
+    computed on first use and its mask on the first backward that needs it,
+    once for every part that holds this object."""
+
+    __slots__ = ("value", "_rectified", "_mask")
+
+    def __init__(self, value: Value):
+        self.value = value
+        self._rectified = self._mask = None
+
+    @property
+    def rectified(self):
+        if self._rectified is None:
+            # fmax maps NaN to 0 and += 0.0 turns -0.0 into +0.0: bit for bit
+            # np.where(x > 0, x, 0.0), at a fraction of its cost
+            o = np.fmax(self.value.data, 0.0)
+            o += 0.0
+            self._rectified = o
+        return self._rectified
+
+    @property
+    def mask(self):
+        if self._mask is None:
+            self._mask = self.rectified > 0.0
+        return self._mask
+
+
+def _dense(op, x, w):
+    """x @ w.T over the last two axes of x (batch, in) and w (out, in).
+    Either may carry a leading member axis; an unstacked side broadcasts."""
+    if x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-1]:
+        raise ShapeMismatch(f"{op}: {x.shape} vs {w.shape}")
+    try:
+        return x @ w.swapaxes(-1, -2)
+    except ValueError:  # member axes that do not broadcast
+        raise ShapeMismatch(f"{op}: member axes of {x.shape} and {w.shape} differ") from None
+
+
 def _members(op, *leading):
     """The broadcast shape of the leading (member) axes of an op's operands."""
     try:
@@ -142,22 +214,22 @@ def _members(op, *leading):
 def backward(tape: Tape, loss: Value, keep_outputs=False):
     """Run the reverse pass from ``loss``, filling ``grad`` on every reachable
     leaf.  Op outputs' gradients are dropped once replayed; ``keep_outputs``
-    keeps those of ``dense`` and ``add_bias`` for ``per_example_variance``."""
+    keeps those of records with parameters for ``per_example_variance``."""
     if id(loss) not in tape._produced:
         raise NoTape("loss was not produced by this tape, or the tape records nothing")
-    for _, out, inputs, _ in tape._records:
+    for _, out, inputs, _, _ in tape._records:
         out.grad = None
         for v in inputs:
             v.grad = None
     loss.grad = np.ones_like(loss.data, dtype=np.float64)
-    for kind, out, inputs, bwd in reversed(tape._records):
+    for _, out, inputs, bwd, params in reversed(tape._records):
         if out.grad is None:
             continue
         for v, g in zip(inputs, bwd(out.grad)):
             if g.ndim > v.data.ndim:  # v was broadcast over the member axis
                 g = g.sum(axis=tuple(range(g.ndim - v.data.ndim)))
             v.grad = g if v.grad is None else v.grad + g
-        if not (keep_outputs and kind in ("dense", "add_bias")):
+        if not (keep_outputs and params):
             out.grad = None
 
 
@@ -166,36 +238,39 @@ def per_example_variance(tape: Tape, leaves: dict) -> float:
     ``leaves`` (name -> Value), read off ``tape`` after one batched ``backward``.
 
     The rows of every record must be independent examples, and each leaf
-    must feed exactly one record: as the weight of a ``dense`` or the bias of
-    an ``add_bias``.  Its batch gradient is then a sum of per-row terms (see
-    Goodfellow, arXiv:1510.01799): row i contributes the rank-1 block
-    ``g[i] (x) x[i]`` to a dense weight and ``g[i]`` to a bias, where ``g`` is
-    the record's output gradient and ``x`` its input.  The loss is a batch
-    mean, so row i of ``g`` is 1/n of example i's own gradient and every
-    per-example gradient is scaled by the row count n.
+    must feed exactly one record: as the weight of a ``dense`` or of a linear
+    ``node`` part, or as the bias of an ``add_bias``.  Its batch gradient is
+    then a sum of per-row terms (see Goodfellow, arXiv:1510.01799): row i
+    contributes the rank-1 block ``g[i] (x) x[i]`` to a weight and ``g[i]``
+    to a bias, where ``g`` is the record's output gradient and ``x`` the
+    array the weight multiplies: a dense's input, or a node part's rectified
+    source.  The loss is a batch mean, so row i of ``g`` is 1/n of example
+    i's own gradient and every per-example gradient is scaled by the row
+    count n.
     Each block is reduced to its centred sum of squares and dropped, so equal
     rows give exactly 0.  A leaf the loss does not reach adds nothing.
     Raises SharedParameter when a leaf feeds any other record.
     """
     uses = {}
-    for kind, out, inputs, _ in tape._records:
+    for kind, out, inputs, _, params in tape._records:
+        params = params or {}
         for slot, v in enumerate(inputs):
-            uses.setdefault(id(v), []).append((kind, slot, out, inputs))
+            uses.setdefault(id(v), []).append((kind, slot in params, out, params.get(slot)))
     total = 0.0
     for name, leaf in leaves.items():
         found = uses.get(id(leaf), [])
-        if len(found) > 1 or any(u[:2] not in (("dense", 1), ("add_bias", 1)) for u in found):
+        if len(found) > 1 or not all(u[1] for u in found):
             raise SharedParameter(
                 f"parameter {name} feeds {[u[0] for u in found]}; per-example gradients "
-                "need it to be the weight of one dense or the bias of one add_bias"
+                "need it to be the weight of one dense or node part, or the bias of one add_bias"
             )
         if not found or leaf.grad is None:
             continue
-        if found[0][2].grad is None:
+        _, _, out, x = found[0]
+        if out.grad is None:
             raise NoTape("per-example gradients need backward(..., keep_outputs=True)")
-        kind, _, out, inputs = found[0]
         g = out.grad * len(out.grad)
-        per_example = np.einsum("bo,bi->boi", g, inputs[0].data) if kind == "dense" else g
+        per_example = g if x is None else np.einsum("bo,bi->boi", g, x)
         centred = per_example - per_example.mean(axis=0)
         total += float(np.sum(centred * centred)) / len(g)
     return total

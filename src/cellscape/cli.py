@@ -41,7 +41,7 @@ from .metrics import cell_depth, cell_width, extremal_width_depth, per_node_widt
 from .network import CellNetwork, NetworkConfig
 from .rng import RNG_ALGORITHM
 from .sampler import connection_space_counts, count_connection_variants, sample_variants
-from .training import BATCH_SIZE, compare_convergence, train
+from .training import BATCH_SIZE, check_learning_rates, compare_convergence, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,8 +193,10 @@ def _learning_rates(ctx, param, value):
     """--lrs as a list of distinct values, each a finite number >= 0."""
     lrs = [_finite(ctx, param, click.FloatRange(min=0).convert(v, param, ctx))
            for v in value.split(",")]
-    if len(set(lrs)) < len(lrs):
-        raise click.BadParameter(f"{value} repeats a learning rate")
+    try:
+        check_learning_rates(lrs)
+    except InvalidSpec as exc:  # a usage error here, as every bad flag value is
+        raise click.BadParameter(str(exc)) from None
     return lrs
 
 

@@ -2,9 +2,9 @@
 
 Cell k receives the outputs of cells k-1 and k-2 (the stem output standing in
 for missing predecessors) as its two input nodes.  Each intermediate node
-sums its two transformed inputs; the cell output averages the concat nodes,
-which keeps the feature dimension constant across cells and leaves identity
-cells parameter-free.
+sums its two transformed inputs, one ``Tape.node`` record; the cell output
+averages the concat nodes, which keeps the feature dimension constant across
+cells and leaves identity cells parameter-free.
 """
 
 from __future__ import annotations
@@ -16,22 +16,9 @@ from itertools import zip_longest
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Value, glorot_init
+from .autodiff import Source, Tape, glorot_init
 from .errors import DimensionMismatch, UnsupportedInputCount
 from .genotype import CellGenotype
-
-
-def apply_op(tape: Tape, kind, x: Value, w: Value | None) -> Value:
-    """What an operation of ``kind`` computes from its source ``x``; only a
-    ``linear`` op reads its (dim, dim) weight ``w``."""
-    if kind == "linear":
-        # pre-activation style: rectifier then dense map
-        return tape.dense(tape.relu(x), w)
-    if kind == "identity":
-        return x
-    if kind == "zero":
-        return tape.zeros_like(x)
-    raise AssertionError(kind)
 
 
 @dataclass(frozen=True)
@@ -135,18 +122,15 @@ class CellNetwork:
         s = tape.add_bias(tape.dense(x_leaf, leaves["stem.w"]), leaves["stem.b"])
         prev2 = prev1 = s
         for layer in range(self.cfg.layers):
-            node_vals = [prev2, prev1]
+            # one Source per node of this cell, so that every linear part
+            # reading a node shares its rectifier and mask
+            sources = [Source(prev2), Source(prev1)]
             for i, node in enumerate(self.genotype.nodes):
-                parts = []
-                for slot, op in enumerate(node.ops):
-                    src = node_vals[op.source]
-                    w = leaves.get(f"cell{layer}.node{i}.op{slot}.w")
-                    parts.append(apply_op(tape, op.kind, src, w))
-                acc = parts[0]
-                for p in parts[1:]:
-                    acc = tape.add(acc, p)
-                node_vals.append(acc)
-            out = tape.mean_of([node_vals[c] for c in self.genotype.concat])
+                sources.append(Source(tape.node([
+                    (op.kind, sources[op.source], leaves.get(f"cell{layer}.node{i}.op{slot}.w"))
+                    for slot, op in enumerate(node.ops)
+                ])))
+            out = tape.mean_of([sources[c].value for c in self.genotype.concat])
             prev2, prev1 = prev1, out
         logits = tape.add_bias(tape.dense(prev1, leaves["head.w"]), leaves["head.b"])
         return logits, tape, leaves
@@ -176,8 +160,8 @@ class CellNetwork:
     def gradient_variance(self, x, y, params):
         """Total variance (covariance trace) of the per-example parameter
         gradients on a split, from one batched forward and backward pass.
-        Every parameter feeds one ``dense`` or ``add_bias`` record, which
-        ``autodiff.per_example_variance`` checks."""
+        Every parameter feeds one ``dense``, ``node`` or ``add_bias`` record,
+        which ``autodiff.per_example_variance`` checks."""
         logits, tape, leaves = self.forward(x, params)
         loss = tape.softmax_cross_entropy(logits, y)
         ad.backward(tape, loss, keep_outputs=True)

@@ -130,6 +130,20 @@ def train(network: CellNetwork, dataset: Dataset, members, epochs, batch_size):
     return traces
 
 
+def _repeats(values):
+    """The values that occur more than once, sorted."""
+    values = sorted(values)
+    return sorted({a for a, b in zip(values, values[1:]) if a == b})
+
+
+def check_learning_rates(lr_set):
+    """Raise InvalidSpec when ``lr_set`` repeats a rate: a report keyed by
+    ``repr(lr)`` would merge the runs of the two."""
+    repeated = _repeats(lr_set)
+    if repeated:
+        raise InvalidSpec(f"learning rates repeat: {repeated}")
+
+
 def compare_convergence(genotypes, dataset, epochs, lr_set, seeds,
                         net_cfg: NetworkConfig, threshold=None):
     """Train every (genotype, lr, seed) combination and scalarize convergence.
@@ -140,14 +154,15 @@ def compare_convergence(genotypes, dataset, epochs, lr_set, seeds,
     each lr (keyed by its repr) every genotype's median epochs-to-threshold,
     inf when most runs never reach it, and the genotypes ranked by that
     median, ties broken by name.  Raises InvalidSpec unless there are two or
-    more genotypes, with distinct names.
+    more genotypes, with distinct names, and the learning rates are distinct.
     """
     names = sorted(g.name for g in genotypes)
     if len(names) < 2:
         raise InvalidSpec(f"need at least two genotypes to compare, got {len(names)}")
-    repeated = sorted({a for a, b in zip(names, names[1:]) if a == b})
+    repeated = _repeats(names)
     if repeated:
         raise InvalidSpec(f"genotype names repeat: {repeated}")
+    check_learning_rates(lr_set)
     if not seeds:
         raise ValueError("need at least one seed")
     if threshold is None:

@@ -31,7 +31,40 @@ class TooLarge(Exception):
 
 
 class LossTape(Tape):
-    """Tape plus the ops that only test objectives use."""
+    """Tape plus the ops that only test objectives use, and a cell node as
+    separate rectifier, ``dense``, zeros and ``add`` records: the bit-for-bit
+    oracle of ``Tape.node``."""
+
+    def relu(self, x: Value) -> Value:
+        o = np.fmax(x.data, 0.0)
+        o += 0.0
+        return self._push("relu", Value(o), [x], lambda g: [g * (o > 0.0)])
+
+    def add(self, a: Value, b: Value) -> Value:
+        if a.data.shape != b.data.shape:
+            raise ShapeMismatch(f"add: {a.data.shape} vs {b.data.shape}")
+        return self._push("add", Value(a.data + b.data), [a, b], lambda g: [g, g])
+
+    def zeros_like(self, x: Value) -> Value:
+        out = Value(np.zeros_like(x.data))
+        return self._push("zeros_like", out, [x], lambda g: [np.zeros_like(x.data)])
+
+    def op(self, kind, x: Value, w) -> Value:
+        """What an operation of ``kind`` computes from its source ``x``; only a
+        ``linear`` op reads its (dim, dim) weight ``w``."""
+        if kind == "linear":
+            # pre-activation style: rectifier then dense map
+            return self.dense(self.relu(x), w)
+        if kind == "identity":
+            return x
+        if kind == "zero":
+            return self.zeros_like(x)
+        raise AssertionError(kind)
+
+    def unfused_node(self, parts) -> Value:
+        """``Tape.node`` of ``parts``, each ``(kind, x, w)`` with ``x`` a Value."""
+        (ka, xa, wa), (kb, xb, wb) = parts
+        return self.add(self.op(ka, xa, wa), self.op(kb, xb, wb))
 
     def sub(self, a: Value, b: Value) -> Value:
         if a.data.shape != b.data.shape:

@@ -34,7 +34,7 @@ from cellscape import (
     save_genotype,
     train,
 )
-from cellscape.autodiff import backward, cosine_lr, load_checkpoint, save_checkpoint
+from cellscape.autodiff import Source, backward, cosine_lr, load_checkpoint, save_checkpoint
 from cellscape.genotype import FIXTURE_NAMES, OPERATION_KINDS, genotype_to_dict
 from cellscape.linear_theory import (
     grad_widest_batch,
@@ -42,7 +42,6 @@ from cellscape.linear_theory import (
     verify_block_smoothness,
     verify_gradient_variance,
 )
-from cellscape.network import apply_op
 from cellscape.rng import stream
 from conftest import (
     LossTape,
@@ -212,6 +211,13 @@ def test_criterion_05_theorem3():
 # -- 6 ---------------------------------------------------------------------
 
 
+def cell_op(t, kind, x, w):
+    """An operation as the network applies it: one part of a node record,
+    beside a zero part that adds nothing."""
+    src = Source(x)
+    return t.node([(kind, src, w if kind == "linear" else None), ("zero", src, None)])
+
+
 def test_criterion_06_autodiff_soundness():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -224,12 +230,12 @@ def test_criterion_06_autodiff_soundness():
 
             def f(wv):
                 t = LossTape()
-                out = apply_op(t, kind, t.leaf(x), t.leaf(wv))
+                out = cell_op(t, kind, t.leaf(x), t.leaf(wv))
                 return float(t.half_sum_sq(out).data)
 
             t = LossTape()
             x_leaf, w_leaf = t.leaf(x), t.leaf(w)
-            out = apply_op(t, kind, x_leaf, w_leaf)
+            out = cell_op(t, kind, x_leaf, w_leaf)
             backward(t, t.half_sum_sq(out))
             if kind == "linear":
                 fd = central_difference(f, w, 1e-4)
@@ -238,7 +244,7 @@ def test_criterion_06_autodiff_soundness():
 
             def fx(xv):
                 t2 = LossTape()
-                out2 = apply_op(t2, kind, t2.leaf(xv), t2.leaf(w))
+                out2 = cell_op(t2, kind, t2.leaf(xv), t2.leaf(w))
                 return float(t2.half_sum_sq(out2).data)
 
             fd_x = central_difference(fx, x, 1e-4)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellscape.autodiff import (
+    Source,
     Tape,
     Value,
     backward,
@@ -19,8 +21,8 @@ from cellscape.autodiff import (
     sgd_step,
 )
 from cellscape.errors import DimensionMismatch, NoTape, ShapeMismatch, SharedParameter
-from cellscape.genotype import load_fixture
-from cellscape.network import CellNetwork, NetworkConfig, ParamLayout, apply_op
+from cellscape.genotype import OPERATION_KINDS, load_fixture
+from cellscape.network import CellNetwork, NetworkConfig, ParamLayout
 from conftest import LossTape, central_difference
 
 dims = st.integers(2, 16)
@@ -46,12 +48,12 @@ def test_linear_op_matches_finite_differences(batch, d, seed):
 
     def loss_of_w(wv):
         t = LossTape()
-        out = apply_op(t, "linear", t.leaf(x), t.leaf(wv))
+        out = t.op("linear", t.leaf(x), t.leaf(wv))
         return float(t.half_sum_sq(out).data)
 
     t = LossTape()
     w_leaf = t.leaf(w)
-    loss = t.half_sum_sq(apply_op(t, "linear", t.leaf(x), w_leaf))
+    loss = t.half_sum_sq(t.op("linear", t.leaf(x), w_leaf))
     backward(t, loss)
     fd = central_difference(loss_of_w, w, 1e-4)
     assert rel_err(w_leaf.grad, fd) <= 1e-5
@@ -67,32 +69,125 @@ def test_linear_op_input_gradient(batch, d, seed):
 
     def loss_of_x(xv):
         t = LossTape()
-        out = apply_op(t, "linear", t.leaf(xv), t.leaf(w))
+        out = t.op("linear", t.leaf(xv), t.leaf(w))
         return float(t.half_sum_sq(out).data)
 
     t = LossTape()
     x_leaf = t.leaf(x)
-    loss = t.half_sum_sq(apply_op(t, "linear", x_leaf, t.leaf(w)))
+    loss = t.half_sum_sq(t.op("linear", x_leaf, t.leaf(w)))
     backward(t, loss)
     fd = central_difference(loss_of_x, x, 1e-4)
     assert rel_err(x_leaf.grad, fd) <= 1e-5
 
 
 def test_identity_op_passthrough():
-    t = Tape()
+    t = LossTape()
     x = t.leaf(np.arange(6.0).reshape(2, 3))
-    out = apply_op(t, "identity", x, None)
+    out = t.op("identity", x, None)
     assert out is x
 
 
 def test_zero_op_output_and_gradient():
     t = LossTape()
     x = t.leaf(np.ones((3, 4)))
-    out = apply_op(t, "zero", x, None)
+    out = t.op("zero", x, None)
     loss = t.half_sum_sq(out)
     backward(t, loss)
     assert np.all(out.data == 0.0)
     assert np.all(x.grad == 0.0)
+
+
+# --- the cell node record -------------------------------------------------
+
+
+def bits(a):
+    """The array's float64 bit patterns, so that equality also tells -0.0
+    from +0.0 and compares NaNs."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+KIND_PAIRS = list(itertools.product(sorted(OPERATION_KINDS), repeat=2))
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["record", "forward only"])
+@pytest.mark.parametrize("members", ["unstacked", "stacked", "broadcast"])
+@pytest.mark.parametrize("same_source", [True, False], ids=["same source", "two sources"])
+@pytest.mark.parametrize("kinds", KIND_PAIRS, ids="+".join)
+def test_node_matches_unfused_ops_bit_for_bit(kinds, same_source, members, record):
+    # the fused record against its parts as separate relu, dense, zeros_like
+    # and add records; "broadcast" feeds unstacked sources to stacked weights.
+    # The loss also reads source 0 directly, so that the node's gradient
+    # lands on one that already holds another's.
+    rng = np.random.default_rng(12)
+    k, batch, d = 3, 5, 4
+    lead = () if members == "unstacked" else (k,)
+    xs = rng.standard_normal((2, k, batch, d) if members == "stacked" else (2, batch, d))
+    xs[:, ..., 0] = 0.0
+    xs[:, ..., 1] = -0.0
+    ws = [rng.standard_normal(lead + (d, d)) for _ in kinds]
+
+    def run(t, fused):
+        sources = [t.leaf(xs[0])] if same_source else [t.leaf(x) for x in xs]
+        weights = [t.leaf(w) if kind == "linear" else None for kind, w in zip(kinds, ws)]
+        picked = [sources[0], sources[-1]]
+        if fused:
+            shared = {id(v): Source(v) for v in sources}
+            node = t.node([(kind, shared[id(x)], w)
+                           for kind, x, w in zip(kinds, picked, weights)])
+        else:
+            node = t.unfused_node(list(zip(kinds, picked, weights)))
+        out = t.mean_of([node, t.dense(sources[0], t.leaf(np.tile(np.eye(d), lead + (1, 1))))])
+        loss = t.softmax_cross_entropy(out, np.arange(batch) % d)
+        if t.record:
+            backward(t, loss)
+        return node.data, loss.data, [v.grad for v in sources + weights if v is not None]
+
+    try:
+        want = run(LossTape(record=record), fused=False)
+    except ShapeMismatch:
+        # a broadcast source beside a stacked part: add refuses the shapes
+        assert members == "broadcast" and kinds != ("linear", "linear")
+        with pytest.raises(ShapeMismatch):
+            run(Tape(record=record), fused=True)
+        return
+    got = run(Tape(record=record), fused=True)
+    assert np.array_equal(bits(got[0]), bits(want[0]))
+    assert np.array_equal(bits(got[1]), bits(want[1]))
+    for g, w in zip(got[2], want[2]):
+        assert (g is None) == (w is None) == (not record)
+        if record:
+            assert np.array_equal(bits(g), bits(w))
+
+
+@pytest.mark.parametrize("kinds", KIND_PAIRS, ids="+".join)
+def test_node_gradients_match_central_differences(kinds):
+    rng = np.random.default_rng(13)
+    batch, d = 3, 4
+    xs = rng.standard_normal((2, batch, d))
+    xs[np.abs(xs) < 1e-3] += 0.01  # keep clear of the rectifier kink
+    ws = rng.standard_normal((2, d, d))
+
+    def loss_of(xv, wv):
+        t = LossTape()
+        x_leaves, w_leaves = [t.leaf(x) for x in xv], [t.leaf(w) for w in wv]
+        sources = [Source(x) for x in x_leaves]
+        node = t.node([(kind, sources[i], w_leaves[i] if kind == "linear" else None)
+                       for i, kind in enumerate(kinds)])
+        loss = t.half_sum_sq(node)
+        backward(t, loss)
+        return float(loss.data), x_leaves + w_leaves
+
+    _, leaves = loss_of(xs, ws)
+    for i in range(2):
+        fd_x = central_difference(lambda v: loss_of([v, xs[1]] if i == 0 else [xs[0], v], ws)[0],
+                                  xs[i], 1e-5)
+        fd_w = central_difference(lambda v: loss_of(xs, [v, ws[1]] if i == 0 else [ws[0], v])[0],
+                                  ws[i], 1e-5)
+        assert rel_err(leaves[i].grad, fd_x) <= 1e-6
+        if kinds[i] == "linear":
+            assert rel_err(leaves[2 + i].grad, fd_w) <= 1e-6
+        else:
+            assert leaves[2 + i].grad is None and np.all(fd_w == 0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,12 +273,14 @@ def test_backward_foreign_value_rejected():
 def test_non_recording_tape_same_values_no_records():
     rng = np.random.default_rng(4)
     x, w, b = rng.standard_normal((5, 3)), rng.standard_normal((4, 3)), rng.standard_normal(4)
+    v = rng.standard_normal((4, 4))
     labels = np.array([0, 3, 1, 1, 2])
     losses = []
     quiet = Tape(record=False)
     for t in (Tape(), quiet):
-        h = t.add_bias(t.dense(t.relu(t.leaf(x)), t.leaf(w)), t.leaf(b))
-        h = t.mean_of([h, t.add(h, t.zeros_like(h))])
+        h = t.add_bias(t.dense(t.leaf(x), t.leaf(w)), t.leaf(b))
+        src = Source(h)
+        h = t.mean_of([h, t.node([("linear", src, t.leaf(v)), ("zero", src, None)])])
         losses.append(t.softmax_cross_entropy(h, labels))
     assert losses[0].data == losses[1].data
     assert quiet._records == []
@@ -199,8 +296,14 @@ def test_per_example_variance_rejects_shared_parameter():
     backward(t, t.softmax_cross_entropy(t.dense(t.dense(t.leaf(x), w), w), labels))
     with pytest.raises(SharedParameter):
         per_example_variance(t, {"w": w})
-    # one use, but not as the weight of a dense or the bias of an add_bias
+    # one node, but its two linear parts share the weight
     t = Tape()
+    src = Source(t.leaf(x))
+    backward(t, t.softmax_cross_entropy(t.node([("linear", src, w), ("linear", src, w)]), labels))
+    with pytest.raises(SharedParameter):
+        per_example_variance(t, {"w": w})
+    # one use, but not as the weight of a dense or node part or the bias of an add_bias
+    t = LossTape()
     b = t.leaf(np.ones((3, 2)))
     backward(t, t.softmax_cross_entropy(t.add(t.leaf(x), b), labels))
     with pytest.raises(SharedParameter):
@@ -216,15 +319,14 @@ def test_dense_shape_mismatch():
 def test_relu_matches_where_bit_for_bit():
     special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
                         5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5])
-    for record in (True, False):
-        got = Tape(record=record).relu(Value(special)).data
-        want = np.where(special > 0.0, special, 0.0)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    got = Source(Value(special)).rectified
+    want = np.where(special > 0.0, special, 0.0)
+    assert np.array_equal(bits(got), bits(want))
 
 
 def test_backward_drops_intermediate_gradients():
     rng = np.random.default_rng(6)
-    t = Tape()
+    t = LossTape()
     x, w = t.leaf(rng.standard_normal((3, 4))), t.leaf(rng.standard_normal((2, 4)))
     h = t.relu(x)
     logits = t.dense(h, w)
@@ -307,7 +409,8 @@ def test_forward_determinism():
 
     def run():
         t = Tape()
-        return t.dense(t.relu(t.leaf(x)), t.leaf(w)).data
+        src = Source(t.leaf(x))
+        return t.node([("linear", src, t.leaf(w)), ("identity", src, None)]).data
 
     assert np.array_equal(run(), run())
 

@@ -15,7 +15,7 @@ from cellscape import (
     load_fixture,
     save_genotype,
 )
-from cellscape.artifacts import write_json
+from cellscape.artifacts import write_bytes, write_csv, write_json
 from cellscape.autodiff import load_checkpoint, save_checkpoint
 from cellscape.genotype import genotype_to_dict
 from cellscape.linear_theory import random_model, verify_block_smoothness, verify_gradient_variance
@@ -655,6 +655,39 @@ def strict_json(path):
     def reject(constant):
         raise ValueError(f"{path} holds {constant}")
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def rows_failing_at(n):
+    for i in range(n):
+        yield [float(i)]
+    raise ZeroDivisionError("row source failed")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"a": 1.0, "b": object()}),
+    lambda path: write_csv(path, ["a"], rows_failing_at(2)),
+    lambda path: write_bytes(path, "text, not bytes"),
+], ids=["json", "csv", "bytes"])
+def test_failed_write_leaves_no_partial_or_temporary_file(tmp_path, write):
+    # each writer fails after its file is open, the first two after writing
+    # part of it; neither the target nor a temporary file may be left behind
+    path = tmp_path / "artifact"
+    with pytest.raises((TypeError, ZeroDivisionError)):
+        write(path)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"earlier run")
+    with pytest.raises((TypeError, ZeroDivisionError)):
+        write(path)
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"earlier run"
+    write_json(path, {"a": 1.0})
+    assert list(tmp_path.iterdir()) == [path] and strict_json(path) == {"a": 1.0}
+
+
+def test_write_into_missing_directory_names_the_target(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    with pytest.raises(FileNotFoundError) as info:
+        write_json(path, {})
+    assert info.value.filename == str(path)
 
 
 def test_diverging_runs_write_strict_json(darts_file, tiny_spec, tmp_path):

@@ -149,6 +149,15 @@ def test_evaluate_matches_recording_forward_bit_for_bit(name):
     assert quiet._records == []
 
 
+def test_darts_forward_pushes_one_record_per_node(darts):
+    # stem dense and bias, 4 nodes and the concat mean in each of 6 cells,
+    # head dense and bias
+    net = CellNetwork(darts, NetworkConfig())
+    _, tape, _ = net.forward(np.zeros((2, 16)), net.init_params(stream(3, "init")))
+    assert len(tape._records) == 34
+    assert [record[0] for record in tape._records].count("node") == 24
+
+
 def test_forward_deterministic(darts):
     net = CellNetwork(darts, SMALL)
     params = net.init_params(stream(3, "init"))
@@ -492,3 +501,11 @@ def test_compare_convergence_rejects_repeated_names(darts, snas):
     twin = CellGenotype(name="darts", num_inputs=2, nodes=snas.nodes, concat=snas.concat)
     with pytest.raises(InvalidSpec, match=r"\['darts'\]"):
         compare_convergence([darts, twin], make_dataset(TINY_DATA), 1, [0.025], [0], SMALL)
+
+
+def test_compare_convergence_rejects_repeated_learning_rates(darts, snas):
+    # the report is keyed by repr(lr) as well, so a repeated rate would merge
+    # two runs' entries into one median
+    with pytest.raises(InvalidSpec, match=r"\[0\.025\]"):
+        compare_convergence([darts, snas], make_dataset(TINY_DATA), 1, [0.025, 0.1, 0.025],
+                            [0], SMALL)

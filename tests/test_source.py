@@ -137,7 +137,7 @@ def package_imports(source):
 def test_package_imports_are_found():
     source = ("from __future__ import annotations\nimport numpy as np\n"
               "from . import autodiff as ad\nfrom .errors import ParseError\n"
-              "from cellscape.network import apply_op\nimport cellscape.training\n")
+              "from cellscape.network import CellNetwork\nimport cellscape.training\n")
     assert package_imports(source) == {"autodiff", "errors", "network", "training"}
 
 
