@@ -3,8 +3,9 @@
 A ``Tape`` records every primitive applied to ``Value`` nodes during a forward
 pass; ``backward`` replays the records in reverse to accumulate gradients.
 A tape made with ``record=False`` runs the same primitives forward only.
-A whole cell node is one primitive, ``Tape.node``, fed by ``Source``s that
-share each source's rectifier among the node parts that read it.
+A whole cell node is one primitive, ``Tape.node``, whose parts read source
+``Value``s; each ``Value`` computes its rectifier once, for every part that
+reads it.
 ``per_example_variance`` reads per-example gradients off a recorded tape after
 one batched ``backward``.
 The SGD optimizer with cosine annealing lives here as well, since it operates
@@ -24,17 +25,31 @@ from .errors import NoTape, ParseError, ShapeMismatch, SharedParameter
 
 
 class Value:
-    """A node in the computation tape: an array plus its gradient buffer."""
+    """A node in the computation tape: an array plus its gradient buffer.
+    Its rectifier is computed on first use and its mask on the first
+    backward that needs it, once for every node part that reads it."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "_rectified", "_mask")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
+        self.grad = self._rectified = self._mask = None
 
     @property
-    def shape(self):
-        return self.data.shape
+    def rectified(self):
+        if self._rectified is None:
+            # fmax maps NaN to 0 and += 0.0 turns -0.0 into +0.0: bit for bit
+            # np.where(x > 0, x, 0.0), at a fraction of its cost
+            o = np.fmax(self.data, 0.0)
+            o += 0.0
+            self._rectified = o
+        return self._rectified
+
+    @property
+    def mask(self):
+        if self._mask is None:
+            self._mask = self.rectified > 0.0
+        return self._mask
 
 
 class Tape:
@@ -84,10 +99,11 @@ class Tape:
 
     def node(self, parts) -> Value:
         """One cell node: the sum of the two parts in the list ``parts``, each
-        ``(kind, source, w)`` with ``source`` a ``Source``.  A ``linear`` part
-        is its source's rectifier times the transpose of its (dim, dim) weight
-        ``w``, an ``identity`` part its source and a ``zero`` part zeros; ``w``
-        is None unless the part is linear.
+        ``(kind, source, w)`` with ``source`` a ``Value``.  A ``linear`` part
+        is its source's ``rectified`` times the transpose of its (dim, dim)
+        weight ``w``, an ``identity`` part its source and a ``zero`` part
+        zeros; ``w`` is None unless the part is linear.  Every linear part
+        that reads one Value shares its rectifier and mask.
 
         Values and gradients are bit for bit those of separate rectifier,
         ``dense``, zeros and ``add`` records: the sum is taken in slot order,
@@ -99,10 +115,10 @@ class Tape:
             if kind == "linear":
                 terms.append(_dense("node", src.rectified, w.data))
             elif kind == "identity":
-                terms.append(src.value.data)
-                inputs.append(src.value)
+                terms.append(src.data)
+                inputs.append(src)
             elif kind == "zero":
-                terms.append(np.zeros_like(src.value.data))
+                terms.append(np.zeros_like(src.data))
             else:
                 raise AssertionError(kind)
         a, b = terms
@@ -112,14 +128,14 @@ class Tape:
         for kind, src, w in reversed(parts):
             if kind == "linear":
                 params[len(inputs)] = src.rectified
-                inputs += [w, src.value]
+                inputs += [w, src]
             elif kind == "zero":
-                inputs.append(src.value)
+                inputs.append(src)
 
         def backward(g):
             grads = [g] * identities
             for kind, src, w in reversed(parts):
-                x = src.value.data
+                x = src.data
                 if kind == "zero":
                     grads.append(np.zeros_like(x))
                 elif kind == "linear":
@@ -162,34 +178,6 @@ class Tape:
             return [g[..., None, None] * grad / n]
 
         return self._push("xent", out, [logits], backward)
-
-
-class Source:
-    """A value as the node parts of one cell read it.  Its rectifier is
-    computed on first use and its mask on the first backward that needs it,
-    once for every part that holds this object."""
-
-    __slots__ = ("value", "_rectified", "_mask")
-
-    def __init__(self, value: Value):
-        self.value = value
-        self._rectified = self._mask = None
-
-    @property
-    def rectified(self):
-        if self._rectified is None:
-            # fmax maps NaN to 0 and += 0.0 turns -0.0 into +0.0: bit for bit
-            # np.where(x > 0, x, 0.0), at a fraction of its cost
-            o = np.fmax(self.value.data, 0.0)
-            o += 0.0
-            self._rectified = o
-        return self._rectified
-
-    @property
-    def mask(self):
-        if self._mask is None:
-            self._mask = self.rectified > 0.0
-        return self._mask
 
 
 def _dense(op, x, w):

@@ -1,6 +1,6 @@
-"""Synthetic desk-scale datasets: gaussian mixtures and interleaved spirals.
+"""Synthetic desk-scale datasets: gaussian mixtures.
 
-Both generators are deterministic in the spec seed; the test split is drawn
+The generator is deterministic in the spec seed; the test split is drawn
 from the same stream after the train split, so the two are disjoint draws.
 """
 
@@ -36,7 +36,7 @@ class DatasetSpec:
                 raise InvalidSpec(f"{f.name} must be an integer, not {value!r}")
             if f.type == "float" and not (real and math.isfinite(value)):
                 raise InvalidSpec(f"{f.name} must be a finite number, not {value!r}")
-        if self.kind not in ("gaussian-mixture", "spirals"):
+        if self.kind != "gaussian-mixture":
             raise InvalidSpec(f"unknown dataset kind {self.kind!r}")
         if self.train_size < 1 or self.test_size < 1:
             raise InvalidSpec("train_size and test_size must be >= 1")
@@ -44,8 +44,6 @@ class DatasetSpec:
             raise InvalidSpec("need num_classes >= 2 and dim >= 2")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, not {self.seed}")
-        if self.kind == "spirals" and self.noise < 0:
-            raise InvalidSpec("noise must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -68,28 +66,20 @@ def _gaussian_points(means, spec, rng, size):
     return x, y
 
 
-def _spiral_points(spec, rng, size):
-    y = _balanced_labels(size, spec.num_classes)
-    t = rng.uniform(0.25, 1.0, size=size)
-    angle = t * 3.0 * np.pi + (2.0 * np.pi / spec.num_classes) * y
-    arm = spec.radius * t
-    x = np.zeros((size, spec.dim))
-    x[:, 0] = arm * np.cos(angle)
-    x[:, 1] = arm * np.sin(angle)
-    x += spec.noise * rng.standard_normal((size, spec.dim))
-    return x, y
-
-
 def make_dataset(spec: DatasetSpec) -> Dataset:
+    """The spec's train and test splits.  Raises InvalidSpec when its noise
+    or radius is so large that a point overflows to a non-finite value."""
     rng = stream(spec.seed, "data")
-    if spec.kind == "gaussian-mixture":
+    with np.errstate(over="ignore", invalid="ignore"):
         means = rng.standard_normal((spec.num_classes, spec.dim))
         means *= spec.radius / np.linalg.norm(means, axis=1, keepdims=True)
         train_x, train_y = _gaussian_points(means, spec, rng, spec.train_size)
         test_x, test_y = _gaussian_points(means, spec, rng, spec.test_size)
-    else:
-        train_x, train_y = _spiral_points(spec, rng, spec.train_size)
-        test_x, test_y = _spiral_points(spec, rng, spec.test_size)
+    if not (np.isfinite(train_x).all() and np.isfinite(test_x).all()):
+        raise InvalidSpec(
+            f"noise {spec.noise!r} and radius {spec.radius!r} overflow: the dataset "
+            "has non-finite points"
+        )
     return Dataset(spec, train_x, train_y, test_x, test_y)
 
 

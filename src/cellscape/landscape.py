@@ -8,11 +8,13 @@ points (at least one) as member rows, and every value is bit-identical to a
 pass of that point alone.  The gradient-variance surface is the total
 variance (covariance trace) of per-instance parameter gradients, from one
 batched forward and backward pass per point: every parameter block feeds
-exactly one ``dense`` or ``add_bias``, so instance i's gradient is the rank-1
-block n*g_i (x) x_i (or n*g_i for a bias), with g_i the op's output-gradient
-row and x_i its input row.  That single-use precondition is checked, and a
-block that breaks it raises.  Non-finite values are kept as computed and
-tagged by ``LandscapeGrid.overflow_mask``, not clipped.
+exactly one record, as the weight of a ``dense`` or of a linear ``node``
+part, or as the bias of an ``add_bias``.  So instance i's gradient is the
+rank-1 block n*g_i (x) x_i (or n*g_i for a bias), with g_i the record's
+output-gradient row and x_i the row the weight multiplies: the dense's
+input, or the node part's rectified source.  That single-use precondition
+is checked, and a block that breaks it raises.  Non-finite values are kept
+as computed and tagged by ``LandscapeGrid.overflow_mask``, not clipped.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Source, Tape, glorot_init
+from .autodiff import Tape, glorot_init
 from .errors import DimensionMismatch, UnsupportedInputCount
 from .genotype import CellGenotype
 
@@ -119,19 +119,15 @@ class CellNetwork:
         tape = Tape(record=record)
         leaves = {name: tape.leaf(view) for name, view in self.layout.views(params).items()}
         x_leaf = tape.leaf(np.asarray(x, dtype=np.float64))
-        s = tape.add_bias(tape.dense(x_leaf, leaves["stem.w"]), leaves["stem.b"])
-        prev2 = prev1 = s
+        prev2 = prev1 = tape.add_bias(tape.dense(x_leaf, leaves["stem.w"]), leaves["stem.b"])
         for layer in range(self.cfg.layers):
-            # one Source per node of this cell, so that every linear part
-            # reading a node shares its rectifier and mask
-            sources = [Source(prev2), Source(prev1)]
+            vals = [prev2, prev1]
             for i, node in enumerate(self.genotype.nodes):
-                sources.append(Source(tape.node([
-                    (op.kind, sources[op.source], leaves.get(f"cell{layer}.node{i}.op{slot}.w"))
+                vals.append(tape.node([
+                    (op.kind, vals[op.source], leaves.get(f"cell{layer}.node{i}.op{slot}.w"))
                     for slot, op in enumerate(node.ops)
-                ])))
-            out = tape.mean_of([sources[c].value for c in self.genotype.concat])
-            prev2, prev1 = prev1, out
+                ]))
+            prev2, prev1 = prev1, tape.mean_of([vals[c] for c in self.genotype.concat])
         logits = tape.add_bias(tape.dense(prev1, leaves["head.w"]), leaves["head.b"])
         return logits, tape, leaves
 

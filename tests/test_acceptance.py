@@ -34,7 +34,7 @@ from cellscape import (
     save_genotype,
     train,
 )
-from cellscape.autodiff import Source, backward, cosine_lr, load_checkpoint, save_checkpoint
+from cellscape.autodiff import backward, cosine_lr, load_checkpoint, save_checkpoint
 from cellscape.genotype import FIXTURE_NAMES, OPERATION_KINDS, genotype_to_dict
 from cellscape.linear_theory import (
     grad_widest_batch,
@@ -214,8 +214,7 @@ def test_criterion_05_theorem3():
 def cell_op(t, kind, x, w):
     """An operation as the network applies it: one part of a node record,
     beside a zero part that adds nothing."""
-    src = Source(x)
-    return t.node([(kind, src, w if kind == "linear" else None), ("zero", src, None)])
+    return t.node([(kind, x, w if kind == "linear" else None), ("zero", x, None)])
 
 
 def test_criterion_06_autodiff_soundness():

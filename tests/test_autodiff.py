@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellscape.autodiff import (
-    Source,
     Tape,
     Value,
     backward,
@@ -130,12 +129,8 @@ def test_node_matches_unfused_ops_bit_for_bit(kinds, same_source, members, recor
         sources = [t.leaf(xs[0])] if same_source else [t.leaf(x) for x in xs]
         weights = [t.leaf(w) if kind == "linear" else None for kind, w in zip(kinds, ws)]
         picked = [sources[0], sources[-1]]
-        if fused:
-            shared = {id(v): Source(v) for v in sources}
-            node = t.node([(kind, shared[id(x)], w)
-                           for kind, x, w in zip(kinds, picked, weights)])
-        else:
-            node = t.unfused_node(list(zip(kinds, picked, weights)))
+        parts = list(zip(kinds, picked, weights))
+        node = t.node(parts) if fused else t.unfused_node(parts)
         out = t.mean_of([node, t.dense(sources[0], t.leaf(np.tile(np.eye(d), lead + (1, 1))))])
         loss = t.softmax_cross_entropy(out, np.arange(batch) % d)
         if t.record:
@@ -170,8 +165,7 @@ def test_node_gradients_match_central_differences(kinds):
     def loss_of(xv, wv):
         t = LossTape()
         x_leaves, w_leaves = [t.leaf(x) for x in xv], [t.leaf(w) for w in wv]
-        sources = [Source(x) for x in x_leaves]
-        node = t.node([(kind, sources[i], w_leaves[i] if kind == "linear" else None)
+        node = t.node([(kind, x_leaves[i], w_leaves[i] if kind == "linear" else None)
                        for i, kind in enumerate(kinds)])
         loss = t.half_sum_sq(node)
         backward(t, loss)
@@ -279,8 +273,7 @@ def test_non_recording_tape_same_values_no_records():
     quiet = Tape(record=False)
     for t in (Tape(), quiet):
         h = t.add_bias(t.dense(t.leaf(x), t.leaf(w)), t.leaf(b))
-        src = Source(h)
-        h = t.mean_of([h, t.node([("linear", src, t.leaf(v)), ("zero", src, None)])])
+        h = t.mean_of([h, t.node([("linear", h, t.leaf(v)), ("zero", h, None)])])
         losses.append(t.softmax_cross_entropy(h, labels))
     assert losses[0].data == losses[1].data
     assert quiet._records == []
@@ -298,7 +291,7 @@ def test_per_example_variance_rejects_shared_parameter():
         per_example_variance(t, {"w": w})
     # one node, but its two linear parts share the weight
     t = Tape()
-    src = Source(t.leaf(x))
+    src = t.leaf(x)
     backward(t, t.softmax_cross_entropy(t.node([("linear", src, w), ("linear", src, w)]), labels))
     with pytest.raises(SharedParameter):
         per_example_variance(t, {"w": w})
@@ -319,7 +312,7 @@ def test_dense_shape_mismatch():
 def test_relu_matches_where_bit_for_bit():
     special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
                         5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5])
-    got = Source(Value(special)).rectified
+    got = Value(special).rectified
     want = np.where(special > 0.0, special, 0.0)
     assert np.array_equal(bits(got), bits(want))
 
@@ -409,7 +402,7 @@ def test_forward_determinism():
 
     def run():
         t = Tape()
-        src = Source(t.leaf(x))
+        src = t.leaf(x)
         return t.node([("linear", src, t.leaf(w)), ("identity", src, None)]).data
 
     assert np.array_equal(run(), run())

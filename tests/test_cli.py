@@ -647,6 +647,37 @@ def test_bad_dataset_spec_field_exit_2(darts_file, tmp_path, field, value):
     assert field in res.stderr and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare", "landscape"])
+def test_overflowing_dataset_spec_exit_2(darts_file, darts_ckpt, tmp_path, command):
+    # noise 1e308 overflows the points to inf; 1e200 keeps them finite, and
+    # training on them is a legitimate diverging run
+    gdir = tmp_path / "gens"
+    gdir.mkdir()
+    for name in ("darts", "snas"):
+        save_genotype(load_fixture(name), gdir / f"{name}.json")
+    out = tmp_path / "out"
+
+    def run(noise):
+        spec = tmp_path / "data.json"
+        spec.write_text(json.dumps({"dim": 5, "num_classes": 3, "train_size": 60,
+                                    "test_size": 24, "noise": noise, "radius": 8.0}))
+        net = ["--dataset-spec", spec, "--layers", 1, "--dim", 5]
+        return run_cli(command, *{
+            "train": ["--genotype", darts_file, *net, "--epochs", 1, "--out-dir", out],
+            "compare": ["--genotypes", gdir, *net, "--seeds", 1, "--epochs", 1,
+                        "--out", out / "r.json"],
+            "landscape": ["--checkpoint", darts_ckpt, "--genotype", darts_file, *net,
+                          "--grid", 3, "--subset", 8, "--out", out / "g.csv"],
+        }[command])
+
+    res = run(1e308)
+    assert res.returncode == 2
+    assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+    assert "RuntimeWarning" not in res.stderr and not out.exists()
+    if command == "train":
+        assert run(1e200).returncode == 3
+
+
 # --- JSON artifacts and manifests -----------------------------------------
 
 

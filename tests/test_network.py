@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,30 @@ def test_darts_forward_pushes_one_record_per_node(darts):
     assert [record[0] for record in tape._records].count("node") == 24
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("darts", 12), ("nasnet", 6), ("amoebanet", 18), ("enas", 6), ("snas", 6),
+])
+def test_forward_rectifies_each_value_once(name, expected):
+    # a cell's input node 0 is the output of the cell two back, node 1 that
+    # of the cell before, and the stem output stands in for both before cell
+    # 0; every linear part reading one of those Values shares its rectifier
+    g = load_fixture(name)
+    layers = 6
+    read = set()
+    for layer in range(layers):
+        for node in g.nodes:
+            for op in node.ops:
+                if op.kind == "linear":
+                    src = op.source
+                    read.add(("cell", max(layer - 2 + src, -1)) if src < 2 else (layer, src))
+    assert len(read) == expected
+    net = CellNetwork(g, NetworkConfig(layers=layers))
+    _, tape, _ = net.forward(np.ones((2, 16)), net.init_params(stream(3, "init")))
+    rectified = {id(x) for kind, _, _, _, params in tape._records if kind == "node"
+                 for x in params.values()}
+    assert len(rectified) == expected
+
+
 def test_forward_deterministic(darts):
     net = CellNetwork(darts, SMALL)
     params = net.init_params(stream(3, "init"))
@@ -229,24 +254,30 @@ def test_noiseless_mixture_linearly_separable():
     assert np.mean(pred == ds.test_y) == 1.0
 
 
-def test_spirals_generator():
-    spec = DatasetSpec(kind="spirals", num_classes=3, train_size=300, test_size=60)
-    ds = make_dataset(spec)
-    assert ds.train_x.shape == (300, 16)
-    assert set(np.unique(ds.train_y)) == {0, 1, 2}
-
-
 def test_dataset_spec_validation():
-    with pytest.raises(InvalidSpec):
-        DatasetSpec(kind="imagenet")
+    for kind in ("imagenet", "spirals"):
+        with pytest.raises(InvalidSpec):
+            DatasetSpec(kind=kind)
     with pytest.raises(InvalidSpec):
         DatasetSpec(train_size=0)
     with pytest.raises(InvalidSpec):
         DatasetSpec(num_classes=1)
 
 
+@pytest.mark.parametrize("spec", [
+    DatasetSpec(noise=1e308),
+    # means of norm above 1e308 overflow too, and inf - inf is NaN
+    DatasetSpec(noise=1e308, radius=1e308, dim=2, num_classes=8, seed=1),
+], ids=["noise", "noise and radius"])
+def test_overflowing_dataset_is_invalid_without_warnings(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match="non-finite points"):
+            make_dataset(spec)
+
+
 def test_dataset_spec_roundtrip(tmp_path):
-    spec = DatasetSpec(kind="spirals", noise=0.25, seed=9)
+    spec = DatasetSpec(noise=0.25, seed=9)
     path = tmp_path / "spec.json"
     spec_to_json(spec, path)
     assert spec_from_json(path) == spec
