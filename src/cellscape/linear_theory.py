@@ -22,6 +22,7 @@ from .rng import stream
 
 SMOOTHNESS_SLACK = 1e-9  # float round-off allowed over the smoothness bound
 SE_FACTOR = 3.0  # standard errors of the variance estimate allowed over its bound
+SMOOTHNESS_CHUNK = 128  # smoothness trials computed per batched call
 
 
 @dataclass
@@ -127,15 +128,9 @@ def _bound_check(theorem, block, lambdas, empirical, bound, slack, trials, **det
             "violated": not empirical <= bound + slack, **details}
 
 
-def _ball_perturbation(rng, shape, radius):
-    """Uniform draw from the Frobenius ball of the given radius."""
-    g = rng.standard_normal(shape)
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
-        g.flat[0] = 1.0
-        norm = 1.0
-    u = rng.uniform() ** (1.0 / g.size)
-    return g * (radius * u / norm)
+def _row_norms(v):
+    """Row 2-norms of a (..., k, 1) stack, one BLAS dot each as np.linalg.norm."""
+    return np.sqrt(np.swapaxes(v, -1, -2) @ v)[..., 0, 0]
 
 
 def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
@@ -149,6 +144,11 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     D = W1 - W2, u = W(i-1)...W(1) x and A = sum_{k>=i} B_k^T B_k,
     B_k = W(k)...W(i+1).  So each trial's ||g(W1) - g(W2)||_2 is the rank-1
     norm ||A D u|| * ||u||, with u and A computed once.
+
+    The draws are made one trial at a time, in stream order.  The ratios and
+    ||D||_2 are computed SMOOTHNESS_CHUNK trials at a time, each in one batched
+    call of the BLAS or LAPACK routine a lone trial uses on each matrix, so
+    memory does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -164,17 +164,37 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     a = eye
     for w in reversed(m.weights[i:]):
         a = eye + w.T @ a @ w
-    ratios = np.empty(trials)  # its max keeps a nan, which Python's max drops
-    for t in range(trials):
-        w1 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
-        w2 = m.weights[i - 1] + _ball_perturbation(rng, (m.dim, m.dim), radius)
-        delta = w1 - w2
+    ratios = np.full(trials, np.nan)  # its max keeps a nan, which Python's max drops
+    # each trial's two standard-normal directions, and their radii in the ball
+    g = np.empty((min(trials, SMOOTHNESS_CHUNK), 2, m.dim * m.dim))
+    r = np.empty(g.shape[:2])
+    for start in range(0, trials, len(g)):
+        count = min(len(g), trials - start)
+        for t in range(count):
+            for k in (0, 1):
+                rng.standard_normal(out=g[t, k])
+                r[t, k] = rng.uniform() ** (1.0 / g.shape[2])
+        norms = _row_norms(g[:count, ..., None])
+        g[:count, :, 0][norms == 0.0] = 1.0  # an all-zero direction becomes e1
+        norms[norms == 0.0] = 1.0
+        pairs = m.weights[i - 1].ravel() + g[:count] * (radius * r[:count] / norms)[..., None]
+        delta = (pairs[:, 0] - pairs[:, 1]).reshape(count, m.dim, m.dim)
         # once ||W(i)|| overflows the radius is inf and the pair is not
-        # finite: its ratio is nan, a violation, where the SVD would raise
-        ratios[t] = (np.linalg.norm(a @ (delta @ u)) * u_norm / np.linalg.norm(delta, ord=2)
-                     if np.isfinite(delta).all() else np.nan)
+        # finite: its ratio stays nan, a violation, where the SVD would raise
+        finite = np.isfinite(delta).all(axis=(1, 2))
+        delta = delta[finite]
+        ratios[start:start + count][finite] = (_row_norms(a @ (delta @ u)[..., None]) * u_norm
+                                               / np.linalg.norm(delta, 2, axis=(1, 2)))
     return _bound_check("block_smoothness", i, lambdas, float(ratios.max()), bound,
                         SMOOTHNESS_SLACK, trials, radius=float(radius), input_norm_sq=l_widest)
+
+
+def _total_variance(grads_sdd):
+    """Mean and standard error over S of each (d, d) gradient's squared
+    distance from their mean; centres and squares grads_sdd in place."""
+    grads_sdd -= grads_sdd.mean(axis=0)
+    sq = np.sum(np.square(grads_sdd, out=grads_sdd), axis=(1, 2))
+    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(len(sq)))
 
 
 def verify_gradient_variance(m: LinearCellModel, i, xs):
@@ -188,14 +208,9 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
 
     lambdas = [spectral_norm(w) for w in m.weights]
 
-    def total_variance(grads_sdd):
-        mean = grads_sdd.mean(axis=0)
-        sq = np.sum((grads_sdd - mean) ** 2, axis=(1, 2))
-        return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(len(sq)))
-
-    empirical, emp_se = total_variance(grad_narrowest_batch(m, xs, i))
+    empirical, emp_se = _total_variance(grad_narrowest_batch(m, xs, i))
     # the widest cell with the same weights and targets
-    sigmas_sq = [total_variance(g)[0] for g in grad_widest_batch(m, xs)]
+    sigmas_sq = [_total_variance(g)[0] for g in grad_widest_batch(m, xs)]
 
     bound = 0.0
     for k in range(i, m.n + 1):

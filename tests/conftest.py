@@ -19,7 +19,15 @@ from cellscape.autodiff import Tape, Value
 from cellscape.errors import ParseError, ShapeMismatch, UnsupportedInputCount
 from cellscape.genotype import rewired
 from cellscape.landscape import LandscapeGrid
-from cellscape.linear_theory import LinearCellModel, _check_input, grad_narrowest_batch
+from cellscape.linear_theory import (
+    SMOOTHNESS_SLACK,
+    LinearCellModel,
+    _bound_check,
+    _check_input,
+    _prefix_products,
+    grad_narrowest_batch,
+    spectral_norm,
+)
 from cellscape.sampler import connection_space_counts
 
 # slot assignments beyond which the enumeration oracle refuses to run
@@ -131,6 +139,44 @@ def two_gradient_ratio(m, x, i, w1, w2):
     g1 = grad_narrowest_batch(with_block(m, i, w1), np.asarray(x)[None], i)[0]
     g2 = grad_narrowest_batch(with_block(m, i, w2), np.asarray(x)[None], i)[0]
     return np.linalg.norm(g1 - g2, ord=2) / np.linalg.norm(w1 - w2, ord=2)
+
+
+def ball_perturbation(rng, shape, radius):
+    """Uniform draw from the Frobenius ball of the given radius."""
+    g = rng.standard_normal(shape)
+    norm = np.linalg.norm(g)
+    if norm == 0.0:
+        g.flat[0] = 1.0
+        norm = 1.0
+    u = rng.uniform() ** (1.0 / g.size)
+    return g * (radius * u / norm)
+
+
+def per_trial_smoothness(m, x, i, rng, trials):
+    """``verify_block_smoothness`` one trial at a time: each trial's two draws,
+    its pair, its numerator ||A D u|| and its ||D||_2 (an SVD) in turn.  The
+    bit-for-bit oracle of the chunked verifier's report and of the generator
+    state it leaves."""
+    x = _check_input(m, x)
+    radius = 0.1 * np.linalg.norm(m.weights[i - 1]) or 0.1
+    lambdas = [spectral_norm(w) for w in m.weights]
+    l_widest = float(x @ x)
+    bound = float(np.prod(lambdas[: i - 1])) * l_widest
+    u = _prefix_products(m.weights[: i - 1], m.dim)[-1] @ x
+    u_norm = np.linalg.norm(u)
+    eye = np.eye(m.dim)
+    a = eye
+    for w in reversed(m.weights[i:]):
+        a = eye + w.T @ a @ w
+    ratios = np.empty(trials)
+    for t in range(trials):
+        w1 = m.weights[i - 1] + ball_perturbation(rng, (m.dim, m.dim), radius)
+        w2 = m.weights[i - 1] + ball_perturbation(rng, (m.dim, m.dim), radius)
+        delta = w1 - w2
+        ratios[t] = (np.linalg.norm(a @ (delta @ u)) * u_norm / np.linalg.norm(delta, ord=2)
+                     if np.isfinite(delta).all() else np.nan)
+    return _bound_check("block_smoothness", i, lambdas, float(ratios.max()), bound,
+                        SMOOTHNESS_SLACK, trials, radius=float(radius), input_norm_sq=l_widest)
 
 
 # --- readers, writers and counts that no command uses

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cellscape.autodiff import backward
 from cellscape.errors import DimensionMismatch, InsufficientSamples
 from cellscape.linear_theory import (
+    SMOOTHNESS_CHUNK,
     LinearCellModel,
-    _ball_perturbation,
+    _total_variance,
     grad_widest_batch,
     random_model,
     spectral_norm,
@@ -14,12 +17,14 @@ from cellscape.linear_theory import (
 )
 from conftest import (
     LossTape,
+    ball_perturbation,
     central_difference,
     forward_narrowest,
     forward_widest,
     loss,
     narrowest_blocks,
     one_row,
+    per_trial_smoothness,
     two_gradient_ratio,
     with_block,
 )
@@ -307,10 +312,93 @@ def test_smoothness_ratio_matches_two_gradients(seed):
     rng = make_rng(500 + seed)
     for _ in range(5):
         r = verify_block_smoothness(m, x, i, rng, trials=1)
-        w1 = m.weights[i - 1] + _ball_perturbation(oracle_rng, (d, d), r["radius"])
-        w2 = m.weights[i - 1] + _ball_perturbation(oracle_rng, (d, d), r["radius"])
+        w1 = m.weights[i - 1] + ball_perturbation(oracle_rng, (d, d), r["radius"])
+        w2 = m.weights[i - 1] + ball_perturbation(oracle_rng, (d, d), r["radius"])
         assert r["empirical"] == pytest.approx(two_gradient_ratio(m, x, i, w1, w2), rel=1e-12)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def same_report(report, expected):
+    """Every field equal, a nan to a nan."""
+    assert report.keys() == expected.keys()
+    for key, want in expected.items():
+        got = report[key]
+        assert type(got) is type(want), key
+        assert got == want or np.isnan(got) and np.isnan(want), key
+
+
+class ScaledDraws:
+    """A generator whose every ``every``-th standard-normal draw is multiplied
+    by ``factor``: 0 makes an all-zero direction, and 1e-161 one so short that
+    dividing a large radius by its norm overflows, so that pair is not finite
+    while the trials around it are."""
+
+    def __init__(self, seed, every, factor):
+        self.rng, self.every, self.factor, self.draws = make_rng(seed), every, factor, 0
+
+    def standard_normal(self, size=None, out=None):
+        g = self.rng.standard_normal(size, out=out)
+        self.draws += 1
+        if self.draws % self.every == 0:
+            g *= self.factor
+        return g
+
+    def uniform(self):
+        return self.rng.uniform()
+
+
+CHUNK_TRIALS = [1, SMOOTHNESS_CHUNK - 1, SMOOTHNESS_CHUNK, SMOOTHNESS_CHUNK + 1,
+                2 * SMOOTHNESS_CHUNK + 3]
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e154])
+@pytest.mark.parametrize("trials", CHUNK_TRIALS)
+@pytest.mark.parametrize("d", [1, 2, 8, 17])
+def test_smoothness_matches_per_trial_oracle(d, trials, scale):
+    # at scale 1e154 ||W(i)|| overflows in every block at d = 8 and 17 and in
+    # the last at d = 2, so those blocks' pairs are not finite
+    rng = make_rng(600 + d)
+    m = random_model(3, d, rng, scale=scale)
+    x = rng.standard_normal(d)
+    oracle_rng = make_rng(700 + trials)
+    rng = make_rng(700 + trials)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in (1, 2, 3):
+            same_report(verify_block_smoothness(m, x, i, rng, trials),
+                        per_trial_smoothness(m, x, i, oracle_rng, trials))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("factor", [0.0, 1e-161])
+@pytest.mark.parametrize("d", [1, 8])
+def test_smoothness_oracle_with_degenerate_draws(d, factor):
+    # radius about 1e149: a direction of norm 1e-161 overflows its pair, so
+    # non-finite rows sit among finite ones in every chunk
+    m = random_model(2, d, make_rng(800 + d), scale=1e150)
+    x = make_rng(900).standard_normal(d)
+    trials = 2 * SMOOTHNESS_CHUNK + 3
+    rng, oracle_rng = ScaledDraws(d, 7, factor), ScaledDraws(d, 7, factor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in (1, 2):
+            same_report(verify_block_smoothness(m, x, i, rng, trials),
+                        per_trial_smoothness(m, x, i, oracle_rng, trials))
+            assert rng.rng.bit_generator.state == oracle_rng.rng.bit_generator.state
+            assert rng.draws == oracle_rng.draws
+
+
+def test_smoothness_memory_does_not_grow_with_trials():
+    # chunked, this peaks at about 0.8 MB, the (20000,) ratios included; one
+    # batch of all 20 000 trials peaks at about 62 MB
+    rng = make_rng(19)
+    m = random_model(3, 8, rng)
+    x = rng.standard_normal(8)
+    tracemalloc.start()
+    try:
+        verify_block_smoothness(m, x, 2, rng, trials=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_smoothness_report_consistency():
@@ -370,6 +458,14 @@ def test_overflowing_checks_are_violations():
         assert np.isnan(reports[0]["empirical"])
         for r in reports:
             assert not np.isfinite(r["empirical"] + r["bound"]) and r["violated"]
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (7, 3, 3), (500, 8, 8)])
+def test_total_variance_in_place_matches_out_of_place(shape):
+    grads = make_rng(20).standard_normal(shape) * 10.0 ** make_rng(21).integers(-5, 5, shape)
+    sq = np.sum((grads - grads.mean(axis=0)) ** 2, axis=(1, 2))
+    expected = (float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(len(sq))))
+    assert _total_variance(grads.copy()) == expected
 
 
 def test_variance_insufficient_samples():

@@ -226,3 +226,46 @@ def test_only_the_genotype_constructor_validates(path):
 def test_cli_draws_no_random_numbers():
     # every draw of a command lives in the library module that owns it
     assert calls_of((SRC / "cli.py").read_text(), "stream") == []
+
+
+def unreferenced_definitions(sources):
+    """Top-level functions and classes of sources that no code in sources
+    names outside their own definition.  A reference is a name, an attribute
+    or an imported name, so a re-export from ``__init__.py`` is one: it makes
+    the definition public.  Click commands run from the command line, not by
+    name, and are exempt."""
+    defined, named = set(), set()
+    for tree in map(ast.parse, sources):
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if not any(isinstance(d, ast.Call) and getattr(d.func, "attr", None)
+                           in ("command", "group") for d in top.decorator_list):
+                    defined.add(own)
+            for node in ast.walk(top):
+                names = ([node.id] if isinstance(node, ast.Name)
+                         else [node.attr] if isinstance(node, ast.Attribute)
+                         else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                         else [])
+                named.update(n for n in names if n != own)
+    return sorted(defined - named)
+
+
+def test_unreferenced_definitions_are_found():
+    source = ("from .m import shown\n"
+              "def used():\n    return helper(0)\n"
+              "def helper(n):\n    return helper(n - 1) if n else Box\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Box:\n    def method(self):\n        pass\n"
+              "class Unused:\n    pass\n"
+              "@cli.command()\ndef run():\n    used()\n"
+              "@click.group()\ndef cli():\n    pass\n"
+              "def shown():\n    pass\n")
+    assert unreferenced_definitions([source]) == ["Unused", "recursive"]
+
+
+def test_every_definition_is_referenced_in_src():
+    # a helper that only tests use belongs in tests/
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_definitions(sources) == []
