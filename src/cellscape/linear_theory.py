@@ -13,7 +13,7 @@ scaled widest-cell bounds; violations are surfaced, never suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,16 +23,24 @@ from .rng import stream
 SMOOTHNESS_SLACK = 1e-9  # float round-off allowed over the smoothness bound
 SE_FACTOR = 3.0  # standard errors of the variance estimate allowed over its bound
 SMOOTHNESS_CHUNK = 128  # smoothness trials computed per batched call
+# relative slack on the bounds of ||D||_2, per unit of d^2: their rounding
+# error, and that of the SVD they stand in for, grows like d^2 * eps
+NORM_BOUND_MARGIN = 1e-9
+_SQRT_TINY = np.sqrt(np.finfo(np.float64).tiny)  # below it a sum of squares is subnormal
 
 
 @dataclass
 class LinearCellModel:
-    """n stacked d x d weight matrices plus per-node quadratic targets."""
+    """n stacked d x d weight matrices plus per-node quadratic targets, and
+    each weight's spectral norm, computed once."""
 
     weights: list  # of (d, d) arrays
     targets: list  # of (d,) arrays
+    lambdas: tuple = field(init=False)  # spectral_norm of each weight
 
     def __post_init__(self):
+        if not self.weights:
+            raise DimensionMismatch("need at least one weight matrix")
         d = self.weights[0].shape[0]
         for w in self.weights:
             if w.shape != (d, d):
@@ -42,6 +50,7 @@ class LinearCellModel:
                 raise DimensionMismatch(f"target shape {t.shape}, expected ({d},)")
         if len(self.targets) != len(self.weights):
             raise DimensionMismatch("need one target per weight matrix")
+        self.lambdas = tuple(spectral_norm(w) for w in self.weights)
 
     @property
     def n(self):
@@ -80,33 +89,53 @@ def _check_batch(m, xs):
     return xs
 
 
-def grad_narrowest_batch(m: LinearCellModel, xs, i):
-    """Closed-form block-i gradient (1 <= i <= n) of the chained model for a
-    batch of inputs xs of shape (S, d), as one (S, d, d) array.
+def _check_block(m, i):
+    if not 1 <= i <= m.n:
+        raise ValueError(f"block {i} is outside 1..{m.n}")
 
-    d(loss)/dW(i) = sum_{k>=i} (W(k)...W(i+1))^T (yhat_k - t_k) x^T (W(i-1)...W(1))^T
-    with empty products equal to the identity.
-    """
-    xs = _check_batch(m, xs)
+
+def _outer(v, y, out=None):
+    """Row-wise outer products v_s y_s^T of two (S, d) factors, as (S, d, d)."""
+    return np.einsum("si,sj->sij", v, y, out=out)
+
+
+def _narrowest_factors(m, xs, i):
+    """The (S, d) factors of the chained model's block-i gradient, one outer
+    product v y^T per input row x: v = sum_{k>=i} (W(k)...W(i+1))^T (yhat_k - t_k)
+    and y = W(i-1)...W(1) x."""
+    _check_block(m, i)
     n = m.n
     # ys[k] = W(k)...W(1) x for each row, ys[0] = x; shape (S, d)
     ys = [xs @ p.T for p in _prefix_products(m.weights, m.dim)]
     v = ys[n] - m.targets[n - 1]
     for k in range(n - 1, i - 1, -1):
-        # v(k) = W(k+1)^T v(k+1) + (yhat_k - t_k): the sum above by Horner's rule
+        # v(k) = W(k+1)^T v(k+1) + (yhat_k - t_k): the sum for v by Horner's rule
         v = v @ m.weights[k] + (ys[k] - m.targets[k - 1])
-    return np.einsum("si,sj->sij", v, ys[i - 1])
+    return v, ys[i - 1]
+
+
+def grad_narrowest_batch(m: LinearCellModel, xs, i):
+    """Closed-form block-i gradient (1 <= i <= n, else ValueError) of the
+    chained model for a batch of inputs xs of shape (S, d), as one (S, d, d)
+    array.
+
+    d(loss)/dW(i) = sum_{k>=i} (W(k)...W(i+1))^T (yhat_k - t_k) x^T (W(i-1)...W(1))^T
+    with empty products equal to the identity.
+    """
+    return _outer(*_narrowest_factors(m, _check_batch(m, xs), i))
+
+
+def _widest_residuals(m, xs):
+    """W(i) x - t_i for each block and each row x of xs: the left factor of
+    the widest cell's block-i gradient, whose right factor is x."""
+    return (xs @ w.T - t for w, t in zip(m.weights, m.targets))
 
 
 def grad_widest_batch(m: LinearCellModel, xs):
     """d(loss)/dW(i) = (W(i) x - t_i) x^T for each block and each row x of
     xs, as one (S, d, d) array per block."""
     xs = _check_batch(m, xs)
-    out = []
-    for w, t in zip(m.weights, m.targets):
-        r = xs @ w.T - t
-        out.append(np.einsum("si,sj->sij", r, xs))
-    return out
+    return [_outer(r, xs) for r in _widest_residuals(m, xs)]
 
 
 def spectral_norm(w):
@@ -133,6 +162,32 @@ def _row_norms(v):
     return np.sqrt(np.swapaxes(v, -1, -2) @ v)[..., 0, 0]
 
 
+def _norm2_bounds(delta):
+    """Lower and upper bounds on ||D||_2 for each matrix of a (k, d, d) stack,
+    each widened by NORM_BOUND_MARGIN * d^2, from batched products alone.
+
+    With N = D / ||D||_F and M = N^T N, four power steps from the all-ones
+    vector give a unit v with sqrt(||M v||) <= ||N||_2, and
+    ||N||_2^8 = lambda_max(M^4) <= ||M^4||_F.  A row whose ||D||_F is not a
+    normal float, or whose power iterate is, gets nan bounds: only an SVD
+    bounds it."""
+    k, d = delta.shape[:2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        frob = _row_norms(delta.reshape(k, d * d, 1))
+        unit = delta / frob[:, None, None]
+        gram = np.swapaxes(unit, 1, 2) @ unit
+        gram4 = gram @ gram
+        gram4 = gram4 @ gram4
+        v = gram4 @ np.ones((d, 1))
+        v_norm = _row_norms(v)
+        lo = np.sqrt(_row_norms(gram @ (v / v_norm[:, None, None])))
+        hi = _row_norms(gram4.reshape(k, d * d, 1)) ** 0.125
+    certain = (frob >= _SQRT_TINY) & (frob < np.inf) & (v_norm >= _SQRT_TINY)
+    margin = NORM_BOUND_MARGIN * d * d
+    return (np.where(certain, frob * lo * (1.0 - margin), np.nan),
+            np.where(certain, frob * hi * (1.0 + margin), np.nan))
+
+
 def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     """Empirical block-i Lipschitz constant of the chained model vs the bound
     (prod_{j<i} lambda_j) * ||x||^2 inherited from the widest quadratic.
@@ -145,18 +200,22 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     B_k = W(k)...W(i+1).  So each trial's ||g(W1) - g(W2)||_2 is the rank-1
     norm ||A D u|| * ||u||, with u and A computed once.
 
-    The draws are made one trial at a time, in stream order.  The ratios and
-    ||D||_2 are computed SMOOTHNESS_CHUNK trials at a time, each in one batched
-    call of the BLAS or LAPACK routine a lone trial uses on each matrix, so
-    memory does not grow with ``trials``.
+    The draws are made one trial at a time, in stream order.  The ratios are
+    computed SMOOTHNESS_CHUNK trials at a time, so memory does not grow with
+    ``trials``.  Only the largest ratio is reported, so ||D||_2 comes from an
+    SVD only for a trial whose ratio can reach it: one whose bounds from
+    _norm2_bounds do not put its ratio below a ratio already certain.  The
+    numerators, and each SVD, run the BLAS or LAPACK routine a lone trial
+    uses on each matrix, so the largest ratio is bit for bit that of one
+    trial at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_block(m, i)
     x = _check_input(m, x)
     radius = 0.1 * np.linalg.norm(m.weights[i - 1]) or 0.1
-    lambdas = [spectral_norm(w) for w in m.weights]
     l_widest = float(x @ x)
-    bound = float(np.prod(lambdas[: i - 1])) * l_widest
+    bound = float(np.prod(m.lambdas[: i - 1])) * l_widest
     u = _prefix_products(m.weights[: i - 1], m.dim)[-1] @ x
     u_norm = np.linalg.norm(u)
     # A(k-1) = I + W(k)^T A(k) W(k) from A(n) = I down to A(i)
@@ -164,16 +223,21 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     a = eye
     for w in reversed(m.weights[i:]):
         a = eye + w.T @ a @ w
-    ratios = np.full(trials, np.nan)  # its max keeps a nan, which Python's max drops
+    # its max keeps a nan, which Python's max drops; a trial that skips the
+    # SVD holds a lower bound of its ratio, below the largest ratio
+    ratios = np.full(trials, np.nan)
+    best = -np.inf  # a ratio already certain: a lower bound or an SVD's ratio
     # each trial's two standard-normal directions, and their radii in the ball
     g = np.empty((min(trials, SMOOTHNESS_CHUNK), 2, m.dim * m.dim))
     r = np.empty(g.shape[:2])
+    power = 1.0 / g.shape[2]
     for start in range(0, trials, len(g)):
         count = min(len(g), trials - start)
         for t in range(count):
             for k in (0, 1):
                 rng.standard_normal(out=g[t, k])
-                r[t, k] = rng.uniform() ** (1.0 / g.shape[2])
+                # the draw and value of uniform(), without its range checks
+                r[t, k] = rng.random() ** power
         norms = _row_norms(g[:count, ..., None])
         g[:count, :, 0][norms == 0.0] = 1.0  # an all-zero direction becomes e1
         norms[norms == 0.0] = 1.0
@@ -182,10 +246,16 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
         # once ||W(i)|| overflows the radius is inf and the pair is not
         # finite: its ratio stays nan, a violation, where the SVD would raise
         finite = np.isfinite(delta).all(axis=(1, 2))
+        rows = start + np.flatnonzero(finite)
         delta = delta[finite]
-        ratios[start:start + count][finite] = (_row_norms(a @ (delta @ u)[..., None]) * u_norm
-                                               / np.linalg.norm(delta, 2, axis=(1, 2)))
-    return _bound_check("block_smoothness", i, lambdas, float(ratios.max()), bound,
+        top = _row_norms(a @ (delta @ u)[..., None]) * u_norm
+        lo, hi = _norm2_bounds(delta)
+        ratios[rows] = top / hi
+        best = np.fmax.reduce(ratios[rows], initial=best)
+        svd = ~(top / lo < best)  # a nan bound cannot rule a trial out
+        ratios[rows[svd]] = top[svd] / np.linalg.norm(delta[svd], 2, axis=(1, 2))
+        best = np.fmax.reduce(ratios[rows[svd]], initial=best)
+    return _bound_check("block_smoothness", i, list(m.lambdas), float(ratios.max()), bound,
                         SMOOTHNESS_SLACK, trials, radius=float(radius), input_norm_sq=l_widest)
 
 
@@ -201,27 +271,27 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
     """Empirical block-i gradient variance of the chained model over the
     input rows xs (S, d) vs the bound
     n * sum_{k>=i} (sigma_k * prod_{j<=k, j!=i} lambda_j)^2, with sigma_k
-    estimated on the widest model from the same inputs."""
+    estimated on the widest model from the same inputs.  Each block's
+    per-row gradients are built into, and reduced in, one (S, d, d) buffer."""
     xs = _check_batch(m, xs)
     if len(xs) < 2:
         raise InsufficientSamples(f"need >= 2 samples, got {len(xs)}")
 
-    lambdas = [spectral_norm(w) for w in m.weights]
-
-    empirical, emp_se = _total_variance(grad_narrowest_batch(m, xs, i))
+    buf = _outer(*_narrowest_factors(m, xs, i))
+    empirical, emp_se = _total_variance(buf)
     # the widest cell with the same weights and targets
-    sigmas_sq = [_total_variance(g)[0] for g in grad_widest_batch(m, xs)]
+    sigmas_sq = [_total_variance(_outer(r, xs, out=buf))[0] for r in _widest_residuals(m, xs)]
 
     bound = 0.0
     for k in range(i, m.n + 1):
         prod = 1.0
         for j in range(1, k + 1):
             if j != i:
-                prod *= lambdas[j - 1]
+                prod *= m.lambdas[j - 1]
         bound += sigmas_sq[k - 1] * prod * prod
     bound *= m.n
 
-    return _bound_check("gradient_variance", i, lambdas, empirical, bound,
+    return _bound_check("gradient_variance", i, list(m.lambdas), empirical, bound,
                         SE_FACTOR * emp_se, len(xs), standard_error=emp_se, sigmas_sq=sigmas_sq)
 
 
@@ -241,7 +311,7 @@ def theory_report(n, dim, trials, samples, instances, seed, scale):
             for i in range(1, n + 1):
                 smooth = verify_block_smoothness(model, x, i, rng, trials=trials)
                 var = verify_gradient_variance(model, i, rng.standard_normal((samples, dim)))
-                blocks.append({"block": i, "lambda": smooth["lambdas"][i - 1],
+                blocks.append({"block": i, "lambda": model.lambdas[i - 1],
                                "smoothness": smooth, "variance": var})
                 if smooth["violated"] or var["violated"]:
                     violations.append({"instance": inst, "block": i,

@@ -3,15 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cellscape import linear_theory
 from cellscape.autodiff import backward
 from cellscape.errors import DimensionMismatch, InsufficientSamples
 from cellscape.linear_theory import (
     SMOOTHNESS_CHUNK,
     LinearCellModel,
     _total_variance,
+    grad_narrowest_batch,
     grad_widest_batch,
     random_model,
     spectral_norm,
+    theory_report,
     verify_block_smoothness,
     verify_gradient_variance,
 )
@@ -71,6 +74,43 @@ def test_forward_dimension_mismatch():
     m = random_model(2, 4, make_rng(0))
     with pytest.raises(DimensionMismatch):
         forward_widest(np.ones(5), m)
+
+
+def test_model_needs_a_weight_matrix():
+    with pytest.raises(DimensionMismatch, match="at least one weight matrix"):
+        LinearCellModel([], [])
+
+
+def test_model_lambdas_are_spectral_norms():
+    m = random_model(3, 5, make_rng(3))
+    assert m.lambdas == tuple(spectral_norm(w) for w in m.weights)
+
+
+def test_theory_report_computes_each_lambda_once(monkeypatch):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return spectral_norm(w)
+
+    monkeypatch.setattr(linear_theory, "spectral_norm", counting)
+    theory_report(n=3, dim=4, trials=3, samples=5, instances=2, seed=0, scale=1.0)
+    assert len(calls) == 3 * 2
+
+
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_block_outside_range_is_rejected(i):
+    rng = make_rng(18)
+    m = random_model(3, 4, rng)
+    x, xs = rng.standard_normal(4), rng.standard_normal((5, 4))
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"block -?\d+ is outside 1\.\.3"):
+        grad_narrowest_batch(m, xs, i)
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        verify_block_smoothness(m, x, i, rng, trials=5)
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        verify_gradient_variance(m, i, xs)
+    assert rng.bit_generator.state == state  # rejected before any draw
 
 
 def test_n1_models_coincide():
@@ -343,20 +383,60 @@ class ScaledDraws:
             g *= self.factor
         return g
 
+    def random(self):
+        return self.rng.random()
+
     def uniform(self):
         return self.rng.uniform()
 
 
+class RepeatedDraws:
+    """A generator whose trial t draws exactly what trial t mod ``period``
+    drew, so every ratio, the largest too, ties with several others, within
+    a chunk and across chunks."""
+
+    def __init__(self, seed, period):
+        self.rng, self.period, self.draws, self.uniforms = make_rng(seed), period, 0, 0
+        self.saved = {}
+
+    def _replay(self, kind, count, value):
+        trial, k = divmod(count, 2)
+        key = (kind, trial % self.period, k)
+        if trial < self.period:
+            self.saved[key] = np.copy(value)
+        return self.saved[key]
+
+    def standard_normal(self, size=None, out=None):
+        g = self.rng.standard_normal(size, out=out)
+        g[...] = self._replay("normal", self.draws, g.ravel()).reshape(g.shape)
+        self.draws += 1
+        return g
+
+    def _uniform(self, u):
+        u = self._replay("uniform", self.uniforms, u)
+        self.uniforms += 1
+        return float(u)
+
+    def random(self):
+        return self._uniform(self.rng.random())
+
+    def uniform(self):
+        return self._uniform(self.rng.uniform())
+
+
 CHUNK_TRIALS = [1, SMOOTHNESS_CHUNK - 1, SMOOTHNESS_CHUNK, SMOOTHNESS_CHUNK + 1,
-                2 * SMOOTHNESS_CHUNK + 3]
+                2 * SMOOTHNESS_CHUNK + 3, 600]
 
 
-@pytest.mark.parametrize("scale", [0.0, 1.0, 1e154])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e154, 1e-160, 1e-300])
 @pytest.mark.parametrize("trials", CHUNK_TRIALS)
 @pytest.mark.parametrize("d", [1, 2, 8, 17])
 def test_smoothness_matches_per_trial_oracle(d, trials, scale):
     # at scale 1e154 ||W(i)|| overflows in every block at d = 8 and 17 and in
-    # the last at d = 2, so those blocks' pairs are not finite
+    # the last at d = 2, so those blocks' pairs are not finite.  At 1e-160
+    # every ||D||_F is below the normal range, so no trial skips the SVD; at
+    # 1e-300 ||W(1)|| underflows to 0, so block 1 draws in the radius-0.1 ball,
+    # and in blocks 2 and 3 every numerator underflows to 0
     rng = make_rng(600 + d)
     m = random_model(3, d, rng, scale=scale)
     x = rng.standard_normal(d)
@@ -369,21 +449,51 @@ def test_smoothness_matches_per_trial_oracle(d, trials, scale):
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("factor", [0.0, 1e-161])
+DEGENERATE_DRAWS = {  # (weight scale, generator)
+    "zero": (1e150, lambda seed: ScaledDraws(seed, 7, 0.0)),
+    "tiny": (1e150, lambda seed: ScaledDraws(seed, 7, 1e-161)),
+    "repeated": (1.0, lambda seed: RepeatedDraws(seed, 50)),
+}
+
+
+@pytest.mark.parametrize("draws", DEGENERATE_DRAWS)
 @pytest.mark.parametrize("d", [1, 8])
-def test_smoothness_oracle_with_degenerate_draws(d, factor):
-    # radius about 1e149: a direction of norm 1e-161 overflows its pair, so
-    # non-finite rows sit among finite ones in every chunk
-    m = random_model(2, d, make_rng(800 + d), scale=1e150)
+def test_smoothness_oracle_with_degenerate_draws(d, draws):
+    # at scale 1e150 the radius is about 1e149: a direction of norm 1e-161
+    # overflows its pair, so non-finite rows sit among finite ones in every
+    # chunk; at scale 1 repeated draws make the largest ratio a tie within a
+    # chunk and across chunks, while most trials skip the SVD
+    scale, draw = DEGENERATE_DRAWS[draws]
+    m = random_model(2, d, make_rng(800 + d), scale=scale)
     x = make_rng(900).standard_normal(d)
     trials = 2 * SMOOTHNESS_CHUNK + 3
-    rng, oracle_rng = ScaledDraws(d, 7, factor), ScaledDraws(d, 7, factor)
+    rng, oracle_rng = draw(d), draw(d)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in (1, 2):
             same_report(verify_block_smoothness(m, x, i, rng, trials),
                         per_trial_smoothness(m, x, i, oracle_rng, trials))
             assert rng.rng.bit_generator.state == oracle_rng.rng.bit_generator.state
             assert rng.draws == oracle_rng.draws
+
+
+def test_smoothness_runs_few_svds(monkeypatch):
+    # only a trial whose ratio can reach the largest one needs ||D||_2
+    rows = []
+    norm = np.linalg.norm
+
+    def counting(a, ord=None, axis=None, **kwargs):
+        if np.ndim(a) == 3:
+            rows.append(len(a))
+        return norm(a, ord, axis, **kwargs)
+
+    rng = make_rng(22)
+    m = random_model(3, 8, rng)
+    x = rng.standard_normal(8)
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    for i in (1, 2, 3):
+        rows.clear()
+        verify_block_smoothness(m, x, i, rng, trials=200)
+        assert 1 <= sum(rows) < 0.1 * 200
 
 
 def test_smoothness_memory_does_not_grow_with_trials():
@@ -458,6 +568,35 @@ def test_overflowing_checks_are_violations():
         assert np.isnan(reports[0]["empirical"])
         for r in reports:
             assert not np.isfinite(r["empirical"] + r["bound"]) and r["violated"]
+
+
+def test_variance_uses_one_gradient_buffer():
+    # one (2000, 8, 8) buffer is 1 MB; a fresh array per block (n + 1 of
+    # them) peaked at about 3.1 MB; one buffer peaks at about 1.4 MB
+    rng = make_rng(23)
+    m = random_model(3, 8, rng)
+    xs = rng.standard_normal((2000, 8))
+    for i in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            verify_gradient_variance(m, i, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+def test_variance_matches_fresh_gradients():
+    # the buffer holds, in turn, what the public gradient functions return
+    rng = make_rng(24)
+    m = random_model(3, 5, rng)
+    xs = rng.standard_normal((300, 5))
+    widest = [_total_variance(g)[0] for g in grad_widest_batch(m, xs)]
+    for i in (1, 2, 3):
+        r = verify_gradient_variance(m, i, xs)
+        assert (r["empirical"], r["standard_error"]) == _total_variance(
+            grad_narrowest_batch(m, xs, i))
+        assert r["sigmas_sq"] == widest
 
 
 @pytest.mark.parametrize("shape", [(2, 1, 1), (7, 3, 3), (500, 8, 8)])
