@@ -1,8 +1,8 @@
-"""The one module that writes files, JSON, CSV or raw bytes, and the one
-reader of input files.  RFC 8259 has no inf or nan, so a non-finite float is
-written to JSON as ``null``, and ``allow_nan=False`` holds.  Every file is
-written whole or not at all: to a temporary file beside it, renamed into
-place once complete."""
+"""The one module that opens files: it writes every file, JSON, CSV or raw
+bytes, and reads every input file, JSON or raw bytes.  RFC 8259 has no inf or
+nan, so a non-finite float is written to JSON as ``null``, and
+``allow_nan=False`` holds.  Every file is written whole or not at all: to a
+temporary file beside it, renamed into place once complete."""
 
 import contextlib
 import csv
@@ -69,6 +69,16 @@ def write_csv(path, header, rows):
 def write_bytes(path, data):
     with _replacing(path, "wb") as fh:
         fh.write(data)
+
+
+def read_bytes(path):
+    """The bytes of the file at path; raises ParseError naming the path when
+    the file cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def read_json(path):

@@ -9,19 +9,17 @@ reads it.
 ``per_example_variance`` reads per-example gradients off a recorded tape after
 one batched ``backward``.
 The SGD optimizer with cosine annealing lives here as well, since it operates
-on the same tensors.
+on the same tensors.  The module does no I/O and knows no parameter layout:
+``network.ParamLayout`` owns the checkpoint format.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 
 import numpy as np
 
-from .artifacts import write_bytes
-from .errors import NoTape, ParseError, ShapeMismatch, SharedParameter
+from .errors import NoTape, ShapeMismatch, SharedParameter
 
 
 class Value:
@@ -264,13 +262,6 @@ def per_example_variance(tape: Tape, leaves: dict) -> float:
     return total
 
 
-def glorot_init(shape, rng):
-    """Uniform in +/- sqrt(6 / (fan_in + fan_out))."""
-    fan_out, fan_in = shape if len(shape) == 2 else (shape[0], shape[0])
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 # --- optimizer ------------------------------------------------------------
 
 
@@ -298,64 +289,3 @@ def cosine_lr(epoch, total_epochs, base_lr):
         raise ValueError(f"epoch {epoch} outside [0, {total_epochs}]")
     return 0.5 * base_lr * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
-
-# --- checkpoint container -------------------------------------------------
-#
-# Layout: 4-byte little-endian header length, JSON header listing
-# {name, shape, offset} per block, then contiguous little-endian float64 data.
-
-
-def save_checkpoint(params, path, layout):
-    """Write one member's flat params; ``layout`` (a ``network.ParamLayout``)
-    names its blocks in the header."""
-    if np.shape(params) != (layout.size,):
-        raise ShapeMismatch(f"checkpoint of {np.shape(params)} params, layout of {layout.size}")
-    header = [{"name": name, "shape": list(shape), "offset": s.start}
-              for name, (s, shape) in layout.blocks.items()]
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    write_bytes(path, struct.pack("<I", len(header_bytes)) + header_bytes
-                + np.ascontiguousarray(params, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path, layout):
-    """Read a checkpoint written by ``save_checkpoint`` into a flat vector.
-
-    Raises ParseError when the file cannot be read, is shorter than its
-    header, has a header that is not a JSON list of blocks, or has a payload
-    that is not whole float64 values or is shorter than its blocks; then
-    DimensionMismatch (from ``layout.check``) when its blocks are not the
-    layout's; then ParseError when the payload holds values past them.
-    """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if len(raw) < 4:
-        raise ParseError(f"{path}: checkpoint of {len(raw)} bytes has no header length")
-    (header_len,) = struct.unpack_from("<I", raw)
-    start = 4 + header_len
-    if len(raw) < start or (len(raw) - start) % 8:
-        raise ParseError(f"{path}: checkpoint is truncated or has a partial value")
-    try:
-        header = json.loads(raw[4:start])
-        blocks = [(b["name"], tuple(b["shape"]), b["offset"]) for b in header]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
-    payload = np.frombuffer(raw, dtype="<f8", offset=start)
-    for name, shape, offset in blocks:
-        if not (isinstance(name, str) and isinstance(offset, int) and offset >= 0
-                and all(isinstance(d, int) and d >= 0 for d in shape)):
-            raise ParseError(f"{path}: bad checkpoint block {name!r}")
-        size = math.prod(shape)
-        if offset + size > payload.size:
-            raise ParseError(
-                f"{path}: block {name!r} ends at value {offset + size}, "
-                f"past the payload's {payload.size}"
-            )
-    layout.check(blocks)
-    if payload.size != layout.size:
-        raise ParseError(
-            f"{path}: checkpoint holds {payload.size} values, its blocks {layout.size}"
-        )
-    return np.array(payload, dtype=np.float64)

@@ -17,7 +17,6 @@ import click
 
 from . import __version__
 from .artifacts import dump, read_json, write_csv, write_json
-from .autodiff import load_checkpoint, save_checkpoint
 from .data import DatasetSpec, make_dataset, spec_from_json
 from .errors import (
     CellscapeError,
@@ -232,7 +231,7 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
     trace_path = out / "trace.csv"
     write_csv(trace_path, list(trace.rows[0]), [row.values() for row in trace.rows])
     ckpt_path = out / "final.ckpt"
-    save_checkpoint(trace.final_params, ckpt_path, net.layout)
+    net.layout.save(trace.final_params, ckpt_path)
     final = trace.rows[-1]
     _write_manifest(out, [seed], ["trace.csv", "final.ckpt"], diverged=trace.diverged,
                     divergence_epoch=trace.divergence_epoch, final=final)
@@ -305,7 +304,7 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
     g = load_genotype(genotype_file)
     dataset, net_cfg = _dataset_and_network(dataset_spec_file, layers, dim)
     net = CellNetwork(g, net_cfg)
-    checkpoint = load_checkpoint(checkpoint_file, net.layout)
+    checkpoint = net.layout.load(checkpoint_file)
     pair = sample_directions(checkpoint, net.layout, seed, normalization=norm)
     coords = grid_coordinates(grid_points, extent)
     x, y = evaluation_subset(dataset, subset, seed)
@@ -422,8 +421,8 @@ def main(argv=None):
     except (GenotypeError, InvalidSpec, InvalidSearchSpace) as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    except (CellscapeError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (CellscapeError, OSError, MemoryError) as exc:
+        click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
         sys.exit(EXIT_VALIDATION)
     sys.exit(EXIT_OK)
 

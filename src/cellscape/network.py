@@ -4,20 +4,25 @@ Cell k receives the outputs of cells k-1 and k-2 (the stem output standing in
 for missing predecessors) as its two input nodes.  Each intermediate node
 sums its two transformed inputs, one ``Tape.node`` record; the cell output
 averages the concat nodes, which keeps the feature dimension constant across
-cells and leaves identity cells parameter-free.
+cells and leaves identity cells parameter-free.  ``ParamLayout`` places the
+parameter blocks in one flat vector and owns the checkpoint format that
+stores one.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, glorot_init
-from .errors import DimensionMismatch, UnsupportedInputCount
+from .artifacts import read_bytes, write_bytes
+from .autodiff import Tape
+from .errors import DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount
 from .genotype import CellGenotype
 
 
@@ -48,6 +53,8 @@ class ParamLayout:
             offset += size
         self.size = offset
         self.sizes = [s.stop - s.start for s, _ in self.blocks.values()]
+        # (name, shape, offset) per block: what a checkpoint header lists
+        self._header = [(name, shape, s.start) for name, (s, shape) in self.blocks.items()]
 
     def views(self, flat):
         """name -> view of that block in ``flat``, keeping its leading axes."""
@@ -59,17 +66,69 @@ class ParamLayout:
         """Frobenius norm of each block of a flat vector, in layout order."""
         return np.array([np.linalg.norm(flat[s]) for s, _ in self.blocks.values()])
 
-    def check(self, blocks):
-        """Raise DimensionMismatch unless ``blocks``, (name, shape, offset)
-        triples read from a checkpoint header, are exactly this layout's."""
-        mine = [(name, shape, s.start) for name, (s, shape) in self.blocks.items()]
+    def save(self, params, path):
+        """Write one member's flat params as a checkpoint: a 4-byte
+        little-endian header length, a JSON header listing {name, shape,
+        offset} per block, then the values as little-endian float64."""
+        if np.shape(params) != (self.size,):
+            raise ShapeMismatch(f"checkpoint of {np.shape(params)} params, layout of {self.size}")
+        header = [{"name": name, "shape": list(shape), "offset": offset}
+                  for name, shape, offset in self._header]
+        header_bytes = json.dumps(header, sort_keys=True).encode()
+        write_bytes(path, struct.pack("<I", len(header_bytes)) + header_bytes
+                    + np.ascontiguousarray(params, dtype="<f8").tobytes())
+
+    def load(self, path):
+        """The flat vector of a checkpoint written by ``save``.
+
+        Raises ParseError when the file cannot be read, is shorter than its
+        header, has a header that is not a JSON list of blocks, or has a
+        payload that is not whole float64 values or is shorter than its
+        blocks; then DimensionMismatch when its blocks are not this layout's;
+        then ParseError when the payload holds values past them.
+        """
+        raw = read_bytes(path)
+        if len(raw) < 4:
+            raise ParseError(f"{path}: checkpoint of {len(raw)} bytes has no header length")
+        (header_len,) = struct.unpack_from("<I", raw)
+        start = 4 + header_len
+        if len(raw) < start or (len(raw) - start) % 8:
+            raise ParseError(f"{path}: checkpoint is truncated or has a partial value")
+        try:
+            header = json.loads(raw[4:start])
+            blocks = [(b["name"], tuple(b["shape"]), b["offset"]) for b in header]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
+        payload = np.frombuffer(raw, dtype="<f8", offset=start)
+        for name, shape, offset in blocks:
+            if not (isinstance(name, str) and isinstance(offset, int) and offset >= 0
+                    and all(isinstance(d, int) and d >= 0 for d in shape)):
+                raise ParseError(f"{path}: bad checkpoint block {name!r}")
+            size = math.prod(shape)
+            if offset + size > payload.size:
+                raise ParseError(
+                    f"{path}: block {name!r} ends at value {offset + size}, "
+                    f"past the payload's {payload.size}"
+                )
         theirs = sorted(blocks)
-        if theirs != mine:
-            t, m = next(p for p in zip_longest(theirs, mine) if p[0] != p[1])
+        if theirs != self._header:
+            t, m = next(p for p in zip_longest(theirs, self._header) if p[0] != p[1])
             raise DimensionMismatch(
                 f"checkpoint blocks do not match the network's: (name, shape, offset) "
                 f"{t} in the checkpoint, {m} in the network"
             )
+        if payload.size != self.size:
+            raise ParseError(
+                f"{path}: checkpoint holds {payload.size} values, its blocks {self.size}"
+            )
+        return np.array(payload, dtype=np.float64)
+
+
+def glorot_init(shape, rng):
+    """Uniform in +/- sqrt(6 / (fan_in + fan_out)) for a (fan_out, fan_in) weight."""
+    fan_out, fan_in = shape
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class CellNetwork:

@@ -34,7 +34,7 @@ from cellscape import (
     save_genotype,
     train,
 )
-from cellscape.autodiff import backward, cosine_lr, load_checkpoint, save_checkpoint
+from cellscape.autodiff import backward, cosine_lr
 from cellscape.genotype import FIXTURE_NAMES, OPERATION_KINDS, genotype_to_dict
 from cellscape.linear_theory import (
     grad_widest_batch,
@@ -314,8 +314,8 @@ def test_criterion_08_landscape(tmp_path):
     net = CellNetwork(load_fixture("darts"), cfg)
     [trace] = train(net, ds, [(0.025, 0)], 3, 80)
     ckpt_path = tmp_path / "final.ckpt"
-    save_checkpoint(trace.final_params, ckpt_path, net.layout)
-    ckpt = load_checkpoint(ckpt_path, net.layout)
+    net.layout.save(trace.final_params, ckpt_path)
+    ckpt = net.layout.load(ckpt_path)
 
     pair = sample_directions(ckpt, net.layout, seed=0)
     coords = grid_coordinates(5, 0.5)

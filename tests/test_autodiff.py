@@ -13,15 +13,18 @@ from cellscape.autodiff import (
     Value,
     backward,
     cosine_lr,
-    glorot_init,
-    load_checkpoint,
     per_example_variance,
-    save_checkpoint,
     sgd_step,
 )
-from cellscape.errors import DimensionMismatch, NoTape, ShapeMismatch, SharedParameter
+from cellscape.errors import (
+    DimensionMismatch,
+    NoTape,
+    ParseError,
+    ShapeMismatch,
+    SharedParameter,
+)
 from cellscape.genotype import OPERATION_KINDS, load_fixture
-from cellscape.network import CellNetwork, NetworkConfig, ParamLayout
+from cellscape.network import CellNetwork, NetworkConfig, ParamLayout, glorot_init
 from conftest import LossTape, central_difference
 
 dims = st.integers(2, 16)
@@ -528,8 +531,8 @@ def test_checkpoint_roundtrip(tmp_path):
     layout = ParamLayout({"stem.w": (8, 4), "stem.b": (8,), "head.w": (3, 8)})
     params = rng.standard_normal(layout.size)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path, layout)
-    loaded = load_checkpoint(path, layout)
+    layout.save(params, path)
+    loaded = layout.load(path)
     assert np.array_equal(loaded, params)
     assert loaded.dtype == np.float64
 
@@ -538,7 +541,7 @@ def test_checkpoint_header_layout(tmp_path):
     layout = ParamLayout({"a": (2, 2), "b": (3,)})
     params = np.concatenate([np.zeros(4), np.ones(3)])
     path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path, layout)
+    layout.save(params, path)
     blob = path.read_bytes()
     (header_len,) = struct.unpack("<I", blob[:4])
     header = json.loads(blob[4 : 4 + header_len])
@@ -553,8 +556,8 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     layout = ParamLayout({"w": (2, 3)})
     params = np.arange(6.0)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(params, p1, layout)
-    save_checkpoint(params, p2, layout)
+    layout.save(params, p1)
+    layout.save(params, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -580,10 +583,10 @@ def test_checkpoint_bytes_match_per_name_writer(tmp_path, genotype):
     net = CellNetwork(load_fixture(genotype), NetworkConfig(layers=2, dim=6))
     params = net.init_params(np.random.default_rng(4))
     members = np.stack([params, -params])
-    save_checkpoint(members[1], tmp_path / "flat.ckpt", net.layout)
+    net.layout.save(members[1], tmp_path / "flat.ckpt")
     per_name_checkpoint(net.layout.views(members[1]), tmp_path / "names.ckpt")
     assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "names.ckpt").read_bytes()
-    assert np.array_equal(load_checkpoint(tmp_path / "flat.ckpt", net.layout), members[1])
+    assert np.array_equal(net.layout.load(tmp_path / "flat.ckpt"), members[1])
 
 
 @pytest.mark.parametrize("other", [
@@ -594,9 +597,9 @@ def test_checkpoint_bytes_match_per_name_writer(tmp_path, genotype):
 def test_checkpoint_of_other_layout_raises_dimension_mismatch(tmp_path, other):
     layout = ParamLayout({"a": (2, 2), "b": (3,)})
     path = tmp_path / "model.ckpt"
-    save_checkpoint(np.arange(7.0), path, layout)
+    layout.save(np.arange(7.0), path)
     with pytest.raises(DimensionMismatch):
-        load_checkpoint(path, ParamLayout(other))
+        ParamLayout(other).load(path)
 
 
 def test_checkpoint_header_with_moved_or_repeated_block_raises(tmp_path):
@@ -610,4 +613,23 @@ def test_checkpoint_header_with_moved_or_repeated_block_raises(tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(struct.pack("<I", len(raw)) + raw + np.arange(7.0).tobytes())
         with pytest.raises(DimensionMismatch):
-            load_checkpoint(path, layout)
+            layout.load(path)
+
+
+@pytest.mark.parametrize("written_for, damage, error", [
+    ("other", "truncated", ParseError),  # a short payload is found before the blocks
+    ("other", "intact", DimensionMismatch),
+    ("other", "trailing", DimensionMismatch),  # the blocks are checked before the length
+    ("own", "truncated", ParseError),
+    ("own", "trailing", ParseError),
+])
+def test_checkpoint_load_checks_in_order(tmp_path, written_for, damage, error):
+    layout = ParamLayout({"a": (2, 2), "b": (3,)})
+    writer = layout if written_for == "own" else ParamLayout({"a": (2, 2), "c": (3,)})
+    path = tmp_path / "model.ckpt"
+    writer.save(np.arange(7.0), path)
+    raw = path.read_bytes()
+    path.write_bytes({"truncated": raw[:-8], "intact": raw,
+                      "trailing": raw + np.ones(2, dtype="<f8").tobytes()}[damage])
+    with pytest.raises(error):
+        layout.load(path)

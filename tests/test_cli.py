@@ -16,7 +16,7 @@ from cellscape import (
     save_genotype,
 )
 from cellscape.artifacts import write_bytes, write_csv, write_json
-from cellscape.autodiff import load_checkpoint, save_checkpoint
+from cellscape.cli import main
 from cellscape.genotype import genotype_to_dict
 from cellscape.linear_theory import random_model, verify_block_smoothness, verify_gradient_variance
 from cellscape.rng import stream
@@ -320,7 +320,7 @@ def test_train_artifacts(darts_file, tiny_spec, tmp_path):
     assert len(lines) == 1 + 3  # initial row + 2 epochs
     net = CellNetwork(load_fixture("darts"),
                       NetworkConfig(layers=1, dim=5, num_classes=3, input_dim=5))
-    params = load_checkpoint(out / "final.ckpt", net.layout)
+    params = net.layout.load(out / "final.ckpt")
     assert "stem.w" in net.layout.blocks and params.shape == (net.layout.size,)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diverged"] is False
@@ -507,7 +507,7 @@ def darts_ckpt(tmp_path):
     cfg = NetworkConfig(layers=1, dim=5, num_classes=3, input_dim=5)
     net = CellNetwork(load_fixture("darts"), cfg)
     path = tmp_path / "init.ckpt"
-    save_checkpoint(net.init_params(stream(0, "init")), path, net.layout)
+    net.layout.save(net.init_params(stream(0, "init")), path)
     return path
 
 
@@ -546,6 +546,26 @@ def test_landscape_checkpoint_of_other_genotype_exit_2(darts_ckpt, tiny_spec, tm
     assert res.returncode == 2
     assert one_line(res.stderr) and "checkpoint blocks" in res.stderr, res.stderr
     assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("written_for, cut, code", [
+    ("nasnet", 16, 1),  # truncated and another network's: the parse error comes first
+    ("nasnet", 0, 2),
+    ("darts", 16, 1),
+], ids=["truncated other network", "intact other network", "truncated own network"])
+def test_landscape_checkpoint_checks_in_order(darts_file, tiny_spec, tmp_path,
+                                               written_for, cut, code):
+    cfg = NetworkConfig(layers=1, dim=5, num_classes=3, input_dim=5)
+    net = CellNetwork(load_fixture(written_for), cfg)
+    path = tmp_path / "model.ckpt"
+    net.layout.save(net.init_params(stream(0, "init")), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) - cut])
+    res = tiny_landscape(path, darts_file, tiny_spec, tmp_path / "g.csv")
+    assert res.returncode == code
+    assert one_line(res.stderr), res.stderr
+    assert res.stderr.startswith("parse error:") == (code == 1), res.stderr
+    assert ("checkpoint blocks" in res.stderr) == (code == 2), res.stderr
 
 
 def test_landscape_overflow_points_tagged(darts_file, tiny_spec, darts_ckpt, tmp_path):
@@ -791,6 +811,42 @@ def test_theory_out_below_a_file_exit_2(tmp_path):
                   "--out", tmp_path / "file" / "report.json")
     assert res.returncode == 2
     assert one_line(res.stderr), res.stderr
+
+
+# --- inputs too large to allocate -----------------------------------------
+
+
+def out_of_memory(message):
+    """A stand-in for an allocation that numpy (or Python) cannot make."""
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+    return allocate
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 447. GiB for an array with shape (60000000000,) and data type float64",
+    "",
+], ids=["numpy", "bare"])
+def test_train_out_of_memory_exit_2(darts_file, tmp_path, monkeypatch, capsys, message):
+    # train --dim 100000 --layers 1 would ask init_params for 447 GiB
+    monkeypatch.setattr("cellscape.network.CellNetwork.init_params", out_of_memory(message))
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--genotype", str(darts_file), "--epochs", "1",
+              "--out-dir", str(tmp_path / "run")])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_theory_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
+    # theory --dim 100000 would ask random_model for 74.5 GiB
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+    monkeypatch.setattr("cellscape.linear_theory.random_model", out_of_memory(message))
+    with pytest.raises(SystemExit) as exit_:
+        main(["theory", "--out", str(tmp_path / "theory" / "report.json")])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "theory").exists()
 
 
 # --- adapt / report -------------------------------------------------------

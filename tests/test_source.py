@@ -174,30 +174,12 @@ def test_cli_imports_no_numpy():
     assert "numpy" not in outside_imports((SRC / "cli.py").read_text())
 
 
-def write_opens(source):
-    """Lines of calls to the built-in ``open`` whose mode, its second
-    argument or ``mode=``, is not a literal read mode."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
-            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
-            mode = modes[0] if modes else ast.Constant("r")
-            if not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
-                lines.append(node.lineno)
-    return lines
-
-
-def test_write_opens_are_found():
-    source = ("open(p)\nopen(p, 'rb')\nopen(p, encoding='utf-8')\nopen(p, 'w')\n"
-              "open(p, mode='ab')\nopen(p, m)\nopen(p, 'r+')\nfh.read()\n")
-    assert write_opens(source) == [4, 5, 6, 7]
-
-
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "artifacts.py"],
                          ids=lambda p: p.name)
 def test_only_artifacts_opens_files_for_writing(path):
-    # one writer module, so how artifacts reach the disk is decided once
-    assert write_opens(path.read_text()) == []
+    # one module opens files, to write or to read, so how artifacts reach the
+    # disk and how a file that cannot be read is reported are decided once
+    assert calls_of(path.read_text(), "open") == []
 
 
 def calls_of(source, name):
@@ -221,6 +203,16 @@ def test_calls_are_found():
 def test_only_the_genotype_constructor_validates(path):
     # a CellGenotype is checked when it is built, so every one is valid
     assert calls_of(path.read_text(), "validate_genotype") == []
+
+
+def test_autodiff_is_the_tape_alone():
+    # the tape does no I/O and knows no parameter layout
+    source = (SRC / "autodiff.py").read_text()
+    assert package_imports(source) <= {"errors"}
+    assert outside_imports(source) & {"json", "struct"} == set()
+    params = {a.arg for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)
+              for a in node.args.args + node.args.kwonlyargs}
+    assert "layout" not in params
 
 
 def test_cli_draws_no_random_numbers():
