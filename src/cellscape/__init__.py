@@ -22,8 +22,8 @@ from .sampler import (
 )
 from .linear_theory import (
     LinearCellModel,
-    grad_narrowest_batch,
-    grad_widest_batch,
+    grad_factors,
+    linear_cell,
     spectral_norm,
     theory_report,
     verify_block_smoothness,

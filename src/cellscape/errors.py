@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all cellscape modules."""
+"""Exception hierarchy shared by all cellscape modules, and one size check."""
+
+import numpy as np
 
 
 class CellscapeError(Exception):
@@ -57,6 +59,12 @@ class UnsupportedInputCount(CellscapeError):
 
 class InvalidSpec(CellscapeError):
     """A dataset or run specification is malformed."""
+
+
+def check_float64s(count, what):
+    """InvalidSpec unless one numpy array can index ``count`` float64 values."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise InvalidSpec(f"{what} would be {count} float64 values, more than numpy can index")
 
 
 class ParseError(CellscapeError):

@@ -1,14 +1,16 @@
 """Linear widest/narrowest cell models and numerical checks of their
 block-wise smoothness and gradient-variance bounds.
 
-A model is n weight matrices W(1..n) of size d x d, read under either wiring
-by its gradient function: the widest cell computes node i as W(i) x; the
-narrowest chains them, node i = W(i)...W(1) x.
-The objective is the block quadratic 0.5 * sum_i ||node_i - t_i||^2, which
-makes the widest cell's block smoothness constant exactly ||x||^2 and gives
-the bounds a computable reference.  The verifiers estimate the narrowest
-cell's block constants empirically and report whether they stay under the
-scaled widest-cell bounds; violations are surfaced, never suppressed.
+A model is n weight matrices W(1..n) of size d x d, read under a wiring: an
+M = 1 genotype (``linear_cell``) whose node i is W(i) applied to one earlier
+node, 0 being the input x.  The widest cell computes node i as W(i) x; the
+narrowest chains them, node i = W(i)...W(1) x.  ``grad_factors`` gives the
+gradients under any wiring.  The objective is the block quadratic
+0.5 * sum_i ||node_i - t_i||^2, which makes the widest cell's block
+smoothness constant exactly ||x||^2 and gives the bounds a computable
+reference.  The verifiers estimate the chain's block constants empirically
+and report whether they stay under the scaled widest-cell bounds;
+violations are surfaced, never suppressed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientSamples
+from .errors import DimensionMismatch, InsufficientSamples, check_float64s
+from .genotype import CellGenotype, NodeSpec, OpSpec
 from .rng import stream
 
 SMOOTHNESS_SLACK = 1e-9  # float round-off allowed over the smoothness bound
@@ -32,10 +35,12 @@ _SQRT_TINY = np.sqrt(np.finfo(np.float64).tiny)  # below it a sum of squares is 
 @dataclass
 class LinearCellModel:
     """n stacked d x d weight matrices plus per-node quadratic targets, and
-    each weight's spectral norm, computed once."""
+    n, d and each weight's spectral norm, computed once."""
 
     weights: list  # of (d, d) arrays
     targets: list  # of (d,) arrays
+    n: int = field(init=False)
+    dim: int = field(init=False)
     lambdas: tuple = field(init=False)  # spectral_norm of each weight
 
     def __post_init__(self):
@@ -50,21 +55,21 @@ class LinearCellModel:
                 raise DimensionMismatch(f"target shape {t.shape}, expected ({d},)")
         if len(self.targets) != len(self.weights):
             raise DimensionMismatch("need one target per weight matrix")
+        self.n, self.dim = len(self.weights), d
         self.lambdas = tuple(spectral_norm(w) for w in self.weights)
-
-    @property
-    def n(self):
-        return len(self.weights)
-
-    @property
-    def dim(self):
-        return self.weights[0].shape[0]
 
 
 def random_model(n, dim, rng, scale=1.0):
+    check_float64s(dim * dim, "a weight matrix")
     weights = [scale * rng.standard_normal((dim, dim)) / np.sqrt(dim) for _ in range(n)]
     targets = [rng.standard_normal(dim) for _ in range(n)]
     return LinearCellModel(weights, targets)
+
+
+def linear_cell(sources):
+    """The M = 1 cell whose node i is one linear slot reading node sources[i-1],
+    node 0 being the input x: range(n) is the chain, (0,) * n the widest cell."""
+    return CellGenotype("linear", 1, tuple(NodeSpec((OpSpec("linear", s),)) for s in sources))
 
 
 def _check_input(m, x):
@@ -72,14 +77,6 @@ def _check_input(m, x):
     if x.shape != (m.dim,):
         raise DimensionMismatch(f"input shape {x.shape}, expected ({m.dim},)")
     return x
-
-
-def _prefix_products(weights, dim):
-    """prefix[i] = W(i)...W(1), with prefix[0] = I."""
-    prods = [np.eye(dim)]
-    for w in weights:
-        prods.append(w @ prods[-1])
-    return prods
 
 
 def _check_batch(m, xs):
@@ -99,43 +96,29 @@ def _outer(v, y, out=None):
     return np.einsum("si,sj->sij", v, y, out=out)
 
 
-def _narrowest_factors(m, xs, i):
-    """The (S, d) factors of the chained model's block-i gradient, one outer
-    product v y^T per input row x: v = sum_{k>=i} (W(k)...W(i+1))^T (yhat_k - t_k)
-    and y = W(i-1)...W(1) x."""
-    _check_block(m, i)
-    n = m.n
-    # ys[k] = W(k)...W(1) x for each row, ys[0] = x; shape (S, d)
-    ys = [xs @ p.T for p in _prefix_products(m.weights, m.dim)]
-    v = ys[n] - m.targets[n - 1]
-    for k in range(n - 1, i - 1, -1):
-        # v(k) = W(k+1)^T v(k+1) + (yhat_k - t_k): the sum for v by Horner's rule
-        v = v @ m.weights[k] + (ys[k] - m.targets[k - 1])
-    return v, ys[i - 1]
+def _node_maps(m, cell):
+    """The map from x to each node under ``cell``: I, then W(i) maps[source(i)]."""
+    maps = [np.eye(m.dim)]
+    for w, node in zip(m.weights, cell.nodes, strict=True):
+        maps.append(w @ maps[node.ops[0].source])
+    return maps
 
 
-def grad_narrowest_batch(m: LinearCellModel, xs, i):
-    """Closed-form block-i gradient (1 <= i <= n, else ValueError) of the
-    chained model for a batch of inputs xs of shape (S, d), as one (S, d, d)
-    array.
-
-    d(loss)/dW(i) = sum_{k>=i} (W(k)...W(i+1))^T (yhat_k - t_k) x^T (W(i-1)...W(1))^T
-    with empty products equal to the identity.
-    """
-    return _outer(*_narrowest_factors(m, _check_batch(m, xs), i))
-
-
-def _widest_residuals(m, xs):
-    """W(i) x - t_i for each block and each row x of xs: the left factor of
-    the widest cell's block-i gradient, whose right factor is x."""
-    return (xs @ w.T - t for w, t in zip(m.weights, m.targets))
-
-
-def grad_widest_batch(m: LinearCellModel, xs):
-    """d(loss)/dW(i) = (W(i) x - t_i) x^T for each block and each row x of
-    xs, as one (S, d, d) array per block."""
+def grad_factors(m: LinearCellModel, cell, xs):
+    """Yield (i, v, u) for blocks i = n..1 of the model wired by ``cell``: at
+    row s of the inputs xs (S, d), d(loss)/dW(i) = v[s] u[s]^T.  u is node
+    source(i), v = (node_i - t_i) + sum_k v_k W(k) over the nodes k reading
+    node i: in the chain Horner's rule, in the widest cell W(i) x - t_i."""
     xs = _check_batch(m, xs)
-    return [_outer(r, xs) for r in _widest_residuals(m, xs)]
+    nodes = [xs] + [xs @ p.T for p in _node_maps(m, cell)[1:]]  # node 0 is the input
+    readers = [[] for _ in nodes]  # per node j, v_k W(k) for each node k that reads it
+    for i in range(m.n, 0, -1):
+        v = sum(readers[i], nodes[i] - m.targets[i - 1])
+        readers[i] = nodes[i] = None  # no later step reads them: free them now
+        source = cell.nodes[i - 1].ops[0].source
+        yield i, v, nodes[source]
+        if source:
+            readers[source].append(v @ m.weights[i - 1])
 
 
 def spectral_norm(w):
@@ -211,12 +194,13 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_float64s(trials, "the smoothness ratios")
     _check_block(m, i)
     x = _check_input(m, x)
     radius = 0.1 * np.linalg.norm(m.weights[i - 1]) or 0.1
     l_widest = float(x @ x)
     bound = float(np.prod(m.lambdas[: i - 1])) * l_widest
-    u = _prefix_products(m.weights[: i - 1], m.dim)[-1] @ x
+    u = _node_maps(m, linear_cell(range(m.n)))[i - 1] @ x
     u_norm = np.linalg.norm(u)
     # A(k-1) = I + W(k)^T A(k) W(k) from A(n) = I down to A(i)
     eye = np.eye(m.dim)
@@ -271,16 +255,20 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
     """Empirical block-i gradient variance of the chained model over the
     input rows xs (S, d) vs the bound
     n * sum_{k>=i} (sigma_k * prod_{j<=k, j!=i} lambda_j)^2, with sigma_k
-    estimated on the widest model from the same inputs.  Each block's
-    per-row gradients are built into, and reduced in, one (S, d, d) buffer."""
+    estimated on the widest model from the same inputs.  Both wirings'
+    gradients come from ``grad_factors``; each block's per-row gradients are
+    built into, and reduced in, one (S, d, d) buffer."""
     xs = _check_batch(m, xs)
     if len(xs) < 2:
         raise InsufficientSamples(f"need >= 2 samples, got {len(xs)}")
+    _check_block(m, i)
 
-    buf = _outer(*_narrowest_factors(m, xs, i))
+    buf = _outer(*next((v, u) for k, v, u in grad_factors(m, linear_cell(range(m.n)), xs)
+                       if k == i))
     empirical, emp_se = _total_variance(buf)
-    # the widest cell with the same weights and targets
-    sigmas_sq = [_total_variance(_outer(r, xs, out=buf))[0] for r in _widest_residuals(m, xs)]
+    # the widest cell with the same weights and targets, its blocks from n down
+    sigmas_sq = [_total_variance(_outer(v, u, out=buf))[0]
+                 for _, v, u in grad_factors(m, linear_cell((0,) * m.n), xs)][::-1]
 
     bound = 0.0
     for k in range(i, m.n + 1):
@@ -300,6 +288,7 @@ def theory_report(n, dim, trials, samples, instances, seed, scale):
     checked for smoothness and then for variance, all drawn in that order from
     one ``stream(seed, "theory")``.  A model with a violated block is recorded
     whole, with its weights, targets and input, once per such block."""
+    check_float64s(samples * dim, "a variance check's inputs")
     rng = stream(seed, "theory")
     results, violations = [], []
     # an overflowing instance is a result, a non-finite check a violation

@@ -22,7 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .artifacts import read_bytes, write_bytes
 from .autodiff import Tape
-from .errors import DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount
+from .errors import (DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount,
+                     check_float64s)
 from .genotype import CellGenotype
 
 
@@ -51,6 +52,7 @@ class ParamLayout:
             size = math.prod(shape)
             self.blocks[name] = (slice(offset, offset + size), shape)
             offset += size
+        check_float64s(offset, "the parameters")
         self.size = offset
         self.sizes = [s.stop - s.start for s, _ in self.blocks.values()]
         # (name, shape, offset) per block: what a checkpoint header lists

@@ -24,8 +24,8 @@ from cellscape.linear_theory import (
     LinearCellModel,
     _bound_check,
     _check_input,
-    _prefix_products,
-    grad_narrowest_batch,
+    grad_factors,
+    linear_cell,
     spectral_norm,
 )
 from cellscape.sampler import connection_space_counts
@@ -87,43 +87,62 @@ class LossTape(Tape):
         return self._push("half_sum_sq", out, [x], lambda g: [g * x.data])
 
 
-def narrowest_blocks(m, xs):
-    """Every block's batch gradient of the chained model, one call per block:
-    a list of (S, d, d) arrays, as ``grad_widest_batch`` returns."""
-    return [grad_narrowest_batch(m, xs, i) for i in range(1, m.n + 1)]
+def chain_sources(n):
+    """The chain's wiring: node i reads node i - 1, node 0 being the input."""
+    return tuple(range(n))
 
 
-def one_row(grad_batch, m, x):
+def widest_sources(n):
+    """The widest cell's wiring: every node reads the input."""
+    return (0,) * n
+
+
+def block_grads(m, xs, sources):
+    """Every block's (S, d, d) batch gradient of the model wired by
+    ``sources``, from ``grad_factors``, in block order."""
+    grads = {i: np.einsum("si,sj->sij", v, u)
+             for i, v, u in grad_factors(m, linear_cell(sources), xs)}
+    return [grads[i] for i in range(1, m.n + 1)]
+
+
+def one_row(m, x, sources):
     """Block gradients of a linear cell model at one input, through the batch
     gradient function: one (d, d) array per block."""
-    return [g[0] for g in grad_batch(m, np.asarray(x)[None])]
+    return [g[0] for g in block_grads(m, np.asarray(x)[None], sources)]
 
 
-# --- the linear cells' finite-difference oracle: forward passes and the
-# quadratic objective, with the wiring passed in
+# --- the linear cells' oracles: a forward pass and the quadratic objective,
+# with the wiring passed in, and the chain's gradient as an explicit sum
 
 
-def forward_widest(x, m):
-    """Concatenation of W(i) x for i = 1..n."""
-    x = _check_input(m, x)
-    return np.concatenate([w @ x for w in m.weights])
+def forward(x, m, sources):
+    """Concatenation of nodes 1..n, where node i = W(i) node ``sources[i-1]``
+    and node 0 = x."""
+    nodes = [_check_input(m, x)]
+    for w, s in zip(m.weights, sources):
+        nodes.append(w @ nodes[s])
+    return np.concatenate(nodes[1:])
 
 
-def forward_narrowest(x, m):
-    """Concatenation of the prefix products W(i)...W(1) x."""
-    x = _check_input(m, x)
-    parts = []
-    y = x
-    for w in m.weights:
-        y = w @ y
-        parts.append(y)
-    return np.concatenate(parts)
-
-
-def loss(x, m, forward):
-    """0.5 * sum_i ||node_i - t_i||^2, nodes computed by ``forward``."""
-    nodes = np.split(forward(x, m), m.n)
+def loss(x, m, sources):
+    """0.5 * sum_i ||node_i - t_i||^2 of the model wired by ``sources``."""
+    nodes = np.split(forward(x, m, sources), m.n)
     return 0.5 * sum(float(np.sum((y - t) ** 2)) for y, t in zip(nodes, m.targets))
+
+
+def chain_gradient(m, x, i):
+    """Block-i gradient of the chained model at one input x, as the explicit
+    sum over k >= i of (W(k)...W(i+1))^T (y_k - t_k) (W(i-1)...W(1) x)^T."""
+    ys = [x]
+    for w in m.weights:
+        ys.append(w @ ys[-1])
+    grad = np.zeros((m.dim, m.dim))
+    for k in range(i, m.n + 1):
+        b = np.eye(m.dim)
+        for w in m.weights[i:k]:
+            b = w @ b
+        grad += np.outer(b.T @ (ys[k] - m.targets[k - 1]), ys[i - 1])
+    return grad
 
 
 def with_block(m, i, w):
@@ -136,8 +155,8 @@ def with_block(m, i, w):
 def two_gradient_ratio(m, x, i, w1, w2):
     """||g(W1) - g(W2)||_2 / ||W1 - W2||_2 for block i of the chained model,
     from two full gradient evaluations on copies of the model."""
-    g1 = grad_narrowest_batch(with_block(m, i, w1), np.asarray(x)[None], i)[0]
-    g2 = grad_narrowest_batch(with_block(m, i, w2), np.asarray(x)[None], i)[0]
+    g1 = chain_gradient(with_block(m, i, w1), x, i)
+    g2 = chain_gradient(with_block(m, i, w2), x, i)
     return np.linalg.norm(g1 - g2, ord=2) / np.linalg.norm(w1 - w2, ord=2)
 
 
@@ -162,7 +181,10 @@ def per_trial_smoothness(m, x, i, rng, trials):
     lambdas = [spectral_norm(w) for w in m.weights]
     l_widest = float(x @ x)
     bound = float(np.prod(lambdas[: i - 1])) * l_widest
-    u = _prefix_products(m.weights[: i - 1], m.dim)[-1] @ x
+    prefix = np.eye(m.dim)  # W(i-1)...W(1), multiplied as the verifier does
+    for w in m.weights[: i - 1]:
+        prefix = w @ prefix
+    u = prefix @ x
     u_norm = np.linalg.norm(u)
     eye = np.eye(m.dim)
     a = eye

@@ -37,7 +37,6 @@ from cellscape import (
 from cellscape.autodiff import backward, cosine_lr
 from cellscape.genotype import FIXTURE_NAMES, OPERATION_KINDS, genotype_to_dict
 from cellscape.linear_theory import (
-    grad_widest_batch,
     random_model,
     verify_block_smoothness,
     verify_gradient_variance,
@@ -46,13 +45,12 @@ from cellscape.rng import stream
 from conftest import (
     LossTape,
     central_difference,
+    chain_sources,
     edges,
-    forward_narrowest,
-    forward_widest,
     loss as theory_loss,
-    narrowest_blocks,
     one_row,
     rewire_to_chain,
+    widest_sources,
     with_block,
 )
 
@@ -108,9 +106,9 @@ def test_criterion_02_extremal_values():
 # -- 3 ---------------------------------------------------------------------
 
 
-def _fd_block(m, x, i, forward, eps=1e-5):
+def _fd_block(m, x, i, sources, eps=1e-5):
     def f(wv):
-        return theory_loss(x, with_block(m, i, wv), forward)
+        return theory_loss(x, with_block(m, i, wv), sources)
 
     return central_difference(f, m.weights[i - 1], eps)
 
@@ -140,14 +138,14 @@ def test_criterion_03_gradient_formulas():
         d = int(rng.integers(2, 9))
         x = rng.standard_normal(d)
         widest = random_model(n, d, rng)
-        for i, g in enumerate(one_row(grad_widest_batch, widest, x), start=1):
-            worst_fd = max(worst_fd, _rel(g, _fd_block(widest, x, i, forward_widest)))
+        for i, g in enumerate(one_row(widest, x, widest_sources(n)), start=1):
+            worst_fd = max(worst_fd, _rel(g, _fd_block(widest, x, i, widest_sources(n))))
         narrowest = random_model(n, d, rng)
-        closed = one_row(narrowest_blocks, narrowest, x)
+        closed = one_row(narrowest, x, chain_sources(n))
         taped = _tape_narrowest(narrowest, x)
         for i in range(1, n + 1):
             worst_fd = max(worst_fd, _rel(closed[i - 1],
-                                          _fd_block(narrowest, x, i, forward_narrowest)))
+                                          _fd_block(narrowest, x, i, chain_sources(n))))
             worst_ad = max(worst_ad, float(np.max(np.abs(closed[i - 1] - taped[i - 1]))))
     assert worst_fd <= 1e-6
     assert worst_ad <= 1e-10

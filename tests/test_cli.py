@@ -849,6 +849,43 @@ def test_theory_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "theory").exists()
 
 
+# every size here is past what numpy can index, so none is ever allocated
+@pytest.mark.parametrize("args, count", [
+    (["--dim", "10000000000"], 10**20),
+    (["--trials", str(10**20)], 10**20),
+    (["--samples", str(10**20)], 8 * 10**20),
+], ids=["dim", "trials", "samples"])
+def test_theory_size_past_index_limit_exit_2(tmp_path, capsys, args, count):
+    with pytest.raises(SystemExit) as exit_:
+        main(["theory", "--n", "1", "--instances", "1", *args,
+              "--out", str(tmp_path / "theory" / "report.json")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert f" {count} float64 values, more than numpy can index" in err
+    assert not (tmp_path / "theory").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_network_size_past_index_limit_exit_2(tmp_path, capsys, command):
+    # 10^10 x 10^10 cell weights, 6 * 10^20 parameters in all
+    genotypes = tmp_path / "genotypes"
+    genotypes.mkdir()
+    for name in ("darts", "snas"):
+        save_genotype(load_fixture(name), genotypes / f"{name}.json")
+    inputs = (["--genotype", str(genotypes / "darts.json"), "--out-dir", str(tmp_path / "run")]
+              if command == "train" else
+              ["--genotypes", str(genotypes), "--seeds", "1",
+               "--out", str(tmp_path / "run" / "report.json")])
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *inputs, "--dim", "10000000000", "--layers", "1", "--epochs", "1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: the parameters would be ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 # --- adapt / report -------------------------------------------------------
 
 

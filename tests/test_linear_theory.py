@@ -5,13 +5,14 @@ import pytest
 
 from cellscape import linear_theory
 from cellscape.autodiff import backward
-from cellscape.errors import DimensionMismatch, InsufficientSamples
+from cellscape.errors import DimensionMismatch, ForwardReference, InsufficientSamples
+from cellscape.genotype import OpSpec
 from cellscape.linear_theory import (
     SMOOTHNESS_CHUNK,
     LinearCellModel,
     _total_variance,
-    grad_narrowest_batch,
-    grad_widest_batch,
+    grad_factors,
+    linear_cell,
     random_model,
     spectral_norm,
     theory_report,
@@ -21,14 +22,16 @@ from cellscape.linear_theory import (
 from conftest import (
     LossTape,
     ball_perturbation,
+    block_grads,
     central_difference,
-    forward_narrowest,
-    forward_widest,
+    chain_gradient,
+    chain_sources,
+    forward,
     loss,
-    narrowest_blocks,
     one_row,
     per_trial_smoothness,
     two_gradient_ratio,
+    widest_sources,
     with_block,
 )
 
@@ -46,8 +49,8 @@ def test_forward_identity_weights():
     targets = [np.zeros(d) for _ in range(n)]
     x = np.arange(d, dtype=float)
     m = LinearCellModel(eye, targets)
-    assert np.allclose(forward_widest(x, m), np.tile(x, n))
-    assert np.allclose(forward_narrowest(x, m), np.tile(x, n))
+    assert np.allclose(forward(x, m, widest_sources(n)), np.tile(x, n))
+    assert np.allclose(forward(x, m, chain_sources(n)), np.tile(x, n))
 
 
 def test_forward_scalar_matrices_commute():
@@ -56,7 +59,7 @@ def test_forward_scalar_matrices_commute():
     targets = [np.zeros(d)] * 2
     m = LinearCellModel(weights, targets)
     x = np.ones(d)
-    z = forward_narrowest(x, m)
+    z = forward(x, m, chain_sources(2))
     assert np.allclose(z[d:], 6.0 * x)
 
 
@@ -64,7 +67,7 @@ def test_forward_matches_naive_oracle():
     rng = make_rng(1)
     m = random_model(3, 5, rng)
     x = rng.standard_normal(5)
-    z = forward_widest(x, m)
+    z = forward(x, m, widest_sources(3))
     for i, w in enumerate(m.weights):
         naive = np.array([float(np.dot(row, x)) for row in w])
         assert np.allclose(z[5 * i : 5 * (i + 1)], naive, atol=1e-12)
@@ -73,7 +76,7 @@ def test_forward_matches_naive_oracle():
 def test_forward_dimension_mismatch():
     m = random_model(2, 4, make_rng(0))
     with pytest.raises(DimensionMismatch):
-        forward_widest(np.ones(5), m)
+        forward(np.ones(5), m, widest_sources(2))
 
 
 def test_model_needs_a_weight_matrix():
@@ -105,10 +108,8 @@ def test_block_outside_range_is_rejected(i):
     x, xs = rng.standard_normal(4), rng.standard_normal((5, 4))
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"block -?\d+ is outside 1\.\.3"):
-        grad_narrowest_batch(m, xs, i)
-    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
         verify_block_smoothness(m, x, i, rng, trials=5)
-    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+    with pytest.raises(ValueError, match=r"block -?\d+ is outside 1\.\.3"):
         verify_gradient_variance(m, i, xs)
     assert rng.bit_generator.state == state  # rejected before any draw
 
@@ -119,21 +120,20 @@ def test_n1_models_coincide():
     t = rng.standard_normal(6)
     x = rng.standard_normal(6)
     m = LinearCellModel([w], [t])
-    assert np.allclose(forward_widest(x, m), forward_narrowest(x, m))
-    assert np.allclose(one_row(grad_widest_batch, m, x)[0],
-                       one_row(narrowest_blocks, m, x)[0])
-    assert loss(x, m, forward_widest) == pytest.approx(loss(x, m, forward_narrowest))
+    assert np.allclose(forward(x, m, widest_sources(1)), forward(x, m, chain_sources(1)))
+    assert np.allclose(one_row(m, x, widest_sources(1))[0], one_row(m, x, chain_sources(1))[0])
+    assert loss(x, m, widest_sources(1)) == pytest.approx(loss(x, m, chain_sources(1)))
 
 
 # --- gradient formulas ----------------------------------------------------
 
 
-def fd_grads(m, x, forward, eps=1e-5):
+def fd_grads(m, x, sources, eps=1e-5):
     """Central finite differences of the quadratic objective per block."""
     out = []
     for i in range(1, m.n + 1):
         def f(wv, i=i):
-            return loss(x, with_block(m, i, wv), forward)
+            return loss(x, with_block(m, i, wv), sources)
 
         out.append(central_difference(f, m.weights[i - 1], eps))
     return out
@@ -149,7 +149,7 @@ def test_grad_widest_at_optimum_is_zero():
     m = random_model(2, 4, rng)
     x = rng.standard_normal(4)
     m.targets = [w @ x for w in m.weights]
-    for g in one_row(grad_widest_batch, m, x):
+    for g in one_row(m, x, widest_sources(2)):
         assert np.allclose(g, 0.0, atol=1e-12)
 
 
@@ -158,7 +158,7 @@ def test_grad_widest_basis_vector_column():
     m = random_model(1, 5, rng)
     x = np.zeros(5)
     x[0] = 1.0
-    g = one_row(grad_widest_batch, m, x)[0]
+    g = one_row(m, x, widest_sources(1))[0]
     assert np.all(g[:, 1:] == 0.0)
     assert np.any(g[:, 0] != 0.0)
 
@@ -169,7 +169,7 @@ def test_grad_narrowest_identity_collapse():
     targets = [rng.standard_normal(d) for _ in range(n)]
     m = LinearCellModel([np.eye(d) for _ in range(n)], targets)
     x = rng.standard_normal(d)
-    grads = one_row(narrowest_blocks, m, x)
+    grads = one_row(m, x, chain_sources(n))
     for i in range(1, n + 1):
         expected = sum(np.outer(x - targets[k], x) for k in range(i - 1, n))
         assert np.allclose(grads[i - 1], expected, atol=1e-12)
@@ -183,24 +183,26 @@ def test_gradients_match_finite_differences(seed):
     x = rng.standard_normal(d)
 
     widest = random_model(n, d, rng)
-    for g, fd in zip(one_row(grad_widest_batch, widest, x), fd_grads(widest, x, forward_widest)):
+    for g, fd in zip(one_row(widest, x, widest_sources(n)),
+                     fd_grads(widest, x, widest_sources(n))):
         assert rel_err(g, fd) <= 1e-6
 
     narrowest = random_model(n, d, rng)
-    for g, fd in zip(one_row(narrowest_blocks, narrowest, x),
-                     fd_grads(narrowest, x, forward_narrowest)):
+    for g, fd in zip(one_row(narrowest, x, chain_sources(n)),
+                     fd_grads(narrowest, x, chain_sources(n))):
         assert rel_err(g, fd) <= 1e-6
 
 
-def tape_grads_narrowest(m, x):
-    """The chained objective rebuilt on the autodiff tape, one dense per block."""
+def tape_grads(m, x, sources):
+    """The objective of the model wired by ``sources`` rebuilt on the autodiff
+    tape, one dense per block."""
     t = LossTape()
     leaves = [t.leaf(w) for w in m.weights]
-    y = t.leaf(x.reshape(1, -1))
+    nodes = [t.leaf(x.reshape(1, -1))]
     total = None
-    for leaf, target in zip(leaves, m.targets):
-        y = t.dense(y, leaf)
-        term = t.half_sum_sq(t.sub(y, t.leaf(target.reshape(1, -1))))
+    for leaf, target, s in zip(leaves, m.targets, sources):
+        nodes.append(t.dense(nodes[s], leaf))
+        term = t.half_sum_sq(t.sub(nodes[-1], t.leaf(target.reshape(1, -1))))
         total = term if total is None else t.add(total, term)
     backward(t, total)
     return [leaf.grad for leaf in leaves]
@@ -213,8 +215,48 @@ def test_grad_narrowest_matches_autodiff(seed):
     d = int(rng.integers(2, 9))
     m = random_model(n, d, rng)
     x = rng.standard_normal(d)
-    for closed, taped in zip(one_row(narrowest_blocks, m, x), tape_grads_narrowest(m, x)):
+    for closed, taped in zip(one_row(m, x, chain_sources(n)), tape_grads(m, x, chain_sources(n))):
         assert np.max(np.abs(closed - taped)) <= 1e-10
+
+
+# node 1 is read by nodes 2 and 3, node 2 by node 4: a reverse sweep that
+# neither extreme reaches, where a node's v sums two readers' terms
+FAN_OUT = (0, 1, 1, 2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fan_out_gradients_match_finite_differences_and_tape(seed):
+    rng = make_rng(1000 + seed)
+    d = int(rng.integers(2, 7))
+    m = random_model(len(FAN_OUT), d, rng)
+    x = rng.standard_normal(d)
+    closed = one_row(m, x, FAN_OUT)
+    for g, fd, taped in zip(closed, fd_grads(m, x, FAN_OUT), tape_grads(m, x, FAN_OUT)):
+        assert rel_err(g, fd) <= 1e-6
+        assert np.max(np.abs(g - taped)) <= 1e-10
+
+
+def test_chain_gradients_match_explicit_sum():
+    rng = make_rng(25)
+    m = random_model(4, 5, rng)
+    x = rng.standard_normal(5)
+    for i, g in enumerate(one_row(m, x, chain_sources(4)), start=1):
+        assert np.allclose(g, chain_gradient(m, x, i), rtol=1e-12, atol=1e-12)
+
+
+def test_linear_cell_is_one_linear_slot_per_node():
+    cell = linear_cell(FAN_OUT)
+    assert cell.num_inputs == 1
+    assert [node.ops for node in cell.nodes] == [(OpSpec("linear", s),) for s in FAN_OUT]
+    with pytest.raises(ForwardReference):
+        linear_cell((0, 2))  # node 2 reads node 2
+
+
+def test_wiring_must_match_the_model():
+    rng = make_rng(26)
+    m = random_model(3, 4, rng)
+    with pytest.raises(ValueError, match="shorter"):  # zip(strict=True) of weights and nodes
+        next(grad_factors(m, linear_cell((0, 0)), rng.standard_normal((5, 4))))
 
 
 def test_batch_grads_match_single():
@@ -222,14 +264,14 @@ def test_batch_grads_match_single():
     rng = make_rng(6)
     m = random_model(3, 4, rng)
     xs = rng.standard_normal((7, 4))
-    batched = narrowest_blocks(m, xs)
+    batched = block_grads(m, xs, chain_sources(3))
     for s in range(7):
-        single = one_row(narrowest_blocks, m, xs[s])
+        single = one_row(m, xs[s], chain_sources(3))
         for i in range(m.n):
             assert np.allclose(batched[i][s], single[i], atol=1e-12)
-    batched_w = grad_widest_batch(m, xs)
+    batched_w = block_grads(m, xs, widest_sources(3))
     for s in range(7):
-        single = one_row(grad_widest_batch, m, xs[s])
+        single = one_row(m, xs[s], widest_sources(3))
         for i in range(m.n):
             assert np.allclose(batched_w[i][s], single[i], atol=1e-12)
 
@@ -240,8 +282,8 @@ def test_grad_widest_scaling_with_zero_targets():
     m = random_model(2, 5, rng)
     m.targets = [np.zeros(5), np.zeros(5)]
     x = rng.standard_normal(5)
-    g1 = one_row(grad_widest_batch, m, x)
-    g3 = one_row(grad_widest_batch, m, 3.0 * x)
+    g1 = one_row(m, x, widest_sources(2))
+    g3 = one_row(m, 3.0 * x, widest_sources(2))
     for a, b in zip(g1, g3):
         assert np.allclose(9.0 * a, b, atol=1e-10)
 
@@ -325,8 +367,6 @@ def test_smoothness_last_block_exact_constant():
     # so the true block constant is exactly ||p||^2; the empirical estimate
     # can never exceed it (the stated bound uses ||x||^2 and spectral norms,
     # which the prefix vector can legitimately exceed; that case is reported)
-    from cellscape.linear_theory import _prefix_products
-
     for seed in range(10):
         rng = make_rng(300 + seed)
         n = int(rng.integers(1, 5))
@@ -334,7 +374,9 @@ def test_smoothness_last_block_exact_constant():
         m = random_model(n, d, rng)
         x = rng.standard_normal(d)
         report = verify_block_smoothness(m, x, n, rng, trials=100)
-        p = _prefix_products(m.weights, d)[n - 1] @ x
+        p = x
+        for w in m.weights[: n - 1]:
+            p = w @ p
         assert report["empirical"] <= float(p @ p) + 1e-9
 
 
@@ -591,11 +633,11 @@ def test_variance_matches_fresh_gradients():
     rng = make_rng(24)
     m = random_model(3, 5, rng)
     xs = rng.standard_normal((300, 5))
-    widest = [_total_variance(g)[0] for g in grad_widest_batch(m, xs)]
+    widest = [_total_variance(g)[0] for g in block_grads(m, xs, widest_sources(3))]
     for i in (1, 2, 3):
         r = verify_gradient_variance(m, i, xs)
         assert (r["empirical"], r["standard_error"]) == _total_variance(
-            grad_narrowest_batch(m, xs, i))
+            block_grads(m, xs, chain_sources(3))[i - 1])
         assert r["sigmas_sq"] == widest
 
 

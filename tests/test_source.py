@@ -141,13 +141,15 @@ def test_package_imports_are_found():
     assert package_imports(source) == {"autodiff", "errors", "network", "training"}
 
 
-# the tape engine and everything built on it
+# the tape engine, everything built on it, and the linear theory, which
+# reads genotypes: nothing a cell-topology module needs
 ENGINE = {"autodiff", "network", "training", "landscape", "linear_theory"}
 
 
-@pytest.mark.parametrize("name", ["genotype.py", "metrics.py", "sampler.py"])
+@pytest.mark.parametrize("name", ["genotype.py", "metrics.py", "sampler.py", "linear_theory.py"])
 def test_topology_module_imports_no_engine(name):
-    # validating, measuring, counting and sampling cells needs no tape
+    # validating, measuring, counting and sampling cells needs no tape, and
+    # the linear cells' gradients are closed forms read off a genotype
     assert package_imports((SRC / name).read_text()) & ENGINE == set()
 
 
