@@ -37,7 +37,7 @@ from .training import (
     train,
 )
 from .landscape import (
-    LandscapeGrid,
+    Surface,
     export_grid,
     gradient_variance_surface,
     grid_coordinates,

@@ -136,11 +136,13 @@ def variants(genotype_file, mode, count_, seed, ops, out_dir):
 @cli.command()
 @click.option("--nodes", "n_total", type=int, required=True, help="Total node count N.")
 @click.option("--inputs", "num_inputs", type=int, default=2, show_default=True)
-@click.option("--enumerate", "do_enumerate", is_flag=True)
+@click.option("--enumerate", "do_enumerate", is_flag=True,
+              help="Also print the genotype's slot-assignment counts, in closed form, "
+                   "not by enumeration.")
 @click.option("--genotype", "genotype_file", type=click.Path(), default=None,
-              help="Genotype to enumerate (required with --enumerate).")
+              help="Genotype to count (required with --enumerate).")
 def count(n_total, num_inputs, do_enumerate, genotype_file):
-    """Closed-form connection-space size, optionally with enumeration counts."""
+    """Closed-form connection-space size, optionally with a genotype's counts."""
     formula = count_connection_variants(n_total, num_inputs)
     click.echo(f"formula (N-2)!/(M-1)! for N={n_total}, M={num_inputs}: {formula}")
     if do_enumerate:
@@ -313,14 +315,12 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
         "dataset_seed": dataset.spec.seed, "normalization": norm, "mode": mode,
     }
     if mode == "loss":
-        grid = loss_surface(net, checkpoint, x, y, pair, coords, coords, metadata)
+        surface = loss_surface(net, checkpoint, x, y, pair, coords)
     else:
-        grid = gradient_variance_surface(
-            net, checkpoint, x, y, pair, coords, coords, mode=mode, metadata=metadata
-        )
+        surface = gradient_variance_surface(net, checkpoint, x, y, pair, coords, mode=mode)
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    export_grid(grid, out_path)
+    export_grid(out_path, coords, surface, metadata)
     _write_manifest(out_path.parent, [seed], [out_path.name])
     click.echo(f"{mode} grid ({grid_points}x{grid_points}) in {out_path}")
 

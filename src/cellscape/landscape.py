@@ -1,31 +1,29 @@
 """Loss and gradient-variance surfaces on a 2-D slice through parameter space.
 
 Two random directions in the checkpoint's flat parameter layout span the
-slice; each grid point evaluates the network at checkpoint + alpha*d1 + beta*d2.
-The loss surface is the mean loss over the split, from forward passes that
-record no tape; each pass evaluates up to ``ROWS // len(x)`` consecutive grid
-points (at least one) as member rows, and every value is bit-identical to a
-pass of that point alone.  The gradient-variance surface is the total
-variance (covariance trace) of per-instance parameter gradients, from one
-batched forward and backward pass per point: every parameter block feeds
-exactly one record, as the weight of a ``dense`` or of a linear ``node``
-part, or as the bias of an ``add_bias``.  So instance i's gradient is the
-rank-1 block n*g_i (x) x_i (or n*g_i for a bias), with g_i the record's
-output-gradient row and x_i the row the weight multiplies: the dense's
-input, or the node part's rectified source.  That single-use precondition
-is checked, and a block that breaks it raises.  Non-finite values are kept
-as computed and tagged by ``LandscapeGrid.overflow_mask``, not clipped.
+slice; each grid point evaluates the network at checkpoint + alpha*d1 + beta*d2,
+with alpha and beta both read from one coordinate vector, made by
+``grid_coordinates``.  The loss surface is the mean loss over the split, from
+forward passes that record no tape; each pass evaluates up to
+``ROWS // len(x)`` consecutive grid points (at least one) as member rows, and
+every value is bit-identical to a pass of that point alone.  The
+gradient-variance surface is the total variance (covariance trace) of
+per-instance parameter gradients, from one batched forward and backward pass
+per point, read off the tape by ``autodiff.per_example_variance``, which
+states the rank-1 form it relies on and raises for a block that breaks it.
+Non-finite values are kept as computed and tagged by ``export_grid``, not
+clipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidSpec
 from .network import CellNetwork
 from .rng import stream
 
@@ -33,6 +31,16 @@ from .rng import stream
 # subset of 256.  Caps of 1024 and 2048 were no faster on a 2-CPU x86-64 VM
 # (landscape rounds 2.13-2.30 s vs 2.05-2.18 s at 512) and raised peak RSS.
 ROWS = 512
+
+
+class Surface(NamedTuple):
+    """What a surface measured (``loss``, ``gradvar`` or ``gradstd``) and its
+    (g, g) values, row a and column b at ``coords[a]``, ``coords[b]``.  The
+    benchmark's tracer (``perfbench/spans.py``) counts a surface's points as
+    its ``values.size``."""
+
+    kind: str
+    values: np.ndarray
 
 
 def sample_directions(checkpoint, layout, seed, normalization="blockwise"):
@@ -45,9 +53,11 @@ def sample_directions(checkpoint, layout, seed, normalization="blockwise"):
     rng = stream(seed, "directions")
     d1, d2 = (rng.standard_normal(layout.size) for _ in range(2))
     if normalization == "blockwise":
-        ref = layout.block_norms(checkpoint)
+        norms = [np.linalg.norm(block) for block in layout.views(checkpoint).values()]
         for d in (d1, d2):
-            d *= np.repeat(np.where(ref == 0.0, 1.0, ref / layout.block_norms(d)), layout.sizes)
+            for norm, block in zip(norms, layout.views(d).values()):
+                if norm != 0.0:
+                    block *= norm / np.linalg.norm(block)
     return d1, d2
 
 
@@ -59,105 +69,93 @@ def evaluation_subset(dataset, subset, seed):
     return dataset.test_x[pick], dataset.test_y[pick]
 
 
-@dataclass
-class LandscapeGrid:
-    alphas: np.ndarray
-    betas: np.ndarray
-    values: np.ndarray  # shape (len(alphas), len(betas))
-    kind: str  # "loss" | "gradvar" | "gradstd"
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=np.float64)
-        self.betas = np.asarray(self.betas, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(np.diff(self.alphas) <= 0) or np.any(np.diff(self.betas) <= 0):
-            raise ValueError("grid coordinates must be strictly increasing")
-        if self.values.shape != (len(self.alphas), len(self.betas)):
-            raise ValueError("values shape does not match coordinates")
-
-    @property
-    def overflow_mask(self):
-        return ~np.isfinite(self.values)
-
-
 def grid_coordinates(points, extent):
-    """Symmetric grid of ``points`` coordinates over [-extent, extent], 0 included."""
+    """The ``points`` coordinates of both axes of a square grid over
+    [-extent, extent]: linspace's, with the centre set to exactly 0.
+
+    Raises InvalidSpec when they are not finite and strictly increasing: an
+    extent too small to separate them, or so large that they overflow."""
     if points < 1 or points % 2 == 0:
         raise ValueError("points must be odd so the grid is centered on 0")
-    if points == 1:
-        return np.array([0.0])
-    return np.linspace(-extent, extent, points)
+    with np.errstate(all="ignore"):
+        coords = np.linspace(-extent, extent, points)
+    coords[points // 2] = 0.0
+    if not (np.all(np.isfinite(coords)) and np.all(np.diff(coords) > 0)):
+        raise InvalidSpec(f"{points} grid coordinates over +/-{extent} are not finite "
+                          "and strictly increasing")
+    return coords
 
 
-def _check_grid_inputs(network, checkpoint, pair, alphas, betas):
+def _check_grid_inputs(network, checkpoint, pair, coords):
     need = (network.layout.size,)
     for what, v in (("checkpoint", checkpoint), *(("direction", d) for d in pair)):
         if np.shape(v) != need:
             raise DimensionMismatch(
                 f"{what} has shape {np.shape(v)}, the network's parameters {need}"
             )
-    for coords in (alphas, betas):
-        if not np.any(np.asarray(coords) == 0.0):
-            raise ValueError("grid coordinates must include 0")
+    if not np.any(np.asarray(coords) == 0.0):
+        raise ValueError("grid coordinates must include 0")
 
 
-def _grid(point, split_rows, checkpoint, pair, alphas, betas):
+def _grid(point, split_rows, checkpoint, pair, coords):
     """``point`` at every grid point.  The row-major points go in chunks of
     ``max(1, ROWS // split_rows)`` as one (K, P) stack of parameter vectors, and
     ``point`` returns their K values.  Non-finite values are results here,
     kept and tagged, so numpy's overflow warnings are off."""
     d1, d2 = pair
-    grid_a, grid_b = (c.reshape(-1, 1) for c in np.meshgrid(alphas, betas, indexing="ij"))
+    grid_a, grid_b = (c.reshape(-1, 1) for c in np.meshgrid(coords, coords, indexing="ij"))
     per_pass = max(1, ROWS // split_rows)
     values = np.empty(len(grid_a))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(values), per_pass):
             a, b = grid_a[start:start + per_pass], grid_b[start:start + per_pass]
             values[start:start + len(a)] = point(checkpoint + a * d1 + b * d2)
-    return values.reshape(len(alphas), len(betas))
+    return values.reshape(len(coords), len(coords))
 
 
-def loss_surface(network: CellNetwork, checkpoint, x, y, pair,
-                 alphas, betas, metadata=None) -> LandscapeGrid:
+def loss_surface(network: CellNetwork, checkpoint, x, y, pair, coords) -> Surface:
     """Mean loss over the split at every grid point (evaluation only), on the
     slice that ``pair``, the directions ``(d1, d2)``, spans."""
-    _check_grid_inputs(network, checkpoint, pair, alphas, betas)
+    _check_grid_inputs(network, checkpoint, pair, coords)
     values = _grid(lambda stack: network.evaluate(x, y, stack)[0], len(x), checkpoint,
-                   pair, alphas, betas)
-    return LandscapeGrid(alphas, betas, values, "loss", metadata or {})
+                   pair, coords)
+    return Surface("loss", values)
 
 
-def gradient_variance_surface(network: CellNetwork, checkpoint, x, y,
-                              pair, alphas, betas, mode="gradvar",
-                              metadata=None) -> LandscapeGrid:
+def gradient_variance_surface(network: CellNetwork, checkpoint, x, y, pair, coords,
+                              mode="gradvar") -> Surface:
     """Total variance of per-instance gradients at every grid point; mode
     ``gradstd`` emits the elementwise square root."""
     if mode not in ("gradvar", "gradstd"):
         raise ValueError(f"mode must be gradvar|gradstd, got {mode!r}")
-    _check_grid_inputs(network, checkpoint, pair, alphas, betas)
+    _check_grid_inputs(network, checkpoint, pair, coords)
     values = _grid(lambda stack: [network.gradient_variance(x, y, p) for p in stack],
-                   len(x), checkpoint, pair, alphas, betas)
+                   len(x), checkpoint, pair, coords)
     if mode == "gradstd":
         values = np.sqrt(values)
-    return LandscapeGrid(alphas, betas, values, mode, metadata or {})
+    return Surface(mode, values)
 
 
-def export_grid(grid: LandscapeGrid, path):
-    """Write the grid as JSON with metadata when ``path`` ends in ``.json``,
-    else as CSV rows alpha,beta,value (row-major).  Overflow entries are the
-    literals ``inf``/``nan`` in CSV and ``null`` in JSON."""
+def export_grid(path, coords, surface, metadata):
+    """Write ``surface`` on the grid ``coords`` x ``coords`` as JSON with
+    ``metadata`` when ``path`` ends in ``.json``, else as CSV rows
+    alpha,beta,value (row-major).  Overflow entries are the literals
+    ``inf``/``nan`` in CSV and ``null`` in JSON."""
+    values = surface.values
+    if values.shape != (len(coords), len(coords)):
+        raise ValueError("values shape does not match coordinates")
     if Path(path).suffix != ".json":
         write_csv(path, ["alpha", "beta", "value"],
-                  ([alpha, beta, grid.values[a, b]] for a, alpha in enumerate(grid.alphas)
-                   for b, beta in enumerate(grid.betas)))
+                  ([alpha, beta, values[a, b]] for a, alpha in enumerate(coords)
+                   for b, beta in enumerate(coords)))
     else:
+        axis = [float(v) for v in coords]
         doc = {
-            "kind": grid.kind,
-            "alphas": [float(v) for v in grid.alphas],
-            "betas": [float(v) for v in grid.betas],
-            "values": grid.values.tolist(),
-            "overflow": [[bool(v) for v in row] for row in grid.overflow_mask],
-            "metadata": grid.metadata,
+            "kind": surface.kind,
+            "alphas": axis,
+            "betas": axis,
+            "values": values.tolist(),
+            "overflow": [[bool(v) for v in row] for row in ~np.isfinite(values)],
+            "metadata": metadata,
         }
         write_json(path, doc)

@@ -15,6 +15,7 @@ violations are surfaced, never suppressed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,7 +198,12 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     check_float64s(trials, "the smoothness ratios")
     _check_block(m, i)
     x = _check_input(m, x)
-    radius = 0.1 * np.linalg.norm(m.weights[i - 1]) or 0.1
+    w_i = m.weights[i - 1]
+    norm = np.linalg.norm(w_i)
+    if norm < _SQRT_TINY and w_i.any():  # its sum of squares underflowed
+        s = np.abs(w_i).max()
+        norm = s * np.linalg.norm(w_i / s)
+    radius = 0.1 * norm or 0.1
     l_widest = float(x @ x)
     bound = float(np.prod(m.lambdas[: i - 1])) * l_widest
     u = _node_maps(m, linear_cell(range(m.n)))[i - 1] @ x
@@ -225,7 +231,7 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
         norms = _row_norms(g[:count, ..., None])
         g[:count, :, 0][norms == 0.0] = 1.0  # an all-zero direction becomes e1
         norms[norms == 0.0] = 1.0
-        pairs = m.weights[i - 1].ravel() + g[:count] * (radius * r[:count] / norms)[..., None]
+        pairs = w_i.ravel() + g[:count] * (radius * r[:count] / norms)[..., None]
         delta = (pairs[:, 0] - pairs[:, 1]).reshape(count, m.dim, m.dim)
         # once ||W(i)|| overflows the radius is inf and the pair is not
         # finite: its ratio stays nan, a violation, where the SVD would raise
@@ -270,14 +276,9 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
     sigmas_sq = [_total_variance(_outer(v, u, out=buf))[0]
                  for _, v, u in grad_factors(m, linear_cell((0,) * m.n), xs)][::-1]
 
-    bound = 0.0
-    for k in range(i, m.n + 1):
-        prod = 1.0
-        for j in range(1, k + 1):
-            if j != i:
-                prod *= m.lambdas[j - 1]
-        bound += sigmas_sq[k - 1] * prod * prod
-    bound *= m.n
+    prods = [math.prod(lam for j, lam in enumerate(m.lambdas[:k], 1) if j != i)
+             for k in range(i, m.n + 1)]
+    bound = m.n * sum(s * p * p for s, p in zip(sigmas_sq[i - 1:], prods))
 
     return _bound_check("gradient_variance", i, list(m.lambdas), empirical, bound,
                         SE_FACTOR * emp_se, len(xs), standard_error=emp_se, sigmas_sq=sigmas_sq)

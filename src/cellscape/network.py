@@ -54,7 +54,6 @@ class ParamLayout:
             offset += size
         check_float64s(offset, "the parameters")
         self.size = offset
-        self.sizes = [s.stop - s.start for s, _ in self.blocks.values()]
         # (name, shape, offset) per block: what a checkpoint header lists
         self._header = [(name, shape, s.start) for name, (s, shape) in self.blocks.items()]
 
@@ -63,10 +62,6 @@ class ParamLayout:
         lead = flat.shape[:-1]
         return {name: flat[..., s].reshape(lead + shape)
                 for name, (s, shape) in self.blocks.items()}
-
-    def block_norms(self, flat):
-        """Frobenius norm of each block of a flat vector, in layout order."""
-        return np.array([np.linalg.norm(flat[s]) for s, _ in self.blocks.values()])
 
     def save(self, params, path):
         """Write one member's flat params as a checkpoint: a 4-byte

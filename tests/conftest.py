@@ -18,7 +18,7 @@ from cellscape import (
 from cellscape.autodiff import Tape, Value
 from cellscape.errors import ParseError, ShapeMismatch, UnsupportedInputCount
 from cellscape.genotype import rewired
-from cellscape.landscape import LandscapeGrid
+from cellscape.landscape import Surface
 from cellscape.linear_theory import (
     SMOOTHNESS_SLACK,
     LinearCellModel,
@@ -177,7 +177,12 @@ def per_trial_smoothness(m, x, i, rng, trials):
     bit-for-bit oracle of the chunked verifier's report and of the generator
     state it leaves."""
     x = _check_input(m, x)
-    radius = 0.1 * np.linalg.norm(m.weights[i - 1]) or 0.1
+    w = m.weights[i - 1]
+    norm = np.linalg.norm(w)
+    if norm < np.sqrt(np.finfo(np.float64).tiny) and w.any():  # the squares underflowed
+        top = np.abs(w).max()
+        norm = top * np.linalg.norm(w / top)
+    radius = 0.1 * norm or 0.1
     lambdas = [spectral_norm(w) for w in m.weights]
     l_widest = float(x @ x)
     bound = float(np.prod(lambdas[: i - 1])) * l_widest
@@ -204,22 +209,23 @@ def per_trial_smoothness(m, x, i, rng, trials):
 # --- readers, writers and counts that no command uses
 
 
-def load_grid_csv(path, kind="loss") -> LandscapeGrid:
-    """Read back a grid written by ``export_grid`` as CSV."""
+def load_grid_csv(path, kind="loss"):
+    """Read back a square grid written by ``export_grid`` as CSV: its
+    coordinates and its Surface."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [(float(a), float(b), float(v)) for a, b, v in reader]
     if header != ["alpha", "beta", "value"]:
         raise ParseError(f"{path}: unexpected header {header}")
-    alphas = sorted({r[0] for r in rows})
-    betas = sorted({r[1] for r in rows})
-    values = np.full((len(alphas), len(betas)), np.nan)
-    a_idx = {v: i for i, v in enumerate(alphas)}
-    b_idx = {v: i for i, v in enumerate(betas)}
+    coords = sorted({r[0] for r in rows})
+    if coords != sorted({r[1] for r in rows}):
+        raise ParseError(f"{path}: alphas and betas differ")
+    values = np.full((len(coords), len(coords)), np.nan)
+    index = {v: i for i, v in enumerate(coords)}
     for a, b, v in rows:
-        values[a_idx[a], b_idx[b]] = v
-    return LandscapeGrid(alphas, betas, values, kind)
+        values[index[a], index[b]] = v
+    return np.array(coords), Surface(kind, values)
 
 
 def spec_to_json(spec, path):

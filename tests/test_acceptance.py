@@ -319,12 +319,12 @@ def test_criterion_08_landscape(tmp_path):
     coords = grid_coordinates(5, 0.5)
     x, y = ds.test_x, ds.test_y
 
-    grid = loss_surface(net, ckpt, x, y, pair, coords, coords)
+    grid = loss_surface(net, ckpt, x, y, pair, coords)
     direct, _ = net.evaluate(x, y, ckpt)
     assert grid.values[2, 2] == direct  # bit-exact
 
     x5, y5 = ds.test_x[:5], ds.test_y[:5]
-    gv = gradient_variance_surface(net, ckpt, x5, y5, pair, [0.0], [0.0])
+    gv = gradient_variance_surface(net, ckpt, x5, y5, pair, [0.0])
     grads = []
     for i in range(5):
         _, g = net.loss_and_grads(x5[i : i + 1], y5[i : i + 1], ckpt)
@@ -334,7 +334,7 @@ def test_criterion_08_landscape(tmp_path):
     assert abs(gv.values[0, 0] - oracle) <= 1e-10
 
     flipped = (-pair[0], -pair[1])
-    mirrored = loss_surface(net, ckpt, x, y, flipped, coords, coords)
+    mirrored = loss_surface(net, ckpt, x, y, flipped, coords)
     assert np.array_equal(grid.values, mirrored.values[::-1, ::-1])
     emit("criterion 8 PASS: s(0,0) bit-exact, gradvar oracle within 1e-10, "
          "point reflection on 5x5 grid")

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -602,6 +603,46 @@ def test_landscape_out_below_a_file_exit_2(darts_file, tiny_spec, darts_ckpt, tm
     res = tiny_landscape(darts_ckpt, darts_file, tiny_spec, tmp_path / "file" / "g.csv")
     assert res.returncode == 2
     assert one_line(res.stderr), res.stderr
+
+
+def landscape_main(capsys, tmp_path, genotype, spec, *extra):
+    """``landscape`` through ``cli.main`` at layers 1, dim 2 and subset 1, with
+    numpy's warnings made errors: its exit code, stderr and grid file."""
+    cfg = NetworkConfig(layers=1, dim=2, num_classes=3, input_dim=5)
+    net = CellNetwork(load_fixture("darts"), cfg)
+    ckpt = tmp_path / "dim2.ckpt"
+    net.layout.save(net.init_params(stream(0, "init")), ckpt)
+    out = tmp_path / "land" / "grid.csv"
+    argv = ["landscape", "--checkpoint", ckpt, "--genotype", genotype, "--dataset-spec", spec,
+            "--layers", 1, "--dim", 2, "--subset", 1, "--out", out, *extra]
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_:
+        warnings.simplefilter("error")
+        main([str(a) for a in argv])
+    return exit_.value.code, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize("extra, points", [(["--grid", 99], 99), (["--range", 0.9], 41)],
+                         ids=["grid 99", "range 0.9"])
+def test_landscape_centre_is_exactly_zero(darts_file, tiny_spec, tmp_path, capsys,
+                                          extra, points):
+    # linspace misses 0 by an ulp at both; the centre is set to 0
+    code, err, out = landscape_main(capsys, tmp_path, darts_file, tiny_spec, *extra)
+    assert code == 0 and err == "", err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == points * points
+    centre = points // 2
+    assert rows[centre * points + centre][:2] == ["0.0", "0.0"]
+    assert all(rows[centre * points + b][0] == "0.0" for b in range(points))
+
+
+@pytest.mark.parametrize("extra", [["--range", "5e-324"], ["--grid", 5, "--range", "1e308"]],
+                         ids=["coordinates collapse", "coordinates overflow"])
+def test_landscape_range_without_a_grid_exit_2(darts_file, tiny_spec, tmp_path, capsys,
+                                               extra):
+    code, err, out = landscape_main(capsys, tmp_path, darts_file, tiny_spec, *extra)
+    assert code == 2
+    assert one_line(err) and err.startswith("validation error:"), err
+    assert not out.parent.exists()
 
 
 # --- numeric flags out of range -------------------------------------------

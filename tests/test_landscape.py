@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellscape import (
     CellGenotype,
@@ -15,8 +17,8 @@ from cellscape import (
     make_dataset,
     sample_directions,
 )
-from cellscape.errors import DimensionMismatch
-from cellscape.landscape import ROWS, LandscapeGrid
+from cellscape.errors import DimensionMismatch, InvalidSpec
+from cellscape.landscape import ROWS, Surface
 from cellscape.network import ParamLayout
 from cellscape.rng import stream
 from conftest import load_grid_csv
@@ -146,11 +148,44 @@ def test_grid_coordinates_centered():
         grid_coordinates(4, 1.0)
 
 
+def test_grid_coordinates_centre_is_exact():
+    # linspace misses 0 by an ulp here; every other coordinate is linspace's
+    for points, extent in ((99, 1.0), (41, 0.9), (41, 1e-320)):
+        coords = grid_coordinates(points, extent)
+        assert coords[points // 2] == 0.0 and np.all(np.diff(coords) > 0)
+        rest = np.arange(points) != points // 2
+        assert np.array_equal(coords[rest], np.linspace(-extent, extent, points)[rest])
+    assert np.linspace(-1.0, 1.0, 99)[49] != 0.0
+
+
+@pytest.mark.parametrize("points, extent", [(41, 5e-324), (5, 1e308)])
+def test_grid_coordinates_not_strictly_increasing_raise(points, extent):
+    with pytest.raises(InvalidSpec):
+        grid_coordinates(points, extent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(half=st.integers(0, 499),
+       extent=st.floats(1e-320, 1e308, allow_nan=False, allow_infinity=False))
+def test_grid_coordinates_are_linspace_with_an_exact_centre(half, extent):
+    points = 2 * half + 1
+    try:
+        coords = grid_coordinates(points, extent)
+    except InvalidSpec:
+        return
+    assert np.all(np.isfinite(coords)) and np.all(np.diff(coords) > 0)
+    assert coords[half] == 0.0 and not np.signbit(coords[half])
+    with np.errstate(all="ignore"):
+        expected = np.linspace(-extent, extent, points)
+    expected[half] = 0.0
+    assert np.array_equal(coords, expected)
+
+
 def test_loss_surface_center_is_evaluation_loss(setup):
     net, ds, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=2)
     coords = grid_coordinates(3, 0.5)
-    grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, coords, coords)
+    grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, coords)
     direct, _ = net.evaluate(ds.test_x, ds.test_y, ckpt)
     assert grid.values[1, 1] == direct  # bit-exact, same evaluation path
 
@@ -160,7 +195,7 @@ def test_loss_surface_single_instance_oracle(setup):
     pair = sample_directions(ckpt, net.layout, seed=2)
     coords = grid_coordinates(3, 0.25)
     x, y = ds.test_x[:1], ds.test_y[:1]
-    grid = loss_surface(net, ckpt, x, y, pair, coords, coords)
+    grid = loss_surface(net, ckpt, x, y, pair, coords)
     for a, alpha in enumerate(coords):
         for b, beta in enumerate(coords):
             shifted = blockwise_shifted(net.layout, ckpt, pair, alpha, beta)
@@ -173,7 +208,7 @@ def test_loss_surface_degenerate_direction_constant_rows(setup):
     pair = sample_directions(ckpt, net.layout, seed=2)
     dead = (pair[0], np.zeros_like(pair[1]))
     coords = grid_coordinates(3, 0.5)
-    grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, dead, coords, coords)
+    grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, dead, coords)
     for row in grid.values:
         assert np.all(row == row[0])
 
@@ -182,7 +217,7 @@ def test_loss_surface_matches_per_point_evaluate(setup):
     net, ds, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=4)
     coords = grid_coordinates(5, 0.5)
-    grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, coords, coords)
+    grid = loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, coords)
     for a, alpha in enumerate(coords):
         for b, beta in enumerate(coords):
             shifted = blockwise_shifted(net.layout, ckpt, pair, alpha, beta)
@@ -190,11 +225,11 @@ def test_loss_surface_matches_per_point_evaluate(setup):
             assert grid.values[a, b] == net.evaluate(ds.test_x, ds.test_y, shifted)[0]
 
 
-def per_point_grid(point, ckpt, pair, alphas, betas):
+def per_point_grid(point, ckpt, pair, coords):
     """``point`` at each grid point on its own, one call per point."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([[point(ckpt + alpha * pair[0] + beta * pair[1]) for beta in betas]
-                         for alpha in alphas])
+        return np.array([[point(ckpt + alpha * pair[0] + beta * pair[1]) for beta in coords]
+                         for alpha in coords])
 
 
 def counting_evaluate(net, monkeypatch):
@@ -218,10 +253,10 @@ def test_loss_surface_chunks_match_per_point_evaluate(setup, monkeypatch):
     assert 1 < per_pass < len(coords) ** 2 and len(coords) ** 2 % per_pass
     pair = sample_directions(ckpt, net.layout, seed=4)
     members = counting_evaluate(net, monkeypatch)
-    grid = loss_surface(net, ckpt, x, y, pair, coords, coords)
+    grid = loss_surface(net, ckpt, x, y, pair, coords)
     full, last = divmod(len(coords) ** 2, per_pass)
     assert members == [per_pass] * full + [last]
-    oracle = per_point_grid(lambda p: net.evaluate(x, y, p)[0], ckpt, pair, coords, coords)
+    oracle = per_point_grid(lambda p: net.evaluate(x, y, p)[0], ckpt, pair, coords)
     assert np.array_equal(grid.values, oracle)
 
 
@@ -232,10 +267,11 @@ def test_loss_surface_non_finite_points_share_a_pass(setup):
     coords = np.array([-1e200, -0.5, 0.0, 0.5, 1e200])
     assert ROWS // len(x) >= 2 * len(coords)
     pair = sample_directions(ckpt, net.layout, seed=4)
-    grid = loss_surface(net, ckpt, x, y, pair, coords, coords)
-    oracle = per_point_grid(lambda p: net.evaluate(x, y, p)[0], ckpt, pair, coords, coords)
+    grid = loss_surface(net, ckpt, x, y, pair, coords)
+    oracle = per_point_grid(lambda p: net.evaluate(x, y, p)[0], ckpt, pair, coords)
     assert np.all(np.isfinite(oracle[1:4, 1:4]))
-    assert np.all(grid.overflow_mask[[0, 4]]) and np.all(grid.overflow_mask[:, [0, 4]])
+    overflow = ~np.isfinite(grid.values)
+    assert np.all(overflow[[0, 4]]) and np.all(overflow[:, [0, 4]])
     assert np.array_equal(grid.values, oracle, equal_nan=True)
 
 
@@ -243,8 +279,7 @@ def test_grid_requires_zero_coordinate(setup):
     net, ds, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=2)
     with pytest.raises(ValueError):
-        loss_surface(net, ckpt, ds.test_x, ds.test_y, pair,
-                     [0.1, 0.2], [0.0, 0.1])
+        loss_surface(net, ckpt, ds.test_x, ds.test_y, pair, [0.1, 0.2])
 
 
 def test_grid_rejects_mismatched_directions(setup):
@@ -252,7 +287,7 @@ def test_grid_rejects_mismatched_directions(setup):
     pair = sample_directions(ckpt, net.layout, seed=2)
     broken = (np.ones(3), pair[1])
     with pytest.raises(DimensionMismatch):
-        loss_surface(net, ckpt, ds.test_x, ds.test_y, broken, [0.0], [0.0])
+        loss_surface(net, ckpt, ds.test_x, ds.test_y, broken, [0.0])
 
 
 def test_grid_rejects_checkpoint_of_other_shape(setup):
@@ -260,7 +295,7 @@ def test_grid_rejects_checkpoint_of_other_shape(setup):
     ckpt = np.append(ckpt, 0.0)  # one value more than the network's blocks
     pair = sample_directions(ckpt, net.layout, seed=2)
     with pytest.raises(DimensionMismatch):
-        gradient_variance_surface(net, ckpt, ds.test_x, ds.test_y, pair, [0.0], [0.0])
+        gradient_variance_surface(net, ckpt, ds.test_x, ds.test_y, pair, [0.0])
 
 
 # --- gradient variance ----------------------------------------------------
@@ -285,7 +320,7 @@ def test_gradvar_center_matches_oracle(setup):
     net, ds, ckpt = setup
     pair = sample_directions(ckpt, net.layout, seed=5)
     x, y = ds.test_x[:5], ds.test_y[:5]
-    grid = gradient_variance_surface(net, ckpt, x, y, pair, [0.0], [0.0])
+    grid = gradient_variance_surface(net, ckpt, x, y, pair, [0.0])
     oracle = brute_force_gradvar(net, ckpt, x, y)
     assert abs(grid.values[0, 0] - oracle) <= 1e-10
 
@@ -295,7 +330,7 @@ def test_gradvar_single_instance_zero(setup):
     pair = sample_directions(ckpt, net.layout, seed=5)
     coords = grid_coordinates(3, 0.25)
     grid = gradient_variance_surface(
-        net, ckpt, ds.test_x[:1], ds.test_y[:1], pair, coords, coords)
+        net, ckpt, ds.test_x[:1], ds.test_y[:1], pair, coords)
     assert np.all(grid.values == 0.0)
 
 
@@ -304,7 +339,7 @@ def test_gradvar_duplicated_instance_zero(setup):
     pair = sample_directions(ckpt, net.layout, seed=5)
     x = np.repeat(ds.test_x[:1], 2, axis=0)
     y = np.repeat(ds.test_y[:1], 2)
-    grid = gradient_variance_surface(net, ckpt, x, y, pair, [0.0], [0.0])
+    grid = gradient_variance_surface(net, ckpt, x, y, pair, [0.0])
     assert np.allclose(grid.values, 0.0, atol=1e-18)
 
 
@@ -334,7 +369,7 @@ def test_gradvar_matches_per_example_oracle_off_centre(darts, genotype, batch):
         "five": (ds.test_x[:5], ds.test_y[:5]),
     }[batch]
     coords = grid_coordinates(3, 0.5)
-    grid = gradient_variance_surface(net, ckpt, x, y, pair, coords, coords)
+    grid = gradient_variance_surface(net, ckpt, x, y, pair, coords)
     for a, alpha in enumerate(coords):
         for b, beta in enumerate(coords):
             shifted = blockwise_shifted(net.layout, ckpt, pair, alpha, beta)
@@ -353,9 +388,9 @@ def test_gradvar_surface_matches_per_point_gradient_variance(setup, mode):
     pair = sample_directions(ckpt, net.layout, seed=5)
     coords = grid_coordinates(5, 0.5)
     assert ROWS // len(x) > 1
-    grid = gradient_variance_surface(net, ckpt, x, y, pair, coords, coords, mode=mode)
+    grid = gradient_variance_surface(net, ckpt, x, y, pair, coords, mode=mode)
     oracle = per_point_grid(lambda p: net.gradient_variance(x, y, p), ckpt, pair,
-                            coords, coords)
+                            coords)
     assert np.array_equal(grid.values, oracle if mode == "gradvar" else np.sqrt(oracle))
 
 
@@ -364,8 +399,8 @@ def test_gradstd_is_sqrt_of_gradvar(setup):
     pair = sample_directions(ckpt, net.layout, seed=5)
     coords = grid_coordinates(3, 0.25)
     x, y = ds.test_x[:4], ds.test_y[:4]
-    var = gradient_variance_surface(net, ckpt, x, y, pair, coords, coords)
-    std = gradient_variance_surface(net, ckpt, x, y, pair, coords, coords,
+    var = gradient_variance_surface(net, ckpt, x, y, pair, coords)
+    std = gradient_variance_surface(net, ckpt, x, y, pair, coords,
                                     mode="gradstd")
     assert np.allclose(std.values, np.sqrt(var.values), atol=1e-15)
     assert np.all(var.values >= 0.0)
@@ -377,8 +412,8 @@ def test_point_reflection_invariance(setup):
     flipped = (-pair[0], -pair[1])
     coords = grid_coordinates(5, 0.5)
     x, y = ds.test_x[:8], ds.test_y[:8]
-    grid = loss_surface(net, ckpt, x, y, pair, coords, coords)
-    mirrored = loss_surface(net, ckpt, x, y, flipped, coords, coords)
+    grid = loss_surface(net, ckpt, x, y, pair, coords)
+    mirrored = loss_surface(net, ckpt, x, y, flipped, coords)
     # value(a, b) with (w1, w2) equals value(-a, -b) with (-w1, -w2)
     assert np.array_equal(grid.values, mirrored.values[::-1, ::-1])
 
@@ -386,33 +421,33 @@ def test_point_reflection_invariance(setup):
 # --- export ---------------------------------------------------------------
 
 
+COORDS = [-1.0, 0.0, 1.0]
+
+
 def make_grid():
-    values = np.arange(6, dtype=float).reshape(2, 3)
-    return LandscapeGrid([-1.0, 1.0], [-1.0, 0.0, 1.0], values, "loss")
+    return Surface("loss", np.arange(9, dtype=float).reshape(3, 3))
 
 
 def test_export_csv_counts(tmp_path):
-    grid = make_grid()
     path = tmp_path / "grid.csv"
-    export_grid(grid, path)
+    export_grid(path, COORDS, make_grid(), {})
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "alpha,beta,value"
-    assert len(lines) == 1 + 6
+    assert len(lines) == 1 + 9
 
 
 def test_export_csv_roundtrip(tmp_path):
     grid = make_grid()
     path = tmp_path / "grid.csv"
-    export_grid(grid, path)
-    loaded = load_grid_csv(path)
+    export_grid(path, COORDS, grid, {})
+    coords, loaded = load_grid_csv(path)
     assert np.array_equal(loaded.values, grid.values)
-    assert np.array_equal(loaded.alphas, grid.alphas)
+    assert np.array_equal(coords, COORDS)
 
 
 def test_export_1x1(tmp_path):
-    grid = LandscapeGrid([0.0], [0.0], np.array([[2.5]]), "loss")
     path = tmp_path / "one.csv"
-    export_grid(grid, path)
+    export_grid(path, [0.0], Surface("loss", np.array([[2.5]])), {})
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
 
@@ -421,26 +456,23 @@ def test_export_json_overflow_tagging(tmp_path):
     import json
 
     values = np.array([[1.0, np.inf], [np.nan, 4.0]])
-    grid = LandscapeGrid([-1.0, 1.0], [-1.0, 1.0], values, "loss")
     path = tmp_path / "grid.json"
-    export_grid(grid, path)
+    export_grid(path, [-1.0, 1.0], Surface("loss", values), {})
     doc = json.loads(path.read_text())
     assert doc["values"][0][1] is None
     assert doc["overflow"] == [[False, True], [True, False]]
+    assert doc["alphas"] == doc["betas"] == [-1.0, 1.0]
 
 
 def test_export_csv_serializes_inf(tmp_path):
-    values = np.array([[np.inf]])
-    grid = LandscapeGrid([0.0], [0.0], values, "loss")
     path = tmp_path / "inf.csv"
-    export_grid(grid, path)
+    export_grid(path, [0.0], Surface("loss", np.array([[np.inf]])), {})
     assert "inf" in path.read_text()
-    loaded = load_grid_csv(path)
+    _, loaded = load_grid_csv(path)
     assert np.isinf(loaded.values[0, 0])
 
 
-def test_grid_invariants():
+def test_export_rejects_values_of_other_shape(tmp_path):
     with pytest.raises(ValueError):
-        LandscapeGrid([1.0, 0.0], [0.0], np.zeros((2, 1)), "loss")
-    with pytest.raises(ValueError):
-        LandscapeGrid([0.0], [0.0], np.zeros((2, 2)), "loss")
+        export_grid(tmp_path / "g.csv", [0.0], Surface("loss", np.zeros((2, 2))), {})
+    assert not (tmp_path / "g.csv").exists()

@@ -477,8 +477,8 @@ def test_smoothness_matches_per_trial_oracle(d, trials, scale):
     # at scale 1e154 ||W(i)|| overflows in every block at d = 8 and 17 and in
     # the last at d = 2, so those blocks' pairs are not finite.  At 1e-160
     # every ||D||_F is below the normal range, so no trial skips the SVD; at
-    # 1e-300 ||W(1)|| underflows to 0, so block 1 draws in the radius-0.1 ball,
-    # and in blocks 2 and 3 every numerator underflows to 0
+    # 1e-300 the squares of every W(i) underflow to 0, so its radius comes from
+    # the rescaled norm, and in blocks 2 and 3 every numerator underflows to 0
     rng = make_rng(600 + d)
     m = random_model(3, d, rng, scale=scale)
     x = rng.standard_normal(d)
@@ -489,6 +489,20 @@ def test_smoothness_matches_per_trial_oracle(d, trials, scale):
             same_report(verify_block_smoothness(m, x, i, rng, trials),
                         per_trial_smoothness(m, x, i, oracle_rng, trials))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-300])
+def test_smoothness_radius_of_tiny_weights(scale):
+    # W(i)'s sum of squares is subnormal at 1e-160 and 0 at 1e-300; the radius
+    # is still 0.1 ||W(i)||_F, here from a norm scaled by an exact power of two
+    rng = make_rng(1)
+    m = random_model(3, 8, rng, scale=scale)
+    x = rng.standard_normal(8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in (1, 2, 3):
+            report = verify_block_smoothness(m, x, i, rng, trials=2)
+            frobenius = np.linalg.norm(m.weights[i - 1] * 2.0**1000) / 2.0**1000
+            assert report["radius"] == pytest.approx(0.1 * frobenius, rel=1e-12)
 
 
 DEGENERATE_DRAWS = {  # (weight scale, generator)

@@ -207,6 +207,13 @@ def test_only_the_genotype_constructor_validates(path):
     assert calls_of(path.read_text(), "validate_genotype") == []
 
 
+def test_only_grid_coordinates_calls_linspace():
+    # a landscape's coordinates, and their exact centre, are made in one place
+    callers = [f"{p.stem}.{getattr(top, 'name', '<module>')}" for p in MODULES
+               for top in ast.parse(p.read_text()).body if calls_of(ast.unparse(top), "linspace")]
+    assert callers == ["landscape.grid_coordinates"]
+
+
 def test_autodiff_is_the_tape_alone():
     # the tape does no I/O and knows no parameter layout
     source = (SRC / "autodiff.py").read_text()
