@@ -5,9 +5,9 @@ A model is n weight matrices W(1..n) of size d x d, read under a wiring: an
 M = 1 genotype (``linear_cell``) whose node i is W(i) applied to one earlier
 node, 0 being the input x.  The widest cell computes node i as W(i) x; the
 narrowest chains them, node i = W(i)...W(1) x.  ``grad_factors`` gives the
-gradients under any wiring.  The objective is the block quadratic
-0.5 * sum_i ||node_i - t_i||^2, which makes the widest cell's block
-smoothness constant exactly ||x||^2 and gives the bounds a computable
+gradients and their slopes under any wiring.  The objective is the block
+quadratic 0.5 * sum_i ||node_i - t_i||^2, which makes the widest cell's
+block smoothness constant exactly ||x||^2 and gives the bounds a computable
 reference.  The verifiers estimate the chain's block constants empirically
 and report whether they stay under the scaled widest-cell bounds;
 violations are surfaced, never suppressed.
@@ -15,6 +15,7 @@ violations are surfaced, never suppressed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,17 +68,11 @@ def random_model(n, dim, rng, scale=1.0):
     return LinearCellModel(weights, targets)
 
 
+@functools.cache  # a genotype is frozen and valid, so one per wiring is shared
 def linear_cell(sources):
     """The M = 1 cell whose node i is one linear slot reading node sources[i-1],
     node 0 being the input x: range(n) is the chain, (0,) * n the widest cell."""
     return CellGenotype("linear", 1, tuple(NodeSpec((OpSpec("linear", s),)) for s in sources))
-
-
-def _check_input(m, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.dim,):
-        raise DimensionMismatch(f"input shape {x.shape}, expected ({m.dim},)")
-    return x
 
 
 def _check_batch(m, xs):
@@ -97,29 +92,32 @@ def _outer(v, y, out=None):
     return np.einsum("si,sj->sij", v, y, out=out)
 
 
-def _node_maps(m, cell):
-    """The map from x to each node under ``cell``: I, then W(i) maps[source(i)]."""
-    maps = [np.eye(m.dim)]
+def grad_factors(m: LinearCellModel, cell, xs):
+    """Yield (i, v, u, a) for blocks i = n..1 of the model wired by ``cell``:
+    at row s of the inputs xs (S, d), d(loss)/dW(i) = v[s] u[s]^T.  u is node
+    source(i), v = (node_i - t_i) + sum_k W(k)^T v_k over the nodes k reading
+    node i: in the chain Horner's rule, in the widest cell W(i) x - t_i.  The
+    (d, d) a = I + sum_k W(k)^T a_k W(k) over the same k is the slope of v in
+    node i, so changing W(i) by D changes each row's gradient by a D u u^T:
+    in the widest cell a = I."""
+    xs = _check_batch(m, xs)
+    eye = np.eye(m.dim)
+    maps = [eye]  # the map from x to each node: I, then W(i) maps[source(i)]
     for w, node in zip(m.weights, cell.nodes, strict=True):
         maps.append(w @ maps[node.ops[0].source])
-    return maps
-
-
-def grad_factors(m: LinearCellModel, cell, xs):
-    """Yield (i, v, u) for blocks i = n..1 of the model wired by ``cell``: at
-    row s of the inputs xs (S, d), d(loss)/dW(i) = v[s] u[s]^T.  u is node
-    source(i), v = (node_i - t_i) + sum_k v_k W(k) over the nodes k reading
-    node i: in the chain Horner's rule, in the widest cell W(i) x - t_i."""
-    xs = _check_batch(m, xs)
-    nodes = [xs] + [xs @ p.T for p in _node_maps(m, cell)[1:]]  # node 0 is the input
-    readers = [[] for _ in nodes]  # per node j, v_k W(k) for each node k that reads it
+    nodes = [xs] + [xs @ p.T for p in maps[1:]]  # node 0 is the input
+    # per node j, W(k)^T v_k and W(k)^T a_k W(k) for each node k that reads it
+    readers, slopes = [[] for _ in nodes], [[] for _ in nodes]
     for i in range(m.n, 0, -1):
         v = sum(readers[i], nodes[i] - m.targets[i - 1])
-        readers[i] = nodes[i] = None  # no later step reads them: free them now
+        a = sum(slopes[i], eye)
+        readers[i] = slopes[i] = nodes[i] = None  # no later step reads them: free them now
         source = cell.nodes[i - 1].ops[0].source
-        yield i, v, nodes[source]
+        yield i, v, nodes[source], a
         if source:
-            readers[source].append(v @ m.weights[i - 1])
+            w = m.weights[i - 1]
+            readers[source].append(v @ w)
+            slopes[source].append(w.T @ a @ w)
 
 
 def spectral_norm(w):
@@ -152,9 +150,9 @@ def _norm2_bounds(delta):
 
     With N = D / ||D||_F and M = N^T N, four power steps from the all-ones
     vector give a unit v with sqrt(||M v||) <= ||N||_2, and
-    ||N||_2^8 = lambda_max(M^4) <= ||M^4||_F.  A row whose ||D||_F is not a
-    normal float, or whose power iterate is, gets nan bounds: only an SVD
-    bounds it."""
+    ||N||_2^8 = lambda_max(M^4) <= ||M^4||_F.  Each D comes with max|D| in
+    [0.5, 1), so ||D||_F lies in [0.5, d); a row whose power iterate is not a
+    normal float gets nan bounds: only an SVD bounds it."""
     k, d = delta.shape[:2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         frob = _row_norms(delta.reshape(k, d * d, 1))
@@ -166,7 +164,7 @@ def _norm2_bounds(delta):
         v_norm = _row_norms(v)
         lo = np.sqrt(_row_norms(gram @ (v / v_norm[:, None, None])))
         hi = _row_norms(gram4.reshape(k, d * d, 1)) ** 0.125
-    certain = (frob >= _SQRT_TINY) & (frob < np.inf) & (v_norm >= _SQRT_TINY)
+    certain = v_norm >= _SQRT_TINY
     margin = NORM_BOUND_MARGIN * d * d
     return (np.where(certain, frob * lo * (1.0 - margin), np.nan),
             np.where(certain, frob * hi * (1.0 + margin), np.nan))
@@ -180,9 +178,12 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     a nan ratio, so the block is reported as violated.
 
     The block-i gradient is affine in W(i): g(W1) - g(W2) = A D u u^T with
-    D = W1 - W2, u = W(i-1)...W(1) x and A = sum_{k>=i} B_k^T B_k,
-    B_k = W(k)...W(i+1).  So each trial's ||g(W1) - g(W2)||_2 is the rank-1
-    norm ||A D u|| * ||u||, with u and A computed once.
+    D = W1 - W2, and u = W(i-1)...W(1) x and A = sum_{k>=i} B_k^T B_k,
+    B_k = W(k)...W(i+1), from the chain's ``grad_factors`` at x.  So each
+    trial's ||g(W1) - g(W2)||_2 is the rank-1 norm ||A D u|| * ||u||.  The
+    ratio does not depend on D's scale, so each finite D is first scaled by a
+    power of two, exactly, to max|D| in [0.5, 1): no square in its numerator
+    or bounds underflows.
 
     The draws are made one trial at a time, in stream order.  The ratios are
     computed SMOOTHNESS_CHUNK trials at a time, so memory does not grow with
@@ -197,7 +198,8 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
         raise ValueError("trials must be >= 1")
     check_float64s(trials, "the smoothness ratios")
     _check_block(m, i)
-    x = _check_input(m, x)
+    x = np.asarray(x, dtype=np.float64)  # grad_factors' batch check rejects a bad shape
+    *_, (u,), a = next(f for f in grad_factors(m, linear_cell(range(m.n)), x[None]) if f[0] == i)
     w_i = m.weights[i - 1]
     norm = np.linalg.norm(w_i)
     if norm < _SQRT_TINY and w_i.any():  # its sum of squares underflowed
@@ -206,13 +208,7 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
     radius = 0.1 * norm or 0.1
     l_widest = float(x @ x)
     bound = float(np.prod(m.lambdas[: i - 1])) * l_widest
-    u = _node_maps(m, linear_cell(range(m.n)))[i - 1] @ x
     u_norm = np.linalg.norm(u)
-    # A(k-1) = I + W(k)^T A(k) W(k) from A(n) = I down to A(i)
-    eye = np.eye(m.dim)
-    a = eye
-    for w in reversed(m.weights[i:]):
-        a = eye + w.T @ a @ w
     # its max keeps a nan, which Python's max drops; a trial that skips the
     # SVD holds a lower bound of its ratio, below the largest ratio
     ratios = np.full(trials, np.nan)
@@ -238,6 +234,7 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
         finite = np.isfinite(delta).all(axis=(1, 2))
         rows = start + np.flatnonzero(finite)
         delta = delta[finite]
+        delta = np.ldexp(delta, -np.frexp(np.abs(delta).max(axis=(1, 2)))[1][:, None, None])
         top = _row_norms(a @ (delta @ u)[..., None]) * u_norm
         lo, hi = _norm2_bounds(delta)
         ratios[rows] = top / hi
@@ -269,12 +266,12 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
         raise InsufficientSamples(f"need >= 2 samples, got {len(xs)}")
     _check_block(m, i)
 
-    buf = _outer(*next((v, u) for k, v, u in grad_factors(m, linear_cell(range(m.n)), xs)
+    buf = _outer(*next((v, u) for k, v, u, _ in grad_factors(m, linear_cell(range(m.n)), xs)
                        if k == i))
     empirical, emp_se = _total_variance(buf)
     # the widest cell with the same weights and targets, its blocks from n down
     sigmas_sq = [_total_variance(_outer(v, u, out=buf))[0]
-                 for _, v, u in grad_factors(m, linear_cell((0,) * m.n), xs)][::-1]
+                 for _, v, u, _ in grad_factors(m, linear_cell((0,) * m.n), xs)][::-1]
 
     prods = [math.prod(lam for j, lam in enumerate(m.lambdas[:k], 1) if j != i)
              for k in range(i, m.n + 1)]

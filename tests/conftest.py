@@ -16,14 +16,13 @@ from cellscape import (
     load_fixture,
 )
 from cellscape.autodiff import Tape, Value
-from cellscape.errors import ParseError, ShapeMismatch, UnsupportedInputCount
+from cellscape.errors import DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount
 from cellscape.genotype import rewired
 from cellscape.landscape import Surface
 from cellscape.linear_theory import (
     SMOOTHNESS_SLACK,
     LinearCellModel,
     _bound_check,
-    _check_input,
     grad_factors,
     linear_cell,
     spectral_norm,
@@ -101,7 +100,7 @@ def block_grads(m, xs, sources):
     """Every block's (S, d, d) batch gradient of the model wired by
     ``sources``, from ``grad_factors``, in block order."""
     grads = {i: np.einsum("si,sj->sij", v, u)
-             for i, v, u in grad_factors(m, linear_cell(sources), xs)}
+             for i, v, u, _ in grad_factors(m, linear_cell(sources), xs)}
     return [grads[i] for i in range(1, m.n + 1)]
 
 
@@ -115,10 +114,18 @@ def one_row(m, x, sources):
 # with the wiring passed in, and the chain's gradient as an explicit sum
 
 
+def check_input(m, x):
+    """One input row of the model as a float (d,) array."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (m.dim,):
+        raise DimensionMismatch(f"input shape {x.shape}, expected ({m.dim},)")
+    return x
+
+
 def forward(x, m, sources):
     """Concatenation of nodes 1..n, where node i = W(i) node ``sources[i-1]``
     and node 0 = x."""
-    nodes = [_check_input(m, x)]
+    nodes = [check_input(m, x)]
     for w, s in zip(m.weights, sources):
         nodes.append(w @ nodes[s])
     return np.concatenate(nodes[1:])
@@ -173,10 +180,11 @@ def ball_perturbation(rng, shape, radius):
 
 def per_trial_smoothness(m, x, i, rng, trials):
     """``verify_block_smoothness`` one trial at a time: each trial's two draws,
-    its pair, its numerator ||A D u|| and its ||D||_2 (an SVD) in turn.  The
-    bit-for-bit oracle of the chunked verifier's report and of the generator
-    state it leaves."""
-    x = _check_input(m, x)
+    its pair, its D scaled to max|D| in [0.5, 1) by a power of two, its
+    numerator ||A D u|| and its ||D||_2 (an SVD) in turn.  The bit-for-bit
+    oracle of the chunked verifier's report and of the generator state it
+    leaves."""
+    x = check_input(m, x)
     w = m.weights[i - 1]
     norm = np.linalg.norm(w)
     if norm < np.sqrt(np.finfo(np.float64).tiny) and w.any():  # the squares underflowed
@@ -200,8 +208,11 @@ def per_trial_smoothness(m, x, i, rng, trials):
         w1 = m.weights[i - 1] + ball_perturbation(rng, (m.dim, m.dim), radius)
         w2 = m.weights[i - 1] + ball_perturbation(rng, (m.dim, m.dim), radius)
         delta = w1 - w2
-        ratios[t] = (np.linalg.norm(a @ (delta @ u)) * u_norm / np.linalg.norm(delta, ord=2)
-                     if np.isfinite(delta).all() else np.nan)
+        if np.isfinite(delta).all():
+            delta = np.ldexp(delta, -np.frexp(np.abs(delta).max())[1])
+            ratios[t] = np.linalg.norm(a @ (delta @ u)) * u_norm / np.linalg.norm(delta, ord=2)
+        else:
+            ratios[t] = np.nan
     return _bound_check("block_smoothness", i, lambdas, float(ratios.max()), bound,
                         SMOOTHNESS_SLACK, trials, radius=float(radius), input_norm_sq=l_widest)
 

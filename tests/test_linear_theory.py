@@ -114,6 +114,17 @@ def test_block_outside_range_is_rejected(i):
     assert rng.bit_generator.state == state  # rejected before any draw
 
 
+@pytest.mark.parametrize("shape", [(5,), (1, 4), ()])
+def test_smoothness_input_of_other_shape_is_rejected(shape):
+    # the chain's sweep checks the input as a one-row batch
+    rng = make_rng(18)
+    m = random_model(3, 4, rng)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionMismatch, match="batch shape"):
+        verify_block_smoothness(m, np.ones(shape), 2, rng, trials=5)
+    assert rng.bit_generator.state == state  # rejected before any draw
+
+
 def test_n1_models_coincide():
     rng = make_rng(2)
     w = rng.standard_normal((6, 6))
@@ -234,6 +245,54 @@ def test_fan_out_gradients_match_finite_differences_and_tape(seed):
     for g, fd, taped in zip(closed, fd_grads(m, x, FAN_OUT), tape_grads(m, x, FAN_OUT)):
         assert rel_err(g, fd) <= 1e-6
         assert np.max(np.abs(g - taped)) <= 1e-10
+
+
+# the sweep's Gram a on both extremes, a fan-out and a wiring whose node 3
+# goes back to the input and whose node 5 branches off node 2
+WIRINGS = {"chain": chain_sources(5), "widest": widest_sources(5), "fan_out": FAN_OUT,
+           "branches": (0, 1, 0, 3, 2)}
+
+
+def node_jacobian(m, sources, i, k):
+    """d node_k / d node_i under the wiring: the weights on the path from node
+    i to node k, multiplied from node k down, or 0 when no path leads there."""
+    jac, j = np.eye(m.dim), k
+    while j > i:
+        jac = jac @ m.weights[j - 1]
+        j = sources[j - 1]
+    return jac if j == i else np.zeros((m.dim, m.dim))
+
+
+@pytest.mark.parametrize("wiring", WIRINGS)
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_gram_is_sum_of_node_jacobians(wiring, seed):
+    # a = sum_k J_k^T J_k over every node k, J_k = d node_k / d node_i
+    sources = WIRINGS[wiring]
+    rng = make_rng(1100 + seed)
+    d = int(rng.integers(1, 6))
+    m = random_model(len(sources), d, rng)
+    for i, _, _, a in grad_factors(m, linear_cell(sources), rng.standard_normal((3, d))):
+        jacobians = [node_jacobian(m, sources, i, k) for k in range(1, m.n + 1)]
+        assert np.allclose(a, sum(j.T @ j for j in jacobians), rtol=1e-12, atol=1e-12)
+        if wiring == "widest":
+            assert np.array_equal(a, np.eye(d))
+
+
+@pytest.mark.parametrize("wiring", WIRINGS)
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_gram_is_the_gradients_slope(wiring, seed):
+    # W(i) -> W(i) + D moves the tape's block-i gradient by a D u u^T
+    sources = WIRINGS[wiring]
+    rng = make_rng(1200 + seed)
+    d = int(rng.integers(1, 6))
+    m = random_model(len(sources), d, rng)
+    x = rng.standard_normal(d)
+    before = tape_grads(m, x, sources)
+    for i, _, u, a in grad_factors(m, linear_cell(sources), x[None]):
+        delta = rng.standard_normal((d, d))
+        moved = tape_grads(with_block(m, i, m.weights[i - 1] + delta), x, sources)
+        change = a @ delta @ np.outer(u[0], u[0])
+        assert np.max(np.abs(moved[i - 1] - before[i - 1] - change)) <= 1e-10
 
 
 def test_chain_gradients_match_explicit_sum():
@@ -476,9 +535,10 @@ CHUNK_TRIALS = [1, SMOOTHNESS_CHUNK - 1, SMOOTHNESS_CHUNK, SMOOTHNESS_CHUNK + 1,
 def test_smoothness_matches_per_trial_oracle(d, trials, scale):
     # at scale 1e154 ||W(i)|| overflows in every block at d = 8 and 17 and in
     # the last at d = 2, so those blocks' pairs are not finite.  At 1e-160
-    # every ||D||_F is below the normal range, so no trial skips the SVD; at
-    # 1e-300 the squares of every W(i) underflow to 0, so its radius comes from
-    # the rescaled norm, and in blocks 2 and 3 every numerator underflows to 0
+    # every ||D||_F is below the normal range until D is scaled by a power of
+    # two; at 1e-300 the squares of every W(i) underflow to 0, so its radius
+    # comes from the rescaled norm, and in blocks 2 and 3 every numerator
+    # ||A D u|| * ||u||, about 1e-600 or less, underflows to 0
     rng = make_rng(600 + d)
     m = random_model(3, d, rng, scale=scale)
     x = rng.standard_normal(d)
@@ -503,6 +563,16 @@ def test_smoothness_radius_of_tiny_weights(scale):
             report = verify_block_smoothness(m, x, i, rng, trials=2)
             frobenius = np.linalg.norm(m.weights[i - 1] * 2.0**1000) / 2.0**1000
             assert report["radius"] == pytest.approx(0.1 * frobenius, rel=1e-12)
+
+
+def test_smoothness_of_tiny_weights_is_measured():
+    # at scale 1e-300 each D is about 1e-301, so the squares in block 1's
+    # numerators underflow to 0 unless D is first scaled by a power of two
+    rng = make_rng(0)
+    m = random_model(3, 8, rng, scale=1e-300)
+    x = rng.standard_normal(8)
+    report = verify_block_smoothness(m, x, 1, rng, trials=200)
+    assert report["empirical"] > 0.0 and not report["violated"]
 
 
 DEGENERATE_DRAWS = {  # (weight scale, generator)

@@ -214,6 +214,26 @@ def test_only_grid_coordinates_calls_linspace():
     assert callers == ["landscape.grid_coordinates"]
 
 
+def readers_of(source, attr):
+    """Top-level definitions of source that read an attribute called ``attr``."""
+    return [getattr(top, "name", "<module>") for top in ast.parse(source).body
+            if any(isinstance(node, ast.Attribute) and node.attr == attr
+                   for node in ast.walk(top))]
+
+
+def test_attribute_readers_are_found():
+    source = ("def f(g):\n    return g.nodes[0].source\n"
+              "def h(source):\n    return source\n"
+              "x = y.source\n")
+    assert readers_of(source, "source") == ["f", "<module>"]
+
+
+def test_only_grad_factors_walks_a_wiring():
+    # one reverse sweep reads a linear cell's sources; every check of the
+    # linear theory takes its factors and Gram from it
+    assert readers_of((SRC / "linear_theory.py").read_text(), "source") == ["grad_factors"]
+
+
 def test_autodiff_is_the_tape_alone():
     # the tape does no I/O and knows no parameter layout
     source = (SRC / "autodiff.py").read_text()
