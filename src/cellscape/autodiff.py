@@ -6,8 +6,9 @@ A tape made with ``record=False`` runs the same primitives forward only.
 A whole cell node is one primitive, ``Tape.node``, whose parts read source
 ``Value``s; each ``Value`` computes its rectifier once, for every part that
 reads it.
-``per_example_variance`` reads per-example gradients off a recorded tape after
-one batched ``backward``.
+``per_example_variance`` reads each parameter block's per-example gradient
+variance off a recorded tape after one batched ``backward``, from the
+block's rank-1 factors.
 The SGD optimizer with cosine annealing lives here as well, since it operates
 on the same tensors.  The module does no I/O and knows no parameter layout:
 ``network.ParamLayout`` owns the checkpoint format.
@@ -25,7 +26,8 @@ from .errors import NoTape, ShapeMismatch, SharedParameter
 class Value:
     """A node in the computation tape: an array plus its gradient buffer.
     Its rectifier is computed on first use and its mask on the first
-    backward that needs it, once for every node part that reads it."""
+    backward that needs it, once for every node part that reads it.  A pass
+    that records nothing may free the rectifier (``del value.rectified``)."""
 
     __slots__ = ("data", "grad", "_rectified", "_mask")
 
@@ -42,6 +44,11 @@ class Value:
             o += 0.0
             self._rectified = o
         return self._rectified
+
+    @rectified.deleter
+    def rectified(self):
+        """Free the rectifier; the next read computes it again."""
+        self._rectified = None
 
     @property
     def mask(self):
@@ -219,9 +226,10 @@ def backward(tape: Tape, loss: Value, keep_outputs=False):
             out.grad = None
 
 
-def per_example_variance(tape: Tape, leaves: dict) -> float:
-    """Total variance (covariance trace) of the per-example gradients of the
-    ``leaves`` (name -> Value), read off ``tape`` after one batched ``backward``.
+def per_example_variance(tape: Tape, leaves: dict) -> dict:
+    """Each leaf's total variance (covariance trace) of its per-example
+    gradients, as name -> float for the ``leaves`` (name -> Value) that the
+    loss reaches, read off ``tape`` after one batched ``backward``.
 
     The rows of every record must be independent examples, and each leaf
     must feed exactly one record: as the weight of a ``dense`` or of a linear
@@ -233,16 +241,17 @@ def per_example_variance(tape: Tape, leaves: dict) -> float:
     source.  The loss is a batch mean, so row i of ``g`` is 1/n of example
     i's own gradient and every per-example gradient is scaled by the row
     count n.
-    Each block is reduced to its centred sum of squares and dropped, so equal
-    rows give exactly 0.  A leaf the loss does not reach adds nothing.
-    Raises SharedParameter when a leaf feeds any other record.
+    A bias block is reduced to its centred sum of squares, and a weight block
+    from its factors by ``_rank1_sum_of_squares``, so no (n, out, in) array
+    of per-example gradients is built.  A leaf the loss does not reach has
+    no entry.  Raises SharedParameter when a leaf feeds any other record.
     """
     uses = {}
     for kind, out, inputs, _, params in tape._records:
         params = params or {}
         for slot, v in enumerate(inputs):
             uses.setdefault(id(v), []).append((kind, slot in params, out, params.get(slot)))
-    total = 0.0
+    blocks = {}
     for name, leaf in leaves.items():
         found = uses.get(id(leaf), [])
         if len(found) > 1 or not all(u[1] for u in found):
@@ -256,10 +265,35 @@ def per_example_variance(tape: Tape, leaves: dict) -> float:
         if out.grad is None:
             raise NoTape("per-example gradients need backward(..., keep_outputs=True)")
         g = out.grad * len(out.grad)
-        per_example = g if x is None else np.einsum("bo,bi->boi", g, x)
-        centred = per_example - per_example.mean(axis=0)
-        total += float(np.sum(centred * centred)) / len(g)
-    return total
+        if x is None:
+            centred = g - g.mean(axis=0)
+            blocks[name] = float(np.sum(centred * centred)) / len(g)
+        else:
+            blocks[name] = _rank1_sum_of_squares(g, x) / len(g)
+    return blocks
+
+
+def _rank1_sum_of_squares(g, x):
+    """The centred sum of squares of the n rank-1 terms ``g[i] (x) x[i]`` of
+    ``g`` (n, out) and ``x`` (n, in): S - ||g.T @ x||^2 / n, where S = sum_i
+    ||g[i]||^2 ||x[i]||^2 and g.T @ x / n is the terms' mean.
+
+    Each factor is first scaled by a power of two that brings its largest
+    magnitude into [0.5, 1), so the squares overflow or underflow only where
+    the result does; the scaling is exact.  Rounding can reach a term of the
+    two sums k = 3n + out*in + out + in + 2 times, so k * eps * S is twice
+    their first-order error bound: a result at or below it, such as that of
+    equal rows, is exactly 0.  Non-finite factors give NaN.
+    """
+    (n, fan_out), fan_in = g.shape, x.shape[1]
+    eg, ex = (np.frexp(np.max(np.abs(a), initial=0.0))[1] for a in (g, x))
+    g, x = np.ldexp(g, -eg), np.ldexp(x, -ex)
+    s = np.square(g).sum(axis=1) @ np.square(x).sum(axis=1)
+    gx = g.T @ x
+    result = s - np.vdot(gx, gx) / n
+    if result <= (3 * n + fan_out * fan_in + fan_out + fan_in + 2) * np.finfo(float).eps * s:
+        result = 0.0
+    return float(np.ldexp(result, 2 * (eg + ex)))
 
 
 # --- optimizer ------------------------------------------------------------

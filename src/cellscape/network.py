@@ -171,18 +171,27 @@ class CellNetwork:
         Params are a flat vector or a (K, P) array of K members, and ``x`` may
         carry the member axis too; an unstacked ``x`` feeds every member.  The
         leaves are views of the params' blocks.  With ``record=False`` the
-        tape keeps nothing for a reverse pass."""
+        tape keeps nothing for a reverse pass, and each Value's rectifier is
+        freed once the last linear part of the cell that reads it has run; a
+        cell input that the next cell reads again is rectified again there."""
         tape = Tape(record=record)
         leaves = {name: tape.leaf(view) for name, view in self.layout.views(params).items()}
         x_leaf = tape.leaf(np.asarray(x, dtype=np.float64))
         prev2 = prev1 = tape.add_bias(tape.dense(x_leaf, leaves["stem.w"]), leaves["stem.b"])
+        nodes = self.genotype.nodes
+        # the last node of a cell to read each node index through a linear part
+        last = {op.source: i for i, node in enumerate(nodes) for op in node.ops
+                if op.kind == "linear"}
         for layer in range(self.cfg.layers):
             vals = [prev2, prev1]
-            for i, node in enumerate(self.genotype.nodes):
+            for i, node in enumerate(nodes):
                 vals.append(tape.node([
                     (op.kind, vals[op.source], leaves.get(f"cell{layer}.node{i}.op{slot}.w"))
                     for slot, op in enumerate(node.ops)
                 ]))
+                for source, j in last.items():
+                    if j == i and not record:
+                        del vals[source].rectified
             prev2, prev1 = prev1, tape.mean_of([vals[c] for c in self.genotype.concat])
         logits = tape.add_bias(tape.dense(prev1, leaves["head.w"]), leaves["head.b"])
         return logits, tape, leaves
@@ -213,9 +222,13 @@ class CellNetwork:
         """Total variance (covariance trace) of the per-example parameter
         gradients on a split, from one batched forward and backward pass.
         Every parameter feeds one ``dense``, ``node`` or ``add_bias`` record,
-        which ``autodiff.per_example_variance`` checks."""
+        which ``autodiff.per_example_variance`` checks; the total is the sum
+        of its blocks' variances in layout order."""
         logits, tape, leaves = self.forward(x, params)
         loss = tape.softmax_cross_entropy(logits, y)
         ad.backward(tape, loss, keep_outputs=True)
-        return ad.per_example_variance(tape, leaves)
+        total = 0.0
+        for variance in ad.per_example_variance(tape, leaves).values():
+            total += variance  # a running sum in leaf order; sum() compensates from 3.12
+        return total
 

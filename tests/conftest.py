@@ -86,6 +86,15 @@ class LossTape(Tape):
         return self._push("half_sum_sq", out, [x], lambda g: [g * x.data])
 
 
+def per_example_sum_of_squares(g, x):
+    """Brute-force oracle of a weight block's reduction: the centred sum of
+    squares of the rank-1 terms ``g[i] (x) x[i]``, built as one (n, out, in)
+    array."""
+    terms = np.einsum("bo,bi->boi", g, x)
+    centred = terms - terms.mean(axis=0)
+    return float(np.sum(centred * centred))
+
+
 def chain_sources(n):
     """The chain's wiring: node i reads node i - 1, node 0 being the input."""
     return tuple(range(n))

@@ -25,7 +25,7 @@ from cellscape.errors import (
 )
 from cellscape.genotype import OPERATION_KINDS, load_fixture
 from cellscape.network import CellNetwork, NetworkConfig, ParamLayout, glorot_init
-from conftest import LossTape, central_difference
+from conftest import LossTape, central_difference, per_example_sum_of_squares
 
 dims = st.integers(2, 16)
 seeds = st.integers(0, 2**31)
@@ -335,7 +335,75 @@ def test_backward_drops_intermediate_gradients():
         per_example_variance(t, {"w": w})
     backward(t, loss, keep_outputs=True)
     assert logits.grad is not None and h.grad is None
-    assert per_example_variance(t, {"w": w}) >= 0.0
+    assert per_example_variance(t, {"w": w})["w"] >= 0.0
+
+
+def weight_variance(g, x):
+    """``per_example_variance`` of the weight of one ``dense`` record of input
+    rows ``x`` whose output gradient, as a batched ``backward(...,
+    keep_outputs=True)`` leaves it, is ``g``."""
+    t = Tape()
+    w = t.leaf(np.zeros((g.shape[1], x.shape[1])))
+    out = t.dense(t.leaf(x), w)
+    out.grad, w.grad = g, g.T @ x
+    return per_example_variance(t, {"w": w})["w"]
+
+
+@pytest.mark.parametrize("n", [2, 5, 256, 2000])
+@pytest.mark.parametrize("offset", [0.0, 3.0])
+def test_weight_block_matches_einsum_oracle(n, offset):
+    # an offset makes the mean term dominate, so the two sums nearly cancel
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, 6)) + offset
+    x = rng.standard_normal((n, 5)) + offset
+    got = weight_variance(g, x)
+    want = per_example_sum_of_squares(g * n, x) / n
+    assert want > 0.0
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [2, 256, 2000])
+@pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e100])
+def test_equal_rows_give_exactly_zero(n, scale):
+    # the two sums leave a rounding residue that grows with n; the floor,
+    # which grows with n too, reports it as 0
+    rng = np.random.default_rng(17)
+    g = np.tile(rng.standard_normal(16) * scale, (n, 1))
+    x = np.tile(rng.random(16) * scale, (n, 1))
+    assert weight_variance(g, x) == 0.0
+
+
+def test_factors_of_far_apart_magnitudes_stay_finite():
+    # the terms g[i] (x) x[i] are near 1, but ||g[i]||^2 underflows and
+    # ||x[i]||^2 overflows unless each factor is scaled first
+    rng = np.random.default_rng(4)
+    g, x = rng.standard_normal((50, 4)), rng.standard_normal((50, 3))
+    got = weight_variance(g * 1e-200, x * 1e200)
+    want = per_example_sum_of_squares(g * 50, x) / 50
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_non_finite_factors_give_nan():
+    g, x = np.ones((3, 2)), np.arange(6.0).reshape(3, 2)
+    for bad in (np.inf, -np.inf, np.nan):
+        g[1, 0] = bad
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(weight_variance(g, x))
+
+
+def test_variance_is_one_entry_per_reached_leaf():
+    # w2 feeds a record the loss does not reach, and w3 no record at all
+    rng = np.random.default_rng(2)
+    t = Tape()
+    x = t.leaf(rng.standard_normal((5, 3)))
+    w1, b1, w2, w3 = (t.leaf(rng.standard_normal(shape))
+                      for shape in [(4, 3), (4,), (4, 3), (4, 3)])
+    t.dense(x, w2)
+    loss = t.softmax_cross_entropy(t.add_bias(t.dense(x, w1), b1), [0, 1, 2, 3, 0])
+    backward(t, loss, keep_outputs=True)
+    blocks = per_example_variance(t, {"w1": w1, "b1": b1, "w2": w2, "w3": w3})
+    assert list(blocks) == ["w1", "b1"]
+    assert all(v > 0.0 for v in blocks.values())
 
 
 # --- member axis ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from cellscape import (
     make_dataset,
     sample_directions,
 )
+from cellscape.autodiff import backward, per_example_variance
 from cellscape.errors import DimensionMismatch, InvalidSpec
 from cellscape.landscape import ROWS, Surface
 from cellscape.network import ParamLayout
@@ -379,6 +382,61 @@ def test_gradvar_matches_per_example_oracle_off_centre(darts, genotype, batch):
                 assert abs(grid.values[a, b] - oracle) <= 1e-12 * oracle
             else:
                 assert grid.values[a, b] == 0.0
+
+
+# node 3 is left out of the concat, so the loss reaches neither of its weights
+DEAD_END = CellGenotype(
+    name="dead-end",
+    num_inputs=2,
+    nodes=(
+        NodeSpec((OpSpec("linear", 0), OpSpec("linear", 1))),
+        NodeSpec((OpSpec("linear", 2), OpSpec("linear", 0))),
+    ),
+    concat=(2,),
+)
+
+
+@pytest.mark.parametrize("genotype", ["darts", "mixed", "dead-end"])
+def test_gradvar_blocks_sum_to_the_total_bit_for_bit(darts, genotype):
+    net = CellNetwork({"darts": darts, "mixed": MIXED, "dead-end": DEAD_END}[genotype], CFG)
+    ds = make_dataset(DATA)
+    params = net.init_params(stream(0, "init"))
+    x, y = ds.test_x[:5], ds.test_y[:5]
+    logits, tape, leaves = net.forward(x, params)
+    backward(tape, tape.softmax_cross_entropy(logits, y), keep_outputs=True)
+    blocks = per_example_variance(tape, leaves)
+    total = 0.0
+    for v in blocks.values():
+        total += v
+    assert total == net.gradient_variance(x, y, params)
+    unreached = [name for name in leaves if name not in blocks]
+    assert list(blocks) == [name for name in net.layout.blocks if name not in unreached]
+    dead = [f"cell{k}.node1.op{slot}.w" for k in range(CFG.layers) for slot in (0, 1)]
+    assert unreached == (dead if genotype == "dead-end" else [])
+    # each block against its own per-example oracle
+    grads = [net.layout.views(net.loss_and_grads(x[i:i + 1], y[i:i + 1], params)[1])
+             for i in range(len(y))]
+    for name, got in blocks.items():
+        per_example = np.array([g[name] for g in grads])
+        want = float(np.sum((per_example - per_example.mean(axis=0)) ** 2)) / len(y)
+        assert abs(got - want) <= 1e-12 * want, name
+
+
+def test_gradvar_non_finite_points_stay_non_finite_and_tagged(setup, tmp_path):
+    # the outer ring's forward passes overflow; the inner points stay finite
+    net, ds, ckpt = setup
+    x, y = ds.test_x[:8], ds.test_y[:8]
+    coords = np.array([-1e200, -0.5, 0.0, 0.5, 1e200])
+    pair = sample_directions(ckpt, net.layout, seed=4)
+    grid = gradient_variance_surface(net, ckpt, x, y, pair, coords)
+    overflow = ~np.isfinite(grid.values)
+    assert np.all(overflow[[0, 4]]) and np.all(overflow[:, [0, 4]])
+    assert not np.any(overflow[1:4, 1:4])
+    path = tmp_path / "grid.json"
+    export_grid(path, coords, grid, {})
+    doc = json.loads(path.read_text())
+    assert doc["overflow"] == overflow.tolist()
+    assert [[v is None for v in row] for row in doc["values"]] == overflow.tolist()
 
 
 @pytest.mark.parametrize("mode", ["gradvar", "gradstd"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -133,21 +134,60 @@ def test_network_gradients_match_finite_differences(toy_cell):
         assert np.max(np.abs(grads[name] - fd)) / scale <= 1e-5, name
 
 
-@pytest.mark.parametrize("name", ["darts", "snas"])
-def test_evaluate_matches_recording_forward_bit_for_bit(name):
+@pytest.mark.parametrize("name", ["darts", "snas", "nasnet", "amoebanet", "darts_conn1"])
+@pytest.mark.parametrize("members", [None, 2])
+def test_evaluate_matches_recording_forward_bit_for_bit(name, members):
+    # a pass that records nothing frees rectifiers as it goes and computes
+    # some again; the values are the same
     net = CellNetwork(load_fixture(name), SMALL)
     init = net.init_params(stream(3, "init"))
     rng = np.random.default_rng(8)
     x = rng.standard_normal((16, 5))
     y = rng.integers(0, 3, size=16)
-    params = init + rng.standard_normal(init.shape)
+    lead = () if members is None else (members,)
+    params = init + rng.standard_normal(lead + init.shape)
     logits, tape, _ = net.forward(x, params)
     recorded = tape.softmax_cross_entropy(logits, y)
     loss, acc = net.evaluate(x, y, params)
-    assert loss == float(recorded.data)
-    assert acc == float(np.mean(np.argmax(logits.data, axis=1) == y))
-    _, quiet, _ = net.forward(x, params, record=False)
+    assert np.array_equal(loss, recorded.data)
+    assert np.array_equal(acc, np.mean(np.argmax(logits.data, axis=-1) == y, axis=-1))
+    quiet_logits, quiet, _ = net.forward(x, params, record=False)
+    assert np.array_equal(quiet_logits.data, logits.data)
     assert quiet._records == []
+
+
+def traced_peak(f):
+    """The tracemalloc peak, in bytes, of a call of ``f`` made after one
+    untraced warm-up call."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_only_pass_frees_dead_rectifiers(darts):
+    # 2000 rows of width 16 are 0.25 MB an array; keeping every rectifier
+    # until its cell ends peaked at 2.70 MB, freeing each after its cell's
+    # last linear reader peaks at about 1.96 MB
+    net = CellNetwork(darts, NetworkConfig())
+    ds = make_dataset(DatasetSpec())
+    params = net.init_params(stream(0, "init"))
+    assert traced_peak(lambda: net.evaluate(ds.train_x[:2000], ds.train_y[:2000], params)) \
+        < 2.3 * 2**20
+
+
+def test_gradient_variance_builds_no_per_example_tensor(darts):
+    # 256 rows: the (n, out, in) per-example gradients of the widest block
+    # are 0.5 MB, and building them peaked at 3.61 MB; reduced from the
+    # factors it peaks at about 2.18 MB
+    net = CellNetwork(darts, NetworkConfig())
+    ds = make_dataset(DatasetSpec())
+    params = net.init_params(stream(0, "init"))
+    assert traced_peak(lambda: net.gradient_variance(ds.test_x[:256], ds.test_y[:256], params)) \
+        < 2.8 * 2**20
 
 
 def test_darts_forward_pushes_one_record_per_node(darts):

@@ -244,6 +244,12 @@ def test_autodiff_is_the_tape_alone():
     assert "layout" not in params
 
 
+def test_autodiff_builds_no_per_example_tensor():
+    # per-example gradients are reduced from their rank-1 factors, never
+    # built as one (n, out, in) array
+    assert calls_of((SRC / "autodiff.py").read_text(), "einsum") == []
+
+
 def test_cli_draws_no_random_numbers():
     # every draw of a command lives in the library module that owns it
     assert calls_of((SRC / "cli.py").read_text(), "stream") == []
