@@ -286,7 +286,7 @@ def _rank1_sum_of_squares(g, x):
     equal rows, is exactly 0.  Non-finite factors give NaN.
     """
     (n, fan_out), fan_in = g.shape, x.shape[1]
-    eg, ex = (np.frexp(np.max(np.abs(a), initial=0.0))[1] for a in (g, x))
+    eg, ex = (np.frexp(np.max(np.abs(a)))[1] for a in (g, x))
     g, x = np.ldexp(g, -eg), np.ldexp(x, -ex)
     s = np.square(g).sum(axis=1) @ np.square(x).sum(axis=1)
     gx = g.T @ x
