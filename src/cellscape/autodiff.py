@@ -279,11 +279,12 @@ def _rank1_sum_of_squares(g, x):
     ||g[i]||^2 ||x[i]||^2 and g.T @ x / n is the terms' mean.
 
     Each factor is first scaled by a power of two that brings its largest
-    magnitude into [0.5, 1), so the squares overflow or underflow only where
-    the result does; the scaling is exact.  Rounding can reach a term of the
-    two sums k = 3n + out*in + out + in + 2 times, so k * eps * S is twice
-    their first-order error bound: a result at or below it, such as that of
-    equal rows, is exactly 0.  Non-finite factors give NaN.
+    magnitude into [0.5, 1), which is exact, so no square overflows and the
+    result overflows only where the sum of squares does.  Rounding can reach
+    a term of the two sums k = 3n + out*in + out + in + 2 times, so
+    k * eps * S is twice their first-order error bound: a result at or below
+    it, such as that of equal rows, is exactly 0.  Non-finite factors give
+    NaN.
     """
     (n, fan_out), fan_in = g.shape, x.shape[1]
     eg, ex = (np.frexp(np.max(np.abs(a)))[1] for a in (g, x))
