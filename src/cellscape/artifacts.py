@@ -2,7 +2,8 @@
 bytes, and reads every input file, JSON or raw bytes.  RFC 8259 has no inf or
 nan, so a non-finite float is written to JSON as ``null``, and
 ``allow_nan=False`` holds.  Every file is written whole or not at all: to a
-temporary file beside it, renamed into place once complete."""
+temporary file beside it, renamed into place once complete.  ``typed`` is the
+one check of a value's type read from a file."""
 
 import contextlib
 import csv
@@ -91,3 +92,16 @@ def read_json(path):
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+_KIND_NAMES = {(int,): "an integer", (str,): "a string", (bool,): "a boolean",
+               (int, float): "a number", (dict,): "an object"}
+
+
+def typed(value, kinds, what):
+    """value, if its type is exactly one of the JSON types kinds, a key of
+    ``_KIND_NAMES`` (``true`` is not an int, nor is ``1.0``); else a one-line
+    ParseError naming what."""
+    if type(value) not in kinds:
+        raise ParseError(f"{what} must be {_KIND_NAMES[kinds]}, not {value!r}")
+    return value

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .artifacts import dump, read_json, write_csv, write_json
+from .artifacts import dump, read_json, typed, write_csv, write_json
 from .data import DatasetSpec, make_dataset, spec_from_json
 from .errors import (
     CellscapeError,
@@ -96,9 +96,9 @@ def analyze(genotype_file, out):
         "per_node_width": {str(k): str(v) for k, v in per_node_widths(g).items()},
         "is_extremal": (width, depth) == extremal_width_depth(g.total_nodes, g.num_inputs),
     }
-    dump(doc, sys.stdout)
     if out:
         write_json(out, doc)
+    dump(doc, sys.stdout)
 
 
 @cli.command()
@@ -112,9 +112,9 @@ def analyze(genotype_file, out):
 def variants(genotype_file, mode, count_, seed, ops, out_dir):
     """Sample random connection or operation variants of a genotype."""
     g = load_genotype(genotype_file)
+    sampled = sample_variants(g, mode, count_, seed, operation_set=tuple(ops.split(",")))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sampled = sample_variants(g, mode, count_, seed, operation_set=tuple(ops.split(",")))
     artifacts = []
     entries = []
     for i, v in enumerate(sampled):
@@ -339,33 +339,6 @@ def adapt(genotype_file, out_file):
     )
 
 
-def _count(doc, key, path):
-    """A manifest's integer count ``key``, 0 when absent."""
-    value = doc.get(key, 0)
-    if type(value) is not int:
-        raise ParseError(f"{path}: {key} is not an integer: {value!r}")
-    return value
-
-
-def _flag(doc, key, path):
-    """A manifest's boolean flag ``key`` as 0 or 1, 0 when absent."""
-    value = doc.get(key, False)
-    if type(value) is not bool:
-        raise ParseError(f"{path}: {key} is not a boolean: {value!r}")
-    return int(value)
-
-
-def _final_acc(doc, path):
-    """A manifest's final test accuracy, None when it has no ``final``."""
-    if "final" not in doc:
-        return None
-    final = doc["final"]
-    acc = final.get("test_acc") if isinstance(final, dict) else None
-    if type(acc) not in (int, float):
-        raise ParseError(f"{path}: final is not an object with a numeric test_acc: {final!r}")
-    return acc
-
-
 @cli.command()
 @click.option("--run-dir", "run_dir", required=True, type=click.Path())
 @click.option("--out", "out_file", type=click.Path(), default=None)
@@ -379,16 +352,16 @@ def report(run_dir, out_file):
     violations = 0
     diverged = 0
     for path in manifests:
-        doc = read_json(path)
-        if not isinstance(doc, dict):
-            raise ParseError(f"{path}: manifest is not a JSON object")
+        doc = typed(read_json(path), (dict,), f"{path}: the manifest")
         doc["_path"] = str(path)
         merged.append(doc)
-        violations += _count(doc, "violation_count", path)
-        diverged += _count(doc, "diverged_runs", path) + _flag(doc, "diverged", path)
-        acc = _final_acc(doc, path)
-        if acc is not None:
-            finals.append((path, acc))
+        violations += typed(doc.get("violation_count", 0), (int,), f"{path}: violation_count")
+        diverged += (typed(doc.get("diverged_runs", 0), (int,), f"{path}: diverged_runs")
+                     + typed(doc.get("diverged", False), (bool,), f"{path}: diverged"))
+        if "final" in doc:
+            final = typed(doc["final"], (dict,), f"{path}: final")
+            finals.append((path, typed(final.get("test_acc"), (int, float),
+                                       f"{path}: final.test_acc")))
     summary = {
         "run_dir": str(run_dir),
         "manifests": merged,

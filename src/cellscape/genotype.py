@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .artifacts import read_json, write_json
+from .artifacts import read_json, typed, write_json
 from .errors import (
     EmptyConcat,
     ForwardReference,
@@ -119,28 +119,20 @@ def genotype_to_dict(g: CellGenotype) -> dict:
     }
 
 
-def _typed(value, kind, field):
-    """value, if it is a JSON value of type kind: int (``true`` is not one) or str."""
-    if type(value) is not kind:
-        raise ParseError(f"malformed genotype document: {field} must be "
-                         f"{'an integer' if kind is int else 'a string'}, not {value!r}")
-    return value
-
-
 def genotype_from_dict(d: dict) -> CellGenotype:
     try:
         nodes = tuple(
-            NodeSpec(tuple(OpSpec(_typed(op["kind"], str, "kind"),
-                                  _typed(op["source"], int, "source")) for op in node["ops"]))
+            NodeSpec(tuple(OpSpec(typed(op["kind"], (str,), "kind"),
+                                  typed(op["source"], (int,), "source")) for op in node["ops"]))
             for node in d["nodes"]
         )
         return CellGenotype(
-            name=_typed(d["name"], str, "name"),
-            num_inputs=_typed(d["num_inputs"], int, "num_inputs"),
+            name=typed(d["name"], (str,), "name"),
+            num_inputs=typed(d["num_inputs"], (int,), "num_inputs"),
             nodes=nodes,
-            concat=tuple(_typed(c, int, "concat") for c in d.get("concat", [])),
+            concat=tuple(typed(c, (int,), "concat") for c in d.get("concat", [])),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ParseError) as exc:
         raise ParseError(f"malformed genotype document: {exc}") from exc
 
 

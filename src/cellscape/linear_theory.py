@@ -248,10 +248,13 @@ def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
 
 def _total_variance(grads_sdd):
     """Mean and standard error over S of each (d, d) gradient's squared
-    distance from their mean; centres and squares grads_sdd in place."""
+    distance from their mean; centres and squares grads_sdd in place.  The
+    std is taken of the distances times the 2^-e that brings their largest
+    into [0.5, 1), so its squares stay in range, then times 2^e; both exact."""
     grads_sdd -= grads_sdd.mean(axis=0)
     sq = np.sum(np.square(grads_sdd, out=grads_sdd), axis=(1, 2))
-    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(len(sq)))
+    e = np.frexp(sq.max())[1]
+    return float(sq.mean()), float(np.ldexp(np.ldexp(sq, -e).std(ddof=1), e) / np.sqrt(len(sq)))
 
 
 def verify_gradient_variance(m: LinearCellModel, i, xs):

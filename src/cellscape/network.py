@@ -20,7 +20,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import autodiff as ad
-from .artifacts import read_bytes, write_bytes
+from .artifacts import read_bytes, typed, write_bytes
 from .autodiff import Tape
 from .errors import (DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount,
                      check_float64s)
@@ -79,10 +79,11 @@ class ParamLayout:
         """The flat vector of a checkpoint written by ``save``.
 
         Raises ParseError when the file cannot be read, is shorter than its
-        header, has a header that is not a JSON list of blocks, or has a
-        payload that is not whole float64 values or is shorter than its
-        blocks; then DimensionMismatch when its blocks are not this layout's;
-        then ParseError when the payload holds values past them.
+        header, has a header that is not a JSON list of blocks (a string name,
+        integer shape entries and offset, none below 0), or has a payload
+        that is not whole float64 values or is shorter than its blocks; then
+        DimensionMismatch when its blocks are not this layout's; then
+        ParseError when the payload holds values past them.
         """
         raw = read_bytes(path)
         if len(raw) < 4:
@@ -93,13 +94,14 @@ class ParamLayout:
             raise ParseError(f"{path}: checkpoint is truncated or has a partial value")
         try:
             header = json.loads(raw[4:start])
-            blocks = [(b["name"], tuple(b["shape"]), b["offset"]) for b in header]
-        except (ValueError, TypeError, KeyError) as exc:
+            blocks = [(typed(b["name"], (str,), "a block's name"),
+                       tuple(typed(d, (int,), "a shape entry") for d in b["shape"]),
+                       typed(b["offset"], (int,), "a block's offset")) for b in header]
+        except (ValueError, TypeError, KeyError, ParseError) as exc:
             raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
         payload = np.frombuffer(raw, dtype="<f8", offset=start)
         for name, shape, offset in blocks:
-            if not (isinstance(name, str) and isinstance(offset, int) and offset >= 0
-                    and all(isinstance(d, int) and d >= 0 for d in shape)):
+            if offset < 0 or min(shape, default=0) < 0:
                 raise ParseError(f"{path}: bad checkpoint block {name!r}")
             size = math.prod(shape)
             if offset + size > payload.size:

@@ -687,6 +687,25 @@ def test_checkpoint_header_with_moved_or_repeated_block_raises(tmp_path):
             layout.load(path)
 
 
+@pytest.mark.parametrize("block", [
+    {"name": "a", "shape": [1, 4], "offset": False},
+    {"name": "a", "shape": [True, 4], "offset": 0},
+    {"name": "a", "shape": [1.0, 4], "offset": 0},
+    {"name": "a", "shape": [1, 4], "offset": 0.0},
+    {"name": 1, "shape": [1, 4], "offset": 0},
+], ids=["false offset", "true in shape", "float in shape", "float offset", "numeric name"])
+def test_checkpoint_header_of_wrong_json_type_raises_parse_error(tmp_path, block):
+    # the first four equal the layout's block in Python, so only the JSON type
+    # of a value can tell them from it
+    layout = ParamLayout({"a": (1, 4), "b": (3,)})
+    header = [block, {"name": "b", "shape": [3], "offset": 4}]
+    raw = json.dumps(header).encode()
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(struct.pack("<I", len(raw)) + raw + np.arange(7.0).tobytes())
+    with pytest.raises(ParseError, match="bad checkpoint header"):
+        layout.load(path)
+
+
 @pytest.mark.parametrize("written_for, damage, error", [
     ("other", "truncated", ParseError),  # a short payload is found before the blocks
     ("other", "intact", DimensionMismatch),

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import subprocess
 import sys
 import warnings
@@ -16,8 +17,9 @@ from cellscape import (
     load_fixture,
     save_genotype,
 )
-from cellscape.artifacts import write_bytes, write_csv, write_json
+from cellscape.artifacts import typed, write_bytes, write_csv, write_json
 from cellscape.cli import main
+from cellscape.errors import ParseError
 from cellscape.genotype import genotype_to_dict
 from cellscape.linear_theory import random_model, verify_block_smoothness, verify_gradient_variance
 from cellscape.rng import stream
@@ -172,6 +174,14 @@ def test_variants_reproducible(darts_file, tmp_path):
     for i in range(5):
         name = f"variant_{i:03d}.json"
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_variants_unknown_op_creates_no_out_dir(darts_file, tmp_path):
+    res = run_cli("variants", "--genotype", darts_file, "--mode", "operation",
+                  "--ops", "linear,bogus", "--out", tmp_path / "new" / "dir")
+    assert res.returncode == 2
+    assert one_line(res.stderr), res.stderr
+    assert list(tmp_path.iterdir()) == [darts_file]
 
 
 def test_count_formula():
@@ -522,10 +532,20 @@ def one_line(stderr):
     return len(stderr.strip().splitlines()) == 1 and "Traceback" not in stderr
 
 
+def with_first_block(raw, key, value):
+    """Checkpoint bytes raw with its first header block's key set to value."""
+    (header_len,) = struct.unpack_from("<I", raw)
+    header = json.loads(raw[4:4 + header_len])
+    header[0][key] = value
+    head = json.dumps(header).encode()
+    return struct.pack("<I", len(head)) + head + raw[4 + header_len:]
+
+
 @pytest.mark.parametrize("damage", ["short header", "bad json", "short payload",
-                                    "trailing values"])
+                                    "trailing values", "false offset", "true in shape"])
 def test_landscape_malformed_checkpoint_exit_1(darts_file, tiny_spec, darts_ckpt,
                                                tmp_path, damage):
+    # the first block's offset is 0, so a JSON false there equals it in Python
     raw = darts_ckpt.read_bytes()
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes({
@@ -533,6 +553,8 @@ def test_landscape_malformed_checkpoint_exit_1(darts_file, tiny_spec, darts_ckpt
         "bad json": raw[:4] + b"[{oops" + raw[10:],
         "short payload": raw[:-16],
         "trailing values": raw + np.ones(5, dtype="<f8").tobytes(),
+        "false offset": with_first_block(raw, "offset", False),
+        "true in shape": with_first_block(raw, "shape", [True, 5]),
     }[damage])
     res = tiny_landscape(bad, darts_file, tiny_spec, tmp_path / "g.csv")
     assert res.returncode == 1
@@ -775,6 +797,26 @@ def test_failed_write_leaves_no_partial_or_temporary_file(tmp_path, write):
     assert list(tmp_path.iterdir()) == [path] and strict_json(path) == {"a": 1.0}
 
 
+@pytest.mark.parametrize("value, kinds", [
+    (1, (int,)), (True, (bool,)), (1, (int, float)), (0.5, (int, float)), ({}, (dict,)),
+    ("", (str,)),
+])
+def test_typed_returns_a_value_of_its_kind(value, kinds):
+    assert typed(value, kinds, "x") is value
+
+
+@pytest.mark.parametrize("value, kinds", [
+    (True, (int,)), (1.0, (int,)), (0, (bool,)), (True, (int, float)), (None, (int, float)),
+    ([], (dict,)), (1, (str,)),
+])
+def test_typed_rejects_every_other_json_type(value, kinds):
+    # the type must be exact: a JSON boolean is not an integer, nor is 1.0
+    with pytest.raises(ParseError) as info:
+        typed(value, kinds, "x")
+    message = str(info.value)
+    assert message.startswith("x must be a") and message.endswith(f", not {value!r}"), message
+
+
 def test_write_into_missing_directory_names_the_target(tmp_path):
     path = tmp_path / "missing" / "report.json"
     with pytest.raises(FileNotFoundError) as info:
@@ -838,6 +880,7 @@ def test_analyze_out_in_missing_dir_exit_2(darts_file, tmp_path):
     res = run_cli("analyze", "--genotype", darts_file, "--out", tmp_path / "no" / "a.json")
     assert res.returncode == 2
     assert one_line(res.stderr), res.stderr
+    assert res.stdout == ""
 
 
 def test_adapt_out_in_missing_dir_exit_2(darts_file, tmp_path):
@@ -976,9 +1019,10 @@ def test_report_empty_dir_exit_2(tmp_path):
 
 @pytest.mark.parametrize(
     "manifest", ["{oops", "[1, 2]", '{"violation_count": "x"}', '{"diverged_runs": 1.5}',
-                 '{"final": {"x": 1}}', '{"final": "abc"}', '{"diverged": "false"}'],
+                 '{"final": {"x": 1}}', '{"final": "abc"}', '{"diverged": "false"}',
+                 '{"final": {"test_acc": true}}'],
     ids=["not json", "json list", "text count", "fractional count", "final without test_acc",
-         "text final", "text diverged"])
+         "text final", "text diverged", "boolean test_acc"])
 def test_report_bad_manifest_exit_1(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(manifest)
     res = run_cli("report", "--run-dir", tmp_path)

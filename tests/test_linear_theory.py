@@ -733,6 +733,33 @@ def test_total_variance_in_place_matches_out_of_place(shape):
     assert _total_variance(grads.copy()) == expected
 
 
+@pytest.mark.parametrize("power", [300, -300])
+def test_total_variance_scales_exactly_by_powers_of_two(power):
+    # squared distances near 2^600 or 2^-600 have squares past float range,
+    # yet the standard error scales with them exactly
+    grads = make_rng(22).standard_normal((50, 3, 3))
+    mean, se = _total_variance(grads.copy())
+    assert _total_variance(np.ldexp(grads, power)) == (np.ldexp(mean, 2 * power),
+                                                       np.ldexp(se, 2 * power))
+
+
+def test_variance_of_huge_weights_has_finite_standard_error():
+    # at scale 1e20 the empirical variances are about 1e202, past their
+    # bounds; an overflowing standard error would make every slack inf
+    doc = theory_report(3, 8, 200, 2000, 10, 0, 1e20)
+    checks = [b["variance"] for r in doc["results"] for b in r["blocks"]]
+    assert len(checks) == 30
+    assert all(np.isfinite(c["standard_error"]) and c["violated"] for c in checks)
+
+
+def test_variance_of_tiny_weights_has_positive_standard_error():
+    # at scale 1e-100 block 2's squared distances are about 1e-199, and their
+    # squares would underflow to a standard error and slack of 0
+    doc = theory_report(3, 8, 200, 2000, 10, 0, 1e-100)
+    checks = [b["variance"] for r in doc["results"] for b in r["blocks"] if b["block"] == 2]
+    assert all(c["empirical"] > 0 and c["standard_error"] > 0 for c in checks)
+
+
 def test_variance_insufficient_samples():
     rng = make_rng(16)
     m = random_model(2, 3, rng)

@@ -207,11 +207,21 @@ def test_only_the_genotype_constructor_validates(path):
     assert calls_of(path.read_text(), "validate_genotype") == []
 
 
+def top_level_callers(name):
+    """module.definition of each top-level definition of src/ that calls name."""
+    return [f"{p.stem}.{getattr(top, 'name', '<module>')}" for p in MODULES
+            for top in ast.parse(p.read_text()).body if calls_of(ast.unparse(top), name)]
+
+
 def test_only_grid_coordinates_calls_linspace():
     # a landscape's coordinates, and their exact centre, are made in one place
-    callers = [f"{p.stem}.{getattr(top, 'name', '<module>')}" for p in MODULES
-               for top in ast.parse(p.read_text()).body if calls_of(ast.unparse(top), "linspace")]
-    assert callers == ["landscape.grid_coordinates"]
+    assert top_level_callers("linspace") == ["landscape.grid_coordinates"]
+
+
+def test_only_typed_calls_type():
+    # the rule that a JSON value's type is exact (true is not an integer, nor
+    # is 1.0) is written once, for every file read back
+    assert top_level_callers("type") == ["artifacts.typed"]
 
 
 def readers_of(source, attr):
