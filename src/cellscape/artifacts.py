@@ -101,7 +101,7 @@ _KIND_NAMES = {(int,): "an integer", (str,): "a string", (bool,): "a boolean",
 def typed(value, kinds, what):
     """value, if its type is exactly one of the JSON types kinds, a key of
     ``_KIND_NAMES`` (``true`` is not an int, nor is ``1.0``); else a one-line
-    ParseError naming what."""
+    ParseError naming what and spelling value as the file does."""
     if type(value) not in kinds:
-        raise ParseError(f"{what} must be {_KIND_NAMES[kinds]}, not {value!r}")
+        raise ParseError(f"{what} must be {_KIND_NAMES[kinds]}, not {json.dumps(value)}")
     return value

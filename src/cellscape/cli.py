@@ -158,7 +158,9 @@ def count(n_total, num_inputs, do_enumerate, genotype_file):
 @cli.command()
 @click.option("--n", "n_nodes", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--dim", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), default=200, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=200, show_default=True,
+              help="Accepted and unused: the smoothness check is exact. Kept until the "
+                   "benchmark stops passing it.")
 @click.option("--samples", type=click.IntRange(min=2), default=2000, show_default=True)
 @click.option("--instances", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
@@ -166,8 +168,8 @@ def count(n_total, num_inputs, do_enumerate, genotype_file):
               help="Weight scale of the random instances.")
 @click.option("--out", "out_file", required=True, type=click.Path())
 def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
-    """Randomized smoothness/variance bound checks on chained linear cells."""
-    doc = theory_report(n_nodes, dim, trials, samples, instances, seed, scale)
+    """Bound checks on random chained linear cells: exact smoothness, sampled variance."""
+    doc = theory_report(n_nodes, dim, samples, instances, seed, scale)
     violations = doc["violation_count"]
     out_path = Path(out_file)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -339,6 +341,14 @@ def adapt(genotype_file, out_file):
     )
 
 
+def _count(doc, key, path):
+    """A manifest's count under key, 0 when absent: a JSON integer, at least 0."""
+    value = typed(doc.get(key, 0), (int,), f"{path}: {key}")
+    if value < 0:
+        raise ParseError(f"{path}: {key} must be at least 0, not {value}")
+    return value
+
+
 @cli.command()
 @click.option("--run-dir", "run_dir", required=True, type=click.Path())
 @click.option("--out", "out_file", type=click.Path(), default=None)
@@ -355,12 +365,14 @@ def report(run_dir, out_file):
         doc = typed(read_json(path), (dict,), f"{path}: the manifest")
         doc["_path"] = str(path)
         merged.append(doc)
-        violations += typed(doc.get("violation_count", 0), (int,), f"{path}: violation_count")
-        diverged += (typed(doc.get("diverged_runs", 0), (int,), f"{path}: diverged_runs")
+        violations += _count(doc, "violation_count", path)
+        diverged += (_count(doc, "diverged_runs", path)
                      + typed(doc.get("diverged", False), (bool,), f"{path}: diverged"))
         if "final" in doc:
             final = typed(doc["final"], (dict,), f"{path}: final")
-            finals.append((path, typed(final.get("test_acc"), (int, float),
+            if "test_acc" not in final:
+                raise ParseError(f"{path}: final.test_acc is missing")
+            finals.append((path, typed(final["test_acc"], (int, float),
                                        f"{path}: final.test_acc")))
     summary = {
         "run_dir": str(run_dir),

@@ -8,9 +8,10 @@ narrowest chains them, node i = W(i)...W(1) x.  ``grad_factors`` gives the
 gradients and their slopes under any wiring.  The objective is the block
 quadratic 0.5 * sum_i ||node_i - t_i||^2, which makes the widest cell's
 block smoothness constant exactly ||x||^2 and gives the bounds a computable
-reference.  The verifiers estimate the chain's block constants empirically
-and report whether they stay under the scaled widest-cell bounds;
-violations are surfaced, never suppressed.
+reference.  The smoothness check computes the chain's block constants
+exactly, from the same sweep; the variance check estimates the block
+variances from sampled inputs.  Both report whether they stay under the
+scaled widest-cell bounds; violations are surfaced, never suppressed.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ from .rng import stream
 
 SMOOTHNESS_SLACK = 1e-9  # float round-off allowed over the smoothness bound
 SE_FACTOR = 3.0  # standard errors of the variance estimate allowed over its bound
-SMOOTHNESS_CHUNK = 128  # smoothness trials computed per batched call
-# relative slack on the bounds of ||D||_2, per unit of d^2: their rounding
-# error, and that of the SVD they stand in for, grows like d^2 * eps
-NORM_BOUND_MARGIN = 1e-9
-_SQRT_TINY = np.sqrt(np.finfo(np.float64).tiny)  # below it a sum of squares is subnormal
 
 
 @dataclass
@@ -131,119 +127,46 @@ def spectral_norm(w):
     return float(np.linalg.norm(w, 2))
 
 
-def _bound_check(theorem, block, lambdas, empirical, bound, slack, trials, **details):
+def _bound_check(theorem, block, lambdas, empirical, bound, slack, **details):
     """One bound check as it goes into the report.  It passes only when the
-    estimate is at most its bound plus slack, so a nan anywhere is a violation."""
+    value is at most its bound plus slack, so a nan anywhere is a violation."""
     return {"theorem": theorem, "block": block, "lambdas": lambdas, "empirical": empirical,
-            "bound": bound, "margin": bound - empirical, "slack": slack, "trials": trials,
+            "bound": bound, "margin": bound - empirical, "slack": slack,
             "violated": not empirical <= bound + slack, **details}
 
 
-def _row_norms(v):
-    """Row 2-norms of a (..., k, 1) stack, one BLAS dot each as np.linalg.norm."""
-    return np.sqrt(np.swapaxes(v, -1, -2) @ v)[..., 0, 0]
+def verify_block_smoothness(m: LinearCellModel, x, i):
+    """Exact block-i smoothness constant L_i of the chained model at the input
+    x vs the bound (prod_{j<i} lambda_j) * ||x||^2 inherited from the widest
+    quadratic, with the provable bound
+    (prod_{j<i} lambda_j^2) * ||x||^2 * sum_{k>=i} prod_{i<j<=k} lambda_j^2.
 
-
-def _norm2_bounds(delta):
-    """Lower and upper bounds on ||D||_2 for each matrix of a (k, d, d) stack,
-    each widened by NORM_BOUND_MARGIN * d^2, from batched products alone.
-
-    With N = D / ||D||_F and M = N^T N, four power steps from the all-ones
-    vector give a unit v with sqrt(||M v||) <= ||N||_2, and
-    ||N||_2^8 = lambda_max(M^4) <= ||M^4||_F.  Each D comes with max|D| in
-    [0.5, 1), so ||D||_F lies in [0.5, d); a row whose power iterate is not a
-    normal float gets nan bounds: only an SVD bounds it."""
-    k, d = delta.shape[:2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        frob = _row_norms(delta.reshape(k, d * d, 1))
-        unit = delta / frob[:, None, None]
-        gram = np.swapaxes(unit, 1, 2) @ unit
-        gram4 = gram @ gram
-        gram4 = gram4 @ gram4
-        v = gram4 @ np.ones((d, 1))
-        v_norm = _row_norms(v)
-        lo = np.sqrt(_row_norms(gram @ (v / v_norm[:, None, None])))
-        hi = _row_norms(gram4.reshape(k, d * d, 1)) ** 0.125
-    certain = v_norm >= _SQRT_TINY
-    margin = NORM_BOUND_MARGIN * d * d
-    return (np.where(certain, frob * lo * (1.0 - margin), np.nan),
-            np.where(certain, frob * hi * (1.0 + margin), np.nan))
-
-
-def verify_block_smoothness(m: LinearCellModel, x, i, rng, trials=200):
-    """Empirical block-i Lipschitz constant of the chained model vs the bound
-    (prod_{j<i} lambda_j) * ||x||^2 inherited from the widest quadratic.
-    Each trial draws two points in the Frobenius ball of radius 0.1 * ||W(i)||
-    (0.1 when W(i) = 0) around W(i); a trial whose pair is not finite gives
-    a nan ratio, so the block is reported as violated.
-
-    The block-i gradient is affine in W(i): g(W1) - g(W2) = A D u u^T with
-    D = W1 - W2, and u = W(i-1)...W(1) x and A = sum_{k>=i} B_k^T B_k,
-    B_k = W(k)...W(i+1), from the chain's ``grad_factors`` at x.  So each
-    trial's ||g(W1) - g(W2)||_2 is the rank-1 norm ||A D u|| * ||u||.  The
-    ratio does not depend on D's scale, so each finite D is first scaled by a
-    power of two, exactly, to max|D| in [0.5, 1): no square in its numerator
-    or bounds underflows.
-
-    The draws are made one trial at a time, in stream order.  The ratios are
-    computed SMOOTHNESS_CHUNK trials at a time, so memory does not grow with
-    ``trials``.  Only the largest ratio is reported, so ||D||_2 comes from an
-    SVD only for a trial whose ratio can reach it: one whose bounds from
-    _norm2_bounds do not put its ratio below a ratio already certain.  The
-    numerators, and each SVD, run the BLAS or LAPACK routine a lone trial
-    uses on each matrix, so the largest ratio is bit for bit that of one
-    trial at a time.
+    Block i's objective is quadratic in W(i): its gradient moves by A D u u^T
+    when W(i) moves by D, with u = W(i-1)...W(1) x and
+    A = sum_{k>=i} B_k^T B_k, B_k = W(k)...W(i+1), the u and a of the chain's
+    ``grad_factors`` at x.  So L_i = ||u||^2 * lambda_max(A), reached by
+    D = v u^T with v A's top eigenvector.  u is scaled by the power of two
+    that brings max|u| into [0.5, 1) before it is squared, and the product
+    scaled back, both exactly, so ||u||^2 is rounded once, not lost where its
+    squares underflow.  A constant that is not finite is nan, a violation.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    check_float64s(trials, "the smoothness ratios")
     _check_block(m, i)
     x = np.asarray(x, dtype=np.float64)  # grad_factors' batch check rejects a bad shape
     *_, (u,), a = next(f for f in grad_factors(m, linear_cell(range(m.n)), x[None]) if f[0] == i)
-    w_i = m.weights[i - 1]
-    norm = np.linalg.norm(w_i)
-    if norm < _SQRT_TINY and w_i.any():  # its sum of squares underflowed
-        s = np.abs(w_i).max()
-        norm = s * np.linalg.norm(w_i / s)
-    radius = 0.1 * norm or 0.1
+    e = np.frexp(np.abs(u).max())[1]
+    u = np.ldexp(u, -e)
+    # eigvalsh may raise, not converging, on an A that overflowed
+    top = np.linalg.eigvalsh(a)[-1] if np.isfinite(a).all() else np.nan
+    exact = float(np.ldexp(float(u @ u) * top, 2 * e))
+    if not math.isfinite(exact):
+        exact = math.nan
     l_widest = float(x @ x)
     bound = float(np.prod(m.lambdas[: i - 1])) * l_widest
-    u_norm = np.linalg.norm(u)
-    # its max keeps a nan, which Python's max drops; a trial that skips the
-    # SVD holds a lower bound of its ratio, below the largest ratio
-    ratios = np.full(trials, np.nan)
-    best = -np.inf  # a ratio already certain: a lower bound or an SVD's ratio
-    # each trial's two standard-normal directions, and their radii in the ball
-    g = np.empty((min(trials, SMOOTHNESS_CHUNK), 2, m.dim * m.dim))
-    r = np.empty(g.shape[:2])
-    power = 1.0 / g.shape[2]
-    for start in range(0, trials, len(g)):
-        count = min(len(g), trials - start)
-        for t in range(count):
-            for k in (0, 1):
-                rng.standard_normal(out=g[t, k])
-                # the draw and value of uniform(), without its range checks
-                r[t, k] = rng.random() ** power
-        norms = _row_norms(g[:count, ..., None])
-        g[:count, :, 0][norms == 0.0] = 1.0  # an all-zero direction becomes e1
-        norms[norms == 0.0] = 1.0
-        pairs = w_i.ravel() + g[:count] * (radius * r[:count] / norms)[..., None]
-        delta = (pairs[:, 0] - pairs[:, 1]).reshape(count, m.dim, m.dim)
-        # once ||W(i)|| overflows the radius is inf and the pair is not
-        # finite: its ratio stays nan, a violation, where the SVD would raise
-        finite = np.isfinite(delta).all(axis=(1, 2))
-        rows = start + np.flatnonzero(finite)
-        delta = delta[finite]
-        delta = np.ldexp(delta, -np.frexp(np.abs(delta).max(axis=(1, 2)))[1][:, None, None])
-        top = _row_norms(a @ (delta @ u)[..., None]) * u_norm
-        lo, hi = _norm2_bounds(delta)
-        ratios[rows] = top / hi
-        best = np.fmax.reduce(ratios[rows], initial=best)
-        svd = ~(top / lo < best)  # a nan bound cannot rule a trial out
-        ratios[rows[svd]] = top[svd] / np.linalg.norm(delta[svd], 2, axis=(1, 2))
-        best = np.fmax.reduce(ratios[rows[svd]], initial=best)
-    return _bound_check("block_smoothness", i, list(m.lambdas), float(ratios.max()), bound,
-                        SMOOTHNESS_SLACK, trials, radius=float(radius), input_norm_sq=l_widest)
+    squares = [lam * lam for lam in m.lambdas]
+    provable = math.prod(squares[: i - 1]) * l_widest * sum(
+        math.prod(squares[i:k]) for k in range(i, m.n + 1))
+    return _bound_check("block_smoothness", i, list(m.lambdas), exact, bound,
+                        SMOOTHNESS_SLACK, input_norm_sq=l_widest, provable_bound=provable)
 
 
 def _total_variance(grads_sdd):
@@ -281,13 +204,15 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
     bound = m.n * sum(s * p * p for s, p in zip(sigmas_sq[i - 1:], prods))
 
     return _bound_check("gradient_variance", i, list(m.lambdas), empirical, bound,
-                        SE_FACTOR * emp_se, len(xs), standard_error=emp_se, sigmas_sq=sigmas_sq)
+                        SE_FACTOR * emp_se, trials=len(xs), standard_error=emp_se,
+                        sigmas_sq=sigmas_sq)
 
 
-def theory_report(n, dim, trials, samples, instances, seed, scale):
+def theory_report(n, dim, samples, instances, seed, scale):
     """The ``theory`` report: ``instances`` random chained models, each block
-    checked for smoothness and then for variance, all drawn in that order from
-    one ``stream(seed, "theory")``.  A model with a violated block is recorded
+    checked for smoothness and then for variance.  One ``stream(seed,
+    "theory")`` draws each instance's model, then its input, then each
+    block's variance rows in turn.  A model with a violated block is recorded
     whole, with its weights, targets and input, once per such block."""
     check_float64s(samples * dim, "a variance check's inputs")
     rng = stream(seed, "theory")
@@ -299,7 +224,7 @@ def theory_report(n, dim, trials, samples, instances, seed, scale):
             x = rng.standard_normal(dim)
             blocks = []
             for i in range(1, n + 1):
-                smooth = verify_block_smoothness(model, x, i, rng, trials=trials)
+                smooth = verify_block_smoothness(model, x, i)
                 var = verify_gradient_variance(model, i, rng.standard_normal((samples, dim)))
                 blocks.append({"block": i, "lambda": model.lambdas[i - 1],
                                "smoothness": smooth, "variance": var})
@@ -309,6 +234,6 @@ def theory_report(n, dim, trials, samples, instances, seed, scale):
                                        "targets": [t.tolist() for t in model.targets],
                                        "input": x.tolist()})
             results.append({"instance": inst, "blocks": blocks})
-    return {"n": n, "dim": dim, "trials": trials, "samples": samples, "instances": instances,
+    return {"n": n, "dim": dim, "samples": samples, "instances": instances,
             "seed": seed, "scale": scale, "results": results,
             "violation_count": len(violations), "violations": violations}

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -25,8 +26,10 @@ from cellscape.linear_theory import (
     _bound_check,
     grad_factors,
     linear_cell,
+    random_model,
     spectral_norm,
 )
+from cellscape.rng import stream
 from cellscape.sampler import connection_space_counts
 
 # slot assignments beyond which the enumeration oracle refuses to run
@@ -146,6 +149,17 @@ def loss(x, m, sources):
     return 0.5 * sum(float(np.sum((y - t) ** 2)) for y, t in zip(nodes, m.targets))
 
 
+def chain_population(seed, count=100):
+    """Criterion 4's random chains: from one ``stream(seed, "theory")``, count
+    models of n in 1..4 blocks of size d in 2..8, each followed by its input."""
+    rng = stream(seed, "theory")
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        d = int(rng.integers(2, 9))
+        m = random_model(n, d, rng)
+        yield m, rng.standard_normal(d)
+
+
 def chain_gradient(m, x, i):
     """Block-i gradient of the chained model at one input x, as the explicit
     sum over k >= i of (W(k)...W(i+1))^T (y_k - t_k) (W(i-1)...W(1) x)^T."""
@@ -188,11 +202,14 @@ def ball_perturbation(rng, shape, radius):
 
 
 def per_trial_smoothness(m, x, i, rng, trials):
-    """``verify_block_smoothness`` one trial at a time: each trial's two draws,
-    its pair, its D scaled to max|D| in [0.5, 1) by a power of two, its
-    numerator ||A D u|| and its ||D||_2 (an SVD) in turn.  The bit-for-bit
-    oracle of the chunked verifier's report and of the generator state it
-    leaves."""
+    """Monte-Carlo estimate of block i's smoothness constant, one trial at a
+    time: each trial's two draws from the Frobenius ball of radius
+    0.1 * ||W(i)|| around W(i) (0.1 when W(i) = 0), its D = W1 - W2 scaled to
+    max|D| in [0.5, 1) by a power of two, its numerator ||A D u|| * ||u||
+    (norms by ``math.hypot``, which squares nothing that can overflow) and
+    its ||D||_2 (an SVD) in turn.  The largest ratio, nan when a pair is not
+    finite, goes into a report shaped as ``verify_block_smoothness``'s; it
+    can never exceed the exact constant."""
     x = check_input(m, x)
     w = m.weights[i - 1]
     norm = np.linalg.norm(w)
@@ -203,11 +220,11 @@ def per_trial_smoothness(m, x, i, rng, trials):
     lambdas = [spectral_norm(w) for w in m.weights]
     l_widest = float(x @ x)
     bound = float(np.prod(lambdas[: i - 1])) * l_widest
-    prefix = np.eye(m.dim)  # W(i-1)...W(1), multiplied as the verifier does
+    prefix = np.eye(m.dim)  # W(i-1)...W(1)
     for w in m.weights[: i - 1]:
         prefix = w @ prefix
     u = prefix @ x
-    u_norm = np.linalg.norm(u)
+    u_norm = math.hypot(*u)  # no square overflows in hypot
     eye = np.eye(m.dim)
     a = eye
     for w in reversed(m.weights[i:]):
@@ -219,11 +236,38 @@ def per_trial_smoothness(m, x, i, rng, trials):
         delta = w1 - w2
         if np.isfinite(delta).all():
             delta = np.ldexp(delta, -np.frexp(np.abs(delta).max())[1])
-            ratios[t] = np.linalg.norm(a @ (delta @ u)) * u_norm / np.linalg.norm(delta, ord=2)
+            ratios[t] = math.hypot(*(a @ (delta @ u))) * u_norm / np.linalg.norm(delta, ord=2)
         else:
             ratios[t] = np.nan
     return _bound_check("block_smoothness", i, lambdas, float(ratios.max()), bound,
-                        SMOOTHNESS_SLACK, trials, radius=float(radius), input_norm_sq=l_widest)
+                        SMOOTHNESS_SLACK, trials=trials, radius=float(radius),
+                        input_norm_sq=l_widest)
+
+
+def exact_block_smoothness(m, x, i):
+    """L_i = ||W(i-1)...W(1) x||^2 * lambda_max(sum_{k>=i} B_k^T B_k) of the
+    chain, B_k = W(k)...W(i+1) and B_i = I, as the benchmark's reference
+    computes it: inf or nan once the sum is not finite."""
+    u = check_input(m, x)
+    for w in m.weights[: i - 1]:
+        u = w @ u
+    b = a = np.eye(m.dim)
+    for w in m.weights[i:]:
+        b = w @ b
+        a = a + b.T @ b
+    if not np.isfinite(a).all():  # eigvalsh may not converge on it
+        return float(np.abs(a).max())
+    return float(u @ u) * float(np.linalg.eigvalsh(a)[-1])
+
+
+def within(estimate, exact):
+    """Whether a smoothness estimate stays at or below the exact constant,
+    allowing 1e-12 relative and, where a product of the estimate rounds in
+    the subnormal range, 4 units there.  A nan on either side is no claim:
+    an estimate from a pair that is not finite, or a constant past float
+    range, which every float is below."""
+    return (np.isnan(estimate) or np.isnan(exact)
+            or estimate <= exact * (1 + 1e-12) + 4 * 5e-324)
 
 
 # --- readers, writers and counts that no command uses

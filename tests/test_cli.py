@@ -284,8 +284,8 @@ def test_theory_report_and_exit_code(tmp_path):
 
 def test_theory_report_follows_one_stream(tmp_path):
     # the report rebuilt from one stream(seed, "theory"): per instance the
-    # model, then its input, then per block the smoothness check's draws
-    # followed by the variance check's input rows
+    # model, then its input, then per block the variance check's input rows;
+    # the smoothness check draws nothing, and --trials changes nothing
     n, dim, trials, samples, instances, seed, scale = 3, 4, 20, 50, 2, 7, 1.5
     out = tmp_path / "theory" / "report.json"
     res = run_cli("theory", "--n", n, "--dim", dim, "--trials", trials, "--samples", samples,
@@ -297,7 +297,7 @@ def test_theory_report_follows_one_stream(tmp_path):
         x = rng.standard_normal(dim)
         blocks = []
         for i in range(1, n + 1):
-            smooth = verify_block_smoothness(model, x, i, rng, trials=trials)
+            smooth = verify_block_smoothness(model, x, i)
             var = verify_gradient_variance(model, i, rng.standard_normal((samples, dim)))
             blocks.append({"block": i, "lambda": smooth["lambdas"][i - 1],
                            "smoothness": smooth, "variance": var})
@@ -309,12 +309,16 @@ def test_theory_report_follows_one_stream(tmp_path):
         results.append({"instance": inst, "blocks": blocks})
     expected = tmp_path / "expected.json"
     write_json(expected, {
-        "n": n, "dim": dim, "trials": trials, "samples": samples, "instances": instances,
+        "n": n, "dim": dim, "samples": samples, "instances": instances,
         "seed": seed, "scale": scale, "results": results,
         "violation_count": len(violations), "violations": violations,
     })
     assert violations and res.returncode == 4
     assert out.read_bytes() == expected.read_bytes()
+    other = tmp_path / "other" / "report.json"
+    run_cli("theory", "--n", n, "--dim", dim, "--trials", 1, "--samples", samples,
+            "--instances", instances, "--seed", seed, "--scale", scale, "--out", other)
+    assert other.read_bytes() == expected.read_bytes()
 
 
 # --- train / compare ------------------------------------------------------
@@ -814,7 +818,14 @@ def test_typed_rejects_every_other_json_type(value, kinds):
     with pytest.raises(ParseError) as info:
         typed(value, kinds, "x")
     message = str(info.value)
-    assert message.startswith("x must be a") and message.endswith(f", not {value!r}"), message
+    assert message.startswith("x must be a") and message.endswith(f", not {json.dumps(value)}")
+
+
+@pytest.mark.parametrize("value, spelling", [(True, "true"), (None, "null"), ("1", '"1"')])
+def test_typed_spells_values_as_json(value, spelling):
+    # the message shows the value as the file holds it, not as Python prints it
+    with pytest.raises(ParseError, match=f"^x must be an integer, not {spelling}$"):
+        typed(value, (int,), "x")
 
 
 def test_write_into_missing_directory_names_the_target(tmp_path):
@@ -936,9 +947,8 @@ def test_theory_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
 # every size here is past what numpy can index, so none is ever allocated
 @pytest.mark.parametrize("args, count", [
     (["--dim", "10000000000"], 10**20),
-    (["--trials", str(10**20)], 10**20),
     (["--samples", str(10**20)], 8 * 10**20),
-], ids=["dim", "trials", "samples"])
+], ids=["dim", "samples"])
 def test_theory_size_past_index_limit_exit_2(tmp_path, capsys, args, count):
     with pytest.raises(SystemExit) as exit_:
         main(["theory", "--n", "1", "--instances", "1", *args,
@@ -1028,6 +1038,30 @@ def test_report_bad_manifest_exit_1(tmp_path, manifest):
     res = run_cli("report", "--run-dir", tmp_path)
     assert res.returncode == 1
     assert one_line(res.stderr) and res.stderr.startswith("parse error:"), res.stderr
+
+
+@pytest.mark.parametrize("key", ["violation_count", "diverged_runs"])
+def test_report_rejects_a_negative_count(tmp_path, key):
+    # a manifest's -3 may not cancel another's 3
+    for name, count in (("a", 3), ("b", -3)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(json.dumps({key: count}))
+    res = run_cli("report", "--run-dir", tmp_path)
+    assert res.returncode == 1
+    assert one_line(res.stderr), res.stderr
+    assert res.stderr == f"parse error: {tmp_path / 'b' / 'manifest.json'}: {key} must be " \
+                         "at least 0, not -3\n"
+
+
+@pytest.mark.parametrize("final, message", [
+    ('{"x": 1}', "final.test_acc is missing"),
+    ('{"test_acc": null}', "final.test_acc must be a number, not null"),
+], ids=["missing", "null"])
+def test_report_names_a_missing_test_acc(tmp_path, final, message):
+    (tmp_path / "manifest.json").write_text(f'{{"final": {final}}}')
+    res = run_cli("report", "--run-dir", tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == f"parse error: {tmp_path / 'manifest.json'}: {message}\n"
 
 
 @pytest.mark.parametrize("case", ["genotype", "dataset spec", "manifest", "manifest directory"])
