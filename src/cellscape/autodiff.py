@@ -1,11 +1,11 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-A ``Tape`` records every primitive applied to ``Value`` nodes during a forward
-pass; ``backward`` replays the records in reverse to accumulate gradients.
-A tape made with ``record=False`` runs the same primitives forward only.
-A whole cell node is one primitive, ``Tape.node``, whose parts read source
-``Value``s; each ``Value`` computes its rectifier once, for every part that
-reads it.
+A ``Tape`` records one primitive per network layer of a forward pass over
+``Value`` nodes: an affine ``dense``, a cell ``node``, a cell's ``mean_of``
+and the loss.  ``backward`` replays the records in reverse to accumulate
+gradients; a tape made with ``record=False`` runs them forward only.  A
+node's parts read source ``Value``s, and each ``Value`` computes its
+rectifier once, for every part that reads it.
 ``per_example_variance`` reads each parameter block's per-example gradient
 variance off a recorded tape after one batched ``backward``, from the
 block's rank-1 factors.
@@ -68,10 +68,6 @@ class Tape:
     def __init__(self, record=True):
         self.record = record
         self._records = []  # (primitive, output, inputs, backward_fn, params)
-        self._produced = set()
-
-    def leaf(self, data) -> Value:
-        return Value(data)
 
     def _push(self, kind, out, inputs, backward, params=None):
         """Record one primitive.  ``params`` maps the slot in ``inputs`` of
@@ -79,28 +75,24 @@ class Tape:
         ``per_example_variance``."""
         if self.record:
             self._records.append((kind, out, inputs, backward, params))
-            self._produced.add(id(out))
         return out
 
     # --- primitives -------------------------------------------------------
 
-    def dense(self, x: Value, w: Value) -> Value:
-        """x @ w.T for x of shape (batch, in) and w of shape (out, in).  Either
-        may carry a leading member axis K; an unstacked side broadcasts."""
-        out = Value(_dense("dense", x.data, w.data))
+    def dense(self, x: Value, w: Value, b: Value) -> Value:
+        """The affine layer x @ w.T + b for x of shape (batch, in), w of shape
+        (out, in) and b of shape (out,), the bias broadcast over the rows.
+        Each may carry a leading member axis K; an unstacked side broadcasts."""
+        xw = _dense("dense", x.data, w.data)
+        if b.data.ndim < 1 or b.data.shape[-1] != xw.shape[-1]:
+            raise ShapeMismatch(f"dense: bias {b.data.shape} for outputs {xw.shape}")
+        _members("dense", xw.shape[:-2], b.data.shape[:-1])
 
         def backward(g):
-            return [g @ w.data, g.swapaxes(-1, -2) @ x.data]
+            return [g @ w.data, g.swapaxes(-1, -2) @ x.data, g.sum(axis=-2)]
 
-        return self._push("dense", out, [x, w], backward, {1: x.data})
-
-    def add_bias(self, x: Value, b: Value) -> Value:
-        """x + b with the bias broadcast over the rows of x."""
-        if x.data.ndim < 2 or b.data.ndim < 1 or b.data.shape[-1] != x.data.shape[-1]:
-            raise ShapeMismatch(f"add_bias: {x.data.shape} vs {b.data.shape}")
-        _members("add_bias", x.data.shape[:-2], b.data.shape[:-1])
-        out = Value(x.data + b.data[..., None, :])
-        return self._push("add_bias", out, [x, b], lambda g: [g, g.sum(axis=-2)], {1: None})
+        out = Value(xw + b.data[..., None, :])
+        return self._push("dense", out, [x, w, b], backward, {1: x.data, 2: None})
 
     def node(self, parts) -> Value:
         """One cell node: the sum of the two parts in the list ``parts``, each
@@ -111,10 +103,10 @@ class Tape:
         that reads one Value shares its rectifier and mask.
 
         Values and gradients are bit for bit those of separate rectifier,
-        ``dense``, zeros and ``add`` records: the sum is taken in slot order,
-        and a source reached by several parts accumulates their gradients in
-        the order that ``backward`` replays those records, identity parts
-        first in slot order, then the others in reverse slot order."""
+        matrix product, zeros and ``add`` records: the sum runs in slot order,
+        and a source that several parts reach accumulates their gradients as
+        ``backward`` replays those records, identity parts first in slot
+        order, then the others in reverse slot order."""
         terms, inputs, params = [], [], {}
         for kind, src, w in parts:
             if kind == "linear":
@@ -208,7 +200,7 @@ def backward(tape: Tape, loss: Value, keep_outputs=False):
     """Run the reverse pass from ``loss``, filling ``grad`` on every reachable
     leaf.  Op outputs' gradients are dropped once replayed; ``keep_outputs``
     keeps those of records with parameters for ``per_example_variance``."""
-    if id(loss) not in tape._produced:
+    if not any(out is loss for _, out, _, _, _ in tape._records):
         raise NoTape("loss was not produced by this tape, or the tape records nothing")
     for _, out, inputs, _, _ in tape._records:
         out.grad = None
@@ -232,8 +224,8 @@ def per_example_variance(tape: Tape, leaves: dict) -> dict:
     loss reaches, read off ``tape`` after one batched ``backward``.
 
     The rows of every record must be independent examples, and each leaf
-    must feed exactly one record: as the weight of a ``dense`` or of a linear
-    ``node`` part, or as the bias of an ``add_bias``.  Its batch gradient is
+    must feed exactly one record: as the weight or bias of a ``dense``, or as
+    the weight of a linear ``node`` part.  Its batch gradient is
     then a sum of per-row terms (see Goodfellow, arXiv:1510.01799): row i
     contributes the rank-1 block ``g[i] (x) x[i]`` to a weight and ``g[i]``
     to a bias, where ``g`` is the record's output gradient and ``x`` the
@@ -257,7 +249,7 @@ def per_example_variance(tape: Tape, leaves: dict) -> dict:
         if len(found) > 1 or not all(u[1] for u in found):
             raise SharedParameter(
                 f"parameter {name} feeds {[u[0] for u in found]}; per-example gradients "
-                "need it to be the weight of one dense or node part, or the bias of one add_bias"
+                "need it to be the weight or bias of one dense, or the weight of one node part"
             )
         if not found or leaf.grad is None:
             continue

@@ -140,14 +140,14 @@ def variants(genotype_file, mode, count_, seed, ops, out_dir):
               help="Also print the genotype's slot-assignment counts, in closed form, "
                    "not by enumeration.")
 @click.option("--genotype", "genotype_file", type=click.Path(), default=None,
-              help="Genotype to count (required with --enumerate).")
+              help="Genotype to count (with --enumerate, and only with it).")
 def count(n_total, num_inputs, do_enumerate, genotype_file):
     """Closed-form connection-space size, optionally with a genotype's counts."""
+    if do_enumerate != bool(genotype_file):
+        raise click.UsageError("--enumerate and --genotype go together")
     formula = count_connection_variants(n_total, num_inputs)
     click.echo(f"formula (N-2)!/(M-1)! for N={n_total}, M={num_inputs}: {formula}")
     if do_enumerate:
-        if not genotype_file:
-            raise click.UsageError("--enumerate requires --genotype")
         g = load_genotype(genotype_file)
         raw, dedup, g_formula = connection_space_counts(g)
         click.echo(f"slot assignments (raw): {raw}")

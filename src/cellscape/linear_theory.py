@@ -163,8 +163,10 @@ def verify_block_smoothness(m: LinearCellModel, x, i):
     l_widest = float(x @ x)
     bound = float(np.prod(m.lambdas[: i - 1])) * l_widest
     squares = [lam * lam for lam in m.lambdas]
-    provable = math.prod(squares[: i - 1]) * l_widest * sum(
-        math.prod(squares[i:k]) for k in range(i, m.n + 1))
+    tail = 0  # added left to right: sum() compensates float sums from Python 3.12
+    for k in range(i, m.n + 1):
+        tail += math.prod(squares[i:k])
+    provable = math.prod(squares[: i - 1]) * l_widest * tail
     return _bound_check("block_smoothness", i, list(m.lambdas), exact, bound,
                         SMOOTHNESS_SLACK, input_norm_sq=l_widest, provable_bound=provable)
 
@@ -199,11 +201,12 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
     sigmas_sq = [_total_variance(_outer(v, u, out=buf))[0]
                  for _, v, u, _ in grad_factors(m, linear_cell((0,) * m.n), xs)][::-1]
 
-    prods = [math.prod(lam for j, lam in enumerate(m.lambdas[:k], 1) if j != i)
-             for k in range(i, m.n + 1)]
-    bound = m.n * sum(s * p * p for s, p in zip(sigmas_sq[i - 1:], prods))
+    tail = 0  # added left to right, as in verify_block_smoothness
+    for k, s in enumerate(sigmas_sq[i - 1:], i):
+        p = math.prod(lam for j, lam in enumerate(m.lambdas[:k], 1) if j != i)
+        tail += s * p * p
 
-    return _bound_check("gradient_variance", i, list(m.lambdas), empirical, bound,
+    return _bound_check("gradient_variance", i, list(m.lambdas), empirical, m.n * tail,
                         SE_FACTOR * emp_se, trials=len(xs), standard_error=emp_se,
                         sigmas_sq=sigmas_sq)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .artifacts import read_bytes, typed, write_bytes
-from .autodiff import Tape
+from .autodiff import Tape, Value
 from .errors import (DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount,
                      check_float64s)
 from .genotype import CellGenotype
@@ -177,9 +177,8 @@ class CellNetwork:
         freed once the last linear part of the cell that reads it has run; a
         cell input that the next cell reads again is rectified again there."""
         tape = Tape(record=record)
-        leaves = {name: tape.leaf(view) for name, view in self.layout.views(params).items()}
-        x_leaf = tape.leaf(np.asarray(x, dtype=np.float64))
-        prev2 = prev1 = tape.add_bias(tape.dense(x_leaf, leaves["stem.w"]), leaves["stem.b"])
+        leaves = {name: Value(view) for name, view in self.layout.views(params).items()}
+        prev2 = prev1 = tape.dense(Value(x), leaves["stem.w"], leaves["stem.b"])
         nodes = self.genotype.nodes
         # the last node of a cell to read each node index through a linear part
         last = {op.source: i for i, node in enumerate(nodes) for op in node.ops
@@ -195,7 +194,7 @@ class CellNetwork:
                     if j == i and not record:
                         del vals[source].rectified
             prev2, prev1 = prev1, tape.mean_of([vals[c] for c in self.genotype.concat])
-        logits = tape.add_bias(tape.dense(prev1, leaves["head.w"]), leaves["head.b"])
+        logits = tape.dense(prev1, leaves["head.w"], leaves["head.b"])
         return logits, tape, leaves
 
     def loss_and_grads(self, x, y, params):
@@ -223,9 +222,9 @@ class CellNetwork:
     def gradient_variance(self, x, y, params):
         """Total variance (covariance trace) of the per-example parameter
         gradients on a split, from one batched forward and backward pass.
-        Every parameter feeds one ``dense``, ``node`` or ``add_bias`` record,
-        which ``autodiff.per_example_variance`` checks; the total is the sum
-        of its blocks' variances in layout order."""
+        Every parameter is the weight or bias of one ``dense`` record or the
+        weight of one ``node`` part, which ``autodiff.per_example_variance``
+        checks; the total is the sum of its blocks' variances in layout order."""
         logits, tape, leaves = self.forward(x, params)
         loss = tape.softmax_cross_entropy(logits, y)
         ad.backward(tape, loss, keep_outputs=True)

@@ -55,7 +55,7 @@ def connection_space_counts(g: CellGenotype):
     digit count covers all three.
     """
     m = g.num_inputs
-    _check_printable(m * sum(math.log(m + i) for i in range(len(g.nodes))),
+    _check_printable(m * (math.lgamma(m + len(g.nodes)) - math.lgamma(m)),
                      f"{g.name}'s raw slot-assignment count")
     raw = math.prod((m + i) ** m for i in range(len(g.nodes)))
     dedup = 1

@@ -36,22 +36,27 @@ class TrainTrace:
     """Per-epoch metrics; row 0 is the evaluation before any update."""
 
     rows: list = field(default_factory=list)  # dicts epoch/lr/train_loss/test_loss/test_acc
-    diverged: bool = False
     divergence_epoch: int | None = None
     final_params: np.ndarray | None = None  # flat, in the network's layout
+
+    @property
+    def diverged(self):
+        return self.divergence_epoch is not None
 
     def epochs_to_threshold(self, threshold):
         """First epoch whose test loss falls below the threshold; None if never."""
         for row in self.rows:
-            if math.isfinite(row["test_loss"]) and row["test_loss"] < threshold:
+            if row["test_loss"] < threshold:
                 return row["epoch"]
         return None
 
     def loss_curve_area(self):
-        """Sum of per-epoch test losses (rectangle rule); inf for diverged runs."""
-        if self.diverged:
-            return math.inf
-        return float(sum(row["test_loss"] for row in self.rows))
+        """Sum of per-epoch test losses (rectangle rule); inf for a diverged
+        run, whose last row's test loss is inf."""
+        area = 0.0  # added left to right: sum() compensates float sums from Python 3.12
+        for row in self.rows:
+            area += row["test_loss"]
+        return area
 
 
 def train(network: CellNetwork, dataset: Dataset, members, epochs, batch_size):
@@ -87,7 +92,6 @@ def train(network: CellNetwork, dataset: Dataset, members, epochs, batch_size):
         keeping their parameters, and drop their rows; the count that go on."""
         for j in np.flatnonzero(~finite):
             k = live.k[j]
-            traces[k].diverged = True
             traces[k].divergence_epoch = epoch
             row(k, epoch, live.lr[j], math.inf, math.inf, 0.0)
             traces[k].final_params = live.params[j]

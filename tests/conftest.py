@@ -42,8 +42,15 @@ class TooLarge(Exception):
 
 class LossTape(Tape):
     """Tape plus the ops that only test objectives use, and a cell node as
-    separate rectifier, ``dense``, zeros and ``add`` records: the bit-for-bit
+    separate rectifier, ``matmul``, zeros and ``add`` records: the bit-for-bit
     oracle of ``Tape.node``."""
+
+    def matmul(self, x: Value, w: Value) -> Value:
+        """x @ w.T: a ``dense`` without its bias, whose ``+ 0.0`` would turn
+        a -0.0 into +0.0."""
+        out = Value(x.data @ w.data.swapaxes(-1, -2))
+        return self._push("matmul", out, [x, w],
+                          lambda g: [g @ w.data, g.swapaxes(-1, -2) @ x.data])
 
     def relu(self, x: Value) -> Value:
         o = np.fmax(x.data, 0.0)
@@ -64,7 +71,7 @@ class LossTape(Tape):
         ``linear`` op reads its (dim, dim) weight ``w``."""
         if kind == "linear":
             # pre-activation style: rectifier then dense map
-            return self.dense(self.relu(x), w)
+            return self.matmul(self.relu(x), w)
         if kind == "identity":
             return x
         if kind == "zero":

@@ -34,7 +34,7 @@ from cellscape import (
     save_genotype,
     train,
 )
-from cellscape.autodiff import backward, cosine_lr
+from cellscape.autodiff import Value, backward, cosine_lr
 from cellscape.genotype import FIXTURE_NAMES, OPERATION_KINDS, genotype_to_dict
 from cellscape.linear_theory import (
     random_model,
@@ -122,12 +122,12 @@ def _rel(a, b):
 
 def _tape_narrowest(m, x):
     t = LossTape()
-    leaves = [t.leaf(w) for w in m.weights]
-    y = t.leaf(x.reshape(1, -1))
+    leaves = [Value(w) for w in m.weights]
+    y = Value(x.reshape(1, -1))
     total = None
     for leaf, target in zip(leaves, m.targets):
-        y = t.dense(y, leaf)
-        term = t.half_sum_sq(t.sub(y, t.leaf(target.reshape(1, -1))))
+        y = t.dense(y, leaf, Value(np.zeros(m.dim)))
+        term = t.half_sum_sq(t.sub(y, Value(target.reshape(1, -1))))
         total = term if total is None else t.add(total, term)
     backward(t, total)
     return [leaf.grad for leaf in leaves]
@@ -231,11 +231,11 @@ def test_criterion_06_autodiff_soundness():
 
             def f(wv):
                 t = LossTape()
-                out = cell_op(t, kind, t.leaf(x), t.leaf(wv))
+                out = cell_op(t, kind, Value(x), Value(wv))
                 return float(t.half_sum_sq(out).data)
 
             t = LossTape()
-            x_leaf, w_leaf = t.leaf(x), t.leaf(w)
+            x_leaf, w_leaf = Value(x), Value(w)
             out = cell_op(t, kind, x_leaf, w_leaf)
             backward(t, t.half_sum_sq(out))
             if kind == "linear":
@@ -245,7 +245,7 @@ def test_criterion_06_autodiff_soundness():
 
             def fx(xv):
                 t2 = LossTape()
-                out2 = cell_op(t2, kind, t2.leaf(xv), t2.leaf(w))
+                out2 = cell_op(t2, kind, Value(xv), Value(w))
                 return float(t2.half_sum_sq(out2).data)
 
             fd_x = central_difference(fx, x, 1e-4)

@@ -50,12 +50,12 @@ def test_linear_op_matches_finite_differences(batch, d, seed):
 
     def loss_of_w(wv):
         t = LossTape()
-        out = t.op("linear", t.leaf(x), t.leaf(wv))
+        out = t.op("linear", Value(x), Value(wv))
         return float(t.half_sum_sq(out).data)
 
     t = LossTape()
-    w_leaf = t.leaf(w)
-    loss = t.half_sum_sq(t.op("linear", t.leaf(x), w_leaf))
+    w_leaf = Value(w)
+    loss = t.half_sum_sq(t.op("linear", Value(x), w_leaf))
     backward(t, loss)
     fd = central_difference(loss_of_w, w, 1e-4)
     assert rel_err(w_leaf.grad, fd) <= 1e-5
@@ -71,12 +71,12 @@ def test_linear_op_input_gradient(batch, d, seed):
 
     def loss_of_x(xv):
         t = LossTape()
-        out = t.op("linear", t.leaf(xv), t.leaf(w))
+        out = t.op("linear", Value(xv), Value(w))
         return float(t.half_sum_sq(out).data)
 
     t = LossTape()
-    x_leaf = t.leaf(x)
-    loss = t.half_sum_sq(t.op("linear", x_leaf, t.leaf(w)))
+    x_leaf = Value(x)
+    loss = t.half_sum_sq(t.op("linear", x_leaf, Value(w)))
     backward(t, loss)
     fd = central_difference(loss_of_x, x, 1e-4)
     assert rel_err(x_leaf.grad, fd) <= 1e-5
@@ -84,14 +84,14 @@ def test_linear_op_input_gradient(batch, d, seed):
 
 def test_identity_op_passthrough():
     t = LossTape()
-    x = t.leaf(np.arange(6.0).reshape(2, 3))
+    x = Value(np.arange(6.0).reshape(2, 3))
     out = t.op("identity", x, None)
     assert out is x
 
 
 def test_zero_op_output_and_gradient():
     t = LossTape()
-    x = t.leaf(np.ones((3, 4)))
+    x = Value(np.ones((3, 4)))
     out = t.op("zero", x, None)
     loss = t.half_sum_sq(out)
     backward(t, loss)
@@ -129,12 +129,13 @@ def test_node_matches_unfused_ops_bit_for_bit(kinds, same_source, members, recor
     ws = [rng.standard_normal(lead + (d, d)) for _ in kinds]
 
     def run(t, fused):
-        sources = [t.leaf(xs[0])] if same_source else [t.leaf(x) for x in xs]
-        weights = [t.leaf(w) if kind == "linear" else None for kind, w in zip(kinds, ws)]
+        sources = [Value(xs[0])] if same_source else [Value(x) for x in xs]
+        weights = [Value(w) if kind == "linear" else None for kind, w in zip(kinds, ws)]
         picked = [sources[0], sources[-1]]
         parts = list(zip(kinds, picked, weights))
         node = t.node(parts) if fused else t.unfused_node(parts)
-        out = t.mean_of([node, t.dense(sources[0], t.leaf(np.tile(np.eye(d), lead + (1, 1))))])
+        eye = Value(np.tile(np.eye(d), lead + (1, 1)))
+        out = t.mean_of([node, t.dense(sources[0], eye, Value(np.zeros(lead + (d,))))])
         loss = t.softmax_cross_entropy(out, np.arange(batch) % d)
         if t.record:
             backward(t, loss)
@@ -167,7 +168,7 @@ def test_node_gradients_match_central_differences(kinds):
 
     def loss_of(xv, wv):
         t = LossTape()
-        x_leaves, w_leaves = [t.leaf(x) for x in xv], [t.leaf(w) for w in wv]
+        x_leaves, w_leaves = [Value(x) for x in xv], [Value(w) for w in wv]
         node = t.node([(kind, x_leaves[i], w_leaves[i] if kind == "linear" else None)
                        for i, kind in enumerate(kinds)])
         loss = t.half_sum_sq(node)
@@ -196,10 +197,10 @@ def test_softmax_cross_entropy_finite_differences(batch, classes, seed):
 
     def loss_of(lv):
         t = Tape()
-        return float(t.softmax_cross_entropy(t.leaf(lv), labels).data)
+        return float(t.softmax_cross_entropy(Value(lv), labels).data)
 
     t = Tape()
-    leaf = t.leaf(logits)
+    leaf = Value(logits)
     loss = t.softmax_cross_entropy(leaf, labels)
     backward(t, loss)
     fd = central_difference(loss_of, logits, 1e-5)
@@ -210,7 +211,7 @@ def test_softmax_uniform_logits_identity():
     # equal logits: gradient = (1/C - one_hot) / batch
     batch, classes = 4, 5
     t = Tape()
-    leaf = t.leaf(np.zeros((batch, classes)))
+    leaf = Value(np.zeros((batch, classes)))
     labels = np.array([0, 1, 2, 3])
     loss = t.softmax_cross_entropy(leaf, labels)
     backward(t, loss)
@@ -224,7 +225,7 @@ def test_softmax_uniform_logits_identity():
 def test_gradient_accumulates_on_reuse():
     # y = x + x has dy/dx = 2
     t = LossTape()
-    x = t.leaf(np.ones((2, 2)))
+    x = Value(np.ones((2, 2)))
     loss = t.half_sum_sq(t.add(x, x))
     backward(t, loss)
     assert np.allclose(x.grad, 4.0 * np.ones((2, 2)))
@@ -234,13 +235,14 @@ def test_gradient_linearity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 4))
     w = rng.standard_normal((4, 4))
+    b = rng.standard_normal(4)
 
     def grad_of(scale_a, scale_b):
         t = LossTape()
-        w_leaf = t.leaf(w)
-        xa = t.leaf(x)
-        la = t.scale(t.half_sum_sq(t.dense(xa, w_leaf)), scale_a)
-        lb = t.scale(t.half_sum_sq(t.relu(t.dense(xa, w_leaf))), scale_b)
+        w_leaf = Value(w)
+        xa = Value(x)
+        la = t.scale(t.half_sum_sq(t.dense(xa, w_leaf, Value(b))), scale_a)
+        lb = t.scale(t.half_sum_sq(t.relu(t.dense(xa, w_leaf, Value(b)))), scale_b)
         backward(t, t.add(la, lb))
         return w_leaf.grad.copy()
 
@@ -252,8 +254,8 @@ def test_gradient_linearity():
 
 def test_unreached_leaf_has_no_gradient():
     t = LossTape()
-    used = t.leaf(np.ones((2, 2)))
-    unused = t.leaf(np.ones((2, 2)))
+    used = Value(np.ones((2, 2)))
+    unused = Value(np.ones((2, 2)))
     loss = t.half_sum_sq(used)
     backward(t, loss)
     assert unused.grad is None
@@ -262,7 +264,7 @@ def test_unreached_leaf_has_no_gradient():
 def test_backward_foreign_value_rejected():
     t = Tape()
     other = LossTape()
-    loss = other.half_sum_sq(other.leaf(np.ones(3).reshape(1, 3)))
+    loss = other.half_sum_sq(Value(np.ones(3).reshape(1, 3)))
     with pytest.raises(NoTape):
         backward(t, loss)
 
@@ -275,8 +277,8 @@ def test_non_recording_tape_same_values_no_records():
     losses = []
     quiet = Tape(record=False)
     for t in (Tape(), quiet):
-        h = t.add_bias(t.dense(t.leaf(x), t.leaf(w)), t.leaf(b))
-        h = t.mean_of([h, t.node([("linear", h, t.leaf(v)), ("zero", h, None)])])
+        h = t.dense(Value(x), Value(w), Value(b))
+        h = t.mean_of([h, t.node([("linear", h, Value(v)), ("zero", h, None)])])
         losses.append(t.softmax_cross_entropy(h, labels))
     assert losses[0].data == losses[1].data
     assert quiet._records == []
@@ -288,20 +290,27 @@ def test_per_example_variance_rejects_shared_parameter():
     x = np.arange(6.0).reshape(3, 2)
     labels = [0, 1, 0]
     t = Tape()
-    w = t.leaf(np.eye(2))
-    backward(t, t.softmax_cross_entropy(t.dense(t.dense(t.leaf(x), w), w), labels))
+    w, b = Value(np.eye(2)), Value(np.zeros(2))
+    backward(t, t.softmax_cross_entropy(t.dense(t.dense(Value(x), w, b), w, Value(b.data)),
+                                        labels))
     with pytest.raises(SharedParameter):
         per_example_variance(t, {"w": w})
+    # a bias fed to two dense records
+    t = Tape()
+    backward(t, t.softmax_cross_entropy(t.dense(t.dense(Value(x), Value(w.data), b), w, b),
+                                        labels))
+    with pytest.raises(SharedParameter):
+        per_example_variance(t, {"b": b})
     # one node, but its two linear parts share the weight
     t = Tape()
-    src = t.leaf(x)
+    src = Value(x)
     backward(t, t.softmax_cross_entropy(t.node([("linear", src, w), ("linear", src, w)]), labels))
     with pytest.raises(SharedParameter):
         per_example_variance(t, {"w": w})
-    # one use, but not as the weight of a dense or node part or the bias of an add_bias
+    # one use, but not as the weight or bias of a dense or the weight of a node part
     t = LossTape()
-    b = t.leaf(np.ones((3, 2)))
-    backward(t, t.softmax_cross_entropy(t.add(t.leaf(x), b), labels))
+    b = Value(np.ones((3, 2)))
+    backward(t, t.softmax_cross_entropy(t.add(Value(x), b), labels))
     with pytest.raises(SharedParameter):
         per_example_variance(t, {"b": b})
 
@@ -309,7 +318,11 @@ def test_per_example_variance_rejects_shared_parameter():
 def test_dense_shape_mismatch():
     t = Tape()
     with pytest.raises(ShapeMismatch):
-        t.dense(t.leaf(np.ones((2, 3))), t.leaf(np.ones((4, 5))))
+        t.dense(Value(np.ones((2, 3))), Value(np.ones((4, 5))), Value(np.zeros(4)))
+    # a bias of the wrong width, or none at all
+    for bias in (np.zeros(3), np.zeros(5), np.float64(0.0)):
+        with pytest.raises(ShapeMismatch):
+            t.dense(Value(np.ones((2, 3))), Value(np.ones((4, 3))), Value(bias))
 
 
 def test_relu_matches_where_bit_for_bit():
@@ -323,9 +336,9 @@ def test_relu_matches_where_bit_for_bit():
 def test_backward_drops_intermediate_gradients():
     rng = np.random.default_rng(6)
     t = LossTape()
-    x, w = t.leaf(rng.standard_normal((3, 4))), t.leaf(rng.standard_normal((2, 4)))
+    x, w = Value(rng.standard_normal((3, 4))), Value(rng.standard_normal((2, 4)))
     h = t.relu(x)
-    logits = t.dense(h, w)
+    logits = t.dense(h, w, Value(np.zeros(2)))
     loss = t.softmax_cross_entropy(logits, [0, 1, 1])
     backward(t, loss)
     assert x.grad is not None and w.grad is not None
@@ -343,8 +356,8 @@ def weight_variance(g, x):
     rows ``x`` whose output gradient, as a batched ``backward(...,
     keep_outputs=True)`` leaves it, is ``g``."""
     t = Tape()
-    w = t.leaf(np.zeros((g.shape[1], x.shape[1])))
-    out = t.dense(t.leaf(x), w)
+    w = Value(np.zeros((g.shape[1], x.shape[1])))
+    out = t.dense(Value(x), w, Value(np.zeros(g.shape[1])))
     out.grad, w.grad = g, g.T @ x
     return per_example_variance(t, {"w": w})["w"]
 
@@ -398,15 +411,45 @@ def test_variance_is_one_entry_per_reached_leaf():
     # w2 feeds a record the loss does not reach, and w3 no record at all
     rng = np.random.default_rng(2)
     t = Tape()
-    x = t.leaf(rng.standard_normal((5, 3)))
-    w1, b1, w2, w3 = (t.leaf(rng.standard_normal(shape))
+    x = Value(rng.standard_normal((5, 3)))
+    w1, b1, w2, w3 = (Value(rng.standard_normal(shape))
                       for shape in [(4, 3), (4,), (4, 3), (4, 3)])
-    t.dense(x, w2)
-    loss = t.softmax_cross_entropy(t.add_bias(t.dense(x, w1), b1), [0, 1, 2, 3, 0])
+    t.dense(x, w2, Value(np.zeros(4)))
+    loss = t.softmax_cross_entropy(t.dense(x, w1, b1), [0, 1, 2, 3, 0])
     backward(t, loss, keep_outputs=True)
     blocks = per_example_variance(t, {"w1": w1, "b1": b1, "w2": w2, "w3": w3})
     assert list(blocks) == ["w1", "b1"]
     assert all(v > 0.0 for v in blocks.values())
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_bias_variance_matches_centred_oracle(n):
+    # each example's own gradient from a batch-1 tape, centred and squared:
+    # what a bias block's variance is, with no per-example rows read off g
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 5))
+    labels = rng.integers(0, 3, size=n)
+    arrays = {"w1": rng.standard_normal((4, 5)), "b1": rng.standard_normal(4),
+              "v": rng.standard_normal((4, 4)),
+              "w2": rng.standard_normal((3, 4)), "b2": rng.standard_normal(3)}
+
+    def run(rows, y):
+        t = Tape()
+        p = {name: Value(a) for name, a in arrays.items()}
+        h = t.dense(Value(rows), p["w1"], p["b1"])
+        h = t.node([("linear", h, p["v"]), ("identity", h, None)])
+        loss = t.softmax_cross_entropy(t.dense(h, p["w2"], p["b2"]), y)
+        backward(t, loss, keep_outputs=True)
+        return t, p
+
+    t, p = run(x, labels)
+    got = per_example_variance(t, p)
+    for name in ("b1", "b2"):
+        own = np.stack([run(x[i : i + 1], labels[i : i + 1])[1][name].grad for i in range(n)])
+        centred = own - own.mean(axis=0)
+        want = float(np.sum(centred * centred)) / n
+        assert want > 0.0
+        assert abs(got[name] - want) <= 1e-12 * want
 
 
 # --- member axis ----------------------------------------------------------
@@ -429,8 +472,8 @@ def test_stacked_primitives_match_per_slice(shared_input):
 
     def run(x, w, b, y):
         t = Tape()
-        leaves = [t.leaf(a) for a in (x, w, b)]
-        h = t.add_bias(t.dense(leaves[0], leaves[1]), leaves[2])
+        leaves = [Value(a) for a in (x, w, b)]
+        h = t.dense(*leaves)
         loss = t.softmax_cross_entropy(h, y)
         backward(t, loss)
         return h.data, loss.data, [leaf.grad for leaf in leaves]
@@ -454,13 +497,14 @@ def test_stacked_primitives_match_per_slice(shared_input):
 
 def test_member_axis_mismatch_raises_shape_mismatch():
     t = Tape()
-    x2, x3 = t.leaf(np.ones((2, 5, 4))), t.leaf(np.ones((3, 5, 4)))
-    w3 = t.leaf(np.ones((3, 6, 4)))
+    x2, x3 = Value(np.ones((2, 5, 4))), Value(np.ones((3, 5, 4)))
+    w3, b3 = Value(np.ones((3, 6, 4))), Value(np.ones((3, 6)))
     with pytest.raises(ShapeMismatch):
-        t.dense(x2, w3)
+        t.dense(x2, w3, b3)
+    # bias member axes that do not broadcast against the product's
     with pytest.raises(ShapeMismatch):
-        t.add_bias(t.dense(x3, w3), t.leaf(np.ones((2, 6))))
-    h = t.dense(x3, w3)
+        t.dense(x3, w3, Value(np.ones((2, 6))))
+    h = t.dense(x3, w3, b3)
     with pytest.raises(ShapeMismatch):
         t.softmax_cross_entropy(h, np.zeros((2, 5), dtype=int))
     with pytest.raises(ShapeMismatch):
@@ -476,8 +520,8 @@ def test_forward_determinism():
 
     def run():
         t = Tape()
-        src = t.leaf(x)
-        return t.node([("linear", src, t.leaf(w)), ("identity", src, None)]).data
+        src = Value(x)
+        return t.node([("linear", src, Value(w)), ("identity", src, None)]).data
 
     assert np.array_equal(run(), run())
 

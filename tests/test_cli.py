@@ -221,6 +221,16 @@ def test_count_enumerate_large_cell(tmp_path, num_inputs, nodes, raw, dedup, for
 def test_count_enumerate_without_genotype_exit_1():
     res = run_cli("count", "--nodes", 7, "--enumerate")
     assert res.returncode == 1
+    assert res.stdout == ""
+    assert one_line(res.stderr) and "--genotype" in res.stderr, res.stderr
+
+
+def test_count_genotype_without_enumerate_exit_1(tmp_path):
+    # the genotype is refused unread, not silently ignored
+    res = run_cli("count", "--nodes", 7, "--genotype", tmp_path / "absent.json")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert one_line(res.stderr) and "--enumerate" in res.stderr, res.stderr
 
 
 def test_count_invalid_space_exit_2():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cellscape import linear_theory
-from cellscape.autodiff import backward
+from cellscape.autodiff import Value, backward
 from cellscape.errors import DimensionMismatch, ForwardReference, InsufficientSamples
 from cellscape.genotype import OpSpec
 from cellscape.linear_theory import (
@@ -204,14 +204,14 @@ def test_gradients_match_finite_differences(seed):
 
 def tape_grads(m, x, sources):
     """The objective of the model wired by ``sources`` rebuilt on the autodiff
-    tape, one dense per block."""
+    tape, one dense of zero bias per block."""
     t = LossTape()
-    leaves = [t.leaf(w) for w in m.weights]
-    nodes = [t.leaf(x.reshape(1, -1))]
+    leaves = [Value(w) for w in m.weights]
+    nodes = [Value(x.reshape(1, -1))]
     total = None
     for leaf, target, s in zip(leaves, m.targets, sources):
-        nodes.append(t.dense(nodes[s], leaf))
-        term = t.half_sum_sq(t.sub(nodes[-1], t.leaf(target.reshape(1, -1))))
+        nodes.append(t.dense(nodes[s], leaf, Value(np.zeros(m.dim))))
+        term = t.half_sum_sq(t.sub(nodes[-1], Value(target.reshape(1, -1))))
         total = term if total is None else t.add(total, term)
     backward(t, total)
     return [leaf.grad for leaf in leaves]

@@ -190,11 +190,11 @@ def test_gradient_variance_builds_no_per_example_tensor(darts):
 
 
 def test_darts_forward_pushes_one_record_per_node(darts):
-    # stem dense and bias, 4 nodes and the concat mean in each of 6 cells,
-    # head dense and bias
+    # the stem's affine dense, 4 nodes and the concat mean in each of 6
+    # cells, and the head's affine dense: one record per layer
     net = CellNetwork(darts, NetworkConfig())
     _, tape, _ = net.forward(np.zeros((2, 16)), net.init_params(stream(3, "init")))
-    assert len(tape._records) == 34
+    assert len(tape._records) == 32
     assert [record[0] for record in tape._records].count("node") == 24
 
 

@@ -224,6 +224,37 @@ def test_only_typed_calls_type():
     assert top_level_callers("type") == ["artifacts.typed"]
 
 
+def test_float_sums_are_running_sums():
+    # from Python 3.12 the builtin sum compensates a float sum, so a float
+    # total that reaches an artifact is added left to right, the same bits on
+    # every Python that pyproject allows; these sum arrays, bools, ints and
+    # Fractions
+    callers = {f"{p.stem}.{getattr(top, 'name', '<module>')}" for p in MODULES
+               for top in ast.parse(p.read_text()).body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"}
+    assert sorted(callers) == ["autodiff.Tape", "cli.compare", "linear_theory.grad_factors",
+                               "metrics.cell_width", "metrics.per_node_widths"]
+
+
+def test_every_tape_method_pushes_one_record():
+    # one public method, one record, one network layer; only the records
+    # that take parameters name them, so per_example_variance's contract
+    # (each parameter the weight or bias of one dense, or the weight of one
+    # linear node part) is the code's
+    tape = next(top for top in ast.parse((SRC / "autodiff.py").read_text()).body
+                if getattr(top, "name", None) == "Tape")
+    pushes, with_params = {}, []
+    for method in tape.body:
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+            calls = [node for node in ast.walk(method) if isinstance(node, ast.Call)
+                     and getattr(node.func, "attr", None) == "_push"]
+            pushes[method.name] = len(calls)
+            if any(len(c.args) > 4 or "params" in {k.arg for k in c.keywords} for c in calls):
+                with_params.append(method.name)
+    assert pushes == dict.fromkeys(["dense", "node", "mean_of", "softmax_cross_entropy"], 1)
+    assert with_params == ["dense", "node"]
+
+
 def readers_of(source, attr):
     """Top-level definitions of source that read an attribute called ``attr``."""
     return [getattr(top, "name", "<module>") for top in ast.parse(source).body
