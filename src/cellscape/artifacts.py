@@ -100,8 +100,9 @@ _KIND_NAMES = {(int,): "an integer", (str,): "a string", (bool,): "a boolean",
 
 def typed(value, kinds, what):
     """value, if its type is exactly one of the JSON types kinds, a key of
-    ``_KIND_NAMES`` (``true`` is not an int, nor is ``1.0``); else a one-line
-    ParseError naming what and spelling value as the file does."""
-    if type(value) not in kinds:
+    ``_KIND_NAMES`` (``true`` is not an int, nor is ``1.0``), and not a NaN or
+    infinity, which ``json.load`` reads but RFC 8259 and ``dump`` never write;
+    else a one-line ParseError naming what and spelling value as the file does."""
+    if type(value) not in kinds or type(value) is float and not math.isfinite(value):
         raise ParseError(f"{what} must be {_KIND_NAMES[kinds]}, not {json.dumps(value)}")
     return value

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from .errors import NoTape, ShapeMismatch, SharedParameter
+from .rank1 import sum_of_squares
 
 
 class Value:
@@ -234,7 +235,7 @@ def per_example_variance(tape: Tape, leaves: dict) -> dict:
     i's own gradient and every per-example gradient is scaled by the row
     count n.
     A bias block is reduced to its centred sum of squares, and a weight block
-    from its factors by ``_rank1_sum_of_squares``, so no (n, out, in) array
+    from its factors by ``rank1.sum_of_squares``, so no (n, out, in) array
     of per-example gradients is built.  A leaf the loss does not reach has
     no entry.  Raises SharedParameter when a leaf feeds any other record.
     """
@@ -261,32 +262,8 @@ def per_example_variance(tape: Tape, leaves: dict) -> dict:
             centred = g - g.mean(axis=0)
             blocks[name] = float(np.sum(centred * centred)) / len(g)
         else:
-            blocks[name] = _rank1_sum_of_squares(g, x) / len(g)
+            blocks[name] = sum_of_squares(g, x) / len(g)
     return blocks
-
-
-def _rank1_sum_of_squares(g, x):
-    """The centred sum of squares of the n rank-1 terms ``g[i] (x) x[i]`` of
-    ``g`` (n, out) and ``x`` (n, in): S - ||g.T @ x||^2 / n, where S = sum_i
-    ||g[i]||^2 ||x[i]||^2 and g.T @ x / n is the terms' mean.
-
-    Each factor is first scaled by a power of two that brings its largest
-    magnitude into [0.5, 1), which is exact, so no square overflows and the
-    result overflows only where the sum of squares does.  Rounding can reach
-    a term of the two sums k = 3n + out*in + out + in + 2 times, so
-    k * eps * S is twice their first-order error bound: a result at or below
-    it, such as that of equal rows, is exactly 0.  Non-finite factors give
-    NaN.
-    """
-    (n, fan_out), fan_in = g.shape, x.shape[1]
-    eg, ex = (np.frexp(np.max(np.abs(a)))[1] for a in (g, x))
-    g, x = np.ldexp(g, -eg), np.ldexp(x, -ex)
-    s = np.square(g).sum(axis=1) @ np.square(x).sum(axis=1)
-    gx = g.T @ x
-    result = s - np.vdot(gx, gx) / n
-    if result <= (3 * n + fan_out * fan_in + fan_out + fan_in + 2) * np.finfo(float).eps * s:
-        result = 0.0
-    return float(np.ldexp(result, 2 * (eg + ex)))
 
 
 # --- optimizer ------------------------------------------------------------

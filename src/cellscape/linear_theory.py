@@ -9,9 +9,9 @@ gradients and their slopes under any wiring.  The objective is the block
 quadratic 0.5 * sum_i ||node_i - t_i||^2, which makes the widest cell's
 block smoothness constant exactly ||x||^2 and gives the bounds a computable
 reference.  The smoothness check computes the chain's block constants
-exactly, from the same sweep; the variance check estimates the block
-variances from sampled inputs.  Both report whether they stay under the
-scaled widest-cell bounds; violations are surfaced, never suppressed.
+exactly, from the same sweep; the variance check reduces sampled inputs'
+rank-1 gradients from their factors.  Both report whether they stay under
+the scaled widest-cell bounds; violations are surfaced, never suppressed.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, check_float64s
 from .genotype import CellGenotype, NodeSpec, OpSpec
+from .rank1 import sum_of_squares
 from .rng import stream
 
 SMOOTHNESS_SLACK = 1e-9  # float round-off allowed over the smoothness bound
@@ -81,11 +82,6 @@ def _check_batch(m, xs):
 def _check_block(m, i):
     if not 1 <= i <= m.n:
         raise ValueError(f"block {i} is outside 1..{m.n}")
-
-
-def _outer(v, y, out=None):
-    """Row-wise outer products v_s y_s^T of two (S, d) factors, as (S, d, d)."""
-    return np.einsum("si,sj->sij", v, y, out=out)
 
 
 def grad_factors(m: LinearCellModel, cell, xs):
@@ -171,34 +167,33 @@ def verify_block_smoothness(m: LinearCellModel, x, i):
                         SMOOTHNESS_SLACK, input_norm_sq=l_widest, provable_bound=provable)
 
 
-def _total_variance(grads_sdd):
-    """Mean and standard error over S of each (d, d) gradient's squared
-    distance from their mean; centres and squares grads_sdd in place.  The
-    std is taken of the distances times the 2^-e that brings their largest
-    into [0.5, 1), so its squares stay in range, then times 2^e; both exact."""
-    grads_sdd -= grads_sdd.mean(axis=0)
-    sq = np.sum(np.square(grads_sdd, out=grads_sdd), axis=(1, 2))
-    e = np.frexp(sq.max())[1]
-    return float(sq.mean()), float(np.ldexp(np.ldexp(sq, -e).std(ddof=1), e) / np.sqrt(len(sq)))
+def _total_variance(v, u):
+    """Mean and standard error over S of the squared distances of the rank-1
+    gradients v_s u_s^T from their mean G = v^T u / S: ``rank1.sum_of_squares``
+    / S, and the std of ||v_s||^2 ||u_s||^2 - 2 v_s^T G u_s + ||G||^2 taken, as
+    there, on each factor scaled exactly by a power of two, then scaled back."""
+    ev, eu = (np.frexp(np.abs(a).max())[1] for a in (v, u))
+    sv, su = np.ldexp(v, -ev), np.ldexp(u, -eu)
+    g = sv.T @ su / len(v)
+    sq = np.square(sv).sum(axis=1) * np.square(su).sum(axis=1) - 2 * np.sum(sv @ g * su, axis=1)
+    se = np.ldexp((sq + np.vdot(g, g)).std(ddof=1), 2 * (ev + eu)) / np.sqrt(len(v))
+    return sum_of_squares(v, u) / len(v), float(se)
 
 
 def verify_gradient_variance(m: LinearCellModel, i, xs):
     """Empirical block-i gradient variance of the chained model over the
     input rows xs (S, d) vs the bound
     n * sum_{k>=i} (sigma_k * prod_{j<=k, j!=i} lambda_j)^2, with sigma_k
-    estimated on the widest model from the same inputs.  Both wirings'
-    gradients come from ``grad_factors``; each block's per-row gradients are
-    built into, and reduced in, one (S, d, d) buffer."""
+    estimated on the widest model from the same inputs.  Every block is
+    reduced from its ``grad_factors``, so no row's (d, d) gradient is built."""
     xs = _check_batch(m, xs)
     if len(xs) < 2:
         raise InsufficientSamples(f"need >= 2 samples, got {len(xs)}")
     _check_block(m, i)
-
-    buf = _outer(*next((v, u) for k, v, u, _ in grad_factors(m, linear_cell(range(m.n)), xs)
-                       if k == i))
-    empirical, emp_se = _total_variance(buf)
+    empirical, emp_se = _total_variance(
+        *next((v, u) for k, v, u, _ in grad_factors(m, linear_cell(range(m.n)), xs) if k == i))
     # the widest cell with the same weights and targets, its blocks from n down
-    sigmas_sq = [_total_variance(_outer(v, u, out=buf))[0]
+    sigmas_sq = [sum_of_squares(v, u) / len(xs)
                  for _, v, u, _ in grad_factors(m, linear_cell((0,) * m.n), xs)][::-1]
 
     tail = 0  # added left to right, as in verify_block_smoothness

@@ -105,6 +105,17 @@ def per_example_sum_of_squares(g, x):
     return float(np.sum(centred * centred))
 
 
+def materialised_variance(grads):
+    """Oracle of the variance check's reduction from every row's (d, d)
+    gradient, (S, d, d) outer products v_s u_s^T built in full: centred and
+    squared, they give each row's squared distance from their mean.  Returns
+    the distances' mean and standard error, the std taken of the distances
+    times the 2^-e that brings their largest into [0.5, 1), then times 2^e."""
+    sq = np.sum(np.square(grads - grads.mean(axis=0)), axis=(1, 2))
+    e = np.frexp(sq.max())[1]
+    return float(sq.mean()), float(np.ldexp(np.ldexp(sq, -e).std(ddof=1), e) / np.sqrt(len(sq)))
+
+
 def chain_sources(n):
     """The chain's wiring: node i reads node i - 1, node 0 being the input."""
     return tuple(range(n))

@@ -1040,9 +1040,11 @@ def test_report_empty_dir_exit_2(tmp_path):
 @pytest.mark.parametrize(
     "manifest", ["{oops", "[1, 2]", '{"violation_count": "x"}', '{"diverged_runs": 1.5}',
                  '{"final": {"x": 1}}', '{"final": "abc"}', '{"diverged": "false"}',
-                 '{"final": {"test_acc": true}}'],
+                 '{"final": {"test_acc": true}}', '{"final": {"test_acc": NaN}}',
+                 '{"final": {"test_acc": Infinity}}', '{"final": {"test_acc": -Infinity}}'],
     ids=["not json", "json list", "text count", "fractional count", "final without test_acc",
-         "text final", "text diverged", "boolean test_acc"])
+         "text final", "text diverged", "boolean test_acc", "nan test_acc", "infinite test_acc",
+         "negative infinite test_acc"])
 def test_report_bad_manifest_exit_1(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(manifest)
     res = run_cli("report", "--run-dir", tmp_path)

@@ -29,6 +29,7 @@ from conftest import (
     exact_block_smoothness,
     forward,
     loss,
+    materialised_variance,
     one_row,
     per_trial_smoothness,
     two_gradient_ratio,
@@ -706,8 +707,9 @@ def test_overflowing_checks_are_violations():
 
 
 def test_variance_uses_one_gradient_buffer():
-    # one (2000, 8, 8) buffer is 1 MB; a fresh array per block (n + 1 of
-    # them) peaked at about 3.1 MB; one buffer peaks at about 1.4 MB
+    # each block is reduced from its (2000, 8) factors, 125 KB each, and no
+    # (2000, 8, 8) array of 1 MB is built: the peak is about 0.9 MB, where
+    # one such buffer per check peaked at about 1.5 MB
     rng = make_rng(23)
     m = random_model(3, 8, rng)
     xs = rng.standard_normal((2000, 8))
@@ -718,38 +720,56 @@ def test_variance_uses_one_gradient_buffer():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 1.25 * 2**20
+
+
+def assert_matches_oracle(got, want):
+    # the factor form's mean within 1e-13 relative, its standard error
+    # within 1e-13 of the mean
+    (mean, se), (want_mean, want_se) = got, want
+    assert mean == pytest.approx(want_mean, rel=1e-13, abs=0)
+    assert abs(se - want_se) <= 1e-13 * want_mean
 
 
 def test_variance_matches_fresh_gradients():
-    # the buffer holds, in turn, what the public gradient functions return
+    # each check reduces the factors of what the public gradient function
+    # returns, as the oracle reduces their outer products
     rng = make_rng(24)
     m = random_model(3, 5, rng)
     xs = rng.standard_normal((300, 5))
-    widest = [_total_variance(g)[0] for g in block_grads(m, xs, widest_sources(3))]
+    widest = [materialised_variance(g)[0] for g in block_grads(m, xs, widest_sources(3))]
     for i in (1, 2, 3):
         r = verify_gradient_variance(m, i, xs)
-        assert (r["empirical"], r["standard_error"]) == _total_variance(
-            block_grads(m, xs, chain_sources(3))[i - 1])
-        assert r["sigmas_sq"] == widest
+        assert_matches_oracle((r["empirical"], r["standard_error"]),
+                              materialised_variance(block_grads(m, xs, chain_sources(3))[i - 1]))
+        assert r["sigmas_sq"] == pytest.approx(widest, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("shape", [(2, 1, 1), (7, 3, 3), (500, 8, 8)])
-def test_total_variance_in_place_matches_out_of_place(shape):
-    grads = make_rng(20).standard_normal(shape) * 10.0 ** make_rng(21).integers(-5, 5, shape)
-    sq = np.sum((grads - grads.mean(axis=0)) ** 2, axis=(1, 2))
-    expected = (float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(len(sq))))
-    assert _total_variance(grads.copy()) == expected
+def mixed_factors(rows, seed, dim=4):
+    """(rows, dim) normal entries, each times 10^k for k drawn from -5..4."""
+    rng = make_rng(seed)
+    return rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-5, 5, (rows, dim))
+
+
+@pytest.mark.parametrize("rows", [2, 7, 500])
+def test_total_variance_matches_the_oracle(rows):
+    v, u = mixed_factors(rows, 20), mixed_factors(rows, 21)
+    assert_matches_oracle(_total_variance(v, u),
+                          materialised_variance(np.einsum("si,sj->sij", v, u)))
 
 
 @pytest.mark.parametrize("power", [300, -300])
 def test_total_variance_scales_exactly_by_powers_of_two(power):
-    # squared distances near 2^600 or 2^-600 have squares past float range,
-    # yet the standard error scales with them exactly
-    grads = make_rng(22).standard_normal((50, 3, 3))
-    mean, se = _total_variance(grads.copy())
-    assert _total_variance(np.ldexp(grads, power)) == (np.ldexp(mean, 2 * power),
-                                                       np.ldexp(se, 2 * power))
+    # factors near 2^300 or 2^-300 have squares near 2^600 or 2^-600, whose
+    # squares are past float range, yet the mean and the standard error scale
+    # by exactly 2^(2(p + q)) when the factors scale by 2^p and 2^q; at
+    # p = q = 300 they would scale past float range themselves
+    rng = make_rng(22)
+    v, u = rng.standard_normal((50, 3)), rng.standard_normal((50, 4))
+    mean, se = _total_variance(v, u)
+    for p, q in ((power, 0), (0, power), (power, -power)):
+        assert _total_variance(np.ldexp(v, p), np.ldexp(u, q)) == (
+            np.ldexp(mean, 2 * (p + q)), np.ldexp(se, 2 * (p + q)))
 
 
 def test_variance_of_huge_weights_has_finite_standard_error():

@@ -276,19 +276,29 @@ def test_only_grad_factors_walks_a_wiring():
 
 
 def test_autodiff_is_the_tape_alone():
-    # the tape does no I/O and knows no parameter layout
+    # the tape does no I/O and knows no parameter layout; rank1, its one
+    # other import, is numpy only (test_rank1_imports_nothing_from_the_package)
     source = (SRC / "autodiff.py").read_text()
-    assert package_imports(source) <= {"errors"}
+    assert package_imports(source) <= {"errors", "rank1"}
     assert outside_imports(source) & {"json", "struct"} == set()
     params = {a.arg for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)
               for a in node.args.args + node.args.kwonlyargs}
     assert "layout" not in params
 
 
-def test_autodiff_builds_no_per_example_tensor():
-    # per-example gradients are reduced from their rank-1 factors, never
-    # built as one (n, out, in) array
-    assert calls_of((SRC / "autodiff.py").read_text(), "einsum") == []
+def test_no_module_builds_a_per_example_tensor():
+    # per-example and per-row gradients, the tape's and the linear theory's,
+    # are reduced from their rank-1 factors, never built as one (n, out, in)
+    # array
+    assert top_level_callers("einsum") == []
+
+
+def test_rank1_imports_nothing_from_the_package():
+    # the one rank-1 reduction is numpy alone, so the tape and the linear
+    # theory share it without either importing the other
+    source = (SRC / "rank1.py").read_text()
+    assert package_imports(source) == set()
+    assert outside_imports(source) == {"numpy"}
 
 
 def test_cli_draws_no_random_numbers():
