@@ -107,7 +107,10 @@ class Tape:
         matrix product, zeros and ``add`` records: the sum runs in slot order,
         and a source that several parts reach accumulates their gradients as
         ``backward`` replays those records, identity parts first in slot
-        order, then the others in reverse slot order."""
+        order, then the others in reverse slot order.  The sum is written
+        into the first part's own array, a linear part's product or a zero
+        part's zeros, and never into a source's data; only two identity
+        parts need a new array."""
         terms, inputs, params = [], [], {}
         for kind, src, w in parts:
             if kind == "linear":
@@ -122,6 +125,8 @@ class Tape:
         a, b = terms
         if a.shape != b.shape:
             raise ShapeMismatch(f"node: parts of shapes {a.shape} and {b.shape}")
+        # the sum goes into the first array this record made itself
+        own = a if parts[0][0] != "identity" else None if parts[1][0] == "identity" else b
         identities = len(inputs)
         for kind, src, w in reversed(parts):
             if kind == "linear":
@@ -140,10 +145,11 @@ class Tape:
                     gx = g @ w.data
                     if gx.ndim > x.ndim:  # the source was broadcast over the member axis
                         gx = gx.sum(axis=tuple(range(gx.ndim - x.ndim)))
-                    grads += [g.swapaxes(-1, -2) @ src.rectified, gx * src.mask]
+                    gx *= src.mask  # gx is this closure's own product
+                    grads += [g.swapaxes(-1, -2) @ src.rectified, gx]
             return grads
 
-        return self._push("node", Value(a + b), inputs, backward, params)
+        return self._push("node", Value(np.add(a, b, out=own)), inputs, backward, params)
 
     def mean_of(self, parts) -> Value:
         """Elementwise mean of same-shape arrays (fixed averaging projection)."""
@@ -151,9 +157,12 @@ class Tape:
         for p in parts:
             if p.data.shape != shape:
                 raise ShapeMismatch("mean_of: mismatched part shapes")
-        out = Value(sum(p.data for p in parts) / len(parts))
+        total = parts[0].data + 0.0  # sum()'s 0 + first part: -0.0 becomes +0.0
+        for p in parts[1:]:
+            total += p.data
+        total /= len(parts)
         inv = 1.0 / len(parts)
-        return self._push("mean_of", out, list(parts), lambda g: [g * inv] * len(parts))
+        return self._push("mean_of", Value(total), list(parts), lambda g: [g * inv] * len(parts))
 
     def softmax_cross_entropy(self, logits: Value, labels) -> Value:
         """Mean cross-entropy of softmax(logits) against integer labels: one
@@ -275,14 +284,20 @@ WEIGHT_DECAY = 3e-4
 
 def sgd_step(params, grads, velocity, lr):
     """v <- mu*v + (g + wd*w); w <- w - lr*v on flat params and grads, with
-    the DARTS constants mu = MOMENTUM and wd = WEIGHT_DECAY; returns
-    (params, velocity).  ``velocity`` starts as zeros (a scalar 0.0
-    broadcasts); ``lr`` is a scalar, or one rate per member for (K, P) params."""
+    the DARTS constants mu = MOMENTUM and wd = WEIGHT_DECAY; returns new
+    (params, velocity) arrays and changes none of its inputs.  ``velocity``
+    starts as zeros (a scalar 0.0 broadcasts); ``lr`` is a scalar, or one
+    rate per member for (K, P) params.  Each sum and difference is written,
+    its operands in the order above, into a product made here, so a step
+    makes three arrays: wd*w, which then holds v; mu*v; and lr*v, which then
+    holds the new w."""
     lr = np.asarray(lr, dtype=np.float64)
     if grads.shape != params.shape or params.shape[: lr.ndim] != lr.shape:
         raise ShapeMismatch(f"grad {grads.shape} vs param {params.shape}, lr {lr.shape}")
-    velocity = MOMENTUM * velocity + (grads + WEIGHT_DECAY * params)
-    return params - lr.reshape(lr.shape + (1,) * (params.ndim - lr.ndim)) * velocity, velocity
+    decayed = WEIGHT_DECAY * params
+    velocity = np.add(MOMENTUM * velocity, np.add(grads, decayed, out=decayed), out=decayed)
+    step = lr.reshape(lr.shape + (1,) * (params.ndim - lr.ndim)) * velocity
+    return np.subtract(params, step, out=step), velocity
 
 
 def cosine_lr(epoch, total_epochs, base_lr):

@@ -142,6 +142,23 @@ class CellNetwork:
             )
         self.genotype = genotype
         self.cfg = cfg
+        # the wiring, read once: per cell and node, its parts as (kind, source
+        # index, weight name) and the sources whose rectifier no later linear
+        # part reads.  A Value is keyed by what makes it: node j of cell L as
+        # (L, j), the output of cell L as L and the stem's as -1, so cell L's
+        # inputs are L-2 and L-1.
+        self._plan, last = [], {}
+        for layer in range(cfg.layers):
+            keys = [max(layer - 2, -1), max(layer - 1, -1)]
+            keys += [(layer, j) for j in range(2, 2 + len(genotype.nodes))]
+            self._plan.append([])
+            for i, node in enumerate(genotype.nodes):
+                parts = [(op.kind, op.source, f"cell{layer}.node{i}.op{slot}.w"
+                          if op.kind == "linear" else None) for slot, op in enumerate(node.ops)]
+                last.update((keys[s], (layer, i, s)) for _, s, w in parts if w)
+                self._plan[-1].append((parts, []))
+        for layer, i, source in last.values():
+            self._plan[layer][i][1].append(source)
         self.layout = ParamLayout(self._param_shapes())
 
     def _param_shapes(self):
@@ -152,11 +169,8 @@ class CellNetwork:
             "head.w": (self.cfg.num_classes, d),
             "head.b": (self.cfg.num_classes,),
         }
-        for layer in range(self.cfg.layers):
-            for i, node in enumerate(self.genotype.nodes):
-                for slot, op in enumerate(node.ops):
-                    if op.kind == "linear":
-                        shapes[f"cell{layer}.node{i}.op{slot}.w"] = (d, d)
+        shapes.update((w, (d, d)) for cell in self._plan for parts, _ in cell
+                      for _, _, w in parts if w)
         return shapes
 
     def init_params(self, rng):
@@ -172,27 +186,21 @@ class CellNetwork:
         """Forward pass; returns (logits Value, tape, name -> leaf Value map).
         Params are a flat vector or a (K, P) array of K members, and ``x`` may
         carry the member axis too; an unstacked ``x`` feeds every member.  The
-        leaves are views of the params' blocks.  With ``record=False`` the
-        tape keeps nothing for a reverse pass, and each Value's rectifier is
-        freed once the last linear part of the cell that reads it has run; a
-        cell input that the next cell reads again is rectified again there."""
+        leaves are views of the params' blocks.  The pass walks the wiring
+        plan made once in ``__init__``.  With ``record=False`` the tape keeps
+        nothing for a reverse pass, and each Value's rectifier is freed once
+        the last linear part that reads it has run, in whichever cell that
+        is, so every Value is rectified at most once, as in a recording pass."""
         tape = Tape(record=record)
         leaves = {name: Value(view) for name, view in self.layout.views(params).items()}
         prev2 = prev1 = tape.dense(Value(x), leaves["stem.w"], leaves["stem.b"])
-        nodes = self.genotype.nodes
-        # the last node of a cell to read each node index through a linear part
-        last = {op.source: i for i, node in enumerate(nodes) for op in node.ops
-                if op.kind == "linear"}
-        for layer in range(self.cfg.layers):
+        for cell in self._plan:
             vals = [prev2, prev1]
-            for i, node in enumerate(nodes):
-                vals.append(tape.node([
-                    (op.kind, vals[op.source], leaves.get(f"cell{layer}.node{i}.op{slot}.w"))
-                    for slot, op in enumerate(node.ops)
-                ]))
-                for source, j in last.items():
-                    if j == i and not record:
-                        del vals[source].rectified
+            for parts, dead in cell:
+                vals.append(tape.node([(kind, vals[s], leaves.get(w)) for kind, s, w in parts]))
+                if not record:
+                    for s in dead:
+                        del vals[s].rectified
             prev2, prev1 = prev1, tape.mean_of([vals[c] for c in self.genotype.concat])
         logits = tape.dense(prev1, leaves["head.w"], leaves["head.b"])
         return logits, tape, leaves

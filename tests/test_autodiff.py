@@ -131,6 +131,8 @@ def test_node_matches_unfused_ops_bit_for_bit(kinds, same_source, members, recor
     def run(t, fused):
         sources = [Value(xs[0])] if same_source else [Value(x) for x in xs]
         weights = [Value(w) if kind == "linear" else None for kind, w in zip(kinds, ws)]
+        inputs = [v for v in sources + weights if v is not None]
+        before = [bits(v.data).copy() for v in inputs]
         picked = [sources[0], sources[-1]]
         parts = list(zip(kinds, picked, weights))
         node = t.node(parts) if fused else t.unfused_node(parts)
@@ -139,7 +141,9 @@ def test_node_matches_unfused_ops_bit_for_bit(kinds, same_source, members, recor
         loss = t.softmax_cross_entropy(out, np.arange(batch) % d)
         if t.record:
             backward(t, loss)
-        return node.data, loss.data, [v.grad for v in sources + weights if v is not None]
+        for v, was in zip(inputs, before):  # the in-place sum and mask write none of them
+            assert np.array_equal(bits(v.data), was)
+        return node.data, loss.data, [v.grad for v in inputs]
 
     try:
         want = run(LossTape(record=record), fused=False)
@@ -156,6 +160,27 @@ def test_node_matches_unfused_ops_bit_for_bit(kinds, same_source, members, recor
         assert (g is None) == (w is None) == (not record)
         if record:
             assert np.array_equal(bits(g), bits(w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_mean_of_matches_builtin_sum_bit_for_bit(n):
+    # the in-place running sum against sum(parts) / n, whose start 0 turns an
+    # all -0.0 position into +0.0; the parts themselves are left as they were
+    rng = np.random.default_rng(n)
+    arrays = [rng.standard_normal((2, 3, 4)) * 10.0 ** rng.integers(-3, 4) for _ in range(n)]
+    for i, a in enumerate(arrays):
+        a[0, 0] = -0.0
+        a[0, 1] = -0.0 if i % 2 else 0.0
+        a[1, 2, :2] = -0.0 if i else 0.0
+    arrays[-1][1, 1, 1] = np.inf
+    parts = [Value(a) for a in arrays]
+    before = [bits(a).copy() for a in arrays]
+    out = Tape().mean_of(parts)
+    want = sum(p.data for p in parts) / n
+    assert np.array_equal(bits(out.data), bits(want))
+    assert np.all(bits(out.data[0, 0]) == bits(0.0))
+    for p, was in zip(parts, before):
+        assert np.array_equal(bits(p.data), was)
 
 
 @pytest.mark.parametrize("kinds", KIND_PAIRS, ids="+".join)
@@ -574,12 +599,23 @@ def test_sgd_one_lr_per_member_matches_scalar_steps():
     lrs = [0.1, 0.025, 0.0]
     stacked, velocity = w, 0.0
     for _ in range(2):
-        stacked, velocity = sgd_step(stacked, g, velocity, lr=lrs)
+        stacked, velocity = pure_sgd_step(stacked, g, velocity, lrs)
     for i, lr in enumerate(lrs):
         single, velocity_i = w[i], 0.0
         for _ in range(2):
-            single, velocity_i = sgd_step(single, g[i], velocity_i, lr=lr)
+            single, velocity_i = pure_sgd_step(single, g[i], velocity_i, lr)
         assert np.array_equal(stacked[i], single)
+
+
+def pure_sgd_step(params, grads, velocity, lr):
+    """``sgd_step``, asserting that the params, grads and velocity (a scalar
+    0.0 or an array) that it is given keep their bits."""
+    inputs = (params, grads, velocity)
+    before = [np.array(a).view(np.int64).copy() for a in inputs]
+    out = sgd_step(params, grads, velocity, lr=lr)
+    for a, was in zip(inputs, before):
+        assert np.array_equal(np.array(a).view(np.int64), was)
+    return out
 
 
 def blockwise_sgd_step(params, grads, buffers, lr, momentum=0.9, weight_decay=3e-4):
@@ -608,7 +644,7 @@ def test_flat_sgd_matches_per_block_loop(darts):
     for _ in range(4):
         g = rng.standard_normal(flat.shape)
         g[:, :5] = -0.0  # signed zeros take the same path through both
-        flat, velocity = sgd_step(flat, g, velocity, lr=lrs)
+        flat, velocity = pure_sgd_step(flat, g, velocity, lrs)
         blocks = blockwise_sgd_step(blocks, layout.views(g), buffers, lrs)
     for name, view in layout.views(flat).items():
         assert np.array_equal(view, blocks[name]), name

@@ -21,6 +21,7 @@ from cellscape import (
     train,
 )
 from cellscape import training
+from cellscape.autodiff import Value
 from cellscape.data import spec_from_json
 from cellscape.errors import InvalidSpec, UnsupportedInputCount
 from cellscape.rng import stream
@@ -169,8 +170,8 @@ def traced_peak(f):
 
 def test_forward_only_pass_frees_dead_rectifiers(darts):
     # 2000 rows of width 16 are 0.25 MB an array; keeping every rectifier
-    # until its cell ends peaked at 2.70 MB, freeing each after its cell's
-    # last linear reader peaks at about 1.96 MB
+    # until its cell ends peaked at 2.70 MB, freeing each after its last
+    # linear reader, in its own cell or the next, peaks at about 1.96 MB
     net = CellNetwork(darts, NetworkConfig())
     ds = make_dataset(DatasetSpec())
     params = net.init_params(stream(0, "init"))
@@ -201,10 +202,11 @@ def test_darts_forward_pushes_one_record_per_node(darts):
 @pytest.mark.parametrize("name, expected", [
     ("darts", 12), ("nasnet", 6), ("amoebanet", 18), ("enas", 6), ("snas", 6),
 ])
-def test_forward_rectifies_each_value_once(name, expected):
+def test_forward_rectifies_each_value_once(name, expected, monkeypatch):
     # a cell's input node 0 is the output of the cell two back, node 1 that
     # of the cell before, and the stem output stands in for both before cell
-    # 0; every linear part reading one of those Values shares its rectifier
+    # 0; every linear part reading one of those Values shares its rectifier,
+    # and a pass that records nothing frees it only after its last reader
     g = load_fixture(name)
     layers = 6
     read = set()
@@ -215,11 +217,24 @@ def test_forward_rectifies_each_value_once(name, expected):
                     src = op.source
                     read.add(("cell", max(layer - 2 + src, -1)) if src < 2 else (layer, src))
     assert len(read) == expected
+    computed = []
+    rectified = Value.rectified
+
+    def counted(value):
+        if value._rectified is None:
+            computed.append(value)
+        return rectified.fget(value)
+
+    monkeypatch.setattr(Value, "rectified", property(counted, None, rectified.fdel))
     net = CellNetwork(g, NetworkConfig(layers=layers))
-    _, tape, _ = net.forward(np.ones((2, 16)), net.init_params(stream(3, "init")))
-    rectified = {id(x) for kind, _, _, _, params in tape._records if kind == "node"
-                 for x in params.values()}
-    assert len(rectified) == expected
+    params = net.init_params(stream(3, "init"))
+    for record in (True, False):
+        computed.clear()
+        net.forward(np.ones((2, 16)), params, record)
+        assert len(computed) == len({id(v) for v in computed}) == expected, record
+    _, tape, _ = net.forward(np.ones((2, 16)), params)
+    assert len({id(x) for kind, _, _, _, rects in tape._records if kind == "node"
+                for x in rects.values()}) == expected
 
 
 def test_forward_deterministic(darts):
