@@ -39,15 +39,6 @@ class ShapeMismatch(CellscapeError):
     """Tensor shapes are inconsistent in the autodiff engine."""
 
 
-class NoTape(CellscapeError):
-    """backward() called on a value the tape did not produce."""
-
-
-class SharedParameter(CellscapeError):
-    """A parameter feeds more than one tape record, so its per-example
-    gradients are not one rank-1 term per example."""
-
-
 class InsufficientSamples(CellscapeError):
     """Too few Monte-Carlo samples for a variance estimate."""
 

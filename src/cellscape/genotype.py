@@ -36,7 +36,7 @@ FIXTURE_NAMES = (
     "darts_conn4",
 )
 
-# the candidate operations; ``autodiff.Tape.node`` says what each computes
+# the candidate operations; ``autodiff.node`` says what each computes
 OPERATION_KINDS = frozenset({"linear", "identity", "zero"})
 
 

@@ -4,13 +4,13 @@ Two random directions in the checkpoint's flat parameter layout span the
 slice; each grid point evaluates the network at checkpoint + alpha*d1 + beta*d2,
 with alpha and beta both read from one coordinate vector, made by
 ``grid_coordinates``.  The loss surface is the mean loss over the split, from
-forward passes that record no tape; each pass evaluates up to
+forward-only passes (``record=False``); each pass evaluates up to
 ``ROWS // len(x)`` consecutive grid points (at least one) as member rows, and
 every value is bit-identical to a pass of that point alone.  The
 gradient-variance surface is the total variance (covariance trace) of
 per-instance parameter gradients, from one batched forward and backward pass
-per point, read off the tape by ``autodiff.per_example_variance``, which
-states the rank-1 form it relies on and raises for a block that breaks it.
+per point, each block reduced by ``autodiff.block_variance``, which states
+the rank-1 form it relies on.
 Non-finite values are kept as computed and tagged by ``export_grid``, not
 clipped.
 """

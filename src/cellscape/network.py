@@ -2,11 +2,13 @@
 
 Cell k receives the outputs of cells k-1 and k-2 (the stem output standing in
 for missing predecessors) as its two input nodes.  Each intermediate node
-sums its two transformed inputs, one ``Tape.node`` record; the cell output
+sums its two transformed inputs, one ``autodiff.node``; the cell output
 averages the concat nodes, which keeps the feature dimension constant across
-cells and leaves identity cells parameter-free.  ``ParamLayout`` places the
-parameter blocks in one flat vector and owns the checkpoint format that
-stores one.
+cells and leaves identity cells parameter-free.  ``CellNetwork`` reads the
+wiring once into a plan, and its forward and reverse passes walk that plan
+over ``autodiff``'s array functions, keeping one array per layer and no
+tape.  ``ParamLayout`` places the parameter blocks in one flat vector and
+owns the checkpoint format that stores one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .artifacts import read_bytes, typed, write_bytes
-from .autodiff import Tape, Value
 from .errors import (DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount,
                      check_float64s)
 from .genotype import CellGenotype
@@ -56,12 +57,24 @@ class ParamLayout:
         self.size = offset
         # (name, shape, offset) per block: what a checkpoint header lists
         self._header = [(name, shape, s.start) for name, (s, shape) in self.blocks.items()]
+        # runs of consecutive blocks of one shape: [start, stop, names, shape]
+        self._runs = []
+        for name, (s, shape) in self.blocks.items():
+            if not self._runs or self._runs[-1][3] != shape:
+                self._runs.append([s.start, None, [], shape])
+            self._runs[-1][1] = s.stop
+            self._runs[-1][2].append(name)
 
     def views(self, flat):
-        """name -> view of that block in ``flat``, keeping its leading axes."""
-        lead = flat.shape[:-1]
-        return {name: flat[..., s].reshape(lead + shape)
-                for name, (s, shape) in self.blocks.items()}
+        """name -> view of that block in ``flat``, keeping its leading axes:
+        a run of same-shape blocks is sliced and reshaped once, then read
+        block by block, the views being those of slicing each block."""
+        k = flat.ndim - 1  # the run's axis, moved to the front to read its blocks
+        views = {}
+        for start, stop, names, shape in self._runs:
+            run = flat[..., start:stop].reshape(flat.shape[:-1] + (len(names),) + shape)
+            views.update(zip(names, run.transpose(k, *range(k), *range(k + 1, run.ndim))))
+        return views
 
     def save(self, params, path):
         """Write one member's flat params as a checkpoint: a 4-byte
@@ -123,6 +136,14 @@ class ParamLayout:
         return np.array(payload, dtype=np.float64)
 
 
+def _reverse_order(parts):
+    """A step's parts in the order a reverse pass adds up their sources'
+    gradients: a cell output's concat nodes in order, a node's identity
+    parts in slot order and then its other parts in reverse slot order."""
+    return tuple(p for p in parts if p[0] in ("mean", "identity")) + \
+        tuple(p for p in reversed(parts) if p[0] not in ("mean", "identity"))
+
+
 def glorot_init(shape, rng):
     """Uniform in +/- sqrt(6 / (fan_in + fan_out)) for a (fan_out, fan_in) weight."""
     fan_out, fan_in = shape
@@ -131,7 +152,7 @@ def glorot_init(shape, rng):
 
 
 class CellNetwork:
-    """Parameter layout plus the forward wiring defined by a genotype.  The
+    """Parameter layout plus the wiring plan defined by a genotype.  The
     network holds no parameters: every pass takes them as one flat vector in
     ``layout`` order, or a (K, P) array of K members."""
 
@@ -142,23 +163,33 @@ class CellNetwork:
             )
         self.genotype = genotype
         self.cfg = cfg
-        # the wiring, read once: per cell and node, its parts as (kind, source
-        # index, weight name) and the sources whose rectifier no later linear
-        # part reads.  A Value is keyed by what makes it: node j of cell L as
-        # (L, j), the output of cell L as L and the stem's as -1, so cell L's
-        # inputs are L-2 and L-1.
-        self._plan, last = [], {}
+        # the wiring, read once, as one step per layer over numbered slots:
+        # slot 0 holds the stem's output, and step i writes slot i + 1, a node
+        # or a cell output, so the last slot feeds the head.  Cell L's inputs
+        # are the outputs of cells L-2 and L-1, the stem's standing in.  A
+        # node's parts are (kind, source slot, weight name or None), a cell
+        # output's ("mean", slot, None) per concat node.  Each step also lists
+        # its parts in the order a reverse pass adds up their gradients, the
+        # slots whose rectifier no later linear part reads, and the slots that
+        # no later step reads: its own, when no step reads it, but never the
+        # head's input.
+        steps, outs = [], [0, 0]
         for layer in range(cfg.layers):
-            keys = [max(layer - 2, -1), max(layer - 1, -1)]
-            keys += [(layer, j) for j in range(2, 2 + len(genotype.nodes))]
-            self._plan.append([])
+            slots = outs[-2:]
             for i, node in enumerate(genotype.nodes):
-                parts = [(op.kind, op.source, f"cell{layer}.node{i}.op{slot}.w"
-                          if op.kind == "linear" else None) for slot, op in enumerate(node.ops)]
-                last.update((keys[s], (layer, i, s)) for _, s, w in parts if w)
-                self._plan[-1].append((parts, []))
-        for layer, i, source in last.values():
-            self._plan[layer][i][1].append(source)
+                steps.append(tuple((op.kind, slots[op.source], f"cell{layer}.node{i}.op{slot}.w"
+                                    if op.kind == "linear" else None)
+                                   for slot, op in enumerate(node.ops)))
+                slots.append(len(steps))
+            steps.append(tuple(("mean", slots[c], None) for c in genotype.concat))
+            outs.append(len(steps))
+        rectified, read = {}, {i + 1: i for i in range(len(steps) - 1)}
+        for i, parts in enumerate(steps):
+            rectified.update((s, i) for _, s, w in parts if w)
+            read.update((s, i) for _, s, _ in parts)
+        self._plan = [(i + 1, parts, _reverse_order(parts),
+                       [s for s, j in rectified.items() if j == i],
+                       [s for s, j in read.items() if j == i]) for i, parts in enumerate(steps)]
         self.layout = ParamLayout(self._param_shapes())
 
     def _param_shapes(self):
@@ -169,8 +200,7 @@ class CellNetwork:
             "head.w": (self.cfg.num_classes, d),
             "head.b": (self.cfg.num_classes,),
         }
-        shapes.update((w, (d, d)) for cell in self._plan for parts, _ in cell
-                      for _, _, w in parts if w)
+        shapes.update((w, (d, d)) for _, parts, *_ in self._plan for _, _, w in parts if w)
         return shapes
 
     def init_params(self, rng):
@@ -183,61 +213,114 @@ class CellNetwork:
         return params
 
     def forward(self, x, params, record=True):
-        """Forward pass; returns (logits Value, tape, name -> leaf Value map).
-        Params are a flat vector or a (K, P) array of K members, and ``x`` may
-        carry the member axis too; an unstacked ``x`` feeds every member.  The
-        leaves are views of the params' blocks.  The pass walks the wiring
-        plan made once in ``__init__``.  With ``record=False`` the tape keeps
-        nothing for a reverse pass, and each Value's rectifier is freed once
-        the last linear part that reads it has run, in whichever cell that
-        is, so every Value is rectified at most once, as in a recording pass."""
-        tape = Tape(record=record)
-        leaves = {name: Value(view) for name, view in self.layout.views(params).items()}
-        prev2 = prev1 = tape.dense(Value(x), leaves["stem.w"], leaves["stem.b"])
-        for cell in self._plan:
-            vals = [prev2, prev1]
-            for parts, dead in cell:
-                vals.append(tape.node([(kind, vals[s], leaves.get(w)) for kind, s, w in parts]))
-                if not record:
-                    for s in dead:
-                        del vals[s].rectified
-            prev2, prev1 = prev1, tape.mean_of([vals[c] for c in self.genotype.concat])
-        logits = tape.dense(prev1, leaves["head.w"], leaves["head.b"])
-        return logits, tape, leaves
+        """Forward pass over the plan; returns (logits, pass), the pass being
+        what ``_reverse`` reads.  Params are a flat vector or a (K, P) array
+        of K members, and ``x`` may carry the member axis too; an unstacked
+        ``x`` feeds every member.  The pass keeps one array per slot and
+        computes each slot's rectifier once, at its first linear reader, for
+        every part that reads it.  With ``record=False`` no reverse pass
+        follows: each rectifier is freed after its last linear reader, in
+        whichever cell that is, and each slot after its last reader."""
+        x = np.asarray(x, dtype=np.float64)
+        views = self.layout.views(params)
+        vals = [ad.dense(x, views["stem.w"], views["stem.b"])] + [None] * len(self._plan)
+        rects = [None] * len(vals)
+
+        def rectified(s):
+            if rects[s] is None:
+                rects[s] = ad.rectify(vals[s])
+            return rects[s]
+
+        for out, parts, _, dead_rects, dead in self._plan:
+            if parts[0][0] == "mean":
+                vals[out] = ad.mean_of([vals[s] for _, s, _ in parts])
+            else:
+                vals[out] = ad.node([(kind, rectified(s), views[w]) if w else (kind, vals[s], None)
+                                     for kind, s, w in parts])
+            if not record:
+                for s in dead_rects:
+                    rects[s] = None
+                for s in dead:
+                    vals[s] = None
+        return ad.dense(vals[-1], views["head.w"], views["head.b"]), (x, views, vals, rects)
+
+    def _reverse(self, acts, g):
+        """The reverse pass of ``forward``'s recorded pass ``acts`` from the
+        logits' gradient ``g``: yields (block name, output gradient, rows)
+        for each parameter block the loss reaches, the rows being what a
+        weight multiplies and None for a bias, as ``ad.param_grad`` reads
+        them.  The steps run in reverse, and a slot that several parts read
+        adds up their gradients in the order of a reverse pass over one
+        record per layer, so every bit is that of such a tape.  Each slot's
+        mask is made once, a slot is freed once every reader has run, and
+        no gradient is computed for ``x``."""
+        x, views, vals, rects = acts
+        yield "head.w", g, vals[-1]
+        yield "head.b", g, None
+        grads, masks, owned = [None] * len(vals), [None] * len(vals), [False] * len(vals)
+        grads[-1] = ad.dense_grad(g, views["head.w"])
+        for out, parts, back, _, _ in reversed(self._plan):
+            g, grads[out] = grads[out], None
+            vals[out] = rects[out] = masks[out] = None
+            if g is None:  # no cell output that the loss reaches reads it
+                continue
+            if parts[0][0] == "mean":
+                share = ad.mean_of_grad(g, len(parts))
+            for kind, s, w in back:
+                if w:
+                    yield w, g, rects[s]
+                    if masks[s] is None:
+                        masks[s] = ad.relu_mask(rects[s])
+                gx = share if kind == "mean" else ad.node_grad(kind, g, vals[s], views.get(w),
+                                                                masks[s])
+                # g and a mean's share reach several slots: only a sum made
+                # here, or a fresh product or zeros, is added to in place
+                if grads[s] is None:
+                    grads[s], owned[s] = gx, kind in ("linear", "zero")
+                elif owned[s]:
+                    grads[s] += gx
+                else:
+                    grads[s], owned[s] = grads[s] + gx, True
+        yield "stem.w", grads[0], x
+        yield "stem.b", grads[0], None
 
     def loss_and_grads(self, x, y, params):
         """(mean loss, flat gradient shaped like the params); with a member
         axis the loss is one float per member and each member's gradient is
-        its own.  Blocks the loss does not reach get zero gradient."""
-        logits, tape, leaves = self.forward(x, params)
-        loss = tape.softmax_cross_entropy(logits, y)
-        ad.backward(tape, loss)
-        lead = params.shape[:-1]
-        grads = np.concatenate([
-            (np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad).reshape(lead + (-1,))
-            for leaf in leaves.values()
-        ], axis=-1)
-        return loss.data[()], grads
+        its own.  Each block's gradient is written into its view of one
+        array, summed over the member axis where the params have none, and
+        blocks the loss does not reach get zero gradient."""
+        logits, acts = self.forward(x, params)
+        loss, logp = ad.softmax_cross_entropy(logits, y)
+        grads = np.zeros(params.shape)
+        views = self.layout.views(grads)
+        for name, g, rows in self._reverse(acts, ad.softmax_cross_entropy_grad(logp, y)):
+            block, grad = views[name], ad.param_grad(g, rows)
+            if grad.ndim > block.ndim:  # rows stacked for members that share the params
+                grad = grad.sum(axis=tuple(range(grad.ndim - block.ndim)))
+            block[...] = grad
+        return loss, grads
 
     def evaluate(self, x, y, params):
         """(mean loss, accuracy) on a split, in a single forward pass that
         records nothing; one of each per member with a member axis."""
-        logits, tape, _ = self.forward(x, params, record=False)
-        loss = tape.softmax_cross_entropy(logits, y)
-        acc = np.mean(np.argmax(logits.data, axis=-1) == np.asarray(y), axis=-1)
-        return loss.data[()], acc[()]
+        logits = self.forward(x, params, record=False)[0]  # the pass's last slot goes now
+        loss, _ = ad.softmax_cross_entropy(logits, y)
+        return loss, np.mean(np.argmax(logits, axis=-1) == np.asarray(y), axis=-1)
 
     def gradient_variance(self, x, y, params):
         """Total variance (covariance trace) of the per-example parameter
         gradients on a split, from one batched forward and backward pass.
-        Every parameter is the weight or bias of one ``dense`` record or the
-        weight of one ``node`` part, which ``autodiff.per_example_variance``
-        checks; the total is the sum of its blocks' variances in layout order."""
-        logits, tape, leaves = self.forward(x, params)
-        loss = tape.softmax_cross_entropy(logits, y)
-        ad.backward(tape, loss, keep_outputs=True)
+        Every parameter is the weight or bias of one ``dense`` or the weight
+        of one linear node part, so ``autodiff.block_variance`` reduces each
+        block from its rows' rank-1 factors; the total is the sum of the
+        variances of the blocks the loss reaches, in layout order."""
+        logits, acts = self.forward(x, params)
+        _, logp = ad.softmax_cross_entropy(logits, y)
+        blocks = {name: ad.block_variance(g, rows) for name, g, rows
+                  in self._reverse(acts, ad.softmax_cross_entropy_grad(logp, y))}
         total = 0.0
-        for variance in ad.per_example_variance(tape, leaves).values():
-            total += variance  # a running sum in leaf order; sum() compensates from 3.12
+        for name in self.layout.blocks:
+            if name in blocks:
+                total += blocks[name]  # a running sum; sum() compensates from 3.12
         return total
-

@@ -1,4 +1,4 @@
-"""The one reduction of rank-1 gradient variances, for the tape and the theory."""
+"""The one reduction of rank-1 gradient variances, for the network and the theory."""
 
 import numpy as np
 

@@ -16,8 +16,8 @@ from cellscape import (
     cell_width,
     load_fixture,
 )
-from cellscape.autodiff import Tape, Value
-from cellscape.errors import DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount
+from cellscape.errors import (CellscapeError, DimensionMismatch, ParseError, ShapeMismatch,
+                              UnsupportedInputCount)
 from cellscape.genotype import rewired
 from cellscape.landscape import Surface
 from cellscape.linear_theory import (
@@ -29,6 +29,7 @@ from cellscape.linear_theory import (
     random_model,
     spectral_norm,
 )
+from cellscape.rank1 import sum_of_squares
 from cellscape.rng import stream
 from cellscape.sampler import connection_space_counts
 
@@ -38,6 +39,326 @@ ENUMERATION_CAP = 10**6
 
 class TooLarge(Exception):
     """The enumeration oracle's slot-assignment space exceeds its cap."""
+
+
+# --- the tape oracle: the reverse-mode tape that the network's pass
+# replaced, kept as the slow loop that every pass is checked against.  A
+# ``Tape`` records one primitive per network layer of a forward pass over
+# ``Value`` nodes; ``backward`` replays the records in reverse, and
+# ``per_example_variance`` reads each parameter block's per-example
+# gradient variance off a recorded tape.
+
+
+class NoTape(CellscapeError):
+    """backward() called on a value the tape did not produce."""
+
+
+class SharedParameter(CellscapeError):
+    """A parameter feeds more than one tape record, so its per-example
+    gradients are not one rank-1 term per example."""
+
+
+class Value:
+    """A node in the computation tape: an array plus its gradient buffer.
+    Its rectifier is computed on first use and its mask on the first
+    backward that needs it, once for every node part that reads it.  A pass
+    that records nothing may free the rectifier (``del value.rectified``)."""
+
+    __slots__ = ("data", "grad", "_rectified", "_mask")
+
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = self._rectified = self._mask = None
+
+    @property
+    def rectified(self):
+        if self._rectified is None:
+            # fmax maps NaN to 0 and += 0.0 turns -0.0 into +0.0: bit for bit
+            # np.where(x > 0, x, 0.0), at a fraction of its cost
+            o = np.fmax(self.data, 0.0)
+            o += 0.0
+            self._rectified = o
+        return self._rectified
+
+    @rectified.deleter
+    def rectified(self):
+        """Free the rectifier; the next read computes it again."""
+        self._rectified = None
+
+    @property
+    def mask(self):
+        if self._mask is None:
+            self._mask = self.rectified > 0.0
+        return self._mask
+
+
+class Tape:
+    """Ordered record of primitive applications, sufficient for one reverse pass.
+
+    With ``record=False`` ``_push`` keeps no record, so the forward values are
+    the same, each backward closure is dropped uncalled, and ``backward`` on
+    the tape raises ``NoTape``.
+    """
+
+    def __init__(self, record=True):
+        self.record = record
+        self._records = []  # (primitive, output, inputs, backward_fn, params)
+
+    def _push(self, kind, out, inputs, backward, params=None):
+        """Record one primitive.  ``params`` maps the slot in ``inputs`` of
+        each weight to the array it multiplies, and of each bias to None, for
+        ``per_example_variance``."""
+        if self.record:
+            self._records.append((kind, out, inputs, backward, params))
+        return out
+
+    # --- primitives -------------------------------------------------------
+
+    def dense(self, x: Value, w: Value, b: Value) -> Value:
+        """The affine layer x @ w.T + b for x of shape (batch, in), w of shape
+        (out, in) and b of shape (out,), the bias broadcast over the rows.
+        Each may carry a leading member axis K; an unstacked side broadcasts."""
+        xw = _dense("dense", x.data, w.data)
+        if b.data.ndim < 1 or b.data.shape[-1] != xw.shape[-1]:
+            raise ShapeMismatch(f"dense: bias {b.data.shape} for outputs {xw.shape}")
+        _members("dense", xw.shape[:-2], b.data.shape[:-1])
+
+        def backward(g):
+            return [g @ w.data, g.swapaxes(-1, -2) @ x.data, g.sum(axis=-2)]
+
+        out = Value(xw + b.data[..., None, :])
+        return self._push("dense", out, [x, w, b], backward, {1: x.data, 2: None})
+
+    def node(self, parts) -> Value:
+        """One cell node: the sum of the two parts in the list ``parts``, each
+        ``(kind, source, w)`` with ``source`` a ``Value``.  A ``linear`` part
+        is its source's ``rectified`` times the transpose of its (dim, dim)
+        weight ``w``, an ``identity`` part its source and a ``zero`` part
+        zeros; ``w`` is None unless the part is linear.  Every linear part
+        that reads one Value shares its rectifier and mask.
+
+        Values and gradients are bit for bit those of separate rectifier,
+        matrix product, zeros and ``add`` records: the sum runs in slot order,
+        and a source that several parts reach accumulates their gradients as
+        ``backward`` replays those records, identity parts first in slot
+        order, then the others in reverse slot order.  The sum is written
+        into the first part's own array, a linear part's product or a zero
+        part's zeros, and never into a source's data; only two identity
+        parts need a new array."""
+        terms, inputs, params = [], [], {}
+        for kind, src, w in parts:
+            if kind == "linear":
+                terms.append(_dense("node", src.rectified, w.data))
+            elif kind == "identity":
+                terms.append(src.data)
+                inputs.append(src)
+            elif kind == "zero":
+                terms.append(np.zeros_like(src.data))
+            else:
+                raise AssertionError(kind)
+        a, b = terms
+        if a.shape != b.shape:
+            raise ShapeMismatch(f"node: parts of shapes {a.shape} and {b.shape}")
+        # the sum goes into the first array this record made itself
+        own = a if parts[0][0] != "identity" else None if parts[1][0] == "identity" else b
+        identities = len(inputs)
+        for kind, src, w in reversed(parts):
+            if kind == "linear":
+                params[len(inputs)] = src.rectified
+                inputs += [w, src]
+            elif kind == "zero":
+                inputs.append(src)
+
+        def backward(g):
+            grads = [g] * identities
+            for kind, src, w in reversed(parts):
+                x = src.data
+                if kind == "zero":
+                    grads.append(np.zeros_like(x))
+                elif kind == "linear":
+                    gx = g @ w.data
+                    if gx.ndim > x.ndim:  # the source was broadcast over the member axis
+                        gx = gx.sum(axis=tuple(range(gx.ndim - x.ndim)))
+                    gx *= src.mask  # gx is this closure's own product
+                    grads += [g.swapaxes(-1, -2) @ src.rectified, gx]
+            return grads
+
+        return self._push("node", Value(np.add(a, b, out=own)), inputs, backward, params)
+
+    def mean_of(self, parts) -> Value:
+        """Elementwise mean of same-shape arrays (fixed averaging projection)."""
+        shape = parts[0].data.shape
+        for p in parts:
+            if p.data.shape != shape:
+                raise ShapeMismatch("mean_of: mismatched part shapes")
+        total = parts[0].data + 0.0  # sum()'s 0 + first part: -0.0 becomes +0.0
+        for p in parts[1:]:
+            total += p.data
+        total /= len(parts)
+        inv = 1.0 / len(parts)
+        return self._push("mean_of", Value(total), list(parts), lambda g: [g * inv] * len(parts))
+
+    def softmax_cross_entropy(self, logits: Value, labels) -> Value:
+        """Mean cross-entropy of softmax(logits) against integer labels: one
+        batch mean per member, so a (K, batch, classes) input gives shape (K,).
+        Unstacked labels of shape (batch,) serve every member."""
+        labels = np.asarray(labels)
+        lead = logits.data.shape[:-1]
+        if (logits.data.ndim < 2 or labels.shape[-1:] != lead[-1:]
+                or _members("xent", labels.shape[:-1], lead[:-1]) != lead[:-1]):
+            raise ShapeMismatch(f"xent: {logits.data.shape} vs labels {labels.shape}")
+        idx = np.broadcast_to(labels, lead)[..., None]
+        z = logits.data - logits.data.max(axis=-1, keepdims=True)
+        logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        logp = z - logsumexp
+        n = lead[-1]
+        out = Value(-np.take_along_axis(logp, idx, axis=-1)[..., 0].mean(axis=-1))
+
+        def backward(g):
+            grad = np.exp(logp) - (idx == np.arange(logp.shape[-1]))
+            return [g[..., None, None] * grad / n]
+
+        return self._push("xent", out, [logits], backward)
+
+
+def _dense(op, x, w):
+    """x @ w.T over the last two axes of x (batch, in) and w (out, in).
+    Either may carry a leading member axis; an unstacked side broadcasts."""
+    if x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-1]:
+        raise ShapeMismatch(f"{op}: {x.shape} vs {w.shape}")
+    try:
+        return x @ w.swapaxes(-1, -2)
+    except ValueError:  # member axes that do not broadcast
+        raise ShapeMismatch(f"{op}: member axes of {x.shape} and {w.shape} differ") from None
+
+
+def _members(op, *leading):
+    """The broadcast shape of the leading (member) axes of an op's operands."""
+    try:
+        return np.broadcast_shapes(*leading)
+    except ValueError:
+        raise ShapeMismatch(f"{op}: member axes {leading} differ") from None
+
+
+def backward(tape: Tape, loss: Value, keep_outputs=False):
+    """Run the reverse pass from ``loss``, filling ``grad`` on every reachable
+    leaf.  Op outputs' gradients are dropped once replayed; ``keep_outputs``
+    keeps those of records with parameters for ``per_example_variance``."""
+    if not any(out is loss for _, out, _, _, _ in tape._records):
+        raise NoTape("loss was not produced by this tape, or the tape records nothing")
+    for _, out, inputs, _, _ in tape._records:
+        out.grad = None
+        for v in inputs:
+            v.grad = None
+    loss.grad = np.ones_like(loss.data, dtype=np.float64)
+    for _, out, inputs, bwd, params in reversed(tape._records):
+        if out.grad is None:
+            continue
+        for v, g in zip(inputs, bwd(out.grad)):
+            if g.ndim > v.data.ndim:  # v was broadcast over the member axis
+                g = g.sum(axis=tuple(range(g.ndim - v.data.ndim)))
+            v.grad = g if v.grad is None else v.grad + g
+        if not (keep_outputs and params):
+            out.grad = None
+
+
+def per_example_variance(tape: Tape, leaves: dict) -> dict:
+    """Each leaf's total variance (covariance trace) of its per-example
+    gradients, as name -> float for the ``leaves`` (name -> Value) that the
+    loss reaches, read off ``tape`` after one batched ``backward``.
+
+    The rows of every record must be independent examples, and each leaf
+    must feed exactly one record: as the weight or bias of a ``dense``, or as
+    the weight of a linear ``node`` part.  Its batch gradient is
+    then a sum of per-row terms (see Goodfellow, arXiv:1510.01799): row i
+    contributes the rank-1 block ``g[i] (x) x[i]`` to a weight and ``g[i]``
+    to a bias, where ``g`` is the record's output gradient and ``x`` the
+    array the weight multiplies: a dense's input, or a node part's rectified
+    source.  The loss is a batch mean, so row i of ``g`` is 1/n of example
+    i's own gradient and every per-example gradient is scaled by the row
+    count n.
+    A bias block is reduced to its centred sum of squares, and a weight block
+    from its factors by ``rank1.sum_of_squares``, so no (n, out, in) array
+    of per-example gradients is built.  A leaf the loss does not reach has
+    no entry.  Raises SharedParameter when a leaf feeds any other record.
+    """
+    uses = {}
+    for kind, out, inputs, _, params in tape._records:
+        params = params or {}
+        for slot, v in enumerate(inputs):
+            uses.setdefault(id(v), []).append((kind, slot in params, out, params.get(slot)))
+    blocks = {}
+    for name, leaf in leaves.items():
+        found = uses.get(id(leaf), [])
+        if len(found) > 1 or not all(u[1] for u in found):
+            raise SharedParameter(
+                f"parameter {name} feeds {[u[0] for u in found]}; per-example gradients "
+                "need it to be the weight or bias of one dense, or the weight of one node part"
+            )
+        if not found or leaf.grad is None:
+            continue
+        _, _, out, x = found[0]
+        if out.grad is None:
+            raise NoTape("per-example gradients need backward(..., keep_outputs=True)")
+        g = out.grad * len(out.grad)
+        if x is None:
+            centred = g - g.mean(axis=0)
+            blocks[name] = float(np.sum(centred * centred)) / len(g)
+        else:
+            blocks[name] = sum_of_squares(g, x) / len(g)
+    return blocks
+
+
+def tape_forward(net, x, params, record=True):
+    """``net``'s forward pass on the tape, wired from its genotype alone:
+    (logits Value, tape, name -> leaf Value map), the leaves being views of
+    the params' blocks."""
+    tape = Tape(record=record)
+    leaves = {name: Value(view) for name, view in net.layout.views(params).items()}
+    prev2 = prev1 = tape.dense(Value(x), leaves["stem.w"], leaves["stem.b"])
+    for layer in range(net.cfg.layers):
+        vals = [prev2, prev1]
+        for i, node in enumerate(net.genotype.nodes):
+            vals.append(tape.node([(op.kind, vals[op.source],
+                                    leaves.get(f"cell{layer}.node{i}.op{slot}.w"))
+                                   for slot, op in enumerate(node.ops)]))
+        prev2, prev1 = prev1, tape.mean_of([vals[c] for c in net.genotype.concat])
+    return tape.dense(prev1, leaves["head.w"], leaves["head.b"]), tape, leaves
+
+
+def tape_loss_and_grads(net, x, y, params):
+    """The oracle of ``CellNetwork.loss_and_grads``: a tape's backward, each
+    leaf's gradient flattened in layout order and zeros for a leaf that the
+    loss does not reach."""
+    logits, tape, leaves = tape_forward(net, x, params)
+    loss = tape.softmax_cross_entropy(logits, y)
+    backward(tape, loss)
+    lead = params.shape[:-1]
+    grads = np.concatenate([
+        (np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad).reshape(lead + (-1,))
+        for leaf in leaves.values()
+    ], axis=-1)
+    return loss.data[()], grads
+
+
+def tape_evaluate(net, x, y, params):
+    """The oracle of ``CellNetwork.evaluate``, on a tape that records nothing."""
+    logits, tape, _ = tape_forward(net, x, params, record=False)
+    loss = tape.softmax_cross_entropy(logits, y)
+    acc = np.mean(np.argmax(logits.data, axis=-1) == np.asarray(y), axis=-1)
+    return loss.data[()], acc[()]
+
+
+def tape_gradient_variance(net, x, y, params):
+    """The oracle of ``CellNetwork.gradient_variance``: the running sum of
+    ``per_example_variance``'s blocks in layout order."""
+    logits, tape, leaves = tape_forward(net, x, params)
+    loss = tape.softmax_cross_entropy(logits, y)
+    backward(tape, loss, keep_outputs=True)
+    total = 0.0
+    for variance in per_example_variance(tape, leaves).values():
+        total += variance
+    return total
 
 
 class LossTape(Tape):

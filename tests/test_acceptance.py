@@ -34,7 +34,7 @@ from cellscape import (
     save_genotype,
     train,
 )
-from cellscape.autodiff import Value, backward, cosine_lr
+from cellscape.autodiff import cosine_lr
 from cellscape.genotype import FIXTURE_NAMES, OPERATION_KINDS, genotype_to_dict
 from cellscape.linear_theory import (
     random_model,
@@ -44,6 +44,8 @@ from cellscape.linear_theory import (
 from cellscape.rng import stream
 from conftest import (
     LossTape,
+    Value,
+    backward,
     central_difference,
     chain_population,
     chain_sources,

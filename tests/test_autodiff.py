@@ -8,24 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellscape.autodiff import (
+from cellscape.autodiff import cosine_lr, sgd_step
+from cellscape.errors import DimensionMismatch, ParseError, ShapeMismatch
+from cellscape.genotype import OPERATION_KINDS, load_fixture
+from cellscape.network import CellNetwork, NetworkConfig, ParamLayout, glorot_init
+from conftest import (
+    LossTape,
+    NoTape,
+    SharedParameter,
     Tape,
     Value,
     backward,
-    cosine_lr,
+    central_difference,
+    per_example_sum_of_squares,
     per_example_variance,
-    sgd_step,
 )
-from cellscape.errors import (
-    DimensionMismatch,
-    NoTape,
-    ParseError,
-    ShapeMismatch,
-    SharedParameter,
-)
-from cellscape.genotype import OPERATION_KINDS, load_fixture
-from cellscape.network import CellNetwork, NetworkConfig, ParamLayout, glorot_init
-from conftest import LossTape, central_difference, per_example_sum_of_squares
 
 dims = st.integers(2, 16)
 seeds = st.integers(0, 2**31)
@@ -340,14 +337,23 @@ def test_per_example_variance_rejects_shared_parameter():
         per_example_variance(t, {"b": b})
 
 
-def test_dense_shape_mismatch():
-    t = Tape()
-    with pytest.raises(ShapeMismatch):
-        t.dense(Value(np.ones((2, 3))), Value(np.ones((4, 5))), Value(np.zeros(4)))
-    # a bias of the wrong width, or none at all
-    for bias in (np.zeros(3), np.zeros(5), np.float64(0.0)):
+SMALL = NetworkConfig(layers=2, dim=6, num_classes=3, input_dim=5)
+
+
+def test_dense_shape_mismatch(darts):
+    # the stem's dense meets x first: rows of the wrong width, or no rows
+    # axis at all, end every pass there
+    net = CellNetwork(darts, SMALL)
+    params = net.init_params(np.random.default_rng(0))
+    for x in (np.ones((2, 4)), np.ones((2, 6)), np.ones(5)):
         with pytest.raises(ShapeMismatch):
-            t.dense(Value(np.ones((2, 3))), Value(np.ones((4, 3))), Value(bias))
+            net.forward(x, params)
+        with pytest.raises(ShapeMismatch):
+            net.loss_and_grads(x, np.zeros(2, dtype=int), params)
+        with pytest.raises(ShapeMismatch):
+            net.evaluate(x, np.zeros(2, dtype=int), params)
+        with pytest.raises(ShapeMismatch):
+            net.gradient_variance(x, np.zeros(2, dtype=int), params)
 
 
 def test_relu_matches_where_bit_for_bit():
@@ -520,20 +526,23 @@ def test_stacked_primitives_match_per_slice(shared_input):
     assert close(grads[0], sum(x_grads) if shared_input else np.stack(x_grads))
 
 
-def test_member_axis_mismatch_raises_shape_mismatch():
-    t = Tape()
-    x2, x3 = Value(np.ones((2, 5, 4))), Value(np.ones((3, 5, 4)))
-    w3, b3 = Value(np.ones((3, 6, 4))), Value(np.ones((3, 6)))
+def test_member_axis_mismatch_raises_shape_mismatch(darts):
+    net = CellNetwork(darts, SMALL)
+    init = net.init_params(np.random.default_rng(0))
+    params = np.stack([init] * 3)
+    x2, x3 = np.ones((2, 5, 5)), np.ones((3, 5, 5))
+    y = np.zeros(5, dtype=int)
+    # x stacked for 2 members, params for 3
     with pytest.raises(ShapeMismatch):
-        t.dense(x2, w3, b3)
-    # bias member axes that do not broadcast against the product's
+        net.loss_and_grads(x2, y, params)
     with pytest.raises(ShapeMismatch):
-        t.dense(x3, w3, Value(np.ones((2, 6))))
-    h = t.dense(x3, w3, b3)
-    with pytest.raises(ShapeMismatch):
-        t.softmax_cross_entropy(h, np.zeros((2, 5), dtype=int))
-    with pytest.raises(ShapeMismatch):
-        t.softmax_cross_entropy(h, np.zeros(4, dtype=int))
+        net.evaluate(x2, y, params)
+    # labels stacked for 2 members, or of the wrong length
+    for labels in (np.zeros((2, 5), dtype=int), np.zeros(4, dtype=int)):
+        with pytest.raises(ShapeMismatch):
+            net.loss_and_grads(x3, labels, params)
+        with pytest.raises(ShapeMismatch):
+            net.evaluate(x3, labels, params)
     with pytest.raises(ShapeMismatch):
         sgd_step(np.ones((3, 2)), np.ones((3, 2)), 0.0, lr=[0.1, 0.2])
 

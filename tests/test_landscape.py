@@ -19,12 +19,11 @@ from cellscape import (
     make_dataset,
     sample_directions,
 )
-from cellscape.autodiff import backward, per_example_variance
 from cellscape.errors import DimensionMismatch, InvalidSpec
 from cellscape.landscape import ROWS, Surface
 from cellscape.network import ParamLayout
 from cellscape.rng import stream
-from conftest import load_grid_csv
+from conftest import backward, load_grid_csv, per_example_variance, tape_forward
 
 
 CFG = NetworkConfig(layers=2, dim=6, num_classes=3, input_dim=5)
@@ -402,7 +401,7 @@ def test_gradvar_blocks_sum_to_the_total_bit_for_bit(darts, genotype):
     ds = make_dataset(DATA)
     params = net.init_params(stream(0, "init"))
     x, y = ds.test_x[:5], ds.test_y[:5]
-    logits, tape, leaves = net.forward(x, params)
+    logits, tape, leaves = tape_forward(net, x, params)
     backward(tape, tape.softmax_cross_entropy(logits, y), keep_outputs=True)
     blocks = per_example_variance(tape, leaves)
     total = 0.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cellscape import linear_theory
-from cellscape.autodiff import Value, backward
 from cellscape.errors import DimensionMismatch, ForwardReference, InsufficientSamples
 from cellscape.genotype import OpSpec
 from cellscape.linear_theory import (
@@ -20,6 +19,8 @@ from cellscape.linear_theory import (
 )
 from conftest import (
     LossTape,
+    Value,
+    backward,
     ball_perturbation,
     block_grads,
     central_difference,

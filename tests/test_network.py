@@ -21,9 +21,11 @@ from cellscape import (
     train,
 )
 from cellscape import training
-from cellscape.autodiff import Value
+from cellscape import autodiff
 from cellscape.data import spec_from_json
 from cellscape.errors import InvalidSpec, UnsupportedInputCount
+from cellscape.genotype import FIXTURE_NAMES
+from cellscape.network import ParamLayout
 from cellscape.rng import stream
 from conftest import (
     all_input_cell,
@@ -33,6 +35,9 @@ from conftest import (
     edges,
     rewire_to_chain,
     spec_to_json,
+    tape_evaluate,
+    tape_gradient_variance,
+    tape_loss_and_grads,
 )
 
 SMALL = NetworkConfig(layers=2, dim=6, num_classes=3, input_dim=5)
@@ -85,6 +90,23 @@ def test_mixed_ops_count_difference():
     assert diff == 2 * 2 * 36  # two dropped linear blocks per layer
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_layout_views_are_each_blocks_own_slice(lead):
+    # a run of same-shape blocks is reshaped once and read block by block:
+    # the views are those of slicing each block, and writes reach the vector
+    layout = ParamLayout({"b": (3,), "a": (2, 2), "e": (0,), "c": (3,), "w": (2, 2)})
+    flat = np.arange(math.prod(lead) * layout.size, dtype=float).reshape(lead + (layout.size,))
+    views = layout.views(flat)
+    assert list(views) == list(layout.blocks)
+    for name, (s, shape) in layout.blocks.items():
+        want = flat[..., s].reshape(lead + shape)
+        assert views[name].shape == want.shape and np.array_equal(views[name], want)
+        if want.size:  # an empty block's strides are arbitrary
+            assert views[name].strides == want.strides and np.shares_memory(views[name], flat)
+    views["c"][...] = -1.0
+    assert np.all(flat[..., 7:10] == -1.0) and np.all(flat[..., 10:] >= 0.0)
+
+
 def test_m_not_2_rejected():
     g = CellGenotype(name="m3", num_inputs=3,
                      nodes=(NodeSpec(tuple(OpSpec("linear", s) for s in range(3))),))
@@ -98,8 +120,8 @@ def test_m_not_2_rejected():
 def test_forward_shapes(darts):
     net = CellNetwork(darts, SMALL)
     x = np.ones((7, 5))
-    logits, _, _ = net.forward(x, net.init_params(stream(0, "init")))
-    assert logits.data.shape == (7, 3)
+    logits, _ = net.forward(x, net.init_params(stream(0, "init")))
+    assert logits.shape == (7, 3)
 
 
 def test_loss_and_grads_cover_all_parameters(darts):
@@ -137,8 +159,9 @@ def test_network_gradients_match_finite_differences(toy_cell):
 
 @pytest.mark.parametrize("name", ["darts", "snas", "nasnet", "amoebanet", "darts_conn1"])
 def test_evaluate_matches_recording_forward_bit_for_bit(name):
-    # a pass that records nothing frees rectifiers as it goes and computes
-    # some again; the values are the same, with and without a member axis
+    # a pass that records nothing frees rectifiers and slots as it goes; the
+    # values are the same, with and without a member axis, and it ends
+    # holding nothing but the head's input
     net = CellNetwork(load_fixture(name), SMALL)
     init = net.init_params(stream(3, "init"))
     rng = np.random.default_rng(8)
@@ -146,14 +169,77 @@ def test_evaluate_matches_recording_forward_bit_for_bit(name):
     y = rng.integers(0, 3, size=16)
     for lead in [(), (2,)]:
         params = init + rng.standard_normal(lead + init.shape)
-        logits, tape, _ = net.forward(x, params)
-        recorded = tape.softmax_cross_entropy(logits, y)
+        logits, _ = net.forward(x, params)
+        recorded, _ = autodiff.softmax_cross_entropy(logits, y)
         loss, acc = net.evaluate(x, y, params)
-        assert np.array_equal(loss, recorded.data)
-        assert np.array_equal(acc, np.mean(np.argmax(logits.data, axis=-1) == y, axis=-1))
-        quiet_logits, quiet, _ = net.forward(x, params, record=False)
-        assert np.array_equal(quiet_logits.data, logits.data)
-        assert quiet._records == []
+        assert np.array_equal(loss, recorded)
+        assert np.array_equal(acc, np.mean(np.argmax(logits, axis=-1) == y, axis=-1))
+        quiet_logits, (_, _, vals, rects) = net.forward(x, params, record=False)
+        assert np.array_equal(quiet_logits, logits)
+        assert [s for s, v in enumerate(vals) if v is not None] == [len(vals) - 1]
+        assert all(r is None for r in rects)
+
+
+def bits(a):
+    """The float64 bit patterns of ``a``, so that equality tells -0.0 from
+    +0.0 and compares NaNs."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+# what no fixture has: a zero part, an identity+identity node, and a node
+# outside the concat that no node reads, whose weights the loss never reaches
+ODD_CELLS = [
+    CellGenotype(name="zero-part", num_inputs=2, nodes=(
+        NodeSpec((OpSpec("linear", 0), OpSpec("zero", 1))),
+        NodeSpec((OpSpec("zero", 2), OpSpec("linear", 2))),
+    )),
+    CellGenotype(name="identity-pair", num_inputs=2, nodes=(
+        NodeSpec((OpSpec("identity", 0), OpSpec("identity", 1))),
+        NodeSpec((OpSpec("linear", 2), OpSpec("identity", 2))),
+        NodeSpec((OpSpec("identity", 3), OpSpec("linear", 0))),
+    )),
+    CellGenotype(name="dead-end", num_inputs=2, nodes=(
+        NodeSpec((OpSpec("linear", 0), OpSpec("linear", 1))),
+        NodeSpec((OpSpec("linear", 2), OpSpec("linear", 0))),
+    ), concat=(2,)),
+]
+ORACLE_CFG = NetworkConfig(layers=3, dim=6, num_classes=3, input_dim=5)
+
+
+@pytest.mark.parametrize("x_stacked", [False, True], ids=["x unstacked", "x stacked"])
+@pytest.mark.parametrize("members", ["none", "K1", "K3", "K3 non-finite"])
+@pytest.mark.parametrize("genotype", [*FIXTURE_NAMES, *ODD_CELLS],
+                         ids=lambda g: getattr(g, "name", g))
+def test_pass_matches_tape_oracle_bit_for_bit(genotype, members, x_stacked):
+    # loss, flat gradient, evaluation and gradient variance against the tape
+    # that the pass replaced, bit for bit; params with no member axis and
+    # stacked rows give one loss per row stack and the members' summed gradient
+    g = load_fixture(genotype) if isinstance(genotype, str) else genotype
+    net = CellNetwork(g, ORACLE_CFG)
+    rng = np.random.default_rng(21)
+    k = {"none": 3, "K1": 1}.get(members, 3)
+    init = net.init_params(stream(2, "init"))
+    params = init if members == "none" else init + rng.standard_normal((k, init.size)) * 0.3
+    if members == "K3 non-finite":
+        params[1, ::7], params[1, 3::11] = np.inf, np.nan
+    x = rng.standard_normal((k, 7, 5) if x_stacked else (7, 5))
+    x[..., 0, :2] = -0.0
+    y = rng.integers(0, 3, size=7)
+    with np.errstate(all="ignore"):
+        loss, grads = net.loss_and_grads(x, y, params)
+        want_loss, want_grads = tape_loss_and_grads(net, x, y, params)
+        assert grads.shape == params.shape
+        assert np.array_equal(bits(loss), bits(want_loss))
+        assert np.array_equal(bits(grads), bits(want_grads))
+        for got, want in zip(net.evaluate(x, y, params), tape_evaluate(net, x, y, params)):
+            assert np.array_equal(bits(got), bits(want))
+        if members == "none" and not x_stacked:
+            assert bits(net.gradient_variance(x, y, params)) == bits(
+                tape_gradient_variance(net, x, y, params))
+    if g.name == "dead-end":
+        dead = [v for name, v in net.layout.views(grads).items() if ".node1." in name]
+        assert len(dead) == 2 * ORACLE_CFG.layers and all(
+            np.all(bits(v) == 0) for v in dead)
 
 
 def traced_peak(f):
@@ -190,13 +276,14 @@ def test_gradient_variance_builds_no_per_example_tensor(darts):
     assert peak < 2.8 * 2**20
 
 
-def test_darts_forward_pushes_one_record_per_node(darts):
-    # the stem's affine dense, 4 nodes and the concat mean in each of 6
-    # cells, and the head's affine dense: one record per layer
+def test_darts_pass_keeps_one_array_per_layer(darts):
+    # the stem's output, 4 nodes and the concat mean in each of 6 cells: one
+    # array per layer before the head, each of them made by one step
     net = CellNetwork(darts, NetworkConfig())
-    _, tape, _ = net.forward(np.zeros((2, 16)), net.init_params(stream(3, "init")))
-    assert len(tape._records) == 32
-    assert [record[0] for record in tape._records].count("node") == 24
+    _, (_, _, vals, _) = net.forward(np.zeros((2, 16)), net.init_params(stream(3, "init")))
+    assert len(vals) == 31 and all(v is not None for v in vals)
+    kinds = [parts[0][0] for _, parts, *_ in net._plan]
+    assert len(kinds) == 30 and kinds.count("mean") == 6
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -218,32 +305,30 @@ def test_forward_rectifies_each_value_once(name, expected, monkeypatch):
                     read.add(("cell", max(layer - 2 + src, -1)) if src < 2 else (layer, src))
     assert len(read) == expected
     computed = []
-    rectified = Value.rectified
+    rectify = autodiff.rectify
 
-    def counted(value):
-        if value._rectified is None:
-            computed.append(value)
-        return rectified.fget(value)
+    def counted(x):
+        computed.append(x)  # kept, so that no freed array's id is reused
+        return rectify(x)
 
-    monkeypatch.setattr(Value, "rectified", property(counted, None, rectified.fdel))
+    monkeypatch.setattr(autodiff, "rectify", counted)
     net = CellNetwork(g, NetworkConfig(layers=layers))
     params = net.init_params(stream(3, "init"))
     for record in (True, False):
         computed.clear()
         net.forward(np.ones((2, 16)), params, record)
-        assert len(computed) == len({id(v) for v in computed}) == expected, record
-    _, tape, _ = net.forward(np.ones((2, 16)), params)
-    assert len({id(x) for kind, _, _, _, rects in tape._records if kind == "node"
-                for x in rects.values()}) == expected
+        assert len(computed) == len({id(x) for x in computed}) == expected, record
+    _, (_, _, _, rects) = net.forward(np.ones((2, 16)), params)
+    assert sum(r is not None for r in rects) == expected
 
 
 def test_forward_deterministic(darts):
     net = CellNetwork(darts, SMALL)
     params = net.init_params(stream(3, "init"))
     x = np.random.default_rng(1).standard_normal((4, 5))
-    a, _, _ = net.forward(x, params)
-    b, _, _ = net.forward(x, params)
-    assert np.array_equal(a.data, b.data)
+    a, _ = net.forward(x, params)
+    b, _ = net.forward(x, params)
+    assert np.array_equal(a, b)
 
 
 def test_identity_cells_ignore_slot_order():
@@ -260,9 +345,9 @@ def test_identity_cells_ignore_slot_order():
     )
     rng_params = CellNetwork(wide, SMALL).init_params(stream(4, "init"))
     x = np.random.default_rng(5).standard_normal((6, 5))
-    la, _, _ = CellNetwork(wide, SMALL).forward(x, rng_params)
-    lb, _, _ = CellNetwork(swapped, SMALL).forward(x, rng_params)
-    assert np.allclose(la.data, lb.data, atol=1e-12)
+    la, _ = CellNetwork(wide, SMALL).forward(x, rng_params)
+    lb, _ = CellNetwork(swapped, SMALL).forward(x, rng_params)
+    assert np.allclose(la, lb, atol=1e-12)
 
 
 # --- datasets -------------------------------------------------------------

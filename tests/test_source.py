@@ -1,9 +1,13 @@
-"""Static checks on the package source, made with ``ast`` alone."""
+"""Static checks on the package source, made with ``ast``, and one check of
+every fixture's wiring plan."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from cellscape import CellNetwork, NetworkConfig, load_fixture
+from cellscape.genotype import FIXTURE_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cellscape"
 # __init__.py imports names to re-export them, not to use them
@@ -236,23 +240,43 @@ def test_float_sums_are_running_sums():
                                "metrics.cell_width", "metrics.per_node_widths"]
 
 
-def test_every_tape_method_pushes_one_record():
-    # one public method, one record, one network layer; only the records
-    # that take parameters name them, so per_example_variance's contract
-    # (each parameter the weight or bias of one dense, or the weight of one
-    # linear node part) is the code's
-    tape = next(top for top in ast.parse((SRC / "autodiff.py").read_text()).body
-                if getattr(top, "name", None) == "Tape")
-    pushes, with_params = {}, []
-    for method in tape.body:
-        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-            calls = [node for node in ast.walk(method) if isinstance(node, ast.Call)
-                     and getattr(node.func, "attr", None) == "_push"]
-            pushes[method.name] = len(calls)
-            if any(len(c.args) > 4 or "params" in {k.arg for k in c.keywords} for c in calls):
-                with_params.append(method.name)
-    assert pushes == dict.fromkeys(["dense", "node", "mean_of", "softmax_cross_entropy"], 1)
-    assert with_params == ["dense", "node"]
+def string_args(source, name):
+    """The string constants that each call of ``name`` in source reads, one
+    sorted list per call."""
+    return [sorted(c.value for c in ast.walk(node) if isinstance(c, ast.Constant)
+                   and isinstance(c.value, str))
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_string_args_are_found():
+    source = "f(x, v['a'], g(v['b']))\nf(0)\nh('c')\n"
+    assert string_args(source, "f") == [["a", "b"], []]
+
+
+def test_every_parameter_is_one_dense_or_linear_part():
+    # per-example variances read each block off one layer, so every
+    # parameter is the weight or bias of one dense, or the weight of one
+    # linear node part: the stem and head are the only dense layers, and
+    # the plan names each cell weight once, in a linear part
+    assert top_level_callers("dense") == ["network.CellNetwork"]
+    assert sorted(string_args((SRC / "network.py").read_text(), "dense")) == [
+        ["head.b", "head.w"], ["stem.b", "stem.w"]]
+    for fixture in FIXTURE_NAMES:
+        net = CellNetwork(load_fixture(fixture), NetworkConfig())
+        parts = [part for _, step, *_ in net._plan for part in step]
+        weights = [w for kind, _, w in parts if w]
+        assert all((kind == "linear") == bool(w) for kind, _, w in parts), fixture
+        assert len(weights) == len(set(weights)), fixture
+        assert sorted(weights + ["head.b", "head.w", "stem.b", "stem.w"]) == list(
+            net.layout.blocks), fixture
+
+
+def test_only_network_walks_the_plan():
+    # the wiring is read once, into CellNetwork's plan, and only its own
+    # passes walk it
+    assert [f"{p.stem}.{name}" for p in MODULES
+            for name in readers_of(p.read_text(), "_plan")] == ["network.CellNetwork"]
 
 
 def readers_of(source, attr):
@@ -275,15 +299,21 @@ def test_only_grad_factors_walks_a_wiring():
     assert readers_of((SRC / "linear_theory.py").read_text(), "source") == ["grad_factors"]
 
 
-def test_autodiff_is_the_tape_alone():
-    # the tape does no I/O and knows no parameter layout; rank1, its one
-    # other import, is numpy only (test_rank1_imports_nothing_from_the_package)
+def test_autodiff_is_array_maths_alone():
+    # the layers' array maths do no I/O and know no parameter layout and no
+    # wiring; rank1, their one other import, is numpy only
+    # (test_rank1_imports_nothing_from_the_package)
     source = (SRC / "autodiff.py").read_text()
     assert package_imports(source) <= {"errors", "rank1"}
     assert outside_imports(source) & {"json", "struct"} == set()
     params = {a.arg for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)
               for a in node.args.args + node.args.kwonlyargs}
-    assert "layout" not in params
+    assert params & {"layout", "plan", "network"} == set()
+    assert not any(isinstance(node, ast.ClassDef) for node in ast.walk(ast.parse(source)))
+    # each layer is one forward function and one gradient function
+    functions = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
+    for layer in ("dense", "node", "mean_of", "softmax_cross_entropy"):
+        assert {layer, f"{layer}_grad"} <= functions
 
 
 def test_no_module_builds_a_per_example_tensor():
