@@ -8,7 +8,9 @@ takes from it (``dense_grad``, ``node_grad``, ``mean_of_grad`` and
 node's linear parts read, and ``relu_mask`` the mask of their gradients.
 ``param_grad`` gives a parameter block's gradient and ``block_variance`` its
 per-example gradient variance, both from the output gradient of the block's
-layer and the rows its weight multiplies.  No function writes its inputs.
+layer and the rows its weight multiplies.  No function writes its inputs,
+and no layer checks a shape: ``network.CellNetwork`` checks a pass's shapes
+before it starts.
 The SGD optimizer with cosine annealing lives here as well, since it operates
 on the same tensors.  The module does no I/O and knows no parameter layout
 and no wiring: ``network.CellNetwork`` walks its plan over these functions,
@@ -36,13 +38,10 @@ def rectify(x):
 def dense(x, w, b):
     """The affine layer x @ w.T + b for x of shape (batch, in), w of shape
     (out, in) and b of shape (out,), the bias broadcast over the rows.  Each
-    may carry a leading member axis K; an unstacked side broadcasts."""
-    if x.ndim < 2 or x.shape[-1] != w.shape[-1]:
-        raise ShapeMismatch(f"dense: {x.shape} vs {w.shape}")
-    try:
-        xw = x @ w.swapaxes(-1, -2)
-    except ValueError:  # member axes that do not broadcast
-        raise ShapeMismatch(f"dense: member axes of {x.shape} and {w.shape} differ") from None
+    may carry a leading member axis K; an unstacked side broadcasts.  The
+    shapes are the pass's, which ``network.CellNetwork`` checks before it
+    starts."""
+    xw = x @ w.swapaxes(-1, -2)
     xw += b[..., None, :]
     return xw
 
@@ -68,19 +67,19 @@ def node(parts):
     return np.add(a, b, out=own)
 
 
-def node_grad(kind, g, x, w, mask):
+def node_grad(kind, g, w, mask):
     """The gradient of a node part's source for the node's output gradient
     ``g``, the part being ``(kind, x, w)`` as ``node`` reads it: g @ w times
     the source's ``relu_mask`` for a linear part, g itself for an identity
-    part and zeros shaped like ``x`` for a zero part.  A source that several
-    parts read adds up their gradients in the order of a reverse pass over
-    separate steps: identity parts first in slot order, then the others in
-    reverse slot order."""
+    part and zeros for a zero part, shaped like ``g`` as every source of a
+    pass is.  A source that several parts read adds up their gradients in
+    the order of a reverse pass over separate steps: identity parts first in
+    slot order, then the others in reverse slot order."""
     if kind == "linear":
         gx = g @ w
         gx *= mask  # gx is this function's own product
         return gx
-    return g if kind == "identity" else np.zeros_like(x)
+    return g if kind == "identity" else np.zeros_like(g)
 
 
 def relu_mask(r):
@@ -108,31 +107,19 @@ def softmax_cross_entropy(logits, labels):
     """(mean cross-entropy of softmax(logits) against integer labels, the
     log-probabilities): one batch mean per member, so a (K, batch, classes)
     input gives a loss of shape (K,).  Unstacked labels of shape (batch,)
-    serve every member."""
-    labels = np.asarray(labels)
-    lead = logits.shape[:-1]
-    if (logits.ndim < 2 or labels.shape[-1:] != lead[-1:]
-            or _members(labels.shape[:-1], lead[:-1]) != lead[:-1]):
-        raise ShapeMismatch(f"xent: {logits.shape} vs labels {labels.shape}")
+    serve every member; the pass's check has matched them to the logits'
+    rows."""
     z = logits - logits.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    idx = np.broadcast_to(labels, lead)[..., None]
+    idx = np.broadcast_to(labels, logits.shape[:-1])[..., None]
     return -np.take_along_axis(logp, idx, axis=-1)[..., 0].mean(axis=-1), logp
 
 
 def softmax_cross_entropy_grad(logp, labels):
     """The gradient of the logits that every member's loss gets from its own
     ``softmax_cross_entropy``, from that loss's log-probabilities."""
-    idx = np.broadcast_to(np.asarray(labels), logp.shape[:-1])[..., None]
+    idx = np.broadcast_to(labels, logp.shape[:-1])[..., None]
     return (np.exp(logp) - (idx == np.arange(logp.shape[-1]))) / logp.shape[-2]
-
-
-def _members(*leading):
-    """The broadcast shape of the leading (member) axes of the loss's operands."""
-    try:
-        return np.broadcast_shapes(*leading)
-    except ValueError:
-        raise ShapeMismatch(f"xent: member axes {leading} differ") from None
 
 
 def param_grad(g, x):

@@ -36,7 +36,7 @@ class DimensionMismatch(CellscapeError):
 
 
 class ShapeMismatch(CellscapeError):
-    """Tensor shapes are inconsistent in the autodiff engine."""
+    """Arrays given to a network pass, a checkpoint or an SGD step disagree in shape."""
 
 
 class InsufficientSamples(CellscapeError):

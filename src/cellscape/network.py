@@ -212,16 +212,31 @@ class CellNetwork:
                 view[...] = glorot_init(view.shape, rng)
         return params
 
+    def _check(self, x, params, y=None, members=True):
+        """``x`` as float64, once a pass's shapes keep the one contract that
+        ``autodiff``'s layers trust, else ShapeMismatch: (P,) params, or
+        (K, P) where ``members`` allows; (B, input_dim) rows, or
+        (K, B, input_dim) beside (K, P) params; and labels, where given, (B,)
+        or shaped like the rows' leading axes."""
+        x = np.asarray(x, dtype=np.float64)
+        lead = params.shape[:-1]
+        if (params.shape[-1:] != (self.layout.size,) or len(lead) > members or x.ndim < 2
+                or x.shape[:-2] not in ((), lead) or x.shape[-1] != self.cfg.input_dim
+                or y is not None and np.shape(y) not in (x.shape[-2:-1], x.shape[:-1])):
+            raise ShapeMismatch(f"{params.shape} params, {x.shape} rows, labels "
+                                f"{y if y is None else np.shape(y)}: P is {self.layout.size}, "
+                                f"a row {self.cfg.input_dim}, members {members}")
+        return x
+
     def forward(self, x, params, record=True):
         """Forward pass over the plan; returns (logits, pass), the pass being
-        what ``_reverse`` reads.  Params are a flat vector or a (K, P) array
-        of K members, and ``x`` may carry the member axis too; an unstacked
-        ``x`` feeds every member.  The pass keeps one array per slot and
+        what ``_reverse`` reads, on shapes that ``_check`` allows; a loss
+        method's own check comes first.  The pass keeps one array per slot and
         computes each slot's rectifier once, at its first linear reader, for
         every part that reads it.  With ``record=False`` no reverse pass
         follows: each rectifier is freed after its last linear reader, in
         whichever cell that is, and each slot after its last reader."""
-        x = np.asarray(x, dtype=np.float64)
+        x = self._check(x, params)
         views = self.layout.views(params)
         vals = [ad.dense(x, views["stem.w"], views["stem.b"])] + [None] * len(self._plan)
         rects = [None] * len(vals)
@@ -271,8 +286,7 @@ class CellNetwork:
                     yield w, g, rects[s]
                     if masks[s] is None:
                         masks[s] = ad.relu_mask(rects[s])
-                gx = share if kind == "mean" else ad.node_grad(kind, g, vals[s], views.get(w),
-                                                                masks[s])
+                gx = share if kind == "mean" else ad.node_grad(kind, g, views.get(w), masks[s])
                 # g and a mean's share reach several slots: only a sum made
                 # here, or a fresh product or zeros, is added to in place
                 if grads[s] is None:
@@ -288,22 +302,19 @@ class CellNetwork:
         """(mean loss, flat gradient shaped like the params); with a member
         axis the loss is one float per member and each member's gradient is
         its own.  Each block's gradient is written into its view of one
-        array, summed over the member axis where the params have none, and
-        blocks the loss does not reach get zero gradient."""
-        logits, acts = self.forward(x, params)
+        array, and blocks the loss does not reach get zero gradient."""
+        logits, acts = self.forward(self._check(x, params, y), params)
         loss, logp = ad.softmax_cross_entropy(logits, y)
         grads = np.zeros(params.shape)
         views = self.layout.views(grads)
         for name, g, rows in self._reverse(acts, ad.softmax_cross_entropy_grad(logp, y)):
-            block, grad = views[name], ad.param_grad(g, rows)
-            if grad.ndim > block.ndim:  # rows stacked for members that share the params
-                grad = grad.sum(axis=tuple(range(grad.ndim - block.ndim)))
-            block[...] = grad
+            views[name][...] = ad.param_grad(g, rows)
         return loss, grads
 
     def evaluate(self, x, y, params):
         """(mean loss, accuracy) on a split, in a single forward pass that
         records nothing; one of each per member with a member axis."""
+        x = self._check(x, params, y)
         logits = self.forward(x, params, record=False)[0]  # the pass's last slot goes now
         loss, _ = ad.softmax_cross_entropy(logits, y)
         return loss, np.mean(np.argmax(logits, axis=-1) == np.asarray(y), axis=-1)
@@ -314,8 +325,9 @@ class CellNetwork:
         Every parameter is the weight or bias of one ``dense`` or the weight
         of one linear node part, so ``autodiff.block_variance`` reduces each
         block from its rows' rank-1 factors; the total is the sum of the
-        variances of the blocks the loss reaches, in layout order."""
-        logits, acts = self.forward(x, params)
+        variances of the blocks the loss reaches, in layout order.  The
+        params are one member's, with no member axis."""
+        logits, acts = self.forward(self._check(x, params, y, members=False), params)
         _, logp = ad.softmax_cross_entropy(logits, y)
         blocks = {name: ad.block_variance(g, rows) for name, g, rows
                   in self._reverse(acts, ad.softmax_cross_entropy_grad(logp, y))}

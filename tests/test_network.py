@@ -23,7 +23,7 @@ from cellscape import (
 from cellscape import training
 from cellscape import autodiff
 from cellscape.data import spec_from_json
-from cellscape.errors import InvalidSpec, UnsupportedInputCount
+from cellscape.errors import InvalidSpec, ShapeMismatch, UnsupportedInputCount
 from cellscape.genotype import FIXTURE_NAMES
 from cellscape.network import ParamLayout
 from cellscape.rng import stream
@@ -212,8 +212,8 @@ ORACLE_CFG = NetworkConfig(layers=3, dim=6, num_classes=3, input_dim=5)
                          ids=lambda g: getattr(g, "name", g))
 def test_pass_matches_tape_oracle_bit_for_bit(genotype, members, x_stacked):
     # loss, flat gradient, evaluation and gradient variance against the tape
-    # that the pass replaced, bit for bit; params with no member axis and
-    # stacked rows give one loss per row stack and the members' summed gradient
+    # that the pass replaced, bit for bit; rows stack only beside params that
+    # stack, so params with no member axis and stacked rows raise
     g = load_fixture(genotype) if isinstance(genotype, str) else genotype
     net = CellNetwork(g, ORACLE_CFG)
     rng = np.random.default_rng(21)
@@ -225,6 +225,11 @@ def test_pass_matches_tape_oracle_bit_for_bit(genotype, members, x_stacked):
     x = rng.standard_normal((k, 7, 5) if x_stacked else (7, 5))
     x[..., 0, :2] = -0.0
     y = rng.integers(0, 3, size=7)
+    if members == "none" and x_stacked:
+        for check in (net.loss_and_grads, net.evaluate, net.gradient_variance):
+            with pytest.raises(ShapeMismatch):
+                check(x, y, params)
+        return
     with np.errstate(all="ignore"):
         loss, grads = net.loss_and_grads(x, y, params)
         want_loss, want_grads = tape_loss_and_grads(net, x, y, params)

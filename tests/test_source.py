@@ -316,6 +316,17 @@ def test_autodiff_is_array_maths_alone():
         assert {layer, f"{layer}_grad"} <= functions
 
 
+def test_only_the_network_and_sgd_step_raise_shape_mismatch():
+    # a pass's shapes are checked once, by the network, before it starts:
+    # in autodiff only the optimizer's step raises ShapeMismatch
+    source = (SRC / "autodiff.py").read_text()
+    raisers = [f.name for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)
+               and "ShapeMismatch" in raised_names(ast.get_source_segment(source, f))]
+    assert raisers == ["sgd_step"]
+    assert [p.stem for p in MODULES if "ShapeMismatch" in raised_names(p.read_text())] == [
+        "autodiff", "network"]
+
+
 def test_no_module_builds_a_per_example_tensor():
     # per-example and per-row gradients, the tape's and the linear theory's,
     # are reduced from their rank-1 factors, never built as one (n, out, in)
