@@ -6,9 +6,9 @@ sums its two transformed inputs, one ``autodiff.node``; the cell output
 averages the concat nodes, which keeps the feature dimension constant across
 cells and leaves identity cells parameter-free.  ``CellNetwork`` reads the
 wiring once into a plan, and its forward and reverse passes walk that plan
-over ``autodiff``'s array functions, keeping one array per layer and no
-tape.  ``ParamLayout`` places the parameter blocks in one flat vector and
-owns the checkpoint format that stores one.
+over ``autodiff``'s array functions with no tape, freeing each layer's array
+after its last reader.  ``ParamLayout`` places the parameter blocks in one
+flat vector and owns the checkpoint format that stores one.
 """
 
 from __future__ import annotations
@@ -231,11 +231,11 @@ class CellNetwork:
     def forward(self, x, params, record=True):
         """Forward pass over the plan; returns (logits, pass), the pass being
         what ``_reverse`` reads, on shapes that ``_check`` allows; a loss
-        method's own check comes first.  The pass keeps one array per slot and
-        computes each slot's rectifier once, at its first linear reader, for
-        every part that reads it.  With ``record=False`` no reverse pass
-        follows: each rectifier is freed after its last linear reader, in
-        whichever cell that is, and each slot after its last reader."""
+        method's own check comes first.  Each slot's rectifier is made once,
+        at its first linear reader, and each slot is freed after its last
+        reader, so the pass ends holding the head's input rows and every
+        rectifier.  With ``record=False`` no reverse pass follows, and each
+        rectifier is freed after its last linear reader, in whichever cell."""
         x = self._check(x, params)
         views = self.layout.views(params)
         vals = [ad.dense(x, views["stem.w"], views["stem.b"])] + [None] * len(self._plan)
@@ -255,9 +255,9 @@ class CellNetwork:
             if not record:
                 for s in dead_rects:
                     rects[s] = None
-                for s in dead:
-                    vals[s] = None
-        return ad.dense(vals[-1], views["head.w"], views["head.b"]), (x, views, vals, rects)
+            for s in dead:
+                vals[s] = None
+        return ad.dense(vals[-1], views["head.w"], views["head.b"]), (x, views, vals[-1], rects)
 
     def _reverse(self, acts, g):
         """The reverse pass of ``forward``'s recorded pass ``acts`` from the
@@ -267,16 +267,16 @@ class CellNetwork:
         them.  The steps run in reverse, and a slot that several parts read
         adds up their gradients in the order of a reverse pass over one
         record per layer, so every bit is that of such a tape.  Each slot's
-        mask is made once, a slot is freed once every reader has run, and
-        no gradient is computed for ``x``."""
-        x, views, vals, rects = acts
-        yield "head.w", g, vals[-1]
+        mask is made once, its rectifier and mask are freed once every
+        reader has run, and no gradient is computed for ``x``."""
+        x, views, rows, rects = acts
+        yield "head.w", g, rows
         yield "head.b", g, None
-        grads, masks, owned = [None] * len(vals), [None] * len(vals), [False] * len(vals)
+        grads, masks, owned = [None] * len(rects), [None] * len(rects), [False] * len(rects)
         grads[-1] = ad.dense_grad(g, views["head.w"])
         for out, parts, back, _, _ in reversed(self._plan):
             g, grads[out] = grads[out], None
-            vals[out] = rects[out] = masks[out] = None
+            rects[out] = masks[out] = None
             if g is None:  # no cell output that the loss reaches reads it
                 continue
             if parts[0][0] == "mean":

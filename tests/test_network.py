@@ -161,7 +161,7 @@ def test_network_gradients_match_finite_differences(toy_cell):
 def test_evaluate_matches_recording_forward_bit_for_bit(name):
     # a pass that records nothing frees rectifiers and slots as it goes; the
     # values are the same, with and without a member axis, and it ends
-    # holding nothing but the head's input
+    # holding the head's input rows and no rectifier
     net = CellNetwork(load_fixture(name), SMALL)
     init = net.init_params(stream(3, "init"))
     rng = np.random.default_rng(8)
@@ -169,14 +169,15 @@ def test_evaluate_matches_recording_forward_bit_for_bit(name):
     y = rng.integers(0, 3, size=16)
     for lead in [(), (2,)]:
         params = init + rng.standard_normal(lead + init.shape)
-        logits, _ = net.forward(x, params)
+        logits, (_, _, recorded_rows, _) = net.forward(x, params)
         recorded, _ = autodiff.softmax_cross_entropy(logits, y)
         loss, acc = net.evaluate(x, y, params)
         assert np.array_equal(loss, recorded)
         assert np.array_equal(acc, np.mean(np.argmax(logits, axis=-1) == y, axis=-1))
-        quiet_logits, (_, _, vals, rects) = net.forward(x, params, record=False)
+        quiet_logits, (_, views, rows, rects) = net.forward(x, params, record=False)
         assert np.array_equal(quiet_logits, logits)
-        assert [s for s, v in enumerate(vals) if v is not None] == [len(vals) - 1]
+        assert np.array_equal(rows, recorded_rows)
+        assert np.array_equal(autodiff.dense(rows, views["head.w"], views["head.b"]), logits)
         assert all(r is None for r in rects)
 
 
@@ -272,23 +273,35 @@ def test_forward_only_pass_frees_dead_rectifiers(darts):
 
 def test_gradient_variance_builds_no_per_example_tensor(darts):
     # 256 rows: the (n, out, in) per-example gradients of the widest block
-    # are 0.5 MB, and building them peaked at 3.61 MB; reduced from the
-    # factors it peaks at about 2.18 MB
+    # are 0.5 MB, and building them peaked at 3.61 MB.  Reduced from the
+    # factors, with each slot freed after its last reader, the call peaks at
+    # about 0.78 MB, and a (3, P) batch-80 loss_and_grads at about 0.90 MB
+    # (1.60 and 1.66 MB when a recorded pass kept every slot), so the bound
+    # leaves no room for such an array
     net = CellNetwork(darts, NetworkConfig())
     ds = make_dataset(DatasetSpec())
     params = net.init_params(stream(0, "init"))
-    peak = traced_peak(lambda: net.gradient_variance(ds.test_x[:256], ds.test_y[:256], params))
-    assert peak < 2.8 * 2**20
+    members = np.stack([net.init_params(stream(seed, "init")) for seed in range(3)])
+    for call in (lambda: net.gradient_variance(ds.test_x[:256], ds.test_y[:256], params),
+                 lambda: net.loss_and_grads(ds.train_x[:80], ds.train_y[:80], members)):
+        assert traced_peak(call) < 1.2 * 2**20
 
 
 def test_darts_pass_keeps_one_array_per_layer(darts):
     # the stem's output, 4 nodes and the concat mean in each of 6 cells: one
-    # array per layer before the head, each of them made by one step
+    # array per layer before the head, each of them made by one step and
+    # freed after its last reader, so a recorded pass ends holding the
+    # head's rows and the 12 rectifiers that its reverse walk reads
     net = CellNetwork(darts, NetworkConfig())
-    _, (_, _, vals, _) = net.forward(np.zeros((2, 16)), net.init_params(stream(3, "init")))
-    assert len(vals) == 31 and all(v is not None for v in vals)
     kinds = [parts[0][0] for _, parts, *_ in net._plan]
     assert len(kinds) == 30 and kinds.count("mean") == 6
+    x = np.random.default_rng(5).standard_normal((2, 16))
+    logits, (_, views, rows, rects) = net.forward(x, net.init_params(stream(3, "init")))
+    assert rows.shape == (2, 16)
+    assert np.array_equal(autodiff.dense(rows, views["head.w"], views["head.b"]), logits)
+    linear_read = {s for _, parts, *_ in net._plan for _, s, w in parts if w}
+    assert len(rects) == 31 and len(linear_read) == 12
+    assert {s for s, r in enumerate(rects) if r is not None} == linear_read
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -297,7 +310,7 @@ def test_darts_pass_keeps_one_array_per_layer(darts):
 def test_forward_rectifies_each_value_once(name, expected, monkeypatch):
     # a cell's input node 0 is the output of the cell two back, node 1 that
     # of the cell before, and the stem output stands in for both before cell
-    # 0; every linear part reading one of those Values shares its rectifier,
+    # 0; every linear part reading one of those slots shares its rectifier,
     # and a pass that records nothing frees it only after its last reader
     g = load_fixture(name)
     layers = 6
