@@ -141,7 +141,11 @@ def block_variance(g, x):
     gradient is scaled by n.  A bias block is reduced to its centred sum of
     squares, and a weight block from its factors by
     ``rank1.sum_of_squares``, so no (n, out, in) array of per-example
-    gradients is built."""
+    gradients is built.  With a member axis, (K, n, out) ``g`` beside
+    stacked or shared rows, each member is reduced on its own: one total each."""
+    if g.ndim == 3:
+        xs = x if x is not None and x.ndim == 3 else [x] * len(g)
+        return np.array([block_variance(gk, xk) for gk, xk in zip(g, xs)])
     g = g * len(g)
     if x is None:
         centred = g - g.mean(axis=0)

@@ -4,13 +4,13 @@ Two random directions in the checkpoint's flat parameter layout span the
 slice; each grid point evaluates the network at checkpoint + alpha*d1 + beta*d2,
 with alpha and beta both read from one coordinate vector, made by
 ``grid_coordinates``.  The loss surface is the mean loss over the split, from
-forward-only passes (``record=False``); each pass evaluates up to
-``ROWS // len(x)`` consecutive grid points (at least one) as member rows, and
-every value is bit-identical to a pass of that point alone.  The
-gradient-variance surface is the total variance (covariance trace) of
-per-instance parameter gradients, from one batched forward and backward pass
-per point, each block reduced by ``autodiff.block_variance``, which states
-the rank-1 form it relies on.
+forward-only passes (``record=False``); the gradient-variance surface is the
+total variance (covariance trace) of per-instance parameter gradients, from
+batched forward and backward passes, each block reduced by
+``autodiff.block_variance``, which states the rank-1 form it relies on.  Both
+evaluate up to ``ROWS // len(x)`` consecutive grid points (at least one) as
+the member rows of one pass, and every finite value is bit-identical to a
+pass of that point alone.
 Non-finite values are kept as computed and tagged by ``export_grid``, not
 clipped.
 """
@@ -27,9 +27,10 @@ from .errors import DimensionMismatch, InvalidSpec
 from .network import CellNetwork
 from .rng import stream
 
-# Rows (grid points x split rows) one grid pass holds: 2 points at the default
-# subset of 256.  Caps of 1024 and 2048 were no faster on a 2-CPU x86-64 VM
-# (landscape rounds 2.13-2.30 s vs 2.05-2.18 s at 512) and raised peak RSS.
+# Rows (grid points x split rows) a pass of either surface holds: 2 points at
+# the default subset of 256.  Caps of 1024 and 2048 were no faster on a 2-CPU
+# x86-64 VM (landscape rounds 2.13-2.30 s vs 2.05-2.18 s at 512) and raised
+# peak RSS.
 ROWS = 512
 
 
@@ -129,8 +130,8 @@ def gradient_variance_surface(network: CellNetwork, checkpoint, x, y, pair, coor
     if mode not in ("gradvar", "gradstd"):
         raise ValueError(f"mode must be gradvar|gradstd, got {mode!r}")
     _check_grid_inputs(network, checkpoint, pair, coords)
-    values = _grid(lambda stack: [network.gradient_variance(x, y, p) for p in stack],
-                   len(x), checkpoint, pair, coords)
+    values = _grid(lambda stack: network.gradient_variance(x, y, stack), len(x), checkpoint,
+                   pair, coords)
     if mode == "gradstd":
         values = np.sqrt(values)
     return Surface(mode, values)

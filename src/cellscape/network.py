@@ -212,31 +212,25 @@ class CellNetwork:
                 view[...] = glorot_init(view.shape, rng)
         return params
 
-    def _check(self, x, params, y=None, members=True):
-        """``x`` as float64, once a pass's shapes keep the one contract that
-        ``autodiff``'s layers trust, else ShapeMismatch: (P,) params, or
-        (K, P) where ``members`` allows; (B, input_dim) rows, or
-        (K, B, input_dim) beside (K, P) params; and labels, where given, (B,)
-        or shaped like the rows' leading axes."""
+    def forward(self, x, params, record=True, y=None):
+        """Forward pass over the plan; returns (logits, pass), the pass being
+        what ``_reverse`` reads.  Every pass keeps one shape contract, which
+        ``autodiff``'s layers trust, else ShapeMismatch: (P,) params or (K, P)
+        for K members; (B, input_dim) rows, or (K, B, input_dim) beside
+        (K, P) params; and a loss method's labels ``y``, (B,) or shaped like
+        the rows' leading axes.  Each slot's rectifier is made once, at its
+        first linear reader, and each slot is freed after its last reader, so
+        the pass ends holding the head's input rows and every rectifier.  With
+        ``record=False`` no reverse pass follows, and each rectifier is freed
+        after its last linear reader, in whichever cell."""
         x = np.asarray(x, dtype=np.float64)
         lead = params.shape[:-1]
-        if (params.shape[-1:] != (self.layout.size,) or len(lead) > members or x.ndim < 2
+        if (params.shape[-1:] != (self.layout.size,) or len(lead) > 1 or x.ndim < 2
                 or x.shape[:-2] not in ((), lead) or x.shape[-1] != self.cfg.input_dim
                 or y is not None and np.shape(y) not in (x.shape[-2:-1], x.shape[:-1])):
             raise ShapeMismatch(f"{params.shape} params, {x.shape} rows, labels "
                                 f"{y if y is None else np.shape(y)}: P is {self.layout.size}, "
-                                f"a row {self.cfg.input_dim}, members {members}")
-        return x
-
-    def forward(self, x, params, record=True):
-        """Forward pass over the plan; returns (logits, pass), the pass being
-        what ``_reverse`` reads, on shapes that ``_check`` allows; a loss
-        method's own check comes first.  Each slot's rectifier is made once,
-        at its first linear reader, and each slot is freed after its last
-        reader, so the pass ends holding the head's input rows and every
-        rectifier.  With ``record=False`` no reverse pass follows, and each
-        rectifier is freed after its last linear reader, in whichever cell."""
-        x = self._check(x, params)
+                                f"a row {self.cfg.input_dim}")
         views = self.layout.views(params)
         vals = [ad.dense(x, views["stem.w"], views["stem.b"])] + [None] * len(self._plan)
         rects = [None] * len(vals)
@@ -303,7 +297,7 @@ class CellNetwork:
         axis the loss is one float per member and each member's gradient is
         its own.  Each block's gradient is written into its view of one
         array, and blocks the loss does not reach get zero gradient."""
-        logits, acts = self.forward(self._check(x, params, y), params)
+        logits, acts = self.forward(x, params, y=y)
         loss, logp = ad.softmax_cross_entropy(logits, y)
         grads = np.zeros(params.shape)
         views = self.layout.views(grads)
@@ -314,8 +308,7 @@ class CellNetwork:
     def evaluate(self, x, y, params):
         """(mean loss, accuracy) on a split, in a single forward pass that
         records nothing; one of each per member with a member axis."""
-        x = self._check(x, params, y)
-        logits = self.forward(x, params, record=False)[0]  # the pass's last slot goes now
+        logits = self.forward(x, params, record=False, y=y)[0]  # the pass's last slot goes now
         loss, _ = ad.softmax_cross_entropy(logits, y)
         return loss, np.mean(np.argmax(logits, axis=-1) == np.asarray(y), axis=-1)
 
@@ -325,9 +318,10 @@ class CellNetwork:
         Every parameter is the weight or bias of one ``dense`` or the weight
         of one linear node part, so ``autodiff.block_variance`` reduces each
         block from its rows' rank-1 factors; the total is the sum of the
-        variances of the blocks the loss reaches, in layout order.  The
-        params are one member's, with no member axis."""
-        logits, acts = self.forward(self._check(x, params, y, members=False), params)
+        variances of the blocks the loss reaches, in layout order.  A float
+        for (P,) params; one total per member for (K, P), each bit for bit
+        that member's own call where finite."""
+        logits, acts = self.forward(x, params, y=y)
         _, logp = ad.softmax_cross_entropy(logits, y)
         blocks = {name: ad.block_variance(g, rows) for name, g, rows
                   in self._reverse(acts, ad.softmax_cross_entropy_grad(logp, y))}

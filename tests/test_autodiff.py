@@ -532,33 +532,28 @@ def test_member_axis_mismatch_raises_shape_mismatch(darts):
     params = np.stack([init] * 3)
     x2, x3 = np.ones((2, 5, 5)), np.ones((3, 5, 5))
     y = np.zeros(5, dtype=int)
+    passes = (net.loss_and_grads, net.evaluate, net.gradient_variance)
     # x stacked for 2 members, params for 3
-    with pytest.raises(ShapeMismatch):
-        net.loss_and_grads(x2, y, params)
-    with pytest.raises(ShapeMismatch):
-        net.evaluate(x2, y, params)
+    for check in passes:
+        with pytest.raises(ShapeMismatch):
+            check(x2, y, params)
     # labels stacked for 2 members, or of the wrong length
     for labels in (np.zeros((2, 5), dtype=int), np.zeros(4, dtype=int)):
-        with pytest.raises(ShapeMismatch):
-            net.loss_and_grads(x3, labels, params)
-        with pytest.raises(ShapeMismatch):
-            net.evaluate(x3, labels, params)
+        for check in passes:
+            with pytest.raises(ShapeMismatch):
+                check(x3, labels, params)
     # params 3 values longer or shorter than the layout, rows with two
     # member axes, and flat params beside stacked rows
     for rows, p in ((x3, np.append(params, np.ones((3, 3)), axis=1)), (x3, params[:, :-3]),
                     (np.ones((2, 3, 5, 5)), params), (x3, init)):
-        with pytest.raises(ShapeMismatch):
-            net.loss_and_grads(rows, y, p)
-        with pytest.raises(ShapeMismatch):
-            net.evaluate(rows, y, p)
+        for check in passes:
+            with pytest.raises(ShapeMismatch):
+                check(rows, y, p)
         with pytest.raises(ShapeMismatch):
             net.forward(rows, p)
     for p in (np.append(init, np.ones(3)), init[:-3]):
         with pytest.raises(ShapeMismatch):
             net.gradient_variance(x3[0], y, p)
-    # gradient variance is one member's: no member axis
-    with pytest.raises(ShapeMismatch):
-        net.gradient_variance(x3[0], y, params)
     with pytest.raises(ShapeMismatch):
         sgd_step(np.ones((3, 2)), np.ones((3, 2)), 0.0, lr=[0.1, 0.2])
 

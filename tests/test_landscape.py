@@ -234,47 +234,65 @@ def per_point_grid(point, ckpt, pair, coords):
                          for alpha in coords])
 
 
-def counting_evaluate(net, monkeypatch):
-    """Record the number of member rows in every ``net.evaluate`` call."""
-    members, evaluate = [], net.evaluate
+# the surfaces whose points ``_grid`` batches: each with the network method
+# that its passes call and that method's value at one point
+BATCHED_SURFACES = [
+    (loss_surface, "evaluate", lambda value: value[0]),
+    (gradient_variance_surface, "gradient_variance", lambda value: value),
+]
+
+
+def counting_passes(net, method, monkeypatch):
+    """Record the number of member rows in every call of ``net``'s ``method``."""
+    members, call = [], getattr(net, method)
 
     def wrapper(x, y, params):
         members.append(len(params))
-        return evaluate(x, y, params)
+        return call(x, y, params)
 
-    monkeypatch.setattr(net, "evaluate", wrapper)
+    monkeypatch.setattr(net, method, wrapper)
     return members
 
 
 def test_loss_surface_chunks_match_per_point_evaluate(setup, monkeypatch):
-    # 24 rows put ROWS // 24 points in a pass; 49 points leave a partial last pass
+    # 24 rows put ROWS // 24 points in a pass; 49 points leave a partial last
+    # pass.  The gradient-variance surface batches its points the same way
     net, ds, ckpt = setup
     x, y = ds.test_x, ds.test_y
     per_pass = ROWS // len(x)
     coords = grid_coordinates(7, 0.5)
     assert 1 < per_pass < len(coords) ** 2 and len(coords) ** 2 % per_pass
     pair = sample_directions(ckpt, net.layout, seed=4)
-    members = counting_evaluate(net, monkeypatch)
-    grid = loss_surface(net, ckpt, x, y, pair, coords)
     full, last = divmod(len(coords) ** 2, per_pass)
-    assert members == [per_pass] * full + [last]
-    oracle = per_point_grid(lambda p: net.evaluate(x, y, p)[0], ckpt, pair, coords)
-    assert np.array_equal(grid.values, oracle)
+    for surface, method, value in BATCHED_SURFACES:
+        point = getattr(net, method)
+        members = counting_passes(net, method, monkeypatch)
+        grid = surface(net, ckpt, x, y, pair, coords)
+        assert members == [per_pass] * full + [last]
+        oracle = per_point_grid(lambda p: value(point(x, y, p)), ckpt, pair, coords)
+        assert np.array_equal(grid.values, oracle)
 
 
-def test_loss_surface_non_finite_points_share_a_pass(setup):
-    # the outer ring overflows; its points share passes with finite inner ones
+def test_loss_surface_non_finite_points_share_a_pass(setup, monkeypatch):
+    # the outer ring overflows; its points share passes with finite inner
+    # ones, on the loss surface and the gradient-variance surface alike
     net, ds, ckpt = setup
     x, y = ds.test_x, ds.test_y
     coords = np.array([-1e200, -0.5, 0.0, 0.5, 1e200])
-    assert ROWS // len(x) >= 2 * len(coords)
+    per_pass = ROWS // len(x)
+    assert per_pass >= 2 * len(coords)
     pair = sample_directions(ckpt, net.layout, seed=4)
-    grid = loss_surface(net, ckpt, x, y, pair, coords)
-    oracle = per_point_grid(lambda p: net.evaluate(x, y, p)[0], ckpt, pair, coords)
-    assert np.all(np.isfinite(oracle[1:4, 1:4]))
-    overflow = ~np.isfinite(grid.values)
-    assert np.all(overflow[[0, 4]]) and np.all(overflow[:, [0, 4]])
-    assert np.array_equal(grid.values, oracle, equal_nan=True)
+    full, last = divmod(len(coords) ** 2, per_pass)
+    for surface, method, value in BATCHED_SURFACES:
+        point = getattr(net, method)
+        members = counting_passes(net, method, monkeypatch)
+        grid = surface(net, ckpt, x, y, pair, coords)
+        assert members == [per_pass] * full + [last]
+        oracle = per_point_grid(lambda p: value(point(x, y, p)), ckpt, pair, coords)
+        assert np.all(np.isfinite(oracle[1:4, 1:4]))
+        overflow = ~np.isfinite(grid.values)
+        assert np.all(overflow[[0, 4]]) and np.all(overflow[:, [0, 4]])
+        assert np.array_equal(grid.values, oracle, equal_nan=True)
 
 
 def test_grid_requires_zero_coordinate(setup):

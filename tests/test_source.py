@@ -316,13 +316,24 @@ def test_autodiff_is_array_maths_alone():
         assert {layer, f"{layer}_grad"} <= functions
 
 
+def shape_mismatch_raisers(source):
+    """The top-level functions and the ``Class.method``s of ``source`` that
+    raise ShapeMismatch."""
+    tree = ast.parse(source)
+    defs = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    defs += [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef)]
+    return sorted(name for name, f in defs
+                  if "ShapeMismatch" in raised_names(ast.get_source_segment(source, f)))
+
+
 def test_only_the_network_and_sgd_step_raise_shape_mismatch():
-    # a pass's shapes are checked once, by the network, before it starts:
-    # in autodiff only the optimizer's step raises ShapeMismatch
-    source = (SRC / "autodiff.py").read_text()
-    raisers = [f.name for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)
-               and "ShapeMismatch" in raised_names(ast.get_source_segment(source, f))]
-    assert raisers == ["sgd_step"]
+    # a pass's shapes are checked once, in the network's forward, before it
+    # starts: in autodiff only the optimizer's step raises ShapeMismatch, and
+    # in network only forward and a checkpoint's save
+    assert shape_mismatch_raisers((SRC / "autodiff.py").read_text()) == ["sgd_step"]
+    assert shape_mismatch_raisers((SRC / "network.py").read_text()) == [
+        "CellNetwork.forward", "ParamLayout.save"]
     assert [p.stem for p in MODULES if "ShapeMismatch" in raised_names(p.read_text())] == [
         "autodiff", "network"]
 
