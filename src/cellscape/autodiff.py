@@ -52,17 +52,19 @@ def dense_grad(g, w):
 
 
 def node(parts):
-    """One cell node: the sum of its two parts, each ``(kind, x, w)``.  A
-    ``linear`` part is ``x``, its source's ``rectify``, times the transpose
-    of its (dim, dim) weight ``w``; an ``identity`` part is its source ``x``
-    and a ``zero`` part zeros shaped like it.  The sum runs in slot order and
-    is written into the first part's own array, a linear part's product or a
-    zero part's zeros; only two identity parts need a new array.  Values are
-    bit for bit those of separate rectifier, matrix product, zeros and add
-    steps."""
+    """One cell node: the sum of its two parts, each ``(kind, x, wt)``.  A
+    ``linear`` part is ``x``, its source's ``rectify``, times ``wt``, the
+    transpose of its (dim, dim) weight, which the caller passes C-contiguous
+    (the product of a strided transposed view costs about twice as much); an
+    ``identity`` part is its source ``x`` and a ``zero`` part zeros shaped
+    like it.  The sum runs in slot order and is written into the first
+    part's own array, a linear part's product or a zero part's zeros; only
+    two identity parts need a new array.  Values are bit for bit those of
+    separate rectifier, matrix product, zeros and add steps on the same
+    ``wt``."""
     (ka, a, wa), (kb, b, wb) = parts
-    a = a @ wa.swapaxes(-1, -2) if ka == "linear" else np.zeros_like(a) if ka == "zero" else a
-    b = b @ wb.swapaxes(-1, -2) if kb == "linear" else np.zeros_like(b) if kb == "zero" else b
+    a = a @ wa if ka == "linear" else np.zeros_like(a) if ka == "zero" else a
+    b = b @ wb if kb == "linear" else np.zeros_like(b) if kb == "zero" else b
     own = a if ka != "identity" else None if kb == "identity" else b
     return np.add(a, b, out=own)
 

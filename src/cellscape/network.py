@@ -7,8 +7,12 @@ averages the concat nodes, which keeps the feature dimension constant across
 cells and leaves identity cells parameter-free.  ``CellNetwork`` reads the
 wiring once into a plan, and its forward and reverse passes walk that plan
 over ``autodiff``'s array functions with no tape, freeing each layer's array
-after its last reader.  ``ParamLayout`` places the parameter blocks in one
-flat vector and owns the checkpoint format that stores one.
+after its last reader.  A forward pass first copies the transposes of the
+weights that linear node parts read, C-contiguous, one copy per run of
+same-shape blocks, since BLAS multiplies by a contiguous matrix about twice
+as fast as by a strided transposed view; the stem, the head and the reverse
+pass read the weights' own views.  ``ParamLayout`` places the parameter
+blocks in one flat vector and owns the checkpoint format that stores one.
 """
 
 from __future__ import annotations
@@ -65,15 +69,22 @@ class ParamLayout:
             self._runs[-1][1] = s.stop
             self._runs[-1][2].append(name)
 
-    def views(self, flat):
+    def views(self, flat, transposed=None):
         """name -> view of that block in ``flat``, keeping its leading axes:
         a run of same-shape blocks is sliced and reshaped once, then read
-        block by block, the views being those of slicing each block."""
+        block by block, the views being those of slicing each block.  Given
+        a set of names ``transposed``, only the runs that hold one are read,
+        each from one copy of its blocks with their last two axes swapped,
+        so that every block's transpose is C-contiguous."""
         k = flat.ndim - 1  # the run's axis, moved to the front to read its blocks
         views = {}
         for start, stop, names, shape in self._runs:
+            if transposed is not None and transposed.isdisjoint(names):
+                continue
             run = flat[..., start:stop].reshape(flat.shape[:-1] + (len(names),) + shape)
-            views.update(zip(names, run.transpose(k, *range(k), *range(k + 1, run.ndim))))
+            run = run.transpose(k, *range(k), *range(k + 1, run.ndim))
+            views.update(zip(names, run if transposed is None
+                             else np.ascontiguousarray(run.swapaxes(-1, -2))))
         return views
 
     def save(self, params, path):
@@ -190,6 +201,7 @@ class CellNetwork:
         self._plan = [(i + 1, parts, _reverse_order(parts),
                        [s for s, j in rectified.items() if j == i],
                        [s for s, j in read.items() if j == i]) for i, parts in enumerate(steps)]
+        self._linear = frozenset(w for parts in steps for _, _, w in parts if w)
         self.layout = ParamLayout(self._param_shapes())
 
     def _param_shapes(self):
@@ -200,7 +212,7 @@ class CellNetwork:
             "head.w": (self.cfg.num_classes, d),
             "head.b": (self.cfg.num_classes,),
         }
-        shapes.update((w, (d, d)) for _, parts, *_ in self._plan for _, _, w in parts if w)
+        shapes.update((w, (d, d)) for w in self._linear)
         return shapes
 
     def init_params(self, rng):
@@ -222,7 +234,8 @@ class CellNetwork:
         first linear reader, and each slot is freed after its last reader, so
         the pass ends holding the head's input rows and every rectifier.  With
         ``record=False`` no reverse pass follows, and each rectifier is freed
-        after its last linear reader, in whichever cell."""
+        after its last linear reader, in whichever cell.  Linear parts read
+        the weights' transposes from one contiguous copy, freed on return."""
         x = np.asarray(x, dtype=np.float64)
         lead = params.shape[:-1]
         if (params.shape[-1:] != (self.layout.size,) or len(lead) > 1 or x.ndim < 2
@@ -232,6 +245,7 @@ class CellNetwork:
                                 f"{y if y is None else np.shape(y)}: P is {self.layout.size}, "
                                 f"a row {self.cfg.input_dim}")
         views = self.layout.views(params)
+        wts = self.layout.views(params, self._linear)
         vals = [ad.dense(x, views["stem.w"], views["stem.b"])] + [None] * len(self._plan)
         rects = [None] * len(vals)
 
@@ -244,7 +258,7 @@ class CellNetwork:
             if parts[0][0] == "mean":
                 vals[out] = ad.mean_of([vals[s] for _, s, _ in parts])
             else:
-                vals[out] = ad.node([(kind, rectified(s), views[w]) if w else (kind, vals[s], None)
+                vals[out] = ad.node([(kind, rectified(s), wts[w]) if w else (kind, vals[s], None)
                                      for kind, s, w in parts])
             if not record:
                 for s in dead_rects:

@@ -94,7 +94,7 @@ def test_mixed_ops_count_difference():
 def test_layout_views_are_each_blocks_own_slice(lead):
     # a run of same-shape blocks is reshaped once and read block by block:
     # the views are those of slicing each block, and writes reach the vector
-    layout = ParamLayout({"b": (3,), "a": (2, 2), "e": (0,), "c": (3,), "w": (2, 2)})
+    layout = ParamLayout({"b": (3,), "a": (2, 2), "e": (0,), "c": (3,), "w": (2, 2), "v": (2, 2)})
     flat = np.arange(math.prod(lead) * layout.size, dtype=float).reshape(lead + (layout.size,))
     views = layout.views(flat)
     assert list(views) == list(layout.blocks)
@@ -103,6 +103,13 @@ def test_layout_views_are_each_blocks_own_slice(lead):
         assert views[name].shape == want.shape and np.array_equal(views[name], want)
         if want.size:  # an empty block's strides are arbitrary
             assert views[name].strides == want.strides and np.shares_memory(views[name], flat)
+    # only the runs holding a name asked for, each block's transpose copied
+    # C-contiguous, one copy per run
+    transposed = layout.views(flat, {"w"})
+    assert list(transposed) == ["v", "w"] and transposed["v"].base is transposed["w"].base
+    for name, wt in transposed.items():
+        assert np.array_equal(wt, np.swapaxes(views[name], -1, -2)) and wt.flags.c_contiguous
+        assert not np.shares_memory(wt, flat)
     views["c"][...] = -1.0
     assert np.all(flat[..., 7:10] == -1.0) and np.all(flat[..., 10:] >= 0.0)
 
@@ -258,6 +265,61 @@ def test_pass_matches_tape_oracle_bit_for_bit(genotype, members, x_stacked):
             np.all(bits(v) == 0) for v in dead)
 
 
+def members_near(darts, cfg, k=3):
+    """A darts network at ``cfg`` and (k, P) params around one init, the
+    last member holding an inf and a NaN in every 13th value."""
+    net = CellNetwork(darts, cfg)
+    init = net.init_params(stream(1, "init"))
+    params = init + np.random.default_rng(4).standard_normal((k, init.size)) * 0.3
+    params[-1, ::13], params[-1, 6::13] = np.inf, np.nan
+    return net, params
+
+
+def test_default_size_pass_matches_tape_oracle_bit_for_bit(darts):
+    # a linear node part multiplies by a contiguous copy of its weight's
+    # transpose, where the tape multiplies by a transposed view of the
+    # weight: at the default width of 16, with 2 rows or more, both products
+    # keep every bit, as do the training batch and the loss grid's shared rows
+    net, params = members_near(darts, NetworkConfig())
+    ds = make_dataset(DatasetSpec())
+    x = np.stack([ds.train_x[i * 80:(i + 1) * 80] for i in range(3)])
+    y = np.stack([ds.train_y[i * 80:(i + 1) * 80] for i in range(3)])
+    with np.errstate(all="ignore"):
+        loss, grads = net.loss_and_grads(x, y, params)
+        want_loss, want_grads = tape_loss_and_grads(net, x, y, params)
+        assert np.array_equal(bits(loss), bits(want_loss))
+        assert np.array_equal(bits(grads), bits(want_grads))
+        x, y = ds.test_x[:256], ds.test_y[:256]
+        for got, want in zip(net.evaluate(x, y, params[1:]), tape_evaluate(net, x, y, params[1:])):
+            assert np.array_equal(bits(got), bits(want))
+        variance = net.gradient_variance(x, y, params[:2])
+        assert list(bits(variance)) == [bits(tape_gradient_variance(net, x, y, p)) for p in params[:2]]
+
+
+@pytest.mark.parametrize("cfg, rows", [(NetworkConfig(dim=20), 80), (NetworkConfig(), 1)],
+                         ids=["dim 20", "one row"])
+def test_pass_near_tape_oracle_where_products_round_differently(darts, cfg, rows):
+    # the contiguous and the strided product round differently at some
+    # widths (17-20, 25-28 and 32-40, the widest tried, with numpy 2.4's
+    # OpenBLAS 0.3.31 on x86-64) and on one row at any width, a
+    # matrix-vector product.  Against the tape, these cases differed by at
+    # most 4.5e-16 relative in a loss and 4.4e-16 in a member's gradient,
+    # relative to its largest entry; over the six fixtures, at 1 or 80 rows
+    # and widths 17 and 20, by at most 8.8e-16 and 4.3e-14
+    net, params = members_near(darts, cfg)
+    params = params[:2]  # finite: the tolerance is for finite values
+    ds = make_dataset(DatasetSpec())
+    x, y = ds.train_x[:rows], ds.train_y[:rows]
+    for p in (params[0], params):
+        loss, grads = net.loss_and_grads(x, y, p)
+        want_loss, want_grads = tape_loss_and_grads(net, x, y, p)
+        np.testing.assert_allclose(loss, want_loss, rtol=1e-14)
+        for got, want in zip(np.atleast_2d(grads), np.atleast_2d(want_grads)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for got, want in zip(net.evaluate(x, y, p), tape_evaluate(net, x, y, p)):
+            np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
 def traced_peak(f):
     """The tracemalloc peak, in bytes, of a call of ``f`` made after one
     untraced warm-up call."""
@@ -273,7 +335,9 @@ def traced_peak(f):
 def test_forward_only_pass_frees_dead_rectifiers(darts):
     # 2000 rows of width 16 are 0.25 MB an array; keeping every rectifier
     # until its cell ends peaked at 2.70 MB, freeing each after its last
-    # linear reader, in its own cell or the next, peaks at about 1.96 MB
+    # linear reader, in its own cell or the next, at about 1.96 MB, and
+    # with the pass's 74 KB copy of the linear weights' transposes beside
+    # it at about 2.04 MB
     net = CellNetwork(darts, NetworkConfig())
     ds = make_dataset(DatasetSpec())
     params = net.init_params(stream(0, "init"))
@@ -286,8 +350,9 @@ def test_gradient_variance_builds_no_per_example_tensor(darts):
     # are 0.5 MB, and building them peaked at 3.61 MB.  Reduced from the
     # factors, with each slot freed after its last reader, the call peaks at
     # about 0.78 MB, and a (3, P) batch-80 loss_and_grads at about 0.90 MB
-    # (1.60 and 1.66 MB when a recorded pass kept every slot), so the bound
-    # leaves no room for such an array
+    # (1.60 and 1.66 MB when a recorded pass kept every slot; the forward
+    # pass's copy of the weights' transposes is freed before the peak), so
+    # the bound leaves no room for such an array
     net = CellNetwork(darts, NetworkConfig())
     ds = make_dataset(DatasetSpec())
     params = net.init_params(stream(0, "init"))
