@@ -181,9 +181,10 @@ class CellNetwork:
         # node's parts are (kind, source slot, weight name or None), a cell
         # output's ("mean", slot, None) per concat node.  Each step also lists
         # its parts in the order a reverse pass adds up their gradients, the
-        # slots whose rectifier no later linear part reads, and the slots that
-        # no later step reads: its own, when no step reads it, but never the
-        # head's input.
+        # slots whose rectifier no later linear part reads, whose masks the
+        # reverse pass makes there, and the slots that no later step reads:
+        # its own, when no step reads it, but never the head's input.  A slot
+        # that a linear part reads is rectified right after it is made.
         steps, outs = [], [0, 0]
         for layer in range(cfg.layers):
             slots = outs[-2:]
@@ -201,6 +202,7 @@ class CellNetwork:
         self._plan = [(i + 1, parts, _reverse_order(parts),
                        [s for s, j in rectified.items() if j == i],
                        [s for s, j in read.items() if j == i]) for i, parts in enumerate(steps)]
+        self._rectified = frozenset(rectified)
         self._linear = frozenset(w for parts in steps for _, _, w in parts if w)
         self.layout = ParamLayout(self._param_shapes())
 
@@ -230,12 +232,12 @@ class CellNetwork:
         ``autodiff``'s layers trust, else ShapeMismatch: (P,) params or (K, P)
         for K members; (B, input_dim) rows, or (K, B, input_dim) beside
         (K, P) params; and a loss method's labels ``y``, (B,) or shaped like
-        the rows' leading axes.  Each slot's rectifier is made once, at its
-        first linear reader, and each slot is freed after its last reader, so
-        the pass ends holding the head's input rows and every rectifier.  With
-        ``record=False`` no reverse pass follows, and each rectifier is freed
-        after its last linear reader, in whichever cell.  Linear parts read
-        the weights' transposes from one contiguous copy, freed on return."""
+        the rows' leading axes.  A slot that linear parts read is rectified
+        right after it is made and each slot is freed after its last reader,
+        so the pass ends holding the head's input rows and every rectifier.
+        With ``record=False`` no reverse pass follows, and each rectifier is
+        freed after its last linear reader, in whichever cell.  Linear parts
+        read the weights' transposes from one contiguous copy, freed on return."""
         x = np.asarray(x, dtype=np.float64)
         lead = params.shape[:-1]
         if (params.shape[-1:] != (self.layout.size,) or len(lead) > 1 or x.ndim < 2
@@ -247,19 +249,15 @@ class CellNetwork:
         views = self.layout.views(params)
         wts = self.layout.views(params, self._linear)
         vals = [ad.dense(x, views["stem.w"], views["stem.b"])] + [None] * len(self._plan)
-        rects = [None] * len(vals)
-
-        def rectified(s):
-            if rects[s] is None:
-                rects[s] = ad.rectify(vals[s])
-            return rects[s]
-
+        rects = [ad.rectify(vals[0]) if 0 in self._rectified else None] + [None] * len(self._plan)
         for out, parts, _, dead_rects, dead in self._plan:
             if parts[0][0] == "mean":
                 vals[out] = ad.mean_of([vals[s] for _, s, _ in parts])
             else:
-                vals[out] = ad.node([(kind, rectified(s), wts[w]) if w else (kind, vals[s], None)
+                vals[out] = ad.node([(kind, rects[s], wts[w]) if w else (kind, vals[s], None)
                                      for kind, s, w in parts])
+            if out in self._rectified:
+                rects[out] = ad.rectify(vals[out])
             if not record:
                 for s in dead_rects:
                     rects[s] = None
@@ -275,16 +273,19 @@ class CellNetwork:
         them.  The steps run in reverse, and a slot that several parts read
         adds up their gradients in the order of a reverse pass over one
         record per layer, so every bit is that of such a tape.  Each slot's
-        mask is made once, its rectifier and mask are freed once every
-        reader has run, and no gradient is computed for ``x``."""
+        mask is made at its last linear reader, the first the walk reaches;
+        its rectifier and mask are freed once every reader has run, and no
+        gradient is computed for ``x``."""
         x, views, rows, rects = acts
         yield "head.w", g, rows
         yield "head.b", g, None
         grads, masks, owned = [None] * len(rects), [None] * len(rects), [False] * len(rects)
         grads[-1] = ad.dense_grad(g, views["head.w"])
-        for out, parts, back, _, _ in reversed(self._plan):
+        for out, parts, back, dead_rects, _ in reversed(self._plan):
             g, grads[out] = grads[out], None
             rects[out] = masks[out] = None
+            for s in dead_rects:  # made even if g is None: an earlier reader may need it
+                masks[s] = ad.relu_mask(rects[s])
             if g is None:  # no cell output that the loss reaches reads it
                 continue
             if parts[0][0] == "mean":
@@ -292,8 +293,6 @@ class CellNetwork:
             for kind, s, w in back:
                 if w:
                     yield w, g, rects[s]
-                    if masks[s] is None:
-                        masks[s] = ad.relu_mask(rects[s])
                 gx = share if kind == "mean" else ad.node_grad(kind, g, views.get(w), masks[s])
                 # g and a mean's share reach several slots: only a sum made
                 # here, or a fresh product or zeros, is added to in place

@@ -389,6 +389,21 @@ def test_train_non_finite_evaluation_is_divergence_exit_3(darts_file, tiny_spec,
                                  "test_loss": None, "test_acc": 0.0}
 
 
+def test_train_diverging_at_the_first_evaluation_exit_3(darts_file, tmp_path):
+    # points about 1e308 from the origin overflow the evaluation before any
+    # update: the run stops at epoch 0 with a one-row trace
+    spec = tmp_path / "data.json"
+    spec.write_text(json.dumps({"radius": 1.5e308, "train_size": 40, "test_size": 20}))
+    out = tmp_path / "run"
+    res = run_cli("train", "--genotype", darts_file, "--dataset-spec", spec,
+                  "--epochs", 3, "--out-dir", out)
+    assert res.returncode == 3, res.stderr
+    assert (out / "trace.csv").read_text().splitlines() == [
+        "epoch,lr,train_loss,test_loss,test_acc", "0,0.025,inf,inf,0.0"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diverged"] is True and manifest["divergence_epoch"] == 0
+
+
 def test_compare_small(darts_file, tiny_spec, tmp_path):
     gdir = tmp_path / "gens"
     gdir.mkdir()

@@ -349,7 +349,7 @@ def test_gradient_variance_builds_no_per_example_tensor(darts):
     # 256 rows: the (n, out, in) per-example gradients of the widest block
     # are 0.5 MB, and building them peaked at 3.61 MB.  Reduced from the
     # factors, with each slot freed after its last reader, the call peaks at
-    # about 0.78 MB, and a (3, P) batch-80 loss_and_grads at about 0.90 MB
+    # about 0.81 MB, and a (3, P) batch-80 loss_and_grads at about 0.90 MB
     # (1.60 and 1.66 MB when a recorded pass kept every slot; the forward
     # pass's copy of the weights' transposes is freed before the peak), so
     # the bound leaves no room for such an array
@@ -411,8 +411,15 @@ def test_forward_rectifies_each_value_once(name, expected, monkeypatch):
         computed.clear()
         net.forward(np.ones((2, 16)), params, record)
         assert len(computed) == len({id(x) for x in computed}) == expected, record
-    _, (_, _, _, rects) = net.forward(np.ones((2, 16)), params)
-    assert sum(r is not None for r in rects) == expected
+    logits, acts = net.forward(np.ones((2, 16)), params)
+    assert sum(r is not None for r in acts[3]) == expected
+    # the reverse walk masks each of those rectifiers once, at its last reader
+    masked = []
+    relu_mask = autodiff.relu_mask
+    monkeypatch.setattr(autodiff, "relu_mask", lambda r: masked.append(r) or relu_mask(r))
+    for _ in net._reverse(acts, np.ones_like(logits)):
+        pass
+    assert len(masked) == len({id(r) for r in masked}) == expected
 
 
 def test_forward_deterministic(darts):
@@ -589,6 +596,20 @@ def test_divergence_recorded(darts):
     assert trace.rows[-1]["test_loss"] == math.inf
     assert trace.epochs_to_threshold(0.5) is None
     assert trace.loss_curve_area() == math.inf
+
+
+def test_divergence_at_the_first_evaluation(darts):
+    # points about 1e308 from the origin overflow the very first evaluation,
+    # so every member diverges at epoch 0 with its init draw and no update
+    ds = make_dataset(DatasetSpec(radius=1.5e308, train_size=40, test_size=20))
+    net = CellNetwork(darts, NetworkConfig())
+    members = [(0.025, 0), (0.25, 1)]
+    traces = train(net, ds, members, 3, 80)
+    for (lr, seed), trace in zip(members, traces):
+        assert trace.rows == [{"epoch": 0, "lr": lr, "train_loss": math.inf,
+                               "test_loss": math.inf, "test_acc": 0.0}]
+        assert trace.divergence_epoch == 0
+        assert np.array_equal(trace.final_params, net.init_params(stream(seed, "init")))
 
 
 # --- lockstep members -----------------------------------------------------
