@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ShapeMismatch
-from .rank1 import sum_of_squares
+from .rank1 import scaled, sum_of_squares
 
 
 def rectify(x):
@@ -141,10 +141,11 @@ def block_variance(g, x):
     to a weight and ``g[i]`` to a bias.  The loss is a batch mean, so row i
     of ``g`` is 1/n of example i's own gradient and every per-example
     gradient is scaled by n.  A bias block is reduced to its centred sum of
-    squares, and a weight block from its factors by
-    ``rank1.sum_of_squares``, so no (n, out, in) array of per-example
-    gradients is built.  With a member axis, (K, n, out) ``g`` beside
-    stacked or shared rows, each member is reduced on its own: one total each."""
+    squares, and a weight block by ``rank1.sum_of_squares`` from its
+    factors, each scaled by ``rank1.scaled``, so no (n, out, in) array of
+    per-example gradients is built.  With a member axis, (K, n, out) ``g``
+    beside stacked or shared rows, each member is reduced on its own: one
+    total each."""
     if g.ndim == 3:
         xs = x if x is not None and x.ndim == 3 else [x] * len(g)
         return np.array([block_variance(gk, xk) for gk, xk in zip(g, xs)])
@@ -152,7 +153,7 @@ def block_variance(g, x):
     if x is None:
         centred = g - g.mean(axis=0)
         return float(np.sum(centred * centred)) / len(g)
-    return sum_of_squares(g, x) / len(g)
+    return sum_of_squares(scaled(g), scaled(x)) / len(g)
 
 
 # --- optimizer ------------------------------------------------------------

@@ -10,8 +10,9 @@ quadratic 0.5 * sum_i ||node_i - t_i||^2, which makes the widest cell's
 block smoothness constant exactly ||x||^2 and gives the bounds a computable
 reference.  The smoothness check computes the chain's block constants
 exactly, from the same sweep; the variance check reduces sampled inputs'
-rank-1 gradients from their factors.  Both report whether they stay under
-the scaled widest-cell bounds; violations are surfaced, never suppressed.
+rank-1 gradients from their factors, each scaled and row-reduced once by
+``rank1.scaled``.  Both report whether they stay under the scaled
+widest-cell bounds; violations are surfaced, never suppressed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientSamples, check_float64s
 from .genotype import CellGenotype, NodeSpec, OpSpec
-from .rank1 import sum_of_squares
+from .rank1 import scaled, sum_of_squares
 from .rng import stream
 
 SMOOTHNESS_SLACK = 1e-9  # float round-off allowed over the smoothness bound
@@ -171,13 +172,14 @@ def _total_variance(v, u):
     """Mean and standard error over S of the squared distances of the rank-1
     gradients v_s u_s^T from their mean G = v^T u / S: ``rank1.sum_of_squares``
     / S, and the std of ||v_s||^2 ||u_s||^2 - 2 v_s^T G u_s + ||G||^2 taken, as
-    there, on each factor scaled exactly by a power of two, then scaled back."""
-    ev, eu = (np.frexp(np.abs(a).max())[1] for a in (v, u))
-    sv, su = np.ldexp(v, -ev), np.ldexp(u, -eu)
+    there, on each factor scaled exactly by a power of two, then scaled back.
+    Each factor is scaled and its rows reduced once, by ``rank1.scaled``."""
+    fv, fu = scaled(v), scaled(u)
+    (sv, ev, vv), (su, eu, uu) = fv, fu
     g = sv.T @ su / len(v)
-    sq = np.square(sv).sum(axis=1) * np.square(su).sum(axis=1) - 2 * np.sum(sv @ g * su, axis=1)
+    sq = vv * uu - 2 * np.sum(sv @ g * su, axis=1)
     se = np.ldexp((sq + np.vdot(g, g)).std(ddof=1), 2 * (ev + eu)) / np.sqrt(len(v))
-    return sum_of_squares(v, u) / len(v), float(se)
+    return sum_of_squares(fv, fu) / len(v), float(se)
 
 
 def verify_gradient_variance(m: LinearCellModel, i, xs):
@@ -192,9 +194,11 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
     _check_block(m, i)
     empirical, emp_se = _total_variance(
         *next((v, u) for k, v, u, _ in grad_factors(m, linear_cell(range(m.n)), xs) if k == i))
-    # the widest cell with the same weights and targets, its blocks from n down
-    sigmas_sq = [sum_of_squares(v, u) / len(xs)
-                 for _, v, u, _ in grad_factors(m, linear_cell((0,) * m.n), xs)][::-1]
+    # the widest cell with the same weights and targets, its blocks from n
+    # down; every block's u is node 0, the input rows, scaled once for all n
+    u = scaled(xs)
+    sigmas_sq = [sum_of_squares(scaled(v), u) / len(xs)
+                 for _, v, _, _ in grad_factors(m, linear_cell((0,) * m.n), xs)][::-1]
 
     tail = 0  # added left to right, as in verify_block_smoothness
     for k, s in enumerate(sigmas_sq[i - 1:], i):

@@ -179,12 +179,14 @@ class CellNetwork:
         # or a cell output, so the last slot feeds the head.  Cell L's inputs
         # are the outputs of cells L-2 and L-1, the stem's standing in.  A
         # node's parts are (kind, source slot, weight name or None), a cell
-        # output's ("mean", slot, None) per concat node.  Each step also lists
-        # its parts in the order a reverse pass adds up their gradients, the
-        # slots whose rectifier no later linear part reads, whose masks the
-        # reverse pass makes there, and the slots that no later step reads:
-        # its own, when no step reads it, but never the head's input.  A slot
-        # that a linear part reads is rectified right after it is made.
+        # output's ("mean", slot, None) per concat node.  The plan keeps only
+        # the steps that the head's input reaches back to: a node that no
+        # cell output reads is never computed, and its weights' gradient is
+        # zero.  Each kept step also lists its parts in the order a
+        # reverse pass adds up their gradients, the slots whose rectifier no
+        # later linear part reads, whose masks the reverse pass makes there,
+        # and the slots that no later step reads.  A slot that a linear part
+        # reads is rectified right after it is made.
         steps, outs = [], [0, 0]
         for layer in range(cfg.layers):
             slots = outs[-2:]
@@ -195,13 +197,19 @@ class CellNetwork:
                 slots.append(len(steps))
             steps.append(tuple(("mean", slots[c], None) for c in genotype.concat))
             outs.append(len(steps))
-        rectified, read = {}, {i + 1: i for i in range(len(steps) - 1)}
-        for i, parts in enumerate(steps):
-            rectified.update((s, i) for _, s, w in parts if w)
-            read.update((s, i) for _, s, _ in parts)
-        self._plan = [(i + 1, parts, _reverse_order(parts),
-                       [s for s, j in rectified.items() if j == i],
-                       [s for s, j in read.items() if j == i]) for i, parts in enumerate(steps)]
+        reached = {len(steps)}
+        for out in range(len(steps), 0, -1):
+            if out in reached:
+                reached.update(s for _, s, _ in steps[out - 1])
+        kept = [(out, steps[out - 1]) for out in sorted(reached - {0})]
+        rectified, read = {}, {}
+        for out, parts in kept:
+            rectified.update((s, out) for _, s, w in parts if w)
+            read.update((s, out) for _, s, _ in parts)
+        self._plan = [(out, parts, _reverse_order(parts),
+                       [s for s, j in rectified.items() if j == out],
+                       [s for s, j in read.items() if j == out]) for out, parts in kept]
+        self._slots = len(steps) + 1
         self._rectified = frozenset(rectified)
         self._linear = frozenset(w for parts in steps for _, _, w in parts if w)
         self.layout = ParamLayout(self._param_shapes())
@@ -248,8 +256,10 @@ class CellNetwork:
                                 f"a row {self.cfg.input_dim}")
         views = self.layout.views(params)
         wts = self.layout.views(params, self._linear)
-        vals = [ad.dense(x, views["stem.w"], views["stem.b"])] + [None] * len(self._plan)
-        rects = [ad.rectify(vals[0]) if 0 in self._rectified else None] + [None] * len(self._plan)
+        vals, rects = [None] * self._slots, [None] * self._slots
+        vals[0] = ad.dense(x, views["stem.w"], views["stem.b"])
+        if 0 in self._rectified:
+            rects[0] = ad.rectify(vals[0])
         for out, parts, _, dead_rects, dead in self._plan:
             if parts[0][0] == "mean":
                 vals[out] = ad.mean_of([vals[s] for _, s, _ in parts])
@@ -284,10 +294,8 @@ class CellNetwork:
         for out, parts, back, dead_rects, _ in reversed(self._plan):
             g, grads[out] = grads[out], None
             rects[out] = masks[out] = None
-            for s in dead_rects:  # made even if g is None: an earlier reader may need it
+            for s in dead_rects:
                 masks[s] = ad.relu_mask(rects[s])
-            if g is None:  # no cell output that the loss reaches reads it
-                continue
             if parts[0][0] == "mean":
                 share = ad.mean_of_grad(g, len(parts))
             for kind, s, w in back:

@@ -29,7 +29,6 @@ from cellscape.linear_theory import (
     random_model,
     spectral_norm,
 )
-from cellscape.rank1 import sum_of_squares
 from cellscape.rng import stream
 from cellscape.sampler import connection_space_counts
 
@@ -278,8 +277,8 @@ def per_example_variance(tape: Tape, leaves: dict) -> dict:
     i's own gradient and every per-example gradient is scaled by the row
     count n.
     A bias block is reduced to its centred sum of squares, and a weight block
-    from its factors by ``rank1.sum_of_squares``, so no (n, out, in) array
-    of per-example gradients is built.  A leaf the loss does not reach has
+    from its factors by ``self_scaling_sum_of_squares``, so no (n, out, in)
+    array of per-example gradients is built.  A leaf the loss does not reach has
     no entry.  Raises SharedParameter when a leaf feeds any other record.
     """
     uses = {}
@@ -305,7 +304,7 @@ def per_example_variance(tape: Tape, leaves: dict) -> dict:
             centred = g - g.mean(axis=0)
             blocks[name] = float(np.sum(centred * centred)) / len(g)
         else:
-            blocks[name] = sum_of_squares(g, x) / len(g)
+            blocks[name] = self_scaling_sum_of_squares(g, x) / len(g)
     return blocks
 
 
@@ -435,6 +434,42 @@ def materialised_variance(grads):
     sq = np.sum(np.square(grads - grads.mean(axis=0)), axis=(1, 2))
     e = np.frexp(sq.max())[1]
     return float(sq.mean()), float(np.ldexp(np.ldexp(sq, -e).std(ddof=1), e) / np.sqrt(len(sq)))
+
+
+def self_scaling_sum_of_squares(g, x):
+    """Oracle of ``rank1.sum_of_squares`` that takes the two raw factors and
+    scales each and reduces its rows itself, where ``src/`` does that once per
+    factor with ``rank1.scaled``: the same operations, so the same bits."""
+    (n, fan_out), fan_in = g.shape, x.shape[1]
+    eg, ex = (np.frexp(np.max(np.abs(a)))[1] for a in (g, x))
+    g, x = np.ldexp(g, -eg), np.ldexp(x, -ex)
+    s = np.square(g).sum(axis=1) @ np.square(x).sum(axis=1)
+    gx = g.T @ x
+    result = s - np.vdot(gx, gx) / n
+    if result <= (3 * n + fan_out * fan_in + fan_out + fan_in + 2) * np.finfo(float).eps * s:
+        result = 0.0
+    return float(np.ldexp(result, 2 * (eg + ex)))
+
+
+def self_scaling_total_variance(v, u):
+    """Oracle of ``linear_theory._total_variance`` that scales v and u and
+    reduces their rows here, and again in ``self_scaling_sum_of_squares``."""
+    ev, eu = (np.frexp(np.abs(a).max())[1] for a in (v, u))
+    sv, su = np.ldexp(v, -ev), np.ldexp(u, -eu)
+    g = sv.T @ su / len(v)
+    sq = np.square(sv).sum(axis=1) * np.square(su).sum(axis=1) - 2 * np.sum(sv @ g * su, axis=1)
+    se = np.ldexp((sq + np.vdot(g, g)).std(ddof=1), 2 * (ev + eu)) / np.sqrt(len(v))
+    return self_scaling_sum_of_squares(v, u) / len(v), float(se)
+
+
+def self_scaling_gradient_variance(m, i, xs):
+    """(empirical, standard_error, sigmas_sq) of ``verify_gradient_variance``
+    from the same ``grad_factors``, every factor scaled where it is read."""
+    empirical, se = self_scaling_total_variance(
+        *next((v, u) for k, v, u, _ in grad_factors(m, linear_cell(range(m.n)), xs) if k == i))
+    sigmas_sq = [self_scaling_sum_of_squares(v, u) / len(xs)
+                 for _, v, u, _ in grad_factors(m, linear_cell((0,) * m.n), xs)][::-1]
+    return empirical, se, sigmas_sq
 
 
 def chain_sources(n):

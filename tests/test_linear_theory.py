@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cellscape import linear_theory
+from cellscape import linear_theory, rank1
 from cellscape.errors import DimensionMismatch, ForwardReference, InsufficientSamples
 from cellscape.genotype import OpSpec
 from cellscape.linear_theory import (
@@ -33,6 +33,7 @@ from conftest import (
     materialised_variance,
     one_row,
     per_trial_smoothness,
+    self_scaling_gradient_variance,
     two_gradient_ratio,
     widest_sources,
     with_block,
@@ -771,6 +772,63 @@ def test_total_variance_scales_exactly_by_powers_of_two(power):
     for p, q in ((power, 0), (0, power), (power, -power)):
         assert _total_variance(np.ldexp(v, p), np.ldexp(u, q)) == (
             np.ldexp(mean, 2 * (p + q)), np.ldexp(se, 2 * (p + q)))
+
+
+@pytest.mark.parametrize("power", [0, 300, -300])
+def test_scaled_is_exact_and_reduces_each_row(power):
+    # a factor comes back bit for bit from its scaled array and power of two,
+    # its largest magnitude scaled into [0.5, 1), and the row sums are those
+    # of the scaled array
+    a = np.ldexp(mixed_factors(50, 25, dim=6), power)
+    s, e, rows = rank1.scaled(a)
+    assert np.array_equal(np.ldexp(s, e).view(np.int64), a.view(np.int64))
+    assert 0.5 <= np.abs(s).max() < 1
+    assert np.array_equal(rows.view(np.int64), np.square(s).sum(axis=1).view(np.int64))
+
+
+def test_scaled_zero_factor_has_power_zero():
+    s, e, rows = rank1.scaled(np.zeros((4, 3)))
+    assert e == 0 and not s.any() and not rows.any()
+
+
+def as_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e200])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_variance_keeps_the_self_scaling_bits(seed, scale):
+    # each factor scaled and its rows reduced once gives every bit of the
+    # reduction that scales a factor wherever it reads it, overflowing or
+    # underflowing checks included
+    rng = make_rng(seed)
+    m = random_model(3, 8, rng, scale=scale)
+    xs = rng.standard_normal((300, 8))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in (1, 2, 3):
+            r = verify_gradient_variance(m, i, xs)
+            empirical, se, sigmas_sq = self_scaling_gradient_variance(m, i, xs)
+            assert as_bits([r["empirical"], r["standard_error"]]) == as_bits([empirical, se])
+            assert as_bits(r["sigmas_sq"]) == as_bits(sigmas_sq)
+
+
+def test_variance_scales_each_factor_once(monkeypatch):
+    # the chain block's v and u, each widest block's v, and the input rows
+    # that are every widest block's u, once for all n: n + 3 factors
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return rank1.scaled(a)
+
+    monkeypatch.setattr(linear_theory, "scaled", counting)
+    rng = make_rng(26)
+    m = random_model(3, 4, rng)
+    xs = rng.standard_normal((20, 4))
+    for i in (1, 2, 3):
+        calls.clear()
+        verify_gradient_variance(m, i, xs)
+        assert len(calls) == m.n + 3
 
 
 def test_variance_of_huge_weights_has_finite_standard_error():

@@ -422,6 +422,25 @@ def test_forward_rectifies_each_value_once(name, expected, monkeypatch):
     assert len(masked) == len({id(r) for r in masked}) == expected
 
 
+def test_plan_skips_the_steps_that_the_loss_does_not_reach(monkeypatch):
+    # the dead-end cell's node 1 feeds no cell output: a pass neither
+    # computes it nor rectifies or masks the node 0 that only it reads
+    # linearly, so each of 2 cells makes 1 node, 1 rectifier and 1 mask
+    calls = {name: [] for name in ("node", "rectify", "relu_mask")}
+    for name, found in calls.items():
+        layer = getattr(autodiff, name)
+        monkeypatch.setattr(autodiff, name, lambda *a, layer=layer, found=found:
+                            found.append(a) or layer(*a))
+    dead_end = next(g for g in ODD_CELLS if g.name == "dead-end")
+    net = CellNetwork(dead_end, SMALL)
+    params = net.init_params(stream(3, "init"))
+    _, grads = net.loss_and_grads(np.ones((4, 5)), np.zeros(4, dtype=int), params)
+    assert {name: len(found) for name, found in calls.items()} == {
+        "node": 2, "rectify": 2, "relu_mask": 2}
+    dead = [v for name, v in net.layout.views(grads).items() if ".node1." in name]
+    assert len(dead) == 2 * 2 and all(np.all(bits(v) == 0) for v in dead)
+
+
 def test_forward_deterministic(darts):
     net = CellNetwork(darts, SMALL)
     params = net.init_params(stream(3, "init"))

@@ -222,6 +222,12 @@ def test_only_grid_coordinates_calls_linspace():
     assert top_level_callers("linspace") == ["landscape.grid_coordinates"]
 
 
+def test_only_rank1_squares_a_factor():
+    # a rank-1 factor is scaled and its rows reduced in one place, once per
+    # factor, so no second copy of that reduction can drift from it
+    assert top_level_callers("square") == ["rank1.scaled"]
+
+
 def test_only_typed_calls_type():
     # the rule that a JSON value's type is exact (true is not an integer, nor
     # is 1.0) is written once, for every file read back
