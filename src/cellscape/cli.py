@@ -25,6 +25,7 @@ from .errors import (
     InvalidSpec,
     MissingManifest,
     ParseError,
+    check_float64s,
 )
 from .genotype import adapt_to_widest_shallowest, load_genotype, save_genotype
 from .landscape import (
@@ -261,6 +262,9 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
 def compare(genotype_dir, lr_set, num_seeds, epochs, layers, dim, threshold,
             dataset_spec_file, out_file):
     """Convergence comparison across genotypes and learning rates."""
+    # each member holds a parameter row of one (K, P) array: reject a K past
+    # numpy's index limit before any list of seeds is built
+    check_float64s(len(lr_set) * num_seeds, "one parameter per (lr, seed) member")
     files = sorted(Path(genotype_dir).glob("*.json"))
     files = [f for f in files if f.name != "manifest.json"]
     genotypes = [load_genotype(f) for f in files]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .artifacts import read_json
-from .errors import InvalidSpec, ParseError
+from .errors import InvalidSpec, ParseError, check_float64s
 from .rng import stream
 
 
@@ -44,6 +44,9 @@ class DatasetSpec:
             raise InvalidSpec("need num_classes >= 2 and dim >= 2")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, not {self.seed}")
+        check_float64s(self.num_classes * self.dim, "num_classes x dim")
+        check_float64s(self.train_size * self.dim, "train_size x dim")
+        check_float64s(self.test_size * self.dim, "test_size x dim")
 
 
 @dataclass(frozen=True)

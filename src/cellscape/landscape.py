@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .errors import DimensionMismatch, InvalidSpec
+from .errors import DimensionMismatch, InvalidSpec, check_float64s
 from .network import CellNetwork
 from .rng import stream
 
@@ -75,9 +75,11 @@ def grid_coordinates(points, extent):
     [-extent, extent]: linspace's, with the centre set to exactly 0.
 
     Raises InvalidSpec when they are not finite and strictly increasing: an
-    extent too small to separate them, or so large that they overflow."""
+    extent too small to separate them, or so large that they overflow; or
+    when numpy could not index the grid's points * points values."""
     if points < 1 or points % 2 == 0:
         raise ValueError("points must be odd so the grid is centered on 0")
+    check_float64s(points * points, f"a {points} x {points} grid")
     with np.errstate(all="ignore"):
         coords = np.linspace(-extent, extent, points)
     coords[points // 2] = 0.0

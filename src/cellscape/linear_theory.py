@@ -8,8 +8,8 @@ narrowest chains them, node i = W(i)...W(1) x.  ``grad_factors`` gives the
 gradients and their slopes under any wiring.  The objective is the block
 quadratic 0.5 * sum_i ||node_i - t_i||^2, which makes the widest cell's
 block smoothness constant exactly ||x||^2 and gives the bounds a computable
-reference.  The smoothness check computes the chain's block constants
-exactly, from the same sweep; the variance check reduces sampled inputs'
+reference.  The smoothness check computes all the chain's block constants
+exactly, from one sweep at x; the variance check reduces sampled inputs'
 rank-1 gradients from their factors, each scaled and row-reduced once by
 ``rank1.scaled``.  Both report whether they stay under the scaled
 widest-cell bounds; violations are surfaced, never suppressed.
@@ -80,11 +80,6 @@ def _check_batch(m, xs):
     return xs
 
 
-def _check_block(m, i):
-    if not 1 <= i <= m.n:
-        raise ValueError(f"block {i} is outside 1..{m.n}")
-
-
 def grad_factors(m: LinearCellModel, cell, xs):
     """Yield (i, v, u, a) for blocks i = n..1 of the model wired by ``cell``:
     at row s of the inputs xs (S, d), d(loss)/dW(i) = v[s] u[s]^T.  u is node
@@ -132,40 +127,43 @@ def _bound_check(theorem, block, lambdas, empirical, bound, slack, **details):
             "violated": not empirical <= bound + slack, **details}
 
 
-def verify_block_smoothness(m: LinearCellModel, x, i):
-    """Exact block-i smoothness constant L_i of the chained model at the input
-    x vs the bound (prod_{j<i} lambda_j) * ||x||^2 inherited from the widest
-    quadratic, with the provable bound
+def verify_block_smoothness(m: LinearCellModel, x):
+    """Exact smoothness constants L_i of the chained model's blocks at the
+    input x, all from one sweep: the n checks in block order, block i's
+    constant vs the bound (prod_{j<i} lambda_j) * ||x||^2 inherited from the
+    widest quadratic, with the provable bound
     (prod_{j<i} lambda_j^2) * ||x||^2 * sum_{k>=i} prod_{i<j<=k} lambda_j^2.
 
     Block i's objective is quadratic in W(i): its gradient moves by A D u u^T
     when W(i) moves by D, with u = W(i-1)...W(1) x and
     A = sum_{k>=i} B_k^T B_k, B_k = W(k)...W(i+1), the u and a of the chain's
     ``grad_factors`` at x.  So L_i = ||u||^2 * lambda_max(A), reached by
-    D = v u^T with v A's top eigenvector.  u is scaled by the power of two
-    that brings max|u| into [0.5, 1) before it is squared, and the product
-    scaled back, both exactly, so ||u||^2 is rounded once, not lost where its
-    squares underflow.  A constant that is not finite is nan, a violation.
+    D = v u^T with v A's top eigenvector.  u is scaled by ``rank1.scaled``
+    before it is squared, and the product scaled back, both exactly, so
+    ||u||^2 is rounded once, not lost where its squares underflow.  A
+    constant that is not finite is nan, a violation.
     """
-    _check_block(m, i)
-    x = np.asarray(x, dtype=np.float64)  # grad_factors' batch check rejects a bad shape
-    *_, (u,), a = next(f for f in grad_factors(m, linear_cell(range(m.n)), x[None]) if f[0] == i)
-    e = np.frexp(np.abs(u).max())[1]
-    u = np.ldexp(u, -e)
-    # eigvalsh may raise, not converging, on an A that overflowed
-    top = np.linalg.eigvalsh(a)[-1] if np.isfinite(a).all() else np.nan
-    exact = float(np.ldexp(float(u @ u) * top, 2 * e))
-    if not math.isfinite(exact):
-        exact = math.nan
-    l_widest = float(x @ x)
-    bound = float(np.prod(m.lambdas[: i - 1])) * l_widest
+    x = np.asarray(x, dtype=np.float64)
+    constants = []  # blocks n..1, in sweep order
+    for _, _, u, a in grad_factors(m, linear_cell(range(m.n)), x[None]):
+        (u,), e, _ = scaled(u)
+        # eigvalsh may raise, not converging, on an A that overflowed
+        top = np.linalg.eigvalsh(a)[-1] if np.isfinite(a).all() else np.nan
+        exact = float(np.ldexp(float(u @ u) * top, 2 * e))
+        constants.append(exact if math.isfinite(exact) else math.nan)
+    l_widest = float(x @ x)  # read only once the sweep has checked x's shape
     squares = [lam * lam for lam in m.lambdas]
-    tail = 0  # added left to right: sum() compensates float sums from Python 3.12
-    for k in range(i, m.n + 1):
-        tail += math.prod(squares[i:k])
-    provable = math.prod(squares[: i - 1]) * l_widest * tail
-    return _bound_check("block_smoothness", i, list(m.lambdas), exact, bound,
-                        SMOOTHNESS_SLACK, input_norm_sq=l_widest, provable_bound=provable)
+    checks = []
+    for i, exact in enumerate(reversed(constants), 1):
+        bound = float(np.prod(m.lambdas[: i - 1])) * l_widest
+        tail = 0  # added left to right: sum() compensates float sums from Python 3.12
+        for k in range(i, m.n + 1):
+            tail += math.prod(squares[i:k])
+        provable = math.prod(squares[: i - 1]) * l_widest * tail
+        checks.append(_bound_check("block_smoothness", i, list(m.lambdas), exact, bound,
+                                   SMOOTHNESS_SLACK, input_norm_sq=l_widest,
+                                   provable_bound=provable))
+    return checks
 
 
 def _total_variance(v, u):
@@ -191,7 +189,8 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
     xs = _check_batch(m, xs)
     if len(xs) < 2:
         raise InsufficientSamples(f"need >= 2 samples, got {len(xs)}")
-    _check_block(m, i)
+    if not 1 <= i <= m.n:
+        raise ValueError(f"block {i} is outside 1..{m.n}")
     empirical, emp_se = _total_variance(
         *next((v, u) for k, v, u, _ in grad_factors(m, linear_cell(range(m.n)), xs) if k == i))
     # the widest cell with the same weights and targets, its blocks from n
@@ -211,11 +210,12 @@ def verify_gradient_variance(m: LinearCellModel, i, xs):
 
 
 def theory_report(n, dim, samples, instances, seed, scale):
-    """The ``theory`` report: ``instances`` random chained models, each block
-    checked for smoothness and then for variance.  One ``stream(seed,
-    "theory")`` draws each instance's model, then its input, then each
-    block's variance rows in turn.  A model with a violated block is recorded
-    whole, with its weights, targets and input, once per such block."""
+    """The ``theory`` report: ``instances`` random chained models, every block
+    checked for smoothness from one sweep, then each for variance.  One
+    ``stream(seed, "theory")`` draws each instance's model, then its input,
+    then each block's variance rows in turn.  A model with a violated block
+    is recorded whole, with its weights, targets and input, once per such
+    block."""
     check_float64s(samples * dim, "a variance check's inputs")
     rng = stream(seed, "theory")
     results, violations = [], []
@@ -225,8 +225,7 @@ def theory_report(n, dim, samples, instances, seed, scale):
             model = random_model(n, dim, rng, scale=scale)
             x = rng.standard_normal(dim)
             blocks = []
-            for i in range(1, n + 1):
-                smooth = verify_block_smoothness(model, x, i)
+            for i, smooth in enumerate(verify_block_smoothness(model, x), 1):
                 var = verify_gradient_variance(model, i, rng.standard_normal((samples, dim)))
                 blocks.append({"block": i, "lambda": model.lambdas[i - 1],
                                "smoothness": smooth, "variance": var})

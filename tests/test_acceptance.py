@@ -168,8 +168,7 @@ def test_criterion_04_theorem2_reporting(tmp_path):
     mc_rng = np.random.default_rng(np.random.PCG64(0))
     total = violated = 0
     for m, x in chain_population(0):
-        for i in range(1, m.n + 1):
-            r = verify_block_smoothness(m, x, i)
+        for i, r in enumerate(verify_block_smoothness(m, x), 1):
             total += 1
             violated += r["violated"]
             # the harness may never misreport in either direction

@@ -306,8 +306,7 @@ def test_theory_report_follows_one_stream(tmp_path):
         model = random_model(n, dim, rng, scale=scale)
         x = rng.standard_normal(dim)
         blocks = []
-        for i in range(1, n + 1):
-            smooth = verify_block_smoothness(model, x, i)
+        for i, smooth in enumerate(verify_block_smoothness(model, x), 1):
             var = verify_gradient_variance(model, i, rng.standard_normal((samples, dim)))
             blocks.append({"block": i, "lambda": smooth["lambdas"][i - 1],
                            "smoothness": smooth, "variance": var})
@@ -686,8 +685,10 @@ def test_landscape_centre_is_exactly_zero(darts_file, tiny_spec, tmp_path, capsy
     assert all(rows[centre * points + b][0] == "0.0" for b in range(points))
 
 
-@pytest.mark.parametrize("extra", [["--range", "5e-324"], ["--grid", 5, "--range", "1e308"]],
-                         ids=["coordinates collapse", "coordinates overflow"])
+@pytest.mark.parametrize("extra", [["--range", "5e-324"], ["--grid", 5, "--range", "1e308"],
+                                   ["--grid", 2**60 + 1]],
+                         ids=["coordinates collapse", "coordinates overflow",
+                              "grid past index limit"])
 def test_landscape_range_without_a_grid_exit_2(darts_file, tiny_spec, tmp_path, capsys,
                                                extra):
     code, err, out = landscape_main(capsys, tmp_path, darts_file, tiny_spec, *extra)
@@ -745,11 +746,13 @@ def test_numeric_flag_out_of_range_exit_1(darts_file, tiny_spec, darts_ckpt, tmp
 @pytest.mark.parametrize("field, value", [
     ("dim", "2.5"), ("train_size", "true"), ("num_classes", "4.0"), ("seed", '"0"'),
     ("noise", "NaN"), ("radius", "Infinity"), ("noise", "false"), ("radius", '"8"'),
-    ("seed", "-1"),
+    ("seed", "-1"), ("dim", "10000000000000000000"), ("train_size", "1152921504606846977"),
 ], ids=["fractional dim", "boolean train_size", "float num_classes", "text seed",
-        "nan noise", "infinite radius", "boolean noise", "text radius", "negative seed"])
+        "nan noise", "infinite radius", "boolean noise", "text radius", "negative seed",
+        "dim past index limit", "train_size past index limit"])
 def test_bad_dataset_spec_field_exit_2(darts_file, tmp_path, field, value):
-    # json.load reads NaN and Infinity, so only the spec's own check stops them
+    # json.load reads NaN and Infinity, so only the spec's own check stops
+    # them; numpy would raise on a split's shape past its index limit
     spec = tmp_path / "data.json"
     spec.write_text(f'{{"{field}": {value}}}')
     res = run_cli("train", "--genotype", darts_file, "--dataset-spec", spec, "--epochs", 1,
@@ -1003,6 +1006,23 @@ def test_network_size_past_index_limit_exit_2(tmp_path, capsys, command):
     assert err.startswith("validation error: the parameters would be ")
     assert err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("seeds", [2**63, 2**62], ids=["2^63", "2^62"])
+def test_compare_seeds_past_index_limit_exit_2(tmp_path, seeds):
+    # 3 learning rates x 2^62 members already pass numpy's index limit; 2^63
+    # does not fit a range's length, so the count is checked before either
+    genotypes = tmp_path / "genotypes"
+    genotypes.mkdir()
+    for name in ("darts", "snas"):
+        save_genotype(load_fixture(name), genotypes / f"{name}.json")
+    out = tmp_path / "run"
+    res = run_cli("compare", "--genotypes", genotypes, "--seeds", seeds,
+                  "--out", out / "report.json")
+    assert res.returncode == 2
+    assert one_line(res.stderr) and res.stderr.startswith("validation error:"), res.stderr
+    assert f" {3 * seeds} float64 values, more than numpy can index" in res.stderr
+    assert not out.exists()
 
 
 # --- adapt / report -------------------------------------------------------

@@ -166,6 +166,12 @@ def test_grid_coordinates_not_strictly_increasing_raise(points, extent):
         grid_coordinates(points, extent)
 
 
+def test_grid_past_index_limit_is_invalid():
+    # 2^60 + 2^31 + 1 points: rejected before linspace is asked for anything
+    with pytest.raises(InvalidSpec, match="more than numpy can index"):
+        grid_coordinates(2**30 + 1, 1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(half=st.integers(0, 499),
        extent=st.floats(1e-320, 1e308, allow_nan=False, allow_infinity=False))

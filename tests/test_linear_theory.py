@@ -110,9 +110,7 @@ def test_theory_report_computes_each_lambda_once(monkeypatch):
 def test_block_outside_range_is_rejected(i):
     rng = make_rng(18)
     m = random_model(3, 4, rng)
-    x, xs = rng.standard_normal(4), rng.standard_normal((5, 4))
-    with pytest.raises(ValueError, match=r"block -?\d+ is outside 1\.\.3"):
-        verify_block_smoothness(m, x, i)
+    xs = rng.standard_normal((5, 4))
     with pytest.raises(ValueError, match=r"block -?\d+ is outside 1\.\.3"):
         verify_gradient_variance(m, i, xs)
 
@@ -123,7 +121,7 @@ def test_smoothness_input_of_other_shape_is_rejected(shape):
     rng = make_rng(18)
     m = random_model(3, 4, rng)
     with pytest.raises(DimensionMismatch, match="batch shape"):
-        verify_block_smoothness(m, np.ones(shape), 2)
+        verify_block_smoothness(m, np.ones(shape))[1]
 
 
 def test_n1_models_coincide():
@@ -416,7 +414,7 @@ def test_smoothness_block1_bound_is_input_norm():
     rng = make_rng(9)
     m = random_model(3, 4, rng)
     x = rng.standard_normal(4)
-    report = verify_block_smoothness(m, x, 1)
+    report = verify_block_smoothness(m, x)[0]
     assert report["bound"] == pytest.approx(float(x @ x))
 
 
@@ -428,8 +426,7 @@ def test_smoothness_orthogonal_weights_unit_lambdas():
     targets = [rng.standard_normal(d) for _ in range(n)]
     m = LinearCellModel(qs, targets)
     x = rng.standard_normal(d)
-    for i in range(1, n + 1):
-        report = verify_block_smoothness(m, x, i)
+    for i, report in enumerate(verify_block_smoothness(m, x), 1):
         assert report["bound"] == pytest.approx(float(x @ x), rel=1e-9)
         assert all(abs(l - 1.0) <= 1e-9 for l in report["lambdas"])
         assert report["empirical"] == pytest.approx((n - i + 1) * float(x @ x), rel=1e-12)
@@ -446,7 +443,7 @@ def test_smoothness_last_block_exact_constant():
         d = int(rng.integers(2, 9))
         m = random_model(n, d, rng)
         x = rng.standard_normal(d)
-        report = verify_block_smoothness(m, x, n)
+        report = verify_block_smoothness(m, x)[n - 1]
         p = x
         for w in m.weights[: n - 1]:
             p = w @ p
@@ -464,7 +461,7 @@ def test_smoothness_ratio_matches_two_gradients(seed):
     i = int(rng.integers(1, n + 1))
     m = random_model(n, d, rng)
     x = rng.standard_normal(d)
-    exact = verify_block_smoothness(m, x, i)["empirical"]
+    exact = verify_block_smoothness(m, x)[i - 1]["empirical"]
     *_, (u,), a = next(f for f in grad_factors(m, linear_cell(chain_sources(n)), x[None])
                        if f[0] == i)
     top = np.linalg.eigh(a)[1][:, -1]
@@ -505,8 +502,7 @@ def test_smoothness_matches_per_trial_oracle(d, trials, scale):
     x = rng.standard_normal(d)
     oracle_rng = make_rng(700 + trials)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in (1, 2, 3):
-            report = verify_block_smoothness(m, x, i)
+        for i, report in enumerate(verify_block_smoothness(m, x), 1):
             estimate = per_trial_smoothness(m, x, i, oracle_rng, trials)
             same_report({k: report[k] for k in SHARED_FIELDS},
                         {k: estimate[k] for k in SHARED_FIELDS})
@@ -522,7 +518,7 @@ def test_smoothness_of_tiny_weights_is_measured():
         rng = make_rng(0)
         m = random_model(3, 8, rng, scale=scale)
         x = rng.standard_normal(8)
-        reports = [verify_block_smoothness(m, x, i) for i in (1, 2, 3)]
+        reports = verify_block_smoothness(m, x)
         assert reports[0]["empirical"] == float(x @ x) and not reports[0]["violated"]
         assert [r["empirical"] for r in reports[1:]] == [0.0, 0.0]
 
@@ -592,17 +588,18 @@ def test_smoothness_oracle_with_degenerate_draws(d, draws):
     m = random_model(2, d, make_rng(800 + d), scale=scale)
     x = make_rng(900).standard_normal(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in (1, 2):
-            report = verify_block_smoothness(m, x, i)
+        for i, report in enumerate(verify_block_smoothness(m, x), 1):
             assert_exact(report, m, x, i)
             estimate = per_trial_smoothness(m, x, i, draw(d), 259)
             assert within(estimate["empirical"], report["empirical"])
 
 
 def test_smoothness_runs_few_svds(monkeypatch):
-    # the exact constant takes one eigvalsh of A per block and no SVD
-    svds, eigs = [], []
+    # one chain sweep checks every block, each from one eigvalsh of its A
+    # and no SVD
+    svds, eigs, sweeps = [], [], []
     norm, eigvalsh = np.linalg.norm, np.linalg.eigvalsh
+    sweep = linear_theory.grad_factors
 
     def counting_norm(a, ord=None, axis=None, **kwargs):
         if ord == 2:
@@ -613,24 +610,25 @@ def test_smoothness_runs_few_svds(monkeypatch):
         eigs.append(a)
         return eigvalsh(a, *args, **kwargs)
 
+    def counting_sweep(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
     rng = make_rng(22)
     m = random_model(3, 8, rng)
     x = rng.standard_normal(8)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    for i in (1, 2, 3):
-        svds.clear()
-        eigs.clear()
-        verify_block_smoothness(m, x, i)
-        assert (len(svds), len(eigs)) == (0, 1)
+    monkeypatch.setattr(linear_theory, "grad_factors", counting_sweep)
+    assert len(verify_block_smoothness(m, x)) == 3
+    assert (len(svds), len(eigs), len(sweeps)) == (0, 3, 1)
 
 
 def test_smoothness_report_consistency():
     rng = make_rng(11)
     m = random_model(3, 5, rng)
     x = rng.standard_normal(5)
-    for i in (1, 2, 3):
-        r = verify_block_smoothness(m, x, i)
+    for i, r in enumerate(verify_block_smoothness(m, x), 1):
         assert r["violated"] == (r["empirical"] > r["bound"] + r["slack"])
         assert r["margin"] == r["bound"] - r["empirical"]
         assert r["theorem"] == "block_smoothness"
@@ -643,8 +641,7 @@ def test_smoothness_is_exact_on_the_population():
     # (prod_{j<i} lambda_j^2) * ||x||^2 * sum_{k>=i} prod_{i<j<=k} lambda_j^2
     blocks = 0
     for m, x in chain_population(0):
-        for i in range(1, m.n + 1):
-            r = verify_block_smoothness(m, x, i)
+        for i, r in enumerate(verify_block_smoothness(m, x), 1):
             assert_exact(r, m, x, i)
             assert r["empirical"] <= r["provable_bound"] * (1 + 1e-12)
             blocks += 1
@@ -656,7 +653,7 @@ def test_provable_bound_is_tight_for_one_block():
     rng = make_rng(27)
     m = random_model(1, 5, rng)
     x = rng.standard_normal(5)
-    r = verify_block_smoothness(m, x, 1)
+    [r] = verify_block_smoothness(m, x)
     assert r["empirical"] == r["bound"] == r["provable_bound"] == float(x @ x)
 
 
@@ -699,7 +696,7 @@ def test_overflowing_checks_are_violations():
         m = random_model(3, 4, rng, scale=scale)
         x = rng.standard_normal(4)
         with np.errstate(over="ignore", invalid="ignore"):
-            reports = [verify_block_smoothness(m, x, i) for i in (1, 2, 3)]
+            reports = verify_block_smoothness(m, x)
             reports += [verify_gradient_variance(m, i, rng.standard_normal((10, 4)))
                         for i in (1, 2, 3)]
         assert np.isnan(reports[0]["empirical"])

@@ -520,6 +520,10 @@ def test_dataset_spec_validation():
         DatasetSpec(train_size=0)
     with pytest.raises(InvalidSpec):
         DatasetSpec(num_classes=1)
+    # sizes numpy cannot index are rejected before any array is asked for
+    for field in ("dim", "train_size", "test_size"):
+        with pytest.raises(InvalidSpec, match=f"{field} .*more than numpy can index"):
+            DatasetSpec(**{field: 2**60 + 1})
 
 
 @pytest.mark.parametrize("spec", [

@@ -228,6 +228,12 @@ def test_only_rank1_squares_a_factor():
     assert top_level_callers("square") == ["rank1.scaled"]
 
 
+def test_only_rank1_scales_a_factor():
+    # the exact power-of-two scaling of a factor, the smoothness check's u
+    # included, is written once
+    assert top_level_callers("frexp") == ["rank1.scaled"]
+
+
 def test_only_typed_calls_type():
     # the rule that a JSON value's type is exact (true is not an integer, nor
     # is 1.0) is written once, for every file read back
