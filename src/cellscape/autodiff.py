@@ -28,11 +28,14 @@ from .rank1 import scaled, sum_of_squares
 
 
 def rectify(x):
-    """max(x, 0): fmax maps NaN to 0 and += 0.0 turns -0.0 into +0.0, so bit
-    for bit np.where(x > 0, x, 0.0), at a fraction of its cost."""
-    o = np.fmax(x, 0.0)
-    o += 0.0
-    return o
+    """max(x, 0) in one op: fmax maps NaN to 0, so this is np.where(x > 0,
+    x, 0.0) except for the sign of a zero, which numpy's scalar fmax path
+    (arrays of under 8 elements, an odd tail, strided views) keeps as -0.0.
+    No output reads that sign: a node part's product and a weight's
+    ``param_grad`` are matrix products whose sums start at +0.0,
+    ``relu_mask`` tests r > 0, and ``block_variance`` squares its rows or
+    multiplies them in a matrix product."""
+    return np.fmax(x, 0.0)
 
 
 def dense(x, w, b):
@@ -91,9 +94,13 @@ def relu_mask(r):
 
 
 def mean_of(parts):
-    """Elementwise mean of same-shape arrays (fixed averaging projection)."""
-    total = parts[0] + 0.0  # sum()'s 0 + first part: -0.0 becomes +0.0
-    for p in parts[1:]:
+    """Elementwise mean of same-shape arrays (fixed averaging projection):
+    the parts added in order into a new array, then divided by their count.
+    Where every part is -0.0 the mean is -0.0, not sum()'s +0.0; a mean
+    reaches an output only through a rectifier, a sum with another part or
+    a matrix product, none of which reads the sign of a zero (``rectify``)."""
+    total = parts[0] + parts[1] if len(parts) > 1 else parts[0].copy()
+    for p in parts[2:]:
         total += p
     total /= len(parts)
     return total
@@ -105,23 +112,45 @@ def mean_of_grad(g, count):
     return g * (1.0 / count)
 
 
+def _labelled(shape, labels):
+    """The flat positions, in a C-contiguous array of ``shape`` (..., batch,
+    classes), of each row's labelled entry, shaped like the rows."""
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1]) + labels
+
+
 def softmax_cross_entropy(logits, labels):
     """(mean cross-entropy of softmax(logits) against integer labels, the
     log-probabilities): one batch mean per member, so a (K, batch, classes)
     input gives a loss of shape (K,).  Unstacked labels of shape (batch,)
     serve every member; the pass's check has matched them to the logits'
-    rows."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    rows, and each lies in range(classes), as a dataset's do.
+
+    The bits are those of ``logits.max(axis=-1)`` and of the mean of a
+    ``np.take_along_axis`` gather, for less work on a few classes: each
+    row's max is a running ``np.maximum`` over the class columns, the same
+    maximum, and the labelled log-probabilities are gathered with one fancy
+    index into the flat array, so that they come out C-contiguous and their
+    mean adds them in the same order (a gather laid out otherwise rounds
+    differently).  The sum of exponentials stays a reduction, which numpy
+    adds pairwise from 8 classes on."""
+    top = logits[..., 0]
+    for c in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., c])
+    z = logits - top[..., None]
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    idx = np.broadcast_to(labels, logits.shape[:-1])[..., None]
-    return -np.take_along_axis(logp, idx, axis=-1)[..., 0].mean(axis=-1), logp
+    return -logp.ravel()[_labelled(logp.shape, labels)].mean(axis=-1), logp
 
 
 def softmax_cross_entropy_grad(logp, labels):
     """The gradient of the logits that every member's loss gets from its own
-    ``softmax_cross_entropy``, from that loss's log-probabilities."""
-    idx = np.broadcast_to(labels, logp.shape[:-1])[..., None]
-    return (np.exp(logp) - (idx == np.arange(logp.shape[-1]))) / logp.shape[-2]
+    ``softmax_cross_entropy``, from that loss's log-probabilities: softmax
+    less 1 at each row's label, over the batch size.  Subtracting 1.0 only
+    at the labels keeps the bits of subtracting a one-hot array, since
+    x - 0.0 is x for everything ``np.exp`` returns."""
+    grad = np.exp(logp)
+    grad.ravel()[_labelled(logp.shape, labels)] -= 1.0
+    grad /= logp.shape[-2]
+    return grad
 
 
 def param_grad(g, x):

@@ -11,8 +11,9 @@ after its last reader.  A forward pass first copies the transposes of the
 weights that linear node parts read, C-contiguous, one copy per run of
 same-shape blocks, since BLAS multiplies by a contiguous matrix about twice
 as fast as by a strided transposed view; the stem, the head and the reverse
-pass read the weights' own views.  ``ParamLayout`` places the parameter
-blocks in one flat vector and owns the checkpoint format that stores one.
+pass read the weights' own views, and a pass that records nothing makes the
+stem's and the head's alone.  ``ParamLayout`` places the parameter blocks in
+one flat vector and owns the checkpoint format that stores one.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .artifacts import read_bytes, typed, write_bytes
 from .errors import (DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount,
                      check_float64s)
 from .genotype import CellGenotype
+
+# the stem's and the head's blocks: the only views that a pass which records
+# nothing reads, its linear parts reading their weights' transposed copies
+ENDS = frozenset(("stem.w", "stem.b", "head.w", "head.b"))
 
 
 @dataclass(frozen=True)
@@ -69,17 +74,19 @@ class ParamLayout:
             self._runs[-1][1] = s.stop
             self._runs[-1][2].append(name)
 
-    def views(self, flat, transposed=None):
+    def views(self, flat, transposed=None, only=None):
         """name -> view of that block in ``flat``, keeping its leading axes:
         a run of same-shape blocks is sliced and reshaped once, then read
         block by block, the views being those of slicing each block.  Given
-        a set of names ``transposed``, only the runs that hold one are read,
-        each from one copy of its blocks with their last two axes swapped,
-        so that every block's transpose is C-contiguous."""
+        a set of names ``only``, only the runs that hold one are read.  Given
+        a set ``transposed`` instead, only the runs that hold one of those
+        are read, each from one copy of its blocks with their last two axes
+        swapped, so that every block's transpose is C-contiguous."""
         k = flat.ndim - 1  # the run's axis, moved to the front to read its blocks
+        wanted = only if transposed is None else transposed
         views = {}
         for start, stop, names, shape in self._runs:
-            if transposed is not None and transposed.isdisjoint(names):
+            if wanted is not None and wanted.isdisjoint(names):
                 continue
             run = flat[..., start:stop].reshape(flat.shape[:-1] + (len(names),) + shape)
             run = run.transpose(k, *range(k), *range(k + 1, run.ndim))
@@ -243,8 +250,9 @@ class CellNetwork:
         the rows' leading axes.  A slot that linear parts read is rectified
         right after it is made and each slot is freed after its last reader,
         so the pass ends holding the head's input rows and every rectifier.
-        With ``record=False`` no reverse pass follows, and each rectifier is
-        freed after its last linear reader, in whichever cell.  Linear parts
+        With ``record=False`` no reverse pass follows: each rectifier is
+        freed after its last linear reader, in whichever cell, and the pass
+        holds views of the stem's and the head's blocks alone.  Linear parts
         read the weights' transposes from one contiguous copy, freed on return."""
         x = np.asarray(x, dtype=np.float64)
         lead = params.shape[:-1]
@@ -254,7 +262,7 @@ class CellNetwork:
             raise ShapeMismatch(f"{params.shape} params, {x.shape} rows, labels "
                                 f"{y if y is None else np.shape(y)}: P is {self.layout.size}, "
                                 f"a row {self.cfg.input_dim}")
-        views = self.layout.views(params)
+        views = self.layout.views(params, only=None if record else ENDS)
         wts = self.layout.views(params, self._linear)
         vals, rects = [None] * self._slots, [None] * self._slots
         vals[0] = ad.dense(x, views["stem.w"], views["stem.b"])

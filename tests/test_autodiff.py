@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellscape.autodiff import cosine_lr, sgd_step
+from cellscape.autodiff import (cosine_lr, sgd_step, softmax_cross_entropy,
+                                softmax_cross_entropy_grad)
 from cellscape.errors import DimensionMismatch, ParseError, ShapeMismatch
 from cellscape.genotype import OPERATION_KINDS, load_fixture
 from cellscape.network import CellNetwork, NetworkConfig, ParamLayout, glorot_init
@@ -242,6 +243,52 @@ def test_softmax_uniform_logits_identity():
     expected /= batch
     assert np.allclose(leaf.grad, expected, atol=1e-15)
     assert math.isclose(float(loss.data), math.log(classes))
+
+
+def tape_head(logits, labels):
+    """The tape's loss head on ``logits``: (loss, log-probabilities, logits
+    gradient), the loss and gradient from its record and ``backward``, the
+    log-probabilities from the record's formula."""
+    t = Tape()
+    leaf = Value(logits)
+    loss = t.softmax_cross_entropy(leaf, labels)
+    backward(t, loss)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return loss.data, z - np.log(np.exp(z).sum(axis=-1, keepdims=True)), leaf.grad
+
+
+HEAD_VALUES = [-0.0, 0.0, -800.0, 800.0, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("classes", [2, 4, 9])
+def test_loss_head_matches_tape_bit_for_bit(classes):
+    # the column-wise max, the one gather of the labelled log-probabilities
+    # and the in-place gradient against the tape's reductions: every row of
+    # the special values at 2 and 4 classes, each with every label, and a
+    # random batch at 9, whose exponentials numpy sums pairwise; with no
+    # member axis, one and two members, and shared and stacked labels
+    rng = np.random.default_rng(classes)
+    if classes < 9:
+        grid = np.array(list(itertools.product(HEAD_VALUES, repeat=classes)))
+        rows = np.repeat(grid, classes, axis=0)
+        labels = np.tile(np.arange(classes), len(grid))
+    else:
+        rows = rng.standard_normal((300, classes)) * 10.0 ** rng.integers(-2, 3, size=(300, 1))
+        rows[::17, 3] = np.inf
+        rows[5::23, 1] = np.nan
+        labels = rng.integers(0, classes, size=300)
+    order = rng.permutation(len(rows))
+    cases = [(rows, labels), (rows[None], labels), (rows[None], labels[None]),
+             (np.stack([rows, rows[order]]), labels),
+             (np.stack([rows, rows[order]]), np.stack([labels, labels[order]]))]
+    with np.errstate(all="ignore"):
+        for logits, y in cases:
+            loss, logp = softmax_cross_entropy(logits, y)
+            grad = softmax_cross_entropy_grad(logp, y)
+            want = tape_head(logits, y)
+            assert loss.shape == logits.shape[:-2] and grad.shape == logits.shape
+            for got, expected in zip((loss, logp, grad), want):
+                assert np.array_equal(bits(got), bits(expected))
 
 
 def test_gradient_accumulates_on_reuse():

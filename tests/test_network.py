@@ -441,6 +441,135 @@ def test_plan_skips_the_steps_that_the_loss_does_not_reach(monkeypatch):
     assert len(dead) == 2 * 2 and all(np.all(bits(v) == 0) for v in dead)
 
 
+def test_forward_only_pass_views_the_stem_and_head_alone(darts):
+    # only the reverse walk reads the linear weights' own views: a pass that
+    # records nothing slices the stem's and the head's four blocks, and a
+    # recorded pass all 40 of darts', with or without a member axis
+    net = CellNetwork(darts, NetworkConfig())
+    params = net.init_params(stream(3, "init"))
+    assert len(net.layout.blocks) == 40
+    x = np.random.default_rng(6).standard_normal((3, 16))
+    for p in (params, np.stack([params, -params])):
+        views = net.forward(x, p, record=False)[1][1]
+        assert sorted(views) == ["head.b", "head.w", "stem.b", "stem.w"]
+        recorded = net.forward(x, p)[1][1]
+        assert list(recorded) == list(net.layout.blocks)
+        for name, view in views.items():
+            assert np.array_equal(bits(view), bits(recorded[name]))
+
+
+# --- signed zeros ---------------------------------------------------------
+
+
+def zeros_negative(a):
+    """``a`` with the sign bit of each zero set."""
+    return np.where(a == 0.0, -0.0, a)
+
+
+def count_negative_zeros(a):
+    """How many entries of ``a`` are -0.0."""
+    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("rows, dim", [(1, 1), (2, 1), (1, 3), (2, 2), (5, 1), (2, 3), (7, 1),
+                                       (2, 4), (3, 3), (1, 17), (3, 11)],
+                         ids=str)
+def test_rectifier_zero_signs_reach_no_layer_output(rows, dim, strided):
+    # rectify is fmax alone, and numpy's scalar fmax path (fewer than 8
+    # elements, an odd tail, a strided view) keeps a -0.0 input's sign.  A
+    # rectifier and its copy with every zero's sign set give the same bits
+    # through every layer that reads one: a node part's product and a
+    # weight's param_grad are matrix products, relu_mask tests r > 0, and
+    # block_variance squares its rows; with and without a member axis
+    rng = np.random.default_rng(10 * rows + dim)
+    x = rng.standard_normal((2 * rows, 2 * dim) if strided else (rows, dim))
+    x.flat[::2] = -0.0
+    x = x[::2, ::2] if strided else x
+    r = autodiff.rectify(x)
+    plain = np.where(x > 0.0, x, 0.0)
+    assert np.array_equal(bits(np.abs(r)), bits(plain))  # bit for bit up to zero signs
+    wt = rng.standard_normal((2, dim, dim))
+    g = rng.standard_normal((2, rows, dim))
+
+    def outputs(a):
+        stacked = np.stack([a, a[::-1]])
+        return [autodiff.node([("linear", a, wt[0]), ("zero", a, None)]),
+                autodiff.node([("linear", a, wt[0]), ("linear", a, wt[1])]),
+                autodiff.node([("identity", plain, None), ("linear", a, wt)]),
+                autodiff.param_grad(g[0], a), autodiff.param_grad(g, stacked),
+                autodiff.relu_mask(a), autodiff.relu_mask(stacked),
+                autodiff.block_variance(g[0], a), autodiff.block_variance(g, a),
+                autodiff.block_variance(g, stacked)]
+
+    want = outputs(plain)
+    for got in (outputs(r), outputs(zeros_negative(plain))):
+        for a, b in zip(got, want):
+            assert np.array_equal(bits(a), bits(b))
+
+
+# a cell whose mean underflows to -0.0: node 3 is s0 + 0.0 and node 4 a
+# product of node 2, s0 + s0, so in a column that no weight reads or writes
+# the output is (s0 + 0.0 + 0.0) / 2: a stem bias of the smallest negative
+# float makes it -0.0 there in every row of cells 0 and 1, and in cells 2
+# and 3 node 2 is -0.0 + -0.0 there, which its rectifier reads
+UNDERFLOW_CELL = CellGenotype(name="underflow", num_inputs=2, nodes=(
+    NodeSpec((OpSpec("identity", 0), OpSpec("identity", 0))),
+    NodeSpec((OpSpec("identity", 0), OpSpec("zero", 1))),
+    NodeSpec((OpSpec("zero", 1), OpSpec("linear", 2))),
+), concat=(3, 4))
+
+
+@pytest.mark.parametrize("flip", [None, "rectify", "mean_of"],
+                         ids=["as made", "rectifier zeros -0.0", "mean zeros -0.0"])
+@pytest.mark.parametrize("cfg, batch", [
+    (NetworkConfig(layers=4, dim=5, num_classes=3, input_dim=5), 9), (NetworkConfig(), 256),
+], ids=["batch 9 width 5", "default size"])
+@pytest.mark.parametrize("genotype", ["darts", UNDERFLOW_CELL], ids=["darts", "underflow"])
+def test_signed_zeros_reach_no_output(genotype, cfg, batch, flip, monkeypatch):
+    # rectify and mean_of leave a zero's sign as it falls, where the tape
+    # oracle's rectifier and mean clear it: with -0.0 planted in the rows,
+    # a mean that underflows to -0.0, and, in turn, every zero that one of
+    # the two layers makes turned to -0.0, the loss, gradient, evaluation
+    # and gradient variance keep every bit of the oracle's
+    g = load_fixture(genotype) if isinstance(genotype, str) else genotype
+    net = CellNetwork(g, cfg)
+    params = net.init_params(stream(5, "init"))
+    if g is UNDERFLOW_CELL:
+        views = net.layout.views(params)
+        views["stem.w"][0] = 0.0
+        views["stem.b"][0] = -5e-324
+        for name in net.layout.blocks:
+            if name.startswith("cell"):
+                views[name][0] = views[name][:, 0] = 0.0
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((batch, cfg.input_dim))
+    x[::2, ::3] = -0.0
+    y = rng.integers(0, cfg.num_classes, size=batch)
+    made = []
+    mean_of = autodiff.mean_of
+
+    def counted_mean(parts):
+        out = mean_of(parts)
+        made.append(count_negative_zeros(out))
+        return out
+
+    monkeypatch.setattr(autodiff, "mean_of", counted_mean)
+    if flip:
+        layer = getattr(autodiff, flip)
+        monkeypatch.setattr(autodiff, flip, lambda a: zeros_negative(layer(a)))
+    loss, grads = net.loss_and_grads(x, y, params)
+    if g is UNDERFLOW_CELL and flip != "mean_of":
+        assert made[:2] == [batch, batch]  # one column's means underflow
+    want_loss, want_grads = tape_loss_and_grads(net, x, y, params)
+    assert bits(loss) == bits(want_loss)
+    assert np.array_equal(bits(grads), bits(want_grads))
+    for got, want in zip(net.evaluate(x, y, params), tape_evaluate(net, x, y, params)):
+        assert bits(got) == bits(want)
+    assert bits(net.gradient_variance(x, y, params)) == bits(
+        tape_gradient_variance(net, x, y, params))
+
+
 def test_forward_deterministic(darts):
     net = CellNetwork(darts, SMALL)
     params = net.init_params(stream(3, "init"))
