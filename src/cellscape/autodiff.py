@@ -123,7 +123,7 @@ def softmax_cross_entropy(logits, labels):
     log-probabilities): one batch mean per member, so a (K, batch, classes)
     input gives a loss of shape (K,).  Unstacked labels of shape (batch,)
     serve every member; the pass's check has matched them to the logits'
-    rows, and each lies in range(classes), as a dataset's do.
+    rows and to range(classes).
 
     The bits are those of ``logits.max(axis=-1)`` and of the mean of a
     ``np.take_along_axis`` gather, for less work on a few classes: each

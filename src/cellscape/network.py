@@ -11,9 +11,9 @@ after its last reader.  A forward pass first copies the transposes of the
 weights that linear node parts read, C-contiguous, one copy per run of
 same-shape blocks, since BLAS multiplies by a contiguous matrix about twice
 as fast as by a strided transposed view; the stem, the head and the reverse
-pass read the weights' own views, and a pass that records nothing makes the
-stem's and the head's alone.  ``ParamLayout`` places the parameter blocks in
-one flat vector and owns the checkpoint format that stores one.
+pass read the weights' own views, which every pass makes.  ``ParamLayout``
+places the parameter blocks in one flat vector and owns the checkpoint
+format that stores one.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from .artifacts import read_bytes, typed, write_bytes
 from .errors import (DimensionMismatch, ParseError, ShapeMismatch, UnsupportedInputCount,
                      check_float64s)
 from .genotype import CellGenotype
-
-# the stem's and the head's blocks: the only views that a pass which records
-# nothing reads, its linear parts reading their weights' transposed copies
-ENDS = frozenset(("stem.w", "stem.b", "head.w", "head.b"))
 
 
 @dataclass(frozen=True)
@@ -74,24 +70,29 @@ class ParamLayout:
             self._runs[-1][1] = s.stop
             self._runs[-1][2].append(name)
 
-    def views(self, flat, transposed=None, only=None):
+    def views(self, flat, transposed=None):
         """name -> view of that block in ``flat``, keeping its leading axes:
-        a run of same-shape blocks is sliced and reshaped once, then read
-        block by block, the views being those of slicing each block.  Given
-        a set of names ``only``, only the runs that hold one are read.  Given
-        a set ``transposed`` instead, only the runs that hold one of those
-        are read, each from one copy of its blocks with their last two axes
-        swapped, so that every block's transpose is C-contiguous."""
+        a block alone in its run is one slice, and a run of several
+        same-shape blocks is sliced and reshaped once, then read block by
+        block, the views being those of slicing each block.  Given a set of
+        names ``transposed``, only the runs holding one are read, each from
+        one copy of its blocks with their last two axes swapped, C-contiguous."""
         k = flat.ndim - 1  # the run's axis, moved to the front to read its blocks
-        wanted = only if transposed is None else transposed
         views = {}
         for start, stop, names, shape in self._runs:
-            if wanted is not None and wanted.isdisjoint(names):
+            if transposed is not None and transposed.isdisjoint(names):
                 continue
-            run = flat[..., start:stop].reshape(flat.shape[:-1] + (len(names),) + shape)
-            run = run.transpose(k, *range(k), *range(k + 1, run.ndim))
-            views.update(zip(names, run if transposed is None
-                             else np.ascontiguousarray(run.swapaxes(-1, -2))))
+            if len(names) == 1:
+                run = flat[..., start:stop].reshape(flat.shape[:-1] + shape)
+            else:
+                run = flat[..., start:stop].reshape(flat.shape[:-1] + (len(names),) + shape)
+                run = run.transpose(k, *range(k), *range(k + 1, run.ndim))
+            if transposed is not None:
+                run = np.ascontiguousarray(run.swapaxes(-1, -2))
+            if len(names) == 1:
+                views[names[0]] = run
+            else:
+                views.update(zip(names, run))
         return views
 
     def save(self, params, path):
@@ -223,12 +224,8 @@ class CellNetwork:
 
     def _param_shapes(self):
         d = self.cfg.dim
-        shapes = {
-            "stem.w": (d, self.cfg.input_dim),
-            "stem.b": (d,),
-            "head.w": (self.cfg.num_classes, d),
-            "head.b": (self.cfg.num_classes,),
-        }
+        shapes = {"stem.w": (d, self.cfg.input_dim), "stem.b": (d,),
+                  "head.w": (self.cfg.num_classes, d), "head.b": (self.cfg.num_classes,)}
         shapes.update((w, (d, d)) for w in self._linear)
         return shapes
 
@@ -247,22 +244,25 @@ class CellNetwork:
         ``autodiff``'s layers trust, else ShapeMismatch: (P,) params or (K, P)
         for K members; (B, input_dim) rows, or (K, B, input_dim) beside
         (K, P) params; and a loss method's labels ``y``, (B,) or shaped like
-        the rows' leading axes.  A slot that linear parts read is rectified
-        right after it is made and each slot is freed after its last reader,
-        so the pass ends holding the head's input rows and every rectifier.
-        With ``record=False`` no reverse pass follows: each rectifier is
-        freed after its last linear reader, in whichever cell, and the pass
-        holds views of the stem's and the head's blocks alone.  Linear parts
-        read the weights' transposes from one contiguous copy, freed on return."""
-        x = np.asarray(x, dtype=np.float64)
+        the rows' leading axes, each in range(num_classes).  A slot that
+        linear parts read is rectified right after it is made and each slot
+        is freed after its last reader, so the pass ends holding the head's
+        input rows, every block's view and every rectifier; with
+        ``record=False`` no reverse pass follows, and each rectifier is freed
+        after its last linear reader.  Linear parts read the weights'
+        transposes from one contiguous copy of each run, freed on return."""
+        x, y = np.asarray(x, dtype=np.float64), y if y is None else np.asarray(y)
         lead = params.shape[:-1]
         if (params.shape[-1:] != (self.layout.size,) or len(lead) > 1 or x.ndim < 2
                 or x.shape[:-2] not in ((), lead) or x.shape[-1] != self.cfg.input_dim
-                or y is not None and np.shape(y) not in (x.shape[-2:-1], x.shape[:-1])):
+                or y is not None and y.shape not in (x.shape[-2:-1], x.shape[:-1])):
             raise ShapeMismatch(f"{params.shape} params, {x.shape} rows, labels "
-                                f"{y if y is None else np.shape(y)}: P is {self.layout.size}, "
+                                f"{y if y is None else y.shape}: P is {self.layout.size}, "
                                 f"a row {self.cfg.input_dim}")
-        views = self.layout.views(params, only=None if record else ENDS)
+        if y is not None and y.size and (y.min() < 0 or y.max() >= self.cfg.num_classes):
+            raise ShapeMismatch(f"label {y.min() if y.min() < 0 else y.max()} outside range("
+                                f"num_classes={self.cfg.num_classes})")
+        views = self.layout.views(params)
         wts = self.layout.views(params, self._linear)
         vals, rects = [None] * self._slots, [None] * self._slots
         vals[0] = ad.dense(x, views["stem.w"], views["stem.b"])
@@ -339,7 +339,7 @@ class CellNetwork:
         records nothing; one of each per member with a member axis."""
         logits = self.forward(x, params, record=False, y=y)[0]  # the pass's last slot goes now
         loss, _ = ad.softmax_cross_entropy(logits, y)
-        return loss, np.mean(np.argmax(logits, axis=-1) == np.asarray(y), axis=-1)
+        return loss, (logits.argmax(axis=-1) == np.asarray(y)).mean(axis=-1)
 
     def gradient_variance(self, x, y, params):
         """Total variance (covariance trace) of the per-example parameter

@@ -92,9 +92,13 @@ def test_mixed_ops_count_difference():
 
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 def test_layout_views_are_each_blocks_own_slice(lead):
-    # a run of same-shape blocks is reshaped once and read block by block:
-    # the views are those of slicing each block, and writes reach the vector
-    layout = ParamLayout({"b": (3,), "a": (2, 2), "e": (0,), "c": (3,), "w": (2, 2), "v": (2, 2)})
+    # a block alone in its run is one slice, and a run of same-shape blocks
+    # is reshaped once and read block by block: the views are those of
+    # slicing each block, and writes reach the vector
+    layout = ParamLayout({"b": (3,), "a": (2, 2), "e": (0,), "c": (3,), "w": (2, 2), "v": (2, 2),
+                          "x": (3, 2)})
+    assert [names for _, _, names, _ in layout._runs] == [["a"], ["b", "c"], ["e"], ["v", "w"],
+                                                          ["x"]]
     flat = np.arange(math.prod(lead) * layout.size, dtype=float).reshape(lead + (layout.size,))
     views = layout.views(flat)
     assert list(views) == list(layout.blocks)
@@ -104,14 +108,17 @@ def test_layout_views_are_each_blocks_own_slice(lead):
         if want.size:  # an empty block's strides are arbitrary
             assert views[name].strides == want.strides and np.shares_memory(views[name], flat)
     # only the runs holding a name asked for, each block's transpose copied
-    # C-contiguous, one copy per run
-    transposed = layout.views(flat, {"w"})
-    assert list(transposed) == ["v", "w"] and transposed["v"].base is transposed["w"].base
+    # C-contiguous, one copy per run, a lone 2-D block's included
+    transposed = layout.views(flat, {"w", "x"})
+    assert list(transposed) == ["v", "w", "x"] and transposed["v"].base is transposed["w"].base
+    assert transposed["x"].shape == lead + (2, 3)
     for name, wt in transposed.items():
         assert np.array_equal(wt, np.swapaxes(views[name], -1, -2)) and wt.flags.c_contiguous
         assert not np.shares_memory(wt, flat)
     views["c"][...] = -1.0
-    assert np.all(flat[..., 7:10] == -1.0) and np.all(flat[..., 10:] >= 0.0)
+    views["x"][...] = -2.0
+    assert np.all(flat[..., 7:10] == -1.0) and np.all(flat[..., 10:18] >= 0.0)
+    assert np.all(flat[..., 18:] == -2.0)
 
 
 def test_m_not_2_rejected():
@@ -441,21 +448,68 @@ def test_plan_skips_the_steps_that_the_loss_does_not_reach(monkeypatch):
     assert len(dead) == 2 * 2 and all(np.all(bits(v) == 0) for v in dead)
 
 
-def test_forward_only_pass_views_the_stem_and_head_alone(darts):
-    # only the reverse walk reads the linear weights' own views: a pass that
-    # records nothing slices the stem's and the head's four blocks, and a
-    # recorded pass all 40 of darts', with or without a member axis
+def test_forward_only_and_recorded_passes_hold_the_same_views(darts):
+    # every pass makes one set of views, whether or not it records: each of
+    # darts' 40 blocks, the same bits, with or without a member axis
     net = CellNetwork(darts, NetworkConfig())
     params = net.init_params(stream(3, "init"))
     assert len(net.layout.blocks) == 40
     x = np.random.default_rng(6).standard_normal((3, 16))
     for p in (params, np.stack([params, -params])):
-        views = net.forward(x, p, record=False)[1][1]
-        assert sorted(views) == ["head.b", "head.w", "stem.b", "stem.w"]
-        recorded = net.forward(x, p)[1][1]
-        assert list(recorded) == list(net.layout.blocks)
-        for name, view in views.items():
+        quiet, recorded = net.forward(x, p, record=False)[1][1], net.forward(x, p)[1][1]
+        assert list(quiet) == list(recorded) == list(net.layout.blocks)
+        for name, view in quiet.items():
+            assert view.shape == recorded[name].shape == p.shape[:-1] + net.layout.blocks[name][1]
             assert np.array_equal(bits(view), bits(recorded[name]))
+
+
+# a cell with one linear part: at one layer, each block is alone in its run
+ONE_LINEAR = CellGenotype(name="one-linear", num_inputs=2, nodes=(
+    NodeSpec((OpSpec("linear", 0), OpSpec("identity", 1))),))
+
+
+@pytest.mark.parametrize("members", ["none", "K3"])
+def test_lone_blocks_pass_matches_tape_oracle_bit_for_bit(members):
+    # every run holds one block, the linear weight's transposed copy among
+    # them: loss, gradient, evaluation and gradient variance are the tape's
+    net = CellNetwork(ONE_LINEAR, NetworkConfig(layers=1, dim=6, num_classes=3, input_dim=5))
+    shapes = [shape for _, shape in net.layout.blocks.values()]
+    assert all(a != b for a, b in zip(shapes, shapes[1:]))
+    rng = np.random.default_rng(12)
+    init = net.init_params(stream(2, "init"))
+    params = init if members == "none" else init + rng.standard_normal((3, init.size)) * 0.3
+    x, y = rng.standard_normal((7, 5)), rng.integers(0, 3, size=7)
+    loss, grads = net.loss_and_grads(x, y, params)
+    want_loss, want_grads = tape_loss_and_grads(net, x, y, params)
+    assert np.array_equal(bits(loss), bits(want_loss))
+    assert np.array_equal(bits(grads), bits(want_grads))
+    assert np.all(grads[..., net.layout.blocks["cell0.node0.op0.w"][0]] != 0.0)
+    for got, want in zip(net.evaluate(x, y, params), tape_evaluate(net, x, y, params)):
+        assert np.array_equal(bits(got), bits(want))
+    members_params = [params] if members == "none" else list(params)
+    assert list(bits(np.atleast_1d(net.gradient_variance(x, y, params)))) == [
+        bits(tape_gradient_variance(net, x, y, p)) for p in members_params]
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared labels", "stacked labels"])
+def test_labels_outside_the_classes_are_rejected_before_the_pass(darts, bad, stacked,
+                                                                 monkeypatch):
+    # a label must lie in range(num_classes), else ShapeMismatch naming it,
+    # raised before the stem's dense runs; the flat gather would otherwise
+    # read another row's log-probability
+    net = CellNetwork(darts, SMALL)
+    params = np.stack([net.init_params(stream(3, "init"))] * 2)
+    x = np.ones((2, 5, 5) if stacked else (5, 5))
+    y = np.array([[0, 1, 2, 1, 0], [2, 1, 0, 2, 1]]) if stacked else np.array([0, 1, 2, 1, 0])
+    y[..., 2] = bad
+    monkeypatch.setattr(autodiff, "dense", lambda *args: pytest.fail("the pass started"))
+    for check in (net.loss_and_grads, net.evaluate, net.gradient_variance):
+        with pytest.raises(ShapeMismatch, match=rf"^label {bad} outside range\(num_classes=3\)$"):
+            check(x, y, params)
+        # one member, its labels a list
+        with pytest.raises(ShapeMismatch, match=rf"^label {bad} "):
+            check(x[0] if stacked else x, list(y[0] if stacked else y), params[0])
 
 
 # --- signed zeros ---------------------------------------------------------
