@@ -1,9 +1,10 @@
-"""The one module that opens files: it writes every file, JSON, CSV or raw
-bytes, and reads every input file, JSON or raw bytes.  RFC 8259 has no inf or
-nan, so a non-finite float is written to JSON as ``null``, and
-``allow_nan=False`` holds.  Every file is written whole or not at all: to a
-temporary file beside it, renamed into place once complete.  ``typed`` is the
-one check of a value's type read from a file."""
+"""The one module that opens files or makes directories: it writes every
+file, JSON, CSV or raw bytes, making its directory if missing, and reads every
+input file, fixtures included.  RFC 8259 has no inf or nan, so a non-finite
+float is written to JSON as ``null``, and ``allow_nan=False`` holds.  Every
+file is written whole or not at all: to a temporary file beside it, renamed
+into place once complete.  ``typed`` is the one check of a value's type read
+from a file."""
 
 import contextlib
 import csv
@@ -34,9 +35,11 @@ def dump(doc, fh):
 def _replacing(path, mode, **kwargs):
     """A file open for writing beside ``path`` that replaces ``path`` when the
     block ends.  If the block raises, the file is removed and ``path`` is
-    left as it was."""
+    left as it was.  The directories of ``path`` are made first, if missing."""
     path = os.fspath(path)
     head, name = os.path.split(path)
+    if head:
+        os.makedirs(head, exist_ok=True)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         fh = open(tmp, mode, **kwargs)

@@ -115,7 +115,6 @@ def variants(genotype_file, mode, count_, seed, ops, out_dir):
     g = load_genotype(genotype_file)
     sampled = sample_variants(g, mode, count_, seed, operation_set=tuple(ops.split(",")))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     artifacts = []
     entries = []
     for i, v in enumerate(sampled):
@@ -173,7 +172,6 @@ def theory(n_nodes, dim, trials, samples, instances, seed, scale, out_file):
     doc = theory_report(n_nodes, dim, samples, instances, seed, scale)
     violations = doc["violation_count"]
     out_path = Path(out_file)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(out_path, doc)
     _write_manifest(out_path.parent, [seed], [out_path.name], violation_count=violations)
     if violations:
@@ -232,7 +230,6 @@ def train_cmd(genotype_file, layers, dim, lr, epochs, batch_size, seed,
     [trace] = train(net, dataset, [(lr, seed)], epochs, batch_size)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.csv"
     write_csv(trace_path, list(trace.rows[0]), [row.values() for row in trace.rows])
     ckpt_path = out / "final.ckpt"
@@ -274,7 +271,6 @@ def compare(genotype_dir, lr_set, num_seeds, epochs, layers, dim, threshold,
         genotypes, dataset, epochs, lr_set, seeds, net_cfg, threshold=threshold
     )
     out_path = Path(out_file)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(out_path, doc)
     diverged = sum(e["diverged"] for e in doc["entries"])
     _write_manifest(out_path.parent, seeds, [out_path.name], diverged_runs=diverged)
@@ -325,7 +321,6 @@ def landscape(checkpoint_file, genotype_file, dataset_spec_file, mode, grid_poin
     else:
         surface = gradient_variance_surface(net, checkpoint, x, y, pair, coords, mode=mode)
     out_path = Path(out_file)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     export_grid(out_path, coords, surface, metadata)
     _write_manifest(out_path.parent, [seed], [out_path.name])
     click.echo(f"{mode} grid ({grid_points}x{grid_points}) in {out_path}")

@@ -10,9 +10,8 @@ is valid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 from .artifacts import read_json, typed, write_json
 from .errors import (
@@ -149,8 +148,7 @@ def load_fixture(name: str) -> CellGenotype:
     """Load one of the bundled cell fixtures by short name (e.g. ``darts``)."""
     if name not in FIXTURE_NAMES:
         raise ParseError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    text = resources.files("cellscape.fixtures").joinpath(f"{name}.json").read_text()
-    return genotype_from_dict(json.loads(text))
+    return load_genotype(Path(__file__).parent / "fixtures" / f"{name}.json")
 
 
 def rewired(g: CellGenotype, name, ops) -> CellGenotype:

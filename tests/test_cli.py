@@ -856,11 +856,26 @@ def test_typed_spells_values_as_json(value, spelling):
         typed(value, (int,), "x")
 
 
-def test_write_into_missing_directory_names_the_target(tmp_path):
-    path = tmp_path / "missing" / "report.json"
-    with pytest.raises(FileNotFoundError) as info:
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"a": 1.0}),
+    lambda path: write_csv(path, ["a"], [[1.0]]),
+    lambda path: write_bytes(path, b"1"),
+], ids=["json", "csv", "bytes"])
+def test_each_write_makes_its_own_directory(tmp_path, write):
+    path = tmp_path / "missing" / "nested" / "artifact"
+    write(path)
+    assert sorted(tmp_path.rglob("*")) == [path.parent.parent, path.parent, path]
+    write(path)  # and writes into it once it exists
+    assert sorted(tmp_path.rglob("*")) == [path.parent.parent, path.parent, path]
+
+
+def test_write_that_cannot_open_its_file_names_the_target(tmp_path):
+    # the target's name is legal, but its temporary file's is too long
+    path = tmp_path / ("r" * 250)
+    with pytest.raises(OSError) as info:
         write_json(path, {})
     assert info.value.filename == str(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_diverging_runs_write_strict_json(darts_file, tiny_spec, tmp_path):
@@ -912,20 +927,65 @@ def test_manifest_flags_are_the_command_line(darts_file, tmp_path):
     }
 
 
-# --- unwritable outputs ---------------------------------------------------
+# --- output directories ---------------------------------------------------
 
 
-def test_analyze_out_in_missing_dir_exit_2(darts_file, tmp_path):
-    res = run_cli("analyze", "--genotype", darts_file, "--out", tmp_path / "no" / "a.json")
+@pytest.fixture
+def writing_command(darts_file, tiny_spec, darts_ckpt, tmp_path):
+    """The command line of a small run of each command that writes, its
+    artifacts written into the directory ``out``."""
+    gdir = tmp_path / "gens"
+    gdir.mkdir()
+    for name in ("darts", "snas"):
+        save_genotype(load_fixture(name), gdir / f"{name}.json")
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "manifest.json").write_text('{"violation_count": 0}')
+    net = ["--dataset-spec", tiny_spec, "--layers", 1, "--dim", 5]
+    return lambda command, out: [command, *{
+        "variants": ["--genotype", darts_file, "--mode", "connection", "--count", 2,
+                     "--out", out],
+        "theory": ["--instances", 1, "--samples", 10, "--out", out / "report.json"],
+        "train": ["--genotype", darts_file, *net, "--epochs", 1, "--out-dir", out],
+        "compare": ["--genotypes", gdir, *net, "--seeds", 1, "--epochs", 1,
+                    "--out", out / "report.json"],
+        "landscape": ["--checkpoint", darts_ckpt, "--genotype", darts_file, *net,
+                      "--grid", 3, "--subset", 8, "--out", out / "grid.csv"],
+        "adapt": ["--genotype", darts_file, "--out", out / "adapted.json"],
+        "analyze": ["--genotype", darts_file, "--out", out / "analysis.json"],
+        "report": ["--run-dir", runs, "--out", out / "summary.json"],
+    }[command]]
+
+
+WRITING_COMMANDS = ["variants", "theory", "train", "compare", "landscape", "adapt", "analyze",
+                    "report"]
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_missing_output_directory_is_made(writing_command, tmp_path, command):
+    # a nested directory that does not exist yet gets what an existing one
+    # does, with the same exit code and output; manifests differ in their
+    # flags and duration
+    existing, nested = tmp_path / "existing", tmp_path / "new" / "nested"
+    existing.mkdir()
+    before, after = (run_cli(*writing_command(command, out)) for out in (existing, nested))
+    assert after.returncode == before.returncode and after.stderr == before.stderr == ""
+    assert after.stdout.replace(str(nested), str(existing)) == before.stdout
+    names = sorted(p.name for p in existing.iterdir())
+    assert sorted(p.name for p in nested.iterdir()) == names and names
+    assert all((nested / n).read_bytes() == (existing / n).read_bytes()
+               for n in names if n != "manifest.json")
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_output_below_a_file_exit_2(writing_command, tmp_path, command):
+    # the artifacts' directory would be made inside a regular file
+    (tmp_path / "file").write_text("")
+    files = sorted(tmp_path.rglob("*"))
+    res = run_cli(*writing_command(command, tmp_path / "file"))
     assert res.returncode == 2
-    assert one_line(res.stderr), res.stderr
-    assert res.stdout == ""
-
-
-def test_adapt_out_in_missing_dir_exit_2(darts_file, tmp_path):
-    res = run_cli("adapt", "--genotype", darts_file, "--out", tmp_path / "no" / "a.json")
-    assert res.returncode == 2
-    assert one_line(res.stderr), res.stderr
+    assert one_line(res.stderr) and res.stderr.startswith("error:"), res.stderr
+    assert sorted(tmp_path.rglob("*")) == files and (tmp_path / "file").read_text() == ""
 
 
 def test_theory_out_below_a_file_exit_2(tmp_path):

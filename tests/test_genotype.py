@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,9 +39,23 @@ def test_all_fixtures_load_and_validate():
         assert g.name == name
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "cellscape" / "fixtures"
+
+
 def test_unknown_fixture():
-    with pytest.raises(ParseError):
-        load_fixture("resnet")
+    with pytest.raises(ParseError) as info:
+        load_fixture("nope")
+    assert str(info.value) == f"unknown fixture 'nope'; available: {', '.join(FIXTURE_NAMES)}"
+
+
+def test_fixture_names_are_the_bundled_files():
+    assert len(FIXTURE_NAMES) == len(set(FIXTURE_NAMES))
+    assert set(FIXTURE_NAMES) == {p.stem for p in FIXTURES.glob("*.json")}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_is_read_like_any_genotype_file(name):
+    assert load_fixture(name) == load_genotype(FIXTURES / f"{name}.json")
 
 
 def test_forward_reference_rejected():

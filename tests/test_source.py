@@ -180,12 +180,29 @@ def test_cli_imports_no_numpy():
     assert "numpy" not in outside_imports((SRC / "cli.py").read_text())
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "artifacts.py"],
-                         ids=lambda p: p.name)
+NOT_ARTIFACTS = [p for p in sorted(SRC.glob("*.py")) if p.name != "artifacts.py"]
+
+
+@pytest.mark.parametrize("path", NOT_ARTIFACTS, ids=lambda p: p.name)
 def test_only_artifacts_opens_files_for_writing(path):
     # one module opens files, to write or to read, so how artifacts reach the
     # disk and how a file that cannot be read is reported are decided once
     assert calls_of(path.read_text(), "open") == []
+
+
+@pytest.mark.parametrize("path", NOT_ARTIFACTS, ids=lambda p: p.name)
+def test_only_artifacts_makes_directories(path):
+    # each write makes its own directory, so a command makes its output
+    # directory only with its first artifact, after every check
+    source = path.read_text()
+    assert calls_of(source, "mkdir") == [] and calls_of(source, "makedirs") == []
+
+
+@pytest.mark.parametrize("path", NOT_ARTIFACTS, ids=lambda p: p.name)
+def test_only_artifacts_imports_os_or_importlib(path):
+    # the file system, the bundled fixtures included, is reached through
+    # artifacts alone
+    assert outside_imports(path.read_text()) & {"os", "importlib"} == set()
 
 
 def calls_of(source, name):
